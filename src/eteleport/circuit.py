@@ -61,16 +61,13 @@ class ElementSpec:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if len(self.modes) != expected or len(set(self.modes)) != expected:
             raise ValueError(f"{self.kind} requires {expected} distinct mode(s)")
-        needed = {
-            SYM_SPLITTER: (),
-            PREP_SPLITTER: ("reflection", "phi"),
-            TOMO_SPLITTER: ("transmission", "theta"),
-            PHASE_SHIFT: ("value",),
-        }[self.kind]
+        needed = tuple(field for _, field in _ELEMENT_PARAMS[_KIND_TO_KEYWORD[self.kind]])
         for name in ("reflection", "phi", "transmission", "theta", "value"):
-            have = getattr(self, name) is not None
-            if have != (name in needed):
+            v = getattr(self, name)
+            if (v is not None) != (name in needed):
                 raise ValueError(f"{self.kind} takes parameters {needed}, got {name}")
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("reflection", "transmission"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
@@ -162,21 +159,72 @@ def compose(description: CircuitDescription) -> SingleParticleUnitary:
 # Built-in teleportation network
 # ---------------------------------------------------------------------------
 
-# Wire names carry the meaning each line has between the two splitter
-# layers; the same physical line starts as a source/ground input (wire
-# order matches INPUT_MODES) and ends at a detector.
+# Wire names carry the meaning each line has between the source splitters
+# and Alice's; wire order matches INPUT_MODES, so column k of every network
+# view is fed by input mode k.
 TELEPORT_WIRES = ("A0", "B0p", "A1", "B1p", "A0p", "A1p")
-_WIRE_OUTPUTS = {
-    "A0": "A0+",
-    "A0p": "A0-",
-    "A1": "A1+",
-    "A1p": "A1-",
-    "B0p": "B0",
-    "B1p": "B1",
+
+# Dephasing arms, i.e. the wires between the source splitters and Alice's.
+ARM_WIRES = ("A0p", "A1p", "A0", "A1", "B0p", "B1p")
+
+# Layer names in application order.
+TELEPORT_LAYERS = ("prep", "phase", "alice", "tomo")
+
+# The detector each wire ends on once the named layer has been applied;
+# wires a layer does not end keep their name.
+_LAYER_OUTPUTS = {
+    "alice": {"A0": "A0+", "A0p": "A0-", "A1": "A1+", "A1p": "A1-"},
+    "tomo": {"B0p": "B0", "B1p": "B1"},
 }
 
-# Dephasing arms, i.e. the wires between the two splitter layers.
-ARM_WIRES = ("A0p", "A1p", "A0", "A1", "B0p", "B1p")
+
+def teleport_layers(
+    reflection: float,
+    phi: float,
+    transmission: float,
+    theta: float,
+    arm_phases: Mapping[str, float] | None,
+) -> dict[str, tuple[ElementSpec, ...]]:
+    """The teleportation network, defined once, as named layers.
+
+    prep: the two symmetric source splitters and the input-qubit splitter;
+    phase: one phase shift per arm listed in `arm_phases` (possibly none);
+    alice: her two Bell-measurement splitters; tomo: Bob's splitter.
+    """
+    arm_phases = arm_phases or {}
+    unknown = set(arm_phases) - set(ARM_WIRES)
+    if unknown:
+        raise ValueError(f"unknown dephasing arms {sorted(unknown)}")
+    return {
+        "prep": (
+            sym_splitter("A0", "B0p"),
+            sym_splitter("A1", "B1p"),
+            prep_splitter("A0p", "A1p", reflection, phi),
+        ),
+        "phase": tuple(phase_shift(a, arm_phases[a]) for a in ARM_WIRES if a in arm_phases),
+        "alice": (sym_splitter("A0", "A0p"), sym_splitter("A1", "A1p")),
+        "tomo": (tomo_splitter("B0p", "B1p", transmission, theta),),
+    }
+
+
+def stage_labels(wires: tuple[str, ...], names: tuple[str, ...]) -> tuple[str, ...]:
+    """What each wire is called once the named layers have been applied."""
+    renamed = {w: lab for name in names for w, lab in _LAYER_OUTPUTS.get(name, {}).items()}
+    return tuple(renamed.get(w, w) for w in wires)
+
+
+def network_view(
+    layers: Mapping[str, tuple[ElementSpec, ...]],
+    names: tuple[str, ...],
+    rows: ModeRegistry,
+) -> SingleParticleUnitary:
+    """The named layers, composed over the six wires in application order,
+    as a map from INPUT_MODES to the stage labels `rows`."""
+    composed = compose(CircuitDescription(TELEPORT_WIRES, sum((layers[n] for n in names), ())))
+    labels = stage_labels(TELEPORT_WIRES, names)
+    return SingleParticleUnitary(
+        composed.matrix[[labels.index(label) for label in rows], :], rows, INPUT_MODES
+    )
 
 
 def builtin_teleport_description(
@@ -192,74 +240,31 @@ def builtin_teleport_description(
     Source splitters come first, then optional per-arm phase shifts, then
     Alice's splitters and (optionally) Bob's tomography splitter.
     """
-    elements: list[ElementSpec] = [
-        sym_splitter("A0", "B0p"),
-        sym_splitter("A1", "B1p"),
-        prep_splitter("A0p", "A1p", reflection, phi),
-    ]
-    if arm_phases:
-        for arm in ARM_WIRES:
-            if arm in arm_phases:
-                elements.append(phase_shift(arm, arm_phases[arm]))
-        unknown = set(arm_phases) - set(ARM_WIRES)
-        if unknown:
-            raise ValueError(f"unknown dephasing arms {sorted(unknown)}")
-    elements.append(sym_splitter("A0", "A0p"))
-    elements.append(sym_splitter("A1", "A1p"))
-    if include_tomography:
-        elements.append(tomo_splitter("B0p", "B1p", transmission, theta))
-    return CircuitDescription(TELEPORT_WIRES, tuple(elements))
-
-
-def _as_io_network(
-    unitary: SingleParticleUnitary, output_registry: ModeRegistry
-) -> SingleParticleUnitary:
-    wire_of_label = {label: wire for wire, label in _WIRE_OUTPUTS.items()}
-    wire_of_label["B0p"] = "B0p"  # detector stage keeps the primed B names
-    wire_of_label["B1p"] = "B1p"
-    row_order = [TELEPORT_WIRES.index(wire_of_label[lab]) for lab in output_registry]
-    return SingleParticleUnitary(
-        unitary.matrix[row_order, :], output_registry, INPUT_MODES
-    )
+    layers = teleport_layers(reflection, phi, transmission, theta, arm_phases)
+    names = TELEPORT_LAYERS if include_tomography else TELEPORT_LAYERS[:-1]
+    return CircuitDescription(TELEPORT_WIRES, sum((layers[n] for n in names), ()))
 
 
 def builtin_teleport_network(
     reflection: float, phi: float, transmission: float, theta: float
 ) -> SingleParticleUnitary:
     """Full six-mode teleportation scattering matrix, inputs to detectors."""
-    composed = compose(
-        builtin_teleport_description(reflection, phi, transmission, theta)
-    )
-    return _as_io_network(composed, OUTPUT_MODES)
+    layers = teleport_layers(reflection, phi, transmission, theta, None)
+    return network_view(layers, TELEPORT_LAYERS, OUTPUT_MODES)
 
 
 def detection_network(
     reflection: float, phi: float, arm_phases: Mapping[str, float] | None = None
 ) -> SingleParticleUnitary:
     """Network up to Alice's detectors, Bob's tomography splitter omitted."""
-    composed = compose(
-        builtin_teleport_description(
-            reflection, phi, 1.0, 0.0, arm_phases=arm_phases, include_tomography=False
-        )
-    )
-    return _as_io_network(composed, DETECTION_MODES)
+    layers = teleport_layers(reflection, phi, 1.0, 0.0, arm_phases)
+    return network_view(layers, ("prep", "phase", "alice"), DETECTION_MODES)
 
 
 def preparation_network(reflection: float, phi: float) -> SingleParticleUnitary:
     """Source splitters only: inputs to the six mid-circuit arms."""
-    description = CircuitDescription(
-        TELEPORT_WIRES,
-        (
-            sym_splitter("A0", "B0p"),
-            sym_splitter("A1", "B1p"),
-            prep_splitter("A0p", "A1p", reflection, phi),
-        ),
-    )
-    composed = compose(description)
-    row_order = [TELEPORT_WIRES.index(w) for w in PREPARED_MODES]
-    return SingleParticleUnitary(
-        composed.matrix[row_order, :], PREPARED_MODES, INPUT_MODES
-    )
+    layers = teleport_layers(reflection, phi, 1.0, 0.0, None)
+    return network_view(layers, ("prep",), PREPARED_MODES)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,6 @@ _ELEMENT_PARAMS = {
     "tomo": (("Dp", "transmission"), ("theta", "theta")),
     "phase": (("value", "value"),),
 }
-_ELEMENT_MODE_COUNT = {"sym": 2, "prep": 2, "tomo": 2, "phase": 1}
 
 
 def parse_circuit(text: str) -> CircuitDescription:
@@ -322,7 +326,7 @@ def parse_circuit(text: str) -> CircuitDescription:
             raise CircuitSyntaxError(
                 "element before the modes declaration", lineno, col
             )
-        n_modes = _ELEMENT_MODE_COUNT[keyword]
+        n_modes = 1 if keyword == "phase" else 2
         params = _ELEMENT_PARAMS[keyword]
         if len(args) != n_modes + len(params):
             raise CircuitSyntaxError(

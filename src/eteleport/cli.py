@@ -50,6 +50,8 @@ def parse_grid(spec: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"non-numeric grid bound in {spec!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"grid bounds must be finite, got {spec!r}")
         if step <= 0.0:
             raise UsageError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 0.5)) + 1
@@ -104,18 +106,11 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
 def _ideal_rows(params: TeleportParams) -> list[dict]:
     state = protocol.run_premeasurement(params, "detection")
     reference = protocol.input_bloch(params)
+    blank = {"bloch_x": None, "bloch_y": None, "bloch_z": None, "fidelity": None}
     rows: list[dict] = []
     for outcome in ALL_OUTCOMES:
         prob = protocol.povm_element(outcome).expectation(state)
-        row = {
-            "record": "outcome",
-            "key": outcome.label,
-            "probability": prob,
-            "bloch_x": None,
-            "bloch_y": None,
-            "bloch_z": None,
-            "fidelity": None,
-        }
+        row = {"record": "outcome", "key": outcome.label, "probability": prob, **blank}
         if outcome.is_paired:
             qubit = protocol.bob_conditional(params, outcome)
             corrected = protocol.apply_feedforward(qubit, outcome)
@@ -124,17 +119,8 @@ def _ideal_rows(params: TeleportParams) -> list[dict]:
             row["fidelity"] = saw.jozsa_fidelity(bloch, reference)
         rows.append(row)
     for label, flag in (("with_feedforward", True), ("without_feedforward", False)):
-        rows.append(
-            {
-                "record": "efficiency",
-                "key": label,
-                "probability": protocol.efficiency(flag, params),
-                "bloch_x": None,
-                "bloch_y": None,
-                "bloch_z": None,
-                "fidelity": None,
-            }
-        )
+        efficiency = protocol.efficiency(flag, params)
+        rows.append({"record": "efficiency", "key": label, "probability": efficiency, **blank})
     reconstructed = protocol.tomography_bloch(params)
     rows.append(
         {
@@ -190,10 +176,12 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_saw(args) -> int:
+    if args.n_states < 2:
+        raise UsageError(f"--n-states must be at least 2, got {args.n_states}")
     rows = []
     for sigma2 in parse_grid(args.sigma2):
-        if sigma2 < 0.0:
-            raise UsageError("sigma2 must be non-negative")
+        if not 0.0 <= sigma2 < math.inf:
+            raise UsageError(f"sigma2 must be finite and non-negative, got {sigma2}")
         samples = saw.fidelity_samples(sigma2, args.n_states, args.seed)
         rows.append(
             {
@@ -211,10 +199,6 @@ def cmd_saw(args) -> int:
 def cmd_leviton(args) -> int:
     gammas = parse_grid(args.gamma)
     taus = parse_grid(args.tau)
-    if any(g <= 0 for g in gammas):
-        raise UsageError("gamma values must be positive")
-    if any(t < 0 for t in taus):
-        raise UsageError("tau values must be non-negative")
     rows = leviton.fidelity_curve(gammas, taus, series_tol=args.tol)
     _emit(rows, args)
     return 0
@@ -261,10 +245,7 @@ def cmd_circuit_check(args) -> int:
     try:
         description = circuit.parse_circuit(text)
         network = circuit.compose(description)
-    except circuit.CircuitSyntaxError as exc:
-        print(f"{args.path}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # syntax errors carry their line and column
         print(f"{args.path}: {exc}", file=sys.stderr)
         return 2
     m = network.matrix
@@ -340,21 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
-            args.seed = _default_seed()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError, leviton.SeriesConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

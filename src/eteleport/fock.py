@@ -1,18 +1,26 @@
-"""Sparse fermionic Fock-space engine.
+"""Fermionic Fock-space engine over named modes.
 
 States carry a fixed particle number over a registry of named modes.
 An occupation configuration is a bit field (bit i = occupation of the
-mode at registry index i), amplitudes are stored sparsely, and basis
+mode at registry index i).  A state stores two matching arrays: its
+configurations, in the combination order of its particle-number sector,
+and their complex amplitudes.  `occupations` is the one primitive that
+reads bits from configurations; projections, POVM weights and
+occupation moments are all built on the 0/1 matrix it returns.  Basis
 kets are defined by creating particles in ascending registry-index
 order.  Single-particle unitaries lift to the many-body space with
-determinant amplitudes.
+determinant amplitudes; `lift_apply` and `lift_matrix` share one
+combination table per sector.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -67,16 +75,35 @@ DETECTION_MODES = ModeRegistry(("A0+", "A0-", "A1+", "A1-", "B0p", "B1p"))
 PREPARED_MODES = ModeRegistry(("A0p", "A1p", "A0", "A1", "B0p", "B1p"))
 
 
-def _popcount(config: int) -> int:
-    return config.bit_count()
+def _config(indices: Iterable[int]) -> int:
+    """Configuration with the given registry indices occupied."""
+    config = 0
+    for i in indices:
+        config |= 1 << i
+    return config
 
 
-def _bits(config: int, n_modes: int) -> tuple[int, ...]:
-    return tuple((config >> i) & 1 for i in range(n_modes))
+def occupations(
+    registry: ModeRegistry, configs: Sequence[int] | np.ndarray, labels: Sequence[str]
+) -> np.ndarray:
+    """0/1 occupation matrix: entry [k, j] is the occupation of mode
+    labels[j] in configs[k].
+
+    This is the only place that reads bits from a configuration.
+    """
+    shifts = np.array(registry.indices(labels), dtype=np.int64)
+    return (np.asarray(configs, dtype=np.int64)[:, None] >> shifts) & 1
 
 
-def _occupied_indices(config: int, n_modes: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n_modes) if (config >> i) & 1)
+@functools.lru_cache(maxsize=None)
+def combination_table(n_modes: int, particle_number: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied-index rows and configurations of one sector, in combination
+    order; one read-only table shared by states and both lifts."""
+    combos = list(itertools.combinations(range(n_modes), particle_number))
+    occupied = np.array(combos, dtype=np.int64).reshape(len(combos), particle_number)
+    configs = np.array([_config(c) for c in combos], dtype=np.int64)
+    occupied.flags.writeable = configs.flags.writeable = False
+    return occupied, configs
 
 
 def _reorder_sign(indices: Sequence[int]) -> int:
@@ -89,29 +116,40 @@ def _reorder_sign(indices: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FockState:
-    """Fixed-particle-number state as a sparse map config -> amplitude."""
+    """Fixed-particle-number state stored as two matching arrays.
+
+    `configs` (int64) lists the configurations in combination order and
+    `amps` their complex amplitudes.  The constructor takes and validates
+    a config -> amplitude mapping; `amplitudes` is a read-only view of it.
+    """
 
     registry: ModeRegistry
     particle_number: int
-    amplitudes: Mapping[int, complex]
+    configs: np.ndarray
+    amps: np.ndarray
 
-    def __post_init__(self):
-        m = len(self.registry)
-        for config in self.amplitudes:
-            if config < 0 or config >= (1 << m):
-                raise ValueError(f"configuration {config:#b} outside {m}-mode space")
-            if _popcount(config) != self.particle_number:
-                raise ValueError(
-                    f"configuration {config:#b} does not hold "
-                    f"{self.particle_number} particles"
-                )
-        object.__setattr__(self, "amplitudes", dict(self.amplitudes))
-
-    @classmethod
-    def vacuum(cls, registry: ModeRegistry) -> "FockState":
-        return cls(registry, 0, {0: 1.0 + 0.0j})
+    def __init__(
+        self,
+        registry: ModeRegistry,
+        particle_number: int,
+        amplitudes: Mapping[int, complex],
+    ):
+        _, sector = combination_table(len(registry), particle_number)
+        configs = [c for c in sector.tolist() if c in amplitudes]
+        if len(configs) != len(amplitudes):
+            stray = min(set(amplitudes) - set(configs))
+            raise ValueError(
+                f"configuration {stray:#b} is not one of {particle_number} "
+                f"particles in {len(registry)} modes"
+            )
+        self.__dict__.update(
+            registry=registry,
+            particle_number=particle_number,
+            configs=np.array(configs, dtype=np.int64),
+            amps=np.array([amplitudes[c] for c in configs], dtype=complex),
+        )
 
     @classmethod
     def from_terms(
@@ -137,9 +175,7 @@ class FockState:
                 n = len(idx)
             elif len(idx) != n:
                 raise ValueError("terms with differing particle numbers")
-            config = 0
-            for i in idx:
-                config |= 1 << i
+            config = _config(idx)
             amps[config] = amps.get(config, 0.0) + coeff * _reorder_sign(idx)
         if n is None:
             raise ValueError("no terms given")
@@ -147,48 +183,69 @@ class FockState:
         return cls(registry, n, amps)
 
     @property
+    def amplitudes(self) -> Mapping[int, complex]:
+        """Read-only view config -> amplitude, in combination order."""
+        return MappingProxyType(dict(zip(self.configs.tolist(), self.amps.tolist())))
+
+    @property
     def is_empty(self) -> bool:
-        return not self.amplitudes
+        return not self.configs.size
+
+    @functools.cached_property
+    def probabilities(self) -> np.ndarray:
+        """|amplitude|^2 of each configuration."""
+        # scalar abs on purpose: numpy's vectorised complex abs can round the
+        # last bit differently, and printed results are reproduced byte for byte
+        return np.array([abs(a) ** 2 for a in self.amps.tolist()])
+
+    def mass(self, keep: np.ndarray | slice) -> float:
+        """Probability of the configurations flagged in `keep`."""
+        # added left to right, not pairwise, so printed results keep their digits
+        return functools.reduce(operator.add, self.probabilities[keep].tolist(), 0.0)
+
+    def select(self, keep: np.ndarray) -> tuple[float, "FockState"]:
+        """Probability of the flagged configurations and the renormalized
+        state restricted to them; probability zero yields an empty state."""
+        p = self.mass(keep)
+        if p == 0.0:
+            return 0.0, FockState(self.registry, self.particle_number, {})
+        amps = self.amps[keep] * (1.0 / math.sqrt(p))
+        kept = dict(zip(self.configs[keep].tolist(), amps))
+        return p, FockState(self.registry, self.particle_number, kept)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(self.mass(slice(None)))
 
-    def normalized(self) -> "FockState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize an empty state")
-        return FockState(
-            self.registry,
-            self.particle_number,
-            {c: a / n for c, a in self.amplitudes.items()},
-        )
+    def vector(self) -> np.ndarray:
+        """Amplitudes over the whole sector, in combination order."""
+        _, sector = combination_table(len(self.registry), self.particle_number)
+        v = np.zeros(len(sector), dtype=complex)
+        v[np.isin(sector, self.configs)] = self.amps  # both in combination order
+        return v
 
     def overlap(self, other: "FockState") -> complex:
         """Inner product <self|other>."""
         if self.registry != other.registry or self.particle_number != other.particle_number:
             raise ValueError("overlap requires matching registries and particle numbers")
-        return complex(
-            sum(
-                complex(self.amplitudes.get(c, 0.0)).conjugate() * a
-                for c, a in other.amplitudes.items()
-            )
-        )
+        _, sector = combination_table(len(self.registry), self.particle_number)
+        mine = self.vector()[np.isin(sector, other.configs)].conj().tolist()
+        # scalar products added left to right over other's configurations:
+        # the order, and the rounding, that printed overlaps were computed in
+        terms = [m * a for m, a in zip(mine, other.amps.tolist())]
+        return functools.reduce(operator.add, terms, 0j)
 
     def amplitude(self, occupied_labels: Iterable[str]) -> complex:
-        config = 0
-        for i in self.registry.indices(occupied_labels):
-            config |= 1 << i
-        return complex(self.amplitudes.get(config, 0.0))
+        hit = self.amps[self.configs == _config(self.registry.indices(occupied_labels))]
+        return complex(hit[0]) if hit.size else 0j
 
     def occupation_distribution(
         self, labels: Sequence[str]
     ) -> dict[tuple[int, ...], float]:
         """Joint probability of occupations on the given modes."""
-        idx = self.registry.indices(labels)
+        occ = occupations(self.registry, self.configs, labels).tolist()
         dist: dict[tuple[int, ...], float] = {}
-        for config, amp in self.amplitudes.items():
-            key = tuple((config >> i) & 1 for i in idx)
-            dist[key] = dist.get(key, 0.0) + float(abs(amp) ** 2)
+        for key, p in zip(map(tuple, occ), self.probabilities.tolist()):
+            dist[key] = dist.get(key, 0.0) + p
         return dist
 
 
@@ -206,7 +263,7 @@ class SingleParticleUnitary:
         if m.shape != (len(self.rows), len(self.cols)) or len(self.rows) != len(self.cols):
             raise ValueError(f"matrix shape {m.shape} does not match the registries")
         defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
     @classmethod
@@ -229,10 +286,17 @@ def create_sources(registry: ModeRegistry, occupied_labels: Sequence[str]) -> Fo
     idx = registry.indices(occupied_labels)
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate source labels in {tuple(occupied_labels)}")
-    config = 0
-    for i in idx:
-        config |= 1 << i
-    return FockState(registry, len(idx), {config: 1.0 + 0.0j})
+    return FockState(registry, len(idx), {_config(idx): 1.0 + 0.0j})
+
+
+def _lifted(
+    u: SingleParticleUnitary, particle_number: int, occupied: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sector configurations and det(u[rows=out, cols=in]) for every output
+    configuration (rows) and every input occupied-index row (columns)."""
+    combos, configs = combination_table(len(u.rows), particle_number)
+    blocks = u.matrix[combos[:, None, :, None], occupied[None, :, None, :]]
+    return configs, np.linalg.det(blocks)
 
 
 def lift_apply(u: SingleParticleUnitary, state: FockState) -> FockState:
@@ -246,51 +310,28 @@ def lift_apply(u: SingleParticleUnitary, state: FockState) -> FockState:
     if u.cols != state.registry:
         raise ValueError("unitary input registry does not match the state registry")
     n = state.particle_number
-    m = len(u.cols)
-    combos = list(itertools.combinations(range(m), n))
-    rows = np.array(combos, dtype=int).reshape(len(combos), n)
-    out = np.zeros(len(combos), dtype=complex)
-    for config, amp in state.amplitudes.items():
-        col_idx = list(_occupied_indices(config, m))
-        sub = u.matrix[:, col_idx][rows]
-        out += np.linalg.det(sub) * amp
-    amps: dict[int, complex] = {}
-    for combo, a in zip(combos, out):
-        if abs(a) > PRUNE_TOL:
-            config = 0
-            for i in combo:
-                config |= 1 << i
-            amps[config] = a
-    result = FockState(u.rows, n, amps)
-    if abs(result.norm() - state.norm()) > NORM_TOL:
+    occ = occupations(state.registry, state.configs, state.registry.labels)
+    configs, dets = _lifted(u, n, np.nonzero(occ)[1].reshape(len(occ), n))
+    out = np.zeros(len(configs), dtype=complex)
+    for column, amp in zip(dets.T, state.amps):
+        out += column * amp
+    keep = np.abs(out) > PRUNE_TOL
+    result = FockState(u.rows, n, dict(zip(configs[keep].tolist(), out[keep])))
+    if not abs(result.norm() - state.norm()) <= NORM_TOL:  # NaN fails too
         raise ValueError("lifted evolution failed to preserve the norm")
     return result
 
 
 def lift_matrix(
     u: SingleParticleUnitary, particle_number: int
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Dense lift of a unitary onto the fixed-particle-number config basis.
 
-    Returns the configuration list (bit fields, combination order) shared
-    by rows and columns, and the matrix L with
-    L[out, in] = det(u[rows=out, cols=in]).
+    Returns the sector's configurations (combination order) shared by rows
+    and columns, and the matrix L with L[out, in] = det(u[rows=out, cols=in]).
     """
-    m = len(u.cols)
-    combos = list(itertools.combinations(range(m), particle_number))
-    configs = []
-    for combo in combos:
-        c = 0
-        for i in combo:
-            c |= 1 << i
-        configs.append(c)
-    dim = len(combos)
-    rows = np.array(combos, dtype=int).reshape(dim, particle_number)
-    mat = np.empty((dim, dim), dtype=complex)
-    for j, combo in enumerate(combos):
-        sub = u.matrix[:, list(combo)][rows]
-        mat[:, j] = np.linalg.det(sub)
-    return configs, mat
+    combos, _ = combination_table(len(u.cols), particle_number)
+    return _lifted(u, particle_number, combos)
 
 
 def project_number(state: FockState, mode_label: str, n: int) -> tuple[float, FockState]:
@@ -301,16 +342,7 @@ def project_number(state: FockState, mode_label: str, n: int) -> tuple[float, Fo
     """
     if n not in (0, 1):
         raise ValueError(f"occupation outcome must be 0 or 1, got {n}")
-    i = state.registry.index(mode_label)
-    kept = {c: a for c, a in state.amplitudes.items() if (c >> i) & 1 == n}
-    p = sum(abs(a) ** 2 for a in kept.values())
-    if p == 0.0:
-        return 0.0, FockState(state.registry, state.particle_number, {})
-    scale = 1.0 / math.sqrt(p)
-    post = FockState(
-        state.registry, state.particle_number, {c: a * scale for c, a in kept.items()}
-    )
-    return p, post
+    return state.select(occupations(state.registry, state.configs, (mode_label,))[:, 0] == n)
 
 
 def occupation_moments(state: FockState, labels: Sequence[str]) -> float:
@@ -325,10 +357,10 @@ def occupation_moments(state: FockState, labels: Sequence[str]) -> float:
         raise ValueError("occupation_moments takes 1 to 3 mode labels")
     if len(set(labels)) != len(labels):
         raise ValueError(f"repeated mode label in {tuple(labels)}")
-    idx = state.registry.indices(labels)
-    configs = list(state.amplitudes)
-    probs = np.array([abs(state.amplitudes[c]) ** 2 for c in configs])
-    occ = np.array([[(c >> i) & 1 for c in configs] for i in idx], dtype=float)
+    occ = np.ascontiguousarray(
+        occupations(state.registry, state.configs, labels).T, dtype=float
+    )
+    probs = state.probabilities
     means = occ @ probs
     if len(labels) == 1:
         return float(means[0])
@@ -340,9 +372,4 @@ def occupation_product_mean(state: FockState, labels: Sequence[str]) -> float:
     """Exact expectation of a product of occupation numbers, <N_a N_b ...>."""
     if len(set(labels)) != len(labels):
         raise ValueError(f"repeated mode label in {tuple(labels)}")
-    idx = state.registry.indices(labels)
-    total = 0.0
-    for config, amp in state.amplitudes.items():
-        if all((config >> i) & 1 for i in idx):
-            total += abs(amp) ** 2
-    return float(total)
+    return state.mass(occupations(state.registry, state.configs, labels).all(axis=1))

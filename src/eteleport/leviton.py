@@ -20,6 +20,7 @@ import numpy as np
 from . import protocol
 from .fock import occupation_moments
 from .protocol import TeleportParams
+from .saw import damped_average_fidelity
 
 DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
 
@@ -59,12 +60,12 @@ class LevitonParams:
     max_terms: int | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("pulse width gamma must be positive")
-        if self.tau < 0.0:
-            raise ValueError("temperature tau must be non-negative")
-        if self.series_tol <= 0.0:
-            raise ValueError("series tolerance must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"pulse width gamma must be positive and finite, got {self.gamma}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau}")
+        if not 0.0 < self.series_tol < math.inf:
+            raise ValueError(f"series_tol must be positive and finite, got {self.series_tol}")
 
     @property
     def term_cap(self) -> int:
@@ -154,16 +155,12 @@ def photoassist_weight_sum(gamma: float, tol: float = 1e-16) -> float:
 
 
 def _coth_minus_inv(x: float) -> float:
-    # coth(x) - 1/x, stable near zero
+    """Temperature weight of one harmonic in the pair-correlator factor:
+    coth(x) - 1/x, with a series branch near zero."""
     if x < 0.05:
         x2 = x * x
         return x * (1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0)
     return 1.0 / math.tanh(x) - 1.0 / x
-
-
-def _pair_bracket(x: float) -> float:
-    """Temperature weight of one harmonic in the pair-correlator factor."""
-    return _coth_minus_inv(x)
 
 
 def _triple_bracket(x: float) -> float:
@@ -208,7 +205,7 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
             pair_term, triple_term = weight, weight
         else:
             x = n / (2.0 * params.tau)
-            pair_term = weight * _pair_bracket(x)
+            pair_term = weight * _coth_minus_inv(x)
             triple_term = weight * _triple_bracket(x)
         pair_sum += pair_term
         triple_sum += triple_term
@@ -397,7 +394,7 @@ def reconstructed_bloch(
 
 def leviton_fidelity(params: LevitonParams) -> float:
     """Input-averaged teleportation fidelity at the given width and temperature."""
-    return (2.0 + thermal_factors(params).damping) / 3.0
+    return damped_average_fidelity(thermal_factors(params).damping)
 
 
 def fidelity_curve(
@@ -413,7 +410,7 @@ def fidelity_curve(
                     "gamma": float(gamma),
                     "tau": float(tau),
                     "q": factors.damping,
-                    "fidelity": (2.0 + factors.damping) / 3.0,
+                    "fidelity": damped_average_fidelity(factors.damping),
                 }
             )
     return rows

@@ -23,10 +23,12 @@ from .fock import (
     FockState,
     ModeRegistry,
     SingleParticleUnitary,
+    combination_table,
     create_sources,
     lift_apply,
     lift_matrix,
     occupation_product_mean,
+    occupations,
 )
 
 SOURCE_LABELS = ("S_phi0", "S_phi1", "S_psi")
@@ -51,6 +53,8 @@ class TeleportParams:
     def __post_init__(self):
         if not 0.0 <= self.R <= 1.0:
             raise ValueError(f"reflection probability R must lie in [0, 1], got {self.R}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"input-qubit phase phi must be finite, got {self.phi}")
         if self.setting not in TOMO_SETTINGS:
             raise ValueError(f"tomography setting must be one of {sorted(TOMO_SETTINGS)}")
 
@@ -170,11 +174,17 @@ class NonQubitReport:
     occupations: dict[tuple[int, int], float]
 
 
+def input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
+    """Amplitudes (on A'0, on A'1) of the qubit the input splitter prepares."""
+    return (
+        1j * math.sqrt(params.R) * np.exp(-1j * params.phi),
+        complex(math.sqrt(params.D)),
+    )
+
+
 def input_qubit(params: TeleportParams) -> QubitState:
     """The dual-rail qubit Alice is handed, as prepared by her splitter."""
-    return QubitState.from_pure(
-        1j * math.sqrt(params.R) * np.exp(-1j * params.phi), math.sqrt(params.D)
-    )
+    return QubitState.from_pure(*input_amplitudes(params))
 
 
 def input_bloch(params: TeleportParams) -> np.ndarray:
@@ -185,6 +195,11 @@ def input_bloch(params: TeleportParams) -> np.ndarray:
     )
 
 
+def _launch(network: SingleParticleUnitary) -> FockState:
+    """The three-source state sent through a network view."""
+    return lift_apply(network, create_sources(INPUT_MODES, SOURCE_LABELS))
+
+
 def run_premeasurement(params: TeleportParams, stage: str = "detection") -> FockState:
     """Evolve the three-source state up to the requested stage.
 
@@ -192,7 +207,6 @@ def run_premeasurement(params: TeleportParams, stage: str = "detection") -> Fock
     (B'0, B'1).  stage "tomography": Bob's splitter applied with the
     params' setting, modes (B0, B1).
     """
-    sources = create_sources(INPUT_MODES, SOURCE_LABELS)
     if stage == "detection":
         network = circuit.detection_network(params.R, params.phi)
     elif stage == "tomography":
@@ -201,7 +215,7 @@ def run_premeasurement(params: TeleportParams, stage: str = "detection") -> Fock
         )
     else:
         raise ValueError(f"stage must be 'detection' or 'tomography', got {stage!r}")
-    return lift_apply(network, sources)
+    return _launch(network)
 
 
 @dataclass(frozen=True)
@@ -210,35 +224,20 @@ class POVMElement:
 
     outcome: MeasurementOutcome
 
+    def clicked(self, registry: ModeRegistry, configs) -> np.ndarray:
+        """Which configurations show exactly this click pattern."""
+        occ = occupations(registry, configs, DETECTOR_LABELS)
+        return (occ == self.outcome.bits).all(axis=1)
+
     def weight(self, config: int, registry: ModeRegistry) -> float:
-        for label, j in zip(DETECTOR_LABELS, self.outcome.bits):
-            if (config >> registry.index(label)) & 1 != j:
-                return 0.0
-        return 1.0
+        return float(self.clicked(registry, [config])[0])
 
     def expectation(self, state: FockState) -> float:
-        idx = state.registry.indices(DETECTOR_LABELS)
-        total = 0.0
-        for config, amp in state.amplitudes.items():
-            if all((config >> i) & 1 == j for i, j in zip(idx, self.outcome.bits)):
-                total += abs(amp) ** 2
-        return float(total)
+        return state.mass(self.clicked(state.registry, state.configs))
 
     def condition(self, state: FockState) -> tuple[float, FockState]:
         """Outcome probability and the renormalized conditional state."""
-        idx = state.registry.indices(DETECTOR_LABELS)
-        kept = {
-            config: amp
-            for config, amp in state.amplitudes.items()
-            if all((config >> i) & 1 == j for i, j in zip(idx, self.outcome.bits))
-        }
-        p = float(sum(abs(a) ** 2 for a in kept.values()))
-        if p == 0.0:
-            return 0.0, FockState(state.registry, state.particle_number, {})
-        s = 1.0 / math.sqrt(p)
-        return p, FockState(
-            state.registry, state.particle_number, {c: a * s for c, a in kept.items()}
-        )
+        return state.select(self.clicked(state.registry, state.configs))
 
 
 def povm_element(outcome: MeasurementOutcome) -> POVMElement:
@@ -249,25 +248,14 @@ def povm_completeness_defect(
     registry: ModeRegistry = DETECTION_MODES, particle_number: int = 3
 ) -> float:
     """Max deviation of sum_X E(X) from the identity on the given sector."""
-    worst = 0.0
-    for combo in itertools.combinations(range(len(registry)), particle_number):
-        config = 0
-        for i in combo:
-            config |= 1 << i
-        total = sum(
-            povm_element(x).weight(config, registry) for x in ALL_OUTCOMES
-        )
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    _, configs = combination_table(len(registry), particle_number)
+    total = sum(povm_element(x).clicked(registry, configs) for x in ALL_OUTCOMES)
+    return float(np.max(np.abs(total - 1.0)))
 
 
 def outcome_probability(params: TeleportParams, outcome: MeasurementOutcome) -> float:
     state = run_premeasurement(params, "detection")
     return povm_element(outcome).expectation(state)
-
-
-def _click_labels(outcome: MeasurementOutcome) -> tuple[str, ...]:
-    return tuple(label for label, j in zip(DETECTOR_LABELS, outcome.bits) if j == 1)
 
 
 def _conditional_from_state(
@@ -277,7 +265,7 @@ def _conditional_from_state(
     if p == 0.0:
         raise ValueError(f"outcome {outcome.label} has probability zero")
     if outcome.is_paired:
-        clicks = _click_labels(outcome)
+        clicks = tuple(label for label, j in zip(DETECTOR_LABELS, outcome.bits) if j)
         c0 = conditional.amplitude(clicks + ("B0p",))
         c1 = conditional.amplitude(clicks + ("B1p",))
         return p, QubitState.from_pure(c0, c1)
@@ -302,11 +290,8 @@ def conditional_with_arm_phases(
     params: TeleportParams, arm_phases: Mapping[str, float]
 ) -> tuple[float, QubitState]:
     """Probability and Bob's qubit for the ++ outcome with fixed arm phases."""
-    sources = create_sources(INPUT_MODES, SOURCE_LABELS)
-    network = circuit.detection_network(params.R, params.phi, arm_phases=arm_phases)
-    state = lift_apply(network, sources)
-    p, result = _conditional_from_state(state, MeasurementOutcome.from_signs("+", "+"))
-    return p, result
+    state = _launch(circuit.detection_network(params.R, params.phi, arm_phases=arm_phases))
+    return _conditional_from_state(state, MeasurementOutcome.from_signs("+", "+"))
 
 
 def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitState:
@@ -352,16 +337,9 @@ def tomography_bloch(params: TeleportParams) -> np.ndarray:
 # Structural states and dual-rail checks
 # ---------------------------------------------------------------------------
 
-def _input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
-    return (
-        1j * math.sqrt(params.R) * np.exp(-1j * params.phi),
-        complex(math.sqrt(params.D)),
-    )
-
-
 def teleporting_branch(params: TeleportParams) -> FockState:
     """Normalized component of the pre-measurement state that teleports."""
-    a, b = _input_amplitudes(params)
+    a, b = input_amplitudes(params)
     half = 0.5
     terms = []
     for pair, pair_sign in ((("A0+", "A1+"), 1.0), (("A0-", "A1-"), 1.0)):
@@ -375,7 +353,7 @@ def teleporting_branch(params: TeleportParams) -> FockState:
 
 def failing_branch(params: TeleportParams) -> FockState:
     """Normalized component orthogonal to the teleporting branch."""
-    a, b = _input_amplitudes(params)
+    a, b = input_amplitudes(params)
     s2 = math.sqrt(2.0)
     terms = [
         (-a / s2 * 1j, ("A0+", "A0-", "A1+")),
@@ -414,7 +392,7 @@ def bell_decomposition_terms(params: TeleportParams) -> dict[str, FockState]:
     Keys name the correction Bob would apply: identity, sigma_z, sigma_x,
     i_sigma_y.
     """
-    a, b = _input_amplitudes(params)
+    a, b = input_amplitudes(params)
     s = 1.0 / math.sqrt(2.0)
 
     def build(first, second, sign, q0, q1):
@@ -436,83 +414,52 @@ def bell_decomposition_terms(params: TeleportParams) -> dict[str, FockState]:
     }
 
 
+def _dual_rail(state: FockState) -> tuple[np.ndarray, np.ndarray]:
+    """Occupations of the prepared stage's modes (three dual-rail pairs, rail 0
+    first) and which configurations hold one particle per pair."""
+    occ = occupations(state.registry, state.configs, PREPARED_MODES.labels)
+    return occ, (occ[:, 0::2] + occ[:, 1::2] == 1).all(axis=1)
+
+
 def dual_rail_weight(state: FockState) -> float:
     """Probability that each dual-rail pair of the prepared stage holds one particle."""
-    pairs = (("A0p", "A1p"), ("A0", "A1"), ("B0p", "B1p"))
-    idx_pairs = [state.registry.indices(pair) for pair in pairs]
-    total = 0.0
-    for config, amp in state.amplitudes.items():
-        if all(((config >> i) & 1) + ((config >> j) & 1) == 1 for i, j in idx_pairs):
-            total += abs(amp) ** 2
-    return total
-
-
-def _povm_in_prepared_basis() -> tuple[list[int], dict[str, np.ndarray], np.ndarray]:
-    """Alice's POVM elements conjugated back through her splitters.
-
-    Works in the two-particle space of (A0p, A1p, A0, A1); returns the
-    config basis, the matrices for the six one-sided and paired click
-    patterns, and the projector onto the dual-rail (Bell) subspace.
-    """
-    registry = ModeRegistry(("A0p", "A1p", "A0", "A1"))
-    block = circuit.element_matrix(circuit.sym_splitter("x", "y"))
-    v = np.eye(4, dtype=complex)
-    # splitter inputs are ordered (unprimed, primed); outputs land on
-    # (A_j+, A_j-) = (unprimed wire, primed wire)
-    for unprimed, primed in ((2, 0), (3, 1)):
-        e = np.eye(4, dtype=complex)
-        e[unprimed, unprimed] = block[0, 0]
-        e[unprimed, primed] = block[0, 1]
-        e[primed, unprimed] = block[1, 0]
-        e[primed, primed] = block[1, 1]
-        v = e @ v
-    out_registry = ModeRegistry(("A0-", "A1-", "A0+", "A1+"))
-    lifted_configs, lifted = lift_matrix(
-        SingleParticleUnitary(v, out_registry, registry), 2
-    )
-    elements: dict[str, np.ndarray] = {}
-    patterns = {
-        "1010": (1, 0, 1, 0),
-        "0101": (0, 1, 0, 1),
-        "1001": (1, 0, 0, 1),
-        "0110": (0, 1, 1, 0),
-        "1100": (1, 1, 0, 0),
-        "0011": (0, 0, 1, 1),
-    }
-    for name, bits in patterns.items():
-        weights = []
-        for config in lifted_configs:
-            ok = all(
-                (config >> out_registry.index(label)) & 1 == j
-                for label, j in zip(DETECTOR_LABELS, bits)
-            )
-            weights.append(1.0 if ok else 0.0)
-        w = np.diag(weights)
-        elements[name] = lifted.conj().T @ w @ lifted
-    bells = bell_states(registry, ("A0p", "A1p"), ("A0", "A1"))
-    basis = np.zeros((len(lifted_configs), 4), dtype=complex)
-    for k, state in enumerate(bells.values()):
-        for config, amp in state.amplitudes.items():
-            basis[lifted_configs.index(config), k] = amp
-    projector = basis @ basis.conj().T
-    return lifted_configs, elements, projector
+    return state.mass(_dual_rail(state)[1])
 
 
 def _sector_weight(state: FockState, crossed: bool) -> float:
     """Weight of the dual-rail configurations with the A' and A particles
     on opposite rails (crossed) or the same rail (aligned)."""
-    reg = state.registry
-    a0p, a1p, a0, a1 = reg.indices(("A0p", "A1p", "A0", "A1"))
-    b0, b1 = reg.indices(("B0p", "B1p"))
-    total = 0.0
-    for config, amp in state.amplitudes.items():
-        bits = [(config >> i) & 1 for i in (a0p, a1p, a0, a1, b0, b1)]
-        if bits[0] + bits[1] != 1 or bits[2] + bits[3] != 1 or bits[4] + bits[5] != 1:
-            continue
-        is_crossed = bits[0] != bits[2]
-        if is_crossed == crossed:
-            total += abs(amp) ** 2
-    return total
+    occ, dual = _dual_rail(state)
+    return state.mass(dual & ((occ[:, 0] != occ[:, 2]) == crossed))
+
+
+def _povm_in_prepared_basis(
+    params: TeleportParams,
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
+    """Alice's POVM elements conjugated back through her splitters.
+
+    Works in the two-particle space of (A0p, A1p, A0, A1); returns the
+    matrices for the six one-sided and paired click patterns, the
+    projector onto the dual-rail (Bell) subspace, and the Bell states as
+    vectors in the same basis.
+    """
+    wires = ("A0p", "A1p", "A0", "A1")
+    registry = ModeRegistry(wires)
+    layers = circuit.teleport_layers(
+        params.R, params.phi, params.tomo_transmission, params.tomo_theta, None
+    )
+    alice = circuit.compose(circuit.CircuitDescription(wires, layers["alice"])).matrix
+    detectors = ModeRegistry(circuit.stage_labels(wires, ("alice",)))
+    configs, lifted = lift_matrix(SingleParticleUnitary(alice, detectors, registry), 2)
+    elements: dict[str, np.ndarray] = {}
+    for name in ("1010", "0101", "1001", "0110", "1100", "0011"):
+        outcome = MeasurementOutcome([int(b) for b in name])
+        weights = povm_element(outcome).clicked(detectors, configs).astype(float)
+        elements[name] = lifted.conj().T @ np.diag(weights) @ lifted
+    bells = bell_states(registry, ("A0p", "A1p"), ("A0", "A1"))
+    vectors = {name: state.vector() for name, state in bells.items()}
+    basis = np.column_stack(list(vectors.values()))
+    return elements, basis @ basis.conj().T, vectors
 
 
 def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, float]:
@@ -527,8 +474,7 @@ def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, flo
     under explicit names rather than asserted equal to the crossed ones.
     """
     params = params or TeleportParams(0.3, 1.2)
-    sources = create_sources(INPUT_MODES, SOURCE_LABELS)
-    prepared = lift_apply(circuit.preparation_network(params.R, params.phi), sources)
+    prepared = _launch(circuit.preparation_network(params.R, params.phi))
 
     report: dict[str, float] = {}
     report["dual_rail_weight"] = dual_rail_weight(prepared)
@@ -538,13 +484,9 @@ def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, flo
     bells = bell_states(
         ModeRegistry(("A0", "A1", "B0p", "B1p")), ("A0", "A1"), ("B0p", "B1p")
     )
-    names = list(bells)
-    gram_dev = 0.0
-    for i, ni in enumerate(names):
-        for j, nj in enumerate(names):
-            g = bells[ni].overlap(bells[nj])
-            gram_dev = max(gram_dev, abs(g - (1.0 if i == j else 0.0)))
-    report["bell_gram_max_dev"] = gram_dev
+    basis = np.column_stack([state.vector() for state in bells.values()])
+    gram = basis.conj().T @ basis
+    report["bell_gram_max_dev"] = float(np.max(np.abs(gram - np.eye(len(bells)))))
 
     terms = bell_decomposition_terms(params)
     report["overlap_modulus_identity"] = abs(terms["identity"].overlap(prepared))
@@ -554,30 +496,19 @@ def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, flo
         terms["i_sigma_y"].overlap(prepared)
     )
 
-    configs, elements, projector = _povm_in_prepared_basis()
-    registry = ModeRegistry(("A0p", "A1p", "A0", "A1"))
-    bells_aa = bell_states(registry, ("A0p", "A1p"), ("A0", "A1"))
-
-    def vec(state: FockState) -> np.ndarray:
-        v = np.zeros(len(configs), dtype=complex)
-        for config, amp in state.amplitudes.items():
-            v[configs.index(config)] = amp
-        return v
-
-    psi_m, psi_p = vec(bells_aa["psi-"]), vec(bells_aa["psi+"])
-    phi_sum = vec(bells_aa["phi+"]) + vec(bells_aa["phi-"])
-    phi_diff = vec(bells_aa["phi+"]) - vec(bells_aa["phi-"])
+    elements, projector, bells_aa = _povm_in_prepared_basis(params)
+    psi_m, psi_p = bells_aa["psi-"], bells_aa["psi+"]
+    phi_sum = bells_aa["phi+"] + bells_aa["phi-"]
+    phi_diff = bells_aa["phi+"] - bells_aa["phi-"]
+    # projected onto the Bell subspace, each element is half the projector
+    # onto one Bell combination
     targets = {
-        "1010": 0.5 * np.outer(psi_m, psi_m.conj()),
-        "0101": 0.5 * np.outer(psi_m, psi_m.conj()),
-        "1001": 0.5 * np.outer(psi_p, psi_p.conj()),
-        "0110": 0.5 * np.outer(psi_p, psi_p.conj()),
-        "1100": 0.5 * np.outer(phi_sum, phi_sum.conj()),
-        "0011": 0.5 * np.outer(phi_diff, phi_diff.conj()),
+        "1010": psi_m, "0101": psi_m, "1001": psi_p, "0110": psi_p,
+        "1100": phi_sum, "0011": phi_diff,
     }
-    dev = 0.0
-    for name, element in elements.items():
-        projected = projector @ element @ projector
-        dev = max(dev, float(np.max(np.abs(projected - targets[name]))))
+    dev = max(
+        float(np.max(np.abs(projector @ elements[k] @ projector - 0.5 * np.outer(v, v.conj()))))
+        for k, v in targets.items()
+    )
     report["povm_dual_rail_max_dev"] = dev
     return report

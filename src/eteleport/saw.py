@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, protocol
+from . import circuit
 from .circuit import ARM_WIRES
 from .protocol import QubitState, TeleportParams
-
-CLASSICAL_FIDELITY = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -31,8 +29,8 @@ class DephasingParams:
         object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
         if len(self.variances) != len(ARM_WIRES):
             raise ValueError(f"need one variance per arm {ARM_WIRES}")
-        if any(v < 0.0 for v in self.variances):
-            raise ValueError("variances must be non-negative")
+        if not all(0.0 <= v < math.inf for v in self.variances):
+            raise ValueError(f"variances must be finite and non-negative, got {self.variances}")
 
     @classmethod
     def from_total(cls, sigma2: float) -> "DephasingParams":
@@ -56,6 +54,13 @@ def combined_phase(arm_phases: dict[str, float]) -> float:
     return p["A0p"] + p["A1"] + p["B0p"] - (p["A1p"] + p["A0"] + p["B1p"])
 
 
+def _coherent_state(params: TeleportParams, phase: float, damping: float) -> QubitState:
+    """Populations (R, D) with the input coherence at `phase`, scaled by `damping`."""
+    r, d = params.R, params.D
+    coherence = 1j * math.sqrt(r * d) * np.exp(-1j * phase) * damping
+    return QubitState(np.array([[r, coherence], [np.conj(coherence), d]], dtype=complex))
+
+
 def dephased_state_analytic(params: TeleportParams, sigma2: float) -> QubitState:
     """Bob's ++-conditional state after Gaussian phase averaging.
 
@@ -63,18 +68,12 @@ def dephased_state_analytic(params: TeleportParams, sigma2: float) -> QubitState
     """
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be non-negative")
-    r, d = params.R, params.D
-    coherence = 1j * math.sqrt(r * d) * np.exp(-1j * params.phi) * math.exp(-sigma2 / 2.0)
-    rho = np.array([[r, coherence], [np.conj(coherence), d]], dtype=complex)
-    return QubitState(rho)
+    return _coherent_state(params, params.phi, math.exp(-sigma2 / 2.0))
 
 
 def fixed_phase_state(params: TeleportParams, phi_prime: float) -> QubitState:
     """Bob's ++-conditional state for one frozen value of the arm-phase combination."""
-    r, d = params.R, params.D
-    coherence = 1j * math.sqrt(r * d) * np.exp(-1j * (params.phi + phi_prime))
-    rho = np.array([[r, coherence], [np.conj(coherence), d]], dtype=complex)
-    return QubitState(rho)
+    return _coherent_state(params, params.phi + phi_prime, 1.0)
 
 
 def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarray:
@@ -109,22 +108,11 @@ def _conditional_amplitudes(
     clicked detectors and either B mode.
     """
     wires = circuit.TELEPORT_WIRES
-    before = circuit.compose(
-        circuit.CircuitDescription(
-            wires,
-            (
-                circuit.sym_splitter("A0", "B0p"),
-                circuit.sym_splitter("A1", "B1p"),
-                circuit.prep_splitter("A0p", "A1p", params.R, params.phi),
-            ),
-        )
-    ).matrix
-    after = circuit.compose(
-        circuit.CircuitDescription(
-            wires,
-            (circuit.sym_splitter("A0", "A0p"), circuit.sym_splitter("A1", "A1p")),
-        )
-    ).matrix
+    layers = circuit.teleport_layers(
+        params.R, params.phi, params.tomo_transmission, params.tomo_theta, None
+    )
+    before = circuit.compose(circuit.CircuitDescription(wires, layers["prep"])).matrix
+    after = circuit.compose(circuit.CircuitDescription(wires, layers["alice"])).matrix
     # phase element applies e^{-i v}; draws columns follow ARM_WIRES order
     arm_idx = [wires.index(a) for a in ARM_WIRES]
     diag = np.ones((draws.shape[0], len(wires)), dtype=complex)
@@ -197,11 +185,17 @@ def state_fidelity(params: TeleportParams, sigma2: float) -> float:
     return 0.5 * (1.0 + 4.0 * math.exp(-sigma2 / 2.0) * r * d + (r - d) ** 2)
 
 
+def damped_average_fidelity(q: float) -> float:
+    """Fidelity averaged over all pure inputs when Bob's transverse Bloch
+    components are damped by q: (2 + q)/3."""
+    return (2.0 + q) / 3.0
+
+
 def average_fidelity(sigma2: float) -> float:
     """Teleportation fidelity averaged over all pure input states."""
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be non-negative")
-    return (2.0 + math.exp(-sigma2 / 2.0)) / 3.0
+    return damped_average_fidelity(math.exp(-sigma2 / 2.0))
 
 
 def fidelity_samples(sigma2: float, n_states: int, seed: int) -> np.ndarray:
@@ -221,10 +215,3 @@ def fidelity_samples(sigma2: float, n_states: int, seed: int) -> np.ndarray:
 
 def average_fidelity_sampled(sigma2: float, n_states: int, seed: int) -> float:
     return float(fidelity_samples(sigma2, n_states, seed).mean())
-
-
-def reference_conditional_state(
-    params: TeleportParams, arm_phases: dict[str, float]
-) -> tuple[float, QubitState]:
-    """Full Fock-simulation route for one fixed phase draw (slow path)."""
-    return protocol.conditional_with_arm_phases(params, arm_phases)

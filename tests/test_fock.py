@@ -15,6 +15,7 @@ from eteleport.fock import (
     lift_matrix,
     occupation_moments,
     occupation_product_mean,
+    occupations,
     project_number,
 )
 from eteleport import circuit, protocol
@@ -319,6 +320,34 @@ def test_occupation_product_mean():
     pm = occupation_product_mean(state, ("A0+", "A1+", "B1"))
     # the two terms split the ++ outcome mass between Bob's detectors
     assert pp + pm == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+
+# --- array routes against the bit loops they replaced ---
+
+def test_occupations_match_bit_loop():
+    reg = small_registry(6)
+    state = random_state(reg, 3, np.random.default_rng(13))
+    labels = ("m4", "m0", "m2")
+    expected = [[(c >> reg.index(lab)) & 1 for lab in labels] for c in state.amplitudes]
+    assert occupations(reg, state.configs, labels).tolist() == expected
+
+
+def test_projection_and_product_mean_equal_loop_references():
+    # same arithmetic in the same order, so the results are equal, not close
+    state = tomography_state(0.37, 1.3, "X")
+    i, j = state.registry.indices(("A0+", "B1"))
+    both, p = 0.0, 0.0
+    for c, a in state.amplitudes.items():
+        if (c >> i) & 1 and (c >> j) & 1:
+            both += abs(a) ** 2
+        if not (c >> i) & 1:
+            p += abs(a) ** 2
+    assert occupation_product_mean(state, ("A0+", "B1")) == both
+    got_p, post = project_number(state, "A0+", 0)
+    assert got_p == p
+    scale = 1.0 / math.sqrt(p)
+    kept = {c: a * scale for c, a in state.amplitudes.items() if not (c >> i) & 1}
+    assert dict(post.amplitudes) == kept
 
 
 def test_overlap_requires_matching_spaces():

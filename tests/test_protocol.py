@@ -103,6 +103,17 @@ def test_povm_weights_are_binary_and_complete():
     assert protocol.povm_completeness_defect() == 0.0
 
 
+def test_povm_expectation_equals_bit_loop_reference():
+    state = run_premeasurement(TeleportParams(0.42, 2.0), "detection")
+    idx = state.registry.indices(protocol.DETECTOR_LABELS)
+    for outcome in ALL_OUTCOMES:
+        total = 0.0
+        for config, amp in state.amplitudes.items():
+            if all((config >> i) & 1 == j for i, j in zip(idx, outcome.bits)):
+                total += abs(amp) ** 2
+        assert povm_element(outcome).expectation(state) == total
+
+
 def test_povm_annihilates_wrong_click():
     element = povm_element(MeasurementOutcome((1, 0, 1, 0)))
     config = sum(1 << DETECTION_MODES.index(lab) for lab in ("A0+", "A0-", "A1+"))

@@ -137,6 +137,14 @@ def test_montecarlo_is_deterministic_per_seed():
     assert np.max(np.abs(different.rho - first.rho)) > 1e-6
 
 
+def test_montecarlo_prefix_is_the_shorter_run():
+    # sample i depends on (seed, i) only, so a run is a prefix of any longer one
+    deph = DephasingParams.from_total(1.0)
+    full = saw.montecarlo_conditional_states(PARAMS, deph, 300, seed=4)
+    for k in (1, 7, 128):
+        assert np.array_equal(full[:k], saw.montecarlo_conditional_states(PARAMS, deph, k, seed=4))
+
+
 def test_montecarlo_rejects_empty_sample():
     with pytest.raises(ValueError):
         dephased_state_montecarlo(PARAMS, DephasingParams.from_total(1.0), 0, seed=1)
