@@ -227,11 +227,11 @@ class FockState:
         """Inner product <self|other>."""
         if self.registry != other.registry or self.particle_number != other.particle_number:
             raise ValueError("overlap requires matching registries and particle numbers")
-        _, sector = combination_table(len(self.registry), self.particle_number)
-        mine = self.vector()[np.isin(sector, other.configs)].conj().tolist()
+        mine = self.amplitudes
         # scalar products added left to right over other's configurations:
         # the order, and the rounding, that printed overlaps were computed in
-        terms = [m * a for m, a in zip(mine, other.amps.tolist())]
+        pairs = zip(other.configs.tolist(), other.amps.tolist())
+        terms = [mine.get(c, 0j).conjugate() * a for c, a in pairs]
         return functools.reduce(operator.add, terms, 0j)
 
     def amplitude(self, occupied_labels: Iterable[str]) -> complex:

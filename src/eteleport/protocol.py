@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -224,7 +224,7 @@ class POVMElement:
 
     outcome: MeasurementOutcome
 
-    def clicked(self, registry: ModeRegistry, configs) -> np.ndarray:
+    def clicked(self, registry: ModeRegistry, configs: Sequence[int]) -> np.ndarray:
         """Which configurations show exactly this click pattern."""
         occ = occupations(registry, configs, DETECTOR_LABELS)
         return (occ == self.outcome.bits).all(axis=1)
