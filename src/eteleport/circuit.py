@@ -167,9 +167,6 @@ TELEPORT_WIRES = ("A0", "B0p", "A1", "B1p", "A0p", "A1p")
 # Dephasing arms, i.e. the wires between the source splitters and Alice's.
 ARM_WIRES = ("A0p", "A1p", "A0", "A1", "B0p", "B1p")
 
-# Layer names in application order.
-TELEPORT_LAYERS = ("prep", "phase", "alice", "tomo")
-
 # The detector each wire ends on once the named layer has been applied;
 # wires a layer does not end keep their name.
 _LAYER_OUTPUTS = {
@@ -185,7 +182,8 @@ def teleport_layers(
     theta: float,
     arm_phases: Mapping[str, float] | None,
 ) -> dict[str, tuple[ElementSpec, ...]]:
-    """The teleportation network, defined once, as named layers.
+    """The teleportation network, defined once, as named layers in
+    application order.
 
     prep: the two symmetric source splitters and the input-qubit splitter;
     phase: one phase shift per arm listed in `arm_phases` (possibly none);
@@ -241,7 +239,7 @@ def builtin_teleport_description(
     Alice's splitters and (optionally) Bob's tomography splitter.
     """
     layers = teleport_layers(reflection, phi, transmission, theta, arm_phases)
-    names = TELEPORT_LAYERS if include_tomography else TELEPORT_LAYERS[:-1]
+    names = tuple(layers) if include_tomography else tuple(layers)[:-1]
     return CircuitDescription(TELEPORT_WIRES, sum((layers[n] for n in names), ()))
 
 
@@ -250,7 +248,7 @@ def builtin_teleport_network(
 ) -> SingleParticleUnitary:
     """Full six-mode teleportation scattering matrix, inputs to detectors."""
     layers = teleport_layers(reflection, phi, transmission, theta, None)
-    return network_view(layers, TELEPORT_LAYERS, OUTPUT_MODES)
+    return network_view(layers, tuple(layers), OUTPUT_MODES)
 
 
 def detection_network(

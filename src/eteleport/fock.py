@@ -118,7 +118,7 @@ def _reorder_sign(indices: Sequence[int]) -> int:
 
 @dataclass(frozen=True, eq=False, init=False)
 class FockState:
-    """Fixed-particle-number state stored as two matching arrays.
+    """Fixed-particle-number state stored as two matching read-only arrays.
 
     `configs` (int64) lists the configurations in combination order and
     `amps` their complex amplitudes.  The constructor takes and validates
@@ -144,11 +144,11 @@ class FockState:
                 f"configuration {stray:#b} is not one of {particle_number} "
                 f"particles in {len(registry)} modes"
             )
+        amps = np.array([amplitudes[c] for c in configs], dtype=complex)
+        configs = np.array(configs, dtype=np.int64)
+        configs.flags.writeable = amps.flags.writeable = False  # probabilities are cached
         self.__dict__.update(
-            registry=registry,
-            particle_number=particle_number,
-            configs=np.array(configs, dtype=np.int64),
-            amps=np.array([amplitudes[c] for c in configs], dtype=complex),
+            registry=registry, particle_number=particle_number, configs=configs, amps=amps
         )
 
     @classmethod

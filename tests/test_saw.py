@@ -142,7 +142,8 @@ def test_montecarlo_prefix_is_the_shorter_run():
     deph = DephasingParams.from_total(1.0)
     full = saw.montecarlo_conditional_states(PARAMS, deph, 300, seed=4)
     for k in (1, 7, 128):
-        assert np.array_equal(full[:k], saw.montecarlo_conditional_states(PARAMS, deph, k, seed=4))
+        prefix = saw.montecarlo_conditional_states(PARAMS, deph, k, seed=4)
+        assert np.array_equal(full[:k], prefix)
 
 
 def test_montecarlo_rejects_empty_sample():
