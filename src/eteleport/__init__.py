@@ -48,7 +48,6 @@ from .leviton import (
     finite_T_correlators,
     leviton_fidelity,
     photoassist_amplitude,
-    photoassist_amplitude_oracle,
     reconstructed_bloch,
     reference_correlators,
     thermal_factors,

@@ -302,13 +302,13 @@ def _criterion_thermal_limits() -> tuple[bool, str]:
 
 
 def _criterion_photoassisted_amplitudes() -> tuple[bool, str]:
-    tol_oracle = 1e-6
+    tol_oracle = 1e-12
     tol_sum = 1e-10
     n_values = list(range(-5, 21))
     worst = 0.0
     worst_sum = 0.0
     for gamma in (0.02, 0.05, 0.1):
-        oracle = leviton.photoassist_spectrum_oracle(n_values, gamma, eps=tol_oracle)
+        oracle = leviton.photoassist_spectrum_oracle(n_values, gamma)
         closed = np.array(
             [leviton.photoassist_amplitude(n, gamma) for n in n_values]
         )

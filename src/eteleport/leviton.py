@@ -90,23 +90,16 @@ def photoassist_amplitude(n: int, gamma: float) -> complex:
     return complex(-2.0 * math.exp(-n * g) * math.sinh(g))
 
 
-def photoassist_spectrum_oracle(
-    n_values: Sequence[int], gamma: float, eps: float = 1e-6
-) -> np.ndarray:
+def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.ndarray:
     """Fourier-integral oracle for the photoassisted amplitudes.
 
-    Integrates exp(i n W t) exp(i phase(t)) over one period, with the
-    accumulated phase built from the pulse train truncated at |j| <= J(eps).
-    Symmetric pulse pairs are combined with the exact arctan addition
-    identity, and pulses beyond the 2000th enter in their small-angle
-    limit (error far below eps).  The truncation error on the amplitudes
-    is about 1.6*gamma/J, so J = ceil(8*gamma/eps) keeps it under eps/4.
+    Integrates exp(2 pi i n t) f(t) over one period, where f is the exact
+    phase factor of the periodic Lorentzian train, sin pi(t + i gamma) /
+    sin pi(t - i gamma) (Keeling, Klich & Levitov, PRL 97, 116403, 2006),
+    evaluated as (q z - 1)/(z - q) with z = exp(2 pi i t), q = exp(-2 pi gamma).
     """
     if gamma <= 0.0:
         raise ValueError("pulse width gamma must be positive")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    j_cap = max(1000, math.ceil(8.0 * gamma / eps))
     n_values = np.asarray(list(n_values), dtype=int)
     n_abs_max = int(np.max(np.abs(n_values))) if n_values.size else 0
     # periodic midpoint rule: geometric accuracy once the grid outruns the
@@ -115,31 +108,10 @@ def photoassist_spectrum_oracle(
     while 2.0 * math.pi * gamma * (n_grid - n_abs_max) < 34.0:
         n_grid *= 2
     t = (np.arange(n_grid) + 0.5) / n_grid
-
-    half_sum = np.arctan(t / gamma)
-    exact_pairs = min(j_cap, 2000)
-    j = np.arange(1, exact_pairs + 1)[None, :]
-    tt = t[:, None]
-    t2 = tt * tt
-    half_sum = half_sum + np.arctan(
-        2.0 * tt * gamma / (gamma * gamma + j * j - t2)
-    ).sum(axis=1)
-    chunk = max(1, 4_000_000 // n_grid)
-    for start in range(exact_pairs + 1, j_cap + 1, chunk):
-        j = np.arange(start, min(start + chunk, j_cap + 1), dtype=float)[None, :]
-        half_sum = half_sum + (2.0 * tt * gamma / (gamma * gamma + j * j - t2)).sum(
-            axis=1
-        )
-    # each pulse also contributes a constant half-turn; an odd count of
-    # pulses (2J+1) leaves an overall factor of -1
-    phase_factor = -np.exp(-2j * half_sum)
-    return np.array(
-        [np.mean(np.exp(2j * np.pi * n * t) * phase_factor) for n in n_values]
-    )
-
-
-def photoassist_amplitude_oracle(n: int, gamma: float, eps: float = 1e-6) -> complex:
-    return complex(photoassist_spectrum_oracle([n], gamma, eps)[0])
+    z = np.exp(2j * np.pi * t)
+    q = math.exp(-2.0 * math.pi * gamma)
+    phase_factor = (q * z - 1.0) / (z - q)
+    return np.exp(2j * np.pi * np.outer(n_values, t)) @ phase_factor / n_grid
 
 
 def photoassist_weight_sum(gamma: float, tol: float = 1e-16) -> float:
@@ -222,6 +194,8 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
             f"thermal series not converged after {params.term_cap} terms "
             f"(gamma={params.gamma}, tau={params.tau})"
         )
+    if not pair_sum > 0.0:  # sinh(2*pi*gamma)**2 underflows for tiny gamma
+        raise SeriesConvergenceError(f"thermal pair sum underflowed to 0 at gamma={params.gamma}")
     damping = triple_sum / pair_sum
     if damping > 1.0 + 1e-9:
         raise RuntimeError(f"correlator damping ratio exceeded 1: {damping}")

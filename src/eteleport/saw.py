@@ -204,6 +204,8 @@ def fidelity_samples(sigma2: float, n_states: int, seed: int) -> np.ndarray:
     Inputs are uniform directions on the Bloch sphere; the damped output
     shrinks the transverse components by exp(-sigma2/2).
     """
+    if n_states < 1:
+        raise ValueError(f"n_states must be at least 1, got {n_states}")
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n_states, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]

@@ -13,7 +13,7 @@ from eteleport.leviton import (
     finite_T_correlators,
     leviton_fidelity,
     photoassist_amplitude,
-    photoassist_amplitude_oracle,
+    photoassist_spectrum_oracle,
     photoassist_weight_sum,
     reconstructed_bloch,
     reference_correlators,
@@ -43,11 +43,10 @@ def test_weight_sum_is_unity():
 
 
 def test_oracle_agrees_with_closed_form():
-    # quick check at relaxed precision; acceptance runs eps = 1e-6
-    gamma, eps = 0.05, 1e-4
-    for n in (-2, 0, 1, 3, 10):
-        oracle = photoassist_amplitude_oracle(n, gamma, eps)
-        assert abs(oracle - photoassist_amplitude(n, gamma)) < eps
+    n_values = [-2, 0, 1, 3, 10]
+    oracle = photoassist_spectrum_oracle(n_values, 0.05)
+    for n, value in zip(n_values, oracle):
+        assert abs(value - photoassist_amplitude(n, 0.05)) < 1e-12
 
 
 def test_params_validation():

@@ -1,4 +1,5 @@
-"""Invariants of the teleportation network over random parameters."""
+"""Invariants of the teleportation network, the Leviton drive and the
+phase-damping fidelity over random parameters."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from eteleport import circuit, protocol, saw  # noqa: E402
+from eteleport import circuit, leviton, protocol, saw  # noqa: E402
 from eteleport.fock import INPUT_MODES, create_sources, lift_apply  # noqa: E402
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
 
@@ -42,3 +43,26 @@ def test_network_invariants(point):
     assert abs(p - 1.0 / 16.0) < 1e-12
     expected = saw.fixed_phase_state(params, saw.combined_phase(arm_phases))
     assert np.max(np.abs(qubit.rho - expected.rho)) < 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1e-3, 2.0))
+def test_oracle_matches_closed_form_amplitudes(gamma):
+    n_values = range(-5, 21)
+    oracle = leviton.photoassist_spectrum_oracle(n_values, gamma)
+    closed = np.array([leviton.photoassist_amplitude(n, gamma) for n in n_values])
+    assert np.max(np.abs(oracle - closed)) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.01, 0.5), st.floats(0.0, 10.0))
+def test_thermal_damping_and_fidelity_bounds(gamma, tau):
+    params = leviton.LevitonParams(gamma, tau)
+    assert 0.0 < leviton.thermal_factors(params).damping <= 1.0 + 1e-9
+    assert 2.0 / 3.0 <= leviton.leviton_fidelity(params) <= 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.0, 20.0))
+def test_average_fidelity_bounds(sigma2):
+    assert 2.0 / 3.0 <= saw.average_fidelity(sigma2) <= 1.0

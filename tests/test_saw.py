@@ -209,3 +209,9 @@ def test_sampled_average_agrees_with_closed_form():
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - average_fidelity(sigma2)) < 3.0 * se
     assert average_fidelity_sampled(0.0, 100, seed=0) == 1.0
+
+
+def test_sampled_fidelity_rejects_empty_sample():
+    for sample in (fidelity_samples, average_fidelity_sampled):
+        with pytest.raises(ValueError):
+            sample(1.0, 0, seed=0)

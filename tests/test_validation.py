@@ -51,6 +51,9 @@ BAD_ARGUMENTS = [
     ("ideal", "--phi", "inf"),
     ("ideal", "--R", "nan"),
     ("correlators", "--phi", "nan"),
+    ("correlators", "--tolerance", "nan"),
+    ("correlators", "--tolerance", "-1"),
+    ("leviton", "--gamma", "1e-300", "--tau", "0"),
 ]
 
 
