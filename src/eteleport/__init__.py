@@ -75,7 +75,6 @@ from .protocol import (
 from .saw import (
     DephasingParams,
     average_fidelity,
-    average_fidelity_sampled,
     dephased_state_analytic,
     dephased_state_montecarlo,
     jozsa_fidelity,

@@ -231,16 +231,14 @@ def builtin_teleport_description(
     transmission: float,
     theta: float,
     arm_phases: Mapping[str, float] | None = None,
-    include_tomography: bool = True,
 ) -> CircuitDescription:
     """Teleportation network over the six wires, in application order.
 
     Source splitters come first, then optional per-arm phase shifts, then
-    Alice's splitters and (optionally) Bob's tomography splitter.
+    Alice's splitters and Bob's tomography splitter.
     """
     layers = teleport_layers(reflection, phi, transmission, theta, arm_phases)
-    names = tuple(layers) if include_tomography else tuple(layers)[:-1]
-    return CircuitDescription(TELEPORT_WIRES, sum((layers[n] for n in names), ()))
+    return CircuitDescription(TELEPORT_WIRES, sum(layers.values(), ()))
 
 
 def builtin_teleport_network(

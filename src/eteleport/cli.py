@@ -238,12 +238,8 @@ def cmd_correlators(args) -> int:
 
 
 def cmd_circuit_check(args) -> int:
-    try:
-        with open(args.path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.path) as handle:
+        text = handle.read()
     try:
         description = circuit.parse_circuit(text)
         network = circuit.compose(description)

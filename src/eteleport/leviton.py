@@ -45,6 +45,9 @@ TRIPLE_KEYS = (
 )
 
 
+GAMMA_MIN = 1e-4
+
+
 class SeriesConvergenceError(RuntimeError):
     """A thermal-factor series failed to converge within the term cap."""
 
@@ -60,8 +63,9 @@ class LevitonParams:
     max_terms: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"pulse width gamma must be positive and finite, got {self.gamma}")
+        # the thermal series sums about 2/gamma terms, so very narrow pulses are refused
+        if not GAMMA_MIN <= self.gamma < math.inf:
+            raise ValueError(f"pulse width gamma must be in [{GAMMA_MIN:g}, inf), got {self.gamma}")
         if not 0.0 <= self.tau < math.inf:
             raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau}")
         if not 0.0 < self.series_tol < math.inf:
@@ -194,8 +198,8 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
             f"thermal series not converged after {params.term_cap} terms "
             f"(gamma={params.gamma}, tau={params.tau})"
         )
-    if not pair_sum > 0.0:  # sinh(2*pi*gamma)**2 underflows for tiny gamma
-        raise SeriesConvergenceError(f"thermal pair sum underflowed to 0 at gamma={params.gamma}")
+    if not pair_sum > 0.0:  # the pair weights underflow once tau nears the float limit
+        raise SeriesConvergenceError(f"thermal pair sum underflowed to 0 at tau={params.tau}")
     damping = triple_sum / pair_sum
     if damping > 1.0 + 1e-9:
         raise RuntimeError(f"correlator damping ratio exceeded 1: {damping}")

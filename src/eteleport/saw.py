@@ -77,17 +77,13 @@ def fixed_phase_state(params: TeleportParams, phi_prime: float) -> QubitState:
 
 
 def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarray:
-    """One Gaussian draw per arm per run, each run seeded independently.
+    """One Gaussian draw per arm per run, rows of one seeded stream.
 
-    Sample i uses the generator seeded by (seed, i), so chunked or
-    parallel evaluation reproduces the serial stream bit for bit.
+    Runs are drawn in order from a single generator, so the n samples of
+    a run are the first n rows of any longer run with the same seed.
     """
     scales = np.sqrt(np.array(deph.variances))
-    draws = np.empty((n_samples, len(ARM_WIRES)))
-    for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        draws[i] = rng.normal(0.0, scales)
-    return draws
+    return np.random.default_rng(seed).normal(0.0, scales, size=(n_samples, len(ARM_WIRES)))
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -156,8 +152,7 @@ def dephased_state_montecarlo(
     """Average of the ++-conditional state over sampled arm phases.
 
     Deterministic for a given seed; converges to the analytic state at
-    the usual 1/sqrt(n) Monte Carlo rate.  np.mean accumulates pairwise,
-    so the average does not depend on chunking order.
+    the usual 1/sqrt(n) Monte Carlo rate.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -213,7 +208,3 @@ def fidelity_samples(sigma2: float, n_states: int, seed: int) -> np.ndarray:
     dot = damping * (v[:, 0] ** 2 + v[:, 1] ** 2) + v[:, 2] ** 2
     # pure inputs: the joint-purity term of the fidelity vanishes
     return 0.5 * (1.0 + dot)
-
-
-def average_fidelity_sampled(sigma2: float, n_states: int, seed: int) -> float:
-    return float(fidelity_samples(sigma2, n_states, seed).mean())

@@ -193,6 +193,7 @@ def test_circuit_check_reports_syntax_position(capsys, tmp_path):
 def test_circuit_check_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "circuit-check", str(tmp_path / "none.ckt"))
     assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # --- verify ---

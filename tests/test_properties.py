@@ -10,28 +10,30 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eteleport import circuit, leviton, protocol, saw  # noqa: E402
+from eteleport.acceptance import reference_network_matrix  # noqa: E402
 from eteleport.fock import INPUT_MODES, create_sources, lift_apply  # noqa: E402
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
 
 angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
-point = st.tuples(
-    st.floats(0.0, 1.0), angle, st.tuples(*[angle] * len(circuit.ARM_WIRES))
-)
+unit = st.floats(0.0, 1.0)
+point = st.tuples(unit, angle, st.tuples(*[angle] * len(circuit.ARM_WIRES)), unit, angle)
 
 
 @settings(max_examples=50, deadline=None)
 @given(point)
 def test_network_invariants(point):
-    R, phi, arms = point
+    R, phi, arms, Dp, theta = point
     params = TeleportParams(R, phi)
     arm_phases = dict(zip(circuit.ARM_WIRES, arms))
     sources = create_sources(INPUT_MODES, protocol.SOURCE_LABELS)
+    full = circuit.builtin_teleport_network(R, phi, Dp, theta)
     for view in (
         circuit.preparation_network(R, phi),
         circuit.detection_network(R, phi, arm_phases),
-        circuit.builtin_teleport_network(R, phi, 0.5, phi),
+        full,
     ):
         assert abs(lift_apply(view, sources).norm() - 1.0) < 1e-12
+    assert np.max(np.abs(full.matrix - reference_network_matrix(R, phi, Dp, theta))) < 1e-12
 
     state = protocol.run_premeasurement(params, "detection")
     probs = {x: protocol.povm_element(x).expectation(state) for x in ALL_OUTCOMES}

@@ -9,7 +9,6 @@ from eteleport.saw import (
     ARM_WIRES,
     DephasingParams,
     average_fidelity,
-    average_fidelity_sampled,
     combined_phase,
     dephased_state_analytic,
     dephased_state_montecarlo,
@@ -91,9 +90,9 @@ def test_fast_path_matches_full_simulation():
     deph = DephasingParams.from_total(0.9)
     stack = saw.montecarlo_conditional_states(PARAMS, deph, 30, seed=11)
     scales = np.sqrt(np.array(deph.variances))
+    rows = np.random.default_rng(11).normal(0.0, scales, size=(30, 6))
     for i in range(30):
-        rng = np.random.default_rng(np.random.SeedSequence((11, i)))
-        draws = dict(zip(ARM_WIRES, rng.normal(0.0, scales)))
+        draws = dict(zip(ARM_WIRES, rows[i]))
         _, slow = protocol.conditional_with_arm_phases(PARAMS, draws)
         assert np.max(np.abs(stack[i] - slow.rho)) < 1e-12
 
@@ -138,7 +137,7 @@ def test_montecarlo_is_deterministic_per_seed():
 
 
 def test_montecarlo_prefix_is_the_shorter_run():
-    # sample i depends on (seed, i) only, so a run is a prefix of any longer one
+    # rows come in order from one seeded stream, so a run is a prefix of any longer one
     deph = DephasingParams.from_total(1.0)
     full = saw.montecarlo_conditional_states(PARAMS, deph, 300, seed=4)
     for k in (1, 7, 128):
@@ -208,10 +207,9 @@ def test_sampled_average_agrees_with_closed_form():
         samples = fidelity_samples(sigma2, n, seed=3)
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - average_fidelity(sigma2)) < 3.0 * se
-    assert average_fidelity_sampled(0.0, 100, seed=0) == 1.0
+    assert fidelity_samples(0.0, 100, seed=0).mean() == 1.0
 
 
 def test_sampled_fidelity_rejects_empty_sample():
-    for sample in (fidelity_samples, average_fidelity_sampled):
-        with pytest.raises(ValueError):
-            sample(1.0, 0, seed=0)
+    with pytest.raises(ValueError):
+        fidelity_samples(1.0, 0, seed=0)

@@ -54,6 +54,7 @@ BAD_ARGUMENTS = [
     ("correlators", "--tolerance", "nan"),
     ("correlators", "--tolerance", "-1"),
     ("leviton", "--gamma", "1e-300", "--tau", "0"),
+    ("leviton", "--gamma", "1e-7", "--tau", "0"),
 ]
 
 
