@@ -180,8 +180,6 @@ def cmd_saw(args) -> int:
         raise UsageError(f"--n-states must be at least 2, got {args.n_states}")
     rows = []
     for sigma2 in parse_grid(args.sigma2):
-        if not 0.0 <= sigma2 < math.inf:
-            raise UsageError(f"sigma2 must be finite and non-negative, got {sigma2}")
         samples = saw.fidelity_samples(sigma2, args.n_states, args.seed)
         rows.append(
             {

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit
+from . import circuit, fock
 from .circuit import ARM_WIRES
-from .protocol import QubitState, TeleportParams
+from .fock import PREPARED_MODES
+from .protocol import SOURCE_LABELS, MeasurementOutcome, QubitState, TeleportParams, povm_element
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,13 @@ def combined_phase(arm_phases: dict[str, float]) -> float:
     return p["A0p"] + p["A1"] + p["B0p"] - (p["A1p"] + p["A0"] + p["B1p"])
 
 
+def _damping(sigma2: float) -> float:
+    """Coherence factor exp(-sigma2/2) of a total arm-phase variance."""
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2}")
+    return math.exp(-sigma2 / 2.0)
+
+
 def _coherent_state(params: TeleportParams, phase: float, damping: float) -> QubitState:
     """Populations (R, D) with the input coherence at `phase`, scaled by `damping`."""
     r, d = params.R, params.D
@@ -66,9 +74,7 @@ def dephased_state_analytic(params: TeleportParams, sigma2: float) -> QubitState
 
     Populations stay (R, D); the coherence picks up exp(-sigma2/2).
     """
-    if sigma2 < 0.0:
-        raise ValueError("sigma2 must be non-negative")
-    return _coherent_state(params, params.phi, math.exp(-sigma2 / 2.0))
+    return _coherent_state(params, params.phi, _damping(sigma2))
 
 
 def fixed_phase_state(params: TeleportParams, phi_prime: float) -> QubitState:
@@ -86,39 +92,34 @@ def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarr
     return np.random.default_rng(seed).normal(0.0, scales, size=(n_samples, len(ARM_WIRES)))
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
 def _conditional_amplitudes(
     params: TeleportParams, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ++ conditional amplitudes (to B'0, B'1) per phase draw.
 
-    Splits the network into the fixed splitter layers around the sampled
-    phase diagonal; the two amplitudes are 3x3 determinants picking the
-    clicked detectors and either B mode.
+    The arm phases are diagonal in the three-particle occupation basis of
+    the prepared stage, so by Cauchy-Binet each amplitude is a sum over
+    configurations S of c_S * exp(-i * sum of the phases on S's arms), with
+    c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  At most
+    two configurations have c_S != 0; their terms are added elementwise.
     """
-    wires = circuit.TELEPORT_WIRES
-    layers = circuit.teleport_layers(
-        params.R, params.phi, params.tomo_transmission, params.tomo_theta, None
+    layers = circuit.teleport_layers(params.R, params.phi, 1.0, 0.0, None)
+    alice = circuit.compose(circuit.CircuitDescription(ARM_WIRES, layers["alice"])).matrix
+    detectors = fock.ModeRegistry(circuit.stage_labels(ARM_WIRES, ("alice",)))
+    lift = fock.SingleParticleUnitary(alice, detectors, PREPARED_MODES)
+    configs, lifted = fock.lift_matrix(lift, 3)
+    sources = fock.create_sources(fock.INPUT_MODES, SOURCE_LABELS)
+    prepared = fock.lift_apply(circuit.preparation_network(params.R, params.phi), sources)
+    # the two ++ rows, (A0+, A1+, B'0) then (A0+, A1+, B'1) in combination order
+    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(detectors, configs)
+    coeffs = lifted[clicked] * prepared.vector()
+    keep = coeffs.any(axis=0)
+    arms = fock.occupations(PREPARED_MODES, configs[keep], ARM_WIRES).astype(bool)
+    terms = (
+        c[:, None] * np.exp(-1j * draws[:, on].sum(axis=1))
+        for c, on in zip(coeffs[:, keep].T, arms)
     )
-    before = circuit.compose(circuit.CircuitDescription(wires, layers["prep"])).matrix
-    after = circuit.compose(circuit.CircuitDescription(wires, layers["alice"])).matrix
-    # phase element applies e^{-i v}; draws columns follow ARM_WIRES order
-    arm_idx = [wires.index(a) for a in ARM_WIRES]
-    diag = np.ones((draws.shape[0], len(wires)), dtype=complex)
-    diag[:, arm_idx] = np.exp(-1j * draws)
-    sources = [wires.index(w) for w in ("A0", "A1", "A0p")]  # S_phi0, S_phi1, S_psi
-    u = np.einsum("ij,sj,jk->sik", after, diag, before[:, sources])
-    # determinant rows follow ascending detection-registry order:
-    # (A0+, A1+, B'0) and (A0+, A1+, B'1) in wire indices
-    alpha = _det3(u[:, [wires.index("A0"), wires.index("A1"), wires.index("B0p")], :])
-    beta = _det3(u[:, [wires.index("A0"), wires.index("A1"), wires.index("B1p")], :])
+    alpha, beta = sum(terms)
     return alpha, beta
 
 
@@ -177,7 +178,7 @@ def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
 def state_fidelity(params: TeleportParams, sigma2: float) -> float:
     """Closed-form fidelity between the prepared state and its damped copy."""
     r, d = params.R, params.D
-    return 0.5 * (1.0 + 4.0 * math.exp(-sigma2 / 2.0) * r * d + (r - d) ** 2)
+    return 0.5 * (1.0 + 4.0 * _damping(sigma2) * r * d + (r - d) ** 2)
 
 
 def damped_average_fidelity(q: float) -> float:
@@ -188,9 +189,7 @@ def damped_average_fidelity(q: float) -> float:
 
 def average_fidelity(sigma2: float) -> float:
     """Teleportation fidelity averaged over all pure input states."""
-    if sigma2 < 0.0:
-        raise ValueError("sigma2 must be non-negative")
-    return damped_average_fidelity(math.exp(-sigma2 / 2.0))
+    return damped_average_fidelity(_damping(sigma2))
 
 
 def fidelity_samples(sigma2: float, n_states: int, seed: int) -> np.ndarray:
@@ -201,10 +200,10 @@ def fidelity_samples(sigma2: float, n_states: int, seed: int) -> np.ndarray:
     """
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
+    damping = _damping(sigma2)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n_states, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    damping = math.exp(-sigma2 / 2.0)
     dot = damping * (v[:, 0] ** 2 + v[:, 1] ** 2) + v[:, 2] ** 2
     # pure inputs: the joint-purity term of the fidelity vanishes
     return 0.5 * (1.0 + dot)

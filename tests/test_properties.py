@@ -16,7 +16,8 @@ from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # 
 
 angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 unit = st.floats(0.0, 1.0)
-point = st.tuples(unit, angle, st.tuples(*[angle] * len(circuit.ARM_WIRES)), unit, angle)
+arm_row = st.tuples(*[angle] * len(circuit.ARM_WIRES))
+point = st.tuples(unit, angle, arm_row, unit, angle)
 
 
 @settings(max_examples=50, deadline=None)
@@ -45,6 +46,21 @@ def test_network_invariants(point):
     assert abs(p - 1.0 / 16.0) < 1e-12
     expected = saw.fixed_phase_state(params, saw.combined_phase(arm_phases))
     assert np.max(np.abs(qubit.rho - expected.rho)) < 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from((0.0, 1.0)) | unit, angle, st.lists(arm_row, min_size=1, max_size=4))
+def test_sector_amplitudes_match_full_simulation(R, phi, rows):
+    # R = 0 and R = 1 leave a single contributing three-particle configuration
+    params = TeleportParams(R, phi)
+    alpha, beta = saw._conditional_amplitudes(params, np.array(rows))
+    for a, b, arms in zip(alpha, beta, rows):
+        p = abs(a) ** 2 + abs(b) ** 2
+        rho = np.array([[abs(a) ** 2, a * np.conj(b)], [b * np.conj(a), abs(b) ** 2]]) / p
+        arm_phases = dict(zip(circuit.ARM_WIRES, arms))
+        slow_p, slow = protocol.conditional_with_arm_phases(params, arm_phases)
+        assert abs(p - slow_p) < 1e-12
+        assert np.max(np.abs(rho - slow.rho)) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eteleport import cli
+from eteleport import cli, saw
 from eteleport.circuit import ElementSpec, PHASE_SHIFT, PREP_SPLITTER
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
@@ -38,6 +38,21 @@ NON_FINITE = {
 def test_constructor_rejects_non_finite(build):
     with pytest.raises(ValueError):
         build()
+
+
+SIGMA2_FUNCTIONS = {
+    "average_fidelity": saw.average_fidelity,
+    "dephased_state_analytic": lambda s: saw.dephased_state_analytic(TeleportParams(0.3, 1.2), s),
+    "state_fidelity": lambda s: saw.state_fidelity(TeleportParams(0.3, 1.2), s),
+    "fidelity_samples": lambda s: saw.fidelity_samples(s, 10, seed=0),
+}
+
+
+@pytest.mark.parametrize("sigma2", [NAN, INF, -1.0])
+@pytest.mark.parametrize("call", SIGMA2_FUNCTIONS.values(), ids=SIGMA2_FUNCTIONS.keys())
+def test_sigma2_must_be_finite_and_non_negative(call, sigma2):
+    with pytest.raises(ValueError, match="sigma2 must be finite and non-negative"):
+        call(sigma2)
 
 
 BAD_ARGUMENTS = [
