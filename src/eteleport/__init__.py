@@ -11,16 +11,14 @@ from .circuit import (
     CircuitSyntaxError,
     ElementSpec,
     builtin_teleport_description,
-    builtin_teleport_network,
     compose,
-    detection_network,
     element_matrix,
     format_circuit,
     parse_circuit,
     phase_shift,
     prep_splitter,
-    preparation_network,
     sym_splitter,
+    teleport_network,
     tomo_splitter,
 )
 from .fock import (
@@ -69,6 +67,7 @@ from .protocol import (
     input_qubit,
     outcome_probability,
     povm_element,
+    premeasurement_amplitudes,
     run_premeasurement,
     tomography_bloch,
 )

@@ -10,8 +10,10 @@ check.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +43,10 @@ class Criterion:
     func: Callable[[], tuple[bool, str]]
 
     def run(self) -> CriterionResult:
-        passed, detail = self.func()
+        try:
+            passed, detail = self.func()
+        except ValueError as exc:  # a rejected value (NaN, no norm, ...) fails the check
+            passed, detail = False, f"rejected a value: {exc}"
         return CriterionResult(self.number, self.name, passed, detail)
 
 
@@ -80,20 +85,21 @@ _GRID_R = np.linspace(0.0, 1.0, 10)
 _GRID_PHI = np.linspace(0.0, 2.0 * math.pi, 10)
 
 
+def _grid(*axes: np.ndarray) -> list[np.ndarray]:
+    """Every combination of the axes' values, flattened with the last axis
+    varying fastest (the order of nested loops over them)."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
 def _criterion_outcome_probabilities() -> tuple[bool, str]:
     tol = 1e-12
-    worst_paired = 0.0
-    worst_total = 0.0
-    for r in _GRID_R:
-        for phi in _GRID_PHI:
-            params = TeleportParams(r, phi)
-            state = protocol.run_premeasurement(params, "detection")
-            probs = {
-                x: protocol.povm_element(x).expectation(state) for x in ALL_OUTCOMES
-            }
-            for x in PAIRED_OUTCOMES:
-                worst_paired = max(worst_paired, abs(probs[x] - 1.0 / 16.0))
-            worst_total = max(worst_total, abs(sum(probs.values()) - 1.0))
+    amps = protocol.premeasurement_amplitudes("detection", *_grid(_GRID_R, _GRID_PHI))
+    probs = protocol.outcome_probabilities(amps)
+    paired = [ALL_OUTCOMES.index(x) for x in PAIRED_OUTCOMES]
+    worst_paired = float(np.max(np.abs(probs[:, paired] - 1.0 / 16.0)))
+    # each point's total added left to right over the outcomes
+    total = functools.reduce(operator.add, probs.T)
+    worst_total = float(np.max(np.abs(total - 1.0)))
     ok = worst_paired < tol and worst_total < tol
     return ok, (
         f"max |p(s0,s1) - 1/16| = {worst_paired:.2e}, "
@@ -103,21 +109,18 @@ def _criterion_outcome_probabilities() -> tuple[bool, str]:
 
 def _criterion_teleportation_identity() -> tuple[bool, str]:
     tol = 1e-10
-    pp = MeasurementOutcome.from_signs("+", "+")
-    pm = MeasurementOutcome.from_signs("+", "-")
-    worst_fid = 0.0
-    worst_flip = 0.0
-    for r in _GRID_R:
-        for phi in _GRID_PHI:
-            params = TeleportParams(r, phi)
-            reference = protocol.input_bloch(params)
-            got = protocol.bob_conditional(params, pp)
-            worst_fid = max(
-                worst_fid, abs(saw.jozsa_fidelity(got.bloch, reference) - 1.0)
-            )
-            flipped = protocol.bob_conditional(params, pm).bloch
-            expected = np.array([-reference[0], -reference[1], reference[2]])
-            worst_flip = max(worst_flip, float(np.max(np.abs(flipped - expected))))
+    rs, phis = _grid(_GRID_R, _GRID_PHI)
+    amps = protocol.premeasurement_amplitudes("detection", rs, phis)
+    _, got = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "+"))
+    _, flipped = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "-"))
+    fid_gaps, flip_gaps = [], []
+    for r, phi, qubit, flip in zip(rs, phis, got, flipped):
+        reference = protocol.input_bloch(TeleportParams(r, phi))
+        fid_gaps.append(abs(saw.jozsa_fidelity(qubit.bloch, reference) - 1.0))
+        expected = np.array([-reference[0], -reference[1], reference[2]])
+        flip_gaps.append(np.max(np.abs(flip.bloch - expected)))
+    worst_fid = float(np.max(fid_gaps))
+    worst_flip = float(np.max(flip_gaps))
     ok = worst_fid < tol and worst_flip < tol
     return ok, (
         f"max |fidelity - 1| = {worst_fid:.2e}, "
@@ -160,14 +163,12 @@ def _criterion_dual_rail_structure() -> tuple[bool, str]:
 
 def _criterion_tomography_equivalence() -> tuple[bool, str]:
     tol = 1e-10
-    pp = MeasurementOutcome.from_signs("+", "+")
-    worst = 0.0
-    for r in _GRID_R:
-        for phi in _GRID_PHI:
-            params = TeleportParams(r, phi)
-            reconstructed = protocol.tomography_bloch(params)
-            direct = protocol.bob_conditional(params, pp).bloch
-            worst = max(worst, float(np.max(np.abs(reconstructed - direct))))
+    rs, phis = _grid(_GRID_R, _GRID_PHI)
+    reconstructed = protocol.tomography_bloch_grid(rs, phis)
+    amps = protocol.premeasurement_amplitudes("detection", rs, phis)
+    _, direct = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "+"))
+    direct_bloch = np.array([qubit.bloch for qubit in direct])
+    worst = float(np.max(np.abs(reconstructed - direct_bloch)))
     return worst < tol, f"max componentwise deviation = {worst:.2e} (tol {tol:.0e})"
 
 
@@ -209,21 +210,24 @@ def _criterion_saw_fidelity_law() -> tuple[bool, str]:
     )
 
 
+_CORRELATOR_R = np.linspace(0.1, 0.9, 5)
+_CORRELATOR_PHI = np.linspace(0.0, 2.0 * math.pi, 5)
+
+
 def _criterion_correlator_table() -> tuple[bool, str]:
     tol_table = 1e-10
     tol_sum = 1e-12
-    worst_table = 0.0
-    worst_sum = 0.0
-    for r in np.linspace(0.1, 0.9, 5):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 5):
-            for setting in ("X", "Y", "Z"):
-                simulated = leviton.zero_T_correlators(r, phi, setting)
-                reference = leviton.reference_correlators(r, phi, setting)
-                worst_table = max(worst_table, simulated.max_deviation(reference))
-                charge = sum(
-                    simulated.current(label) for label in leviton.DETECTORS
-                )
-                worst_sum = max(worst_sum, abs(charge - 3.0))
+    rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
+    table_gaps, sum_gaps = [], []
+    for setting in ("X", "Y", "Z"):
+        grid = leviton.zero_T_correlator_grid(rs, phis, setting)
+        for r, phi, simulated in zip(rs, phis, grid):
+            reference = leviton.reference_correlators(r, phi, setting)
+            table_gaps.append(simulated.max_deviation(reference))
+            charge = sum(simulated.current(label) for label in leviton.DETECTORS)
+            sum_gaps.append(abs(charge - 3.0))
+    worst_table = float(np.max(table_gaps))
+    worst_sum = float(np.max(sum_gaps))
     ok = worst_table < tol_table and worst_sum < tol_sum
     return ok, (
         f"max table deviation = {worst_table:.2e} (tol {tol_table:.0e}), "
@@ -234,30 +238,32 @@ def _criterion_correlator_table() -> tuple[bool, str]:
 def _criterion_correlator_reconstruction() -> tuple[bool, str]:
     tol_k = 1e-12
     tol_r = 1e-10
-    worst_k = 0.0
-    worst_zero = 0.0
-    worst_finite = 0.0
+    k_gaps, zero_gaps, finite_gaps = [], [], []
     factors = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.3))
-    for r in np.linspace(0.1, 0.9, 5):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 5):
-            tables = {s: leviton.zero_T_correlators(r, phi, s) for s in "XYZ"}
-            bloch, norms = leviton.reconstructed_bloch(tables)
-            worst_k = max(worst_k, max(abs(k - 1.0 / 16.0) for k in norms.values()))
-            reference = protocol.input_bloch(TeleportParams(r, phi))
-            worst_zero = max(worst_zero, float(np.max(np.abs(bloch - reference))))
-            scaled = {
-                s: leviton.finite_T_correlators(tables[s], factors.pair, factors.triple)
-                for s in "XYZ"
-            }
-            bloch_t, _ = leviton.reconstructed_bloch(scaled)
-            expected = np.array(
-                [
-                    factors.damping * reference[0],
-                    factors.damping * reference[1],
-                    reference[2],
-                ]
-            )
-            worst_finite = max(worst_finite, float(np.max(np.abs(bloch_t - expected))))
+    rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
+    grids = {s: leviton.zero_T_correlator_grid(rs, phis, s) for s in "XYZ"}
+    for i, (r, phi) in enumerate(zip(rs, phis)):
+        tables = {s: grids[s][i] for s in "XYZ"}
+        bloch, norms = leviton.reconstructed_bloch(tables)
+        k_gaps.append(np.max([abs(k - 1.0 / 16.0) for k in norms.values()]))
+        reference = protocol.input_bloch(TeleportParams(r, phi))
+        zero_gaps.append(np.max(np.abs(bloch - reference)))
+        scaled = {
+            s: leviton.finite_T_correlators(tables[s], factors.pair, factors.triple)
+            for s in "XYZ"
+        }
+        bloch_t, _ = leviton.reconstructed_bloch(scaled)
+        expected = np.array(
+            [
+                factors.damping * reference[0],
+                factors.damping * reference[1],
+                reference[2],
+            ]
+        )
+        finite_gaps.append(np.max(np.abs(bloch_t - expected)))
+    worst_k = float(np.max(k_gaps))
+    worst_zero = float(np.max(zero_gaps))
+    worst_finite = float(np.max(finite_gaps))
     ok = worst_k < tol_k and worst_zero < tol_r and worst_finite < tol_r
     return ok, (
         f"max |K - 1/16| = {worst_k:.2e} (tol {tol_k:.0e}), zero-T Bloch dev = "
@@ -323,16 +329,15 @@ def _criterion_photoassisted_amplitudes() -> tuple[bool, str]:
 
 def _criterion_structural() -> tuple[bool, str]:
     tol = 1e-12
-    worst_matrix = 0.0
-    for r in np.linspace(0.0, 1.0, 5):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 5):
-            for dp in np.linspace(0.0, 1.0, 3):
-                for theta in np.linspace(0.0, math.pi, 3):
-                    built = circuit.builtin_teleport_network(r, phi, dp, theta).matrix
-                    literal = reference_network_matrix(r, phi, dp, theta)
-                    worst_matrix = max(
-                        worst_matrix, float(np.max(np.abs(built - literal)))
-                    )
+    points = _grid(
+        np.linspace(0.0, 1.0, 5),
+        np.linspace(0.0, 2.0 * math.pi, 5),
+        np.linspace(0.0, 1.0, 3),
+        np.linspace(0.0, math.pi, 3),
+    )
+    built = circuit.teleport_network("tomography", *points).matrix
+    literal = np.array([reference_network_matrix(*point) for point in zip(*points)])
+    worst_matrix = float(np.max(np.abs(built - literal)))
     povm_defect = protocol.povm_completeness_defect()
     roundtrip_ok = True
     corpus = []

@@ -1,15 +1,21 @@
 """Scattering elements, M-mode networks, and a small circuit text format.
 
-Elements are 2x2 beamsplitters (or single-mode phase shifts) embedded
-into an M x M identity and multiplied in application order.  Phases
-follow the e^{-i*angle} convention used by the tunable splitters, so a
-`phase` element with value v scatters a mode through e^{-i v}.
+Elements are 2x2 beamsplitters (or single-mode phase shifts) applied in
+order to the rows of the modes they touch, starting from the M x M
+identity.  Element parameters may be arrays, one value per point of a
+parameter grid: the network is then a stack (..., M, M) built by the same
+products.  Phases follow the e^{-i*angle} convention used by the tunable
+splitters, so a `phase` element with value v scatters a mode through
+e^{-i v}.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,6 +29,9 @@ from .fock import (
     ModeRegistry,
     SingleParticleUnitary,
 )
+
+# A parameter: a float, or an array of them, one per point of a grid.
+ArrayLike = float | np.ndarray
 
 SYM_SPLITTER = "sym_splitter"
 PREP_SPLITTER = "prep_splitter"
@@ -38,21 +47,32 @@ _KEYWORD_TO_KIND = {
 _KIND_TO_KEYWORD = {v: k for k, v in _KEYWORD_TO_KIND.items()}
 
 
+def _all_within(v: ArrayLike, lo: float, hi: float) -> bool:
+    """Whether a float, or every value of an array, lies in [lo, hi]; NaN
+    never does."""
+    if isinstance(v, (int, float)):  # the common case, kept off numpy
+        return lo <= v <= hi
+    values = np.asarray(v, dtype=float)
+    return bool(((values >= lo) & (values <= hi)).all())
+
+
 @dataclass(frozen=True)
 class ElementSpec:
     """One network element: kind, target mode(s), and its parameters.
 
     Probabilities are stored one per complementary pair (R with D = 1-R,
-    D' with R' = 1-D'), angles in radians.
+    D' with R' = 1-D'), angles in radians.  A parameter may be an array
+    of values, one per grid point, for a stack of networks; only specs
+    with float parameters compare equal and format as text.
     """
 
     kind: str
     modes: tuple[str, ...]
-    reflection: float | None = None  # R, prep splitter
-    phi: float | None = None  # prep splitter phase
-    transmission: float | None = None  # D', tomography splitter
-    theta: float | None = None  # tomography splitter phase
-    value: float | None = None  # phase shift angle
+    reflection: ArrayLike | None = None  # R, prep splitter
+    phi: ArrayLike | None = None  # prep splitter phase
+    transmission: ArrayLike | None = None  # D', tomography splitter
+    theta: ArrayLike | None = None  # tomography splitter phase
+    value: ArrayLike | None = None  # phase shift angle
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -66,11 +86,11 @@ class ElementSpec:
             v = getattr(self, name)
             if (v is not None) != (name in needed):
                 raise ValueError(f"{self.kind} takes parameters {needed}, got {name}")
-            if v is not None and not math.isfinite(v):
+            if v is None:
+                continue
+            if not _all_within(v, -sys.float_info.max, sys.float_info.max):
                 raise ValueError(f"{name} must be finite, got {v}")
-        for name in ("reflection", "transmission"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
+            if name in ("reflection", "transmission") and not _all_within(v, 0.0, 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
@@ -78,45 +98,44 @@ def sym_splitter(a: str, b: str) -> ElementSpec:
     return ElementSpec(SYM_SPLITTER, (a, b))
 
 
-def prep_splitter(a: str, b: str, reflection: float, phi: float) -> ElementSpec:
+def prep_splitter(a: str, b: str, reflection: ArrayLike, phi: ArrayLike) -> ElementSpec:
     return ElementSpec(PREP_SPLITTER, (a, b), reflection=reflection, phi=phi)
 
 
-def tomo_splitter(a: str, b: str, transmission: float, theta: float) -> ElementSpec:
+def tomo_splitter(a: str, b: str, transmission: ArrayLike, theta: ArrayLike) -> ElementSpec:
     return ElementSpec(TOMO_SPLITTER, (a, b), transmission=transmission, theta=theta)
 
 
-def phase_shift(a: str, value: float) -> ElementSpec:
+def phase_shift(a: str, value: ArrayLike) -> ElementSpec:
     return ElementSpec(PHASE_SHIFT, (a,), value=value)
 
 
+def _stack2x2(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] for every point of the entries' broadcast shape."""
+    shape = np.broadcast(a, b, c, d).shape
+    if not shape:  # one point: a literal is cheaper than four strided writes
+        return np.array([[a, b], [c, d]], dtype=complex)
+    block = np.empty(shape + (2, 2), dtype=complex)
+    block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1] = a, b, c, d
+    return block
+
+
 def element_matrix(element: ElementSpec) -> np.ndarray:
-    """Scattering matrix of one element: 2x2 for splitters, 1x1 for phases."""
+    """Scattering matrix of one element: 2x2 for splitters, 1x1 for phases,
+    stacked over the shape of array parameters."""
     if element.kind == SYM_SPLITTER:
         return np.array([[1j, 1.0], [1.0, 1j]], dtype=complex) / math.sqrt(2.0)
     if element.kind == PREP_SPLITTER:
-        r = element.reflection
-        d = 1.0 - r
-        ep = np.exp(-1j * element.phi)
-        return np.array(
-            [
-                [1j * math.sqrt(r) * ep, math.sqrt(d) * ep],
-                [math.sqrt(d), 1j * math.sqrt(r)],
-            ],
-            dtype=complex,
-        )
+        r = np.asarray(element.reflection, dtype=float)
+        ep = np.exp(-1j * np.asarray(element.phi, dtype=float))
+        isr, sd = 1j * np.sqrt(r), np.sqrt(1.0 - r)
+        return _stack2x2(isr * ep, sd * ep, sd, isr)
     if element.kind == TOMO_SPLITTER:
-        dp = element.transmission
-        rp = 1.0 - dp
-        et = np.exp(-1j * element.theta)
-        return np.array(
-            [
-                [math.sqrt(dp) * et, -1j * math.sqrt(rp)],
-                [-1j * math.sqrt(rp) * et, math.sqrt(dp)],
-            ],
-            dtype=complex,
-        )
-    return np.array([[np.exp(-1j * element.value)]], dtype=complex)
+        dp = np.asarray(element.transmission, dtype=float)
+        et = np.exp(-1j * np.asarray(element.theta, dtype=float))
+        sd, isr = np.sqrt(dp), -1j * np.sqrt(1.0 - dp)
+        return _stack2x2(sd * et, isr, isr * et, sd)
+    return np.exp(-1j * np.asarray(element.value, dtype=float))[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -137,21 +156,30 @@ class CircuitDescription:
 
 
 def compose(description: CircuitDescription) -> SingleParticleUnitary:
-    """Embed each element into the declared mode space and multiply in order.
+    """The network of a description over its declared modes; a stack of
+    networks, one per grid point, when element parameters are arrays.
 
-    Modes untouched by any element pass through as identity.
+    Each element, in application order, replaces the rows of its modes by
+    its block times those rows; modes untouched by any element pass
+    through as identity.
     """
     registry = ModeRegistry(description.modes)
+    blocks = [element_matrix(element) for element in description.elements]
+    shape = ()
+    for block in blocks:
+        if block.shape[:-2] != shape:
+            shape = np.broadcast_shapes(shape, block.shape[:-2])
     m = len(registry)
-    total = np.eye(m, dtype=complex)
-    for element in description.elements:
-        block = element_matrix(element)
+    total = np.empty(shape + (m, m), dtype=complex)
+    total[...] = np.eye(m)
+    for element, block in zip(description.elements, blocks):
         idx = registry.indices(element.modes)
-        embedded = np.eye(m, dtype=complex)
-        for a, ia in enumerate(idx):
-            for b, ib in enumerate(idx):
-                embedded[ia, ib] = block[a, b]
-        total = embedded @ total
+        rows = [total[..., i, :].copy() for i in idx]
+        # products added term by term rather than by a BLAS matrix product:
+        # cheap for stacks, and these roundings are what verify prints
+        for a, i in enumerate(idx):
+            terms = (block[..., a, b, None] * row for b, row in enumerate(rows))
+            total[..., i, :] = functools.reduce(operator.add, terms)
     return SingleParticleUnitary(total, registry, registry)
 
 
@@ -176,11 +204,11 @@ _LAYER_OUTPUTS = {
 
 
 def teleport_layers(
-    reflection: float,
-    phi: float,
-    transmission: float,
-    theta: float,
-    arm_phases: Mapping[str, float] | None,
+    reflection: ArrayLike,
+    phi: ArrayLike,
+    transmission: ArrayLike,
+    theta: ArrayLike,
+    arm_phases: Mapping[str, ArrayLike] | None,
 ) -> dict[str, tuple[ElementSpec, ...]]:
     """The teleportation network, defined once, as named layers in
     application order.
@@ -211,20 +239,6 @@ def stage_labels(wires: tuple[str, ...], names: tuple[str, ...]) -> tuple[str, .
     return tuple(renamed.get(w, w) for w in wires)
 
 
-def network_view(
-    layers: Mapping[str, tuple[ElementSpec, ...]],
-    names: tuple[str, ...],
-    rows: ModeRegistry,
-) -> SingleParticleUnitary:
-    """The named layers, composed over the six wires in application order,
-    as a map from INPUT_MODES to the stage labels `rows`."""
-    composed = compose(CircuitDescription(TELEPORT_WIRES, sum((layers[n] for n in names), ())))
-    labels = stage_labels(TELEPORT_WIRES, names)
-    return SingleParticleUnitary(
-        composed.matrix[[labels.index(label) for label in rows], :], rows, INPUT_MODES
-    )
-
-
 def builtin_teleport_description(
     reflection: float,
     phi: float,
@@ -241,26 +255,39 @@ def builtin_teleport_description(
     return CircuitDescription(TELEPORT_WIRES, sum(layers.values(), ()))
 
 
-def builtin_teleport_network(
-    reflection: float, phi: float, transmission: float, theta: float
+# Stage -> the layers applied up to it and the labels of its output rows.
+STAGES = {
+    "preparation": (("prep",), PREPARED_MODES),
+    "detection": (("prep", "phase", "alice"), DETECTION_MODES),
+    "tomography": (("prep", "phase", "alice", "tomo"), OUTPUT_MODES),
+}
+
+
+def teleport_network(
+    stage: str,
+    reflection: ArrayLike,
+    phi: ArrayLike,
+    transmission: ArrayLike = 1.0,
+    theta: ArrayLike = 0.0,
+    arm_phases: Mapping[str, ArrayLike] | None = None,
 ) -> SingleParticleUnitary:
-    """Full six-mode teleportation scattering matrix, inputs to detectors."""
-    layers = teleport_layers(reflection, phi, transmission, theta, None)
-    return network_view(layers, tuple(layers), OUTPUT_MODES)
+    """The teleportation network up to a stage, as a map from INPUT_MODES
+    to the stage's output labels.
 
-
-def detection_network(
-    reflection: float, phi: float, arm_phases: Mapping[str, float] | None = None
-) -> SingleParticleUnitary:
-    """Network up to Alice's detectors, Bob's tomography splitter omitted."""
-    layers = teleport_layers(reflection, phi, 1.0, 0.0, arm_phases)
-    return network_view(layers, ("prep", "phase", "alice"), DETECTION_MODES)
-
-
-def preparation_network(reflection: float, phi: float) -> SingleParticleUnitary:
-    """Source splitters only: inputs to the six mid-circuit arms."""
-    layers = teleport_layers(reflection, phi, 1.0, 0.0, None)
-    return network_view(layers, ("prep",), PREPARED_MODES)
+    preparation: the source splitters only, onto the six arms;
+    detection: up to Alice's detectors, Bob's splitter omitted;
+    tomography: the full network, Bob's splitter included.
+    Array parameters broadcast together and give a stack of networks, one
+    per grid point, composed in one pass.
+    """
+    if stage not in STAGES:
+        raise ValueError(f"stage must be one of {sorted(STAGES)}, got {stage!r}")
+    names, rows = STAGES[stage]
+    layers = teleport_layers(reflection, phi, transmission, theta, arm_phases)
+    composed = compose(CircuitDescription(TELEPORT_WIRES, sum((layers[n] for n in names), ())))
+    labels = stage_labels(TELEPORT_WIRES, names)
+    order = [labels.index(label) for label in rows]
+    return SingleParticleUnitary(composed.matrix[..., order, :], rows, INPUT_MODES)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ reads bits from configurations; projections, POVM weights and
 occupation moments are all built on the 0/1 matrix it returns.  Basis
 kets are defined by creating particles in ascending registry-index
 order.  Single-particle unitaries lift to the many-body space with
-determinant amplitudes; `lift_apply` and `lift_matrix` share one
-combination table per sector.
+determinant amplitudes; `lift_amplitudes`, `lift_apply` and `lift_matrix`
+share one combination table per sector.  A unitary may hold a stack of
+matrices, one per parameter point: `lift_amplitudes` then evolves a
+state through all of them in one determinant launch.
 """
 
 from __future__ import annotations
@@ -106,6 +108,24 @@ def combination_table(n_modes: int, particle_number: int) -> tuple[np.ndarray, n
     return occupied, configs
 
 
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 elementwise, for amplitude arrays of any shape."""
+    # scalar abs and power on purpose: numpy's vectorised complex abs and
+    # square round the last bit differently in rare cases, and printed
+    # results are reproduced byte for byte
+    squares = [abs(a) ** 2 for a in np.ravel(amps).tolist()]
+    return np.array(squares, dtype=float).reshape(np.shape(amps))
+
+
+def mass(probs: np.ndarray, keep: np.ndarray | slice) -> np.ndarray | float:
+    """Sum of probs[..., keep] over the last axis, one sum per leading index."""
+    # added left to right, not pairwise, so printed results keep their digits
+    if probs.ndim == 1:
+        return functools.reduce(operator.add, probs[keep].tolist(), 0.0)
+    kept = probs[..., keep]
+    return functools.reduce(operator.add, np.moveaxis(kept, -1, 0), np.zeros(kept.shape[:-1]))
+
+
 def _reorder_sign(indices: Sequence[int]) -> int:
     """Sign of the permutation that sorts a distinct index sequence ascending."""
     inversions = 0
@@ -152,6 +172,20 @@ class FockState:
         )
 
     @classmethod
+    def from_vector(
+        cls, registry: ModeRegistry, particle_number: int, vector: np.ndarray
+    ) -> "FockState":
+        """The state holding the nonzero entries of a sector vector, the
+        inverse of `vector`."""
+        _, sector = combination_table(len(registry), particle_number)
+        if np.shape(vector) != sector.shape:
+            raise ValueError(
+                f"expected a vector of {len(sector)} amplitudes, got shape {np.shape(vector)}"
+            )
+        keep = vector != 0  # NaN is kept
+        return cls(registry, particle_number, dict(zip(sector[keep].tolist(), vector[keep])))
+
+    @classmethod
     def from_terms(
         cls,
         registry: ModeRegistry,
@@ -194,14 +228,11 @@ class FockState:
     @functools.cached_property
     def probabilities(self) -> np.ndarray:
         """|amplitude|^2 of each configuration."""
-        # scalar abs on purpose: numpy's vectorised complex abs can round the
-        # last bit differently, and printed results are reproduced byte for byte
-        return np.array([abs(a) ** 2 for a in self.amps.tolist()])
+        return probabilities(self.amps)
 
     def mass(self, keep: np.ndarray | slice) -> float:
         """Probability of the configurations flagged in `keep`."""
-        # added left to right, not pairwise, so printed results keep their digits
-        return functools.reduce(operator.add, self.probabilities[keep].tolist(), 0.0)
+        return mass(self.probabilities, keep)
 
     def select(self, keep: np.ndarray) -> tuple[float, "FockState"]:
         """Probability of the flagged configurations and the renormalized
@@ -251,7 +282,11 @@ class FockState:
 
 @dataclass(frozen=True, eq=False)
 class SingleParticleUnitary:
-    """M x M unitary with named output (rows) and input (cols) modes."""
+    """M x M unitary with named output (rows) and input (cols) modes.
+
+    `matrix` may be a stack (..., M, M) of unitaries sharing the
+    registries, one per parameter point; each is checked.
+    """
 
     matrix: np.ndarray
     rows: ModeRegistry
@@ -260,11 +295,12 @@ class SingleParticleUnitary:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (len(self.rows), len(self.cols)) or len(self.rows) != len(self.cols):
+        if m.shape[-2:] != (len(self.rows), len(self.cols)) or len(self.rows) != len(self.cols):
             raise ValueError(f"matrix shape {m.shape} does not match the registries")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if not defect <= UNITARITY_TOL:  # NaN fails too
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        gram = m.conj().swapaxes(-1, -2) @ m
+        defect = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1))
+        if not (defect <= UNITARITY_TOL).all():  # NaN fails too
+            raise ValueError(f"matrix is not unitary (defect {np.max(defect):.3e})")
 
     @classmethod
     def identity(cls, registry: ModeRegistry) -> "SingleParticleUnitary":
@@ -295,31 +331,39 @@ def _lifted(
     """Sector configurations and det(u[rows=out, cols=in]) for every output
     configuration (rows) and every input occupied-index row (columns)."""
     combos, configs = combination_table(len(u.rows), particle_number)
-    blocks = u.matrix[combos[:, None, :, None], occupied[None, :, None, :]]
+    blocks = u.matrix[..., combos[:, None, :, None], occupied[None, :, None, :]]
     return configs, np.linalg.det(blocks)
 
 
-def lift_apply(u: SingleParticleUnitary, state: FockState) -> FockState:
-    """Evolve a state by the second-quantized lift of a single-particle unitary.
+def lift_amplitudes(u: SingleParticleUnitary, state: FockState) -> np.ndarray:
+    """Evolve a state by the second-quantized lift of a single-particle
+    unitary, or of every unitary of a stack in one determinant launch.
 
     The amplitude sent to an output configuration O from an input
     configuration I is det(u[rows=O, cols=I]) with both index sets sorted
     ascending, which is the free-fermion (Slater determinant) rule.
-    Particle number and norm are preserved.
+    Returns the amplitudes over u.rows' sector in combination order, shape
+    (..., sector size) with the stack's shape leading; entries at or below
+    PRUNE_TOL are set to zero.  Raises unless every point preserves the norm.
     """
     if u.cols != state.registry:
         raise ValueError("unitary input registry does not match the state registry")
     n = state.particle_number
     occ = occupations(state.registry, state.configs, state.registry.labels)
-    configs, dets = _lifted(u, n, np.nonzero(occ)[1].reshape(len(occ), n))
-    out = np.zeros(len(configs), dtype=complex)
-    for column, amp in zip(dets.T, state.amps):
-        out += column * amp
-    keep = np.abs(out) > PRUNE_TOL
-    result = FockState(u.rows, n, dict(zip(configs[keep].tolist(), out[keep])))
-    if not abs(result.norm() - state.norm()) <= NORM_TOL:  # NaN fails too
+    _, dets = _lifted(u, n, np.nonzero(occ)[1].reshape(len(occ), n))
+    out = np.zeros(dets.shape[:-1], dtype=complex)
+    for column, amp in enumerate(state.amps):
+        out += dets[..., column] * amp
+    out[np.abs(out) <= PRUNE_TOL] = 0.0
+    norms = np.sqrt((np.abs(out) ** 2).sum(axis=-1))
+    if not (np.abs(norms - state.norm()) <= NORM_TOL).all():  # NaN fails too
         raise ValueError("lifted evolution failed to preserve the norm")
-    return result
+    return out
+
+
+def lift_apply(u: SingleParticleUnitary, state: FockState) -> FockState:
+    """The state evolved by the lift of a single (unstacked) unitary."""
+    return FockState.from_vector(u.rows, state.particle_number, lift_amplitudes(u, state))
 
 
 def lift_matrix(
@@ -353,19 +397,31 @@ def occupation_moments(state: FockState, labels: Sequence[str]) -> float:
     the result is exact (no sampling).  Repeated labels are rejected
     because powers of an occupation obey a different cumulant algebra.
     """
-    if not 1 <= len(labels) <= 3:
-        raise ValueError("occupation_moments takes 1 to 3 mode labels")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated mode label in {tuple(labels)}")
-    occ = np.ascontiguousarray(
-        occupations(state.registry, state.configs, labels).T, dtype=float
+    return occupation_moment_table(state, (labels,))[0]
+
+
+def occupation_moment_table(state: FockState, keys: Sequence[Sequence[str]]) -> list[float]:
+    """`occupation_moments` for each label tuple of `keys`, reading the
+    state's occupations once."""
+    registry = state.registry
+    rows = np.ascontiguousarray(
+        occupations(registry, state.configs, registry.labels).T, dtype=float
     )
     probs = state.probabilities
-    means = occ @ probs
-    if len(labels) == 1:
-        return float(means[0])
-    centered = occ - means[:, None]
-    return float(np.prod(centered, axis=0) @ probs)
+    moments = []
+    for labels in keys:
+        if not 1 <= len(labels) <= 3:
+            raise ValueError("occupation_moments takes 1 to 3 mode labels")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"repeated mode label in {tuple(labels)}")
+        occ = rows[registry.indices(labels)]  # a C-contiguous copy
+        means = occ @ probs
+        if len(labels) == 1:
+            moments.append(float(means[0]))
+            continue
+        centered = occ - means[:, None]
+        moments.append(float(centered.prod(axis=0) @ probs))
+    return moments
 
 
 def occupation_product_mean(state: FockState, labels: Sequence[str]) -> float:

@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import protocol
-from .fock import occupation_moments
-from .protocol import TeleportParams
+from .circuit import ArrayLike
+from .fock import OUTPUT_MODES, FockState, occupation_moment_table
 from .saw import damped_average_fidelity
 
 DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
@@ -130,12 +130,34 @@ def photoassist_weight_sum(gamma: float, tol: float = 1e-16) -> float:
         n += 1
 
 
+# Taylor coefficients in x^2: coth(x) - 1/x = x * sum_k c_k x^(2k), and the
+# triple bracket = x^2 * sum_k c_k x^(2k).  Truncation error relative to the
+# function is below 1e-14 under each switch point.
+_PAIR_SERIES = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0)
+_TRIPLE_SERIES = (
+    2.0 / 15.0,
+    -2.0 / 105.0,
+    4.0 / 1575.0,
+    -2.0 / 6237.0,
+    2764.0 / 70945875.0,
+    -4.0 / 868725.0,
+    28936.0 / 54273594375.0,
+)
+
+
+def _even_series(coefficients: Sequence[float], x2: float) -> float:
+    """sum_k c_k x2^k by Horner's rule."""
+    total = 0.0
+    for c in reversed(coefficients):
+        total = total * x2 + c
+    return total
+
+
 def _coth_minus_inv(x: float) -> float:
     """Temperature weight of one harmonic in the pair-correlator factor:
     coth(x) - 1/x, with a series branch near zero."""
     if x < 0.05:
-        x2 = x * x
-        return x * (1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0)
+        return x * _even_series(_PAIR_SERIES, x * x)
     return 1.0 / math.tanh(x) - 1.0 / x
 
 
@@ -143,11 +165,13 @@ def _triple_bracket(x: float) -> float:
     """Temperature weight of one harmonic in the triple-correlator factor.
 
     coth^2 + csch^2/2 - (3/2x) coth, with a series branch where the
-    direct form cancels catastrophically.
+    direct form cancels catastrophically: its relative error grows as
+    x^-4 below x = 1 and reaches 1e-12 near the switch.  The switch sits
+    at x = 1/4, the smallest x of a tau <= 2 sweep, so those stay direct.
     """
-    if x < 0.05:
+    if x < 0.25:
         x2 = x * x
-        return x2 * (2.0 / 15.0 - x2 * 2.0 / 105.0 + x2 * x2 * 4.0 / 1575.0)
+        return x2 * _even_series(_TRIPLE_SERIES, x2)
     coth = 1.0 / math.tanh(x)
     csch2 = 0.0 if x > 350.0 else 1.0 / math.sinh(x) ** 2
     return coth * coth + 0.5 * csch2 - 1.5 * coth / x
@@ -268,15 +292,26 @@ def zero_T_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:
     correspondence turns occupation mean/central moments directly into
     I, P, Q values.
     """
-    state = protocol.run_premeasurement(TeleportParams(R, phi, setting), "tomography")
-    entries: dict[tuple[str, tuple[str, ...]], float] = {}
-    for key in CURRENT_KEYS:
-        entries[("I", _canon(key))] = occupation_moments(state, key)
-    for key in PAIR_KEYS:
-        entries[("P", _canon(key))] = occupation_moments(state, key)
-    for key in TRIPLE_KEYS:
-        entries[("Q", _canon(key))] = occupation_moments(state, key)
-    return CorrelatorTable(setting, entries)
+    return zero_T_correlator_grid(R, phi, setting)[0]
+
+
+def zero_T_correlator_grid(
+    R: ArrayLike, phi: ArrayLike, setting: str
+) -> list[CorrelatorTable]:
+    """`zero_T_correlators` at every point of a broadcast (R, phi) grid, in
+    C order, from one launch; each table's moments are taken point by point."""
+    if setting not in protocol.TOMO_SETTINGS:
+        raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
+    transmission, theta = protocol.TOMO_SETTINGS[setting]
+    amps = protocol.premeasurement_amplitudes("tomography", R, phi, transmission, theta)
+    keys = CURRENT_KEYS + PAIR_KEYS + TRIPLE_KEYS
+    kinds = "I" * len(CURRENT_KEYS) + "P" * len(PAIR_KEYS) + "Q" * len(TRIPLE_KEYS)
+    tables = []
+    for row in amps.reshape(-1, amps.shape[-1]):
+        moments = occupation_moment_table(FockState.from_vector(OUTPUT_MODES, 3, row), keys)
+        entries = {(kind, _canon(key)): m for kind, key, m in zip(kinds, keys, moments)}
+        tables.append(CorrelatorTable(setting, entries))
+    return tables
 
 
 def reference_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:

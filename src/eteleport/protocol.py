@@ -4,31 +4,39 @@ Three electrons enter the six-mode network; Alice's four detectors click,
 and conditioning on one click per detector pair leaves Bob with a
 dual-rail qubit in the (B'0, B'1) basis.  All probabilities and
 conditional states are computed exactly from the Fock simulation.
+`premeasurement_amplitudes` is the one route from parameters to
+amplitudes: it evaluates a grid of parameter points as one stack of
+networks and one determinant launch, and a single run is its one-point
+case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import circuit
+from .circuit import ArrayLike
 from .fock import (
     DETECTION_MODES,
     INPUT_MODES,
+    OUTPUT_MODES,
     PREPARED_MODES,
     FockState,
     ModeRegistry,
     SingleParticleUnitary,
     combination_table,
     create_sources,
-    lift_apply,
+    lift_amplitudes,
     lift_matrix,
-    occupation_product_mean,
+    mass,
     occupations,
+    probabilities,
 )
 
 SOURCE_LABELS = ("S_phi0", "S_phi1", "S_psi")
@@ -134,19 +142,25 @@ class QubitState:
         object.__setattr__(self, "rho", rho)
         if rho.shape != (2, 2):
             raise ValueError("density matrix must be 2x2")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        # written `not x <= tol` so that NaN fails each check
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix has non-finite entries")
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho) - 1.0) > 1e-12:
+        if not abs(np.trace(rho) - 1.0) <= 1e-12:
             raise ValueError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(rho)) < -1e-12:
+        if not np.min(np.linalg.eigvalsh(rho)) >= -1e-12:
             raise ValueError("density matrix has a negative eigenvalue")
-        if np.linalg.norm(self.bloch) > 1.0 + 1e-10:
+        if not np.linalg.norm(self.bloch) <= 1.0 + 1e-10:
             raise ValueError("Bloch vector leaves the unit ball")
 
     @classmethod
     def from_pure(cls, c0: complex, c1: complex) -> "QubitState":
         v = np.array([c0, c1], dtype=complex)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"qubit amplitudes ({c0}, {c1}) have no finite nonzero norm")
+        v = v / norm
         return cls(np.outer(v, v.conj()))
 
     @property
@@ -195,9 +209,29 @@ def input_bloch(params: TeleportParams) -> np.ndarray:
     )
 
 
-def _launch(network: SingleParticleUnitary) -> FockState:
-    """The three-source state sent through a network view."""
-    return lift_apply(network, create_sources(INPUT_MODES, SOURCE_LABELS))
+def premeasurement_amplitudes(
+    stage: str,
+    R: ArrayLike,
+    phi: ArrayLike,
+    transmission: ArrayLike = 1.0,
+    theta: ArrayLike = 0.0,
+    arm_phases: Mapping[str, ArrayLike] | None = None,
+) -> np.ndarray:
+    """The three-source state evolved up to a stage of the network.
+
+    Returns its amplitudes over the three-particle sector of the stage's
+    modes (`circuit.STAGES`), in combination order.  Array parameters
+    broadcast together; the result then carries their shape in front, one
+    row per grid point, from one stack of networks and one launch.
+    """
+    network = circuit.teleport_network(stage, R, phi, transmission, theta, arm_phases)
+    return lift_amplitudes(network, _sources())
+
+
+@functools.lru_cache(maxsize=None)
+def _sources() -> FockState:
+    """The three-electron input state; parameter-free and immutable."""
+    return create_sources(INPUT_MODES, SOURCE_LABELS)
 
 
 def run_premeasurement(params: TeleportParams, stage: str = "detection") -> FockState:
@@ -207,15 +241,12 @@ def run_premeasurement(params: TeleportParams, stage: str = "detection") -> Fock
     (B'0, B'1).  stage "tomography": Bob's splitter applied with the
     params' setting, modes (B0, B1).
     """
-    if stage == "detection":
-        network = circuit.detection_network(params.R, params.phi)
-    elif stage == "tomography":
-        network = circuit.builtin_teleport_network(
-            params.R, params.phi, params.tomo_transmission, params.tomo_theta
-        )
-    else:
+    if stage not in ("detection", "tomography"):
         raise ValueError(f"stage must be 'detection' or 'tomography', got {stage!r}")
-    return _launch(network)
+    amps = premeasurement_amplitudes(
+        stage, params.R, params.phi, params.tomo_transmission, params.tomo_theta
+    )
+    return FockState.from_vector(circuit.STAGES[stage][1], 3, amps)
 
 
 @dataclass(frozen=True)
@@ -258,19 +289,57 @@ def outcome_probability(params: TeleportParams, outcome: MeasurementOutcome) -> 
     return povm_element(outcome).expectation(state)
 
 
-def _conditional_from_state(
-    state: FockState, outcome: MeasurementOutcome
+def outcome_probabilities(
+    amps: np.ndarray, outcomes: Sequence[MeasurementOutcome] = ALL_OUTCOMES
+) -> np.ndarray:
+    """Probability of each click pattern for detection-stage amplitudes,
+    shape (..., len(outcomes)); each one is summed as
+    POVMElement.expectation sums it."""
+    _, configs = combination_table(len(DETECTION_MODES), 3)
+    probs = probabilities(amps)
+    return np.stack(
+        [mass(probs, povm_element(x).clicked(DETECTION_MODES, configs)) for x in outcomes],
+        axis=-1,
+    )
+
+
+def conditional_qubits(
+    amps: np.ndarray, outcome: MeasurementOutcome
+) -> tuple[np.ndarray, list[QubitState]]:
+    """Probability of a one-click-per-pair outcome and Bob's conditional
+    qubit, for every row of a (k, sector) stack of detection-stage
+    amplitudes."""
+    if not outcome.is_paired:
+        raise ValueError(f"outcome {outcome.label} does not leave Bob a qubit")
+    _, configs = combination_table(len(DETECTION_MODES), 3)
+    clicked = povm_element(outcome).clicked(DETECTION_MODES, configs)
+    p = mass(probabilities(amps), clicked)
+    if np.any(p == 0.0):
+        raise ValueError(f"outcome {outcome.label} has probability zero")
+    conditional = np.where(clicked, amps, 0.0) * (1.0 / np.sqrt(p))[:, None]
+    clicks = tuple(label for label, j in zip(DETECTOR_LABELS, outcome.bits) if j)
+    # the configurations holding the clicks and Bob's particle on B'0, B'1
+    columns = [
+        np.flatnonzero(occupations(DETECTION_MODES, configs, clicks + (bob,)).all(axis=1))[0]
+        for bob in ("B0p", "B1p")
+    ]
+    c0, c1 = conditional[:, columns].T
+    return p, [QubitState.from_pure(a, b) for a, b in zip(c0.tolist(), c1.tolist())]
+
+
+def _conditional(
+    amps: np.ndarray, outcome: MeasurementOutcome
 ) -> tuple[float, Union[QubitState, NonQubitReport]]:
+    """Outcome probability and Bob's conditional state for one point's
+    detection-stage amplitudes."""
+    if outcome.is_paired:
+        p, (qubit,) = conditional_qubits(amps[None], outcome)
+        return float(p[0]), qubit
+    state = FockState.from_vector(DETECTION_MODES, 3, amps)
     p, conditional = povm_element(outcome).condition(state)
     if p == 0.0:
         raise ValueError(f"outcome {outcome.label} has probability zero")
-    if outcome.is_paired:
-        clicks = tuple(label for label, j in zip(DETECTOR_LABELS, outcome.bits) if j)
-        c0 = conditional.amplitude(clicks + ("B0p",))
-        c1 = conditional.amplitude(clicks + ("B1p",))
-        return p, QubitState.from_pure(c0, c1)
-    occupations = conditional.occupation_distribution(("B0p", "B1p"))
-    return p, NonQubitReport(outcome, p, occupations)
+    return p, NonQubitReport(outcome, p, conditional.occupation_distribution(("B0p", "B1p")))
 
 
 def bob_conditional(
@@ -282,16 +351,16 @@ def bob_conditional(
     qubit; every other pattern yields a NonQubitReport carrying Bob's
     conditional occupation distribution.
     """
-    state = run_premeasurement(params, "detection")
-    return _conditional_from_state(state, outcome)[1]
+    amps = premeasurement_amplitudes("detection", params.R, params.phi)
+    return _conditional(amps, outcome)[1]
 
 
 def conditional_with_arm_phases(
     params: TeleportParams, arm_phases: Mapping[str, float]
 ) -> tuple[float, QubitState]:
     """Probability and Bob's qubit for the ++ outcome with fixed arm phases."""
-    state = _launch(circuit.detection_network(params.R, params.phi, arm_phases=arm_phases))
-    return _conditional_from_state(state, MeasurementOutcome.from_signs("+", "+"))
+    amps = premeasurement_amplitudes("detection", params.R, params.phi, arm_phases=arm_phases)
+    return _conditional(amps, MeasurementOutcome.from_signs("+", "+"))
 
 
 def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitState:
@@ -316,21 +385,32 @@ def tomography_bloch(params: TeleportParams) -> np.ndarray:
     tomography setting by <N_A0+ N_A1+ (1 - N_A0- - N_A1-)>, both exact
     expectations on the pre-measurement state.
     """
-    components = []
-    for axis in ("X", "Y", "Z"):
-        state = run_premeasurement(replace(params, setting=axis), "tomography")
-        numerator = occupation_product_mean(
-            state, ("A0+", "A1+", "B0")
-        ) - occupation_product_mean(state, ("A0+", "A1+", "B1"))
-        denominator = (
-            occupation_product_mean(state, ("A0+", "A1+"))
-            - occupation_product_mean(state, ("A0+", "A1+", "A0-"))
-            - occupation_product_mean(state, ("A0+", "A1+", "A1-"))
-        )
-        if denominator <= 0.0:
-            raise ValueError("tomography denominator vanished")
-        components.append(numerator / denominator)
-    return np.array(components)
+    return tomography_bloch_grid(params.R, params.phi)
+
+
+def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
+    """`tomography_bloch` at every point of a broadcast (R, phi) grid,
+    shape (..., 3), from one launch over the grid and the three settings."""
+    transmission, theta = np.array([TOMO_SETTINGS[axis] for axis in ("X", "Y", "Z")]).T
+    amps = premeasurement_amplitudes(
+        "tomography", np.asarray(R)[..., None], np.asarray(phi)[..., None], transmission, theta
+    )
+    probs = probabilities(amps)
+    _, configs = combination_table(len(OUTPUT_MODES), 3)
+
+    def product_mean(labels: tuple[str, ...]) -> np.ndarray:
+        # <N_a N_b ...>, summed as fock.occupation_product_mean sums it
+        return mass(probs, occupations(OUTPUT_MODES, configs, labels).all(axis=1))
+
+    numerator = product_mean(("A0+", "A1+", "B0")) - product_mean(("A0+", "A1+", "B1"))
+    denominator = (
+        product_mean(("A0+", "A1+"))
+        - product_mean(("A0+", "A1+", "A0-"))
+        - product_mean(("A0+", "A1+", "A1-"))
+    )
+    if not np.all(denominator > 0.0):  # NaN fails too
+        raise ValueError("tomography denominator vanished")
+    return numerator / denominator
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +554,9 @@ def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, flo
     under explicit names rather than asserted equal to the crossed ones.
     """
     params = params or TeleportParams(0.3, 1.2)
-    prepared = _launch(circuit.preparation_network(params.R, params.phi))
+    prepared = FockState.from_vector(
+        PREPARED_MODES, 3, premeasurement_amplitudes("preparation", params.R, params.phi)
+    )
 
     report: dict[str, float] = {}
     report["dual_rail_weight"] = dual_rail_weight(prepared)

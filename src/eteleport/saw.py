@@ -9,6 +9,7 @@ analytic route applies the damping factor directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,13 @@ import numpy as np
 from . import circuit, fock
 from .circuit import ARM_WIRES
 from .fock import PREPARED_MODES
-from .protocol import SOURCE_LABELS, MeasurementOutcome, QubitState, TeleportParams, povm_element
+from .protocol import (
+    MeasurementOutcome,
+    QubitState,
+    TeleportParams,
+    povm_element,
+    premeasurement_amplitudes,
+)
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,24 @@ def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarr
     return np.random.default_rng(seed).normal(0.0, scales, size=(n_samples, len(ARM_WIRES)))
 
 
+@functools.lru_cache(maxsize=None)
+def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
+    """The two ++ rows of Alice's lifted splitters over the prepared stage's
+    three-particle sector, (A0+, A1+, B'0) then (A0+, A1+, B'1), and which
+    arms each configuration of that sector occupies.  Parameter-free, so
+    built once and shared read-only."""
+    alice = circuit.teleport_layers(0.5, 0.0, 1.0, 0.0, None)["alice"]
+    matrix = circuit.compose(circuit.CircuitDescription(ARM_WIRES, alice)).matrix
+    detectors = fock.ModeRegistry(circuit.stage_labels(ARM_WIRES, ("alice",)))
+    lift = fock.SingleParticleUnitary(matrix, detectors, PREPARED_MODES)
+    configs, lifted = fock.lift_matrix(lift, 3)
+    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(detectors, configs)
+    rows = lifted[clicked]
+    arms = fock.occupations(PREPARED_MODES, configs, ARM_WIRES).astype(bool)
+    rows.flags.writeable = arms.flags.writeable = False
+    return rows, arms
+
+
 def _conditional_amplitudes(
     params: TeleportParams, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,21 +128,12 @@ def _conditional_amplitudes(
     c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  At most
     two configurations have c_S != 0; their terms are added elementwise.
     """
-    layers = circuit.teleport_layers(params.R, params.phi, 1.0, 0.0, None)
-    alice = circuit.compose(circuit.CircuitDescription(ARM_WIRES, layers["alice"])).matrix
-    detectors = fock.ModeRegistry(circuit.stage_labels(ARM_WIRES, ("alice",)))
-    lift = fock.SingleParticleUnitary(alice, detectors, PREPARED_MODES)
-    configs, lifted = fock.lift_matrix(lift, 3)
-    sources = fock.create_sources(fock.INPUT_MODES, SOURCE_LABELS)
-    prepared = fock.lift_apply(circuit.preparation_network(params.R, params.phi), sources)
-    # the two ++ rows, (A0+, A1+, B'0) then (A0+, A1+, B'1) in combination order
-    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(detectors, configs)
-    coeffs = lifted[clicked] * prepared.vector()
+    rows, arms = _alice_clicks()
+    coeffs = rows * premeasurement_amplitudes("preparation", params.R, params.phi)
     keep = coeffs.any(axis=0)
-    arms = fock.occupations(PREPARED_MODES, configs[keep], ARM_WIRES).astype(bool)
     terms = (
         c[:, None] * np.exp(-1j * draws[:, on].sum(axis=1))
-        for c, on in zip(coeffs[:, keep].T, arms)
+        for c, on in zip(coeffs[:, keep].T, arms[keep])
     )
     alpha, beta = sum(terms)
     return alpha, beta
@@ -169,7 +185,7 @@ def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
     r_prime = np.asarray(r_prime, dtype=float)
     n1 = np.dot(r, r)
     n2 = np.dot(r_prime, r_prime)
-    if n1 > 1.0 + 1e-10 or n2 > 1.0 + 1e-10:
+    if not (n1 <= 1.0 + 1e-10 and n2 <= 1.0 + 1e-10):  # NaN fails too
         raise ValueError("Bloch vectors must lie in the unit ball")
     purity_term = math.sqrt(max(0.0, (1.0 - n1) * (1.0 - n2)))
     return 0.5 * (1.0 + float(np.dot(r, r_prime)) + purity_term)

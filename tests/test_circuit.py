@@ -8,7 +8,6 @@ from eteleport.circuit import (
     CircuitDescription,
     CircuitSyntaxError,
     builtin_teleport_description,
-    builtin_teleport_network,
     compose,
     element_matrix,
     format_circuit,
@@ -16,6 +15,7 @@ from eteleport.circuit import (
     phase_shift,
     prep_splitter,
     sym_splitter,
+    teleport_network,
     tomo_splitter,
 )
 
@@ -113,7 +113,7 @@ def test_untouched_modes_pass_through():
 
 def test_builtin_entry_checks():
     R, phi, Dp, theta = 0.3, 1.2, 0.6, 0.4
-    u = builtin_teleport_network(R, phi, Dp, theta).matrix
+    u = teleport_network("tomography", R, phi, Dp, theta).matrix
     assert u[0, 4] == pytest.approx(1j * math.sqrt(R) * np.exp(-1j * phi) / SQRT2)
     assert u[4, 0] == pytest.approx(math.sqrt(Dp) * np.exp(-1j * theta) / SQRT2)
 
@@ -121,7 +121,8 @@ def test_builtin_entry_checks():
 def test_builtin_unitary_for_random_parameters():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        u = builtin_teleport_network(
+        u = teleport_network(
+            "tomography",
             rng.uniform(), rng.uniform(0, 2 * math.pi),
             rng.uniform(), rng.uniform(0, 2 * math.pi),
         ).matrix
@@ -132,7 +133,7 @@ def test_builtin_matches_reference_transcription():
     for R in (0.0, 0.3, 1.0):
         for phi in (0.0, 2.2):
             for Dp, theta in ((0.5, math.pi / 2), (0.5, 0.0), (1.0, 0.0), (0.2, 1.0)):
-                built = builtin_teleport_network(R, phi, Dp, theta).matrix
+                built = teleport_network("tomography", R, phi, Dp, theta).matrix
                 assert np.max(np.abs(built - reference_network_matrix(R, phi, Dp, theta))) < 1e-12
 
 

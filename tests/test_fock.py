@@ -121,7 +121,7 @@ def test_two_mode_splitter_amplitudes():
 
 def test_teleport_network_overlap_with_teleporting_branch():
     # half the amplitude squared ends up in the branch that teleports
-    network = circuit.detection_network(0.5, 0.0)
+    network = circuit.teleport_network("detection", 0.5, 0.0)
     state = lift_apply(network, create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi")))
     branch = protocol.teleporting_branch(TeleportParams(0.5, 0.0))
     assert abs(branch.overlap(state)) ** 2 == pytest.approx(0.25, abs=1e-12)
@@ -255,7 +255,7 @@ def test_project_definite_occupation():
 
 
 def test_chained_projections_give_joint_probability():
-    network = circuit.builtin_teleport_network(0.5, 0.0, 1.0, 0.0)
+    network = circuit.teleport_network("tomography", 0.5, 0.0, 1.0, 0.0)
     state = lift_apply(network, create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi")))
     joint = 1.0
     for label, n in (("A0+", 1), ("A1+", 1), ("A0-", 0), ("A1-", 0)):

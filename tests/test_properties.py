@@ -1,6 +1,7 @@
 """Invariants of the teleportation network, the Leviton drive and the
 phase-damping fidelity over random parameters."""
 
+import decimal
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 unit = st.floats(0.0, 1.0)
 arm_row = st.tuples(*[angle] * len(circuit.ARM_WIRES))
 point = st.tuples(unit, angle, arm_row, unit, angle)
+batch = st.lists(st.tuples(unit, angle, unit, angle), min_size=1, max_size=6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -27,10 +29,10 @@ def test_network_invariants(point):
     params = TeleportParams(R, phi)
     arm_phases = dict(zip(circuit.ARM_WIRES, arms))
     sources = create_sources(INPUT_MODES, protocol.SOURCE_LABELS)
-    full = circuit.builtin_teleport_network(R, phi, Dp, theta)
+    full = circuit.teleport_network("tomography", R, phi, Dp, theta)
     for view in (
-        circuit.preparation_network(R, phi),
-        circuit.detection_network(R, phi, arm_phases),
+        circuit.teleport_network("preparation", R, phi),
+        circuit.teleport_network("detection", R, phi, arm_phases=arm_phases),
         full,
     ):
         assert abs(lift_apply(view, sources).norm() - 1.0) < 1e-12
@@ -84,3 +86,51 @@ def test_thermal_damping_and_fidelity_bounds(gamma, tau):
 @given(st.floats(0.0, 20.0))
 def test_average_fidelity_bounds(sigma2):
     assert 2.0 / 3.0 <= saw.average_fidelity(sigma2) <= 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(batch, st.sampled_from(sorted(protocol.TOMO_SETTINGS)))
+def test_stacked_amplitudes_match_single_runs(points, setting):
+    R, phi, Dp, theta = map(np.array, zip(*points))
+    stacked = protocol.premeasurement_amplitudes("tomography", R, phi, Dp, theta)
+    detection = protocol.premeasurement_amplitudes("detection", R, phi)
+    at_setting = protocol.premeasurement_amplitudes(
+        "tomography", R, phi, *protocol.TOMO_SETTINGS[setting]
+    )
+    for i, (r, p, dp, th) in enumerate(points):
+        single = protocol.premeasurement_amplitudes("tomography", r, p, dp, th)
+        assert np.max(np.abs(stacked[i] - single)) <= 1e-15
+        run = protocol.run_premeasurement(TeleportParams(r, p), "detection")
+        assert np.max(np.abs(detection[i] - run.vector())) <= 1e-15
+        run = protocol.run_premeasurement(TeleportParams(r, p, setting), "tomography")
+        assert np.max(np.abs(at_setting[i] - run.vector())) <= 1e-15
+
+
+@settings(max_examples=50, deadline=None)
+@given(batch)
+def test_stacked_network_matches_reference(points):
+    stack = circuit.teleport_network("tomography", *map(np.array, zip(*points))).matrix
+    for built, point in zip(stack, points):
+        assert np.max(np.abs(built - reference_network_matrix(*point))) < 1e-12
+
+
+def _direct_thermal_weights(x: float) -> tuple[float, float]:
+    """coth(x) - 1/x and coth^2 + csch^2/2 - 3 coth/(2x), evaluated with 50
+    significant digits so that their cancellation costs nothing."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d = decimal.Decimal(x)
+        e = (2 * d).exp()
+        coth = (e + 1) / (e - 1)
+        pair = coth - 1 / d
+        triple = coth * coth + (coth * coth - 1) / 2 - 3 * coth / (2 * d)
+        return float(pair), float(triple)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.01, 0.2))
+def test_thermal_weights_match_direct_forms(x):
+    # both series branches (x < 0.05 and x < 0.25) and the direct pair form
+    pair, triple = _direct_thermal_weights(x)
+    assert abs(leviton._coth_minus_inv(x) - pair) <= 1e-12 * pair
+    assert abs(leviton._triple_bracket(x) - triple) <= 1e-12 * triple

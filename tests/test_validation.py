@@ -10,7 +10,7 @@ from eteleport import cli, saw
 from eteleport.circuit import ElementSpec, PHASE_SHIFT, PREP_SPLITTER
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
-from eteleport.protocol import TeleportParams
+from eteleport.protocol import QubitState, TeleportParams
 from eteleport.saw import DephasingParams
 
 NAN, INF = math.nan, math.inf
@@ -31,6 +31,18 @@ NON_FINITE = {
     "prep phi=nan": lambda: ElementSpec(PREP_SPLITTER, ("a", "b"), reflection=0.3, phi=NAN),
     "phase value=inf": lambda: ElementSpec(PHASE_SHIFT, ("a",), value=INF),
     "unitary nan": lambda: SingleParticleUnitary(np.array([[NAN]]), ONE_MODE, ONE_MODE),
+    "unitary stack nan": lambda: SingleParticleUnitary(
+        np.array([[[1.0]], [[NAN]]]), ONE_MODE, ONE_MODE
+    ),
+    "prep reflection grid nan": lambda: ElementSpec(
+        PREP_SPLITTER, ("a", "b"), reflection=np.array([0.3, NAN]), phi=0.0
+    ),
+    "qubit rho nan": lambda: QubitState(np.full((2, 2), NAN)),
+    "qubit rho one nan": lambda: QubitState(np.array([[1.0, NAN], [NAN, 0.0]])),
+    "qubit pure nan": lambda: QubitState.from_pure(NAN, 0.0),
+    "qubit pure zero": lambda: QubitState.from_pure(0.0, 0.0),
+    "jozsa bloch nan": lambda: saw.jozsa_fidelity([NAN, 0, 0], [0, 0, 1]),
+    "jozsa second bloch nan": lambda: saw.jozsa_fidelity([0, 0, 1], [NAN, 0, 0]),
 }
 
 
