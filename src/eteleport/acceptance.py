@@ -142,18 +142,19 @@ def _criterion_efficiency() -> tuple[bool, str]:
 def _criterion_dual_rail_structure() -> tuple[bool, str]:
     tol_weight = 1e-12
     tol_overlap = 1e-10
-    worst_weight = 0.0
-    worst_t = 0.0
-    worst_r = 0.0
+    weight_gaps, t_gaps, r_gaps = [], [], []
     for r, phi in ((0.5, 0.0), (0.3, 1.2), (0.8, 4.0)):
         params = TeleportParams(r, phi)
         report = protocol.drq_projection_checks(params)
-        worst_weight = max(worst_weight, abs(report["dual_rail_weight"] - 0.5))
+        weight_gaps.append(abs(report["dual_rail_weight"] - 0.5))
         before = protocol.run_premeasurement(params, "detection")
         t_overlap = abs(protocol.teleporting_branch(params).overlap(before))
         r_overlap = abs(protocol.failing_branch(params).overlap(before))
-        worst_t = max(worst_t, abs(t_overlap - 0.5))
-        worst_r = max(worst_r, abs(r_overlap - math.sqrt(3.0) / 2.0))
+        t_gaps.append(abs(t_overlap - 0.5))
+        r_gaps.append(abs(r_overlap - math.sqrt(3.0) / 2.0))
+    worst_weight = float(np.max(weight_gaps))
+    worst_t = float(np.max(t_gaps))
+    worst_r = float(np.max(r_gaps))
     ok = worst_weight < tol_weight and worst_t < tol_overlap and worst_r < tol_overlap
     return ok, (
         f"|weight - 1/2| = {worst_weight:.2e}, |<T|Psi>| dev = {worst_t:.2e}, "
@@ -176,17 +177,19 @@ def _criterion_saw_fidelity_law() -> tuple[bool, str]:
     n_states = 100_000
     sigma2_values = (0.0, 0.5, 1.0, 2.0, 2.0 * math.log(2.0))
     failures = []
-    worst_sigma = 0.0
+    z_scores = []
+    # each check written `not x <= bound`, so that NaN fails it
     for sigma2 in sigma2_values:
         samples = saw.fidelity_samples(sigma2, n_states, seed=20260809)
         mean = float(samples.mean())
         stderr = float(samples.std(ddof=1) / math.sqrt(n_states))
         gap = abs(mean - saw.average_fidelity(sigma2))
-        worst_sigma = max(worst_sigma, gap / stderr if stderr else 0.0)
-        if gap > 3.0 * stderr + 1e-12:
+        z_scores.append(gap / stderr if stderr else 0.0)
+        if not gap <= 3.0 * stderr + 1e-12:
             failures.append(f"sigma2={sigma2:.3f} gap {gap:.2e} > 3*{stderr:.2e}")
+    worst_sigma = float(np.max(z_scores))
     halving = abs(saw.average_fidelity(2.0 * math.log(2.0)) - 5.0 / 6.0)
-    if halving > 1e-12:
+    if not halving <= 1e-12:
         failures.append(f"analytic value at 2 ln 2 off by {halving:.2e}")
 
     params = TeleportParams(0.3, 1.2)
@@ -199,7 +202,7 @@ def _criterion_saw_fidelity_law() -> tuple[bool, str]:
     for part in (np.real, np.imag):
         se = part(stack).std(axis=0, ddof=1) / math.sqrt(n_states)
         gap = np.abs(part(mc_mean) - part(analytic))
-        if np.any(gap > 3.0 * se + 1e-10):
+        if not np.all(gap <= 3.0 * se + 1e-10):
             failures.append(f"MC density matrix off by {np.max(gap):.2e}")
             break
     if failures:
@@ -274,15 +277,16 @@ def _criterion_correlator_reconstruction() -> tuple[bool, str]:
 def _criterion_thermal_limits() -> tuple[bool, str]:
     tol_unit = 1e-10
     failures = []
+    # each check written `not x <= bound`, so that NaN fails it
     cold = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.0))
-    if abs(cold.pair - 1.0) > tol_unit or abs(cold.triple - 1.0) > tol_unit:
+    if not (abs(cold.pair - 1.0) <= tol_unit and abs(cold.triple - 1.0) <= tol_unit):
         failures.append(
             f"zero-temperature factors ({cold.pair!r}, {cold.triple!r}) != 1"
         )
     # classical limit, checked for a broad pulse where tau = 10 is deep in
     # the high-temperature regime (narrow pulses approach 2/3 more slowly)
     hot = leviton.leviton_fidelity(leviton.LevitonParams(0.25, 10.0))
-    if abs(hot - 2.0 / 3.0) > 1e-2:
+    if not abs(hot - 2.0 / 3.0) <= 1e-2:
         failures.append(f"fidelity at tau=10 is {hot:.4f}, not within 1e-2 of 2/3")
     gammas = (0.02, 0.05, 0.1)
     taus = np.arange(0.0, 2.0 + 1e-9, 0.05)
@@ -292,12 +296,12 @@ def _criterion_thermal_limits() -> tuple[bool, str]:
         for g in gammas
     }
     for g in gammas:
-        if np.any(np.diff(fid[g]) > 1e-12):
+        if not np.all(np.diff(fid[g]) <= 1e-12):
             failures.append(f"fidelity not non-increasing in tau at gamma={g}")
-        if np.any(fid[g] <= 2.0 / 3.0) or np.any(fid[g] > 1.0 + 1e-12):
+        if not np.all((fid[g] > 2.0 / 3.0) & (fid[g] <= 1.0 + 1e-12)):
             failures.append(f"fidelity leaves (2/3, 1] at gamma={g}")
     for narrow, broad in zip(gammas, gammas[1:]):
-        if np.any(fid[narrow][1:] < fid[broad][1:] - 1e-12):
+        if not np.all(fid[narrow][1:] >= fid[broad][1:] - 1e-12):
             failures.append(f"ordering violated between gamma={narrow} and {broad}")
     if failures:
         return False, "; ".join(failures)
@@ -311,15 +315,16 @@ def _criterion_photoassisted_amplitudes() -> tuple[bool, str]:
     tol_oracle = 1e-12
     tol_sum = 1e-10
     n_values = list(range(-5, 21))
-    worst = 0.0
-    worst_sum = 0.0
+    gaps, sum_gaps = [], []
     for gamma in (0.02, 0.05, 0.1):
         oracle = leviton.photoassist_spectrum_oracle(n_values, gamma)
         closed = np.array(
             [leviton.photoassist_amplitude(n, gamma) for n in n_values]
         )
-        worst = max(worst, float(np.max(np.abs(oracle - closed))))
-        worst_sum = max(worst_sum, abs(leviton.photoassist_weight_sum(gamma) - 1.0))
+        gaps.append(np.max(np.abs(oracle - closed)))
+        sum_gaps.append(abs(leviton.photoassist_weight_sum(gamma) - 1.0))
+    worst = float(np.max(gaps))
+    worst_sum = float(np.max(sum_gaps))
     ok = worst < tol_oracle and worst_sum < tol_sum
     return ok, (
         f"max |closed - oracle| = {worst:.2e} (tol {tol_oracle:.0e}), "

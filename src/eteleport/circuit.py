@@ -278,7 +278,8 @@ def teleport_network(
     detection: up to Alice's detectors, Bob's splitter omitted;
     tomography: the full network, Bob's splitter included.
     Array parameters broadcast together and give a stack of networks, one
-    per grid point, composed in one pass.
+    per grid point, composed in one pass.  Unitarity is checked once, by
+    `compose`; the stage view only reorders the rows and renames the modes.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {sorted(STAGES)}, got {stage!r}")
@@ -286,8 +287,7 @@ def teleport_network(
     layers = teleport_layers(reflection, phi, transmission, theta, arm_phases)
     composed = compose(CircuitDescription(TELEPORT_WIRES, sum((layers[n] for n in names), ())))
     labels = stage_labels(TELEPORT_WIRES, names)
-    order = [labels.index(label) for label in rows]
-    return SingleParticleUnitary(composed.matrix[..., order, :], rows, INPUT_MODES)
+    return composed.relabel(rows, INPUT_MODES, [labels.index(label) for label in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,20 @@ class SingleParticleUnitary:
             raise ValueError("registry mismatch in composition")
         return SingleParticleUnitary(self.matrix @ other.matrix, self.rows, other.cols)
 
+    def relabel(
+        self, rows: ModeRegistry, cols: ModeRegistry, order: Sequence[int]
+    ) -> "SingleParticleUnitary":
+        """The same map with output row k taken from row order[k] and the
+        modes renamed to `rows` and `cols`.  Permuting the rows of a unitary
+        keeps it unitary, so the view is not checked again."""
+        if sorted(order) != list(range(len(self.rows))) or len(rows) != len(order):
+            raise ValueError(f"{order} is not a permutation of {len(self.rows)} rows")
+        if len(cols) != len(self.cols):
+            raise ValueError(f"expected {len(self.cols)} input modes, got {len(cols)}")
+        view = object.__new__(SingleParticleUnitary)
+        view.__dict__.update(matrix=self.matrix[..., order, :], rows=rows, cols=cols)
+        return view
+
 
 def create_sources(registry: ModeRegistry, occupied_labels: Sequence[str]) -> FockState:
     """Product state with one particle in each listed mode, amplitude +1.

@@ -130,6 +130,15 @@ CORRECTED_OUTCOMES = (
 
 _SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
+# One-point amplitudes kept by `premeasurement_amplitudes`.  Evaluating one
+# parameter point asks for the same network several times in a row: the
+# detection stage for the run and its four conditionals, each tomography
+# setting for the Bloch vector and then its correlator table.  Four entries
+# serve those repeats; being fewer than the five networks of a point, they
+# let a point evaluated again from the start launch again, so a traced
+# rerun of an input still sees its launches.
+_POINT_MEMO_SIZE = 4
+
 
 @dataclass(frozen=True, eq=False)
 class QubitState:
@@ -222,10 +231,37 @@ def premeasurement_amplitudes(
     Returns its amplitudes over the three-particle sector of the stage's
     modes (`circuit.STAGES`), in combination order.  Array parameters
     broadcast together; the result then carries their shape in front, one
-    row per grid point, from one stack of networks and one launch.
+    row per grid point, from one stack of networks and one launch.  A
+    one-point call, every parameter a Python scalar, is memoised and
+    returns a shared read-only array.
     """
+    arms = arm_phases or {}
+    arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
+    point = (R, phi, transmission, theta, *(v for _, v in arm_items))
+    if len(arm_items) == len(arms) and all(isinstance(x, (int, float)) for x in point):
+        signs = tuple(math.copysign(1.0, x) for x in point)
+        return _point_amplitudes(stage, R, phi, transmission, theta, arm_items, signs)
     network = circuit.teleport_network(stage, R, phi, transmission, theta, arm_phases)
     return lift_amplitudes(network, _sources())
+
+
+@functools.lru_cache(maxsize=_POINT_MEMO_SIZE)
+def _point_amplitudes(
+    stage: str,
+    R: float,
+    phi: float,
+    transmission: float,
+    theta: float,
+    arm_items: tuple[tuple[str, float], ...],
+    signs: tuple[float, ...],
+) -> np.ndarray:
+    """One point's amplitudes, read-only.  The key holds the arm items in
+    ARM_WIRES order, so an absent arm and an arm at 0.0 differ, and the
+    parameters' signs, so -0.0 and 0.0 differ."""
+    network = circuit.teleport_network(stage, R, phi, transmission, theta, dict(arm_items))
+    amps = lift_amplitudes(network, _sources())
+    amps.flags.writeable = False
+    return amps
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,23 +414,40 @@ def efficiency(with_feedforward: bool, params: TeleportParams | None = None) -> 
     return float(sum(povm_element(x).expectation(state) for x in outcomes))
 
 
+# Tomography settings in the order of Bloch components.
+_AXES = ("X", "Y", "Z")
+
+
 def tomography_bloch(params: TeleportParams) -> np.ndarray:
     """Reconstruct Bob's ++-conditional Bloch vector from occupation averages.
 
     Each component divides <N_A0+ N_A1+ (N_B0 - N_B1)> at the matching
     tomography setting by <N_A0+ N_A1+ (1 - N_A0- - N_A1-)>, both exact
-    expectations on the pre-measurement state.
+    expectations on the pre-measurement state.  The three settings are
+    one-point launches, shared with `leviton.zero_T_correlators`.
     """
-    return tomography_bloch_grid(params.R, params.phi)
+    amps = np.stack(
+        [
+            premeasurement_amplitudes("tomography", params.R, params.phi, *TOMO_SETTINGS[axis])
+            for axis in _AXES
+        ]
+    )
+    return _tomography_components(amps)
 
 
 def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """`tomography_bloch` at every point of a broadcast (R, phi) grid,
     shape (..., 3), from one launch over the grid and the three settings."""
-    transmission, theta = np.array([TOMO_SETTINGS[axis] for axis in ("X", "Y", "Z")]).T
+    transmission, theta = np.array([TOMO_SETTINGS[axis] for axis in _AXES]).T
     amps = premeasurement_amplitudes(
         "tomography", np.asarray(R)[..., None], np.asarray(phi)[..., None], transmission, theta
     )
+    return _tomography_components(amps)
+
+
+def _tomography_components(amps: np.ndarray) -> np.ndarray:
+    """Bloch components from tomography-stage amplitudes of shape
+    (..., 3, sector), one row per setting in X, Y, Z order."""
     probs = probabilities(amps)
     _, configs = combination_table(len(OUTPUT_MODES), 3)
 

@@ -170,6 +170,20 @@ def test_rejects_non_unitary():
         SingleParticleUnitary(np.array([[1.0, 0.0], [0.1, 1.0]]), reg, reg)
 
 
+def test_relabel_takes_only_a_row_permutation():
+    reg = small_registry(3)
+    u = SingleParticleUnitary(random_unitary(3, np.random.default_rng(11)), reg, reg)
+    rows, cols = ModeRegistry(("x0", "x1", "x2")), ModeRegistry(("y0", "y1", "y2"))
+    view = u.relabel(rows, cols, [2, 0, 1])
+    assert np.array_equal(view.matrix, u.matrix[[2, 0, 1]])
+    assert (view.rows, view.cols) == (rows, cols)
+    for order in ([0, 0, 1], [0, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="permutation"):
+            u.relabel(ModeRegistry(tuple(f"x{i}" for i in range(len(order)))), cols, order)
+    with pytest.raises(ValueError, match="input modes"):
+        u.relabel(rows, small_registry(2), [0, 1, 2])
+
+
 def test_rejects_registry_mismatch():
     rng = np.random.default_rng(10)
     u = SingleParticleUnitary(random_unitary(3, rng), small_registry(3), small_registry(3))

@@ -1,0 +1,156 @@
+"""Seeded defects, each applied with monkeypatch and run only against the
+criterion or test that must catch it.
+
+This is mutation testing (DeMillo, Lipton & Sayward, "Hints on test data
+selection", IEEE Computer 11(4), 1978) without a mutation tool: a row whose
+target still passes under its defect marks a blind spot of the suite.  The
+NaN rows check that a non-finite result fails its criterion instead of
+slipping through a `max(worst, x)` or an `x > bound` comparison.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import test_fock
+import test_properties
+import test_protocol
+import test_saw
+from eteleport import acceptance, fock, leviton, protocol, saw
+from eteleport.fock import DETECTION_MODES, FockState
+from eteleport.protocol import MeasurementOutcome
+
+
+def _criterion(number):
+    def target():
+        result = acceptance.ALL_CRITERIA[number - 1].run()
+        assert result.passed, result.line
+
+    return target
+
+
+def _replace(owner, name, stand_in):
+    def apply(monkeypatch):
+        monkeypatch.setattr(owner, name, stand_in)
+
+    return apply
+
+
+def _arm_phases_mapped(transform):
+    """The Monte Carlo amplitudes fed transformed arm-phase draws."""
+
+    def apply(monkeypatch):
+        amplitudes = saw._conditional_amplitudes
+
+        def mapped(params, draws):
+            return amplitudes(params, transform(draws))
+
+        monkeypatch.setattr(saw, "_conditional_amplitudes", mapped)
+
+    return apply
+
+
+def _pp_reads_a0_minus(monkeypatch):
+    # the ++ element reads A0- in place of A0+, i.e. it keeps the -+ pattern
+    clicked = protocol.POVMElement.clicked
+    pp, mp = MeasurementOutcome.from_signs("+", "+"), MeasurementOutcome.from_signs("-", "+")
+
+    def misread(self, registry, configs):
+        return clicked(protocol.POVMElement(mp) if self.outcome == pp else self, registry, configs)
+
+    monkeypatch.setattr(protocol.POVMElement, "clicked", misread)
+
+
+def _memo_key_drops_phi(monkeypatch):
+    launch = protocol._point_amplitudes.__wrapped__
+    memo = {}
+
+    def keyed_without_phi(stage, R, phi, *rest):
+        key = (stage, R, *rest)
+        if key not in memo:
+            memo[key] = launch(stage, R, phi, *rest)
+        return memo[key]
+
+    monkeypatch.setattr(protocol, "_point_amplitudes", keyed_without_phi)
+
+
+def _nan_state(params):
+    return FockState.from_vector(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
+
+
+MUTANTS = [
+    pytest.param(
+        _replace(fock, "_reorder_sign", lambda indices: 1),
+        test_fock.test_from_terms_reordering_sign,
+        id="reorder-sign-always-one",
+    ),
+    pytest.param(
+        _arm_phases_mapped(np.negative),
+        test_saw.test_fast_path_matches_full_simulation,
+        id="mc-arm-phases-negated",
+    ),
+    pytest.param(
+        _arm_phases_mapped(lambda draws: draws[:, ::-1]),
+        test_saw.test_fast_path_matches_full_simulation,
+        id="mc-arm-order-reversed",
+    ),
+    pytest.param(
+        _replace(protocol, "CORRECTED_OUTCOMES", ()),
+        test_protocol.test_feedforward_restores_input,
+        id="feedforward-never-applied",
+    ),
+    pytest.param(_pp_reads_a0_minus, _criterion(2), id="pp-reads-a0-minus-crit02"),
+    pytest.param(_pp_reads_a0_minus, _criterion(5), id="pp-reads-a0-minus-crit05"),
+    pytest.param(
+        _memo_key_drops_phi,
+        test_properties.test_memo_keys_every_parameter,
+        id="memo-key-drops-phi",
+    ),
+    pytest.param(
+        _replace(protocol, "teleporting_branch", _nan_state),
+        _criterion(4),
+        id="nan-overlap-crit04",
+    ),
+    pytest.param(
+        _replace(saw, "fidelity_samples", lambda sigma2, n_states, seed: np.full(n_states, np.nan)),
+        _criterion(6),
+        id="nan-fidelity-samples-crit06",
+    ),
+    pytest.param(
+        _replace(
+            saw,
+            "montecarlo_conditional_states",
+            lambda params, deph, n_samples, seed: np.full((n_samples, 2, 2), np.nan, dtype=complex),
+        ),
+        _criterion(6),
+        id="nan-montecarlo-stack-crit06",
+    ),
+    pytest.param(
+        _replace(
+            leviton,
+            "fidelity_curve",
+            lambda gammas, taus: [
+                {"gamma": g, "tau": t, "fidelity": math.nan} for g in gammas for t in taus
+            ],
+        ),
+        _criterion(9),
+        id="nan-fidelity-curve-crit09",
+    ),
+    pytest.param(
+        _replace(
+            leviton,
+            "photoassist_spectrum_oracle",
+            lambda n_values, gamma: np.full(len(n_values), np.nan),
+        ),
+        _criterion(10),
+        id="nan-oracle-crit10",
+    ),
+]
+
+
+@pytest.mark.parametrize("defect, target", MUTANTS)
+def test_defect_fails_its_target(monkeypatch, defect, target):
+    defect(monkeypatch)
+    with pytest.raises(AssertionError):
+        target()

@@ -20,6 +20,16 @@ unit = st.floats(0.0, 1.0)
 arm_row = st.tuples(*[angle] * len(circuit.ARM_WIRES))
 point = st.tuples(unit, angle, arm_row, unit, angle)
 batch = st.lists(st.tuples(unit, angle, unit, angle), min_size=1, max_size=6)
+signed_zero = st.sampled_from((0.0, -0.0))
+# some arms, in a shuffled order
+arm_dict = st.permutations(circuit.ARM_WIRES).flatmap(
+    lambda order: st.lists(signed_zero | angle, max_size=len(order)).map(
+        lambda values: dict(zip(order, values))
+    )
+)
+scalar_point = st.tuples(
+    signed_zero | unit, signed_zero | angle, signed_zero | unit, signed_zero | angle, arm_dict
+)
 
 
 @settings(max_examples=50, deadline=None)
@@ -112,6 +122,66 @@ def test_stacked_network_matches_reference(points):
     stack = circuit.teleport_network("tomography", *map(np.array, zip(*points))).matrix
     for built, point in zip(stack, points):
         assert np.max(np.abs(built - reference_network_matrix(*point))) < 1e-12
+
+
+def _fresh_launch(stage, R, phi, Dp, theta, arms):
+    """A one-point call's amplitudes from a one-element grid, which is never
+    memoised."""
+    R, phi, Dp, theta = (np.array([x]) for x in (R, phi, Dp, theta))
+    arrays = {arm: np.array([v]) for arm, v in arms.items()}
+    return protocol.premeasurement_amplitudes(stage, R, phi, Dp, theta, arrays)[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(scalar_point)
+def test_memoised_amplitudes_equal_a_fresh_launch(point):
+    for stage in circuit.STAGES:
+        fresh = _fresh_launch(stage, *point)
+        for _ in range(2):  # the second call is served by the memo
+            amps = protocol.premeasurement_amplitudes(stage, *point)
+            assert amps.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                amps[0] = 1.0
+
+
+def test_memo_keys_every_parameter():
+    # the memo holds both points of each pair, so a key that missed a
+    # parameter would hand one point the other's amplitudes
+    base = (0.3, 1.2, 0.5, 0.7, {"A0": 0.4})
+    variants = [
+        (0.6, 1.2, 0.5, 0.7, {"A0": 0.4}),
+        (0.3, 2.1, 0.5, 0.7, {"A0": 0.4}),
+        (0.3, 1.2, 0.9, 0.7, {"A0": 0.4}),
+        (0.3, 1.2, 0.5, 1.5, {"A0": 0.4}),
+        (0.3, 1.2, 0.5, 0.7, {"A0": 0.8}),
+        (0.3, 1.2, 0.5, 0.7, {"A1": 0.4}),
+        (0.3, 1.2, 0.5, 0.7, {"B0p": 0.0, "A0": 0.4}),  # an arm at 0.0, not absent
+    ]
+    for stage in circuit.STAGES:
+        for variant in variants:
+            for point in (base, variant, base, variant):
+                amps = protocol.premeasurement_amplitudes(stage, *point)
+                assert amps.tobytes() == _fresh_launch(stage, *point).tobytes()
+
+
+def test_memo_keeps_no_rejected_point():
+    protocol.premeasurement_amplitudes("detection", 0.3, 1.2, arm_phases={"A0": 0.1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown dephasing arms"):
+            protocol.premeasurement_amplitudes(
+                "detection", 0.3, 1.2, arm_phases={"A0": 0.1, "Z": 0.2}
+            )
+        with pytest.raises(ValueError, match="reflection"):
+            protocol.premeasurement_amplitudes("detection", 1.5, 1.2)
+        with pytest.raises(ValueError, match="stage"):
+            protocol.premeasurement_amplitudes("later", 0.3, 1.2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(unit, angle)
+def test_tomography_bloch_equals_its_grid_row(R, phi):
+    single = protocol.tomography_bloch(TeleportParams(R, phi))
+    assert single.tobytes() == protocol.tomography_bloch_grid(R, phi).tobytes()
 
 
 def _direct_thermal_weights(x: float) -> tuple[float, float]:
