@@ -179,8 +179,8 @@ def _criterion_saw_fidelity_law() -> tuple[bool, str]:
     failures = []
     z_scores = []
     # each check written `not x <= bound`, so that NaN fails it
-    for sigma2 in sigma2_values:
-        samples = saw.fidelity_samples(sigma2, n_states, seed=20260809)
+    rows = saw.fidelity_samples(sigma2_values, n_states, seed=20260809)
+    for sigma2, samples in zip(sigma2_values, rows):
         mean = float(samples.mean())
         stderr = float(samples.std(ddof=1) / math.sqrt(n_states))
         gap = abs(mean - saw.average_fidelity(sigma2))

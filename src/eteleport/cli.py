@@ -179,8 +179,8 @@ def cmd_saw(args) -> int:
     if args.n_states < 2:
         raise UsageError(f"--n-states must be at least 2, got {args.n_states}")
     rows = []
-    for sigma2 in parse_grid(args.sigma2):
-        samples = saw.fidelity_samples(sigma2, args.n_states, args.seed)
+    grid = parse_grid(args.sigma2)
+    for sigma2, samples in zip(grid, saw.fidelity_samples(grid, args.n_states, args.seed)):
         rows.append(
             {
                 "sigma2": sigma2,

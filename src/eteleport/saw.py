@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -95,8 +96,12 @@ def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarr
     Runs are drawn in order from a single generator, so the n samples of
     a run are the first n rows of any longer run with the same seed.
     """
-    scales = np.sqrt(np.array(deph.variances))
-    return np.random.default_rng(seed).normal(0.0, scales, size=(n_samples, len(ARM_WIRES)))
+    draws = np.random.default_rng(seed).standard_normal((n_samples, len(ARM_WIRES)))
+    draws *= np.sqrt(np.array(deph.variances))
+    # the loc of rng.normal(0.0, scales): turns the -0.0 of a zero-variance
+    # arm into 0.0, so the rows are bit for bit those of that call
+    draws += 0.0
+    return draws
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,22 +125,28 @@ def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
 def _conditional_amplitudes(
     params: TeleportParams, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ++ conditional amplitudes (to B'0, B'1) per phase draw.
+    """Vectorized ++ conditional amplitudes (to B'0, B'1) per phase draw,
+    up to one phase per draw common to both.
 
     The arm phases are diagonal in the three-particle occupation basis of
     the prepared stage, so by Cauchy-Binet each amplitude is a sum over
     configurations S of c_S * exp(-i * sum of the phases on S's arms), with
     c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  At most
-    two configurations have c_S != 0; their terms are added elementwise.
+    two configurations have c_S != 0.  The first one's phase is factored
+    out, so each further one costs one exp(-i (S - S_0)) per draw; every
+    caller reads only |alpha|^2, |beta|^2 and alpha * conj(beta).
     """
     rows, arms = _alice_clicks()
     coeffs = rows * premeasurement_amplitudes("preparation", params.R, params.phi)
     keep = coeffs.any(axis=0)
-    terms = (
-        c[:, None] * np.exp(-1j * draws[:, on].sum(axis=1))
-        for c, on in zip(coeffs[:, keep].T, arms[keep])
-    )
-    alpha, beta = sum(terms)
+    (c0, on0), *rest = zip(coeffs[:, keep].T, arms[keep])
+    alpha, beta = (np.full(len(draws), c) for c in c0)
+    for (ca, cb), on in rest:
+        # row sums, not a matrix product: draws @ w rounds n = 1 differently,
+        # and a run must stay the prefix of any longer one
+        phase = np.exp(-1j * (draws[:, on].sum(axis=1) - draws[:, on0].sum(axis=1)))
+        alpha += ca * phase
+        beta += cb * phase
     return alpha, beta
 
 
@@ -143,23 +154,35 @@ def montecarlo_click_probabilities(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> np.ndarray:
     """Per-sample ++ probability; phase noise must leave it at 1/16."""
-    draws = _sample_phases(deph, n_samples, seed)
-    alpha, beta = _conditional_amplitudes(params, draws)
+    alpha, beta = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
     return np.abs(alpha) ** 2 + np.abs(beta) ** 2
+
+
+def _conditional_entries(
+    params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per sample, the entries rho00, rho11 and rho01 of Bob's
+    ++-conditional density matrix."""
+    alpha, beta = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
+    rho00 = np.abs(alpha) ** 2
+    rho11 = np.abs(beta) ** 2
+    rho01 = alpha * np.conj(beta)
+    p = rho00 + rho11
+    for entry in (rho00, rho11, rho01):
+        entry /= p
+    return rho00, rho11, rho01
 
 
 def montecarlo_conditional_states(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> np.ndarray:
     """Stack of Bob's ++-conditional density matrices, one per sample."""
-    draws = _sample_phases(deph, n_samples, seed)
-    alpha, beta = _conditional_amplitudes(params, draws)
-    p = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    rho00, rho11, rho01 = _conditional_entries(params, deph, n_samples, seed)
     rho = np.empty((n_samples, 2, 2), dtype=complex)
-    rho[:, 0, 0] = np.abs(alpha) ** 2 / p
-    rho[:, 1, 1] = np.abs(beta) ** 2 / p
-    rho[:, 0, 1] = alpha * np.conj(beta) / p
-    rho[:, 1, 0] = np.conj(rho[:, 0, 1])
+    rho[:, 0, 0] = rho00
+    rho[:, 1, 1] = rho11
+    rho[:, 0, 1] = rho01
+    rho[:, 1, 0] = np.conj(rho01)
     return rho
 
 
@@ -173,10 +196,9 @@ def dephased_state_montecarlo(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    rho = montecarlo_conditional_states(params, deph, n_samples, seed).mean(axis=0)
-    # guard tiny asymmetries so the result is an exact density matrix
-    rho = 0.5 * (rho + rho.conj().T)
-    return QubitState(rho / np.trace(rho).real)
+    rho00, rho11, rho01 = (x.mean() for x in _conditional_entries(params, deph, n_samples, seed))
+    rho = np.array([[rho00, rho01], [np.conj(rho01), rho11]])
+    return QubitState(rho / (rho00 + rho11))
 
 
 def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
@@ -208,18 +230,21 @@ def average_fidelity(sigma2: float) -> float:
     return damped_average_fidelity(_damping(sigma2))
 
 
-def fidelity_samples(sigma2: float, n_states: int, seed: int) -> np.ndarray:
-    """Per-state fidelities for uniformly drawn pure inputs.
+def fidelity_samples(
+    sigma2_values: Iterable[float], n_states: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Per-state fidelities for uniformly drawn pure inputs, one row per sigma2.
 
-    Inputs are uniform directions on the Bloch sphere; the damped output
-    shrinks the transverse components by exp(-sigma2/2).
+    Inputs are n_states uniform directions on the Bloch sphere, drawn once
+    and shared by every row; the damped output shrinks their transverse
+    components by exp(-sigma2/2).  Rows are made as they are read.
     """
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
-    damping = _damping(sigma2)
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n_states, 3))
+    dampings = [_damping(sigma2) for sigma2 in sigma2_values]
+    v = np.random.default_rng(seed).normal(size=(n_states, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    dot = damping * (v[:, 0] ** 2 + v[:, 1] ** 2) + v[:, 2] ** 2
+    transverse = v[:, 0] ** 2 + v[:, 1] ** 2
+    axial = v[:, 2] ** 2
     # pure inputs: the joint-purity term of the fidelity vanishes
-    return 0.5 * (1.0 + dot)
+    return (0.5 * (1.0 + (damping * transverse + axial)) for damping in dampings)

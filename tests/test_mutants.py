@@ -37,6 +37,11 @@ def _replace(owner, name, stand_in):
     return apply
 
 
+def _halved(owner, name):
+    """Every coefficient of a series table halved."""
+    return _replace(owner, name, tuple(0.5 * c for c in getattr(owner, name)))
+
+
 def _arm_phases_mapped(transform):
     """The Monte Carlo amplitudes fed transformed arm-phase draws."""
 
@@ -113,7 +118,11 @@ MUTANTS = [
         id="nan-overlap-crit04",
     ),
     pytest.param(
-        _replace(saw, "fidelity_samples", lambda sigma2, n_states, seed: np.full(n_states, np.nan)),
+        _replace(
+            saw,
+            "fidelity_samples",
+            lambda sigma2_values, n_states, seed: (np.full(n_states, np.nan) for _ in sigma2_values),
+        ),
         _criterion(6),
         id="nan-fidelity-samples-crit06",
     ),
@@ -125,6 +134,16 @@ MUTANTS = [
         ),
         _criterion(6),
         id="nan-montecarlo-stack-crit06",
+    ),
+    pytest.param(
+        _halved(leviton, "_PAIR_SERIES"),
+        test_properties.test_thermal_weights_match_direct_forms,
+        id="pair-series-halved",
+    ),
+    pytest.param(
+        _halved(leviton, "_TRIPLE_SERIES"),
+        test_properties.test_thermal_weights_match_direct_forms,
+        id="triple-series-halved",
     ),
     pytest.param(
         _replace(

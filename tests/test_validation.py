@@ -56,7 +56,7 @@ SIGMA2_FUNCTIONS = {
     "average_fidelity": saw.average_fidelity,
     "dephased_state_analytic": lambda s: saw.dephased_state_analytic(TeleportParams(0.3, 1.2), s),
     "state_fidelity": lambda s: saw.state_fidelity(TeleportParams(0.3, 1.2), s),
-    "fidelity_samples": lambda s: saw.fidelity_samples(s, 10, seed=0),
+    "fidelity_samples": lambda s: saw.fidelity_samples([0.5, s], 10, seed=0),
 }
 
 
