@@ -10,7 +10,6 @@ from .circuit import (
     CircuitDescription,
     CircuitSyntaxError,
     ElementSpec,
-    builtin_teleport_description,
     compose,
     element_matrix,
     format_circuit,
@@ -30,11 +29,7 @@ from .fock import (
     ModeRegistry,
     SingleParticleUnitary,
     create_sources,
-    lift_apply,
     lift_matrix,
-    occupation_moments,
-    occupation_product_mean,
-    project_number,
 )
 from .leviton import (
     CorrelatorTable,
@@ -64,8 +59,6 @@ from .protocol import (
     drq_projection_checks,
     efficiency,
     input_bloch,
-    input_qubit,
-    outcome_probability,
     povm_element,
     premeasurement_amplitudes,
     run_premeasurement,

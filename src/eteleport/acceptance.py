@@ -147,7 +147,7 @@ def _criterion_dual_rail_structure() -> tuple[bool, str]:
         params = TeleportParams(r, phi)
         report = protocol.drq_projection_checks(params)
         weight_gaps.append(abs(report["dual_rail_weight"] - 0.5))
-        before = protocol.run_premeasurement(params, "detection")
+        before = protocol.run_premeasurement(params)
         t_overlap = abs(protocol.teleporting_branch(params).overlap(before))
         r_overlap = abs(protocol.failing_branch(params).overlap(before))
         t_gaps.append(abs(t_overlap - 0.5))
@@ -194,17 +194,21 @@ def _criterion_saw_fidelity_law() -> tuple[bool, str]:
 
     params = TeleportParams(0.3, 1.2)
     deph = saw.DephasingParams.from_total(1.0)
-    stack = saw.montecarlo_conditional_states(params, deph, n_states, seed=77)
-    mc_mean = stack.mean(axis=0)
+    rho00, rho11, rho01 = saw.montecarlo_entries(params, deph, n_states, seed=77)
     analytic = saw.dephased_state_analytic(params, 1.0).rho
-    # constant-per-sample entries (the populations) have zero sampling
-    # variance; the floor covers their accumulated roundoff only
-    for part in (np.real, np.imag):
-        se = part(stack).std(axis=0, ddof=1) / math.sqrt(n_states)
-        gap = np.abs(part(mc_mean) - part(analytic))
-        if not np.all(gap <= 3.0 * se + 1e-10):
-            failures.append(f"MC density matrix off by {np.max(gap):.2e}")
-            break
+    # Re rho00, Re rho11, Re rho01 and Im rho01: the diagonal is real and
+    # rho10 repeats rho01.  Constant-per-sample entries (the populations)
+    # have zero sampling variance; the floor covers their roundoff only.
+    checks = (
+        (rho00, analytic[0, 0].real),
+        (rho11, analytic[1, 1].real),
+        (rho01.real, analytic[0, 1].real),
+        (rho01.imag, analytic[0, 1].imag),
+    )
+    gaps = [abs(float(x.mean()) - want) for x, want in checks]
+    bounds = [3.0 * (float(x.std(ddof=1)) / math.sqrt(n_states)) + 1e-10 for x, _ in checks]
+    if not all(gap <= bound for gap, bound in zip(gaps, bounds)):
+        failures.append(f"MC density matrix off by {np.max(gaps):.2e}")
     if failures:
         return False, "; ".join(failures)
     return True, (

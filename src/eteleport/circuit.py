@@ -239,20 +239,13 @@ def stage_labels(wires: tuple[str, ...], names: tuple[str, ...]) -> tuple[str, .
     return tuple(renamed.get(w, w) for w in wires)
 
 
-def builtin_teleport_description(
-    reflection: float,
-    phi: float,
-    transmission: float,
-    theta: float,
-    arm_phases: Mapping[str, float] | None = None,
-) -> CircuitDescription:
-    """Teleportation network over the six wires, in application order.
-
-    Source splitters come first, then optional per-arm phase shifts, then
-    Alice's splitters and Bob's tomography splitter.
-    """
-    layers = teleport_layers(reflection, phi, transmission, theta, arm_phases)
-    return CircuitDescription(TELEPORT_WIRES, sum(layers.values(), ()))
+def alice_splitters(wires: tuple[str, ...]) -> SingleParticleUnitary:
+    """Alice's layer alone, over wires that include her four, as a map from
+    the wires to the detectors they end on.  The layer takes no parameter."""
+    alice = teleport_layers(0.5, 0.0, 1.0, 0.0, None)["alice"]
+    composed = compose(CircuitDescription(wires, alice))
+    detectors = ModeRegistry(stage_labels(wires, ("alice",)))
+    return SingleParticleUnitary(composed.matrix, detectors, composed.cols)
 
 
 # Stage -> the layers applied up to it and the labels of its output rows.

@@ -54,7 +54,10 @@ def parse_grid(spec: str) -> list[float]:
             raise UsageError(f"grid bounds must be finite, got {spec!r}")
         if step <= 0.0:
             raise UsageError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
+        span = (stop - start) / step + 0.5
+        if not math.isfinite(span):
+            raise UsageError(f"grid {spec!r} has no finite number of points")
+        count = int(math.floor(span)) + 1
         if count < 1:
             raise UsageError(f"empty grid {spec!r}")
         return [start + k * step for k in range(count)]
@@ -104,7 +107,7 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _ideal_rows(params: TeleportParams) -> list[dict]:
-    state = protocol.run_premeasurement(params, "detection")
+    state = protocol.run_premeasurement(params)
     reference = protocol.input_bloch(params)
     blank = {"bloch_x": None, "bloch_y": None, "bloch_z": None, "fidelity": None}
     rows: list[dict] = []

@@ -9,8 +9,8 @@ reads bits from configurations; projections, POVM weights and
 occupation moments are all built on the 0/1 matrix it returns.  Basis
 kets are defined by creating particles in ascending registry-index
 order.  Single-particle unitaries lift to the many-body space with
-determinant amplitudes; `lift_amplitudes`, `lift_apply` and `lift_matrix`
-share one combination table per sector.  A unitary may hold a stack of
+determinant amplitudes; `lift_amplitudes` and `lift_matrix` share one
+combination table per sector.  A unitary may hold a stack of
 matrices, one per parameter point: `lift_amplitudes` then evolves a
 state through all of them in one determinant launch.
 """
@@ -190,7 +190,6 @@ class FockState:
         cls,
         registry: ModeRegistry,
         terms: Iterable[tuple[complex, Sequence[str]]],
-        particle_number: int | None = None,
     ) -> "FockState":
         """Build a state from creation-operator strings acting on the vacuum.
 
@@ -200,7 +199,7 @@ class FockState:
         label vanish.
         """
         amps: dict[int, complex] = {}
-        n = particle_number
+        n = None
         for coeff, labels in terms:
             idx = registry.indices(labels)
             if len(set(idx)) != len(idx):
@@ -220,10 +219,6 @@ class FockState:
     def amplitudes(self) -> Mapping[int, complex]:
         """Read-only view config -> amplitude, in combination order."""
         return MappingProxyType(dict(zip(self.configs.tolist(), self.amps.tolist())))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.configs.size
 
     @functools.cached_property
     def probabilities(self) -> np.ndarray:
@@ -265,10 +260,6 @@ class FockState:
         terms = [mine.get(c, 0j).conjugate() * a for c, a in pairs]
         return functools.reduce(operator.add, terms, 0j)
 
-    def amplitude(self, occupied_labels: Iterable[str]) -> complex:
-        hit = self.amps[self.configs == _config(self.registry.indices(occupied_labels))]
-        return complex(hit[0]) if hit.size else 0j
-
     def occupation_distribution(
         self, labels: Sequence[str]
     ) -> dict[tuple[int, ...], float]:
@@ -301,15 +292,6 @@ class SingleParticleUnitary:
         defect = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1))
         if not (defect <= UNITARITY_TOL).all():  # NaN fails too
             raise ValueError(f"matrix is not unitary (defect {np.max(defect):.3e})")
-
-    @classmethod
-    def identity(cls, registry: ModeRegistry) -> "SingleParticleUnitary":
-        return cls(np.eye(len(registry), dtype=complex), registry, registry)
-
-    def __matmul__(self, other: "SingleParticleUnitary") -> "SingleParticleUnitary":
-        if self.cols != other.rows:
-            raise ValueError("registry mismatch in composition")
-        return SingleParticleUnitary(self.matrix @ other.matrix, self.rows, other.cols)
 
     def relabel(
         self, rows: ModeRegistry, cols: ModeRegistry, order: Sequence[int]
@@ -375,11 +357,6 @@ def lift_amplitudes(u: SingleParticleUnitary, state: FockState) -> np.ndarray:
     return out
 
 
-def lift_apply(u: SingleParticleUnitary, state: FockState) -> FockState:
-    """The state evolved by the lift of a single (unstacked) unitary."""
-    return FockState.from_vector(u.rows, state.particle_number, lift_amplitudes(u, state))
-
-
 def lift_matrix(
     u: SingleParticleUnitary, particle_number: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -392,31 +369,15 @@ def lift_matrix(
     return _lifted(u, particle_number, combos)
 
 
-def project_number(state: FockState, mode_label: str, n: int) -> tuple[float, FockState]:
-    """Projective measurement of one mode's occupation.
-
-    Returns (probability of outcome n, renormalized post-measurement
-    state).  Probability zero yields an empty state.
-    """
-    if n not in (0, 1):
-        raise ValueError(f"occupation outcome must be 0 or 1, got {n}")
-    return state.select(occupations(state.registry, state.configs, (mode_label,))[:, 0] == n)
-
-
-def occupation_moments(state: FockState, labels: Sequence[str]) -> float:
-    """Mean (1 label) or central occupation moment (2 or 3 labels).
+def occupation_moment_table(state: FockState, keys: Sequence[Sequence[str]]) -> list[float]:
+    """Mean (1 label) or central occupation moment (2 or 3 labels) for each
+    label tuple of `keys`, reading the state's occupations once.
 
     Occupations are jointly diagonal in the configuration basis, so the
     moments are those of the classical distribution |amplitude|^2;
     the result is exact (no sampling).  Repeated labels are rejected
     because powers of an occupation obey a different cumulant algebra.
     """
-    return occupation_moment_table(state, (labels,))[0]
-
-
-def occupation_moment_table(state: FockState, keys: Sequence[Sequence[str]]) -> list[float]:
-    """`occupation_moments` for each label tuple of `keys`, reading the
-    state's occupations once."""
     registry = state.registry
     rows = np.ascontiguousarray(
         occupations(registry, state.configs, registry.labels).T, dtype=float
@@ -425,7 +386,7 @@ def occupation_moment_table(state: FockState, keys: Sequence[Sequence[str]]) -> 
     moments = []
     for labels in keys:
         if not 1 <= len(labels) <= 3:
-            raise ValueError("occupation_moments takes 1 to 3 mode labels")
+            raise ValueError(f"an occupation moment takes 1 to 3 mode labels, got {tuple(labels)}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"repeated mode label in {tuple(labels)}")
         occ = rows[registry.indices(labels)]  # a C-contiguous copy
@@ -437,9 +398,3 @@ def occupation_moment_table(state: FockState, keys: Sequence[Sequence[str]]) -> 
         moments.append(float(centered.prod(axis=0) @ probs))
     return moments
 
-
-def occupation_product_mean(state: FockState, labels: Sequence[str]) -> float:
-    """Exact expectation of a product of occupation numbers, <N_a N_b ...>."""
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated mode label in {tuple(labels)}")
-    return state.mass(occupations(state.registry, state.configs, labels).all(axis=1))

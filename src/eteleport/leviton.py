@@ -55,12 +55,11 @@ class SeriesConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class LevitonParams:
     """Dimensionless pulse width gamma = width/period and temperature
-    tau = k_B T / (hbar * drive frequency), plus series controls."""
+    tau = k_B T / (hbar * drive frequency), plus the series tolerance."""
 
     gamma: float
     tau: float
     series_tol: float = 1e-12
-    max_terms: int | None = None
 
     def __post_init__(self):
         # the thermal series sums about 2/gamma terms, so very narrow pulses are refused
@@ -73,8 +72,6 @@ class LevitonParams:
 
     @property
     def term_cap(self) -> int:
-        if self.max_terms is not None:
-            return self.max_terms
         return max(200, math.ceil(10.0 / self.gamma))
 
 
@@ -84,8 +81,8 @@ def photoassist_amplitude(n: int, gamma: float) -> complex:
     Zero for emission (n < 0); exp(-2*pi*gamma) at n = 0; the absorption
     amplitudes decay geometrically.
     """
-    if gamma <= 0.0:
-        raise ValueError("pulse width gamma must be positive")
+    if not 0.0 < gamma < math.inf:  # NaN fails too
+        raise ValueError(f"pulse width gamma must be positive and finite, got {gamma}")
     g = 2.0 * math.pi * gamma
     if n < 0:
         return 0.0 + 0.0j
@@ -102,8 +99,8 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
     sin pi(t - i gamma) (Keeling, Klich & Levitov, PRL 97, 116403, 2006),
     evaluated as (q z - 1)/(z - q) with z = exp(2 pi i t), q = exp(-2 pi gamma).
     """
-    if gamma <= 0.0:
-        raise ValueError("pulse width gamma must be positive")
+    if not 0.0 < gamma < math.inf:  # NaN fails too
+        raise ValueError(f"pulse width gamma must be positive and finite, got {gamma}")
     n_values = np.asarray(list(n_values), dtype=int)
     n_abs_max = int(np.max(np.abs(n_values))) if n_values.size else 0
     # periodic midpoint rule: geometric accuracy once the grid outruns the
@@ -118,14 +115,15 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
     return np.exp(2j * np.pi * np.outer(n_values, t)) @ phase_factor / n_grid
 
 
-def photoassist_weight_sum(gamma: float, tol: float = 1e-16) -> float:
-    """Numeric sum of |amplitude|^2 over all n; unitarity demands 1."""
+def photoassist_weight_sum(gamma: float) -> float:
+    """Numeric sum of |amplitude|^2 over all n, up to the first term below
+    1e-16; unitarity demands 1."""
     total = abs(photoassist_amplitude(0, gamma)) ** 2
     n = 1
     while True:
         term = abs(photoassist_amplitude(n, gamma)) ** 2
         total += term
-        if term < tol:
+        if term < 1e-16:
             return total
         n += 1
 

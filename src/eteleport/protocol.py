@@ -29,7 +29,6 @@ from .fock import (
     PREPARED_MODES,
     FockState,
     ModeRegistry,
-    SingleParticleUnitary,
     combination_table,
     create_sources,
     lift_amplitudes,
@@ -52,31 +51,20 @@ TOMO_SETTINGS = {
 
 @dataclass(frozen=True)
 class TeleportParams:
-    """Input-qubit preparation (R, phi) and Bob's tomography axis."""
+    """Input-qubit preparation (R, phi)."""
 
     R: float
     phi: float
-    setting: str = "Z"
 
     def __post_init__(self):
         if not 0.0 <= self.R <= 1.0:
             raise ValueError(f"reflection probability R must lie in [0, 1], got {self.R}")
         if not math.isfinite(self.phi):
             raise ValueError(f"input-qubit phase phi must be finite, got {self.phi}")
-        if self.setting not in TOMO_SETTINGS:
-            raise ValueError(f"tomography setting must be one of {sorted(TOMO_SETTINGS)}")
 
     @property
     def D(self) -> float:
         return 1.0 - self.R
-
-    @property
-    def tomo_transmission(self) -> float:
-        return TOMO_SETTINGS[self.setting][0]
-
-    @property
-    def tomo_theta(self) -> float:
-        return TOMO_SETTINGS[self.setting][1]
 
 
 @dataclass(frozen=True)
@@ -205,11 +193,6 @@ def input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
     )
 
 
-def input_qubit(params: TeleportParams) -> QubitState:
-    """The dual-rail qubit Alice is handed, as prepared by her splitter."""
-    return QubitState.from_pure(*input_amplitudes(params))
-
-
 def input_bloch(params: TeleportParams) -> np.ndarray:
     """Closed-form Bloch vector of the prepared input qubit."""
     root = 2.0 * math.sqrt(params.R * params.D)
@@ -270,19 +253,11 @@ def _sources() -> FockState:
     return create_sources(INPUT_MODES, SOURCE_LABELS)
 
 
-def run_premeasurement(params: TeleportParams, stage: str = "detection") -> FockState:
-    """Evolve the three-source state up to the requested stage.
-
-    stage "detection": Alice's detectors resolved, Bob's modes still
-    (B'0, B'1).  stage "tomography": Bob's splitter applied with the
-    params' setting, modes (B0, B1).
-    """
-    if stage not in ("detection", "tomography"):
-        raise ValueError(f"stage must be 'detection' or 'tomography', got {stage!r}")
-    amps = premeasurement_amplitudes(
-        stage, params.R, params.phi, params.tomo_transmission, params.tomo_theta
-    )
-    return FockState.from_vector(circuit.STAGES[stage][1], 3, amps)
+def run_premeasurement(params: TeleportParams) -> FockState:
+    """The three-source state at Alice's detectors, Bob's modes still
+    (B'0, B'1)."""
+    amps = premeasurement_amplitudes("detection", params.R, params.phi)
+    return FockState.from_vector(DETECTION_MODES, 3, amps)
 
 
 @dataclass(frozen=True)
@@ -296,9 +271,6 @@ class POVMElement:
         occ = occupations(registry, configs, DETECTOR_LABELS)
         return (occ == self.outcome.bits).all(axis=1)
 
-    def weight(self, config: int, registry: ModeRegistry) -> float:
-        return float(self.clicked(registry, [config])[0])
-
     def expectation(self, state: FockState) -> float:
         return state.mass(self.clicked(state.registry, state.configs))
 
@@ -311,18 +283,12 @@ def povm_element(outcome: MeasurementOutcome) -> POVMElement:
     return POVMElement(outcome)
 
 
-def povm_completeness_defect(
-    registry: ModeRegistry = DETECTION_MODES, particle_number: int = 3
-) -> float:
-    """Max deviation of sum_X E(X) from the identity on the given sector."""
-    _, configs = combination_table(len(registry), particle_number)
-    total = sum(povm_element(x).clicked(registry, configs) for x in ALL_OUTCOMES)
+def povm_completeness_defect() -> float:
+    """Max deviation of sum_X E(X) from the identity on the detection
+    stage's three-particle sector."""
+    _, configs = combination_table(len(DETECTION_MODES), 3)
+    total = sum(povm_element(x).clicked(DETECTION_MODES, configs) for x in ALL_OUTCOMES)
     return float(np.max(np.abs(total - 1.0)))
-
-
-def outcome_probability(params: TeleportParams, outcome: MeasurementOutcome) -> float:
-    state = run_premeasurement(params, "detection")
-    return povm_element(outcome).expectation(state)
 
 
 def outcome_probabilities(
@@ -409,7 +375,7 @@ def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitSt
 def efficiency(with_feedforward: bool, params: TeleportParams | None = None) -> float:
     """Probability mass of the outcomes that teleport, computed from the run."""
     params = params or TeleportParams(0.5, 0.0)
-    state = run_premeasurement(params, "detection")
+    state = run_premeasurement(params)
     outcomes = PAIRED_OUTCOMES if with_feedforward else UNCORRECTED_OUTCOMES
     return float(sum(povm_element(x).expectation(state) for x in outcomes))
 
@@ -452,7 +418,7 @@ def _tomography_components(amps: np.ndarray) -> np.ndarray:
     _, configs = combination_table(len(OUTPUT_MODES), 3)
 
     def product_mean(labels: tuple[str, ...]) -> np.ndarray:
-        # <N_a N_b ...>, summed as fock.occupation_product_mean sums it
+        # <N_a N_b ...>: the mass of the configurations occupying every label
         return mass(probs, occupations(OUTPUT_MODES, configs, labels).all(axis=1))
 
     numerator = product_mean(("A0+", "A1+", "B0")) - product_mean(("A0+", "A1+", "B1"))
@@ -566,9 +532,7 @@ def _sector_weight(state: FockState, crossed: bool) -> float:
     return state.mass(dual & ((occ[:, 0] != occ[:, 2]) == crossed))
 
 
-def _povm_in_prepared_basis(
-    params: TeleportParams,
-) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
+def _povm_in_prepared_basis() -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
     """Alice's POVM elements conjugated back through her splitters.
 
     Works in the two-particle space of (A0p, A1p, A0, A1); returns the
@@ -576,14 +540,9 @@ def _povm_in_prepared_basis(
     projector onto the dual-rail (Bell) subspace, and the Bell states as
     vectors in the same basis.
     """
-    wires = ("A0p", "A1p", "A0", "A1")
-    registry = ModeRegistry(wires)
-    layers = circuit.teleport_layers(
-        params.R, params.phi, params.tomo_transmission, params.tomo_theta, None
-    )
-    alice = circuit.compose(circuit.CircuitDescription(wires, layers["alice"])).matrix
-    detectors = ModeRegistry(circuit.stage_labels(wires, ("alice",)))
-    configs, lifted = lift_matrix(SingleParticleUnitary(alice, detectors, registry), 2)
+    alice = circuit.alice_splitters(("A0p", "A1p", "A0", "A1"))
+    detectors, registry = alice.rows, alice.cols
+    configs, lifted = lift_matrix(alice, 2)
     elements: dict[str, np.ndarray] = {}
     for name in ("1010", "0101", "1001", "0110", "1100", "0011"):
         outcome = MeasurementOutcome([int(b) for b in name])
@@ -595,7 +554,7 @@ def _povm_in_prepared_basis(
     return elements, basis @ basis.conj().T, vectors
 
 
-def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, float]:
+def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
     """Structural checks of the dual-rail decomposition and Alice's POVM.
 
     Expected values: dual_rail_weight = 1/2, split evenly between the
@@ -606,7 +565,6 @@ def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, flo
     their overlap moduli come out |R - D|/(2*sqrt(2)) and are reported
     under explicit names rather than asserted equal to the crossed ones.
     """
-    params = params or TeleportParams(0.3, 1.2)
     prepared = FockState.from_vector(
         PREPARED_MODES, 3, premeasurement_amplitudes("preparation", params.R, params.phi)
     )
@@ -631,7 +589,7 @@ def drq_projection_checks(params: TeleportParams | None = None) -> dict[str, flo
         terms["i_sigma_y"].overlap(prepared)
     )
 
-    elements, projector, bells_aa = _povm_in_prepared_basis(params)
+    elements, projector, bells_aa = _povm_in_prepared_basis()
     psi_m, psi_p = bells_aa["psi-"], bells_aa["psi+"]
     phi_sum = bells_aa["phi+"] + bells_aa["phi-"]
     phi_diff = bells_aa["phi+"] - bells_aa["phi-"]

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import circuit, fock
 from .circuit import ARM_WIRES
-from .fock import PREPARED_MODES
 from .protocol import (
     MeasurementOutcome,
     QubitState,
@@ -45,12 +44,6 @@ class DephasingParams:
     def from_total(cls, sigma2: float) -> "DephasingParams":
         """Split a total variance evenly over the six arms."""
         return cls((sigma2 / 6.0,) * 6)
-
-    @classmethod
-    def single_arm(cls, sigma2: float, arm: str) -> "DephasingParams":
-        v = [0.0] * len(ARM_WIRES)
-        v[ARM_WIRES.index(arm)] = sigma2
-        return cls(tuple(v))
 
     @property
     def total(self) -> float:
@@ -110,14 +103,11 @@ def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
     three-particle sector, (A0+, A1+, B'0) then (A0+, A1+, B'1), and which
     arms each configuration of that sector occupies.  Parameter-free, so
     built once and shared read-only."""
-    alice = circuit.teleport_layers(0.5, 0.0, 1.0, 0.0, None)["alice"]
-    matrix = circuit.compose(circuit.CircuitDescription(ARM_WIRES, alice)).matrix
-    detectors = fock.ModeRegistry(circuit.stage_labels(ARM_WIRES, ("alice",)))
-    lift = fock.SingleParticleUnitary(matrix, detectors, PREPARED_MODES)
-    configs, lifted = fock.lift_matrix(lift, 3)
-    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(detectors, configs)
+    alice = circuit.alice_splitters(ARM_WIRES)
+    configs, lifted = fock.lift_matrix(alice, 3)
+    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(alice.rows, configs)
     rows = lifted[clicked]
-    arms = fock.occupations(PREPARED_MODES, configs, ARM_WIRES).astype(bool)
+    arms = fock.occupations(alice.cols, configs, ARM_WIRES).astype(bool)
     rows.flags.writeable = arms.flags.writeable = False
     return rows, arms
 
@@ -158,11 +148,11 @@ def montecarlo_click_probabilities(
     return np.abs(alpha) ** 2 + np.abs(beta) ** 2
 
 
-def _conditional_entries(
+def montecarlo_entries(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per sample, the entries rho00, rho11 and rho01 of Bob's
-    ++-conditional density matrix."""
+    ++-conditional density matrix; rho10 is the conjugate of rho01."""
     alpha, beta = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
     rho00 = np.abs(alpha) ** 2
     rho11 = np.abs(beta) ** 2
@@ -171,19 +161,6 @@ def _conditional_entries(
     for entry in (rho00, rho11, rho01):
         entry /= p
     return rho00, rho11, rho01
-
-
-def montecarlo_conditional_states(
-    params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
-) -> np.ndarray:
-    """Stack of Bob's ++-conditional density matrices, one per sample."""
-    rho00, rho11, rho01 = _conditional_entries(params, deph, n_samples, seed)
-    rho = np.empty((n_samples, 2, 2), dtype=complex)
-    rho[:, 0, 0] = rho00
-    rho[:, 1, 1] = rho11
-    rho[:, 0, 1] = rho01
-    rho[:, 1, 0] = np.conj(rho01)
-    return rho
 
 
 def dephased_state_montecarlo(
@@ -196,7 +173,7 @@ def dephased_state_montecarlo(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    rho00, rho11, rho01 = (x.mean() for x in _conditional_entries(params, deph, n_samples, seed))
+    rho00, rho11, rho01 = (x.mean() for x in montecarlo_entries(params, deph, n_samples, seed))
     rho = np.array([[rho00, rho01], [np.conj(rho01), rho11]])
     return QubitState(rho / (rho00 + rho11))
 

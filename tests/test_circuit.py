@@ -7,7 +7,6 @@ from eteleport.acceptance import reference_network_matrix
 from eteleport.circuit import (
     CircuitDescription,
     CircuitSyntaxError,
-    builtin_teleport_description,
     compose,
     element_matrix,
     format_circuit,
@@ -137,14 +136,9 @@ def test_builtin_matches_reference_transcription():
                 assert np.max(np.abs(built - reference_network_matrix(R, phi, Dp, theta))) < 1e-12
 
 
-def test_builtin_description_serializes_and_reparses():
-    desc = builtin_teleport_description(0.25, 0.75, 0.5, math.pi / 2)
-    assert parse_circuit(format_circuit(desc)) == desc
-
-
 def test_unknown_arm_phase_rejected():
     with pytest.raises(ValueError):
-        builtin_teleport_description(0.5, 0.0, 1.0, 0.0, arm_phases={"Q7": 0.1})
+        teleport_network("detection", 0.5, 0.0, arm_phases={"Q7": 0.1})
 
 
 # --- parser ---

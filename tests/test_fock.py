@@ -7,16 +7,15 @@ import pytest
 from eteleport.fock import (
     DETECTION_MODES,
     INPUT_MODES,
+    OUTPUT_MODES,
     FockState,
     ModeRegistry,
     SingleParticleUnitary,
     create_sources,
-    lift_apply,
+    lift_amplitudes,
     lift_matrix,
-    occupation_moments,
-    occupation_product_mean,
+    occupation_moment_table,
     occupations,
-    project_number,
 )
 from eteleport import circuit, protocol
 from eteleport.protocol import TeleportParams
@@ -44,6 +43,26 @@ def small_registry(m):
     return ModeRegistry(tuple(f"m{i}" for i in range(m)))
 
 
+def amplitude(state, occupied_labels):
+    """The amplitude of the configuration occupying exactly these modes."""
+    config = sum(1 << i for i in state.registry.indices(occupied_labels))
+    return state.amplitudes.get(config, 0j)
+
+
+def lift(u, state):
+    """The state evolved by the lift of one unitary."""
+    return FockState.from_vector(u.rows, state.particle_number, lift_amplitudes(u, state))
+
+
+def moment(state, labels):
+    return occupation_moment_table(state, (labels,))[0]
+
+
+def project(state, label, n):
+    """Probability that a mode holds n particles, and the state selected on it."""
+    return state.select(occupations(state.registry, state.configs, (label,))[:, 0] == n)
+
+
 # --- registries ---
 
 def test_registry_rejects_duplicates():
@@ -63,7 +82,7 @@ def test_three_sources():
     state = create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi"))
     assert state.particle_number == 3
     assert len(state.amplitudes) == 1
-    assert state.amplitude(("S_phi0", "S_phi1", "S_psi")) == 1.0
+    assert amplitude(state, ("S_phi0", "S_phi1", "S_psi")) == 1.0
 
 
 def test_vacuum_state():
@@ -88,23 +107,24 @@ def test_from_terms_reordering_sign():
     reg = small_registry(2)
     direct = FockState.from_terms(reg, [(1.0, ("m0", "m1"))])
     swapped = FockState.from_terms(reg, [(1.0, ("m1", "m0"))])
-    assert direct.amplitude(("m0", "m1")) == 1.0
-    assert swapped.amplitude(("m0", "m1")) == -1.0
+    assert amplitude(direct, ("m0", "m1")) == 1.0
+    assert amplitude(swapped, ("m0", "m1")) == -1.0
 
 
 def test_from_terms_drops_excluded_term():
     reg = small_registry(2)
     state = FockState.from_terms(reg, [(1.0, ("m0", "m0")), (1.0, ("m0", "m1"))])
-    assert state.amplitude(("m0", "m1")) == 1.0
+    assert amplitude(state, ("m0", "m1")) == 1.0
     assert len(state.amplitudes) == 1
 
 
-# --- lift_apply ---
+# --- lift_amplitudes ---
 
 def test_identity_returns_input_exactly():
     rng = np.random.default_rng(1)
     state = random_state(small_registry(5), 2, rng)
-    evolved = lift_apply(SingleParticleUnitary.identity(state.registry), state)
+    identity = SingleParticleUnitary(np.eye(5), state.registry, state.registry)
+    evolved = lift(identity, state)
     assert set(evolved.amplitudes) == set(state.amplitudes)
     for config, amp in state.amplitudes.items():
         assert evolved.amplitudes[config] == amp
@@ -114,15 +134,15 @@ def test_two_mode_splitter_amplitudes():
     reg = small_registry(2)
     block = circuit.element_matrix(circuit.sym_splitter("m0", "m1"))
     u = SingleParticleUnitary(block, reg, reg)
-    out = lift_apply(u, create_sources(reg, ("m0",)))
-    assert out.amplitude(("m0",)) == pytest.approx(1j / math.sqrt(2))
-    assert out.amplitude(("m1",)) == pytest.approx(1 / math.sqrt(2))
+    out = lift(u, create_sources(reg, ("m0",)))
+    assert amplitude(out, ("m0",)) == pytest.approx(1j / math.sqrt(2))
+    assert amplitude(out, ("m1",)) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_teleport_network_overlap_with_teleporting_branch():
     # half the amplitude squared ends up in the branch that teleports
     network = circuit.teleport_network("detection", 0.5, 0.0)
-    state = lift_apply(network, create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi")))
+    state = lift(network, create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi")))
     branch = protocol.teleporting_branch(TeleportParams(0.5, 0.0))
     assert abs(branch.overlap(state)) ** 2 == pytest.approx(0.25, abs=1e-12)
 
@@ -133,7 +153,7 @@ def test_norm_preserved_random_unitaries():
     for _ in range(20):
         u = SingleParticleUnitary(random_unitary(6, rng), reg, reg)
         state = random_state(reg, 3, rng)
-        evolved = lift_apply(u, state)
+        evolved = lift(u, state)
         assert abs(evolved.norm() - 1.0) < 1e-10
 
 
@@ -144,8 +164,8 @@ def test_composition_matches_matrix_product():
         u1 = SingleParticleUnitary(random_unitary(m, rng), reg, reg)
         u2 = SingleParticleUnitary(random_unitary(m, rng), reg, reg)
         state = random_state(reg, n, rng)
-        step = lift_apply(u2, lift_apply(u1, state))
-        combined = lift_apply(u2 @ u1, state)
+        step = lift(u2, lift(u1, state))
+        combined = lift(SingleParticleUnitary(u2.matrix @ u1.matrix, reg, reg), state)
         for config in set(step.amplitudes) | set(combined.amplitudes):
             a = step.amplitudes.get(config, 0.0)
             b = combined.amplitudes.get(config, 0.0)
@@ -158,7 +178,7 @@ def test_particle_number_and_exclusion_invariants():
     state = random_state(reg, 3, rng)
     for _ in range(5):
         u = SingleParticleUnitary(random_unitary(6, rng), reg, reg)
-        state = lift_apply(u, state)
+        state = lift(u, state)
         assert state.particle_number == 3
         for config in state.amplitudes:
             assert config.bit_count() == 3
@@ -189,7 +209,7 @@ def test_rejects_registry_mismatch():
     u = SingleParticleUnitary(random_unitary(3, rng), small_registry(3), small_registry(3))
     other = random_state(ModeRegistry(("x0", "x1", "x2")), 1, rng)
     with pytest.raises(ValueError):
-        lift_apply(u, other)
+        lift_amplitudes(u, other)
 
 
 # --- brute-force first-quantized oracle ---
@@ -212,7 +232,7 @@ def _perm_sign(perm):
 
 
 def first_quantized_evolution(matrix, state):
-    """Dense antisymmetrized tensor evolution; independent of lift_apply."""
+    """Dense antisymmetrized tensor evolution; independent of lift_amplitudes."""
     m = len(state.registry)
     n = state.particle_number
     psi = np.zeros((m,) * n, dtype=complex)
@@ -243,7 +263,7 @@ def test_lift_agrees_with_first_quantized_oracle():
             reg = small_registry(m)
             u = SingleParticleUnitary(random_unitary(m, rng), reg, reg)
             state = random_state(reg, n, rng)
-            fast = lift_apply(u, state)
+            fast = lift(u, state)
             dense = first_quantized_evolution(u.matrix, state)
             for config in set(fast.amplitudes) | set(dense):
                 a = fast.amplitudes.get(config, 0.0)
@@ -259,63 +279,60 @@ def test_lift_matrix_is_unitary():
     assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(6))) < 1e-12
 
 
-# --- project_number ---
+# --- selection ---
 
 def test_project_definite_occupation():
     state = create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi"))
-    p, post = project_number(state, "S_psi", 1)
+    p, post = project(state, "S_psi", 1)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert post.amplitudes == state.amplitudes
 
 
 def test_chained_projections_give_joint_probability():
     network = circuit.teleport_network("tomography", 0.5, 0.0, 1.0, 0.0)
-    state = lift_apply(network, create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi")))
+    state = lift(network, create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi")))
     joint = 1.0
     for label, n in (("A0+", 1), ("A1+", 1), ("A0-", 0), ("A1-", 0)):
-        p, state = project_number(state, label, n)
+        p, state = project(state, label, n)
         joint *= p
     assert joint == pytest.approx(1.0 / 16.0, abs=1e-12)
 
 
 def test_project_vacuum_is_empty():
     vacuum = create_sources(INPUT_MODES, ())
-    p, post = project_number(vacuum, "S_psi", 1)
+    p, post = project(vacuum, "S_psi", 1)
     assert p == 0.0
-    assert post.is_empty
-
-
-def test_project_rejects_bad_outcome():
-    state = create_sources(INPUT_MODES, ("S_psi",))
-    with pytest.raises(ValueError):
-        project_number(state, "S_psi", 2)
+    assert post.configs.size == 0
 
 
 # --- occupation moments ---
 
 def tomography_state(R, phi, setting):
-    return protocol.run_premeasurement(TeleportParams(R, phi, setting), "tomography")
+    amps = protocol.premeasurement_amplitudes(
+        "tomography", R, phi, *protocol.TOMO_SETTINGS[setting]
+    )
+    return FockState.from_vector(OUTPUT_MODES, 3, amps)
 
 
 def test_mean_occupation_at_bob():
     for setting in ("X", "Y", "Z"):
         state = tomography_state(0.37, 0.9, setting)
-        assert occupation_moments(state, ("B0",)) == pytest.approx(0.5, abs=1e-12)
+        assert moment(state, ("B0",)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pair_central_moment():
     state = tomography_state(0.5, 0.0, "Z")
-    value = occupation_moments(state, ("A0+", "A1+"))
+    value = moment(state, ("A0+", "A1+"))
     assert value == pytest.approx(-1.0 / 16.0, abs=1e-12)
     state = tomography_state(0.3, 1.1, "Y")
-    assert occupation_moments(state, ("A0+", "A1+")) == pytest.approx(
+    assert moment(state, ("A0+", "A1+")) == pytest.approx(
         -0.3 * 0.7 / 4.0, abs=1e-12
     )
 
 
 def test_third_central_moment_of_deterministic_mode_vanishes():
     state = create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi"))
-    assert occupation_moments(state, ("S_phi0", "S_phi1", "S_psi")) == pytest.approx(
+    assert moment(state, ("S_phi0", "S_phi1", "S_psi")) == pytest.approx(
         0.0, abs=1e-15
     )
 
@@ -323,17 +340,7 @@ def test_third_central_moment_of_deterministic_mode_vanishes():
 def test_repeated_label_rejected():
     state = create_sources(INPUT_MODES, ("S_phi0", "S_phi1"))
     with pytest.raises(ValueError):
-        occupation_moments(state, ("S_phi0", "S_phi0"))
-    with pytest.raises(ValueError):
-        occupation_product_mean(state, ("S_phi0", "S_phi0"))
-
-
-def test_occupation_product_mean():
-    state = tomography_state(0.5, 0.0, "Z")
-    pp = occupation_product_mean(state, ("A0+", "A1+", "B0"))
-    pm = occupation_product_mean(state, ("A0+", "A1+", "B1"))
-    # the two terms split the ++ outcome mass between Bob's detectors
-    assert pp + pm == pytest.approx(1.0 / 16.0, abs=1e-12)
+        moment(state, ("S_phi0", "S_phi0"))
 
 
 # --- array routes against the bit loops they replaced ---
@@ -356,8 +363,9 @@ def test_projection_and_product_mean_equal_loop_references():
             both += abs(a) ** 2
         if not (c >> i) & 1:
             p += abs(a) ** 2
-    assert occupation_product_mean(state, ("A0+", "B1")) == both
-    got_p, post = project_number(state, "A0+", 0)
+    occ = occupations(state.registry, state.configs, ("A0+", "B1"))
+    assert state.mass(occ.all(axis=1)) == both
+    got_p, post = project(state, "A0+", 0)
     assert got_p == p
     scale = 1.0 / math.sqrt(p)
     kept = {c: a * scale for c, a in state.amplitudes.items() if not (c >> i) & 1}

@@ -102,7 +102,8 @@ def test_factors_stay_in_unit_interval():
 
 def test_non_convergence_is_reported():
     with pytest.raises(SeriesConvergenceError):
-        thermal_factors(LevitonParams(0.02, 0.5, max_terms=5))
+        # terms fall by exp(-4 pi gamma) each: about 2760 are needed, the cap is 500
+        thermal_factors(LevitonParams(0.02, 0.5, series_tol=1e-300))
 
 
 # --- correlator tables ---

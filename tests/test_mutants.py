@@ -129,8 +129,8 @@ MUTANTS = [
     pytest.param(
         _replace(
             saw,
-            "montecarlo_conditional_states",
-            lambda params, deph, n_samples, seed: np.full((n_samples, 2, 2), np.nan, dtype=complex),
+            "montecarlo_entries",
+            lambda params, deph, n_samples, seed: (np.full(n_samples, np.nan),) * 3,
         ),
         _criterion(6),
         id="nan-montecarlo-stack-crit06",

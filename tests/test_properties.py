@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eteleport import circuit, leviton, protocol, saw  # noqa: E402
 from eteleport.acceptance import reference_network_matrix  # noqa: E402
-from eteleport.fock import INPUT_MODES, create_sources, lift_apply  # noqa: E402
+from eteleport.fock import INPUT_MODES, FockState, create_sources, lift_amplitudes  # noqa: E402
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
 
 angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
@@ -45,10 +45,11 @@ def test_network_invariants(point):
         circuit.teleport_network("detection", R, phi, arm_phases=arm_phases),
         full,
     ):
-        assert abs(lift_apply(view, sources).norm() - 1.0) < 1e-12
+        evolved = FockState.from_vector(view.rows, 3, lift_amplitudes(view, sources))
+        assert abs(evolved.norm() - 1.0) < 1e-12
     assert np.max(np.abs(full.matrix - reference_network_matrix(R, phi, Dp, theta))) < 1e-12
 
-    state = protocol.run_premeasurement(params, "detection")
+    state = protocol.run_premeasurement(params)
     probs = {x: protocol.povm_element(x).expectation(state) for x in ALL_OUTCOMES}
     assert abs(sum(probs.values()) - 1.0) < 1e-12
     for x in PAIRED_OUTCOMES:
@@ -111,10 +112,12 @@ def test_stacked_amplitudes_match_single_runs(points, setting):
     for i, (r, p, dp, th) in enumerate(points):
         single = protocol.premeasurement_amplitudes("tomography", r, p, dp, th)
         assert np.max(np.abs(stacked[i] - single)) <= 1e-15
-        run = protocol.run_premeasurement(TeleportParams(r, p), "detection")
+        run = protocol.run_premeasurement(TeleportParams(r, p))
         assert np.max(np.abs(detection[i] - run.vector())) <= 1e-15
-        run = protocol.run_premeasurement(TeleportParams(r, p, setting), "tomography")
-        assert np.max(np.abs(at_setting[i] - run.vector())) <= 1e-15
+        single = protocol.premeasurement_amplitudes(
+            "tomography", r, p, *protocol.TOMO_SETTINGS[setting]
+        )
+        assert np.max(np.abs(at_setting[i] - single)) <= 1e-15
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from eteleport import circuit, protocol
-from eteleport.fock import DETECTION_MODES, OUTPUT_MODES, SingleParticleUnitary, lift_apply
+from eteleport.fock import (
+    DETECTION_MODES,
+    OUTPUT_MODES,
+    FockState,
+    SingleParticleUnitary,
+    lift_amplitudes,
+)
 from eteleport.protocol import (
     ALL_OUTCOMES,
     PAIRED_OUTCOMES,
@@ -17,7 +23,6 @@ from eteleport.protocol import (
     drq_projection_checks,
     efficiency,
     input_bloch,
-    outcome_probability,
     povm_element,
     run_premeasurement,
     tomography_bloch,
@@ -34,8 +39,6 @@ MM = MeasurementOutcome.from_signs("-", "-")
 def test_params_validation():
     with pytest.raises(ValueError):
         TeleportParams(1.2, 0.0)
-    with pytest.raises(ValueError):
-        TeleportParams(0.5, 0.0, setting="W")
 
 
 def test_outcome_labels():
@@ -44,19 +47,12 @@ def test_outcome_labels():
     assert PP.is_paired and not MeasurementOutcome((1, 1, 0, 0)).is_paired
 
 
-def test_setting_map():
-    assert TeleportParams(0.5, 0.0, "X").tomo_transmission == 0.5
-    assert TeleportParams(0.5, 0.0, "X").tomo_theta == pytest.approx(math.pi / 2)
-    assert TeleportParams(0.5, 0.0, "Y").tomo_theta == 0.0
-    assert TeleportParams(0.5, 0.0, "Z").tomo_transmission == 1.0
-
-
 # --- premeasurement state ---
 
 def test_branch_overlaps():
     for r, phi in ((0.5, 0.0), (0.3, 1.2)):
         params = TeleportParams(r, phi)
-        state = run_premeasurement(params, "detection")
+        state = run_premeasurement(params)
         t = protocol.teleporting_branch(params)
         rb = protocol.failing_branch(params)
         assert abs(t.norm() - 1.0) < 1e-12
@@ -67,17 +63,16 @@ def test_branch_overlaps():
 
 
 def test_stage_consistency():
-    params = TeleportParams(0.3, 1.2, "X")
-    before = run_premeasurement(params, "detection")
-    after = run_premeasurement(params, "tomography")
-    block = circuit.element_matrix(
-        circuit.tomo_splitter("x", "y", params.tomo_transmission, params.tomo_theta)
-    )
+    params = TeleportParams(0.3, 1.2)
+    setting = protocol.TOMO_SETTINGS["X"]
+    before = run_premeasurement(params)
+    tomography = protocol.premeasurement_amplitudes("tomography", params.R, params.phi, *setting)
+    after = FockState.from_vector(OUTPUT_MODES, 3, tomography)
+    block = circuit.element_matrix(circuit.tomo_splitter("x", "y", *setting))
     embedded = np.eye(6, dtype=complex)
     embedded[4:, 4:] = block
-    lifted = lift_apply(
-        SingleParticleUnitary(embedded, OUTPUT_MODES, DETECTION_MODES), before
-    )
+    amps = lift_amplitudes(SingleParticleUnitary(embedded, OUTPUT_MODES, DETECTION_MODES), before)
+    lifted = FockState.from_vector(OUTPUT_MODES, 3, amps)
     for config in set(after.amplitudes) | set(lifted.amplitudes):
         assert abs(
             after.amplitudes.get(config, 0.0) - lifted.amplitudes.get(config, 0.0)
@@ -86,25 +81,25 @@ def test_stage_consistency():
 
 def test_unknown_stage_rejected():
     with pytest.raises(ValueError):
-        run_premeasurement(TeleportParams(0.5, 0.0), "later")
+        protocol.premeasurement_amplitudes("later", 0.5, 0.0)
 
 
 # --- POVM ---
 
 def test_povm_weights_are_binary_and_complete():
-    state = run_premeasurement(TeleportParams(0.42, 2.0), "detection")
+    state = run_premeasurement(TeleportParams(0.42, 2.0))
     total = 0.0
     for outcome in ALL_OUTCOMES:
         element = povm_element(outcome)
-        for config in state.amplitudes:
-            assert element.weight(config, state.registry) in (0.0, 1.0)
+        weights = element.clicked(state.registry, state.configs).astype(float)
+        assert set(weights.tolist()) <= {0.0, 1.0}
         total += element.expectation(state)
     assert total == pytest.approx(1.0, abs=1e-12)
     assert protocol.povm_completeness_defect() == 0.0
 
 
 def test_povm_expectation_equals_bit_loop_reference():
-    state = run_premeasurement(TeleportParams(0.42, 2.0), "detection")
+    state = run_premeasurement(TeleportParams(0.42, 2.0))
     idx = state.registry.indices(protocol.DETECTOR_LABELS)
     for outcome in ALL_OUTCOMES:
         total = 0.0
@@ -117,16 +112,16 @@ def test_povm_expectation_equals_bit_loop_reference():
 def test_povm_annihilates_wrong_click():
     element = povm_element(MeasurementOutcome((1, 0, 1, 0)))
     config = sum(1 << DETECTION_MODES.index(lab) for lab in ("A0+", "A0-", "A1+"))
-    assert element.weight(config, DETECTION_MODES) == 0.0
+    assert not element.clicked(DETECTION_MODES, [config])[0]
 
 
 # --- probabilities and conditioning ---
 
 def test_paired_probabilities_quarter_each():
     for r, phi in ((0.5, 0.0), (0.0, 0.3), (1.0, 2.0), (0.7, 5.5)):
-        params = TeleportParams(r, phi)
+        state = run_premeasurement(TeleportParams(r, phi))
         for outcome in PAIRED_OUTCOMES:
-            assert outcome_probability(params, outcome) == pytest.approx(
+            assert povm_element(outcome).expectation(state) == pytest.approx(
                 1.0 / 16.0, abs=1e-12
             )
 
@@ -137,6 +132,7 @@ def test_full_outcome_distribution():
     # single-click, double-click-plus-Bob) carries total mass 1/4
     params = TeleportParams(0.37, 2.3)
     r, d = params.R, params.D
+    state = run_premeasurement(params)
     expected = {
         (1, 0, 1, 0): 1 / 16, (0, 1, 0, 1): 1 / 16,
         (1, 0, 0, 1): 1 / 16, (0, 1, 1, 0): 1 / 16,
@@ -148,7 +144,7 @@ def test_full_outcome_distribution():
         (0, 0, 0, 0): 0.0, (1, 1, 1, 1): 0.0,
     }
     for bits, want in expected.items():
-        got = outcome_probability(params, MeasurementOutcome(bits))
+        got = povm_element(MeasurementOutcome(bits)).expectation(state)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -275,7 +271,8 @@ def test_bloch_of_pure_state():
 def test_input_qubit_matches_closed_form_bloch():
     for r, phi in ((0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (0.3, 4.4)):
         params = TeleportParams(r, phi)
-        assert np.max(np.abs(protocol.input_qubit(params).bloch - input_bloch(params))) < 1e-12
+        qubit = QubitState.from_pure(*protocol.input_amplitudes(params))
+        assert np.max(np.abs(qubit.bloch - input_bloch(params))) < 1e-12
 
 
 # --- dual-rail structure ---

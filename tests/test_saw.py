@@ -21,6 +21,12 @@ PP = MeasurementOutcome.from_signs("+", "+")
 PARAMS = TeleportParams(0.3, 1.2)
 
 
+def montecarlo_states(params, deph, n_samples, seed):
+    """Bob's ++-conditional density matrix per sample, from the entries."""
+    rho00, rho11, rho01 = saw.montecarlo_entries(params, deph, n_samples, seed)
+    return np.moveaxis(np.array([[rho00, rho01], [np.conj(rho01), rho11]]), -1, 0)
+
+
 # --- analytic dephasing ---
 
 def test_no_noise_matches_conditional_state():
@@ -53,8 +59,6 @@ def test_populations_do_not_depend_on_noise():
 def test_dephasing_params():
     deph = DephasingParams.from_total(1.2)
     assert deph.total == pytest.approx(1.2, abs=1e-15)
-    single = DephasingParams.single_arm(0.5, "A1")
-    assert single.total == 0.5
     with pytest.raises(ValueError):
         DephasingParams((-0.1,) * 6)
 
@@ -102,7 +106,7 @@ def test_arm_phase_stream_is_pinned():
 
 def test_fast_path_matches_full_simulation():
     deph = DephasingParams.from_total(0.9)
-    stack = saw.montecarlo_conditional_states(PARAMS, deph, 30, seed=11)
+    stack = montecarlo_states(PARAMS, deph, 30, seed=11)
     scales = np.sqrt(np.array(deph.variances))
     rows = np.random.default_rng(11).normal(0.0, scales, size=(30, 6))
     for i in range(30):
@@ -120,8 +124,7 @@ def test_click_probability_unaffected_by_noise():
 def test_montecarlo_converges_to_analytic():
     n = 20_000
     deph = DephasingParams.from_total(1.0)
-    stack = saw.montecarlo_conditional_states(PARAMS, deph, n, seed=42)
-    coherence = stack[:, 0, 1]
+    _, _, coherence = saw.montecarlo_entries(PARAMS, deph, n, seed=42)
     target = dephased_state_analytic(PARAMS, 1.0).rho[0, 1]
     for part in (np.real, np.imag):
         se = part(coherence).std(ddof=1) / math.sqrt(n)
@@ -132,8 +135,8 @@ def test_only_total_variance_matters():
     n = 20_000
     even = DephasingParams.from_total(1.0)
     lopsided = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.0))
-    a = saw.montecarlo_conditional_states(PARAMS, even, n, seed=1)[:, 0, 1]
-    b = saw.montecarlo_conditional_states(PARAMS, lopsided, n, seed=2)[:, 0, 1]
+    _, _, a = saw.montecarlo_entries(PARAMS, even, n, seed=1)
+    _, _, b = saw.montecarlo_entries(PARAMS, lopsided, n, seed=2)
     for part in (np.real, np.imag):
         se = math.hypot(
             part(a).std(ddof=1) / math.sqrt(n), part(b).std(ddof=1) / math.sqrt(n)
@@ -153,16 +156,17 @@ def test_montecarlo_is_deterministic_per_seed():
 def test_montecarlo_prefix_is_the_shorter_run():
     # rows come in order from one seeded stream, so a run is a prefix of any longer one
     deph = DephasingParams.from_total(1.0)
-    full = saw.montecarlo_conditional_states(PARAMS, deph, 300, seed=4)
+    full = saw.montecarlo_entries(PARAMS, deph, 300, seed=4)
     for k in (1, 7, 128):
-        prefix = saw.montecarlo_conditional_states(PARAMS, deph, k, seed=4)
-        assert np.array_equal(full[:k], prefix)
+        prefix = saw.montecarlo_entries(PARAMS, deph, k, seed=4)
+        for whole, part in zip(full, prefix):
+            assert np.array_equal(whole[:k], part)
 
 
 def test_averaged_state_is_the_mean_of_the_stack():
     deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.0))
     for params in (PARAMS, TeleportParams(0.0, 0.4), TeleportParams(1.0, 2.0)):
-        stack = saw.montecarlo_conditional_states(params, deph, 500, seed=3)
+        stack = montecarlo_states(params, deph, 500, seed=3)
         mean = stack.mean(axis=0)
         averaged = dephased_state_montecarlo(params, deph, 500, seed=3)
         assert np.max(np.abs(averaged.rho - mean / np.trace(mean).real)) < 1e-14

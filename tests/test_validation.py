@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eteleport import cli, saw
+from eteleport import cli, leviton, saw
 from eteleport.circuit import ElementSpec, PHASE_SHIFT, PREP_SPLITTER
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
@@ -67,6 +67,20 @@ def test_sigma2_must_be_finite_and_non_negative(call, sigma2):
         call(sigma2)
 
 
+GAMMA_FUNCTIONS = {
+    "photoassist_amplitude": lambda g: leviton.photoassist_amplitude(1, g),
+    "photoassist_spectrum_oracle": lambda g: leviton.photoassist_spectrum_oracle([0, 1], g),
+    "photoassist_weight_sum": leviton.photoassist_weight_sum,
+}
+
+
+@pytest.mark.parametrize("gamma", [NAN, INF, 0.0, -1.0])
+@pytest.mark.parametrize("call", GAMMA_FUNCTIONS.values(), ids=GAMMA_FUNCTIONS.keys())
+def test_photoassist_gamma_must_be_positive_and_finite(call, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        call(gamma)
+
+
 BAD_ARGUMENTS = [
     ("leviton", "--tau", "inf"),
     ("leviton", "--tau", "nan"),
@@ -82,6 +96,9 @@ BAD_ARGUMENTS = [
     ("correlators", "--tolerance", "-1"),
     ("leviton", "--gamma", "1e-300", "--tau", "0"),
     ("leviton", "--gamma", "1e-7", "--tau", "0"),
+    # (stop - start) / step overflows to inf: no finite number of points
+    ("leviton", "--tau=-1e308:1e308:1e-300"),
+    ("saw", "--sigma2=0:1e308:1e-300"),
 ]
 
 
