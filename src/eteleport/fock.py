@@ -2,9 +2,10 @@
 
 States carry a fixed particle number over a registry of named modes.
 An occupation configuration is a bit field (bit i = occupation of the
-mode at registry index i).  A state stores two matching arrays: its
-configurations, in the combination order of its particle-number sector,
-and their complex amplitudes.  `occupations` is the one primitive that
+mode at registry index i).  A state is one read-only complex vector over
+its particle-number sector, in combination order, the layout in which
+the lifts return amplitudes; its configurations are the sector's shared
+row of `combination_table`.  `occupations` is the one primitive that
 reads bits from configurations; projections, POVM weights and
 occupation moments are all built on the 0/1 matrix it returns.  Basis
 kets are defined by creating particles in ascending registry-index
@@ -22,8 +23,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,52 +138,27 @@ def _reorder_sign(indices: Sequence[int]) -> int:
 
 @dataclass(frozen=True, eq=False, init=False)
 class FockState:
-    """Fixed-particle-number state stored as two matching read-only arrays.
+    """Fixed-particle-number state stored as one read-only complex array.
 
-    `configs` (int64) lists the configurations in combination order and
-    `amps` their complex amplitudes.  The constructor takes and validates
-    a config -> amplitude mapping; `amplitudes` is a read-only view of it.
+    `amps` holds an amplitude for every configuration of the sector, in
+    combination order; `configs` is the sector's shared configuration row.
     """
 
     registry: ModeRegistry
     particle_number: int
-    configs: np.ndarray
     amps: np.ndarray
 
     def __init__(
-        self,
-        registry: ModeRegistry,
-        particle_number: int,
-        amplitudes: Mapping[int, complex],
+        self, registry: ModeRegistry, particle_number: int, amps: np.ndarray | Sequence[complex]
     ):
         _, sector = combination_table(len(registry), particle_number)
-        configs = [c for c in sector.tolist() if c in amplitudes]
-        if len(configs) != len(amplitudes):
-            stray = min(set(amplitudes) - set(configs))
+        if np.shape(amps) != sector.shape:
             raise ValueError(
-                f"configuration {stray:#b} is not one of {particle_number} "
-                f"particles in {len(registry)} modes"
+                f"expected a vector of {len(sector)} amplitudes, got shape {np.shape(amps)}"
             )
-        amps = np.array([amplitudes[c] for c in configs], dtype=complex)
-        configs = np.array(configs, dtype=np.int64)
-        configs.flags.writeable = amps.flags.writeable = False  # probabilities are cached
-        self.__dict__.update(
-            registry=registry, particle_number=particle_number, configs=configs, amps=amps
-        )
-
-    @classmethod
-    def from_vector(
-        cls, registry: ModeRegistry, particle_number: int, vector: np.ndarray
-    ) -> "FockState":
-        """The state holding the nonzero entries of a sector vector, the
-        inverse of `vector`."""
-        _, sector = combination_table(len(registry), particle_number)
-        if np.shape(vector) != sector.shape:
-            raise ValueError(
-                f"expected a vector of {len(sector)} amplitudes, got shape {np.shape(vector)}"
-            )
-        keep = vector != 0  # NaN is kept
-        return cls(registry, particle_number, dict(zip(sector[keep].tolist(), vector[keep])))
+        amps = np.array(amps, dtype=complex)
+        amps.flags.writeable = False  # probabilities are cached
+        self.__dict__.update(registry=registry, particle_number=particle_number, amps=amps)
 
     @classmethod
     def from_terms(
@@ -213,12 +188,13 @@ class FockState:
         if n is None:
             raise ValueError("no terms given")
         amps = {c: a for c, a in amps.items() if abs(a) > PRUNE_TOL}
-        return cls(registry, n, amps)
+        _, sector = combination_table(len(registry), n)
+        return cls(registry, n, [amps.get(c, 0.0) for c in sector.tolist()])
 
     @property
-    def amplitudes(self) -> Mapping[int, complex]:
-        """Read-only view config -> amplitude, in combination order."""
-        return MappingProxyType(dict(zip(self.configs.tolist(), self.amps.tolist())))
+    def configs(self) -> np.ndarray:
+        """The sector's configurations (int64), in combination order."""
+        return combination_table(len(self.registry), self.particle_number)[1]
 
     @functools.cached_property
     def probabilities(self) -> np.ndarray:
@@ -231,42 +207,33 @@ class FockState:
 
     def select(self, keep: np.ndarray) -> tuple[float, "FockState"]:
         """Probability of the flagged configurations and the renormalized
-        state restricted to them; probability zero yields an empty state."""
+        state restricted to them; probability zero yields the zero state."""
         p = self.mass(keep)
-        if p == 0.0:
-            return 0.0, FockState(self.registry, self.particle_number, {})
-        amps = self.amps[keep] * (1.0 / math.sqrt(p))
-        kept = dict(zip(self.configs[keep].tolist(), amps))
+        scale = 1.0 / math.sqrt(p) if p else 0.0
+        kept = np.where(keep, self.amps * scale, 0)
         return p, FockState(self.registry, self.particle_number, kept)
 
     def norm(self) -> float:
         return math.sqrt(self.mass(slice(None)))
 
-    def vector(self) -> np.ndarray:
-        """Amplitudes over the whole sector, in combination order."""
-        _, sector = combination_table(len(self.registry), self.particle_number)
-        v = np.zeros(len(sector), dtype=complex)
-        v[np.isin(sector, self.configs)] = self.amps  # both in combination order
-        return v
-
     def overlap(self, other: "FockState") -> complex:
         """Inner product <self|other>."""
         if self.registry != other.registry or self.particle_number != other.particle_number:
             raise ValueError("overlap requires matching registries and particle numbers")
-        mine = self.amplitudes
-        # scalar products added left to right over other's configurations:
-        # the order, and the rounding, that printed overlaps were computed in
-        pairs = zip(other.configs.tolist(), other.amps.tolist())
-        terms = [mine.get(c, 0j).conjugate() * a for c, a in pairs]
-        return functools.reduce(operator.add, terms, 0j)
+        # scalar products added left to right over the sector: the order, and
+        # the rounding, that printed overlaps were computed in
+        pairs = zip(self.amps.tolist(), other.amps.tolist())
+        return functools.reduce(operator.add, (a.conjugate() * b for a, b in pairs), 0j)
 
     def occupation_distribution(
         self, labels: Sequence[str]
     ) -> dict[tuple[int, ...], float]:
-        """Joint probability of occupations on the given modes."""
-        occ = occupations(self.registry, self.configs, labels).tolist()
+        """Joint probability of occupations on the given modes, over the
+        configurations of nonzero amplitude."""
+        support = np.flatnonzero(self.amps)
+        occ = occupations(self.registry, self.configs[support], labels).tolist()
         dist: dict[tuple[int, ...], float] = {}
-        for key, p in zip(map(tuple, occ), self.probabilities.tolist()):
+        for key, p in zip(map(tuple, occ), self.probabilities[support].tolist()):
             dist[key] = dist.get(key, 0.0) + p
         return dist
 
@@ -318,7 +285,8 @@ def create_sources(registry: ModeRegistry, occupied_labels: Sequence[str]) -> Fo
     idx = registry.indices(occupied_labels)
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate source labels in {tuple(occupied_labels)}")
-    return FockState(registry, len(idx), {_config(idx): 1.0 + 0.0j})
+    _, sector = combination_table(len(registry), len(idx))
+    return FockState(registry, len(idx), sector == _config(idx))
 
 
 def _lifted(
@@ -344,11 +312,11 @@ def lift_amplitudes(u: SingleParticleUnitary, state: FockState) -> np.ndarray:
     """
     if u.cols != state.registry:
         raise ValueError("unitary input registry does not match the state registry")
-    n = state.particle_number
-    occ = occupations(state.registry, state.configs, state.registry.labels)
-    _, dets = _lifted(u, n, np.nonzero(occ)[1].reshape(len(occ), n))
+    occupied, _ = combination_table(len(state.registry), state.particle_number)
+    support = np.flatnonzero(state.amps)  # a product state needs one column, not the sector
+    _, dets = _lifted(u, state.particle_number, occupied[support])
     out = np.zeros(dets.shape[:-1], dtype=complex)
-    for column, amp in enumerate(state.amps):
+    for column, amp in enumerate(state.amps[support]):
         out += dets[..., column] * amp
     out[np.abs(out) <= PRUNE_TOL] = 0.0
     norms = np.sqrt((np.abs(out) ** 2).sum(axis=-1))
@@ -379,10 +347,12 @@ def occupation_moment_table(state: FockState, keys: Sequence[Sequence[str]]) -> 
     because powers of an occupation obey a different cumulant algebra.
     """
     registry = state.registry
+    # nonzero configurations only: a longer dot product would round differently
+    support = np.flatnonzero(state.amps)
     rows = np.ascontiguousarray(
-        occupations(registry, state.configs, registry.labels).T, dtype=float
+        occupations(registry, state.configs[support], registry.labels).T, dtype=float
     )
-    probs = state.probabilities
+    probs = state.probabilities[support]
     moments = []
     for labels in keys:
         if not 1 <= len(labels) <= 3:

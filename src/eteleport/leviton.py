@@ -46,10 +46,15 @@ TRIPLE_KEYS = (
 
 
 GAMMA_MIN = 1e-4
+# exp(-2 pi gamma) < 1e-136 here, and sinh(2 pi gamma)^2 in the thermal
+# weights overflows from gamma = 57
+GAMMA_MAX = 50.0
 
 
-class SeriesConvergenceError(RuntimeError):
-    """A thermal-factor series failed to converge within the term cap."""
+class SeriesConvergenceError(ValueError):
+    """The thermal-factor series gave no usable factors: it did not converge
+    within the term cap, its pair sum underflowed, or the damping ratio
+    exceeded 1.  A ValueError, like every rejected input."""
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,11 @@ class LevitonParams:
 
     def __post_init__(self):
         # the thermal series sums about 2/gamma terms, so very narrow pulses are refused
-        if not GAMMA_MIN <= self.gamma < math.inf:
-            raise ValueError(f"pulse width gamma must be in [{GAMMA_MIN:g}, inf), got {self.gamma}")
+        # (and very wide ones, whose weights overflow)
+        if not GAMMA_MIN <= self.gamma <= GAMMA_MAX:
+            raise ValueError(
+                f"pulse width gamma must be in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {self.gamma}"
+            )
         if not 0.0 <= self.tau < math.inf:
             raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau}")
         if not 0.0 < self.series_tol < math.inf:
@@ -75,14 +83,20 @@ class LevitonParams:
         return max(200, math.ceil(10.0 / self.gamma))
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= GAMMA_MAX:  # NaN fails too
+        raise ValueError(
+            f"pulse width gamma must be positive and finite, at most {GAMMA_MAX:g}, got {gamma}"
+        )
+
+
 def photoassist_amplitude(n: int, gamma: float) -> complex:
     """Amplitude for absorbing n drive quanta from the Lorentzian pulse train.
 
     Zero for emission (n < 0); exp(-2*pi*gamma) at n = 0; the absorption
     amplitudes decay geometrically.
     """
-    if not 0.0 < gamma < math.inf:  # NaN fails too
-        raise ValueError(f"pulse width gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     g = 2.0 * math.pi * gamma
     if n < 0:
         return 0.0 + 0.0j
@@ -99,8 +113,7 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
     sin pi(t - i gamma) (Keeling, Klich & Levitov, PRL 97, 116403, 2006),
     evaluated as (q z - 1)/(z - q) with z = exp(2 pi i t), q = exp(-2 pi gamma).
     """
-    if not 0.0 < gamma < math.inf:  # NaN fails too
-        raise ValueError(f"pulse width gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     n_values = np.asarray(list(n_values), dtype=int)
     n_abs_max = int(np.max(np.abs(n_values))) if n_values.size else 0
     # periodic midpoint rule: geometric accuracy once the grid outruns the
@@ -224,7 +237,7 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
         raise SeriesConvergenceError(f"thermal pair sum underflowed to 0 at tau={params.tau}")
     damping = triple_sum / pair_sum
     if damping > 1.0 + 1e-9:
-        raise RuntimeError(f"correlator damping ratio exceeded 1: {damping}")
+        raise SeriesConvergenceError(f"correlator damping ratio exceeded 1: {damping}")
     return ThermalFactors(pair_sum, triple_sum, damping, n)
 
 
@@ -306,7 +319,7 @@ def zero_T_correlator_grid(
     kinds = "I" * len(CURRENT_KEYS) + "P" * len(PAIR_KEYS) + "Q" * len(TRIPLE_KEYS)
     tables = []
     for row in amps.reshape(-1, amps.shape[-1]):
-        moments = occupation_moment_table(FockState.from_vector(OUTPUT_MODES, 3, row), keys)
+        moments = occupation_moment_table(FockState(OUTPUT_MODES, 3, row), keys)
         entries = {(kind, _canon(key)): m for kind, key, m in zip(kinds, keys, moments)}
         tables.append(CorrelatorTable(setting, entries))
     return tables

@@ -257,7 +257,7 @@ def run_premeasurement(params: TeleportParams) -> FockState:
     """The three-source state at Alice's detectors, Bob's modes still
     (B'0, B'1)."""
     amps = premeasurement_amplitudes("detection", params.R, params.phi)
-    return FockState.from_vector(DETECTION_MODES, 3, amps)
+    return FockState(DETECTION_MODES, 3, amps)
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def _conditional(
     if outcome.is_paired:
         p, (qubit,) = conditional_qubits(amps[None], outcome)
         return float(p[0]), qubit
-    state = FockState.from_vector(DETECTION_MODES, 3, amps)
+    state = FockState(DETECTION_MODES, 3, amps)
     p, conditional = povm_element(outcome).condition(state)
     if p == 0.0:
         raise ValueError(f"outcome {outcome.label} has probability zero")
@@ -549,7 +549,7 @@ def _povm_in_prepared_basis() -> tuple[dict[str, np.ndarray], np.ndarray, dict[s
         weights = povm_element(outcome).clicked(detectors, configs).astype(float)
         elements[name] = lifted.conj().T @ np.diag(weights) @ lifted
     bells = bell_states(registry, ("A0p", "A1p"), ("A0", "A1"))
-    vectors = {name: state.vector() for name, state in bells.items()}
+    vectors = {name: state.amps for name, state in bells.items()}
     basis = np.column_stack(list(vectors.values()))
     return elements, basis @ basis.conj().T, vectors
 
@@ -565,7 +565,7 @@ def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
     their overlap moduli come out |R - D|/(2*sqrt(2)) and are reported
     under explicit names rather than asserted equal to the crossed ones.
     """
-    prepared = FockState.from_vector(
+    prepared = FockState(
         PREPARED_MODES, 3, premeasurement_amplitudes("preparation", params.R, params.phi)
     )
 
@@ -577,7 +577,7 @@ def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
     bells = bell_states(
         ModeRegistry(("A0", "A1", "B0p", "B1p")), ("A0", "A1"), ("B0p", "B1p")
     )
-    basis = np.column_stack([state.vector() for state in bells.values()])
+    basis = np.column_stack([state.amps for state in bells.values()])
     gram = basis.conj().T @ basis
     report["bell_gram_max_dev"] = float(np.max(np.abs(gram - np.eye(len(bells)))))
 

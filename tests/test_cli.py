@@ -34,6 +34,14 @@ def test_parse_grid_errors():
             cli.parse_grid(bad)
 
 
+def test_parse_grid_caps_the_point_count():
+    assert len(cli.parse_grid("0:99999:1")) == 100_000
+    # refused before the list is built: 100 001 points, and 10^12 + 1
+    for too_many in ("0:100000:1", "0:1e12:1"):
+        with pytest.raises(cli.UsageError, match="more than 100000 points"):
+            cli.parse_grid(too_many)
+
+
 # --- ideal ---
 
 def test_ideal_text_report(capsys):

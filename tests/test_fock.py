@@ -11,6 +11,7 @@ from eteleport.fock import (
     FockState,
     ModeRegistry,
     SingleParticleUnitary,
+    combination_table,
     create_sources,
     lift_amplitudes,
     lift_matrix,
@@ -28,15 +29,10 @@ def random_unitary(m, rng):
 
 
 def random_state(registry, n, rng):
-    m = len(registry)
-    amps = {}
-    for combo in itertools.combinations(range(m), n):
-        c = 0
-        for i in combo:
-            c |= 1 << i
-        amps[c] = rng.normal() + 1j * rng.normal()
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return FockState(registry, n, {c: a / norm for c, a in amps.items()})
+    size = math.comb(len(registry), n)
+    amps = np.array([rng.normal() + 1j * rng.normal() for _ in range(size)])
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.tolist()))
+    return FockState(registry, n, amps / norm)
 
 
 def small_registry(m):
@@ -46,12 +42,13 @@ def small_registry(m):
 def amplitude(state, occupied_labels):
     """The amplitude of the configuration occupying exactly these modes."""
     config = sum(1 << i for i in state.registry.indices(occupied_labels))
-    return state.amplitudes.get(config, 0j)
+    (column,) = np.flatnonzero(state.configs == config)
+    return state.amps[column]
 
 
 def lift(u, state):
     """The state evolved by the lift of one unitary."""
-    return FockState.from_vector(u.rows, state.particle_number, lift_amplitudes(u, state))
+    return FockState(u.rows, state.particle_number, lift_amplitudes(u, state))
 
 
 def moment(state, labels):
@@ -81,14 +78,14 @@ def test_registry_unknown_label():
 def test_three_sources():
     state = create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi"))
     assert state.particle_number == 3
-    assert len(state.amplitudes) == 1
+    assert np.count_nonzero(state.amps) == 1
     assert amplitude(state, ("S_phi0", "S_phi1", "S_psi")) == 1.0
 
 
 def test_vacuum_state():
     state = create_sources(INPUT_MODES, ())
     assert state.particle_number == 0
-    assert state.amplitudes == {0: 1.0}
+    assert state.configs.tolist() == [0] and state.amps.tolist() == [1.0]
 
 
 def test_duplicate_source_rejected():
@@ -115,7 +112,7 @@ def test_from_terms_drops_excluded_term():
     reg = small_registry(2)
     state = FockState.from_terms(reg, [(1.0, ("m0", "m0")), (1.0, ("m0", "m1"))])
     assert amplitude(state, ("m0", "m1")) == 1.0
-    assert len(state.amplitudes) == 1
+    assert np.count_nonzero(state.amps) == 1
 
 
 # --- lift_amplitudes ---
@@ -125,9 +122,7 @@ def test_identity_returns_input_exactly():
     state = random_state(small_registry(5), 2, rng)
     identity = SingleParticleUnitary(np.eye(5), state.registry, state.registry)
     evolved = lift(identity, state)
-    assert set(evolved.amplitudes) == set(state.amplitudes)
-    for config, amp in state.amplitudes.items():
-        assert evolved.amplitudes[config] == amp
+    assert np.array_equal(evolved.amps, state.amps)
 
 
 def test_two_mode_splitter_amplitudes():
@@ -166,10 +161,7 @@ def test_composition_matches_matrix_product():
         state = random_state(reg, n, rng)
         step = lift(u2, lift(u1, state))
         combined = lift(SingleParticleUnitary(u2.matrix @ u1.matrix, reg, reg), state)
-        for config in set(step.amplitudes) | set(combined.amplitudes):
-            a = step.amplitudes.get(config, 0.0)
-            b = combined.amplitudes.get(config, 0.0)
-            assert abs(a - b) < 1e-10
+        assert np.max(np.abs(step.amps - combined.amps)) < 1e-10
 
 
 def test_particle_number_and_exclusion_invariants():
@@ -179,8 +171,8 @@ def test_particle_number_and_exclusion_invariants():
     for _ in range(5):
         u = SingleParticleUnitary(random_unitary(6, rng), reg, reg)
         state = lift(u, state)
-        assert state.particle_number == 3
-        for config in state.amplitudes:
+        assert state.particle_number == 3 and state.amps.shape == (20,)
+        for config in state.configs[state.amps != 0].tolist():
             assert config.bit_count() == 3
 
 
@@ -236,7 +228,7 @@ def first_quantized_evolution(matrix, state):
     m = len(state.registry)
     n = state.particle_number
     psi = np.zeros((m,) * n, dtype=complex)
-    for config, amp in state.amplitudes.items():
+    for config, amp in zip(state.configs.tolist(), state.amps.tolist()):
         occ = [i for i in range(m) if (config >> i) & 1]
         for perm in itertools.permutations(range(n)):
             idx = tuple(occ[p] for p in perm)
@@ -265,10 +257,9 @@ def test_lift_agrees_with_first_quantized_oracle():
             state = random_state(reg, n, rng)
             fast = lift(u, state)
             dense = first_quantized_evolution(u.matrix, state)
-            for config in set(fast.amplitudes) | set(dense):
-                a = fast.amplitudes.get(config, 0.0)
-                b = dense.get(config, 0.0)
-                assert abs(a - b) < 1e-10
+            assert set(dense) <= set(fast.configs.tolist())
+            for config, a in zip(fast.configs.tolist(), fast.amps.tolist()):
+                assert abs(a - dense.get(config, 0.0)) < 1e-10
 
 
 def test_lift_matrix_is_unitary():
@@ -285,7 +276,7 @@ def test_project_definite_occupation():
     state = create_sources(INPUT_MODES, ("S_phi0", "S_phi1", "S_psi"))
     p, post = project(state, "S_psi", 1)
     assert p == pytest.approx(1.0, abs=1e-12)
-    assert post.amplitudes == state.amplitudes
+    assert np.array_equal(post.amps, state.amps)
 
 
 def test_chained_projections_give_joint_probability():
@@ -302,7 +293,7 @@ def test_project_vacuum_is_empty():
     vacuum = create_sources(INPUT_MODES, ())
     p, post = project(vacuum, "S_psi", 1)
     assert p == 0.0
-    assert post.configs.size == 0
+    assert not post.amps.any()
 
 
 # --- occupation moments ---
@@ -311,7 +302,7 @@ def tomography_state(R, phi, setting):
     amps = protocol.premeasurement_amplitudes(
         "tomography", R, phi, *protocol.TOMO_SETTINGS[setting]
     )
-    return FockState.from_vector(OUTPUT_MODES, 3, amps)
+    return FockState(OUTPUT_MODES, 3, amps)
 
 
 def test_mean_occupation_at_bob():
@@ -349,7 +340,7 @@ def test_occupations_match_bit_loop():
     reg = small_registry(6)
     state = random_state(reg, 3, np.random.default_rng(13))
     labels = ("m4", "m0", "m2")
-    expected = [[(c >> reg.index(lab)) & 1 for lab in labels] for c in state.amplitudes]
+    expected = [[(c >> reg.index(lab)) & 1 for lab in labels] for c in state.configs.tolist()]
     assert occupations(reg, state.configs, labels).tolist() == expected
 
 
@@ -358,7 +349,8 @@ def test_projection_and_product_mean_equal_loop_references():
     state = tomography_state(0.37, 1.3, "X")
     i, j = state.registry.indices(("A0+", "B1"))
     both, p = 0.0, 0.0
-    for c, a in state.amplitudes.items():
+    pairs = list(zip(state.configs.tolist(), state.amps.tolist()))
+    for c, a in pairs:
         if (c >> i) & 1 and (c >> j) & 1:
             both += abs(a) ** 2
         if not (c >> i) & 1:
@@ -368,8 +360,23 @@ def test_projection_and_product_mean_equal_loop_references():
     got_p, post = project(state, "A0+", 0)
     assert got_p == p
     scale = 1.0 / math.sqrt(p)
-    kept = {c: a * scale for c, a in state.amplitudes.items() if not (c >> i) & 1}
-    assert dict(post.amplitudes) == kept
+    kept = [0j if (c >> i) & 1 else a * scale for c, a in pairs]
+    assert post.amps.tolist() == kept
+
+
+def test_state_holds_the_given_vector():
+    reg = small_registry(4)
+    rng = np.random.default_rng(14)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    state = FockState(reg, 2, v)
+    assert state.amps.tobytes() == v.tobytes()
+    assert state.configs is combination_table(4, 2)[1]
+    with pytest.raises(ValueError, match="read-only"):
+        state.amps[0] = 0.0
+    assert v.flags.writeable  # the caller's array is copied, not frozen
+    for wrong in (v[:5], np.append(v, 0.0), v.reshape(2, 3)):
+        with pytest.raises(ValueError, match="expected a vector of 6 amplitudes"):
+            FockState(reg, 2, wrong)
 
 
 def test_overlap_requires_matching_spaces():

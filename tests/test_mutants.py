@@ -81,7 +81,11 @@ def _memo_key_drops_phi(monkeypatch):
 
 
 def _nan_state(params):
-    return FockState.from_vector(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
+    return FockState(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
+
+
+def _series_fails(params):
+    raise leviton.SeriesConvergenceError("thermal series not converged")
 
 
 MUTANTS = [
@@ -144,6 +148,11 @@ MUTANTS = [
         _halved(leviton, "_TRIPLE_SERIES"),
         test_properties.test_thermal_weights_match_direct_forms,
         id="triple-series-halved",
+    ),
+    pytest.param(
+        _replace(leviton, "thermal_factors", _series_fails),
+        _criterion(8),
+        id="series-error-crit08",
     ),
     pytest.param(
         _replace(

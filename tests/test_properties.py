@@ -45,7 +45,7 @@ def test_network_invariants(point):
         circuit.teleport_network("detection", R, phi, arm_phases=arm_phases),
         full,
     ):
-        evolved = FockState.from_vector(view.rows, 3, lift_amplitudes(view, sources))
+        evolved = FockState(view.rows, 3, lift_amplitudes(view, sources))
         assert abs(evolved.norm() - 1.0) < 1e-12
     assert np.max(np.abs(full.matrix - reference_network_matrix(R, phi, Dp, theta))) < 1e-12
 
@@ -113,7 +113,7 @@ def test_stacked_amplitudes_match_single_runs(points, setting):
         single = protocol.premeasurement_amplitudes("tomography", r, p, dp, th)
         assert np.max(np.abs(stacked[i] - single)) <= 1e-15
         run = protocol.run_premeasurement(TeleportParams(r, p))
-        assert np.max(np.abs(detection[i] - run.vector())) <= 1e-15
+        assert np.max(np.abs(detection[i] - run.amps)) <= 1e-15
         single = protocol.premeasurement_amplitudes(
             "tomography", r, p, *protocol.TOMO_SETTINGS[setting]
         )

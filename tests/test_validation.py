@@ -23,6 +23,7 @@ NON_FINITE = {
     "phi=nan": lambda: TeleportParams(0.5, NAN),
     "gamma=inf": lambda: LevitonParams(INF, 0.1),
     "gamma=nan": lambda: LevitonParams(NAN, 0.1),
+    "gamma=100": lambda: LevitonParams(100, 0.1),
     "tau=inf": lambda: LevitonParams(0.05, INF),
     "tau=nan": lambda: LevitonParams(0.05, NAN),
     "series_tol=nan": lambda: LevitonParams(0.05, 0.1, series_tol=NAN),
@@ -74,7 +75,7 @@ GAMMA_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("gamma", [NAN, INF, 0.0, -1.0])
+@pytest.mark.parametrize("gamma", [NAN, INF, 0.0, -1.0, 100.0])
 @pytest.mark.parametrize("call", GAMMA_FUNCTIONS.values(), ids=GAMMA_FUNCTIONS.keys())
 def test_photoassist_gamma_must_be_positive_and_finite(call, gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
@@ -96,6 +97,8 @@ BAD_ARGUMENTS = [
     ("correlators", "--tolerance", "-1"),
     ("leviton", "--gamma", "1e-300", "--tau", "0"),
     ("leviton", "--gamma", "1e-7", "--tau", "0"),
+    # sinh(2 pi gamma)^2 in the thermal weights overflows from gamma = 57
+    ("leviton", "--gamma", "100", "--tau", "0"),
     # (stop - start) / step overflows to inf: no finite number of points
     ("leviton", "--tau=-1e308:1e308:1e-300"),
     ("saw", "--sigma2=0:1e308:1e-300"),
