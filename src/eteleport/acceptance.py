@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import circuit, leviton, protocol, saw
+from . import circuit, fock, leviton, protocol, saw
 from .protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, MeasurementOutcome, TeleportParams
 
 
@@ -227,12 +227,12 @@ def _criterion_correlator_table() -> tuple[bool, str]:
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
     table_gaps, sum_gaps = [], []
     for setting in ("X", "Y", "Z"):
-        grid = leviton.zero_T_correlator_grid(rs, phis, setting)
-        for r, phi, simulated in zip(rs, phis, grid):
-            reference = leviton.reference_correlators(r, phi, setting)
-            table_gaps.append(simulated.max_deviation(reference))
-            charge = sum(simulated.current(label) for label in leviton.DETECTORS)
-            sum_gaps.append(abs(charge - 3.0))
+        simulated = leviton.zero_T_correlator_grid(rs, phis, setting)
+        references = [leviton.reference_correlators(r, phi, setting) for r, phi in zip(rs, phis)]
+        reference = leviton.CorrelatorTable(setting, [table.values for table in references])
+        table_gaps.append(simulated.max_deviation(reference))
+        charge = fock.mass(simulated.values, leviton.CURRENTS)
+        sum_gaps.append(np.max(np.abs(charge - 3.0)))
     worst_table = float(np.max(table_gaps))
     worst_sum = float(np.max(sum_gaps))
     ok = worst_table < tol_table and worst_sum < tol_sum
@@ -245,32 +245,22 @@ def _criterion_correlator_table() -> tuple[bool, str]:
 def _criterion_correlator_reconstruction() -> tuple[bool, str]:
     tol_k = 1e-12
     tol_r = 1e-10
-    k_gaps, zero_gaps, finite_gaps = [], [], []
     factors = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.3))
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
-    grids = {s: leviton.zero_T_correlator_grid(rs, phis, s) for s in "XYZ"}
-    for i, (r, phi) in enumerate(zip(rs, phis)):
-        tables = {s: grids[s][i] for s in "XYZ"}
-        bloch, norms = leviton.reconstructed_bloch(tables)
-        k_gaps.append(np.max([abs(k - 1.0 / 16.0) for k in norms.values()]))
-        reference = protocol.input_bloch(TeleportParams(r, phi))
-        zero_gaps.append(np.max(np.abs(bloch - reference)))
-        scaled = {
-            s: leviton.finite_T_correlators(tables[s], factors.pair, factors.triple)
-            for s in "XYZ"
-        }
-        bloch_t, _ = leviton.reconstructed_bloch(scaled)
-        expected = np.array(
-            [
-                factors.damping * reference[0],
-                factors.damping * reference[1],
-                reference[2],
-            ]
-        )
-        finite_gaps.append(np.max(np.abs(bloch_t - expected)))
-    worst_k = float(np.max(k_gaps))
-    worst_zero = float(np.max(zero_gaps))
-    worst_finite = float(np.max(finite_gaps))
+    tables = {s: leviton.zero_T_correlator_grid(rs, phis, s) for s in "XYZ"}
+    bloch, norms = leviton.reconstructed_bloch(tables)
+    scaled = {
+        s: leviton.finite_T_correlators(table, factors.pair, factors.triple)
+        for s, table in tables.items()
+    }
+    bloch_t, _ = leviton.reconstructed_bloch(scaled)
+    reference = np.array(
+        [protocol.input_bloch(TeleportParams(r, phi)) for r, phi in zip(rs, phis)]
+    )
+    expected = reference * np.array([factors.damping, factors.damping, 1.0])
+    worst_k = float(np.max(np.abs(np.array(list(norms.values())) - 1.0 / 16.0)))
+    worst_zero = float(np.max(np.abs(bloch - reference)))
+    worst_finite = float(np.max(np.abs(bloch_t - expected)))
     ok = worst_k < tol_k and worst_zero < tol_r and worst_finite < tol_r
     return ok, (
         f"max |K - 1/16| = {worst_k:.2e} (tol {tol_k:.0e}), zero-T Bloch dev = "

@@ -216,10 +216,10 @@ def cmd_correlators(args) -> int:
     rows = []
     worst = 0.0
     for setting in settings:
-        simulated = leviton.zero_T_correlators(args.R, args.phi, setting)
-        reference = leviton.reference_correlators(args.R, args.phi, setting)
-        for (kind, labels), value in sorted(simulated.entries.items()):
-            ref = reference.entries[(kind, labels)]
+        simulated = leviton.zero_T_correlators(args.R, args.phi, setting).values.tolist()
+        reference = leviton.reference_correlators(args.R, args.phi, setting).values.tolist()
+        for labels, value, ref in zip(leviton.KEYS, simulated, reference):
+            kind = "IPQ"[len(labels) - 1]
             worst = max(worst, abs(value - ref))
             rows.append(
                 {

@@ -337,34 +337,36 @@ def lift_matrix(
     return _lifted(u, particle_number, combos)
 
 
-def occupation_moment_table(state: FockState, keys: Sequence[Sequence[str]]) -> list[float]:
-    """Mean (1 label) or central occupation moment (2 or 3 labels) for each
-    label tuple of `keys`, reading the state's occupations once.
+def occupation_moments(
+    registry: ModeRegistry,
+    particle_number: int,
+    amps: np.ndarray,
+    keys: Sequence[Sequence[str]],
+) -> np.ndarray:
+    """Mean (1 label) or central occupation moment (2 or 3 labels) of each
+    label tuple of `keys`, for every state of a (..., sector size) amplitude
+    stack in combination order; returns (..., len(keys)).
 
     Occupations are jointly diagonal in the configuration basis, so the
-    moments are those of the classical distribution |amplitude|^2;
-    the result is exact (no sampling).  Repeated labels are rejected
-    because powers of an occupation obey a different cumulant algebra.
+    moments are those of the classical distribution |amplitude|^2; the
+    result is exact (no sampling).  Repeated labels are rejected because
+    powers of an occupation obey a different cumulant algebra.
     """
-    registry = state.registry
-    # nonzero configurations only: a longer dot product would round differently
-    support = np.flatnonzero(state.amps)
-    rows = np.ascontiguousarray(
-        occupations(registry, state.configs[support], registry.labels).T, dtype=float
-    )
-    probs = state.probabilities[support]
-    moments = []
     for labels in keys:
         if not 1 <= len(labels) <= 3:
             raise ValueError(f"an occupation moment takes 1 to 3 mode labels, got {tuple(labels)}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"repeated mode label in {tuple(labels)}")
-        occ = rows[registry.indices(labels)]  # a C-contiguous copy
-        means = occ @ probs
-        if len(labels) == 1:
-            moments.append(float(means[0]))
-            continue
-        centered = occ - means[:, None]
-        moments.append(float(centered.prod(axis=0) @ probs))
-    return moments
-
+    _, configs = combination_table(len(registry), particle_number)
+    occ = occupations(registry, configs, registry.labels).T.astype(float)
+    probs = probabilities(amps)[..., None, :]
+    # elementwise products summed by `mass`, never a BLAS product: the
+    # digits must not depend on the kernel BLAS picks for the host
+    means = mass(probs * occ, slice(None))
+    centered = occ - means[..., None]
+    # a last row of ones pads 1- and 2-label keys to three factors
+    padded = np.concatenate([centered, np.ones_like(centered[..., :1, :])], axis=-2)
+    rows = np.array([registry.indices(labels) + [-1] * (3 - len(labels)) for labels in keys])
+    first, second, third = (padded[..., rows[:, j], :] for j in range(3))
+    central = mass(probs * (first * second * third), slice(None))
+    return np.where([len(labels) == 1 for labels in keys], means[..., rows[:, 0]], central)

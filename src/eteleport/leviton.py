@@ -12,37 +12,31 @@ third-order correlators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import protocol
 from .circuit import ArrayLike
-from .fock import OUTPUT_MODES, FockState, occupation_moment_table
+from .fock import OUTPUT_MODES, mass, occupation_moments
 from .saw import damped_average_fidelity
 
 DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
 
-CURRENT_KEYS = tuple((label,) for label in DETECTORS)
-PAIR_KEYS = (
-    ("A0+", "A1+"),
-    ("A0+", "A1-"),
-    ("A0-", "A1+"),
-    ("A0-", "A1-"),
-    ("A0+", "B0"),
-    ("A1+", "B1"),
-    ("A0+", "A0-"),
-    ("A1+", "A1-"),
-    ("A0+", "B1"),
-    ("A1+", "B0"),
+# Correlator table columns, in the order tables are printed, each label
+# tuple sorted; the kind of a column is its number of labels.
+KEYS = (
+    # currents I
+    ("A0+",), ("A0-",), ("A1+",), ("A1-",), ("B0",), ("B1",),
+    # pair correlators P
+    ("A0+", "A0-"), ("A0+", "A1+"), ("A0+", "A1-"), ("A0+", "B0"), ("A0+", "B1"),
+    ("A0-", "A1+"), ("A0-", "A1-"), ("A1+", "A1-"), ("A1+", "B0"), ("A1+", "B1"),
+    # triple correlators Q
+    ("A0+", "A0-", "A1+"), ("A0+", "A1+", "A1-"), ("A0+", "A1+", "B0"), ("A0+", "A1+", "B1"),
 )
-TRIPLE_KEYS = (
-    ("A0+", "A1+", "B0"),
-    ("A0+", "A1+", "B1"),
-    ("A0+", "A0-", "A1+"),
-    ("A0+", "A1+", "A1-"),
-)
+CURRENTS = slice(0, len(DETECTORS))
+_COLUMNS = {key: column for column, key in enumerate(KEYS)}
 
 
 GAMMA_MIN = 1e-4
@@ -125,7 +119,13 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
     z = np.exp(2j * np.pi * t)
     q = math.exp(-2.0 * math.pi * gamma)
     phase_factor = (q * z - 1.0) / (z - q)
-    return np.exp(2j * np.pi * np.outer(n_values, t)) @ phase_factor / n_grid
+    wave = np.exp(2j * np.pi * np.outer(n_values, t))
+    # each complex product written out in real arithmetic, then added left
+    # to right over the grid: a BLAS product rounds as the host's BLAS
+    # kernel does, and numpy's complex multiply fuses on hosts with FMA
+    real = wave.real * phase_factor.real - wave.imag * phase_factor.imag
+    imag = wave.real * phase_factor.imag + wave.imag * phase_factor.real
+    return mass(real + 1j * imag, slice(None)) / n_grid
 
 
 def photoassist_weight_sum(gamma: float) -> float:
@@ -245,55 +245,46 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
 # Correlator tables
 # ---------------------------------------------------------------------------
 
-def _canon(labels: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(labels))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatorTable:
-    """Zero-frequency current observables keyed by detector tuple.
+    """Zero-frequency current observables, one column per entry of `KEYS`.
 
     Kinds: "I" (mean current, e/T), "P" (pair correlator, e^2/T),
     "Q" (triple correlator, e^3/T); numeric values are stored with
-    e = T = 1.
+    e = T = 1.  `values` is one read-only (..., len(KEYS)) array, one row
+    per point of a parameter grid.
     """
 
     setting: str
-    entries: dict[tuple[str, tuple[str, ...]], float] = field(default_factory=dict)
+    values: np.ndarray
 
     def __post_init__(self):
         if self.setting not in protocol.TOMO_SETTINGS:
             raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
-        for (kind, labels), _ in self.entries.items():
-            arity = {"I": 1, "P": 2, "Q": 3}.get(kind)
-            if arity is None or len(labels) != arity:
-                raise ValueError(f"bad table key {(kind, labels)}")
-            for label in labels:
-                if label not in DETECTORS:
-                    raise ValueError(f"unknown detector {label!r}")
+        values = np.array(self.values, dtype=float)
+        if values.shape[-1:] != (len(KEYS),):
+            raise ValueError(f"expected {len(KEYS)} values per row, got shape {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
-    def current(self, a: str) -> float:
-        return self.entries[("I", (a,))]
+    def _column(self, labels: tuple[str, ...]) -> np.ndarray:
+        return self.values[..., _COLUMNS[tuple(sorted(labels))]]
 
-    def pair(self, a: str, b: str) -> float:
-        return self.entries[("P", _canon((a, b)))]
+    def current(self, a: str) -> np.ndarray:
+        return self._column((a,))
 
-    def triple(self, a: str, b: str, c: str) -> float:
-        return self.entries[("Q", _canon((a, b, c)))]
+    def pair(self, a: str, b: str) -> np.ndarray:
+        return self._column((a, b))
+
+    def triple(self, a: str, b: str, c: str) -> np.ndarray:
+        return self._column((a, b, c))
 
     def scaled(self, pair_factor: float, triple_factor: float) -> "CorrelatorTable":
-        scale = {"I": 1.0, "P": pair_factor, "Q": triple_factor}
-        return CorrelatorTable(
-            self.setting,
-            {key: value * scale[key[0]] for key, value in self.entries.items()},
-        )
+        factors = np.array([(1.0, pair_factor, triple_factor)[len(key) - 1] for key in KEYS])
+        return CorrelatorTable(self.setting, self.values * factors)
 
     def max_deviation(self, other: "CorrelatorTable") -> float:
-        if set(self.entries) != set(other.entries):
-            raise ValueError("tables hold different keys")
-        return max(
-            abs(self.entries[k] - other.entries[k]) for k in self.entries
-        )
+        return float(np.max(np.abs(self.values - other.values)))
 
 
 def zero_T_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:
@@ -303,26 +294,17 @@ def zero_T_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:
     correspondence turns occupation mean/central moments directly into
     I, P, Q values.
     """
-    return zero_T_correlator_grid(R, phi, setting)[0]
+    return zero_T_correlator_grid(R, phi, setting)
 
 
-def zero_T_correlator_grid(
-    R: ArrayLike, phi: ArrayLike, setting: str
-) -> list[CorrelatorTable]:
-    """`zero_T_correlators` at every point of a broadcast (R, phi) grid, in
-    C order, from one launch; each table's moments are taken point by point."""
+def zero_T_correlator_grid(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
+    """`zero_T_correlators` at every point of a broadcast (R, phi) grid, one
+    row per point, from one launch and one moment call."""
     if setting not in protocol.TOMO_SETTINGS:
         raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
     transmission, theta = protocol.TOMO_SETTINGS[setting]
     amps = protocol.premeasurement_amplitudes("tomography", R, phi, transmission, theta)
-    keys = CURRENT_KEYS + PAIR_KEYS + TRIPLE_KEYS
-    kinds = "I" * len(CURRENT_KEYS) + "P" * len(PAIR_KEYS) + "Q" * len(TRIPLE_KEYS)
-    tables = []
-    for row in amps.reshape(-1, amps.shape[-1]):
-        moments = occupation_moment_table(FockState(OUTPUT_MODES, 3, row), keys)
-        entries = {(kind, _canon(key)): m for kind, key, m in zip(kinds, keys, moments)}
-        tables.append(CorrelatorTable(setting, entries))
-    return tables
+    return CorrelatorTable(setting, occupation_moments(OUTPUT_MODES, 3, amps, KEYS))
 
 
 def reference_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:
@@ -337,29 +319,29 @@ def reference_correlators(R: float, phi: float, setting: str) -> CorrelatorTable
         "Y": -root * math.cos(phi) / 16.0,
         "Z": 0.0,
     }[setting]
-    entries: dict[tuple[str, tuple[str, ...]], float] = {}
-    entries[("I", ("A0+",))] = 0.25 + R / 2.0
-    entries[("I", ("A0-",))] = 0.25 + R / 2.0
-    entries[("I", ("A1+",))] = 0.25 + D / 2.0
-    entries[("I", ("A1-",))] = 0.25 + D / 2.0
-    entries[("I", ("B0",))] = 0.5
-    entries[("I", ("B1",))] = 0.5
+    entries: dict[tuple[str, ...], float] = {}
+    entries[("A0+",)] = 0.25 + R / 2.0
+    entries[("A0-",)] = 0.25 + R / 2.0
+    entries[("A1+",)] = 0.25 + D / 2.0
+    entries[("A1-",)] = 0.25 + D / 2.0
+    entries[("B0",)] = 0.5
+    entries[("B1",)] = 0.5
     for pair in (("A0+", "A1+"), ("A0+", "A1-"), ("A0-", "A1+"), ("A0-", "A1-")):
-        entries[("P", _canon(pair))] = -R * D / 4.0
+        entries[pair] = -R * D / 4.0
     cross = -0.125 if identity_setting else -0.0625
-    entries[("P", _canon(("A0+", "B0")))] = cross
-    entries[("P", _canon(("A1+", "B1")))] = cross
+    entries[("A0+", "B0")] = cross
+    entries[("A1+", "B1")] = cross
     same_arm = -(0.0625 - R * D / 4.0)
-    entries[("P", _canon(("A0+", "A0-")))] = same_arm
-    entries[("P", _canon(("A1+", "A1-")))] = same_arm
+    entries[("A0+", "A0-")] = same_arm
+    entries[("A1+", "A1-")] = same_arm
     anti = 0.0 if identity_setting else -0.0625
-    entries[("P", _canon(("A0+", "B1")))] = anti
-    entries[("P", _canon(("A1+", "B0")))] = anti
-    entries[("Q", _canon(("A0+", "A1+", "B0")))] = q_b0
-    entries[("Q", _canon(("A0+", "A1+", "B1")))] = -q_b0
-    entries[("Q", _canon(("A0+", "A0-", "A1+")))] = R * D * (R - D) / 8.0
-    entries[("Q", _canon(("A0+", "A1+", "A1-")))] = R * D * (D - R) / 8.0
-    return CorrelatorTable(setting, entries)
+    entries[("A0+", "B1")] = anti
+    entries[("A1+", "B0")] = anti
+    entries[("A0+", "A1+", "B0")] = q_b0
+    entries[("A0+", "A1+", "B1")] = -q_b0
+    entries[("A0+", "A0-", "A1+")] = R * D * (R - D) / 8.0
+    entries[("A0+", "A1+", "A1-")] = R * D * (D - R) / 8.0
+    return CorrelatorTable(setting, [entries[key] for key in KEYS])
 
 
 def finite_T_correlators(
@@ -372,8 +354,9 @@ def finite_T_correlators(
     return table.scaled(pair_factor, triple_factor)
 
 
-def bloch_from_correlators(table: CorrelatorTable) -> tuple[float, float]:
-    """Assemble one Bloch component and the normalization from a table.
+def bloch_from_correlators(table: CorrelatorTable) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble one Bloch component and the normalization from a table,
+    for every row of it.
 
     The component measured is the one selected by the table's setting.
     Returns (component, K) where K is the ++ click probability, 1/16 at
@@ -398,22 +381,23 @@ def bloch_from_correlators(table: CorrelatorTable) -> tuple[float, float]:
         - i_a1p * (table.pair("A0+", "A0-") + table.pair("A0+", "A1-"))
         - (table.triple("A0+", "A1+", "A0-") + table.triple("A0+", "A1+", "A1-"))
     )
-    if k <= 0.0:
-        raise ValueError(f"degenerate normalization K = {k}")
+    if not np.all(k > 0.0):  # NaN fails too
+        raise ValueError(f"degenerate normalization K = {np.min(k)}")
     return j / k, k
 
 
 def reconstructed_bloch(
     tables: dict[str, CorrelatorTable]
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Full Bloch vector from one table per tomography axis."""
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Full Bloch vector from one table per tomography axis, (..., 3) for
+    tables of (..., len(KEYS)) rows."""
     components = []
     norms = {}
     for axis in ("X", "Y", "Z"):
         value, k = bloch_from_correlators(tables[axis])
         components.append(value)
         norms[axis] = k
-    return np.array(components), norms
+    return np.stack(components, axis=-1), norms
 
 
 def leviton_fidelity(params: LevitonParams) -> float:

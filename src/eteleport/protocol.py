@@ -532,13 +532,15 @@ def _sector_weight(state: FockState, crossed: bool) -> float:
     return state.mass(dual & ((occ[:, 0] != occ[:, 2]) == crossed))
 
 
+@functools.lru_cache(maxsize=None)
 def _povm_in_prepared_basis() -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
     """Alice's POVM elements conjugated back through her splitters.
 
     Works in the two-particle space of (A0p, A1p, A0, A1); returns the
     matrices for the six one-sided and paired click patterns, the
     projector onto the dual-rail (Bell) subspace, and the Bell states as
-    vectors in the same basis.
+    vectors in the same basis.  Parameter-free, so built once and shared
+    read-only.
     """
     alice = circuit.alice_splitters(("A0p", "A1p", "A0", "A1"))
     detectors, registry = alice.rows, alice.cols
@@ -551,7 +553,10 @@ def _povm_in_prepared_basis() -> tuple[dict[str, np.ndarray], np.ndarray, dict[s
     bells = bell_states(registry, ("A0p", "A1p"), ("A0", "A1"))
     vectors = {name: state.amps for name, state in bells.items()}
     basis = np.column_stack(list(vectors.values()))
-    return elements, basis @ basis.conj().T, vectors
+    projector = basis @ basis.conj().T
+    for array in (*elements.values(), projector):
+        array.flags.writeable = False
+    return elements, projector, vectors
 
 
 def drq_projection_checks(params: TeleportParams) -> dict[str, float]:

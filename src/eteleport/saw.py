@@ -182,12 +182,14 @@ def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
     """Fidelity of two qubits from their Bloch vectors."""
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)
-    n1 = np.dot(r, r)
-    n2 = np.dot(r_prime, r_prime)
+    # products summed left to right, not np.dot, whose rounding depends on
+    # the host's BLAS kernel
+    n1 = fock.mass(r * r, slice(None))
+    n2 = fock.mass(r_prime * r_prime, slice(None))
     if not (n1 <= 1.0 + 1e-10 and n2 <= 1.0 + 1e-10):  # NaN fails too
         raise ValueError("Bloch vectors must lie in the unit ball")
     purity_term = math.sqrt(max(0.0, (1.0 - n1) * (1.0 - n2)))
-    return 0.5 * (1.0 + float(np.dot(r, r_prime)) + purity_term)
+    return 0.5 * (1.0 + fock.mass(r * r_prime, slice(None)) + purity_term)
 
 
 def state_fidelity(params: TeleportParams, sigma2: float) -> float:

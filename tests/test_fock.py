@@ -15,7 +15,7 @@ from eteleport.fock import (
     create_sources,
     lift_amplitudes,
     lift_matrix,
-    occupation_moment_table,
+    occupation_moments,
     occupations,
 )
 from eteleport import circuit, protocol
@@ -52,7 +52,7 @@ def lift(u, state):
 
 
 def moment(state, labels):
-    return occupation_moment_table(state, (labels,))[0]
+    return occupation_moments(state.registry, state.particle_number, state.amps, (labels,))[0]
 
 
 def project(state, label, n):
@@ -334,6 +334,23 @@ def test_repeated_label_rejected():
         moment(state, ("S_phi0", "S_phi0"))
 
 
+MOMENT_KEYS = (("A0+",), ("B1",), ("A0+", "A1-"), ("A1+", "B0"), ("A0+", "A1+", "B1"))
+
+
+def test_moment_grid_rows_equal_one_point_rows_bitwise():
+    rs, phis = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.1, 0.9, 5), np.linspace(0.0, 2.0 * math.pi, 5), indexing="ij"
+    ))
+    settings = protocol.TOMO_SETTINGS["X"]
+    grid = protocol.premeasurement_amplitudes("tomography", rs, phis, *settings)
+    rows = occupation_moments(OUTPUT_MODES, 3, grid, MOMENT_KEYS)
+    assert rows.shape == (25, len(MOMENT_KEYS))
+    for r, phi, row in zip(rs.tolist(), phis.tolist(), rows):
+        amps = protocol.premeasurement_amplitudes("tomography", r, phi, *settings)
+        point = occupation_moments(OUTPUT_MODES, 3, amps, MOMENT_KEYS)
+        assert point.view(np.int64).tolist() == row.view(np.int64).tolist()
+
+
 # --- array routes against the bit loops they replaced ---
 
 def test_occupations_match_bit_loop():
@@ -362,6 +379,32 @@ def test_projection_and_product_mean_equal_loop_references():
     scale = 1.0 / math.sqrt(p)
     kept = [0j if (c >> i) & 1 else a * scale for c, a in pairs]
     assert post.amps.tolist() == kept
+
+
+def test_moments_equal_left_to_right_loop_bitwise():
+    # same arithmetic in the same order, so the results are equal, not close
+    state = tomography_state(0.37, 1.3, "Y")
+    pairs = list(zip(state.configs.tolist(), state.probabilities.tolist()))
+    means = {}
+    for label in OUTPUT_MODES:
+        i = OUTPUT_MODES.index(label)
+        means[label] = 0.0
+        for c, p in pairs:
+            means[label] += p * ((c >> i) & 1)
+    expected = []
+    for labels in MOMENT_KEYS:
+        if len(labels) == 1:
+            expected.append(means[labels[0]])
+            continue
+        total = 0.0
+        for c, p in pairs:
+            product = 1.0
+            for label in labels:
+                product *= ((c >> OUTPUT_MODES.index(label)) & 1) - means[label]
+            total += p * product
+        expected.append(total)
+    got = occupation_moments(OUTPUT_MODES, 3, state.amps, MOMENT_KEYS)
+    assert got.tolist() == expected
 
 
 def test_state_holds_the_given_vector():

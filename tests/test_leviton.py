@@ -152,11 +152,12 @@ def test_pair_lookup_is_order_insensitive():
 
 def test_table_key_validation():
     with pytest.raises(ValueError):
-        CorrelatorTable("Z", {("I", ("A0+", "A1+")): 1.0})
+        CorrelatorTable("W", np.zeros(len(leviton.KEYS)))
     with pytest.raises(ValueError):
-        CorrelatorTable("W", {})
-    with pytest.raises(ValueError):
-        CorrelatorTable("Z", {("I", ("nope",)): 1.0})
+        CorrelatorTable("Z", np.zeros(len(leviton.KEYS) - 1))
+    table = zero_T_correlators(0.3, 0.5, "Z")
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0] = 1.0
 
 
 def test_finite_temperature_scaling():
@@ -218,11 +219,14 @@ def test_finite_temperature_reconstruction_damps_transverse():
 
 def test_degenerate_normalization_rejected():
     table = reference_correlators(0.3, 1.2, "Z")
-    broken = CorrelatorTable(
-        "Z", {k: (0.0 if k[0] != "Q" else v) for k, v in table.entries.items()}
-    )
+    triples = [len(key) == 3 for key in leviton.KEYS]
+    broken = CorrelatorTable("Z", np.where(triples, table.values, 0.0))
     with pytest.raises(ValueError):
         bloch_from_correlators(broken)
+    # one NaN row of a grid fails the whole grid
+    grid = CorrelatorTable("Z", [table.values, np.full(len(leviton.KEYS), np.nan)])
+    with pytest.raises(ValueError):
+        bloch_from_correlators(grid)
 
 
 # --- fidelity curve ---

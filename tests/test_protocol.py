@@ -294,3 +294,8 @@ def test_drq_projection_report():
         expected_literal, abs=1e-12
     )
     assert report["povm_dual_rail_max_dev"] < 1e-12
+    # the parameter-free POVM basis is built once and shared read-only
+    elements, projector, bells = protocol._povm_in_prepared_basis()
+    assert protocol._povm_in_prepared_basis()[1] is projector
+    for array in (*elements.values(), projector, *bells.values()):
+        assert not array.flags.writeable
