@@ -209,6 +209,10 @@ def _criterion_saw_fidelity_law() -> tuple[bool, str]:
     bounds = [3.0 * (float(x.std(ddof=1)) / math.sqrt(n_states)) + 1e-10 for x, _ in checks]
     if not all(gap <= bound for gap, bound in zip(gaps, bounds)):
         failures.append(f"MC density matrix off by {np.max(gaps):.2e}")
+    clicks = saw.montecarlo_click_probabilities(params, deph, n_states, seed=77)  # same run
+    click_gap = float(np.max(np.abs(clicks - 1.0 / 16.0)))
+    if not click_gap <= 1e-12:
+        failures.append(f"MC p(++) off 1/16 by {click_gap:.2e}")
     if failures:
         return False, "; ".join(failures)
     return True, (

@@ -205,24 +205,26 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
     are exactly 1 and the sums reduce to the unit weight sum.
     """
     g = 2.0 * math.pi * params.gamma
+    sinh2 = math.sinh(g) ** 2
+    tau, tol, cap = params.tau, params.series_tol, params.term_cap
     pair_sum = 0.0
     triple_sum = 0.0
     quiet = 0
     n = 0
-    while n < params.term_cap:
+    while n < cap:
         n += 1
-        weight = n * 4.0 * math.exp(-2.0 * g * n) * math.sinh(g) ** 2
-        if params.tau == 0.0:
+        weight = n * 4.0 * math.exp(-2.0 * g * n) * sinh2
+        if tau == 0.0:
             pair_term, triple_term = weight, weight
         else:
-            x = n / (2.0 * params.tau)
+            x = n / (2.0 * tau)
             pair_term = weight * _coth_minus_inv(x)
             triple_term = weight * _triple_bracket(x)
         pair_sum += pair_term
         triple_sum += triple_term
-        if abs(pair_term) <= params.series_tol * abs(pair_sum) and abs(
-            triple_term
-        ) <= params.series_tol * max(abs(triple_sum), 1e-300):
+        if abs(pair_term) <= tol * abs(pair_sum) and abs(triple_term) <= tol * max(
+            abs(triple_sum), 1e-300
+        ):
             quiet += 1
             if quiet >= 3:
                 break
@@ -230,7 +232,7 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
             quiet = 0
     else:
         raise SeriesConvergenceError(
-            f"thermal series not converged after {params.term_cap} terms "
+            f"thermal series not converged after {cap} terms "
             f"(gamma={params.gamma}, tau={params.tau})"
         )
     if not pair_sum > 0.0:  # the pair weights underflow once tau nears the float limit

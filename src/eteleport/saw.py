@@ -3,8 +3,8 @@
 Random phases drawn once per run on the arms between the two splitter
 layers damp the transverse Bloch components of Bob's conditional state by
 exp(-sigma^2/2), where sigma^2 is the summed per-arm variance.  The Monte
-Carlo route samples arm phases and averages conditional states; the
-analytic route applies the damping factor directly.
+Carlo route samples arm phases (once per run, for its state and clicks)
+and averages conditional states; the analytic route applies the damping.
 """
 
 from __future__ import annotations
@@ -140,20 +140,41 @@ def _conditional_amplitudes(
     return alpha, beta
 
 
+_handoff: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # at most one run
+
+
+def _run_amplitudes(
+    params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta of one seeded run, read-only.  The first of two calls
+    with the same arguments draws the run and holds it, the second takes it;
+    the key holds the signs of R, phi and the variances, so -0.0 and 0.0 differ."""
+    signs = tuple(math.copysign(1.0, x) for x in (params.R, params.phi, *deph.variances))
+    key = (params, deph, n_samples, seed, signs)
+    held = _handoff.pop(key, None)
+    if held is None:
+        _handoff.clear()
+        held = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
+        held[0].flags.writeable = held[1].flags.writeable = False
+        _handoff[key] = held
+    return held
+
+
 def montecarlo_click_probabilities(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Per-sample ++ probability; phase noise must leave it at 1/16."""
-    alpha, beta = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
+    """Per-sample ++ probability (1/16 under any phase noise) of the run
+    shared with `montecarlo_entries`."""
+    alpha, beta = _run_amplitudes(params, deph, n_samples, seed)
     return np.abs(alpha) ** 2 + np.abs(beta) ** 2
 
 
 def montecarlo_entries(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per sample, the entries rho00, rho11 and rho01 of Bob's
-    ++-conditional density matrix; rho10 is the conjugate of rho01."""
-    alpha, beta = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
+    """Per sample, Bob's ++-conditional rho00, rho11 and rho01 (rho10 is its
+    conjugate), from the run shared with `montecarlo_click_probabilities`."""
+    alpha, beta = _run_amplitudes(params, deph, n_samples, seed)
     rho00 = np.abs(alpha) ** 2
     rho11 = np.abs(beta) ** 2
     rho01 = alpha * np.conj(beta)

@@ -148,6 +148,29 @@ def test_memoised_amplitudes_equal_a_fresh_launch(point):
                 amps[0] = 1.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    signed_zero | unit,
+    signed_zero | angle,
+    st.tuples(*[signed_zero | unit] * len(circuit.ARM_WIRES)),
+    st.integers(0, 2**32),
+)
+def test_handoff_never_shares_a_signed_zero(R, phi, variances, seed):
+    def run(point):
+        return TeleportParams(*point[:2]), saw.DephasingParams(point[2:]), 3, seed
+
+    point = (R, phi, *variances)
+    for i in (i for i, x in enumerate(point) if x == 0.0):
+        other = run(point[:i] + (-point[i],) + point[i + 1 :])
+        saw._handoff.clear()
+        held = saw._run_amplitudes(*run(point))
+        got = saw._run_amplitudes(*other)  # drawn anew, the held run stays unserved
+        assert not any(g is h for g, h in zip(got, held)) and len(saw._handoff) == 1
+        fresh = saw._conditional_amplitudes(other[0], saw._sample_phases(*other[1:]))
+        assert [g.tobytes() for g in got] == [f.tobytes() for f in fresh]
+    saw._handoff.clear()
+
+
 def test_memo_keys_every_parameter():
     # the memo holds both points of each pair, so a key that missed a
     # parameter would hand one point the other's amplitudes

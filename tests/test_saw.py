@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -146,9 +148,12 @@ def test_only_total_variance_matters():
 
 def test_montecarlo_is_deterministic_per_seed():
     deph = DephasingParams.from_total(0.5)
+    saw._handoff.clear()
     first = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)
-    second = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)
+    second = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)  # served the held run
+    third = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)  # drawn again
     assert np.array_equal(first.rho, second.rho)
+    assert np.array_equal(second.rho, third.rho)
     different = dephased_state_montecarlo(PARAMS, deph, 200, seed=10)
     assert np.max(np.abs(different.rho - first.rho)) > 1e-6
 
@@ -170,6 +175,110 @@ def test_averaged_state_is_the_mean_of_the_stack():
         mean = stack.mean(axis=0)
         averaged = dephased_state_montecarlo(params, deph, 500, seed=3)
         assert np.max(np.abs(averaged.rho - mean / np.trace(mean).real)) < 1e-14
+
+
+def _fresh(call, *args):
+    """`call` on a run drawn anew: the hand-off slot is emptied around it."""
+    saw._handoff.clear()
+    out = call(*args)
+    saw._handoff.clear()
+    return out
+
+
+def _bytes(out):
+    if isinstance(out, saw.QubitState):
+        return out.rho.tobytes()
+    if isinstance(out, tuple):
+        return tuple(_bytes(x) for x in out)
+    return out.tobytes()
+
+
+def test_handoff_serves_either_order_bitwise():
+    deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
+    args = (PARAMS, deph, 400, 13)
+    calls = (
+        saw._run_amplitudes,
+        saw.montecarlo_entries,
+        dephased_state_montecarlo,
+        saw.montecarlo_click_probabilities,
+    )
+    fresh = {call: _bytes(_fresh(call, *args)) for call in calls}
+    alpha, beta = saw._conditional_amplitudes(PARAMS, saw._sample_phases(deph, 400, 13))
+    assert fresh[saw._run_amplitudes] == (alpha.tobytes(), beta.tobytes())
+    for first in calls:
+        for second in calls:
+            saw._handoff.clear()
+            assert _bytes(first(*args)) == fresh[first]
+            assert len(saw._handoff) == 1
+            assert _bytes(second(*args)) == fresh[second]  # served
+            assert not saw._handoff
+    saw._handoff.clear()
+
+
+def test_handoff_arrays_are_read_only_and_one_run_is_held():
+    deph = DephasingParams.from_total(0.8)
+    saw._handoff.clear()
+    for seed in (1, 2, 3):
+        held = saw._run_amplitudes(PARAMS, deph, 50, seed)
+        assert len(saw._handoff) == 1
+        for amplitudes in held:
+            with pytest.raises(ValueError, match="read-only"):
+                amplitudes[0] = 0.0
+    served = saw._run_amplitudes(PARAMS, deph, 50, 3)
+    assert all(s is h for s, h in zip(served, held)) and not saw._handoff
+    drawn = saw._run_amplitudes(PARAMS, deph, 50, 3)  # a third call draws again
+    assert not any(d is h for d, h in zip(drawn, held))
+    saw._handoff.clear()
+
+
+def test_handoff_never_serves_other_arguments():
+    # clicks are 1/16 for every run, so each pair is tried in both orders
+    # and read through the entries
+    deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
+    base = (PARAMS, deph, 60, 21)
+    variants = [
+        (PARAMS, deph, 60, 22),
+        (PARAMS, deph, 61, 21),
+        (TeleportParams(0.3, 1.3), deph, 60, 21),
+        (TeleportParams(0.4, 1.2), deph, 60, 21),
+        (PARAMS, DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.4)), 60, 21),
+    ]
+    want = {args: _bytes(_fresh(saw.montecarlo_entries, *args)) for args in (base, *variants)}
+    for variant in variants:
+        for first, second in ((base, variant), (variant, base)):
+            saw._handoff.clear()
+            saw.montecarlo_click_probabilities(*first)
+            assert _bytes(saw.montecarlo_entries(*second)) == want[second]
+    saw._handoff.clear()
+
+
+def test_handoff_serves_each_thread_its_own_run():
+    # threads share the slot; a pair may lose its held run to another
+    # thread and draw it again, but never takes another run's amplitudes
+    deph = DephasingParams.from_total(0.6)
+    seeds = range(8)
+    want = {seed: _bytes(_fresh(saw.montecarlo_entries, PARAMS, deph, 40, seed)) for seed in seeds}
+    wrong = []
+
+    def pairs(seed):
+        for _ in range(150):
+            saw.montecarlo_click_probabilities(PARAMS, deph, 40, seed)
+            if _bytes(saw.montecarlo_entries(PARAMS, deph, 40, seed)) != want[seed]:
+                wrong.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pairs, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        saw._handoff.clear()
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_montecarlo_rejects_empty_sample():
