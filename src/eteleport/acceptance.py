@@ -1,11 +1,11 @@
 """Acceptance suite: one callable per criterion, each with pinned tolerances.
 
 Both the test suite and the command-line `verify` subcommand run these;
-every criterion reports a single pass/fail line.  Reference values that
-must stay independent of the implementation (the hard-coded network
-matrix, the closed-form correlator table) live here or in the modules'
-`reference_*` helpers and are never computed through the code paths they
-check.
+every criterion returns `Check` records and reports a single pass/fail
+line.  Reference values that must stay independent of the implementation
+(the hard-coded network matrix, the closed-form correlator table) live
+here or in the modules' `reference_*` helpers and are never computed
+through the code paths they check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import importlib.resources
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,30 +24,64 @@ from .protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, MeasurementOutcome, Telepor
 
 
 @dataclass(frozen=True)
+class Check:
+    """One gated quantity; it passes when `measured < bound` (NaN never does)."""
+
+    name: str
+    measured: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.measured < self.bound
+
+
+def _render(checks: Sequence[Check]) -> str:
+    """`name = measured` per check, each run of equal bounds closed by its tolerance."""
+    parts = []
+    for check, following in zip(checks, [*checks[1:], None]):
+        part = f"{check.name} = {check.measured:.2e}"
+        if following is None or following.bound != check.bound:
+            part += f" (tol {check.bound:.0e})"
+        parts.append(part)
+    return ", ".join(parts)
+
+
+@dataclass(frozen=True)
 class CriterionResult:
     number: int
     name: str
-    passed: bool
-    detail: str
+    checks: tuple[Check, ...]
+    detail: str | None  # the PASS text where it is not `_render(checks)`
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.checks) and all(check.passed for check in self.checks)
 
     @property
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  criterion {self.number:2d}  {self.name}: {self.detail}"
+        if self.passed:
+            status, text = "PASS", self.detail or _render(self.checks)
+        else:
+            status = "FAIL"
+            text = _render([check for check in self.checks if not check.passed]) or self.detail
+        return f"{status}  criterion {self.number:2d}  {self.name}: {text}"
 
 
 @dataclass(frozen=True)
 class Criterion:
     number: int
     name: str
-    func: Callable[[], tuple[bool, str]]
+    func: Callable[[], tuple[Sequence[Check], str | None]]
 
     def run(self) -> CriterionResult:
         try:
-            passed, detail = self.func()
-        except ValueError as exc:  # a rejected value (NaN, no norm, ...) fails the check
-            passed, detail = False, f"rejected a value: {exc}"
-        return CriterionResult(self.number, self.name, passed, detail)
+            checks, detail = self.func()
+        except ValueError as exc:  # a rejected value (NaN, no norm, ...) fails the criterion
+            return CriterionResult(self.number, self.name, (), f"rejected a value: {exc}")
+        if not checks:
+            detail = "returned no checks"
+        return CriterionResult(self.number, self.name, tuple(checks), detail)
 
 
 def reference_network_matrix(
@@ -91,8 +125,7 @@ def _grid(*axes: np.ndarray) -> list[np.ndarray]:
     return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
-def _criterion_outcome_probabilities() -> tuple[bool, str]:
-    tol = 1e-12
+def _criterion_outcome_probabilities() -> tuple[list[Check], str | None]:
     amps = protocol.premeasurement_amplitudes("detection", *_grid(_GRID_R, _GRID_PHI))
     probs = protocol.outcome_probabilities(amps)
     paired = [ALL_OUTCOMES.index(x) for x in PAIRED_OUTCOMES]
@@ -100,15 +133,13 @@ def _criterion_outcome_probabilities() -> tuple[bool, str]:
     # each point's total added left to right over the outcomes
     total = functools.reduce(operator.add, probs.T)
     worst_total = float(np.max(np.abs(total - 1.0)))
-    ok = worst_paired < tol and worst_total < tol
-    return ok, (
-        f"max |p(s0,s1) - 1/16| = {worst_paired:.2e}, "
-        f"max |sum p - 1| = {worst_total:.2e} (tol {tol:.0e})"
-    )
+    return [
+        Check("max |p(s0,s1) - 1/16|", worst_paired, 1e-12),
+        Check("max |sum p - 1|", worst_total, 1e-12),
+    ], None
 
 
-def _criterion_teleportation_identity() -> tuple[bool, str]:
-    tol = 1e-10
+def _criterion_teleportation_identity() -> tuple[list[Check], str | None]:
     rs, phis = _grid(_GRID_R, _GRID_PHI)
     amps = protocol.premeasurement_amplitudes("detection", rs, phis)
     _, got = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "+"))
@@ -119,105 +150,98 @@ def _criterion_teleportation_identity() -> tuple[bool, str]:
         fid_gaps.append(abs(saw.jozsa_fidelity(qubit.bloch, reference) - 1.0))
         expected = np.array([-reference[0], -reference[1], reference[2]])
         flip_gaps.append(np.max(np.abs(flip.bloch - expected)))
-    worst_fid = float(np.max(fid_gaps))
-    worst_flip = float(np.max(flip_gaps))
-    ok = worst_fid < tol and worst_flip < tol
-    return ok, (
-        f"max |fidelity - 1| = {worst_fid:.2e}, "
-        f"max sign-flip deviation = {worst_flip:.2e} (tol {tol:.0e})"
-    )
+    return [
+        Check("max |fidelity - 1|", float(np.max(fid_gaps)), 1e-10),
+        Check("max sign-flip deviation", float(np.max(flip_gaps)), 1e-10),
+    ], None
 
 
-def _criterion_efficiency() -> tuple[bool, str]:
+def _criterion_efficiency() -> tuple[list[Check], str | None]:
     tol = 1e-12
     with_ff = protocol.efficiency(True)
     without_ff = protocol.efficiency(False)
-    ok = abs(with_ff - 0.25) < tol and abs(without_ff - 0.125) < tol
-    return ok, (
+    return [
+        Check("|efficiency with feed-forward - 1/4|", abs(with_ff - 0.25), tol),
+        Check("|efficiency without feed-forward - 1/8|", abs(without_ff - 0.125), tol),
+    ], (
         f"with feed-forward {with_ff!r}, without {without_ff!r} "
         f"(targets 0.25 / 0.125, tol {tol:.0e})"
     )
 
 
-def _criterion_dual_rail_structure() -> tuple[bool, str]:
-    tol_weight = 1e-12
+def _criterion_dual_rail_structure() -> tuple[list[Check], str | None]:
+    tol_report = 1e-12
     tol_overlap = 1e-10
-    weight_gaps, t_gaps, r_gaps = [], [], []
+    quarter_turn = 1.0 / (2.0 * math.sqrt(2.0))
+    gaps = []
     for r, phi in ((0.5, 0.0), (0.3, 1.2), (0.8, 4.0)):
         params = TeleportParams(r, phi)
-        report = protocol.drq_projection_checks(params)
-        weight_gaps.append(abs(report["dual_rail_weight"] - 0.5))
+        # literal aligned-rail products pick up occupation-ordering signs
+        literal = abs(params.R - params.D) * quarter_turn
+        expected = dict(
+            dual_rail_weight=0.5, crossed_sector_weight=0.25, aligned_sector_weight=0.25,
+            bell_gram_max_dev=0.0, povm_dual_rail_max_dev=0.0,
+            overlap_modulus_identity=quarter_turn, overlap_modulus_sigma_z=quarter_turn,
+            overlap_modulus_sigma_x_literal=literal, overlap_modulus_i_sigma_y_literal=literal,
+            teleporting_overlap=0.5, failing_overlap=math.sqrt(3.0) / 2.0,
+        )
+        measured = protocol.drq_projection_checks(params)
         before = protocol.run_premeasurement(params)
-        t_overlap = abs(protocol.teleporting_branch(params).overlap(before))
-        r_overlap = abs(protocol.failing_branch(params).overlap(before))
-        t_gaps.append(abs(t_overlap - 0.5))
-        r_gaps.append(abs(r_overlap - math.sqrt(3.0) / 2.0))
-    worst_weight = float(np.max(weight_gaps))
-    worst_t = float(np.max(t_gaps))
-    worst_r = float(np.max(r_gaps))
-    ok = worst_weight < tol_weight and worst_t < tol_overlap and worst_r < tol_overlap
-    return ok, (
-        f"|weight - 1/2| = {worst_weight:.2e}, |<T|Psi>| dev = {worst_t:.2e}, "
-        f"|<R|Psi>| dev = {worst_r:.2e} (tols {tol_weight:.0e}/{tol_overlap:.0e})"
+        measured["teleporting_overlap"] = abs(protocol.teleporting_branch(params).overlap(before))
+        measured["failing_overlap"] = abs(protocol.failing_branch(params).overlap(before))
+        gaps.append([abs(measured[key] - want) for key, want in expected.items()])
+    worst = np.max(gaps, axis=0)
+    bounds = [tol_report] * (len(expected) - 2) + [tol_overlap] * 2
+    return [Check(f"{key} dev", float(w), b) for key, w, b in zip(expected, worst, bounds)], (
+        f"|weight - 1/2| = {worst[0]:.2e}, |<T|Psi>| dev = {worst[-2]:.2e}, "
+        f"|<R|Psi>| dev = {worst[-1]:.2e} (tols {tol_report:.0e}/{tol_overlap:.0e})"
     )
 
 
-def _criterion_tomography_equivalence() -> tuple[bool, str]:
-    tol = 1e-10
+def _criterion_tomography_equivalence() -> tuple[list[Check], str | None]:
     rs, phis = _grid(_GRID_R, _GRID_PHI)
     reconstructed = protocol.tomography_bloch_grid(rs, phis)
     amps = protocol.premeasurement_amplitudes("detection", rs, phis)
     _, direct = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "+"))
     direct_bloch = np.array([qubit.bloch for qubit in direct])
     worst = float(np.max(np.abs(reconstructed - direct_bloch)))
-    return worst < tol, f"max componentwise deviation = {worst:.2e} (tol {tol:.0e})"
+    return [Check("max componentwise deviation", worst, 1e-10)], None
 
 
-def _criterion_saw_fidelity_law() -> tuple[bool, str]:
+def _criterion_saw_fidelity_law() -> tuple[list[Check], str | None]:
     n_states = 100_000
     sigma2_values = (0.0, 0.5, 1.0, 2.0, 2.0 * math.log(2.0))
-    failures = []
-    z_scores = []
-    # each check written `not x <= bound`, so that NaN fails it
+    checks, z_scores = [], []
     rows = saw.fidelity_samples(sigma2_values, n_states, seed=20260809)
     for sigma2, samples in zip(sigma2_values, rows):
-        mean = float(samples.mean())
         stderr = float(samples.std(ddof=1) / math.sqrt(n_states))
-        gap = abs(mean - saw.average_fidelity(sigma2))
+        gap = abs(float(samples.mean()) - saw.average_fidelity(sigma2))
         z_scores.append(gap / stderr if stderr else 0.0)
-        if not gap <= 3.0 * stderr + 1e-12:
-            failures.append(f"sigma2={sigma2:.3f} gap {gap:.2e} > 3*{stderr:.2e}")
-    worst_sigma = float(np.max(z_scores))
+        checks.append(Check(f"sigma2={sigma2:.3f} fidelity gap", gap, 3.0 * stderr + 1e-12))
     halving = abs(saw.average_fidelity(2.0 * math.log(2.0)) - 5.0 / 6.0)
-    if not halving <= 1e-12:
-        failures.append(f"analytic value at 2 ln 2 off by {halving:.2e}")
+    checks.append(Check("|analytic fidelity at 2 ln 2 - 5/6|", halving, 1e-12))
 
     params = TeleportParams(0.3, 1.2)
     deph = saw.DephasingParams.from_total(1.0)
     rho00, rho11, rho01 = saw.montecarlo_entries(params, deph, n_states, seed=77)
     analytic = saw.dephased_state_analytic(params, 1.0).rho
-    # Re rho00, Re rho11, Re rho01 and Im rho01: the diagonal is real and
-    # rho10 repeats rho01.  Constant-per-sample entries (the populations)
-    # have zero sampling variance; the floor covers their roundoff only.
-    checks = (
-        (rho00, analytic[0, 0].real),
-        (rho11, analytic[1, 1].real),
-        (rho01.real, analytic[0, 1].real),
-        (rho01.imag, analytic[0, 1].imag),
-    )
-    gaps = [abs(float(x.mean()) - want) for x, want in checks]
-    bounds = [3.0 * (float(x.std(ddof=1)) / math.sqrt(n_states)) + 1e-10 for x, _ in checks]
-    if not all(gap <= bound for gap, bound in zip(gaps, bounds)):
-        failures.append(f"MC density matrix off by {np.max(gaps):.2e}")
+    # The diagonal is real and rho10 repeats rho01.  The populations are constant
+    # per sample, so have zero sampling variance; the floor covers their roundoff.
+    entries = {
+        "Re rho00": (rho00, analytic[0, 0].real),
+        "Re rho11": (rho11, analytic[1, 1].real),
+        "Re rho01": (rho01.real, analytic[0, 1].real),
+        "Im rho01": (rho01.imag, analytic[0, 1].imag),
+    }
+    for name, (x, want) in entries.items():
+        bound = 3.0 * (float(x.std(ddof=1)) / math.sqrt(n_states)) + 1e-10
+        checks.append(Check(f"MC {name} gap", abs(float(x.mean()) - want), bound))
     clicks = saw.montecarlo_click_probabilities(params, deph, n_states, seed=77)  # same run
     click_gap = float(np.max(np.abs(clicks - 1.0 / 16.0)))
-    if not click_gap <= 1e-12:
-        failures.append(f"MC p(++) off 1/16 by {click_gap:.2e}")
-    if failures:
-        return False, "; ".join(failures)
-    return True, (
-        f"sampled averages within {worst_sigma:.2f} standard errors at n = {n_states}; "
-        f"MC density matrix within 3 standard errors"
+    checks.append(Check("MC max |p(++) - 1/16|", click_gap, 1e-12))
+    return checks, (
+        f"sampled averages within {float(np.max(z_scores)):.2f} standard errors at n = "
+        f"{n_states}; MC density matrix within 3 standard errors"
     )
 
 
@@ -225,33 +249,26 @@ _CORRELATOR_R = np.linspace(0.1, 0.9, 5)
 _CORRELATOR_PHI = np.linspace(0.0, 2.0 * math.pi, 5)
 
 
-def _criterion_correlator_table() -> tuple[bool, str]:
-    tol_table = 1e-10
-    tol_sum = 1e-12
+def _criterion_correlator_table() -> tuple[list[Check], str | None]:
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
     table_gaps, sum_gaps = [], []
     for setting in ("X", "Y", "Z"):
-        simulated = leviton.zero_T_correlator_grid(rs, phis, setting)
+        simulated = leviton.zero_T_correlators(rs, phis, setting)
         references = [leviton.reference_correlators(r, phi, setting) for r, phi in zip(rs, phis)]
         reference = leviton.CorrelatorTable(setting, [table.values for table in references])
         table_gaps.append(simulated.max_deviation(reference))
         charge = fock.mass(simulated.values, leviton.CURRENTS)
         sum_gaps.append(np.max(np.abs(charge - 3.0)))
-    worst_table = float(np.max(table_gaps))
-    worst_sum = float(np.max(sum_gaps))
-    ok = worst_table < tol_table and worst_sum < tol_sum
-    return ok, (
-        f"max table deviation = {worst_table:.2e} (tol {tol_table:.0e}), "
-        f"max |sum I - 3| = {worst_sum:.2e} (tol {tol_sum:.0e})"
-    )
+    return [
+        Check("max table deviation", float(np.max(table_gaps)), 1e-10),
+        Check("max |sum I - 3|", float(np.max(sum_gaps)), 1e-12),
+    ], None
 
 
-def _criterion_correlator_reconstruction() -> tuple[bool, str]:
-    tol_k = 1e-12
-    tol_r = 1e-10
+def _criterion_correlator_reconstruction() -> tuple[list[Check], str | None]:
     factors = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.3))
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
-    tables = {s: leviton.zero_T_correlator_grid(rs, phis, s) for s in "XYZ"}
+    tables = {s: leviton.zero_T_correlators(rs, phis, s) for s in "XYZ"}
     bloch, norms = leviton.reconstructed_bloch(tables)
     scaled = {
         s: leviton.finite_T_correlators(table, factors.pair, factors.triple)
@@ -263,74 +280,53 @@ def _criterion_correlator_reconstruction() -> tuple[bool, str]:
     )
     expected = reference * np.array([factors.damping, factors.damping, 1.0])
     worst_k = float(np.max(np.abs(np.array(list(norms.values())) - 1.0 / 16.0)))
-    worst_zero = float(np.max(np.abs(bloch - reference)))
-    worst_finite = float(np.max(np.abs(bloch_t - expected)))
-    ok = worst_k < tol_k and worst_zero < tol_r and worst_finite < tol_r
-    return ok, (
-        f"max |K - 1/16| = {worst_k:.2e} (tol {tol_k:.0e}), zero-T Bloch dev = "
-        f"{worst_zero:.2e}, damped Bloch dev = {worst_finite:.2e} (tol {tol_r:.0e})"
-    )
+    return [
+        Check("max |K - 1/16|", worst_k, 1e-12),
+        Check("zero-T Bloch dev", float(np.max(np.abs(bloch - reference))), 1e-10),
+        Check("damped Bloch dev", float(np.max(np.abs(bloch_t - expected))), 1e-10),
+    ], None
 
 
-def _criterion_thermal_limits() -> tuple[bool, str]:
+def _criterion_thermal_limits() -> tuple[list[Check], str | None]:
     tol_unit = 1e-10
-    failures = []
-    # each check written `not x <= bound`, so that NaN fails it
     cold = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.0))
-    if not (abs(cold.pair - 1.0) <= tol_unit and abs(cold.triple - 1.0) <= tol_unit):
-        failures.append(
-            f"zero-temperature factors ({cold.pair!r}, {cold.triple!r}) != 1"
-        )
     # classical limit, checked for a broad pulse where tau = 10 is deep in
     # the high-temperature regime (narrow pulses approach 2/3 more slowly)
     hot = leviton.leviton_fidelity(leviton.LevitonParams(0.25, 10.0))
-    if not abs(hot - 2.0 / 3.0) <= 1e-2:
-        failures.append(f"fidelity at tau=10 is {hot:.4f}, not within 1e-2 of 2/3")
     gammas = (0.02, 0.05, 0.1)
     taus = np.arange(0.0, 2.0 + 1e-9, 0.05)
-    curve = leviton.fidelity_curve(gammas, taus)
-    fid = {
-        g: np.array([row["fidelity"] for row in curve if row["gamma"] == g])
-        for g in gammas
-    }
-    for g in gammas:
-        if not np.all(np.diff(fid[g]) <= 1e-12):
-            failures.append(f"fidelity not non-increasing in tau at gamma={g}")
-        if not np.all((fid[g] > 2.0 / 3.0) & (fid[g] <= 1.0 + 1e-12)):
-            failures.append(f"fidelity leaves (2/3, 1] at gamma={g}")
-    for narrow, broad in zip(gammas, gammas[1:]):
-        if not np.all(fid[narrow][1:] >= fid[broad][1:] - 1e-12):
-            failures.append(f"ordering violated between gamma={narrow} and {broad}")
-    if failures:
-        return False, "; ".join(failures)
-    return True, (
+    curve = leviton.fidelity_curve(gammas, taus)  # ordered by (gamma, tau)
+    fid = np.array([row["fidelity"] for row in curve]).reshape(len(gammas), len(taus))
+    return [
+        Check("|cold pair factor - 1|", abs(cold.pair - 1.0), tol_unit),
+        Check("|cold triple factor - 1|", abs(cold.triple - 1.0), tol_unit),
+        Check("|fidelity(tau=10, broad pulse) - 2/3|", abs(hot - 2.0 / 3.0), 1e-2),
+        Check("max fidelity rise in tau", float(np.max(np.diff(fid, axis=1))), 1e-12),
+        Check("2/3 - min fidelity", 2.0 / 3.0 - float(np.min(fid)), 0.0),
+        Check("max fidelity - 1", float(np.max(fid)) - 1.0, 1e-12),
+        # rows run from narrow to broad pulses; a broader pulse never gains
+        Check("max broader-pulse fidelity gain", float(np.max(fid[1:, 1:] - fid[:-1, 1:])), 1e-12),
+    ], (
         f"cold factors at 1 within {tol_unit:.0e}; fidelity(tau=10, broad pulse) = "
         f"{hot:.4f}; curve monotone, bounded, and width-ordered on the grid"
     )
 
 
-def _criterion_photoassisted_amplitudes() -> tuple[bool, str]:
-    tol_oracle = 1e-12
-    tol_sum = 1e-10
+def _criterion_photoassisted_amplitudes() -> tuple[list[Check], str | None]:
     n_values = list(range(-5, 21))
     gaps, sum_gaps = [], []
     for gamma in (0.02, 0.05, 0.1):
         oracle = leviton.photoassist_spectrum_oracle(n_values, gamma)
-        closed = np.array(
-            [leviton.photoassist_amplitude(n, gamma) for n in n_values]
-        )
+        closed = np.array([leviton.photoassist_amplitude(n, gamma) for n in n_values])
         gaps.append(np.max(np.abs(oracle - closed)))
         sum_gaps.append(abs(leviton.photoassist_weight_sum(gamma) - 1.0))
-    worst = float(np.max(gaps))
-    worst_sum = float(np.max(sum_gaps))
-    ok = worst < tol_oracle and worst_sum < tol_sum
-    return ok, (
-        f"max |closed - oracle| = {worst:.2e} (tol {tol_oracle:.0e}), "
-        f"max |sum - 1| = {worst_sum:.2e} (tol {tol_sum:.0e})"
-    )
+    return [
+        Check("max |closed - oracle|", float(np.max(gaps)), 1e-12),
+        Check("max |sum - 1|", float(np.max(sum_gaps)), 1e-10),
+    ], None
 
 
-def _criterion_structural() -> tuple[bool, str]:
+def _criterion_structural() -> tuple[list[Check], str | None]:
     tol = 1e-12
     points = _grid(
         np.linspace(0.0, 1.0, 5),
@@ -342,21 +338,21 @@ def _criterion_structural() -> tuple[bool, str]:
     literal = np.array([reference_network_matrix(*point) for point in zip(*points)])
     worst_matrix = float(np.max(np.abs(built - literal)))
     povm_defect = protocol.povm_completeness_defect()
-    roundtrip_ok = True
-    corpus = []
     data_dir = importlib.resources.files("eteleport").joinpath("data")
-    for entry in sorted(data_dir.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".ckt"):
-            corpus.append(entry.name)
-            first = circuit.parse_circuit(entry.read_text())
-            second = circuit.parse_circuit(circuit.format_circuit(first))
-            if first != second:
-                roundtrip_ok = False
-    ok = worst_matrix < tol and povm_defect < tol and roundtrip_ok and corpus
-    return bool(ok), (
+    corpus = sorted(entry.name for entry in data_dir.iterdir() if entry.name.endswith(".ckt"))
+    if not corpus:
+        raise ValueError("no .ckt file to round-trip through the parser")
+    mismatches = 0
+    for name in corpus:
+        first = circuit.parse_circuit(data_dir.joinpath(name).read_text())
+        mismatches += first != circuit.parse_circuit(circuit.format_circuit(first))
+    return [
+        Check("max network deviation", worst_matrix, tol),
+        Check("POVM identity defect", povm_defect, tol),
+        Check("parser round-trip mismatches", mismatches, 1),
+    ], (
         f"max network deviation = {worst_matrix:.2e} (tol {tol:.0e}), POVM identity "
-        f"defect = {povm_defect:.2e}, parser round-trip on {len(corpus)} files "
-        f"{'ok' if roundtrip_ok else 'FAILED'}"
+        f"defect = {povm_defect:.2e}, parser round-trip on {len(corpus)} files ok"
     )
 
 

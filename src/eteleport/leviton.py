@@ -289,19 +289,13 @@ class CorrelatorTable:
         return float(np.max(np.abs(self.values - other.values)))
 
 
-def zero_T_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:
-    """All needed currents and cumulants from the Fock model at T = 0.
+def zero_T_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
+    """All needed currents and cumulants from the Fock model at T = 0, one row
+    per point of a broadcast (R, phi) grid, from one launch and one moment call.
 
     One period injects the three-electron state; the excess-electron
-    correspondence turns occupation mean/central moments directly into
-    I, P, Q values.
+    correspondence turns occupation mean/central moments directly into I, P, Q.
     """
-    return zero_T_correlator_grid(R, phi, setting)
-
-
-def zero_T_correlator_grid(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
-    """`zero_T_correlators` at every point of a broadcast (R, phi) grid, one
-    row per point, from one launch and one moment call."""
     if setting not in protocol.TOMO_SETTINGS:
         raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
     transmission, theta = protocol.TOMO_SETTINGS[setting]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -140,6 +141,14 @@ def _conditional_amplitudes(
     return alpha, beta
 
 
+def _seed(seed: int) -> int:
+    """The seed as an int; numpy integers pass, anything else (None too) is a ValueError."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+
+
 _handoff: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # at most one run
 
 
@@ -149,6 +158,9 @@ def _run_amplitudes(
     """alpha and beta of one seeded run, read-only.  The first of two calls
     with the same arguments draws the run and holds it, the second takes it;
     the key holds the signs of R, phi and the variances, so -0.0 and 0.0 differ."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    seed = _seed(seed)
     signs = tuple(math.copysign(1.0, x) for x in (params.R, params.phi, *deph.variances))
     key = (params, deph, n_samples, seed, signs)
     held = _handoff.pop(key, None)
@@ -192,8 +204,6 @@ def dephased_state_montecarlo(
     Deterministic for a given seed; converges to the analytic state at
     the usual 1/sqrt(n) Monte Carlo rate.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     rho00, rho11, rho01 = (x.mean() for x in montecarlo_entries(params, deph, n_samples, seed))
     rho = np.array([[rho00, rho01], [np.conj(rho01), rho11]])
     return QubitState(rho / (rho00 + rho11))
@@ -242,7 +252,7 @@ def fidelity_samples(
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
     dampings = [_damping(sigma2) for sigma2 in sigma2_values]
-    v = np.random.default_rng(seed).normal(size=(n_states, 3))
+    v = np.random.default_rng(_seed(seed)).normal(size=(n_states, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
     transverse = v[:, 0] ** 2 + v[:, 1] ** 2
     axial = v[:, 2] ** 2

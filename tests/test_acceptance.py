@@ -3,13 +3,18 @@ prints the line `eteleport verify` printed for it before the exact engine
 was batched over parameter grids (tests/data/verify.txt, never regenerated
 to make this test pass).  Its one declared re-record changed the last
 digits of criteria 7, 8 and 10 when moments and the Fourier oracle stopped
-using BLAS products, whose rounding depends on the host's BLAS kernel."""
+using BLAS products, whose rounding depends on the host's BLAS kernel.
 
+Every criterion returns `Check` records, and one rule decides them: a
+check passes when `measured < bound`."""
+
+import math
 from pathlib import Path
 
 import pytest
 
 from eteleport import acceptance
+from eteleport.acceptance import Check, Criterion
 
 DATA = Path(__file__).resolve().parent / "data"
 VERIFY_LINES = (DATA / "verify.txt").read_text().splitlines()
@@ -23,4 +28,53 @@ def test_criterion(criterion):
     print(result.line)
     assert result.passed, result.line
     assert result.line == VERIFY_LINES[criterion.number - 1]
+    names = [check.name for check in result.checks]
+    assert len(set(names)) == len(names) >= 1
+
+
+def _stub(*checks, detail=None):
+    return Criterion(3, "stub", lambda: (list(checks), detail)).run()
+
+
+def test_a_check_passes_only_strictly_below_its_bound():
+    assert Check("inside", 0.5, 1.0).passed
+    assert not Check("at the bound", 1.0, 1.0).passed
+    assert not Check("NaN", math.nan, 1.0).passed
+    assert not _stub(Check("fine", 0.0, 1.0), Check("NaN", math.nan, 1.0)).passed
+
+
+def test_a_criterion_without_checks_fails():
+    result = _stub(detail="all good")
+    assert not result.passed
+    assert result.line == "FAIL  criterion  3  stub: returned no checks"
+
+
+def test_pass_line_closes_each_run_of_equal_bounds():
+    result = _stub(Check("a", 1e-13, 1e-12), Check("b", 2e-13, 1e-12), Check("c", 0.0, 1e-10))
+    assert result.line == (
+        "PASS  criterion  3  stub: a = 1.00e-13, b = 2.00e-13 (tol 1e-12), "
+        "c = 0.00e+00 (tol 1e-10)"
+    )
+    assert _stub(Check("a", 0.0, 1.0), detail="own words").line.endswith("stub: own words")
+
+
+def test_fail_line_names_exactly_the_failing_checks():
+    result = _stub(
+        Check("fine", 0.5, 1.0),
+        Check("over", 2.0, 1.0),
+        Check("NaN", math.nan, 1e-3),
+        detail="never printed on a failure",
+    )
+    assert result.line == (
+        "FAIL  criterion  3  stub: over = 2.00e+00 (tol 1e+00), NaN = nan (tol 1e-03)"
+    )
+
+
+def test_a_rejected_value_fails_its_criterion():
+    def rejects():
+        raise ValueError("sigma2 must be finite")
+
+    result = Criterion(3, "stub", rejects).run()
+    assert not result.passed and result.checks == ()
+    assert result.line == "FAIL  criterion  3  stub: rejected a value: sigma2 must be finite"
 

@@ -207,7 +207,8 @@ def test_circuit_check_missing_file(capsys, tmp_path):
 # --- verify ---
 
 def _stub_criterion(number, name, passed):
-    return acceptance.Criterion(number, name, lambda: (passed, "stubbed"))
+    check = acceptance.Check("stubbed gap", 0.0 if passed else 2.0, 1.0)
+    return acceptance.Criterion(number, name, lambda: ([check], None))
 
 
 def test_verify_reports_each_criterion(capsys, monkeypatch):

@@ -281,9 +281,35 @@ def test_handoff_serves_each_thread_its_own_run():
     assert wrong == []
 
 
-def test_montecarlo_rejects_empty_sample():
+RUN_ENTRY_POINTS = (
+    saw.montecarlo_entries,
+    saw.montecarlo_click_probabilities,
+    dephased_state_montecarlo,
+)
+BAD_RUNS = {  # (n_samples, seed)
+    "n-0": (0, 1),
+    "n-minus-3": (-3, 1),
+    "seed-None": (5, None),
+    "seed-float": (5, 1.5),
+    "seed-list": (5, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("n_samples, seed", BAD_RUNS.values(), ids=BAD_RUNS)
+@pytest.mark.parametrize("entry", RUN_ENTRY_POINTS, ids=lambda entry: entry.__name__)
+def test_montecarlo_rejects_empty_sample(entry, n_samples, seed):
+    # one contract for the three entry points of a run: no empty run, an integer seed
+    saw._handoff.clear()
     with pytest.raises(ValueError):
-        dephased_state_montecarlo(PARAMS, DephasingParams.from_total(1.0), 0, seed=1)
+        entry(PARAMS, DephasingParams.from_total(1.0), n_samples, seed)
+    assert not saw._handoff
+
+
+@pytest.mark.parametrize("entry", RUN_ENTRY_POINTS, ids=lambda entry: entry.__name__)
+def test_montecarlo_takes_numpy_integer_seeds(entry):
+    deph = DephasingParams.from_total(1.0)
+    want = _bytes(_fresh(entry, PARAMS, deph, 20, 9))
+    assert _bytes(_fresh(entry, PARAMS, deph, 20, np.int64(9))) == want
 
 
 # --- fidelities ---
@@ -354,3 +380,11 @@ def test_sampled_rows_share_one_direction_draw():
 def test_sampled_fidelity_rejects_empty_sample():
     with pytest.raises(ValueError):
         fidelity_samples([1.0], 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, [1, 2]], ids=["None", "float", "list"])
+def test_sampled_fidelity_rejects_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        fidelity_samples([1.0], 5, seed)
+    numpy_seeded = next(fidelity_samples([1.0], 5, np.int64(4)))
+    assert np.array_equal(numpy_seeded, next(fidelity_samples([1.0], 5, 4)))
