@@ -46,6 +46,14 @@ _KEYWORD_TO_KIND = {
 }
 _KIND_TO_KEYWORD = {v: k for k, v in _KEYWORD_TO_KIND.items()}
 
+# keyword -> ordered (parameter name in the file, ElementSpec field)
+_ELEMENT_PARAMS = {
+    "sym": (),
+    "prep": (("R", "reflection"), ("phi", "phi")),
+    "tomo": (("Dp", "transmission"), ("theta", "theta")),
+    "phase": (("value", "value"),),
+}
+
 
 def _all_within(v: ArrayLike, lo: float, hi: float) -> bool:
     """Whether a float, or every value of an array, lies in [lo, hi]; NaN
@@ -120,11 +128,15 @@ def _stack2x2(a, b, c, d) -> np.ndarray:
     return block
 
 
+_SYM_BLOCK = np.array([[1j, 1.0], [1.0, 1j]], dtype=complex) / math.sqrt(2.0)
+_SYM_BLOCK.flags.writeable = False
+
+
 def element_matrix(element: ElementSpec) -> np.ndarray:
     """Scattering matrix of one element: 2x2 for splitters, 1x1 for phases,
     stacked over the shape of array parameters."""
     if element.kind == SYM_SPLITTER:
-        return np.array([[1j, 1.0], [1.0, 1j]], dtype=complex) / math.sqrt(2.0)
+        return _SYM_BLOCK
     if element.kind == PREP_SPLITTER:
         r = np.asarray(element.reflection, dtype=float)
         ep = np.exp(-1j * np.asarray(element.phi, dtype=float))
@@ -195,6 +207,11 @@ TELEPORT_WIRES = ("A0", "B0p", "A1", "B1p", "A0p", "A1p")
 # Dephasing arms, i.e. the wires between the source splitters and Alice's.
 ARM_WIRES = ("A0p", "A1p", "A0", "A1", "B0p", "B1p")
 
+# The parameter-free elements, built and checked once: the two symmetric
+# source splitters and Alice's two splitters.
+_SOURCE_SPLITTERS = (sym_splitter("A0", "B0p"), sym_splitter("A1", "B1p"))
+_ALICE_SPLITTERS = (sym_splitter("A0", "A0p"), sym_splitter("A1", "A1p"))
+
 # The detector each wire ends on once the named layer has been applied;
 # wires a layer does not end keep their name.
 _LAYER_OUTPUTS = {
@@ -222,13 +239,9 @@ def teleport_layers(
     if unknown:
         raise ValueError(f"unknown dephasing arms {sorted(unknown)}")
     return {
-        "prep": (
-            sym_splitter("A0", "B0p"),
-            sym_splitter("A1", "B1p"),
-            prep_splitter("A0p", "A1p", reflection, phi),
-        ),
+        "prep": _SOURCE_SPLITTERS + (prep_splitter("A0p", "A1p", reflection, phi),),
         "phase": tuple(phase_shift(a, arm_phases[a]) for a in ARM_WIRES if a in arm_phases),
-        "alice": (sym_splitter("A0", "A0p"), sym_splitter("A1", "A1p")),
+        "alice": _ALICE_SPLITTERS,
         "tomo": (tomo_splitter("B0p", "B1p", transmission, theta),),
     }
 
@@ -242,8 +255,7 @@ def stage_labels(wires: tuple[str, ...], names: tuple[str, ...]) -> tuple[str, .
 def alice_splitters(wires: tuple[str, ...]) -> SingleParticleUnitary:
     """Alice's layer alone, over wires that include her four, as a map from
     the wires to the detectors they end on.  The layer takes no parameter."""
-    alice = teleport_layers(0.5, 0.0, 1.0, 0.0, None)["alice"]
-    composed = compose(CircuitDescription(wires, alice))
+    composed = compose(CircuitDescription(wires, _ALICE_SPLITTERS))
     detectors = ModeRegistry(stage_labels(wires, ("alice",)))
     return SingleParticleUnitary(composed.matrix, detectors, composed.cols)
 
@@ -298,14 +310,6 @@ class CircuitSyntaxError(ValueError):
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_+\-]*$")
 _TOKEN_RE = re.compile(r"\S+")
-
-# keyword -> ordered (parameter name in the file, ElementSpec field)
-_ELEMENT_PARAMS = {
-    "sym": (),
-    "prep": (("R", "reflection"), ("phi", "phi")),
-    "tomo": (("Dp", "transmission"), ("theta", "theta")),
-    "phase": (("value", "value"),),
-}
 
 
 def parse_circuit(text: str) -> CircuitDescription:

@@ -352,13 +352,7 @@ def occupation_moments(
     result is exact (no sampling).  Repeated labels are rejected because
     powers of an occupation obey a different cumulant algebra.
     """
-    for labels in keys:
-        if not 1 <= len(labels) <= 3:
-            raise ValueError(f"an occupation moment takes 1 to 3 mode labels, got {tuple(labels)}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"repeated mode label in {tuple(labels)}")
-    _, configs = combination_table(len(registry), particle_number)
-    occ = occupations(registry, configs, registry.labels).T.astype(float)
+    occ, rows, single = _moment_tables(registry, particle_number, tuple(map(tuple, keys)))
     probs = probabilities(amps)[..., None, :]
     # elementwise products summed by `mass`, never a BLAS product: the
     # digits must not depend on the kernel BLAS picks for the host
@@ -366,7 +360,24 @@ def occupation_moments(
     centered = occ - means[..., None]
     # a last row of ones pads 1- and 2-label keys to three factors
     padded = np.concatenate([centered, np.ones_like(centered[..., :1, :])], axis=-2)
-    rows = np.array([registry.indices(labels) + [-1] * (3 - len(labels)) for labels in keys])
     first, second, third = (padded[..., rows[:, j], :] for j in range(3))
     central = mass(probs * (first * second * third), slice(None))
-    return np.where([len(labels) == 1 for labels in keys], means[..., rows[:, 0]], central)
+    return np.where(single, means[..., rows[:, 0]], central)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_tables(registry: ModeRegistry, particle_number: int, keys: tuple) -> tuple:
+    """The sector's (modes, sector) occupation matrix, each key's mode rows
+    padded with -1 to three, and which keys are means; read-only."""
+    for labels in keys:
+        if not 1 <= len(labels) <= 3:
+            raise ValueError(f"an occupation moment takes 1 to 3 mode labels, got {labels}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"repeated mode label in {labels}")
+    _, configs = combination_table(len(registry), particle_number)
+    occ = occupations(registry, configs, registry.labels).T.astype(float)
+    rows = np.array([registry.indices(labels) + [-1] * (3 - len(labels)) for labels in keys])
+    single = np.array([len(labels) == 1 for labels in keys])
+    for table in (occ, rows, single):
+        table.flags.writeable = False
+    return occ, rows, single

@@ -118,14 +118,20 @@ CORRECTED_OUTCOMES = (
 
 _SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
-# One-point amplitudes kept by `premeasurement_amplitudes`.  Evaluating one
-# parameter point asks for the same network several times in a row: the
-# detection stage for the run and its four conditionals, each tomography
-# setting for the Bloch vector and then its correlator table.  Four entries
-# serve those repeats; being fewer than the five networks of a point, they
-# let a point evaluated again from the start launch again, so a traced
-# rerun of an input still sees its launches.
-_POINT_MEMO_SIZE = 4
+# Tomography settings in the order of Bloch components, their (D', theta)
+# columns, and each setting's (D', theta) -> its row; none holds a -0.0.
+_AXES = ("X", "Y", "Z")
+_SETTINGS = np.array([TOMO_SETTINGS[axis] for axis in _AXES]).T
+_SETTINGS.flags.writeable = False
+_SETTING_ROWS = {(dp, theta): row for row, (dp, theta) in enumerate(_SETTINGS.T.tolist())}
+
+# One-point launches kept by `premeasurement_amplitudes`.  A point asks for
+# the detection stage for its run and four conditionals, then for the three
+# tomography settings (one stacked launch) for the Bloch vector and each
+# correlator table.  Two entries serve those repeats; fewer than a point's
+# three launches, they make a point evaluated again from the start launch
+# again, so a traced rerun of an input still sees its launches.
+_POINT_MEMO_SIZE = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +222,18 @@ def premeasurement_amplitudes(
     broadcast together; the result then carries their shape in front, one
     row per grid point, from one stack of networks and one launch.  A
     one-point call, every parameter a Python scalar, is memoised and
-    returns a shared read-only array.
+    returns a shared read-only array; at a tomography setting it is that
+    setting's row of one launch at all three.
     """
     arms = arm_phases or {}
     arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
     point = (R, phi, transmission, theta, *(v for _, v in arm_items))
     if len(arm_items) == len(arms) and all(isinstance(x, (int, float)) for x in point):
         signs = tuple(math.copysign(1.0, x) for x in point)
-        return _point_amplitudes(stage, R, phi, transmission, theta, arm_items, signs)
+        row = _SETTING_ROWS.get((transmission, theta)) if stage == "tomography" else None
+        if row is None or signs[2:4] != (1.0, 1.0):
+            return _point_amplitudes(stage, R, phi, transmission, theta, arm_items, signs)
+        return _point_amplitudes(stage, R, phi, None, None, arm_items, signs[:2] + signs[4:])[row]
     network = circuit.teleport_network(stage, R, phi, transmission, theta, arm_phases)
     return lift_amplitudes(network, _sources())
 
@@ -238,9 +248,12 @@ def _point_amplitudes(
     arm_items: tuple[tuple[str, float], ...],
     signs: tuple[float, ...],
 ) -> np.ndarray:
-    """One point's amplitudes, read-only.  The key holds the arm items in
-    ARM_WIRES order, so an absent arm and an arm at 0.0 differ, and the
-    parameters' signs, so -0.0 and 0.0 differ."""
+    """One point's amplitudes, read-only; with transmission and theta None,
+    the tomography stage at the three settings, one row each.  The key
+    holds the arm items in ARM_WIRES order, so an absent arm and an arm at
+    0.0 differ, and the parameters' signs, so -0.0 and 0.0 differ."""
+    if transmission is None:
+        transmission, theta = _SETTINGS
     network = circuit.teleport_network(stage, R, phi, transmission, theta, dict(arm_items))
     amps = lift_amplitudes(network, _sources())
     amps.flags.writeable = False
@@ -266,17 +279,21 @@ class POVMElement:
 
     outcome: MeasurementOutcome
 
-    def clicked(self, registry: ModeRegistry, configs: Sequence[int]) -> np.ndarray:
-        """Which configurations show exactly this click pattern."""
-        occ = occupations(registry, configs, DETECTOR_LABELS)
-        return (occ == self.outcome.bits).all(axis=1)
+    @functools.lru_cache(maxsize=None)
+    def clicked(self, registry: ModeRegistry, particle_number: int) -> np.ndarray:
+        """Which configurations of a sector, in combination order, show
+        exactly this click pattern; one shared read-only mask."""
+        _, configs = combination_table(len(registry), particle_number)
+        mask = (occupations(registry, configs, DETECTOR_LABELS) == self.outcome.bits).all(axis=1)
+        mask.flags.writeable = False
+        return mask
 
     def expectation(self, state: FockState) -> float:
-        return state.mass(self.clicked(state.registry, state.configs))
+        return state.mass(self.clicked(state.registry, state.particle_number))
 
     def condition(self, state: FockState) -> tuple[float, FockState]:
         """Outcome probability and the renormalized conditional state."""
-        return state.select(self.clicked(state.registry, state.configs))
+        return state.select(self.clicked(state.registry, state.particle_number))
 
 
 def povm_element(outcome: MeasurementOutcome) -> POVMElement:
@@ -286,8 +303,7 @@ def povm_element(outcome: MeasurementOutcome) -> POVMElement:
 def povm_completeness_defect() -> float:
     """Max deviation of sum_X E(X) from the identity on the detection
     stage's three-particle sector."""
-    _, configs = combination_table(len(DETECTION_MODES), 3)
-    total = sum(povm_element(x).clicked(DETECTION_MODES, configs) for x in ALL_OUTCOMES)
+    total = sum(povm_element(x).clicked(DETECTION_MODES, 3) for x in ALL_OUTCOMES)
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -297,11 +313,9 @@ def outcome_probabilities(
     """Probability of each click pattern for detection-stage amplitudes,
     shape (..., len(outcomes)); each one is summed as
     POVMElement.expectation sums it."""
-    _, configs = combination_table(len(DETECTION_MODES), 3)
     probs = probabilities(amps)
     return np.stack(
-        [mass(probs, povm_element(x).clicked(DETECTION_MODES, configs)) for x in outcomes],
-        axis=-1,
+        [mass(probs, povm_element(x).clicked(DETECTION_MODES, 3)) for x in outcomes], axis=-1
     )
 
 
@@ -313,20 +327,25 @@ def conditional_qubits(
     amplitudes."""
     if not outcome.is_paired:
         raise ValueError(f"outcome {outcome.label} does not leave Bob a qubit")
-    _, configs = combination_table(len(DETECTION_MODES), 3)
-    clicked = povm_element(outcome).clicked(DETECTION_MODES, configs)
+    clicked = povm_element(outcome).clicked(DETECTION_MODES, 3)
     p = mass(probabilities(amps), clicked)
     if np.any(p == 0.0):
         raise ValueError(f"outcome {outcome.label} has probability zero")
     conditional = np.where(clicked, amps, 0.0) * (1.0 / np.sqrt(p))[:, None]
-    clicks = tuple(label for label, j in zip(DETECTOR_LABELS, outcome.bits) if j)
-    # the configurations holding the clicks and Bob's particle on B'0, B'1
-    columns = [
-        np.flatnonzero(occupations(DETECTION_MODES, configs, clicks + (bob,)).all(axis=1))[0]
-        for bob in ("B0p", "B1p")
-    ]
-    c0, c1 = conditional[:, columns].T
+    c0, c1 = conditional[:, _bob_columns(outcome)].T
     return p, [QubitState.from_pure(a, b) for a, b in zip(c0.tolist(), c1.tolist())]
+
+
+@functools.lru_cache(maxsize=None)
+def _bob_columns(outcome: MeasurementOutcome) -> tuple[int, int]:
+    """The detection-stage configurations holding a paired outcome's clicks
+    and Bob's particle on B'0, then on B'1."""
+    _, configs = combination_table(len(DETECTION_MODES), 3)
+    clicks = tuple(label for label, j in zip(DETECTOR_LABELS, outcome.bits) if j)
+    return tuple(
+        int(np.flatnonzero(occupations(DETECTION_MODES, configs, clicks + (bob,)).all(axis=1))[0])
+        for bob in ("B0p", "B1p")
+    )
 
 
 def _conditional(
@@ -380,53 +399,50 @@ def efficiency(with_feedforward: bool, params: TeleportParams | None = None) -> 
     return float(sum(povm_element(x).expectation(state) for x in outcomes))
 
 
-# Tomography settings in the order of Bloch components.
-_AXES = ("X", "Y", "Z")
-
-
 def tomography_bloch(params: TeleportParams) -> np.ndarray:
     """Reconstruct Bob's ++-conditional Bloch vector from occupation averages.
 
     Each component divides <N_A0+ N_A1+ (N_B0 - N_B1)> at the matching
     tomography setting by <N_A0+ N_A1+ (1 - N_A0- - N_A1-)>, both exact
-    expectations on the pre-measurement state.  The three settings are
-    one-point launches, shared with `leviton.zero_T_correlators`.
+    expectations on the pre-measurement state.  The three settings are one
+    memoised launch, shared with `leviton.zero_T_correlators`.
     """
-    amps = np.stack(
-        [
-            premeasurement_amplitudes("tomography", params.R, params.phi, *TOMO_SETTINGS[axis])
-            for axis in _AXES
-        ]
-    )
-    return _tomography_components(amps)
+    point = (params.R, params.phi)
+    if not all(isinstance(x, (int, float)) for x in point):
+        return tomography_bloch_grid(*point)
+    signs = tuple(math.copysign(1.0, x) for x in point)
+    return _tomography_components(_point_amplitudes("tomography", *point, None, None, (), signs))
 
 
 def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """`tomography_bloch` at every point of a broadcast (R, phi) grid,
     shape (..., 3), from one launch over the grid and the three settings."""
-    transmission, theta = np.array([TOMO_SETTINGS[axis] for axis in _AXES]).T
     amps = premeasurement_amplitudes(
-        "tomography", np.asarray(R)[..., None], np.asarray(phi)[..., None], transmission, theta
+        "tomography", np.asarray(R)[..., None], np.asarray(phi)[..., None], *_SETTINGS
     )
     return _tomography_components(amps)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_masks() -> np.ndarray:
+    """Which output configurations hold A0+ and A1+ with B0, with B1, alone,
+    with A0- and with A1-, whose masses make the tomography ratio; read-only."""
+    _, configs = combination_table(len(OUTPUT_MODES), 3)
+    extras = (("B0",), ("B1",), (), ("A0-",), ("A1-",))
+    labels = [("A0+", "A1+") + extra for extra in extras]
+    masks = np.array([occupations(OUTPUT_MODES, configs, x).all(axis=1) for x in labels])
+    masks.flags.writeable = False
+    return masks
 
 
 def _tomography_components(amps: np.ndarray) -> np.ndarray:
     """Bloch components from tomography-stage amplitudes of shape
     (..., 3, sector), one row per setting in X, Y, Z order."""
     probs = probabilities(amps)
-    _, configs = combination_table(len(OUTPUT_MODES), 3)
-
-    def product_mean(labels: tuple[str, ...]) -> np.ndarray:
-        # <N_a N_b ...>: the mass of the configurations occupying every label
-        return mass(probs, occupations(OUTPUT_MODES, configs, labels).all(axis=1))
-
-    numerator = product_mean(("A0+", "A1+", "B0")) - product_mean(("A0+", "A1+", "B1"))
-    denominator = (
-        product_mean(("A0+", "A1+"))
-        - product_mean(("A0+", "A1+", "A0-"))
-        - product_mean(("A0+", "A1+", "A1-"))
-    )
+    # <N_a N_b ...>: the mass of the configurations occupying every label
+    b0, b1, pair, a0m, a1m = (mass(probs, mask) for mask in _product_masks())
+    numerator = b0 - b1
+    denominator = pair - a0m - a1m
     if not np.all(denominator > 0.0):  # NaN fails too
         raise ValueError("tomography denominator vanished")
     return numerator / denominator
@@ -544,11 +560,11 @@ def _povm_in_prepared_basis() -> tuple[dict[str, np.ndarray], np.ndarray, dict[s
     """
     alice = circuit.alice_splitters(("A0p", "A1p", "A0", "A1"))
     detectors, registry = alice.rows, alice.cols
-    configs, lifted = lift_matrix(alice, 2)
+    _, lifted = lift_matrix(alice, 2)
     elements: dict[str, np.ndarray] = {}
     for name in ("1010", "0101", "1001", "0110", "1100", "0011"):
         outcome = MeasurementOutcome([int(b) for b in name])
-        weights = povm_element(outcome).clicked(detectors, configs).astype(float)
+        weights = povm_element(outcome).clicked(detectors, 2).astype(float)
         elements[name] = lifted.conj().T @ np.diag(weights) @ lifted
     bells = bell_states(registry, ("A0p", "A1p"), ("A0", "A1"))
     vectors = {name: state.amps for name, state in bells.items()}

@@ -106,7 +106,7 @@ def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
     built once and shared read-only."""
     alice = circuit.alice_splitters(ARM_WIRES)
     configs, lifted = fock.lift_matrix(alice, 3)
-    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(alice.rows, configs)
+    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(alice.rows, 3)
     rows = lifted[clicked]
     arms = fock.occupations(alice.cols, configs, ARM_WIRES).astype(bool)
     rows.flags.writeable = arms.flags.writeable = False
@@ -141,12 +141,15 @@ def _conditional_amplitudes(
     return alpha, beta
 
 
-def _seed(seed: int) -> int:
-    """The seed as an int; numpy integers pass, anything else (None too) is a ValueError."""
+def _integer(value: int, name: str, least: float = -math.inf) -> int:
+    """The value as an int, at least `least`; anything else (None too) is a ValueError."""
     try:
-        return operator.index(seed)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 _handoff: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # at most one run
@@ -158,9 +161,7 @@ def _run_amplitudes(
     """alpha and beta of one seeded run, read-only.  The first of two calls
     with the same arguments draws the run and holds it, the second takes it;
     the key holds the signs of R, phi and the variances, so -0.0 and 0.0 differ."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    seed = _seed(seed)
+    n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed")
     signs = tuple(math.copysign(1.0, x) for x in (params.R, params.phi, *deph.variances))
     key = (params, deph, n_samples, seed, signs)
     held = _handoff.pop(key, None)
@@ -249,10 +250,9 @@ def fidelity_samples(
     and shared by every row; the damped output shrinks their transverse
     components by exp(-sigma2/2).  Rows are made as they are read.
     """
-    if n_states < 1:
-        raise ValueError(f"n_states must be at least 1, got {n_states}")
+    n_states = _integer(n_states, "n_states", 1)
     dampings = [_damping(sigma2) for sigma2 in sigma2_values]
-    v = np.random.default_rng(_seed(seed)).normal(size=(n_states, 3))
+    v = np.random.default_rng(_integer(seed, "seed")).normal(size=(n_states, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
     transverse = v[:, 0] ** 2 + v[:, 1] ** 2
     axial = v[:, 2] ** 2

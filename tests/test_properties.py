@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from eteleport import circuit, leviton, protocol, saw  # noqa: E402
 from eteleport.acceptance import reference_network_matrix  # noqa: E402
@@ -205,7 +205,27 @@ def test_memo_keeps_no_rejected_point():
 
 
 @settings(max_examples=50, deadline=None)
-@given(unit, angle)
+@given(signed_zero | unit, signed_zero | angle, arm_dict)
+@example(0.3, -0.0, {})
+def test_setting_rows_equal_a_launch_at_one_setting(R, phi, arms):
+    # a one-point tomography call at a setting reads its row of one launch at
+    # all three; the row is a launch at that setting alone, bit for bit (a
+    # theta of -0.0 is no setting and launches alone)
+    arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
+    alone = protocol._point_amplitudes.__wrapped__
+    settings = list(protocol.TOMO_SETTINGS.values())
+    for axis, setting in enumerate(settings + [(dp, -theta) for dp, theta in settings]):
+        row = protocol.premeasurement_amplitudes("tomography", R, phi, *setting, arms)
+        point = (R, phi, *setting, *(v for _, v in arm_items))
+        signs = tuple(math.copysign(1.0, x) for x in point)
+        want = alone("tomography", R, phi, *setting, arm_items, signs).tobytes()
+        assert row.tobytes() == want, axis
+        assert _fresh_launch("tomography", R, phi, *setting, arms).tobytes() == want, axis
+
+
+@settings(max_examples=50, deadline=None)
+@given(signed_zero | unit, signed_zero | angle)
+@example(0.3, -0.0)
 def test_tomography_bloch_equals_its_grid_row(R, phi):
     single = protocol.tomography_bloch(TeleportParams(R, phi))
     assert single.tobytes() == protocol.tomography_bloch_grid(R, phi).tobytes()

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from eteleport import circuit, protocol
+from eteleport import circuit, fock, leviton, protocol
 from eteleport.fock import (
     DETECTION_MODES,
     OUTPUT_MODES,
     FockState,
     SingleParticleUnitary,
+    combination_table,
     lift_amplitudes,
 )
 from eteleport.protocol import (
@@ -88,7 +89,7 @@ def test_povm_weights_are_binary_and_complete():
     total = 0.0
     for outcome in ALL_OUTCOMES:
         element = povm_element(outcome)
-        weights = element.clicked(state.registry, state.configs).astype(float)
+        weights = element.clicked(state.registry, state.particle_number).astype(float)
         assert set(weights.tolist()) <= {0.0, 1.0}
         total += element.expectation(state)
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -109,7 +110,8 @@ def test_povm_expectation_equals_bit_loop_reference():
 def test_povm_annihilates_wrong_click():
     element = povm_element(MeasurementOutcome((1, 0, 1, 0)))
     config = sum(1 << DETECTION_MODES.index(lab) for lab in ("A0+", "A0-", "A1+"))
-    assert not element.clicked(DETECTION_MODES, [config])[0]
+    _, sector = combination_table(len(DETECTION_MODES), 3)
+    assert not element.clicked(DETECTION_MODES, 3)[sector.tolist().index(config)]
 
 
 # --- probabilities and conditioning ---
@@ -299,3 +301,50 @@ def test_drq_projection_report():
     assert protocol._povm_in_prepared_basis()[1] is projector
     for array in (*elements.values(), projector, *bells.values()):
         assert not array.flags.writeable
+
+
+# --- one launch per network of a point, tables built once ---
+
+def _exact_point(R, phi, arms):
+    """One point through every exact route, in the order the exact-sweep
+    benchmark operation takes them."""
+    params = TeleportParams(R, phi)
+    state = run_premeasurement(params)
+    for outcome in ALL_OUTCOMES:
+        povm_element(outcome).expectation(state)
+    for outcome in PAIRED_OUTCOMES:
+        apply_feedforward(bob_conditional(params, outcome), outcome)
+    tomography_bloch(params)
+    leviton.reconstructed_bloch({s: leviton.zero_T_correlators(R, phi, s) for s in "XYZ"})
+    protocol.conditional_with_arm_phases(params, arms)
+
+
+def test_exact_point_launches_three_networks(monkeypatch):
+    # detection, the three tomography settings at once, detection with arm
+    # phases; a point evaluated again from the start launches again
+    compose, calls = circuit.compose, []
+    monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
+    arms = dict(zip(circuit.ARM_WIRES, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)))
+    protocol._point_amplitudes.cache_clear()
+    for launched in (3, 6):
+        _exact_point(0.37, 2.9, arms)
+        assert len(calls) == launched
+
+
+def test_cached_tables_are_read_only():
+    stack = protocol._point_amplitudes("tomography", 0.3, 1.2, None, None, (), (1.0, 1.0))
+    tables = [
+        stack,
+        protocol.premeasurement_amplitudes("tomography", 0.3, 1.2, *protocol.TOMO_SETTINGS["Y"]),
+        povm_element(PP).clicked(DETECTION_MODES, 3),
+        protocol._product_masks(),
+        *fock._moment_tables(OUTPUT_MODES, 3, leviton.KEYS),
+        circuit._SYM_BLOCK,
+        protocol._SETTINGS,
+    ]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+    assert isinstance(protocol._bob_columns(PP), tuple)
+    first, again = (circuit.teleport_layers(0.3, 1.2, 0.5, 0.0, None) for _ in range(2))
+    assert first["alice"] is again["alice"] and first["prep"][0] is again["prep"][0]

@@ -286,9 +286,19 @@ RUN_ENTRY_POINTS = (
     saw.montecarlo_click_probabilities,
     dephased_state_montecarlo,
 )
+
+
+def fidelity_samples_of_run(params, deph, n_states, seed):
+    """`fidelity_samples` called with a run's count and seed."""
+    return fidelity_samples([deph.total], n_states, seed)
+
+
 BAD_RUNS = {  # (n_samples, seed)
     "n-0": (0, 1),
     "n-minus-3": (-3, 1),
+    "n-float": (2.5, 1),
+    "n-str": ("3", 1),
+    "n-None": (None, 1),
     "seed-None": (5, None),
     "seed-float": (5, 1.5),
     "seed-list": (5, [1, 2]),
@@ -296,9 +306,12 @@ BAD_RUNS = {  # (n_samples, seed)
 
 
 @pytest.mark.parametrize("n_samples, seed", BAD_RUNS.values(), ids=BAD_RUNS)
-@pytest.mark.parametrize("entry", RUN_ENTRY_POINTS, ids=lambda entry: entry.__name__)
+@pytest.mark.parametrize(
+    "entry", RUN_ENTRY_POINTS + (fidelity_samples_of_run,), ids=lambda entry: entry.__name__
+)
 def test_montecarlo_rejects_empty_sample(entry, n_samples, seed):
-    # one contract for the three entry points of a run: no empty run, an integer seed
+    # one contract for the three entry points of a run and the sampled
+    # fidelities: an integer count of at least 1, an integer seed
     saw._handoff.clear()
     with pytest.raises(ValueError):
         entry(PARAMS, DephasingParams.from_total(1.0), n_samples, seed)
