@@ -204,12 +204,6 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
     raises instead of silently truncating.  At tau = 0 both brackets
     are exactly 1 and the sums reduce to the unit weight sum.
     """
-    return _summed_factors(params, [])
-
-
-def _summed_factors(params: LevitonParams, weights: list[float]) -> ThermalFactors:
-    """`thermal_factors`, reading the tau-independent weights 4 n exp(-2 g n)
-    sinh(g)^2 from `weights`, and appending any not yet there."""
     g = 2.0 * math.pi * params.gamma
     sinh2 = math.sinh(g) ** 2
     tau, tol, cap = params.tau, params.series_tol, params.term_cap
@@ -219,9 +213,7 @@ def _summed_factors(params: LevitonParams, weights: list[float]) -> ThermalFacto
     n = 0
     while n < cap:
         n += 1
-        if n > len(weights):
-            weights.append(n * 4.0 * math.exp(-2.0 * g * n) * sinh2)
-        weight = weights[n - 1]
+        weight = n * 4.0 * math.exp(-2.0 * g * n) * sinh2
         if tau == 0.0:
             pair_term, triple_term = weight, weight
         else:
@@ -415,9 +407,8 @@ def fidelity_curve(
     """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau)."""
     rows = []
     for gamma in gammas:
-        weights: list[float] = []  # computed once for every tau of this gamma
         for tau in taus:
-            factors = _summed_factors(LevitonParams(gamma, tau, series_tol), weights)
+            factors = thermal_factors(LevitonParams(gamma, tau, series_tol))
             rows.append(
                 {
                     "gamma": float(gamma),

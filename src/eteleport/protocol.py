@@ -404,14 +404,16 @@ def tomography_bloch(params: TeleportParams) -> np.ndarray:
 
     Each component divides <N_A0+ N_A1+ (N_B0 - N_B1)> at the matching
     tomography setting by <N_A0+ N_A1+ (1 - N_A0- - N_A1-)>, both exact
-    expectations on the pre-measurement state.  The three settings are one
-    memoised launch, shared with `leviton.zero_T_correlators`.
+    expectations on the pre-measurement state.  The three settings are the
+    rows of one memoised launch, shared with `leviton.zero_T_correlators`.
     """
-    point = (params.R, params.phi)
-    if not all(isinstance(x, (int, float)) for x in point):
-        return tomography_bloch_grid(*point)
-    signs = tuple(math.copysign(1.0, x) for x in point)
-    return _tomography_components(_point_amplitudes("tomography", *point, None, None, (), signs))
+    amps = np.stack(
+        [
+            premeasurement_amplitudes("tomography", params.R, params.phi, *TOMO_SETTINGS[axis])
+            for axis in _AXES
+        ]
+    )
+    return _tomography_components(amps)
 
 
 def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:

@@ -248,14 +248,3 @@ def test_fidelity_curve_shape():
         if tau > 0:
             # listed gammas ascend, so fidelity must descend
             assert all(b <= a + 1e-12 for a, b in zip(fids, fids[1:]))
-
-
-def test_fidelity_curve_rows_equal_single_calls():
-    # the curve computes each gamma's weights once for all its taus; every
-    # row is still bit for bit what a lone thermal_factors call gives, in
-    # whatever order the taus come (a hotter tau sums fewer terms)
-    for tol in (1e-12, 1e-8):
-        for row in fidelity_curve((0.02, 0.1), (0.0, 1.5, 0.05, 2.0, 0.3), series_tol=tol):
-            factors = thermal_factors(LevitonParams(row["gamma"], row["tau"], tol))
-            assert row["q"] == factors.damping
-            assert row["fidelity"] == leviton.damped_average_fidelity(factors.damping)
