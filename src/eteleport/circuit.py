@@ -33,26 +33,17 @@ from .fock import (
 # A parameter: a float, or an array of them, one per point of a grid.
 ArrayLike = float | np.ndarray
 
-SYM_SPLITTER = "sym_splitter"
-PREP_SPLITTER = "prep_splitter"
-TOMO_SPLITTER = "tomo_splitter"
-PHASE_SHIFT = "phase_shift"
-
-_KEYWORD_TO_KIND = {
-    "sym": SYM_SPLITTER,
-    "prep": PREP_SPLITTER,
-    "tomo": TOMO_SPLITTER,
-    "phase": PHASE_SHIFT,
-}
-_KIND_TO_KEYWORD = {v: k for k, v in _KEYWORD_TO_KIND.items()}
-
-# keyword -> ordered (parameter name in the file, ElementSpec field)
+# Each element's circuit-file keyword -> (number of modes, parameter names
+# in file order); the keyword and these names are an element's only names.
 _ELEMENT_PARAMS = {
-    "sym": (),
-    "prep": (("R", "reflection"), ("phi", "phi")),
-    "tomo": (("Dp", "transmission"), ("theta", "theta")),
-    "phase": (("value", "value"),),
+    "sym": (2, ()),
+    "prep": (2, ("R", "phi")),
+    "tomo": (2, ("Dp", "theta")),
+    "phase": (1, ("value",)),
 }
+# The parameters that are probabilities, one per complementary pair (R with
+# D = 1-R, D' with R' = 1-D'); the others are angles in radians.
+_PROBABILITIES = ("R", "Dp")
 
 
 def _all_within(v: ArrayLike, lo: float, hi: float) -> bool:
@@ -66,56 +57,50 @@ def _all_within(v: ArrayLike, lo: float, hi: float) -> bool:
 
 @dataclass(frozen=True)
 class ElementSpec:
-    """One network element: kind, target mode(s), and its parameters.
+    """One network element: its keyword, target mode(s), and its parameters
+    in the keyword's order (`sym`: none; `prep`: R, phi; `tomo`: Dp,
+    theta; `phase`: value).
 
-    Probabilities are stored one per complementary pair (R with D = 1-R,
-    D' with R' = 1-D'), angles in radians.  A parameter may be an array
-    of values, one per grid point, for a stack of networks; only specs
-    with float parameters compare equal and format as text.
+    A parameter may be an array of values, one per grid point, for a stack
+    of networks; only specs with float parameters compare equal and format
+    as text.
     """
 
     kind: str
     modes: tuple[str, ...]
-    reflection: ArrayLike | None = None  # R, prep splitter
-    phi: ArrayLike | None = None  # prep splitter phase
-    transmission: ArrayLike | None = None  # D', tomography splitter
-    theta: ArrayLike | None = None  # tomography splitter phase
-    value: ArrayLike | None = None  # phase shift angle
+    params: tuple[ArrayLike, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        expected = 1 if self.kind == PHASE_SHIFT else 2
-        if self.kind not in _KIND_TO_KEYWORD:
+        object.__setattr__(self, "params", tuple(self.params))
+        if self.kind not in _ELEMENT_PARAMS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        if len(self.modes) != expected or len(set(self.modes)) != expected:
-            raise ValueError(f"{self.kind} requires {expected} distinct mode(s)")
-        needed = tuple(field for _, field in _ELEMENT_PARAMS[_KIND_TO_KEYWORD[self.kind]])
-        for name in ("reflection", "phi", "transmission", "theta", "value"):
-            v = getattr(self, name)
-            if (v is not None) != (name in needed):
-                raise ValueError(f"{self.kind} takes parameters {needed}, got {name}")
-            if v is None:
-                continue
+        n_modes, names = _ELEMENT_PARAMS[self.kind]
+        if len(self.modes) != n_modes or len(set(self.modes)) != n_modes:
+            raise ValueError(f"{self.kind} requires {n_modes} distinct mode(s)")
+        if len(self.params) != len(names):
+            raise ValueError(f"{self.kind} takes parameters {names}, got {len(self.params)}")
+        for name, v in zip(names, self.params):
             if not _all_within(v, -sys.float_info.max, sys.float_info.max):
                 raise ValueError(f"{name} must be finite, got {v}")
-            if name in ("reflection", "transmission") and not _all_within(v, 0.0, 1.0):
+            if name in _PROBABILITIES and not _all_within(v, 0.0, 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
 def sym_splitter(a: str, b: str) -> ElementSpec:
-    return ElementSpec(SYM_SPLITTER, (a, b))
+    return ElementSpec("sym", (a, b))
 
 
 def prep_splitter(a: str, b: str, reflection: ArrayLike, phi: ArrayLike) -> ElementSpec:
-    return ElementSpec(PREP_SPLITTER, (a, b), reflection=reflection, phi=phi)
+    return ElementSpec("prep", (a, b), (reflection, phi))
 
 
 def tomo_splitter(a: str, b: str, transmission: ArrayLike, theta: ArrayLike) -> ElementSpec:
-    return ElementSpec(TOMO_SPLITTER, (a, b), transmission=transmission, theta=theta)
+    return ElementSpec("tomo", (a, b), (transmission, theta))
 
 
 def phase_shift(a: str, value: ArrayLike) -> ElementSpec:
-    return ElementSpec(PHASE_SHIFT, (a,), value=value)
+    return ElementSpec("phase", (a,), (value,))
 
 
 def _stack2x2(a, b, c, d) -> np.ndarray:
@@ -135,19 +120,21 @@ _SYM_BLOCK.flags.writeable = False
 def element_matrix(element: ElementSpec) -> np.ndarray:
     """Scattering matrix of one element: 2x2 for splitters, 1x1 for phases,
     stacked over the shape of array parameters."""
-    if element.kind == SYM_SPLITTER:
+    if element.kind == "sym":
         return _SYM_BLOCK
-    if element.kind == PREP_SPLITTER:
-        r = np.asarray(element.reflection, dtype=float)
-        ep = np.exp(-1j * np.asarray(element.phi, dtype=float))
+    values = [np.asarray(v, dtype=float) for v in element.params]
+    if element.kind == "prep":
+        r, phi = values
+        ep = np.exp(-1j * phi)
         isr, sd = 1j * np.sqrt(r), np.sqrt(1.0 - r)
         return _stack2x2(isr * ep, sd * ep, sd, isr)
-    if element.kind == TOMO_SPLITTER:
-        dp = np.asarray(element.transmission, dtype=float)
-        et = np.exp(-1j * np.asarray(element.theta, dtype=float))
+    if element.kind == "tomo":
+        dp, theta = values
+        et = np.exp(-1j * theta)
         sd, isr = np.sqrt(dp), -1j * np.sqrt(1.0 - dp)
         return _stack2x2(sd * et, isr, isr * et, sd)
-    return np.exp(-1j * np.asarray(element.value, dtype=float))[..., None, None]
+    (value,) = values
+    return np.exp(-1j * value)[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -346,12 +333,10 @@ def parse_circuit(text: str) -> CircuitDescription:
             raise CircuitSyntaxError(
                 "element before the modes declaration", lineno, col
             )
-        n_modes = 1 if keyword == "phase" else 2
-        params = _ELEMENT_PARAMS[keyword]
-        if len(args) != n_modes + len(params):
+        n_modes, names = _ELEMENT_PARAMS[keyword]
+        if len(args) != n_modes + len(names):
             raise CircuitSyntaxError(
-                f"{keyword} takes {n_modes} mode(s) and "
-                f"{len(params)} parameter(s)",
+                f"{keyword} takes {n_modes} mode(s) and {len(names)} parameter(s)",
                 lineno,
                 col,
             )
@@ -360,24 +345,21 @@ def parse_circuit(text: str) -> CircuitDescription:
             if label not in modes:
                 raise CircuitSyntaxError(f"undeclared mode {label!r}", lineno, lcol)
             element_modes.append(label)
-        fields: dict[str, float] = {}
-        for (pname, fname), (token, tcol) in zip(params, args[n_modes:]):
-            prefix = pname + "="
+        params = []
+        for name, (token, tcol) in zip(names, args[n_modes:]):
+            prefix = name + "="
             if not token.startswith(prefix):
                 raise CircuitSyntaxError(
                     f"expected {prefix}<number>, got {token!r}", lineno, tcol
                 )
             try:
-                value = float(token[len(prefix):])
+                params.append(float(token[len(prefix):]))
             except ValueError:
                 raise CircuitSyntaxError(
                     f"invalid number in {token!r}", lineno, tcol + len(prefix)
                 ) from None
-            fields[fname] = value
         try:
-            elements.append(
-                ElementSpec(_KEYWORD_TO_KIND[keyword], tuple(element_modes), **fields)
-            )
+            elements.append(ElementSpec(keyword, tuple(element_modes), tuple(params)))
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), lineno, col) from None
     if modes is None:
@@ -389,9 +371,7 @@ def format_circuit(description: CircuitDescription) -> str:
     """Serialize a description; parse(format(d)) == d."""
     lines = ["modes " + " ".join(description.modes)]
     for e in description.elements:
-        keyword = _KIND_TO_KEYWORD[e.kind]
-        parts = [keyword, *e.modes]
-        for pname, fname in _ELEMENT_PARAMS[keyword]:
-            parts.append(f"{pname}={getattr(e, fname)!r}")
+        _, names = _ELEMENT_PARAMS[e.kind]
+        parts = [e.kind, *e.modes, *(f"{n}={v!r}" for n, v in zip(names, e.params))]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

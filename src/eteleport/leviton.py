@@ -281,10 +281,6 @@ class CorrelatorTable:
     def triple(self, a: str, b: str, c: str) -> np.ndarray:
         return self._column((a, b, c))
 
-    def scaled(self, pair_factor: float, triple_factor: float) -> "CorrelatorTable":
-        factors = np.array([(1.0, pair_factor, triple_factor)[len(key) - 1] for key in KEYS])
-        return CorrelatorTable(self.setting, self.values * factors)
-
     def max_deviation(self, other: "CorrelatorTable") -> float:
         return float(np.max(np.abs(self.values - other.values)))
 
@@ -347,7 +343,8 @@ def finite_T_correlators(
     for name, value in (("pair", pair_factor), ("triple", triple_factor)):
         if not 0.0 < value <= 1.0:
             raise ValueError(f"{name} factor must lie in (0, 1], got {value}")
-    return table.scaled(pair_factor, triple_factor)
+    factors = np.array([(1.0, pair_factor, triple_factor)[len(key) - 1] for key in KEYS])
+    return CorrelatorTable(table.setting, table.values * factors)
 
 
 def bloch_from_correlators(table: CorrelatorTable) -> tuple[np.ndarray, np.ndarray]:

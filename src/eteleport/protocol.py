@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -291,10 +291,6 @@ class POVMElement:
     def expectation(self, state: FockState) -> float:
         return state.mass(self.clicked(state.registry, state.particle_number))
 
-    def condition(self, state: FockState) -> tuple[float, FockState]:
-        """Outcome probability and the renormalized conditional state."""
-        return state.select(self.clicked(state.registry, state.particle_number))
-
 
 def povm_element(outcome: MeasurementOutcome) -> POVMElement:
     return POVMElement(outcome)
@@ -307,15 +303,13 @@ def povm_completeness_defect() -> float:
     return float(np.max(np.abs(total - 1.0)))
 
 
-def outcome_probabilities(
-    amps: np.ndarray, outcomes: Sequence[MeasurementOutcome] = ALL_OUTCOMES
-) -> np.ndarray:
-    """Probability of each click pattern for detection-stage amplitudes,
-    shape (..., len(outcomes)); each one is summed as
+def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
+    """Probability of each click pattern of ALL_OUTCOMES for detection-stage
+    amplitudes, shape (..., 16); each one is summed as
     POVMElement.expectation sums it."""
     probs = probabilities(amps)
     return np.stack(
-        [mass(probs, povm_element(x).clicked(DETECTION_MODES, 3)) for x in outcomes], axis=-1
+        [mass(probs, povm_element(x).clicked(DETECTION_MODES, 3)) for x in ALL_OUTCOMES], axis=-1
     )
 
 
@@ -357,7 +351,7 @@ def _conditional(
         p, (qubit,) = conditional_qubits(amps[None], outcome)
         return float(p[0]), qubit
     state = FockState(DETECTION_MODES, 3, amps)
-    p, conditional = povm_element(outcome).condition(state)
+    p, conditional = state.select(povm_element(outcome).clicked(DETECTION_MODES, 3))
     if p == 0.0:
         raise ValueError(f"outcome {outcome.label} has probability zero")
     return p, NonQubitReport(outcome, p, conditional.occupation_distribution(("B0p", "B1p")))

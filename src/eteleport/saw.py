@@ -46,10 +46,6 @@ class DephasingParams:
         """Split a total variance evenly over the six arms."""
         return cls((sigma2 / 6.0,) * 6)
 
-    @property
-    def total(self) -> float:
-        return sum(self.variances)
-
 
 def combined_phase(arm_phases: dict[str, float]) -> float:
     """The single phase combination Bob's conditional state depends on."""
@@ -222,12 +218,6 @@ def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
         raise ValueError("Bloch vectors must lie in the unit ball")
     purity_term = math.sqrt(max(0.0, (1.0 - n1) * (1.0 - n2)))
     return 0.5 * (1.0 + fock.mass(r * r_prime, slice(None)) + purity_term)
-
-
-def state_fidelity(params: TeleportParams, sigma2: float) -> float:
-    """Closed-form fidelity between the prepared state and its damped copy."""
-    r, d = params.R, params.D
-    return 0.5 * (1.0 + 4.0 * _damping(sigma2) * r * d + (r - d) ** 2)
 
 
 def damped_average_fidelity(q: float) -> float:

@@ -152,8 +152,9 @@ def test_smallest_program():
 def test_prep_field_mapping():
     desc = parse_circuit("modes a b\nprep a b R=0.5 phi=1.5708\n")
     (e,) = desc.elements
-    assert e.reflection == 0.5
-    assert e.phi == pytest.approx(math.pi / 2, abs=1e-4)
+    R, phi = e.params
+    assert e.kind == "prep" and R == 0.5
+    assert phi == pytest.approx(math.pi / 2, abs=1e-4)
 
 
 def test_comments_and_blank_lines():

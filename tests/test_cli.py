@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,16 @@ def test_circuit_check_reports_unitarity(capsys, tmp_path):
     assert code == 0
     assert "2 modes, 2 elements" in out
     assert "unitarity defect" in out
+
+
+SHIPPED_CIRCUITS = sorted((Path(cli.__file__).parent / "data").glob("*.ckt"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CIRCUITS, ids=lambda path: path.name)
+def test_circuit_check_passes_every_shipped_circuit(capsys, path):
+    code, out, _ = run_cli(capsys, "circuit-check", str(path))
+    assert code == 0
+    assert float(out.rsplit("unitarity defect", 1)[1]) < 1e-12
 
 
 def test_circuit_check_reports_syntax_position(capsys, tmp_path):

@@ -9,15 +9,17 @@ slipping through a `max(worst, x)` or an `x > bound` comparison.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import test_circuit
 import test_fock
 import test_properties
 import test_protocol
 import test_saw
-from eteleport import acceptance, fock, leviton, protocol, saw
+from eteleport import acceptance, circuit, fock, leviton, protocol, saw
 from eteleport.fock import DETECTION_MODES, FockState
 from eteleport.protocol import MeasurementOutcome
 
@@ -65,6 +67,20 @@ def _pp_reads_a0_minus(monkeypatch):
         return clicked(protocol.POVMElement(mp) if self.outcome == pp else self, registry, configs)
 
     monkeypatch.setattr(protocol.POVMElement, "clicked", misread)
+
+
+def _prep_parameters_swapped(monkeypatch):
+    # element_matrix reads prep's (R, phi) as (phi, R); an R past 1 gives
+    # NaN entries, whose numpy warning the suite would turn into an error
+    matrix = circuit.element_matrix
+
+    def swapped(element):
+        if element.kind != "prep":
+            return matrix(element)
+        with np.errstate(invalid="ignore"):
+            return matrix(SimpleNamespace(kind="prep", params=element.params[::-1]))
+
+    monkeypatch.setattr(circuit, "element_matrix", swapped)
 
 
 def _memo_key_drops_phi(monkeypatch):
@@ -124,6 +140,12 @@ MUTANTS = [
         test_protocol.test_feedforward_restores_input,
         id="feedforward-never-applied",
     ),
+    pytest.param(
+        _replace(circuit, "_PROBABILITIES", ()),
+        test_circuit.test_element_parameter_validation,
+        id="element-table-without-unit-bound",
+    ),
+    pytest.param(_prep_parameters_swapped, _criterion(11), id="prep-parameters-swapped-crit11"),
     pytest.param(_pp_reads_a0_minus, _criterion(2), id="pp-reads-a0-minus-crit02"),
     pytest.param(_pp_reads_a0_minus, _criterion(5), id="pp-reads-a0-minus-crit05"),
     pytest.param(
@@ -208,5 +230,6 @@ def empty_handoff():
 @pytest.mark.parametrize("defect, target", MUTANTS)
 def test_defect_fails_its_target(monkeypatch, defect, target):
     defect(monkeypatch)
-    with pytest.raises(AssertionError):
+    # a target fails on an assert, or on a pytest.raises that saw no error
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
         target()

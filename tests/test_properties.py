@@ -198,7 +198,7 @@ def test_memo_keeps_no_rejected_point():
             protocol.premeasurement_amplitudes(
                 "detection", 0.3, 1.2, arm_phases={"A0": 0.1, "Z": 0.2}
             )
-        with pytest.raises(ValueError, match="reflection"):
+        with pytest.raises(ValueError, match=r"R must lie in \[0, 1\]"):
             protocol.premeasurement_amplitudes("detection", 1.5, 1.2)
         with pytest.raises(ValueError, match="stage"):
             protocol.premeasurement_amplitudes("later", 0.3, 1.2)

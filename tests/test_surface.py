@@ -1,8 +1,9 @@
 """Every name the package exports has a caller: the package's own modules,
-the benchmark or the README use it.  Every module-level private name (a
-`_x` function, class or constant) has a caller in the package or the
-benchmark.  A name only its own tests call is surface to delete, not to
-keep."""
+the benchmark or the README use it.  Every module-level name of the
+package (a function, class or constant, private or public) and every
+public method or property of its classes has a caller in the package or
+the benchmark, outside its own definition.  A name only its own tests call
+is surface to delete, not to keep."""
 
 import ast
 import re
@@ -45,9 +46,9 @@ def test_exported_name_has_a_caller(name):
     assert used, f"{name} is exported but nothing in the package, perfbench or README uses it"
 
 
-def _private_definitions() -> list:
-    """(module, name, first line, last line) of each module-level private
-    function, class and constant of the package, as test parameters."""
+def _definitions() -> list[tuple[Path, str, int, int, ast.AST]]:
+    """(module, name, first line, last line, node) of each module-level
+    function, class and constant of the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -58,10 +59,35 @@ def _private_definitions() -> list:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    span = (node.lineno, node.end_lineno)
-                    found.append(pytest.param(path, name, *span, id=f"{path.stem}.{name}"))
+            found += [(path, name, node.lineno, node.end_lineno, node) for name in names]
+    return found
+
+
+def _private_definitions() -> list:
+    """Each module-level private name (`_x`, not a dunder), as test parameters."""
+    return [
+        pytest.param(path, name, first, last, id=f"{path.stem}.{name}")
+        for path, name, first, last, _ in _definitions()
+        if name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def _public_definitions() -> list:
+    """Each public module-level name, called by its word, and each public
+    method or property of a package class (no dunders, no dataclass
+    fields), called as `.name`, as test parameters."""
+    found = []
+    for path, name, first, last, node in _definitions():
+        if name.startswith("_"):
+            continue
+        pattern = rf"(?<!\w){re.escape(name)}(?!\w)"
+        found.append(pytest.param(path, pattern, first, last, id=f"{path.stem}.{name}"))
+        for method in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                pattern = rf"\.{re.escape(method.name)}(?!\w)"
+                span = (method.lineno, method.end_lineno)
+                label = f"{path.stem}.{name}.{method.name}"
+                found.append(pytest.param(path, pattern, *span, id=label))
     return found
 
 
@@ -71,13 +97,27 @@ SOURCES = {
 }
 
 
-@pytest.mark.parametrize("path, name, first, last", _private_definitions())
-def test_private_name_has_a_caller(path, name, first, last):
-    word = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
-    used = any(
+def _called(pattern: str, path: Path, first: int, last: int) -> bool:
+    """Whether the pattern occurs in the package or perfbench outside lines
+    first..last of path; a re-export in `__init__.py` is no call."""
+    word = re.compile(pattern)
+    return any(
         word.search(line)
         for source, lines in SOURCES.items()
+        if source.name != "__init__.py"
         for number, line in enumerate(lines, start=1)
         if not (source == path and first <= number <= last)
     )
+
+
+@pytest.mark.parametrize("path, name, first, last", _private_definitions())
+def test_private_name_has_a_caller(path, name, first, last):
+    used = _called(rf"(?<!\w){re.escape(name)}(?!\w)", path, first, last)
     assert used, f"{path.name}: {name} is private and nothing in the package or perfbench uses it"
+
+
+@pytest.mark.parametrize("path, pattern, first, last", _public_definitions())
+def test_public_name_has_a_caller(path, pattern, first, last):
+    assert _called(pattern, path, first, last), (
+        f"{path.name}: nothing in the package or perfbench uses {pattern}"
+    )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eteleport import cli, leviton, saw
-from eteleport.circuit import ElementSpec, PHASE_SHIFT, PREP_SPLITTER
+from eteleport.circuit import ElementSpec
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
 from eteleport.protocol import QubitState, TeleportParams
@@ -29,14 +29,14 @@ NON_FINITE = {
     "series_tol=nan": lambda: LevitonParams(0.05, 0.1, series_tol=NAN),
     "variance=nan": lambda: DephasingParams((NAN, 0.0, 0.0, 0.0, 0.0, 0.0)),
     "variance=inf": lambda: DephasingParams((0.0, 0.0, 0.0, 0.0, 0.0, INF)),
-    "prep phi=nan": lambda: ElementSpec(PREP_SPLITTER, ("a", "b"), reflection=0.3, phi=NAN),
-    "phase value=inf": lambda: ElementSpec(PHASE_SHIFT, ("a",), value=INF),
+    "prep phi=nan": lambda: ElementSpec("prep", ("a", "b"), (0.3, NAN)),
+    "phase value=inf": lambda: ElementSpec("phase", ("a",), (INF,)),
     "unitary nan": lambda: SingleParticleUnitary(np.array([[NAN]]), ONE_MODE, ONE_MODE),
     "unitary stack nan": lambda: SingleParticleUnitary(
         np.array([[[1.0]], [[NAN]]]), ONE_MODE, ONE_MODE
     ),
     "prep reflection grid nan": lambda: ElementSpec(
-        PREP_SPLITTER, ("a", "b"), reflection=np.array([0.3, NAN]), phi=0.0
+        "prep", ("a", "b"), (np.array([0.3, NAN]), 0.0)
     ),
     "qubit rho nan": lambda: QubitState(np.full((2, 2), NAN)),
     "qubit rho one nan": lambda: QubitState(np.array([[1.0, NAN], [NAN, 0.0]])),
@@ -56,7 +56,6 @@ def test_constructor_rejects_non_finite(build):
 SIGMA2_FUNCTIONS = {
     "average_fidelity": saw.average_fidelity,
     "dephased_state_analytic": lambda s: saw.dephased_state_analytic(TeleportParams(0.3, 1.2), s),
-    "state_fidelity": lambda s: saw.state_fidelity(TeleportParams(0.3, 1.2), s),
     "fidelity_samples": lambda s: saw.fidelity_samples([0.5, s], 10, seed=0),
 }
 
@@ -113,7 +112,17 @@ def test_cli_rejects_bad_input_with_one_line(argv, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("line", ["prep a b R=0.3 phi=nan", "phase a value=inf"])
+# A rejected element line -> the words of its error, the file's own names.
+BAD_ELEMENTS = {
+    "prep a b R=0.3 phi=nan": "phi must be finite",
+    "phase a value=inf": "value must be finite",
+    "prep a b R=1.5 phi=0": "R must lie in [0, 1]",
+    "tomo a b Dp=2 theta=0": "Dp must lie in [0, 1]",
+    "sym a a": "sym requires 2 distinct mode(s)",
+}
+
+
+@pytest.mark.parametrize("line", BAD_ELEMENTS)
 def test_circuit_check_rejects_non_finite_parameters(line, tmp_path, capsys):
     path = tmp_path / "bad.ckt"
     path.write_text(f"modes a b\n{line}\n")
@@ -121,3 +130,4 @@ def test_circuit_check_rejects_non_finite_parameters(line, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "line 2" in captured.err
+    assert BAD_ELEMENTS[line] in captured.err
