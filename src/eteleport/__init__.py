@@ -51,7 +51,6 @@ from .protocol import (
     PAIRED_OUTCOMES,
     TOMO_SETTINGS,
     MeasurementOutcome,
-    NonQubitReport,
     QubitState,
     TeleportParams,
     apply_feedforward,

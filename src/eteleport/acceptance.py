@@ -147,9 +147,9 @@ def _criterion_teleportation_identity() -> tuple[list[Check], str | None]:
     fid_gaps, flip_gaps = [], []
     for r, phi, qubit, flip in zip(rs, phis, got, flipped):
         reference = protocol.input_bloch(TeleportParams(r, phi))
-        fid_gaps.append(abs(saw.jozsa_fidelity(qubit.bloch, reference) - 1.0))
+        fid_gaps.append(abs(saw.jozsa_fidelity(qubit, reference) - 1.0))
         expected = np.array([-reference[0], -reference[1], reference[2]])
-        flip_gaps.append(np.max(np.abs(flip.bloch - expected)))
+        flip_gaps.append(np.max(np.abs(flip - expected)))
     return [
         Check("max |fidelity - 1|", float(np.max(fid_gaps)), 1e-10),
         Check("max sign-flip deviation", float(np.max(flip_gaps)), 1e-10),
@@ -203,8 +203,7 @@ def _criterion_tomography_equivalence() -> tuple[list[Check], str | None]:
     reconstructed = protocol.tomography_bloch_grid(rs, phis)
     amps = protocol.premeasurement_amplitudes("detection", rs, phis)
     _, direct = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "+"))
-    direct_bloch = np.array([qubit.bloch for qubit in direct])
-    worst = float(np.max(np.abs(reconstructed - direct_bloch)))
+    worst = float(np.max(np.abs(reconstructed - direct)))
     return [Check("max componentwise deviation", worst, 1e-10)], None
 
 

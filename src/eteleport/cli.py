@@ -248,8 +248,12 @@ def cmd_circuit_check(args) -> int:
     except ValueError as exc:  # syntax errors carry their line and column
         print(f"{args.path}: {exc}", file=sys.stderr)
         return 2
-    m = network.matrix
-    defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    re, im = network.matrix.real, network.matrix.imag
+    # U^H U as outer products of rows added in row order, real and imaginary
+    # parts apart: a BLAS product would round the printed defect by the kernel
+    gram = sum(map(np.outer, re, re)) + sum(map(np.outer, im, im))
+    gram = gram + 1j * (sum(map(np.outer, re, im)) - sum(map(np.outer, im, re)))
+    defect = float(np.max(np.abs(gram - np.eye(len(re)))))
     print(
         f"{args.path}: {len(description.modes)} modes, "
         f"{len(description.elements)} elements, unitarity defect {defect:.3e}"

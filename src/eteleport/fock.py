@@ -205,14 +205,6 @@ class FockState:
         """Probability of the configurations flagged in `keep`."""
         return mass(self.probabilities, keep)
 
-    def select(self, keep: np.ndarray) -> tuple[float, "FockState"]:
-        """Probability of the flagged configurations and the renormalized
-        state restricted to them; probability zero yields the zero state."""
-        p = self.mass(keep)
-        scale = 1.0 / math.sqrt(p) if p else 0.0
-        kept = np.where(keep, self.amps * scale, 0)
-        return p, FockState(self.registry, self.particle_number, kept)
-
     def norm(self) -> float:
         return math.sqrt(self.mass(slice(None)))
 
@@ -224,18 +216,6 @@ class FockState:
         # the rounding, that printed overlaps were computed in
         pairs = zip(self.amps.tolist(), other.amps.tolist())
         return functools.reduce(operator.add, (a.conjugate() * b for a, b in pairs), 0j)
-
-    def occupation_distribution(
-        self, labels: Sequence[str]
-    ) -> dict[tuple[int, ...], float]:
-        """Joint probability of occupations on the given modes, over the
-        configurations of nonzero amplitude."""
-        support = np.flatnonzero(self.amps)
-        occ = occupations(self.registry, self.configs[support], labels).tolist()
-        dist: dict[tuple[int, ...], float] = {}
-        for key, p in zip(map(tuple, occ), self.probabilities[support].tolist()):
-            dist[key] = dist.get(key, 0.0) + p
-        return dist
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -74,9 +75,13 @@ class MeasurementOutcome:
     bits: tuple[int, int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if len(self.bits) != 4 or any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"outcome bits must be four 0/1 values, got {self.bits}")
+        try:  # an integer, not a float or a string that converts to one
+            bits = tuple(operator.index(b) for b in self.bits)
+        except TypeError:
+            bits = None
+        if bits is None or len(bits) != 4 or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"outcome bits must be four 0/1 values, got {self.bits!r}")
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_signs(cls, s0: str, s1: str) -> "MeasurementOutcome":
@@ -116,7 +121,7 @@ CORRECTED_OUTCOMES = (
     MeasurementOutcome.from_signs("-", "+"),
 )
 
-_SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+_SIGMA_Z = np.array([1.0, -1.0])  # the diagonal of sigma_z
 
 # Tomography settings in the order of Bloch components, their (D', theta)
 # columns, and each setting's (D', theta) -> its row; none holds a -0.0.
@@ -159,36 +164,34 @@ class QubitState:
 
     @classmethod
     def from_pure(cls, c0: complex, c1: complex) -> "QubitState":
-        v = np.array([c0, c1], dtype=complex)
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"qubit amplitudes ({c0}, {c1}) have no finite nonzero norm")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
+        # one-element arrays, not scalars: numpy's scalar complex arithmetic
+        # rounds differently from the array loops `conditional_qubits` runs
+        rho = _pure_states(np.array([c0], dtype=complex), np.array([c1], dtype=complex))
+        return cls(rho[..., 0])
 
     @property
     def bloch(self) -> np.ndarray:
-        r = self.rho
-        return np.array(
-            [
-                2.0 * r[0, 1].real,
-                -2.0 * r[0, 1].imag,
-                (r[0, 0] - r[1, 1]).real,
-            ]
-        )
+        return _bloch(self.rho)
 
 
-@dataclass(frozen=True)
-class NonQubitReport:
-    """Conditioning result when Bob is not left with a dual-rail qubit.
+def _pure_states(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """|c><c| / <c|c> for each pair (c0[i], c1[i]) of amplitudes, shape (2, 2, k).
 
-    `occupations` maps Bob's joint (n_B'0, n_B'1) occupation to its
-    conditional probability.
+    The squared norm adds the squares in one fixed order, elementwise; a
+    BLAS `dot` would round it by the host's kernel.
     """
+    re0, im0, re1, im1 = c0.real, c0.imag, c1.real, c1.imag
+    norm = np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
+    if not np.all((0.0 < norm) & (norm < math.inf)):  # NaN fails too
+        raise ValueError("qubit amplitudes have no finite nonzero norm")
+    v = np.array([c0, c1]) / norm
+    return v[:, None] * v[None, :].conj()
 
-    outcome: MeasurementOutcome
-    probability: float
-    occupations: dict[tuple[int, int], float]
+
+def _bloch(rho: np.ndarray) -> np.ndarray:
+    """Bloch vector of a density matrix, shape (3,), or of each matrix of
+    a (2, 2, k) stack, shape (3, k)."""
+    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
 
 
 def input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
@@ -315,10 +318,25 @@ def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
 
 def conditional_qubits(
     amps: np.ndarray, outcome: MeasurementOutcome
-) -> tuple[np.ndarray, list[QubitState]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probability of a one-click-per-pair outcome and the Bloch vector of
+    Bob's conditional qubit, shapes (k,) and (k, 3), for every row of a
+    (k, sector) stack of detection-stage amplitudes."""
+    p, c0, c1 = _bob_amplitudes(amps, outcome)
+    bloch = _bloch(_pure_states(c0, c1)).T
+    # a state built from a unit vector is Hermitian with trace 1; what is
+    # left is the unit ball, which NaN and inf fail too
+    if not np.all(np.sqrt(mass(bloch * bloch, slice(None))) <= 1.0 + 1e-10):
+        raise ValueError("Bloch vector leaves the unit ball")
+    return p, bloch
+
+
+def _bob_amplitudes(
+    amps: np.ndarray, outcome: MeasurementOutcome
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probability of a one-click-per-pair outcome and Bob's conditional
-    qubit, for every row of a (k, sector) stack of detection-stage
-    amplitudes."""
+    amplitudes on B'0 and on B'1, each of shape (k,), for a (k, sector)
+    stack of detection-stage amplitudes."""
     if not outcome.is_paired:
         raise ValueError(f"outcome {outcome.label} does not leave Bob a qubit")
     clicked = povm_element(outcome).clicked(DETECTION_MODES, 3)
@@ -327,7 +345,7 @@ def conditional_qubits(
         raise ValueError(f"outcome {outcome.label} has probability zero")
     conditional = np.where(clicked, amps, 0.0) * (1.0 / np.sqrt(p))[:, None]
     c0, c1 = conditional[:, _bob_columns(outcome)].T
-    return p, [QubitState.from_pure(a, b) for a, b in zip(c0.tolist(), c1.tolist())]
+    return p, c0, c1
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,29 +360,19 @@ def _bob_columns(outcome: MeasurementOutcome) -> tuple[int, int]:
     )
 
 
-def _conditional(
-    amps: np.ndarray, outcome: MeasurementOutcome
-) -> tuple[float, Union[QubitState, NonQubitReport]]:
-    """Outcome probability and Bob's conditional state for one point's
-    detection-stage amplitudes."""
-    if outcome.is_paired:
-        p, (qubit,) = conditional_qubits(amps[None], outcome)
-        return float(p[0]), qubit
-    state = FockState(DETECTION_MODES, 3, amps)
-    p, conditional = state.select(povm_element(outcome).clicked(DETECTION_MODES, 3))
-    if p == 0.0:
-        raise ValueError(f"outcome {outcome.label} has probability zero")
-    return p, NonQubitReport(outcome, p, conditional.occupation_distribution(("B0p", "B1p")))
+def _conditional(amps: np.ndarray, outcome: MeasurementOutcome) -> tuple[float, QubitState]:
+    """Probability of a one-click-per-pair outcome and Bob's conditional
+    qubit for one point's detection-stage amplitudes."""
+    p, (c0,), (c1,) = _bob_amplitudes(amps[None], outcome)
+    return float(p[0]), QubitState.from_pure(c0, c1)
 
 
-def bob_conditional(
-    params: TeleportParams, outcome: MeasurementOutcome
-) -> Union[QubitState, NonQubitReport]:
-    """Bob's state conditioned on Alice's click pattern.
+def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> QubitState:
+    """Bob's qubit conditioned on a one-click-per-pair outcome of Alice.
 
-    The four one-click-per-pair outcomes leave Bob with a pure dual-rail
-    qubit; every other pattern yields a NonQubitReport carrying Bob's
-    conditional occupation distribution.
+    Only the four such outcomes (PAIRED_OUTCOMES) leave Bob a dual-rail
+    qubit; every other click pattern is a failed run and raises a
+    ValueError, as does an outcome of probability zero.
     """
     amps = premeasurement_amplitudes("detection", params.R, params.phi)
     return _conditional(amps, outcome)[1]
@@ -381,7 +389,10 @@ def conditional_with_arm_phases(
 def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitState:
     """Conditionally apply the sigma_z correction announced by Alice."""
     if outcome in CORRECTED_OUTCOMES:
-        return QubitState(_SIGMA_Z @ state.rho @ _SIGMA_Z)
+        # sigma_z rho sigma_z entrywise: each entry whose sign product is -1
+        # is negated exactly, zeros included, with no matrix product
+        flip = np.outer(_SIGMA_Z, _SIGMA_Z) < 0
+        return QubitState(np.where(flip, -state.rho, state.rho))
     return state
 
 

@@ -56,8 +56,13 @@ def moment(state, labels):
 
 
 def project(state, label, n):
-    """Probability that a mode holds n particles, and the state selected on it."""
-    return state.select(occupations(state.registry, state.configs, (label,))[:, 0] == n)
+    """Probability that a mode holds n particles, and the renormalized state
+    restricted to it; probability zero yields the zero state."""
+    keep = occupations(state.registry, state.configs, (label,))[:, 0] == n
+    p = state.mass(keep)
+    scale = 1.0 / math.sqrt(p) if p else 0.0
+    kept = np.where(keep, state.amps * scale, 0)
+    return p, FockState(state.registry, state.particle_number, kept)
 
 
 # --- registries ---

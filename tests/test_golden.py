@@ -5,17 +5,22 @@ and the network builder were restructured; they are never regenerated to
 make this test pass.  The one declared re-record rewrote correlators.csv
 (and verify.txt) once, when moments and the Fourier oracle stopped using
 BLAS products, whose last digits depend on the host's BLAS kernel.
+ideal_off_readme.json pins `ideal` at a point away from the README
+arguments, recorded when Bob's conditional states stopped taking their
+norm from a BLAS product; every x86-64 OpenBLAS kernel prints it.
 """
 
+import math
 import os
 import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eteleport import cli
+from eteleport import cli, protocol
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
@@ -23,6 +28,11 @@ DATA = REPO / "tests" / "data"
 CASES = [
     (("ideal", "--R", "0.3", "--phi", "1.2"), "ideal.txt", None),
     (("ideal", "--R", "0.3", "--phi", "1.2", "--format", "json"), "ideal.json", None),
+    (
+        ("ideal", "--R", "0.12428327649956394", "--phi", "8.29174227940473", "--format", "json"),
+        "ideal_off_readme.json",
+        None,
+    ),
     (("correlators", "--R", "0.5", "--phi", "0.7"), "correlators.csv", "correlators.stderr"),
     (("leviton", "--gamma", "0.02,0.05,0.1", "--tau", "0:2:0.05"), "leviton.csv", None),
     (
@@ -45,32 +55,68 @@ def test_readme_output_is_byte_identical(argv, out_file, err_file, capsys, monke
     assert captured.err == expected_err
 
 
-KERNEL_CASES = [(("verify",), "verify.txt", None)] + [
-    case for case in CASES if case[1] in ("correlators.csv", "ideal.json")
-]
+KERNEL_FILES = ("correlators.csv", "ideal.json", "ideal_off_readme.json")
+KERNEL_CASES = [(("verify",), "verify.txt", None)] + [c for c in CASES if c[1] in KERNEL_FILES]
+
+
+def bloch_sweep() -> bytes:
+    """Bob's conditional Bloch stacks for the four paired outcomes over a
+    seeded sweep of 2000 (R, phi) points, as raw float64 bytes."""
+    rng = np.random.default_rng(20261018)
+    R = rng.random(2000)
+    phi = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 2000)
+    amps = protocol.premeasurement_amplitudes("detection", R, phi)
+    stacks = (protocol.conditional_qubits(amps, x)[1] for x in protocol.PAIRED_OUTCOMES)
+    return b"".join(bloch.tobytes() for bloch in stacks)
+
+
+# A circuit whose printed unitarity defect differed between OpenBLAS's
+# SkylakeX and Prescott kernels while it came from a BLAS product.
+PROBE_CIRCUIT = """modes a b c d e f
+prep d e R=0.4275923056694029 phi=-2.6019396147249187
+phase c value=-2.803262043908447
+prep f b R=0.08185501079576984 phi=-2.7965123403612457
+"""
 
 
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels"
 )
-def test_output_does_not_depend_on_the_blas_kernel():
+def test_output_does_not_depend_on_the_blas_kernel(tmp_path, capsys):
     # Prescott is OpenBLAS' oldest x86-64 kernel, so any x86-64 host runs it;
     # the variable is set for the child processes only
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    path = [str(REPO / "src"), str(REPO / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    # (child arguments, stdout and stderr the child must print)
+    runs = [
+        (
+            ("-m", "eteleport.cli", *argv),
+            (DATA / out_file).read_bytes(),
+            (DATA / err_file).read_bytes() if err_file else b"",
+        )
+        for argv, out_file, err_file in KERNEL_CASES
+    ]
+    probe = tmp_path / "probe.ckt"
+    probe.write_text(PROBE_CIRCUIT)
+    assert cli.main(["circuit-check", str(probe)]) == 0
+    check = ("-m", "eteleport.cli", "circuit-check", str(probe))
+    runs.append((check, capsys.readouterr().out.encode(), b""))
+    sweep = "import sys, test_golden; sys.stdout.buffer.write(test_golden.bloch_sweep())"
+    runs.append((("-c", sweep), bloch_sweep(), b""))
     children = [
         subprocess.Popen(
-            [sys.executable, "-W", "error", "-m", "eteleport.cli", *argv],
+            [sys.executable, "-W", "error", *args],
             cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        for argv, _, _ in KERNEL_CASES
+        for args, _, _ in runs
     ]
     try:
-        for child, (argv, out_file, err_file) in zip(children, KERNEL_CASES):
+        for child, (args, want_out, want_err) in zip(children, runs):
             out, err = child.communicate(timeout=60)
-            assert child.returncode == 0, (argv, err.decode())
-            assert out == (DATA / out_file).read_bytes(), argv
-            assert err == ((DATA / err_file).read_bytes() if err_file else b""), argv
+            assert child.returncode == 0, (args, err.decode())
+            assert out == want_out, args
+            assert err == want_err, args
     finally:
         for child in children:
             child.kill()

@@ -231,6 +231,28 @@ def test_tomography_bloch_equals_its_grid_row(R, phi):
     assert single.tobytes() == protocol.tomography_bloch_grid(R, phi).tobytes()
 
 
+# R at both ends and phi beyond [0, 2 pi), signed zeros too
+stack_point = st.tuples(
+    signed_zero | st.sampled_from((0.0, 1.0)) | unit, signed_zero | st.floats(-50.0, 50.0)
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(stack_point, min_size=1, max_size=6))
+@example([(0.3, 1.2), (-0.0, 8.29174227940473), (1.0, -0.0)])
+def test_stacked_bloch_rows_equal_one_point_states(points):
+    # a row of the stack and the one-point state round alike, bit for bit
+    amps = np.stack([protocol.premeasurement_amplitudes("detection", R, phi) for R, phi in points])
+    for outcome in PAIRED_OUTCOMES:
+        _, bloch = protocol.conditional_qubits(amps, outcome)
+        assert bloch.shape == (len(points), 3)
+        for (R, phi), row in zip(points, bloch):
+            single = protocol.bob_conditional(TeleportParams(R, phi), outcome)
+            assert row.tobytes() == single.bloch.tobytes()
+            # a unit vector up to its rounding: at R = 1, |r| reads 1 + 2.2e-16
+            assert math.hypot(*row) <= 1.0 + 1e-15
+
+
 def _direct_thermal_weights(x: float) -> tuple[float, float]:
     """coth(x) - 1/x and coth^2 + csch^2/2 - 3 coth/(2x), evaluated with 50
     significant digits so that their cancellation costs nothing."""

@@ -16,7 +16,6 @@ from eteleport.protocol import (
     ALL_OUTCOMES,
     PAIRED_OUTCOMES,
     MeasurementOutcome,
-    NonQubitReport,
     QubitState,
     TeleportParams,
     apply_feedforward,
@@ -174,34 +173,60 @@ def test_feedforward_restores_input():
         assert np.max(np.abs(corrected.bloch - reference)) < 1e-10
 
 
+def test_feedforward_negates_the_coherences_exactly():
+    # at R = 1 the coherences are exact zeros: their signs flip too, so the
+    # printed digits do not depend on how a matrix product adds zeros
+    off_diagonal = np.array([[False, True], [True, False]])
+    for params in (TeleportParams(0.61, 0.9), TeleportParams(1.0, 0.3)):
+        for outcome in (PM, MP):
+            state = bob_conditional(params, outcome)
+            want = np.where(off_diagonal, np.negative(state.rho), state.rho)
+            assert apply_feedforward(state, outcome).rho.tobytes() == want.tobytes()
+
+
+def bob_occupations(params, bits):
+    """Probability of a click pattern, and Bob's joint (n_B'0, n_B'1)
+    occupations over the configurations it keeps with nonzero amplitude,
+    each with its conditional probability."""
+    state = run_premeasurement(params)
+    clicked = povm_element(MeasurementOutcome(bits)).clicked(state.registry, 3)
+    p = state.mass(clicked)
+    kept = clicked & (state.amps != 0)
+    occ = fock.occupations(state.registry, state.configs[kept], ("B0p", "B1p"))
+    dist = {}
+    for key, q in zip(map(tuple, occ.tolist()), state.probabilities[kept].tolist()):
+        dist[key] = dist.get(key, 0.0) + q / p
+    return p, dist
+
+
 def test_double_click_leaves_definite_mode():
     params = TeleportParams(0.3, 1.2)
-    report = bob_conditional(params, MeasurementOutcome((1, 1, 0, 0)))
-    assert isinstance(report, NonQubitReport)
+    p, occupations = bob_occupations(params, (1, 1, 0, 0))
     # both A0 detectors firing routes the remaining electron to B'1,
     # with weight R/4
-    assert report.probability == pytest.approx(params.R / 4.0, abs=1e-12)
-    assert set(report.occupations) == {(0, 1)}
-    assert report.occupations[(0, 1)] == pytest.approx(1.0, abs=1e-12)
+    assert p == pytest.approx(params.R / 4.0, abs=1e-12)
+    assert set(occupations) == {(0, 1)}
+    assert occupations[(0, 1)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_three_clicks_leave_bob_empty():
-    report = bob_conditional(TeleportParams(0.3, 1.2), MeasurementOutcome((1, 1, 1, 0)))
-    assert isinstance(report, NonQubitReport)
-    assert set(report.occupations) == {(0, 0)}
+    _, occupations = bob_occupations(TeleportParams(0.3, 1.2), (1, 1, 1, 0))
+    assert set(occupations) == {(0, 0)}
 
 
 def test_one_click_gives_bob_two_electrons():
-    report = bob_conditional(TeleportParams(0.3, 1.2), MeasurementOutcome((1, 0, 0, 0)))
-    assert isinstance(report, NonQubitReport)
-    assert set(report.occupations) == {(1, 1)}
+    _, occupations = bob_occupations(TeleportParams(0.3, 1.2), (1, 0, 0, 0))
+    assert set(occupations) == {(1, 1)}
 
 
 def test_impossible_outcome_raises():
-    with pytest.raises(ValueError):
-        bob_conditional(TeleportParams(0.3, 1.2), MeasurementOutcome((0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        bob_conditional(TeleportParams(0.3, 1.2), MeasurementOutcome((1, 1, 1, 1)))
+    params = TeleportParams(0.3, 1.2)
+    for bits in ((0, 0, 0, 0), (1, 1, 1, 1)):
+        with pytest.raises(ValueError):
+            bob_conditional(params, MeasurementOutcome(bits))
+    # possible, but not one click per pair: a failed run leaves Bob no qubit
+    with pytest.raises(ValueError, match="does not leave Bob a qubit"):
+        bob_conditional(params, MeasurementOutcome((1, 1, 0, 0)))
 
 
 # --- efficiency ---

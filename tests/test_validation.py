@@ -10,7 +10,7 @@ from eteleport import cli, leviton, saw
 from eteleport.circuit import ElementSpec
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
-from eteleport.protocol import QubitState, TeleportParams
+from eteleport.protocol import MeasurementOutcome, QubitState, TeleportParams
 from eteleport.saw import DephasingParams
 
 NAN, INF = math.nan, math.inf
@@ -42,6 +42,10 @@ NON_FINITE = {
     "qubit rho one nan": lambda: QubitState(np.array([[1.0, NAN], [NAN, 0.0]])),
     "qubit pure nan": lambda: QubitState.from_pure(NAN, 0.0),
     "qubit pure zero": lambda: QubitState.from_pure(0.0, 0.0),
+    "outcome bit 1.5": lambda: MeasurementOutcome((1.5, 0, 0, 0)),
+    "outcome bit inf": lambda: MeasurementOutcome((INF, 0, 0, 0)),
+    'outcome bit "1"': lambda: MeasurementOutcome(("1", 0, 0, 0)),
+    "outcome bits None": lambda: MeasurementOutcome(None),
     "jozsa bloch nan": lambda: saw.jozsa_fidelity([NAN, 0, 0], [0, 0, 1]),
     "jozsa second bloch nan": lambda: saw.jozsa_fidelity([0, 0, 1], [NAN, 0, 0]),
 }
