@@ -46,13 +46,21 @@ _ELEMENT_PARAMS = {
 _PROBABILITIES = ("R", "Dp")
 
 
-def _all_within(v: ArrayLike, lo: float, hi: float) -> bool:
-    """Whether a float, or every value of an array, lies in [lo, hi]; NaN
-    never does."""
+def _all_within(
+    v: ArrayLike, lo: float = -sys.float_info.max, hi: float = sys.float_info.max
+) -> bool:
+    """Whether a real number, or every value of a real array, lies in
+    [lo, hi], by default the finite floats; NaN never does, nor a string,
+    None or a complex value."""
     if isinstance(v, (int, float)):  # the common case, kept off numpy
         return lo <= v <= hi
-    values = np.asarray(v, dtype=float)
-    return bool(((values >= lo) & (values <= hi)).all())
+    values = np.asarray(v)
+    return values.dtype.kind in "biuf" and bool(((values >= lo) & (values <= hi)).all())
+
+
+def _number_within(v: float, *bounds: float) -> bool:
+    """`_all_within` for one real number; an array of them is none."""
+    return np.ndim(v) == 0 and _all_within(v, *bounds)
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,8 @@ class ElementSpec:
         if len(self.params) != len(names):
             raise ValueError(f"{self.kind} takes parameters {names}, got {len(self.params)}")
         for name, v in zip(names, self.params):
-            if not _all_within(v, -sys.float_info.max, sys.float_info.max):
-                raise ValueError(f"{name} must be finite, got {v}")
+            if not _all_within(v):
+                raise ValueError(f"{name} must be finite and real, got {v!r}")
             if name in _PROBABILITIES and not _all_within(v, 0.0, 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
@@ -372,6 +380,6 @@ def format_circuit(description: CircuitDescription) -> str:
     lines = ["modes " + " ".join(description.modes)]
     for e in description.elements:
         _, names = _ELEMENT_PARAMS[e.kind]
-        parts = [e.kind, *e.modes, *(f"{n}={v!r}" for n, v in zip(names, e.params))]
+        parts = [e.kind, *e.modes, *(f"{n}={float(v)!r}" for n, v in zip(names, e.params))]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import protocol
-from .circuit import ArrayLike
+from .circuit import ArrayLike, _number_within
 from .fock import OUTPUT_MODES, mass, occupation_moments
-from .saw import damped_average_fidelity
+from .saw import _integer, damped_average_fidelity
 
 DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
 
@@ -63,14 +63,14 @@ class LevitonParams:
     def __post_init__(self):
         # the thermal series sums about 2/gamma terms, so very narrow pulses are refused
         # (and very wide ones, whose weights overflow)
-        if not GAMMA_MIN <= self.gamma <= GAMMA_MAX:
+        if not _number_within(self.gamma, GAMMA_MIN, GAMMA_MAX):
             raise ValueError(
-                f"pulse width gamma must be in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {self.gamma}"
+                f"pulse width gamma must be in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {self.gamma!r}"
             )
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau}")
-        if not 0.0 < self.series_tol < math.inf:
-            raise ValueError(f"series_tol must be positive and finite, got {self.series_tol}")
+        if not _number_within(self.tau, 0.0):
+            raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau!r}")
+        if not (_number_within(self.series_tol) and self.series_tol > 0.0):
+            raise ValueError(f"series_tol must be positive and finite, got {self.series_tol!r}")
 
     @property
     def term_cap(self) -> int:
@@ -90,6 +90,7 @@ def photoassist_amplitude(n: int, gamma: float) -> complex:
     Zero for emission (n < 0); exp(-2*pi*gamma) at n = 0; the absorption
     amplitudes decay geometrically.
     """
+    n = _integer(n, "photon number n")
     _check_gamma(gamma)
     g = 2.0 * math.pi * gamma
     if n < 0:
@@ -108,7 +109,7 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
     evaluated as (q z - 1)/(z - q) with z = exp(2 pi i t), q = exp(-2 pi gamma).
     """
     _check_gamma(gamma)
-    n_values = np.asarray(list(n_values), dtype=int)
+    n_values = np.array([_integer(n, "photon number n") for n in n_values], dtype=int)
     n_abs_max = int(np.max(np.abs(n_values))) if n_values.size else 0
     # periodic midpoint rule: geometric accuracy once the grid outruns the
     # slowest decay exp(-2*pi*gamma*k)
@@ -247,6 +248,13 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
 # Correlator tables
 # ---------------------------------------------------------------------------
 
+def _setting_row(setting: str) -> int:
+    """A tomography setting's row of the tomography stage; rejects any other."""
+    if setting not in protocol.TOMO_SETTINGS:
+        raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
+    return list(protocol.TOMO_SETTINGS).index(setting)
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelatorTable:
     """Zero-frequency current observables, one column per entry of `KEYS`.
@@ -261,8 +269,7 @@ class CorrelatorTable:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.setting not in protocol.TOMO_SETTINGS:
-            raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
+        _setting_row(self.setting)
         values = np.array(self.values, dtype=float)
         if values.shape[-1:] != (len(KEYS),):
             raise ValueError(f"expected {len(KEYS)} values per row, got shape {values.shape}")
@@ -287,22 +294,21 @@ class CorrelatorTable:
 
 def zero_T_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
     """All needed currents and cumulants from the Fock model at T = 0, one row
-    per point of a broadcast (R, phi) grid, from one launch and one moment call.
+    per point of a broadcast (R, phi) grid, from one moment call on the
+    setting's row of one launch at all three settings (a one-point call
+    shares its launch with `protocol.tomography_bloch`).
 
     One period injects the three-electron state; the excess-electron
     correspondence turns occupation mean/central moments directly into I, P, Q.
     """
-    if setting not in protocol.TOMO_SETTINGS:
-        raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
-    transmission, theta = protocol.TOMO_SETTINGS[setting]
-    amps = protocol.premeasurement_amplitudes("tomography", R, phi, transmission, theta)
+    row = _setting_row(setting)
+    amps = protocol.premeasurement_amplitudes("tomography", R, phi)[..., row, :]
     return CorrelatorTable(setting, occupation_moments(OUTPUT_MODES, 3, amps, KEYS))
 
 
 def reference_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:
     """Closed-form zero-temperature table for the same keys."""
-    if setting not in protocol.TOMO_SETTINGS:
-        raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
+    _setting_row(setting)
     D = 1.0 - R
     identity_setting = setting == "Z"  # D' = 1: Bob's splitter is the identity
     root = math.sqrt(R * D)

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import circuit
-from .circuit import ArrayLike
+from .circuit import ArrayLike, _number_within
 from .fock import (
     DETECTION_MODES,
     INPUT_MODES,
@@ -42,7 +42,8 @@ from .fock import (
 SOURCE_LABELS = ("S_phi0", "S_phi1", "S_psi")
 DETECTOR_LABELS = ("A0+", "A0-", "A1+", "A1-")
 
-# Tomography axis -> (D', theta) of Bob's splitter.
+# Tomography axis -> (D', theta) of Bob's splitter, in the order of Bloch
+# components, which is the order of the tomography stage's rows.
 TOMO_SETTINGS = {
     "X": (0.5, math.pi / 2.0),
     "Y": (0.5, 0.0),
@@ -58,10 +59,10 @@ class TeleportParams:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.R <= 1.0:
-            raise ValueError(f"reflection probability R must lie in [0, 1], got {self.R}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"input-qubit phase phi must be finite, got {self.phi}")
+        if not _number_within(self.R, 0.0, 1.0):
+            raise ValueError(f"reflection probability R must lie in [0, 1], got {self.R!r}")
+        if not _number_within(self.phi):
+            raise ValueError(f"input-qubit phase phi must be finite, got {self.phi!r}")
 
     @property
     def D(self) -> float:
@@ -123,19 +124,16 @@ CORRECTED_OUTCOMES = (
 
 _SIGMA_Z = np.array([1.0, -1.0])  # the diagonal of sigma_z
 
-# Tomography settings in the order of Bloch components, their (D', theta)
-# columns, and each setting's (D', theta) -> its row; none holds a -0.0.
-_AXES = ("X", "Y", "Z")
-_SETTINGS = np.array([TOMO_SETTINGS[axis] for axis in _AXES]).T
+# The settings' (D', theta) columns.
+_SETTINGS = np.array(list(TOMO_SETTINGS.values())).T
 _SETTINGS.flags.writeable = False
-_SETTING_ROWS = {(dp, theta): row for row, (dp, theta) in enumerate(_SETTINGS.T.tolist())}
 
 # One-point launches kept by `premeasurement_amplitudes`.  A point asks for
-# the detection stage for its run and four conditionals, then for the three
-# tomography settings (one stacked launch) for the Bloch vector and each
-# correlator table.  Two entries serve those repeats; fewer than a point's
-# three launches, they make a point evaluated again from the start launch
-# again, so a traced rerun of an input still sees its launches.
+# the detection stage for its run and four conditionals, then for the
+# tomography stage (the three settings in one launch) for the Bloch vector
+# and each correlator table.  Two entries serve those repeats; fewer than a
+# point's three launches, they make a point evaluated again from the start
+# launch again, so a traced rerun of an input still sees its launches.
 _POINT_MEMO_SIZE = 2
 
 
@@ -211,56 +209,50 @@ def input_bloch(params: TeleportParams) -> np.ndarray:
 
 
 def premeasurement_amplitudes(
-    stage: str,
-    R: ArrayLike,
-    phi: ArrayLike,
-    transmission: ArrayLike = 1.0,
-    theta: ArrayLike = 0.0,
-    arm_phases: Mapping[str, ArrayLike] | None = None,
+    stage: str, R: ArrayLike, phi: ArrayLike, arm_phases: Mapping[str, ArrayLike] | None = None
 ) -> np.ndarray:
     """The three-source state evolved up to a stage of the network.
 
     Returns its amplitudes over the three-particle sector of the stage's
-    modes (`circuit.STAGES`), in combination order.  Array parameters
-    broadcast together; the result then carries their shape in front, one
-    row per grid point, from one stack of networks and one launch.  A
-    one-point call, every parameter a Python scalar, is memoised and
-    returns a shared read-only array; at a tomography setting it is that
-    setting's row of one launch at all three.
+    modes (`circuit.STAGES`), in combination order; the tomography stage
+    has one row per setting of Bob's splitter, in TOMO_SETTINGS order
+    (X, Y, Z), shape (3, sector).  Array parameters broadcast together; the
+    result then carries their shape in front, one row per grid point, from
+    one stack of networks and one launch.  A one-point call, every
+    parameter a Python scalar, is memoised and returns a shared read-only
+    array.
     """
     arms = arm_phases or {}
     arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
-    point = (R, phi, transmission, theta, *(v for _, v in arm_items))
+    point = (R, phi, *(v for _, v in arm_items))
     if len(arm_items) == len(arms) and all(isinstance(x, (int, float)) for x in point):
         signs = tuple(math.copysign(1.0, x) for x in point)
-        row = _SETTING_ROWS.get((transmission, theta)) if stage == "tomography" else None
-        if row is None or signs[2:4] != (1.0, 1.0):
-            return _point_amplitudes(stage, R, phi, transmission, theta, arm_items, signs)
-        return _point_amplitudes(stage, R, phi, None, None, arm_items, signs[:2] + signs[4:])[row]
-    network = circuit.teleport_network(stage, R, phi, transmission, theta, arm_phases)
-    return lift_amplitudes(network, _sources())
+        return _point_amplitudes(stage, R, phi, arm_items, signs)
+    return _launch(stage, R, phi, arms)
 
 
 @functools.lru_cache(maxsize=_POINT_MEMO_SIZE)
 def _point_amplitudes(
-    stage: str,
-    R: float,
-    phi: float,
-    transmission: float,
-    theta: float,
-    arm_items: tuple[tuple[str, float], ...],
-    signs: tuple[float, ...],
+    stage: str, R: float, phi: float, arm_items: tuple[tuple[str, float], ...], signs: tuple
 ) -> np.ndarray:
-    """One point's amplitudes, read-only; with transmission and theta None,
-    the tomography stage at the three settings, one row each.  The key
-    holds the arm items in ARM_WIRES order, so an absent arm and an arm at
-    0.0 differ, and the parameters' signs, so -0.0 and 0.0 differ."""
-    if transmission is None:
-        transmission, theta = _SETTINGS
-    network = circuit.teleport_network(stage, R, phi, transmission, theta, dict(arm_items))
-    amps = lift_amplitudes(network, _sources())
+    """One point's amplitudes, read-only.  The key holds the arm items in
+    ARM_WIRES order, so an absent arm and an arm at 0.0 differ, and the
+    parameters' signs, so -0.0 and 0.0 differ."""
+    amps = _launch(stage, R, phi, dict(arm_items))
     amps.flags.writeable = False
     return amps
+
+
+def _launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarray:
+    """One stack of networks and one determinant launch.  The tomography
+    stage launches the three settings, their axis after every parameter's."""
+    transmission, theta = 1.0, 0.0
+    if stage == "tomography":
+        R, phi = np.asarray(R)[..., None], np.asarray(phi)[..., None]
+        arms = {a: np.asarray(v)[..., None] for a, v in arms.items()}
+        transmission, theta = _SETTINGS
+    network = circuit.teleport_network(stage, R, phi, transmission, theta, arms)
+    return lift_amplitudes(network, _sources())
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,22 +404,13 @@ def tomography_bloch(params: TeleportParams) -> np.ndarray:
     expectations on the pre-measurement state.  The three settings are the
     rows of one memoised launch, shared with `leviton.zero_T_correlators`.
     """
-    amps = np.stack(
-        [
-            premeasurement_amplitudes("tomography", params.R, params.phi, *TOMO_SETTINGS[axis])
-            for axis in _AXES
-        ]
-    )
-    return _tomography_components(amps)
+    return tomography_bloch_grid(params.R, params.phi)
 
 
 def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """`tomography_bloch` at every point of a broadcast (R, phi) grid,
     shape (..., 3), from one launch over the grid and the three settings."""
-    amps = premeasurement_amplitudes(
-        "tomography", np.asarray(R)[..., None], np.asarray(phi)[..., None], *_SETTINGS
-    )
-    return _tomography_components(amps)
+    return _tomography_components(premeasurement_amplitudes("tomography", R, phi))
 
 
 @functools.lru_cache(maxsize=None)

@@ -175,6 +175,22 @@ def test_roundtrip_is_identity():
     assert parse_circuit(format_circuit(first)) == first
 
 
+def test_roundtrip_keeps_numpy_float_parameters():
+    # a grid loop hands out numpy scalars; they format as plain floats
+    values = np.linspace(0.1, 0.3, 3)
+    desc = CircuitDescription(
+        ("a", "b"),
+        (prep_splitter("a", "b", values[2], values[0]), phase_shift("b", np.float64(-0.0))),
+    )
+    text = format_circuit(desc)
+    assert "np." not in text
+    again = parse_circuit(text)
+    assert again == desc
+    assert [float(v).hex() for e in again.elements for v in e.params] == [
+        float(v).hex() for e in desc.elements for v in e.params
+    ]
+
+
 def test_error_positions():
     with pytest.raises(CircuitSyntaxError) as err:
         parse_circuit("modes a b\nsplit a b\n")

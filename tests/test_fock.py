@@ -304,9 +304,9 @@ def test_project_vacuum_is_empty():
 # --- occupation moments ---
 
 def tomography_state(R, phi, setting):
-    amps = protocol.premeasurement_amplitudes(
-        "tomography", R, phi, *protocol.TOMO_SETTINGS[setting]
-    )
+    # the tomography stage has one row per setting, in TOMO_SETTINGS order
+    amps = protocol.premeasurement_amplitudes("tomography", R, phi)
+    amps = amps[list(protocol.TOMO_SETTINGS).index(setting)]
     return FockState(OUTPUT_MODES, 3, amps)
 
 
@@ -346,12 +346,11 @@ def test_moment_grid_rows_equal_one_point_rows_bitwise():
     rs, phis = (g.ravel() for g in np.meshgrid(
         np.linspace(0.1, 0.9, 5), np.linspace(0.0, 2.0 * math.pi, 5), indexing="ij"
     ))
-    settings = protocol.TOMO_SETTINGS["X"]
-    grid = protocol.premeasurement_amplitudes("tomography", rs, phis, *settings)
+    grid = protocol.premeasurement_amplitudes("tomography", rs, phis)[:, 0]  # the X row
     rows = occupation_moments(OUTPUT_MODES, 3, grid, MOMENT_KEYS)
     assert rows.shape == (25, len(MOMENT_KEYS))
     for r, phi, row in zip(rs.tolist(), phis.tolist(), rows):
-        amps = protocol.premeasurement_amplitudes("tomography", r, phi, *settings)
+        amps = protocol.premeasurement_amplitudes("tomography", r, phi)[0]
         point = occupation_moments(OUTPUT_MODES, 3, amps, MOMENT_KEYS)
         assert point.view(np.int64).tolist() == row.view(np.int64).tolist()
 

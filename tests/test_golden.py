@@ -8,6 +8,8 @@ BLAS products, whose last digits depend on the host's BLAS kernel.
 ideal_off_readme.json pins `ideal` at a point away from the README
 arguments, recorded when Bob's conditional states stopped taking their
 norm from a BLAS product; every x86-64 OpenBLAS kernel prints it.
+correlators_off_readme.json pins the tomography stage at the same point,
+recorded when that stage became one launch at the three settings.
 """
 
 import math
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eteleport import cli, protocol
+from eteleport import cli, leviton, protocol
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
@@ -34,6 +36,14 @@ CASES = [
         None,
     ),
     (("correlators", "--R", "0.5", "--phi", "0.7"), "correlators.csv", "correlators.stderr"),
+    (
+        (
+            "correlators", "--R", "0.12428327649956394", "--phi", "8.29174227940473",
+            "--format", "json",
+        ),
+        "correlators_off_readme.json",
+        "correlators_off_readme.stderr",
+    ),
     (("leviton", "--gamma", "0.02,0.05,0.1", "--tau", "0:2:0.05"), "leviton.csv", None),
     (
         ("saw", "--sigma2", "0:2:0.25", "--n-states", "100000", "--seed", "12345"),
@@ -55,19 +65,25 @@ def test_readme_output_is_byte_identical(argv, out_file, err_file, capsys, monke
     assert captured.err == expected_err
 
 
-KERNEL_FILES = ("correlators.csv", "ideal.json", "ideal_off_readme.json")
+KERNEL_FILES = (
+    "correlators.csv", "correlators_off_readme.json", "ideal.json", "ideal_off_readme.json"
+)
 KERNEL_CASES = [(("verify",), "verify.txt", None)] + [c for c in CASES if c[1] in KERNEL_FILES]
 
 
 def bloch_sweep() -> bytes:
-    """Bob's conditional Bloch stacks for the four paired outcomes over a
-    seeded sweep of 2000 (R, phi) points, as raw float64 bytes."""
+    """Over a seeded sweep of 2000 (R, phi) points, as raw float64 bytes:
+    Bob's conditional Bloch stacks for the four paired outcomes, the
+    tomography Bloch vectors and the zero-temperature correlator tables at
+    the three settings."""
     rng = np.random.default_rng(20261018)
     R = rng.random(2000)
     phi = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 2000)
     amps = protocol.premeasurement_amplitudes("detection", R, phi)
-    stacks = (protocol.conditional_qubits(amps, x)[1] for x in protocol.PAIRED_OUTCOMES)
-    return b"".join(bloch.tobytes() for bloch in stacks)
+    stacks = [protocol.conditional_qubits(amps, x)[1] for x in protocol.PAIRED_OUTCOMES]
+    stacks.append(protocol.tomography_bloch_grid(R, phi))
+    stacks += [leviton.zero_T_correlators(R, phi, s).values for s in protocol.TOMO_SETTINGS]
+    return b"".join(stack.tobytes() for stack in stacks)
 
 
 # A circuit whose printed unitarity defect differed between OpenBLAS's

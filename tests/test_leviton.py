@@ -151,8 +151,13 @@ def test_pair_lookup_is_order_insensitive():
 
 
 def test_table_key_validation():
-    with pytest.raises(ValueError):
-        CorrelatorTable("W", np.zeros(len(leviton.KEYS)))
+    for reject in (
+        lambda: CorrelatorTable("W", np.zeros(len(leviton.KEYS))),
+        lambda: zero_T_correlators(0.3, 0.5, "W"),
+        lambda: leviton.reference_correlators(0.3, 0.5, "x"),
+    ):
+        with pytest.raises(ValueError, match=r"setting must be one of \['X', 'Y', 'Z'\]"):
+            reject()
     with pytest.raises(ValueError):
         CorrelatorTable("Z", np.zeros(len(leviton.KEYS) - 1))
     table = zero_T_correlators(0.3, 0.5, "Z")

@@ -27,9 +27,7 @@ arm_dict = st.permutations(circuit.ARM_WIRES).flatmap(
         lambda values: dict(zip(order, values))
     )
 )
-scalar_point = st.tuples(
-    signed_zero | unit, signed_zero | angle, signed_zero | unit, signed_zero | angle, arm_dict
-)
+scalar_point = st.tuples(signed_zero | unit, signed_zero | angle, arm_dict)
 
 
 @settings(max_examples=50, deadline=None)
@@ -100,24 +98,26 @@ def test_average_fidelity_bounds(sigma2):
     assert 2.0 / 3.0 <= saw.average_fidelity(sigma2) <= 1.0
 
 
+def _lone_launch(stage, *parameters):
+    """The stage's amplitudes at any (D', theta), from the network and the lift."""
+    sources = create_sources(INPUT_MODES, protocol.SOURCE_LABELS)
+    return lift_amplitudes(circuit.teleport_network(stage, *parameters), sources)
+
+
 @settings(max_examples=50, deadline=None)
-@given(batch, st.sampled_from(sorted(protocol.TOMO_SETTINGS)))
-def test_stacked_amplitudes_match_single_runs(points, setting):
+@given(batch)
+def test_stacked_amplitudes_match_single_runs(points):
     R, phi, Dp, theta = map(np.array, zip(*points))
-    stacked = protocol.premeasurement_amplitudes("tomography", R, phi, Dp, theta)
+    stacked = _lone_launch("tomography", R, phi, Dp, theta)
     detection = protocol.premeasurement_amplitudes("detection", R, phi)
-    at_setting = protocol.premeasurement_amplitudes(
-        "tomography", R, phi, *protocol.TOMO_SETTINGS[setting]
-    )
+    at_settings = protocol.premeasurement_amplitudes("tomography", R, phi)
     for i, (r, p, dp, th) in enumerate(points):
-        single = protocol.premeasurement_amplitudes("tomography", r, p, dp, th)
+        single = _lone_launch("tomography", r, p, dp, th)
         assert np.max(np.abs(stacked[i] - single)) <= 1e-15
         run = protocol.run_premeasurement(TeleportParams(r, p))
         assert np.max(np.abs(detection[i] - run.amps)) <= 1e-15
-        single = protocol.premeasurement_amplitudes(
-            "tomography", r, p, *protocol.TOMO_SETTINGS[setting]
-        )
-        assert np.max(np.abs(at_setting[i] - single)) <= 1e-15
+        single = protocol.premeasurement_amplitudes("tomography", r, p)
+        assert np.max(np.abs(at_settings[i] - single)) <= 1e-15
 
 
 @settings(max_examples=50, deadline=None)
@@ -128,12 +128,11 @@ def test_stacked_network_matches_reference(points):
         assert np.max(np.abs(built - reference_network_matrix(*point))) < 1e-12
 
 
-def _fresh_launch(stage, R, phi, Dp, theta, arms):
+def _fresh_launch(stage, R, phi, arms):
     """A one-point call's amplitudes from a one-element grid, which is never
     memoised."""
-    R, phi, Dp, theta = (np.array([x]) for x in (R, phi, Dp, theta))
     arrays = {arm: np.array([v]) for arm, v in arms.items()}
-    return protocol.premeasurement_amplitudes(stage, R, phi, Dp, theta, arrays)[0]
+    return protocol.premeasurement_amplitudes(stage, np.array([R]), np.array([phi]), arrays)[0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -174,15 +173,13 @@ def test_handoff_never_shares_a_signed_zero(R, phi, variances, seed):
 def test_memo_keys_every_parameter():
     # the memo holds both points of each pair, so a key that missed a
     # parameter would hand one point the other's amplitudes
-    base = (0.3, 1.2, 0.5, 0.7, {"A0": 0.4})
+    base = (0.3, 1.2, {"A0": 0.4})
     variants = [
-        (0.6, 1.2, 0.5, 0.7, {"A0": 0.4}),
-        (0.3, 2.1, 0.5, 0.7, {"A0": 0.4}),
-        (0.3, 1.2, 0.9, 0.7, {"A0": 0.4}),
-        (0.3, 1.2, 0.5, 1.5, {"A0": 0.4}),
-        (0.3, 1.2, 0.5, 0.7, {"A0": 0.8}),
-        (0.3, 1.2, 0.5, 0.7, {"A1": 0.4}),
-        (0.3, 1.2, 0.5, 0.7, {"B0p": 0.0, "A0": 0.4}),  # an arm at 0.0, not absent
+        (0.6, 1.2, {"A0": 0.4}),
+        (0.3, 2.1, {"A0": 0.4}),
+        (0.3, 1.2, {"A0": 0.8}),
+        (0.3, 1.2, {"A1": 0.4}),
+        (0.3, 1.2, {"B0p": 0.0, "A0": 0.4}),  # an arm at 0.0, not absent
     ]
     for stage in circuit.STAGES:
         for variant in variants:
@@ -208,19 +205,31 @@ def test_memo_keeps_no_rejected_point():
 @given(signed_zero | unit, signed_zero | angle, arm_dict)
 @example(0.3, -0.0, {})
 def test_setting_rows_equal_a_launch_at_one_setting(R, phi, arms):
-    # a one-point tomography call at a setting reads its row of one launch at
-    # all three; the row is a launch at that setting alone, bit for bit (a
-    # theta of -0.0 is no setting and launches alone)
-    arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
-    alone = protocol._point_amplitudes.__wrapped__
-    settings = list(protocol.TOMO_SETTINGS.values())
-    for axis, setting in enumerate(settings + [(dp, -theta) for dp, theta in settings]):
-        row = protocol.premeasurement_amplitudes("tomography", R, phi, *setting, arms)
-        point = (R, phi, *setting, *(v for _, v in arm_items))
-        signs = tuple(math.copysign(1.0, x) for x in point)
-        want = alone("tomography", R, phi, *setting, arm_items, signs).tobytes()
-        assert row.tobytes() == want, axis
-        assert _fresh_launch("tomography", R, phi, *setting, arms).tobytes() == want, axis
+    # the tomography stage is one launch at all three settings; each row, of
+    # a one-point call and of a one-element grid, is a launch at that
+    # setting alone, bit for bit
+    rows = protocol.premeasurement_amplitudes("tomography", R, phi, arms)
+    fresh = _fresh_launch("tomography", R, phi, arms)
+    for axis, setting in enumerate(protocol.TOMO_SETTINGS.values()):
+        want = _lone_launch("tomography", R, phi, *setting, arms).tobytes()
+        assert rows[axis].tobytes() == want, axis
+        assert fresh[axis].tobytes() == want, axis
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(signed_zero | unit, signed_zero | angle, arm_row), max_size=5))
+def test_tomography_grid_rows_equal_one_point_rows(points):
+    # the settings axis follows every parameter's own, the arm phases' too:
+    # (k,) arm-phase arrays go with (k,) R and phi, not with the settings
+    points = [(0.3, -0.0, (0.1, -0.2, 0.3, -0.0, 0.5, 0.6))] + points
+    R, phi, arms = zip(*points)
+    arrays = {arm: np.array(column) for arm, column in zip(circuit.ARM_WIRES, zip(*arms))}
+    grid = protocol.premeasurement_amplitudes("tomography", np.array(R), np.array(phi), arrays)
+    assert grid.shape[:2] == (len(points), 3)
+    for row, (r, p, a) in zip(grid, points):
+        arm_phases = dict(zip(circuit.ARM_WIRES, a))
+        single = protocol.premeasurement_amplitudes("tomography", r, p, arm_phases)
+        assert row.tobytes() == single.tobytes()
 
 
 @settings(max_examples=50, deadline=None)

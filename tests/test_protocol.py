@@ -66,7 +66,7 @@ def test_stage_consistency():
     params = TeleportParams(0.3, 1.2)
     setting = protocol.TOMO_SETTINGS["X"]
     before = run_premeasurement(params)
-    tomography = protocol.premeasurement_amplitudes("tomography", params.R, params.phi, *setting)
+    tomography = protocol.premeasurement_amplitudes("tomography", params.R, params.phi)[0]  # X
     after = FockState(OUTPUT_MODES, 3, tomography)
     block = circuit.element_matrix(circuit.tomo_splitter("x", "y", *setting))
     embedded = np.eye(6, dtype=complex)
@@ -357,10 +357,8 @@ def test_exact_point_launches_three_networks(monkeypatch):
 
 
 def test_cached_tables_are_read_only():
-    stack = protocol._point_amplitudes("tomography", 0.3, 1.2, None, None, (), (1.0, 1.0))
     tables = [
-        stack,
-        protocol.premeasurement_amplitudes("tomography", 0.3, 1.2, *protocol.TOMO_SETTINGS["Y"]),
+        protocol.premeasurement_amplitudes("tomography", 0.3, 1.2),
         povm_element(PP).clicked(DETECTION_MODES, 3),
         protocol._product_masks(),
         *fock._moment_tables(OUTPUT_MODES, 3, leviton.KEYS),

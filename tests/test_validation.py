@@ -46,6 +46,13 @@ NON_FINITE = {
     "outcome bit inf": lambda: MeasurementOutcome((INF, 0, 0, 0)),
     'outcome bit "1"': lambda: MeasurementOutcome(("1", 0, 0, 0)),
     "outcome bits None": lambda: MeasurementOutcome(None),
+    'R "0.5"': lambda: TeleportParams("0.5", 0.0),
+    "R None": lambda: TeleportParams(None, 0.0),
+    "R array": lambda: TeleportParams(np.array([0.3, 0.4]), 0.0),
+    'gamma "0.1"': lambda: LevitonParams("0.1", 0.1),
+    "tau None": lambda: LevitonParams(0.1, None),
+    'prep R "0.3"': lambda: ElementSpec("prep", ("a", "b"), ("0.3", 0.0)),
+    "prep R complex": lambda: ElementSpec("prep", ("a", "b"), (0.3 + 0j, 0.0)),
     "jozsa bloch nan": lambda: saw.jozsa_fidelity([NAN, 0, 0], [0, 0, 1]),
     "jozsa second bloch nan": lambda: saw.jozsa_fidelity([0, 0, 1], [NAN, 0, 0]),
 }
@@ -83,6 +90,22 @@ GAMMA_FUNCTIONS = {
 def test_photoassist_gamma_must_be_positive_and_finite(call, gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         call(gamma)
+
+
+PHOTON_NUMBER_FUNCTIONS = {
+    "photoassist_amplitude": lambda n: leviton.photoassist_amplitude(n, 0.1),
+    "photoassist_spectrum_oracle": lambda n: leviton.photoassist_spectrum_oracle([0, n], 0.1),
+}
+
+
+@pytest.mark.parametrize("n", [1.5, "1", None], ids=repr)
+@pytest.mark.parametrize(
+    "call", PHOTON_NUMBER_FUNCTIONS.values(), ids=PHOTON_NUMBER_FUNCTIONS.keys()
+)
+def test_photon_number_must_be_an_integer(call, n):
+    # an int, not a float or a string that converts to one
+    with pytest.raises(ValueError, match="photon number n must be an integer"):
+        call(n)
 
 
 BAD_ARGUMENTS = [
