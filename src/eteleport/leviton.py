@@ -78,9 +78,9 @@ class LevitonParams:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma <= GAMMA_MAX:  # NaN fails too
+    if not (_number_within(gamma, 0.0, GAMMA_MAX) and gamma > 0.0):  # NaN fails too
         raise ValueError(
-            f"pulse width gamma must be positive and finite, at most {GAMMA_MAX:g}, got {gamma}"
+            f"pulse width gamma must be positive and finite, at most {GAMMA_MAX:g}, got {gamma!r}"
         )
 
 

@@ -2,9 +2,11 @@
 
 Random phases drawn once per run on the arms between the two splitter
 layers damp the transverse Bloch components of Bob's conditional state by
-exp(-sigma^2/2), where sigma^2 is the summed per-arm variance.  The Monte
-Carlo route samples arm phases (once per run, for its state and clicks)
-and averages conditional states; the analytic route applies the damping.
+exp(-sigma^2/2), where sigma^2 is the summed per-arm variance.  Bob's state
+sees the arm phases only through `combined_phase`, which for independent
+Gaussian arms is one Gaussian of variance sigma^2: the Monte Carlo route
+draws that combination once per run (shared by its state and clicks) and
+averages conditional states; the analytic route applies the damping.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import circuit, fock
-from .circuit import ARM_WIRES
+from .circuit import ARM_WIRES, _number_within
 from .protocol import (
     MeasurementOutcome,
     QubitState,
@@ -35,11 +37,13 @@ class DephasingParams:
     variances: tuple[float, float, float, float, float, float]
 
     def __post_init__(self):
+        if np.ndim(self.variances) != 1 or len(self.variances) != len(ARM_WIRES):
+            raise ValueError(f"need one variance per arm {ARM_WIRES}, got {self.variances!r}")
+        if not all(_number_within(v, 0.0) for v in self.variances):
+            raise ValueError(
+                f"variances must be finite and non-negative, got {self.variances!r}"
+            )
         object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
-        if len(self.variances) != len(ARM_WIRES):
-            raise ValueError(f"need one variance per arm {ARM_WIRES}")
-        if not all(0.0 <= v < math.inf for v in self.variances):
-            raise ValueError(f"variances must be finite and non-negative, got {self.variances}")
 
     @classmethod
     def from_total(cls, sigma2: float) -> "DephasingParams":
@@ -81,17 +85,22 @@ def fixed_phase_state(params: TeleportParams, phi_prime: float) -> QubitState:
 
 
 def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarray:
-    """One Gaussian draw per arm per run, rows of one seeded stream.
+    """One value of `combined_phase` per run: a standard normal of one
+    seeded stream, scaled by the square root of the summed arm variances.
 
     Runs are drawn in order from a single generator, so the n samples of
-    a run are the first n rows of any longer run with the same seed.
+    a run are the first n values of any longer run with the same seed.
     """
-    draws = np.random.default_rng(seed).standard_normal((n_samples, len(ARM_WIRES)))
-    draws *= np.sqrt(np.array(deph.variances))
-    # the loc of rng.normal(0.0, scales): turns the -0.0 of a zero-variance
-    # arm into 0.0, so the rows are bit for bit those of that call
+    draws = np.random.default_rng(seed).standard_normal(n_samples)
+    draws *= math.sqrt(math.fsum(deph.variances))
+    # the loc of rng.normal(0.0, scale): turns the -0.0 of a zero variance
+    # into 0.0, so the values are bit for bit those of that call
     draws += 0.0
     return draws
+
+
+# each arm's coefficient, +1 or -1, in `combined_phase`, ordered as ARM_WIRES
+_PHASE_WEIGHTS = tuple(int(combined_phase({arm: 1.0})) for arm in ARM_WIRES)
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,16 +121,19 @@ def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
 def _conditional_amplitudes(
     params: TeleportParams, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ++ conditional amplitudes (to B'0, B'1) per phase draw,
-    up to one phase per draw common to both.
+    """Vectorized ++ conditional amplitudes (to B'0, B'1) per drawn value of
+    `combined_phase`, up to one phase per draw common to both.
 
     The arm phases are diagonal in the three-particle occupation basis of
     the prepared stage, so by Cauchy-Binet each amplitude is a sum over
     configurations S of c_S * exp(-i * sum of the phases on S's arms), with
     c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  At most
     two configurations have c_S != 0.  The first one's phase is factored
-    out, so each further one costs one exp(-i (S - S_0)) per draw; every
-    caller reads only |alpha|^2, |beta|^2 and alpha * conj(beta).
+    out.  Each further one's arm occupations minus the first's must be
+    s * `_PHASE_WEIGHTS` for one sign s (anything else is a ValueError), so
+    its relative phase is s * combined_phase and costs one exp(-i s draw)
+    per draw; every caller reads only |alpha|^2, |beta|^2 and
+    alpha * conj(beta).
     """
     rows, arms = _alice_clicks()
     coeffs = rows * premeasurement_amplitudes("preparation", params.R, params.phi)
@@ -129,9 +141,13 @@ def _conditional_amplitudes(
     (c0, on0), *rest = zip(coeffs[:, keep].T, arms[keep])
     alpha, beta = (np.full(len(draws), c) for c in c0)
     for (ca, cb), on in rest:
-        # row sums, not a matrix product: draws @ w rounds n = 1 differently,
-        # and a run must stay the prefix of any longer one
-        phase = np.exp(-1j * (draws[:, on].sum(axis=1) - draws[:, on0].sum(axis=1)))
+        moved = on.astype(int) - on0
+        if np.array_equal(moved, _PHASE_WEIGHTS):
+            phase = np.exp(-1j * draws)
+        elif np.array_equal(-moved, _PHASE_WEIGHTS):
+            phase = np.exp(1j * draws)
+        else:
+            raise ValueError(f"arms {moved} do not move by the combined phase {_PHASE_WEIGHTS}")
         alpha += ca * phase
         beta += cb * phase
     return alpha, beta

@@ -44,8 +44,8 @@ def _halved(owner, name):
     return _replace(owner, name, tuple(0.5 * c for c in getattr(owner, name)))
 
 
-def _arm_phases_mapped(transform):
-    """The Monte Carlo amplitudes fed transformed arm-phase draws."""
+def _draws_mapped(transform):
+    """The Monte Carlo amplitudes fed transformed draws of the combined phase."""
 
     def apply(monkeypatch):
         amplitudes = saw._conditional_amplitudes
@@ -126,14 +126,16 @@ MUTANTS = [
         id="reorder-sign-always-one",
     ),
     pytest.param(
-        _arm_phases_mapped(np.negative),
+        _draws_mapped(np.negative),
         test_saw.test_fast_path_matches_full_simulation,
-        id="mc-arm-phases-negated",
+        id="mc-phase-sign-flipped",
     ),
     pytest.param(
-        _arm_phases_mapped(lambda draws: draws[:, ::-1]),
-        test_saw.test_fast_path_matches_full_simulation,
-        id="mc-arm-order-reversed",
+        # the spread of one arm of six, not of their combination: the
+        # fidelity law of criterion 6 must see it
+        _draws_mapped(lambda draws: draws / np.sqrt(6.0)),
+        _criterion(6),
+        id="mc-variance-of-mean",
     ),
     pytest.param(
         _replace(protocol, "CORRECTED_OUTCOMES", ()),

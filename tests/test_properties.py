@@ -64,7 +64,8 @@ def test_network_invariants(point):
 def test_sector_amplitudes_match_full_simulation(R, phi, rows):
     # R = 0 and R = 1 leave a single contributing three-particle configuration
     params = TeleportParams(R, phi)
-    alpha, beta = saw._conditional_amplitudes(params, np.array(rows))
+    phis = [saw.combined_phase(dict(zip(circuit.ARM_WIRES, arms))) for arms in rows]
+    alpha, beta = saw._conditional_amplitudes(params, np.array(phis))
     for a, b, arms in zip(alpha, beta, rows):
         p = abs(a) ** 2 + abs(b) ** 2
         rho = np.array([[abs(a) ** 2, a * np.conj(b)], [b * np.conj(a), abs(b) ** 2]]) / p

@@ -94,27 +94,50 @@ def test_zero_variance_equals_analytic_for_any_seed():
 
 
 def test_arm_phase_stream_is_pinned():
-    # SHA-256 of the little-endian rows, as rng.normal(0.0, scales, size)
-    # drew them; zero variances give +0.0, never -0.0
+    # SHA-256 of the little-endian draws of combined_phase, one per run, as
+    # rng.normal(0.0, sqrt(fsum(variances)), n) draws them
     deph = DephasingParams((0.4, 0.0, 0.1, 0.0, 0.25, 1.5))
     pinned = {
-        7: "06f3a5be5853846ad6a1908b1fe7f63b7c8ec3ef0d86c2d90907443b2d0e2b52",
-        20260809: "691eb44359314d30b493ff851caed22876edaed2821f409285a20c5e3b876160",
+        7: "06aab03aa13f1d6b922dcc1431817d1aa1324e2eeb827304d8fd1810e1871c84",
+        20260809: "68957e9892160ead6a9c6fecca3dfee553ad04fdd50084654ca31386e79caa3b",
     }
+    scale = math.sqrt(math.fsum(deph.variances))
     for seed, digest in pinned.items():
-        rows = saw._sample_phases(deph, 1000, seed)
-        assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == digest
+        draws = saw._sample_phases(deph, 1000, seed)
+        assert draws.shape == (1000,)
+        assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == digest
+        assert draws.tobytes() == np.random.default_rng(seed).normal(0.0, scale, 1000).tobytes()
+    # zero variances give +0.0, never -0.0
+    assert saw._sample_phases(DephasingParams((0.0,) * 6), 50, 3).tobytes() == bytes(8 * 50)
 
 
 def test_fast_path_matches_full_simulation():
     deph = DephasingParams.from_total(0.9)
     stack = montecarlo_states(PARAMS, deph, 30, seed=11)
-    scales = np.sqrt(np.array(deph.variances))
-    rows = np.random.default_rng(11).normal(0.0, scales, size=(30, 6))
-    for i in range(30):
-        draws = dict(zip(ARM_WIRES, rows[i]))
-        _, slow = protocol.conditional_with_arm_phases(PARAMS, draws)
+    # the combined phase of each run, drawn here without saw, spread over
+    # the six arms at random so that combined_phase gives it back
+    phis = np.random.default_rng(11).standard_normal(30) * math.sqrt(math.fsum(deph.variances))
+    rng = np.random.default_rng(12)
+    for i, phi in enumerate(phis):
+        arms = dict(zip(ARM_WIRES, rng.normal(0.0, 1.0, 6)))
+        arm = ARM_WIRES[rng.integers(6)]
+        arms[arm] += combined_phase({arm: 1.0}) * (phi - combined_phase(arms))
+        assert combined_phase(arms) == pytest.approx(phi, abs=1e-14)
+        _, slow = protocol.conditional_with_arm_phases(PARAMS, arms)
         assert np.max(np.abs(stack[i] - slow.rho)) < 1e-12
+
+
+def test_amplitudes_reject_configurations_off_the_combined_phase(monkeypatch):
+    # the second contributing configuration of 0 < R < 1 must move exactly
+    # the arms of combined_phase; with any other arm set the one-draw
+    # reduction does not hold
+    rows, arms = saw._alice_clicks()
+    for arm in range(len(ARM_WIRES)):
+        moved = arms.copy()
+        moved[:, arm] = ~moved[:, arm]
+        monkeypatch.setattr(saw, "_alice_clicks", lambda: (rows, moved))
+        with pytest.raises(ValueError, match="combined phase"):
+            saw._conditional_amplitudes(PARAMS, np.zeros(3))
 
 
 def test_click_probability_unaffected_by_noise():
@@ -134,16 +157,13 @@ def test_montecarlo_converges_to_analytic():
 
 
 def test_only_total_variance_matters():
-    n = 20_000
-    even = DephasingParams.from_total(1.0)
-    lopsided = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.0))
-    _, _, a = saw.montecarlo_entries(PARAMS, even, n, seed=1)
-    _, _, b = saw.montecarlo_entries(PARAMS, lopsided, n, seed=2)
-    for part in (np.real, np.imag):
-        se = math.hypot(
-            part(a).std(ddof=1) / math.sqrt(n), part(b).std(ddof=1) / math.sqrt(n)
-        )
-        assert abs(part(a.mean()) - part(b.mean())) < 3.0 * se
+    # two splits with the same exact sum (dyadic variances) give the same run
+    lopsided = DephasingParams((0.5, 0.0, 0.25, 0.0, 0.25, 0.0))
+    spread = DephasingParams((0.125, 0.125, 0.25, 0.25, 0.125, 0.125))
+    assert math.fsum(lopsided.variances) == math.fsum(spread.variances) == 1.0
+    a = _bytes(_fresh(saw.montecarlo_entries, PARAMS, lopsided, 2000, 1))
+    b = _bytes(_fresh(saw.montecarlo_entries, PARAMS, spread, 2000, 1))
+    assert a == b
 
 
 def test_montecarlo_is_deterministic_per_seed():

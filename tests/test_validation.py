@@ -29,6 +29,11 @@ NON_FINITE = {
     "series_tol=nan": lambda: LevitonParams(0.05, 0.1, series_tol=NAN),
     "variance=nan": lambda: DephasingParams((NAN, 0.0, 0.0, 0.0, 0.0, 0.0)),
     "variance=inf": lambda: DephasingParams((0.0, 0.0, 0.0, 0.0, 0.0, INF)),
+    'variance "0.1"': lambda: DephasingParams(("0.1", 0.0, 0.0, 0.0, 0.0, 0.0)),
+    "variance None": lambda: DephasingParams((None, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    "variances bare number": lambda: DephasingParams(0.5),
+    "variances None": lambda: DephasingParams(None),
+    "variances five": lambda: DephasingParams((0.1,) * 5),
     "prep phi=nan": lambda: ElementSpec("prep", ("a", "b"), (0.3, NAN)),
     "phase value=inf": lambda: ElementSpec("phase", ("a",), (INF,)),
     "unitary nan": lambda: SingleParticleUnitary(np.array([[NAN]]), ONE_MODE, ONE_MODE),
@@ -85,7 +90,7 @@ GAMMA_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("gamma", [NAN, INF, 0.0, -1.0, 100.0])
+@pytest.mark.parametrize("gamma", [NAN, INF, 0.0, -1.0, 100.0, "0.1", None, 0.1j], ids=repr)
 @pytest.mark.parametrize("call", GAMMA_FUNCTIONS.values(), ids=GAMMA_FUNCTIONS.keys())
 def test_photoassist_gamma_must_be_positive_and_finite(call, gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
