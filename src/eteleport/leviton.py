@@ -78,9 +78,11 @@ class LevitonParams:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (_number_within(gamma, 0.0, GAMMA_MAX) and gamma > 0.0):  # NaN fails too
+    # the bounds of LevitonParams: the oracle's grid grows as 1/gamma
+    if not _number_within(gamma, GAMMA_MIN, GAMMA_MAX):  # NaN fails too
         raise ValueError(
-            f"pulse width gamma must be positive and finite, at most {GAMMA_MAX:g}, got {gamma!r}"
+            f"pulse width gamma must be positive and finite, in [{GAMMA_MIN:g}, {GAMMA_MAX:g}],"
+            f" got {gamma!r}"
         )
 
 

@@ -7,6 +7,13 @@ sees the arm phases only through `combined_phase`, which for independent
 Gaussian arms is one Gaussian of variance sigma^2: the Monte Carlo route
 draws that combination once per run (shared by its state and clicks) and
 averages conditional states; the analytic route applies the damping.
+
+A Monte Carlo run is real arithmetic.  Each per-draw quantity (|alpha|^2,
+|beta|^2, Re and Im of alpha * conj(beta), and p) is k0 + kc * cos(Phi) +
+ks * sin(Phi) with constant coefficients, so a run holds those coefficients
+and one cos and one sin per draw.  Entries, click probabilities and means
+are evaluated over blocks of `_BLOCK` draws in reused buffers; each value
+is elementwise, so it does not depend on where a block ends.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -118,39 +125,67 @@ def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
     return rows, arms
 
 
-def _conditional_amplitudes(
-    params: TeleportParams, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ++ conditional amplitudes (to B'0, B'1) per drawn value of
-    `combined_phase`, up to one phase per draw common to both.
+class _Run(NamedTuple):
+    """One seeded run of the ++ conditional amplitudes alpha, beta (to B'0,
+    B'1).  Each row of `forms` is (k0, kc, ks) of one per-draw real quantity
+    k0 + kc * cos(Phi) + ks * sin(Phi): |alpha|^2, |beta|^2, Re and Im of
+    alpha * conj(beta), then p = |alpha|^2 + |beta|^2.  `cos` and `sin`
+    hold those of each draw Phi of `combined_phase`."""
+
+    forms: tuple[tuple[float, float, float], ...]
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+def _product_form(x: tuple, y: tuple, sign: int) -> tuple[complex, complex, complex]:
+    """x * conj(y) for x = x0 + x1 e and y = y0 + y1 e, e = exp(-i sign Phi),
+    as the complex coefficients of 1, cos(Phi) and sin(Phi) (|e| = 1)."""
+    (x0, x1), (y0, y1) = x, (y[0].conjugate(), y[1].conjugate())
+    return x0 * y0 + x1 * y1, x1 * y0 + x0 * y1, 1j * sign * (x0 * y1 - x1 * y0)
+
+
+def _conditional_amplitudes(params: TeleportParams, draws: np.ndarray) -> _Run:
+    """The ++ conditional amplitudes (to B'0, B'1) per drawn value of
+    `combined_phase`, as the real per-draw forms of a `_Run`.
 
     The arm phases are diagonal in the three-particle occupation basis of
     the prepared stage, so by Cauchy-Binet each amplitude is a sum over
     configurations S of c_S * exp(-i * sum of the phases on S's arms), with
     c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  At most
     two configurations have c_S != 0.  The first one's phase is factored
-    out.  Each further one's arm occupations minus the first's must be
+    out (every caller reads only |alpha|^2, |beta|^2 and alpha * conj(beta)).
+    Each further one's arm occupations minus the first's must be
     s * `_PHASE_WEIGHTS` for one sign s (anything else is a ValueError), so
-    its relative phase is s * combined_phase and costs one exp(-i s draw)
-    per draw; every caller reads only |alpha|^2, |beta|^2 and
-    alpha * conj(beta).
+    its relative phase is s * combined_phase: alpha = a0 + a1 e and
+    beta = b0 + b1 e with e = exp(-i s Phi).  Those products are then
+    constant coefficients of 1, cos(Phi) and sin(Phi), and a draw costs one
+    cos and one sin.
     """
     rows, arms = _alice_clicks()
     coeffs = rows * premeasurement_amplitudes("preparation", params.R, params.phi)
     keep = coeffs.any(axis=0)
-    (c0, on0), *rest = zip(coeffs[:, keep].T, arms[keep])
-    alpha, beta = (np.full(len(draws), c) for c in c0)
-    for (ca, cb), on in rest:
+    (c0, on0), *rest = zip(coeffs[:, keep].T.tolist(), arms[keep])
+    # occupations are 0 or 1, so every further configuration moves by the same sign
+    c1, sign = (0j, 0j), 1
+    for c, on in rest:
         moved = on.astype(int) - on0
         if np.array_equal(moved, _PHASE_WEIGHTS):
-            phase = np.exp(-1j * draws)
+            sign = 1
         elif np.array_equal(-moved, _PHASE_WEIGHTS):
-            phase = np.exp(1j * draws)
+            sign = -1
         else:
             raise ValueError(f"arms {moved} do not move by the combined phase {_PHASE_WEIGHTS}")
-        alpha += ca * phase
-        beta += cb * phase
-    return alpha, beta
+        c1 = (c1[0] + c[0], c1[1] + c[1])
+    alpha, beta = zip(c0, c1)
+    squares = [tuple(k.real for k in _product_form(x, x, sign)) for x in (alpha, beta)]
+    cross = _product_form(alpha, beta, sign)
+    forms = (
+        *squares,
+        tuple(k.real for k in cross),
+        tuple(k.imag for k in cross),
+        tuple(a + b for a, b in zip(*squares)),
+    )
+    return _Run(forms, np.cos(draws), np.sin(draws))
 
 
 def _integer(value: int, name: str, least: float = -math.inf) -> int:
@@ -164,15 +199,15 @@ def _integer(value: int, name: str, least: float = -math.inf) -> int:
     return value
 
 
-_handoff: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # at most one run
+_handoff: dict[tuple, _Run] = {}  # at most one run
 
 
 def _run_amplitudes(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and beta of one seeded run, read-only.  The first of two calls
-    with the same arguments draws the run and holds it, the second takes it;
-    the key holds the signs of R, phi and the variances, so -0.0 and 0.0 differ."""
+) -> _Run:
+    """One seeded run, its arrays read-only.  The first of two calls with
+    the same arguments draws the run and holds it, the second takes it; the
+    key holds the signs of R, phi and the variances, so -0.0 and 0.0 differ."""
     n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed")
     signs = tuple(math.copysign(1.0, x) for x in (params.R, params.phi, *deph.variances))
     key = (params, deph, n_samples, seed, signs)
@@ -180,9 +215,43 @@ def _run_amplitudes(
     if held is None:
         _handoff.clear()
         held = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
-        held[0].flags.writeable = held[1].flags.writeable = False
+        held.cos.flags.writeable = held.sin.flags.writeable = False
         _handoff[key] = held
     return held
+
+
+_BLOCK = 4096  # draws per block, so that a block's real buffers stay in cache
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _evaluate(form: tuple[float, float, float], cos, sin, out, spare) -> np.ndarray | float:
+    """k0 + kc * cos + ks * sin into `out`, zero terms skipped; `spare` is
+    scratch of the same length.  A form without a cos or a sin term is its
+    k0, returned as a float and written nowhere."""
+    k0, kc, ks = form
+    terms = [(k, trig) for k, trig in ((kc, cos), (ks, sin)) if k]
+    if not terms:
+        return k0
+    (k, trig), *more = terms
+    np.multiply(trig, k, out=out)
+    for k, trig in more:
+        out += np.multiply(trig, k, out=spare)
+    if k0:
+        out += k0
+    return out
+
+
+def _entries_into(run: _Run, block: slice, outs, spare: np.ndarray) -> None:
+    """Bob's rho00, rho11, Re rho01 and Im rho01 of the draws in `block`
+    into the four arrays `outs`; `spare` is two rows of scratch."""
+    cos, sin = run.cos[block], run.sin[block]
+    *entries, p = run.forms
+    p = _evaluate(p, cos, sin, spare[0], spare[1])
+    for form, out in zip(entries, outs):
+        np.divide(_evaluate(form, cos, sin, out, spare[1]), p, out=out)
 
 
 def montecarlo_click_probabilities(
@@ -190,8 +259,13 @@ def montecarlo_click_probabilities(
 ) -> np.ndarray:
     """Per-sample ++ probability (1/16 under any phase noise) of the run
     shared with `montecarlo_entries`."""
-    alpha, beta = _run_amplitudes(params, deph, n_samples, seed)
-    return np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    run = _run_amplitudes(params, deph, n_samples, seed)
+    n = len(run.cos)
+    p, spare = np.empty(n), np.empty(min(n, _BLOCK))
+    for block in _blocks(n):
+        out = p[block]
+        out[...] = _evaluate(run.forms[-1], run.cos[block], run.sin[block], out, spare[: len(out)])
+    return p
 
 
 def montecarlo_entries(
@@ -199,26 +273,35 @@ def montecarlo_entries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per sample, Bob's ++-conditional rho00, rho11 and rho01 (rho10 is its
     conjugate), from the run shared with `montecarlo_click_probabilities`."""
-    alpha, beta = _run_amplitudes(params, deph, n_samples, seed)
-    rho00 = np.abs(alpha) ** 2
-    rho11 = np.abs(beta) ** 2
-    rho01 = alpha * np.conj(beta)
-    p = rho00 + rho11
-    for entry in (rho00, rho11, rho01):
-        entry /= p
+    run = _run_amplitudes(params, deph, n_samples, seed)
+    n = len(run.cos)
+    rho00, rho11, rho01 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+    spare = np.empty((2, min(n, _BLOCK)))
+    for block in _blocks(n):
+        outs = (rho00[block], rho11[block], rho01.real[block], rho01.imag[block])
+        _entries_into(run, block, outs, spare[:, : block.stop - block.start])
     return rho00, rho11, rho01
 
 
 def dephased_state_montecarlo(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> QubitState:
-    """Average of the ++-conditional state over sampled arm phases.
+    """Average of the ++-conditional state over sampled arm phases, summed
+    block by block from the run shared with `montecarlo_click_probabilities`.
 
     Deterministic for a given seed; converges to the analytic state at
     the usual 1/sqrt(n) Monte Carlo rate.
     """
-    rho00, rho11, rho01 = (x.mean() for x in montecarlo_entries(params, deph, n_samples, seed))
-    rho = np.array([[rho00, rho01], [np.conj(rho01), rho11]])
+    run = _run_amplitudes(params, deph, n_samples, seed)
+    n = len(run.cos)
+    buffers, totals = np.empty((6, min(n, _BLOCK))), np.zeros(4)
+    for block in _blocks(n):
+        used = buffers[:, : block.stop - block.start]
+        _entries_into(run, block, used[:4], used[4:])
+        totals += used[:4].sum(axis=1)
+    rho00, rho11, re01, im01 = (totals / n).tolist()
+    rho01 = complex(re01, im01)
+    rho = np.array([[rho00, rho01], [rho01.conjugate(), rho11]])
     return QubitState(rho / (rho00 + rho11))
 
 

@@ -65,10 +65,10 @@ def test_sector_amplitudes_match_full_simulation(R, phi, rows):
     # R = 0 and R = 1 leave a single contributing three-particle configuration
     params = TeleportParams(R, phi)
     phis = [saw.combined_phase(dict(zip(circuit.ARM_WIRES, arms))) for arms in rows]
-    alpha, beta = saw._conditional_amplitudes(params, np.array(phis))
-    for a, b, arms in zip(alpha, beta, rows):
-        p = abs(a) ** 2 + abs(b) ** 2
-        rho = np.array([[abs(a) ** 2, a * np.conj(b)], [b * np.conj(a), abs(b) ** 2]]) / p
+    run = saw._conditional_amplitudes(params, np.array(phis))
+    for cos, sin, arms in zip(run.cos, run.sin, rows):
+        aa, bb, re, im, p = (k0 + kc * cos + ks * sin for k0, kc, ks in run.forms)
+        rho = np.array([[aa, re + 1j * im], [re - 1j * im, bb]]) / p
         arm_phases = dict(zip(circuit.ARM_WIRES, arms))
         slow_p, slow = protocol.conditional_with_arm_phases(params, arm_phases)
         assert abs(p - slow_p) < 1e-12
@@ -167,7 +167,8 @@ def test_handoff_never_shares_a_signed_zero(R, phi, variances, seed):
         got = saw._run_amplitudes(*other)  # drawn anew, the held run stays unserved
         assert not any(g is h for g, h in zip(got, held)) and len(saw._handoff) == 1
         fresh = saw._conditional_amplitudes(other[0], saw._sample_phases(*other[1:]))
-        assert [g.tobytes() for g in got] == [f.tobytes() for f in fresh]
+        # the coefficients too, as bytes: -0.0 and 0.0 differ there
+        assert [np.asarray(g).tobytes() for g in got] == [np.asarray(f).tobytes() for f in fresh]
     saw._handoff.clear()
 
 

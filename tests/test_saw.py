@@ -140,6 +140,20 @@ def test_amplitudes_reject_configurations_off_the_combined_phase(monkeypatch):
             saw._conditional_amplitudes(PARAMS, np.zeros(3))
 
 
+def test_either_contributing_configuration_may_come_first(monkeypatch):
+    # the sector's configurations in reverse order: the other one's phase is
+    # factored out, and the further one moves by the opposite sign
+    deph = DephasingParams.from_total(0.9)
+    want = _fresh(saw.montecarlo_entries, PARAMS, deph, 300, 2)
+    rows, arms = saw._alice_clicks()
+    amplitudes = saw.premeasurement_amplitudes
+    monkeypatch.setattr(saw, "_alice_clicks", lambda: (rows[:, ::-1], arms[::-1]))
+    monkeypatch.setattr(saw, "premeasurement_amplitudes", lambda *a: amplitudes(*a)[::-1])
+    got = _fresh(saw.montecarlo_entries, PARAMS, deph, 300, 2)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) < 1e-12
+
+
 def test_click_probability_unaffected_by_noise():
     deph = DephasingParams.from_total(1.0)
     probs = saw.montecarlo_click_probabilities(PARAMS, deph, 1000, seed=5)
@@ -188,6 +202,57 @@ def test_montecarlo_prefix_is_the_shorter_run():
             assert np.array_equal(whole[:k], part)
 
 
+def _mix_rows(monkeypatch):
+    """Alice's two ++ rows mixed, so that every coefficient a0, a1, b0, b1
+    of a run is non-zero and p varies from draw to draw; not a physical
+    network, but the same reduction."""
+    rows, arms = saw._alice_clicks()
+    mixed = np.array([[1.0, 0.5j], [0.3, 1.0]]) @ rows
+    monkeypatch.setattr(saw, "_alice_clicks", lambda: (mixed, arms))
+    return mixed, arms
+
+
+BLOCK_EDGES = (saw._BLOCK - 1, saw._BLOCK, saw._BLOCK + 1, 2 * saw._BLOCK + 3)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["network", "mixed-rows"])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_prefix_is_the_shorter_run_across_blocks(monkeypatch, n, mixed):
+    if mixed:
+        _mix_rows(monkeypatch)
+    deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
+
+    def arrays(count):
+        entries = _fresh(saw.montecarlo_entries, PARAMS, deph, count, 8)
+        return (*entries, _fresh(saw.montecarlo_click_probabilities, PARAMS, deph, count, 8))
+
+    for whole, part in zip(arrays(3 * saw._BLOCK + 5), arrays(n)):
+        assert len(part) == n and whole[:n].tobytes() == part.tobytes()
+
+
+def test_forms_match_complex_amplitudes_for_any_coefficients(monkeypatch):
+    mixed, arms = _mix_rows(monkeypatch)
+    deph = DephasingParams.from_total(1.3)
+    n = saw._BLOCK + 7
+    coeffs = mixed * protocol.premeasurement_amplitudes("preparation", PARAMS.R, PARAMS.phi)
+    # the whole combined phase on one arm of weight +1, every configuration's own phase kept
+    on = arms[:, saw._PHASE_WEIGHTS.index(1)]
+    phases = np.exp(-1j * np.outer(saw._sample_phases(deph, n, 5), on))
+    alpha, beta = (phases @ c for c in coeffs)
+    p = abs(alpha) ** 2 + abs(beta) ** 2
+    assert np.ptp(p) > 1e-3
+    clicks = _fresh(saw.montecarlo_click_probabilities, PARAMS, deph, n, 5)
+    assert np.max(np.abs(clicks - p)) < 1e-12
+    entries = _fresh(saw.montecarlo_entries, PARAMS, deph, n, 5)
+    wanted = (abs(alpha) ** 2, abs(beta) ** 2, alpha * np.conj(beta))
+    for got, want in zip(entries, wanted):
+        assert np.max(np.abs(got - want / p)) < 1e-12
+    rho00, rho11, rho01 = (x.mean() for x in entries)
+    mean = np.array([[rho00, rho01], [np.conj(rho01), rho11]]) / (rho00 + rho11)
+    averaged = _fresh(dephased_state_montecarlo, PARAMS, deph, n, 5)
+    assert np.max(np.abs(averaged.rho - mean)) < 1e-14
+
+
 def test_averaged_state_is_the_mean_of_the_stack():
     deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.0))
     for params in (PARAMS, TeleportParams(0.0, 0.4), TeleportParams(1.0, 2.0)):
@@ -206,32 +271,35 @@ def _fresh(call, *args):
 
 
 def _bytes(out):
+    """The bytes of a result, a run's coefficients and signed zeros included."""
     if isinstance(out, saw.QubitState):
         return out.rho.tobytes()
     if isinstance(out, tuple):
         return tuple(_bytes(x) for x in out)
-    return out.tobytes()
+    return np.asarray(out).tobytes()
 
 
 def test_handoff_serves_either_order_bitwise():
     deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
-    args = (PARAMS, deph, 400, 13)
     calls = (
         saw._run_amplitudes,
         saw.montecarlo_entries,
         dephased_state_montecarlo,
         saw.montecarlo_click_probabilities,
     )
-    fresh = {call: _bytes(_fresh(call, *args)) for call in calls}
-    alpha, beta = saw._conditional_amplitudes(PARAMS, saw._sample_phases(deph, 400, 13))
-    assert fresh[saw._run_amplitudes] == (alpha.tobytes(), beta.tobytes())
-    for first in calls:
-        for second in calls:
-            saw._handoff.clear()
-            assert _bytes(first(*args)) == fresh[first]
-            assert len(saw._handoff) == 1
-            assert _bytes(second(*args)) == fresh[second]  # served
-            assert not saw._handoff
+    # one block, and three blocks with a short last one
+    for n in (400, 2 * saw._BLOCK + 3):
+        args = (PARAMS, deph, n, 13)
+        fresh = {call: _bytes(_fresh(call, *args)) for call in calls}
+        run = saw._conditional_amplitudes(PARAMS, saw._sample_phases(deph, n, 13))
+        assert fresh[saw._run_amplitudes] == _bytes(run)
+        for first in calls:
+            for second in calls:
+                saw._handoff.clear()
+                assert _bytes(first(*args)) == fresh[first]
+                assert len(saw._handoff) == 1
+                assert _bytes(second(*args)) == fresh[second]  # served
+                assert not saw._handoff
     saw._handoff.clear()
 
 
@@ -241,9 +309,10 @@ def test_handoff_arrays_are_read_only_and_one_run_is_held():
     for seed in (1, 2, 3):
         held = saw._run_amplitudes(PARAMS, deph, 50, seed)
         assert len(saw._handoff) == 1
-        for amplitudes in held:
+        assert isinstance(held.forms, tuple) and all(isinstance(f, tuple) for f in held.forms)
+        for trig in (held.cos, held.sin):
             with pytest.raises(ValueError, match="read-only"):
-                amplitudes[0] = 0.0
+                trig[0] = 0.0
     served = saw._run_amplitudes(PARAMS, deph, 50, 3)
     assert all(s is h for s, h in zip(served, held)) and not saw._handoff
     drawn = saw._run_amplitudes(PARAMS, deph, 50, 3)  # a third call draws again

@@ -90,11 +90,19 @@ GAMMA_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("gamma", [NAN, INF, 0.0, -1.0, 100.0, "0.1", None, 0.1j], ids=repr)
+# 1e-5 and 9.9e-5 lie under GAMMA_MIN, where the oracle's grid grows as 1/gamma
+@pytest.mark.parametrize(
+    "gamma", [NAN, INF, 0.0, -1.0, 100.0, "0.1", None, 0.1j, 1e-5, 9.9e-5], ids=repr
+)
 @pytest.mark.parametrize("call", GAMMA_FUNCTIONS.values(), ids=GAMMA_FUNCTIONS.keys())
 def test_photoassist_gamma_must_be_positive_and_finite(call, gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         call(gamma)
+
+
+def test_photoassist_accepts_gamma_min():
+    for call in GAMMA_FUNCTIONS.values():
+        assert np.all(np.isfinite(call(leviton.GAMMA_MIN)))
 
 
 PHOTON_NUMBER_FUNCTIONS = {
