@@ -11,14 +11,17 @@ averages conditional states; the analytic route applies the damping.
 A Monte Carlo run is real arithmetic.  Each per-draw quantity (|alpha|^2,
 |beta|^2, Re and Im of alpha * conj(beta), and p) is k0 + kc * cos(Phi) +
 ks * sin(Phi) with constant coefficients, so a run holds those coefficients
-and one cos and one sin per draw.  Entries, click probabilities and means
-are evaluated over blocks of `_BLOCK` draws in reused buffers; each value
-is elementwise, so it does not depend on where a block ends.
+and one cos and one sin per draw, both in one allocation.  Entries, click
+probabilities and means are evaluated over blocks of `_BLOCK` draws in
+reused buffers of at most three rows (96 KB, under malloc's default 128 KB
+mmap threshold, so they are not mapped and faulted in anew on each call);
+each value is elementwise, so it does not depend on where a block ends.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -185,7 +188,10 @@ def _conditional_amplitudes(params: TeleportParams, draws: np.ndarray) -> _Run:
         tuple(k.imag for k in cross),
         tuple(a + b for a, b in zip(*squares)),
     )
-    return _Run(forms, np.cos(draws), np.sin(draws))
+    trig = np.empty((2, len(draws)))  # the run's cos and sin in one allocation
+    np.cos(draws, out=trig[0])
+    np.sin(draws, out=trig[1])
+    return _Run(forms, *trig)
 
 
 def _integer(value: int, name: str, least: float = -math.inf) -> int:
@@ -244,14 +250,15 @@ def _evaluate(form: tuple[float, float, float], cos, sin, out, spare) -> np.ndar
     return out
 
 
-def _entries_into(run: _Run, block: slice, outs, spare: np.ndarray) -> None:
-    """Bob's rho00, rho11, Re rho01 and Im rho01 of the draws in `block`
-    into the four arrays `outs`; `spare` is two rows of scratch."""
+def _entries(run: _Run, block: slice, outs, spare: np.ndarray) -> Iterator[np.ndarray]:
+    """Bob's rho00, rho11, Re rho01 and Im rho01 of the draws in `block`,
+    each written into the next of `outs` as it is yielded; `spare` is two
+    rows of scratch."""
     cos, sin = run.cos[block], run.sin[block]
     *entries, p = run.forms
     p = _evaluate(p, cos, sin, spare[0], spare[1])
     for form, out in zip(entries, outs):
-        np.divide(_evaluate(form, cos, sin, out, spare[1]), p, out=out)
+        yield np.divide(_evaluate(form, cos, sin, out, spare[1]), p, out=out)
 
 
 def montecarlo_click_probabilities(
@@ -279,7 +286,8 @@ def montecarlo_entries(
     spare = np.empty((2, min(n, _BLOCK)))
     for block in _blocks(n):
         outs = (rho00[block], rho11[block], rho01.real[block], rho01.imag[block])
-        _entries_into(run, block, outs, spare[:, : block.stop - block.start])
+        for _ in _entries(run, block, outs, spare[:, : block.stop - block.start]):
+            pass
     return rho00, rho11, rho01
 
 
@@ -294,11 +302,13 @@ def dephased_state_montecarlo(
     """
     run = _run_amplitudes(params, deph, n_samples, seed)
     n = len(run.cos)
-    buffers, totals = np.empty((6, min(n, _BLOCK))), np.zeros(4)
+    # one row for each entry in turn and two of scratch: 96 KB at most, under
+    # malloc's default mmap threshold, so no call maps and faults in new pages
+    buffers, totals = np.empty((3, min(n, _BLOCK))), np.zeros(4)
     for block in _blocks(n):
         used = buffers[:, : block.stop - block.start]
-        _entries_into(run, block, used[:4], used[4:])
-        totals += used[:4].sum(axis=1)
+        entries = _entries(run, block, itertools.repeat(used[0]), used[1:])
+        totals += [entry.sum() for entry in entries]
     rho00, rho11, re01, im01 = (totals / n).tolist()
     rho01 = complex(re01, im01)
     rho = np.array([[rho00, rho01], [rho01.conjugate(), rho11]])
