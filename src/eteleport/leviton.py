@@ -349,7 +349,7 @@ def finite_T_correlators(
 ) -> CorrelatorTable:
     """Scale the table to finite temperature: I unchanged, P and Q damped."""
     for name, value in (("pair", pair_factor), ("triple", triple_factor)):
-        if not 0.0 < value <= 1.0:
+        if not (_number_within(value, 0.0, 1.0) and value > 0.0):
             raise ValueError(f"{name} factor must lie in (0, 1], got {value}")
     factors = np.array([(1.0, pair_factor, triple_factor)[len(key) - 1] for key in KEYS])
     return CorrelatorTable(table.setting, table.values * factors)

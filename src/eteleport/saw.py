@@ -5,23 +5,19 @@ layers damp the transverse Bloch components of Bob's conditional state by
 exp(-sigma^2/2), where sigma^2 is the summed per-arm variance.  Bob's state
 sees the arm phases only through `combined_phase`, which for independent
 Gaussian arms is one Gaussian of variance sigma^2: the Monte Carlo route
-draws that combination once per run (shared by its state and clicks) and
-averages conditional states; the analytic route applies the damping.
+draws that combination once per run and averages conditional states; the
+analytic route applies the damping.
 
-A Monte Carlo run is real arithmetic.  Each per-draw quantity (|alpha|^2,
-|beta|^2, Re and Im of alpha * conj(beta), and p) is k0 + kc * cos(Phi) +
-ks * sin(Phi) with constant coefficients, so a run holds those coefficients
-and one cos and one sin per draw, both in one allocation.  Entries, click
-probabilities and means are evaluated over blocks of `_BLOCK` draws in
-reused buffers of at most three rows (96 KB, under malloc's default 128 KB
-mmap threshold, so they are not mapped and faulted in anew on each call);
-each value is elementwise, so it does not depend on where a block ends.
+Each ++ conditional amplitude comes from one configuration of the prepared
+stage, so the populations rho00, rho11 and the click probability p are
+constants of a run and only the coherence turns with the drawn phase Phi:
+p * rho01 = kc * cos(Phi) + ks * sin(Phi).  A run is those constants and
+one cos and one sin per draw; the click probabilities draw nothing.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -69,7 +65,7 @@ def combined_phase(arm_phases: dict[str, float]) -> float:
 
 def _damping(sigma2: float) -> float:
     """Coherence factor exp(-sigma2/2) of a total arm-phase variance."""
-    if not 0.0 <= sigma2 < math.inf:
+    if not _number_within(sigma2, 0.0):
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2}")
     return math.exp(-sigma2 / 2.0)
 
@@ -129,69 +125,64 @@ def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Run(NamedTuple):
-    """One seeded run of the ++ conditional amplitudes alpha, beta (to B'0,
-    B'1).  Each row of `forms` is (k0, kc, ks) of one per-draw real quantity
-    k0 + kc * cos(Phi) + ks * sin(Phi): |alpha|^2, |beta|^2, Re and Im of
-    alpha * conj(beta), then p = |alpha|^2 + |beta|^2.  `cos` and `sin`
-    hold those of each draw Phi of `combined_phase`."""
+    """Bob's ++-conditional state over one run of draws Phi of
+    `combined_phase`: rho00, rho11 and the click probability p are
+    constants of the run, and p * rho01 = kc * cos(Phi) + ks * sin(Phi)."""
 
-    forms: tuple[tuple[float, float, float], ...]
-    cos: np.ndarray
-    sin: np.ndarray
-
-
-def _product_form(x: tuple, y: tuple, sign: int) -> tuple[complex, complex, complex]:
-    """x * conj(y) for x = x0 + x1 e and y = y0 + y1 e, e = exp(-i sign Phi),
-    as the complex coefficients of 1, cos(Phi) and sin(Phi) (|e| = 1)."""
-    (x0, x1), (y0, y1) = x, (y[0].conjugate(), y[1].conjugate())
-    return x0 * y0 + x1 * y1, x1 * y0 + x0 * y1, 1j * sign * (x0 * y1 - x1 * y0)
+    rho00: float
+    rho11: float
+    p: float
+    kc: complex
+    ks: complex
 
 
-def _conditional_amplitudes(params: TeleportParams, draws: np.ndarray) -> _Run:
-    """The ++ conditional amplitudes (to B'0, B'1) per drawn value of
-    `combined_phase`, as the real per-draw forms of a `_Run`.
+def _run_constants(params: TeleportParams) -> _Run:
+    """The constants of a run from the ++ conditional amplitudes alpha,
+    beta (to B'0, B'1).
 
     The arm phases are diagonal in the three-particle occupation basis of
     the prepared stage, so by Cauchy-Binet each amplitude is a sum over
     configurations S of c_S * exp(-i * sum of the phases on S's arms), with
-    c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  At most
-    two configurations have c_S != 0.  The first one's phase is factored
-    out (every caller reads only |alpha|^2, |beta|^2 and alpha * conj(beta)).
-    Each further one's arm occupations minus the first's must be
-    s * `_PHASE_WEIGHTS` for one sign s (anything else is a ValueError), so
-    its relative phase is s * combined_phase: alpha = a0 + a1 e and
-    beta = b0 + b1 e with e = exp(-i s Phi).  Those products are then
-    constant coefficients of 1, cos(Phi) and sin(Phi), and a draw costs one
-    cos and one sin.
+    c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  Alice's
+    splitters do not touch B'0 and B'1, so each amplitude has at most one
+    contributing configuration (more is a ValueError): alpha = a * exp(-i
+    theta_a), beta = b * exp(-i theta_b), and |alpha|^2, |beta|^2 and p do
+    not depend on the phases.  When both are non-zero, beta's arm
+    occupations minus alpha's must be s * `_PHASE_WEIGHTS` for one sign s
+    (anything else is a ValueError), so alpha * conj(beta) =
+    a * conj(b) * (cos(Phi) + i s sin(Phi)).
     """
     rows, arms = _alice_clicks()
     coeffs = rows * premeasurement_amplitudes("preparation", params.R, params.phi)
-    keep = coeffs.any(axis=0)
-    (c0, on0), *rest = zip(coeffs[:, keep].T.tolist(), arms[keep])
-    # occupations are 0 or 1, so every further configuration moves by the same sign
-    c1, sign = (0j, 0j), 1
-    for c, on in rest:
-        moved = on.astype(int) - on0
-        if np.array_equal(moved, _PHASE_WEIGHTS):
-            sign = 1
-        elif np.array_equal(-moved, _PHASE_WEIGHTS):
+    amplitudes = []
+    for row in coeffs:
+        configs = np.flatnonzero(row)
+        if len(configs) > 1:
+            raise ValueError(f"an amplitude has {len(configs)} contributing configurations")
+        amplitudes.append(next(((complex(row[k]), arms[k]) for k in configs), (0j, None)))
+    (a, on_a), (b, on_b) = amplitudes
+    sign = 1
+    if a and b:
+        moved = on_b.astype(int) - on_a
+        if np.array_equal(-moved, _PHASE_WEIGHTS):
             sign = -1
-        else:
+        elif not np.array_equal(moved, _PHASE_WEIGHTS):
             raise ValueError(f"arms {moved} do not move by the combined phase {_PHASE_WEIGHTS}")
-        c1 = (c1[0] + c[0], c1[1] + c[1])
-    alpha, beta = zip(c0, c1)
-    squares = [tuple(k.real for k in _product_form(x, x, sign)) for x in (alpha, beta)]
-    cross = _product_form(alpha, beta, sign)
-    forms = (
-        *squares,
-        tuple(k.real for k in cross),
-        tuple(k.imag for k in cross),
-        tuple(a + b for a, b in zip(*squares)),
-    )
-    trig = np.empty((2, len(draws)))  # the run's cos and sin in one allocation
+    aa, bb = (a * a.conjugate()).real, (b * b.conjugate()).real
+    p, kc = aa + bb, a * b.conjugate()
+    return _Run(aa / p, bb / p, p, kc, 1j * sign * kc)
+
+
+def _conditional_amplitudes(
+    params: TeleportParams, draws: np.ndarray
+) -> tuple[_Run, np.ndarray]:
+    """The run constants, and the cos and sin of each drawn value of
+    `combined_phase` as the two rows of one allocation."""
+    run = _run_constants(params)
+    trig = np.empty((2, len(draws)))
     np.cos(draws, out=trig[0])
     np.sin(draws, out=trig[1])
-    return _Run(forms, *trig)
+    return run, trig
 
 
 def _integer(value: int, name: str, least: float = -math.inf) -> int:
@@ -205,114 +196,57 @@ def _integer(value: int, name: str, least: float = -math.inf) -> int:
     return value
 
 
-_handoff: dict[tuple, _Run] = {}  # at most one run
-
-
-def _run_amplitudes(
+def _drawn_run(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
-) -> _Run:
-    """One seeded run, its arrays read-only.  The first of two calls with
-    the same arguments draws the run and holds it, the second takes it; the
-    key holds the signs of R, phi and the variances, so -0.0 and 0.0 differ."""
+) -> tuple[_Run, np.ndarray]:
+    """One seeded run: its constants, and the cos and sin of its draws."""
     n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed")
-    signs = tuple(math.copysign(1.0, x) for x in (params.R, params.phi, *deph.variances))
-    key = (params, deph, n_samples, seed, signs)
-    held = _handoff.pop(key, None)
-    if held is None:
-        _handoff.clear()
-        held = _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
-        held.cos.flags.writeable = held.sin.flags.writeable = False
-        _handoff[key] = held
-    return held
-
-
-_BLOCK = 4096  # draws per block, so that a block's real buffers stay in cache
-
-
-def _blocks(n: int) -> Iterator[slice]:
-    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
-
-
-def _evaluate(form: tuple[float, float, float], cos, sin, out, spare) -> np.ndarray | float:
-    """k0 + kc * cos + ks * sin into `out`, zero terms skipped; `spare` is
-    scratch of the same length.  A form without a cos or a sin term is its
-    k0, returned as a float and written nowhere."""
-    k0, kc, ks = form
-    terms = [(k, trig) for k, trig in ((kc, cos), (ks, sin)) if k]
-    if not terms:
-        return k0
-    (k, trig), *more = terms
-    np.multiply(trig, k, out=out)
-    for k, trig in more:
-        out += np.multiply(trig, k, out=spare)
-    if k0:
-        out += k0
-    return out
-
-
-def _entries(run: _Run, block: slice, outs, spare: np.ndarray) -> Iterator[np.ndarray]:
-    """Bob's rho00, rho11, Re rho01 and Im rho01 of the draws in `block`,
-    each written into the next of `outs` as it is yielded; `spare` is two
-    rows of scratch."""
-    cos, sin = run.cos[block], run.sin[block]
-    *entries, p = run.forms
-    p = _evaluate(p, cos, sin, spare[0], spare[1])
-    for form, out in zip(entries, outs):
-        yield np.divide(_evaluate(form, cos, sin, out, spare[1]), p, out=out)
+    return _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
 
 
 def montecarlo_click_probabilities(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Per-sample ++ probability (1/16 under any phase noise) of the run
-    shared with `montecarlo_entries`."""
-    run = _run_amplitudes(params, deph, n_samples, seed)
-    n = len(run.cos)
-    p, spare = np.empty(n), np.empty(min(n, _BLOCK))
-    for block in _blocks(n):
-        out = p[block]
-        out[...] = _evaluate(run.forms[-1], run.cos[block], run.sin[block], out, spare[: len(out)])
-    return p
+    """Per-sample ++ probability (1/16 under any phase noise) of the run of
+    `montecarlo_entries`; a constant of the run, so nothing is drawn."""
+    n_samples = _integer(n_samples, "n_samples", 1)
+    _integer(seed, "seed")
+    return np.full(n_samples, _run_constants(params).p)
 
 
 def montecarlo_entries(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per sample, Bob's ++-conditional rho00, rho11 and rho01 (rho10 is its
-    conjugate), from the run shared with `montecarlo_click_probabilities`."""
-    run = _run_amplitudes(params, deph, n_samples, seed)
-    n = len(run.cos)
-    rho00, rho11, rho01 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
-    spare = np.empty((2, min(n, _BLOCK)))
-    for block in _blocks(n):
-        outs = (rho00[block], rho11[block], rho01.real[block], rho01.imag[block])
-        for _ in _entries(run, block, outs, spare[:, : block.stop - block.start]):
-            pass
-    return rho00, rho11, rho01
+    conjugate); the populations are constants of the run."""
+    run, (cos, sin) = _drawn_run(params, deph, n_samples, seed)
+    n = len(cos)
+    rho01 = np.empty(n, dtype=complex)
+    for part, kc, ks in (
+        (rho01.real, run.kc.real, run.ks.real),
+        (rho01.imag, run.kc.imag, run.ks.imag),
+    ):
+        # (cos * kc + sin * ks) / p, in place
+        np.multiply(cos, kc, out=part)
+        part += sin * ks
+        part /= run.p
+    return np.full(n, run.rho00), np.full(n, run.rho11), rho01
 
 
 def dephased_state_montecarlo(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> QubitState:
-    """Average of the ++-conditional state over sampled arm phases, summed
-    block by block from the run shared with `montecarlo_click_probabilities`.
+    """Average of the ++-conditional state over sampled arm phases, from the
+    run's constants and the mean cos and sin of its draws.
 
     Deterministic for a given seed; converges to the analytic state at
     the usual 1/sqrt(n) Monte Carlo rate.
     """
-    run = _run_amplitudes(params, deph, n_samples, seed)
-    n = len(run.cos)
-    # one row for each entry in turn and two of scratch: 96 KB at most, under
-    # malloc's default mmap threshold, so no call maps and faults in new pages
-    buffers, totals = np.empty((3, min(n, _BLOCK))), np.zeros(4)
-    for block in _blocks(n):
-        used = buffers[:, : block.stop - block.start]
-        entries = _entries(run, block, itertools.repeat(used[0]), used[1:])
-        totals += [entry.sum() for entry in entries]
-    rho00, rho11, re01, im01 = (totals / n).tolist()
-    rho01 = complex(re01, im01)
-    rho = np.array([[rho00, rho01], [rho01.conjugate(), rho11]])
-    return QubitState(rho / (rho00 + rho11))
+    run, trig = _drawn_run(params, deph, n_samples, seed)
+    cos, sin = trig.mean(axis=1).tolist()
+    rho01 = (run.kc * cos + run.ks * sin) / run.p
+    rho = np.array([[run.rho00, rho01], [rho01.conjugate(), run.rho11]])
+    return QubitState(rho / (run.rho00 + run.rho11))
 
 
 def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:

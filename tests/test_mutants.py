@@ -96,21 +96,6 @@ def _memo_key_drops_phi(monkeypatch):
     monkeypatch.setattr(protocol, "_point_amplitudes", keyed_without_phi)
 
 
-def _handoff_key_drops_seed(monkeypatch):
-    draw = saw._run_amplitudes
-    slot = {}
-
-    def keyed_without_seed(params, deph, n_samples, seed):
-        key = (params, deph, n_samples)
-        if key in slot:
-            return slot.pop(key)
-        slot.clear()
-        slot[key] = draw(params, deph, n_samples, seed)
-        return slot[key]
-
-    monkeypatch.setattr(saw, "_run_amplitudes", keyed_without_seed)
-
-
 def _nan_state(params):
     return FockState(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
 
@@ -154,11 +139,6 @@ MUTANTS = [
         _memo_key_drops_phi,
         test_properties.test_memo_keys_every_parameter,
         id="memo-key-drops-phi",
-    ),
-    pytest.param(
-        _handoff_key_drops_seed,
-        test_saw.test_handoff_never_serves_other_arguments,
-        id="handoff-key-drops-seed",
     ),
     pytest.param(
         _replace(protocol, "teleporting_branch", _nan_state),
@@ -219,14 +199,6 @@ MUTANTS = [
         id="nan-oracle-crit10",
     ),
 ]
-
-
-@pytest.fixture(autouse=True)
-def empty_handoff():
-    # a run held under one row's defect must not be served to another row
-    saw._handoff.clear()
-    yield
-    saw._handoff.clear()
 
 
 @pytest.mark.parametrize("defect, target", MUTANTS)

@@ -1,7 +1,5 @@
 import hashlib
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -144,12 +142,12 @@ def test_either_contributing_configuration_may_come_first(monkeypatch):
     # the sector's configurations in reverse order: the other one's phase is
     # factored out, and the further one moves by the opposite sign
     deph = DephasingParams.from_total(0.9)
-    want = _fresh(saw.montecarlo_entries, PARAMS, deph, 300, 2)
+    want = saw.montecarlo_entries(PARAMS, deph, 300, 2)
     rows, arms = saw._alice_clicks()
     amplitudes = saw.premeasurement_amplitudes
     monkeypatch.setattr(saw, "_alice_clicks", lambda: (rows[:, ::-1], arms[::-1]))
     monkeypatch.setattr(saw, "premeasurement_amplitudes", lambda *a: amplitudes(*a)[::-1])
-    got = _fresh(saw.montecarlo_entries, PARAMS, deph, 300, 2)
+    got = saw.montecarlo_entries(PARAMS, deph, 300, 2)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) < 1e-12
 
@@ -175,82 +173,33 @@ def test_only_total_variance_matters():
     lopsided = DephasingParams((0.5, 0.0, 0.25, 0.0, 0.25, 0.0))
     spread = DephasingParams((0.125, 0.125, 0.25, 0.25, 0.125, 0.125))
     assert math.fsum(lopsided.variances) == math.fsum(spread.variances) == 1.0
-    a = _bytes(_fresh(saw.montecarlo_entries, PARAMS, lopsided, 2000, 1))
-    b = _bytes(_fresh(saw.montecarlo_entries, PARAMS, spread, 2000, 1))
+    a = _bytes(saw.montecarlo_entries(PARAMS, lopsided, 2000, 1))
+    b = _bytes(saw.montecarlo_entries(PARAMS, spread, 2000, 1))
     assert a == b
 
 
 def test_montecarlo_is_deterministic_per_seed():
     deph = DephasingParams.from_total(0.5)
-    saw._handoff.clear()
     first = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)
-    second = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)  # served the held run
-    third = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)  # drawn again
+    second = dephased_state_montecarlo(PARAMS, deph, 200, seed=9)
     assert np.array_equal(first.rho, second.rho)
-    assert np.array_equal(second.rho, third.rho)
     different = dephased_state_montecarlo(PARAMS, deph, 200, seed=10)
     assert np.max(np.abs(different.rho - first.rho)) > 1e-6
 
 
 def test_montecarlo_prefix_is_the_shorter_run():
-    # rows come in order from one seeded stream, so a run is a prefix of any longer one
-    deph = DephasingParams.from_total(1.0)
-    full = saw.montecarlo_entries(PARAMS, deph, 300, seed=4)
-    for k in (1, 7, 128):
-        prefix = saw.montecarlo_entries(PARAMS, deph, k, seed=4)
-        for whole, part in zip(full, prefix):
-            assert np.array_equal(whole[:k], part)
-
-
-def _mix_rows(monkeypatch):
-    """Alice's two ++ rows mixed, so that every coefficient a0, a1, b0, b1
-    of a run is non-zero and p varies from draw to draw; not a physical
-    network, but the same reduction."""
-    rows, arms = saw._alice_clicks()
-    mixed = np.array([[1.0, 0.5j], [0.3, 1.0]]) @ rows
-    monkeypatch.setattr(saw, "_alice_clicks", lambda: (mixed, arms))
-    return mixed, arms
-
-
-BLOCK_EDGES = (saw._BLOCK - 1, saw._BLOCK, saw._BLOCK + 1, 2 * saw._BLOCK + 3)
-
-
-@pytest.mark.parametrize("mixed", [False, True], ids=["network", "mixed-rows"])
-@pytest.mark.parametrize("n", BLOCK_EDGES)
-def test_prefix_is_the_shorter_run_across_blocks(monkeypatch, n, mixed):
-    if mixed:
-        _mix_rows(monkeypatch)
+    # rows come in order from one seeded stream, so a run is a prefix of any
+    # longer one, byte for byte, at any count
     deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
 
     def arrays(count):
-        entries = _fresh(saw.montecarlo_entries, PARAMS, deph, count, 8)
-        return (*entries, _fresh(saw.montecarlo_click_probabilities, PARAMS, deph, count, 8))
+        entries = saw.montecarlo_entries(PARAMS, deph, count, 8)
+        return (*entries, saw.montecarlo_click_probabilities(PARAMS, deph, count, 8))
 
-    for whole, part in zip(arrays(3 * saw._BLOCK + 5), arrays(n)):
-        assert len(part) == n and whole[:n].tobytes() == part.tobytes()
-
-
-def test_forms_match_complex_amplitudes_for_any_coefficients(monkeypatch):
-    mixed, arms = _mix_rows(monkeypatch)
-    deph = DephasingParams.from_total(1.3)
-    n = saw._BLOCK + 7
-    coeffs = mixed * protocol.premeasurement_amplitudes("preparation", PARAMS.R, PARAMS.phi)
-    # the whole combined phase on one arm of weight +1, every configuration's own phase kept
-    on = arms[:, saw._PHASE_WEIGHTS.index(1)]
-    phases = np.exp(-1j * np.outer(saw._sample_phases(deph, n, 5), on))
-    alpha, beta = (phases @ c for c in coeffs)
-    p = abs(alpha) ** 2 + abs(beta) ** 2
-    assert np.ptp(p) > 1e-3
-    clicks = _fresh(saw.montecarlo_click_probabilities, PARAMS, deph, n, 5)
-    assert np.max(np.abs(clicks - p)) < 1e-12
-    entries = _fresh(saw.montecarlo_entries, PARAMS, deph, n, 5)
-    wanted = (abs(alpha) ** 2, abs(beta) ** 2, alpha * np.conj(beta))
-    for got, want in zip(entries, wanted):
-        assert np.max(np.abs(got - want / p)) < 1e-12
-    rho00, rho11, rho01 = (x.mean() for x in entries)
-    mean = np.array([[rho00, rho01], [np.conj(rho01), rho11]]) / (rho00 + rho11)
-    averaged = _fresh(dephased_state_montecarlo, PARAMS, deph, n, 5)
-    assert np.max(np.abs(averaged.rho - mean)) < 1e-14
+    full = arrays(12293)
+    for n in (1, 7, 128, 4095, 4096, 4097, 8195):
+        for whole, part in zip(full, arrays(n)):
+            assert len(part) == n and whole[:n].tobytes() == part.tobytes()
 
 
 def test_averaged_state_is_the_mean_of_the_stack():
@@ -262,112 +211,13 @@ def test_averaged_state_is_the_mean_of_the_stack():
         assert np.max(np.abs(averaged.rho - mean / np.trace(mean).real)) < 1e-14
 
 
-def _fresh(call, *args):
-    """`call` on a run drawn anew: the hand-off slot is emptied around it."""
-    saw._handoff.clear()
-    out = call(*args)
-    saw._handoff.clear()
-    return out
-
-
 def _bytes(out):
-    """The bytes of a result, a run's coefficients and signed zeros included."""
+    """The bytes of a result, signed zeros included."""
     if isinstance(out, saw.QubitState):
         return out.rho.tobytes()
     if isinstance(out, tuple):
         return tuple(_bytes(x) for x in out)
     return np.asarray(out).tobytes()
-
-
-def test_handoff_serves_either_order_bitwise():
-    deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
-    calls = (
-        saw._run_amplitudes,
-        saw.montecarlo_entries,
-        dephased_state_montecarlo,
-        saw.montecarlo_click_probabilities,
-    )
-    # one block, and three blocks with a short last one
-    for n in (400, 2 * saw._BLOCK + 3):
-        args = (PARAMS, deph, n, 13)
-        fresh = {call: _bytes(_fresh(call, *args)) for call in calls}
-        run = saw._conditional_amplitudes(PARAMS, saw._sample_phases(deph, n, 13))
-        assert fresh[saw._run_amplitudes] == _bytes(run)
-        for first in calls:
-            for second in calls:
-                saw._handoff.clear()
-                assert _bytes(first(*args)) == fresh[first]
-                assert len(saw._handoff) == 1
-                assert _bytes(second(*args)) == fresh[second]  # served
-                assert not saw._handoff
-    saw._handoff.clear()
-
-
-def test_handoff_arrays_are_read_only_and_one_run_is_held():
-    deph = DephasingParams.from_total(0.8)
-    saw._handoff.clear()
-    for seed in (1, 2, 3):
-        held = saw._run_amplitudes(PARAMS, deph, 50, seed)
-        assert len(saw._handoff) == 1
-        assert isinstance(held.forms, tuple) and all(isinstance(f, tuple) for f in held.forms)
-        for trig in (held.cos, held.sin):
-            with pytest.raises(ValueError, match="read-only"):
-                trig[0] = 0.0
-    served = saw._run_amplitudes(PARAMS, deph, 50, 3)
-    assert all(s is h for s, h in zip(served, held)) and not saw._handoff
-    drawn = saw._run_amplitudes(PARAMS, deph, 50, 3)  # a third call draws again
-    assert not any(d is h for d, h in zip(drawn, held))
-    saw._handoff.clear()
-
-
-def test_handoff_never_serves_other_arguments():
-    # clicks are 1/16 for every run, so each pair is tried in both orders
-    # and read through the entries
-    deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
-    base = (PARAMS, deph, 60, 21)
-    variants = [
-        (PARAMS, deph, 60, 22),
-        (PARAMS, deph, 61, 21),
-        (TeleportParams(0.3, 1.3), deph, 60, 21),
-        (TeleportParams(0.4, 1.2), deph, 60, 21),
-        (PARAMS, DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.4)), 60, 21),
-    ]
-    want = {args: _bytes(_fresh(saw.montecarlo_entries, *args)) for args in (base, *variants)}
-    for variant in variants:
-        for first, second in ((base, variant), (variant, base)):
-            saw._handoff.clear()
-            saw.montecarlo_click_probabilities(*first)
-            assert _bytes(saw.montecarlo_entries(*second)) == want[second]
-    saw._handoff.clear()
-
-
-def test_handoff_serves_each_thread_its_own_run():
-    # threads share the slot; a pair may lose its held run to another
-    # thread and draw it again, but never takes another run's amplitudes
-    deph = DephasingParams.from_total(0.6)
-    seeds = range(8)
-    want = {seed: _bytes(_fresh(saw.montecarlo_entries, PARAMS, deph, 40, seed)) for seed in seeds}
-    wrong = []
-
-    def pairs(seed):
-        for _ in range(150):
-            saw.montecarlo_click_probabilities(PARAMS, deph, 40, seed)
-            if _bytes(saw.montecarlo_entries(PARAMS, deph, 40, seed)) != want[seed]:
-                wrong.append(seed)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=pairs, args=(seed,)) for seed in seeds]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-        saw._handoff.clear()
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
 
 
 RUN_ENTRY_POINTS = (
@@ -401,17 +251,31 @@ BAD_RUNS = {  # (n_samples, seed)
 def test_montecarlo_rejects_empty_sample(entry, n_samples, seed):
     # one contract for the three entry points of a run and the sampled
     # fidelities: an integer count of at least 1, an integer seed
-    saw._handoff.clear()
     with pytest.raises(ValueError):
         entry(PARAMS, DephasingParams.from_total(1.0), n_samples, seed)
-    assert not saw._handoff
 
 
 @pytest.mark.parametrize("entry", RUN_ENTRY_POINTS, ids=lambda entry: entry.__name__)
 def test_montecarlo_takes_numpy_integer_seeds(entry):
     deph = DephasingParams.from_total(1.0)
-    want = _bytes(_fresh(entry, PARAMS, deph, 20, 9))
-    assert _bytes(_fresh(entry, PARAMS, deph, 20, np.int64(9))) == want
+    want = _bytes(entry(PARAMS, deph, 20, 9))
+    assert _bytes(entry(PARAMS, deph, 20, np.int64(9))) == want
+
+
+def _mix_rows(monkeypatch):
+    """Alice's two ++ rows mixed, so that each amplitude has two
+    contributing configurations; not a physical network."""
+    rows, arms = saw._alice_clicks()
+    mixed = np.array([[1.0, 0.5j], [0.3, 1.0]]) @ rows
+    monkeypatch.setattr(saw, "_alice_clicks", lambda: (mixed, arms))
+
+
+@pytest.mark.parametrize("entry", RUN_ENTRY_POINTS, ids=lambda entry: entry.__name__)
+def test_mixed_rows_are_rejected_by_every_entry_point(monkeypatch, entry):
+    # populations constant over a run need one configuration per amplitude
+    _mix_rows(monkeypatch)
+    with pytest.raises(ValueError, match="contributing configurations"):
+        entry(PARAMS, DephasingParams.from_total(1.3), 50, 5)
 
 
 # --- fidelities ---

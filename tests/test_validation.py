@@ -76,11 +76,20 @@ SIGMA2_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("sigma2", [NAN, INF, -1.0])
+@pytest.mark.parametrize("sigma2", [NAN, INF, -1.0, "1", None, 1j])
 @pytest.mark.parametrize("call", SIGMA2_FUNCTIONS.values(), ids=SIGMA2_FUNCTIONS.keys())
 def test_sigma2_must_be_finite_and_non_negative(call, sigma2):
     with pytest.raises(ValueError, match="sigma2 must be finite and non-negative"):
         call(sigma2)
+
+
+@pytest.mark.parametrize("factor", [NAN, 0.0, 1.5, "0.5", None, 0.5j], ids=repr)
+@pytest.mark.parametrize("name", ["pair", "triple"])
+def test_finite_T_factors_must_lie_in_unit_interval(name, factor):
+    factors = {"pair_factor": 0.5, "triple_factor": 0.5, f"{name}_factor": factor}
+    table = leviton.zero_T_correlators(0.3, 1.2, "X")
+    with pytest.raises(ValueError, match=f"{name} factor must lie in"):
+        leviton.finite_T_correlators(table, **factors)
 
 
 GAMMA_FUNCTIONS = {
