@@ -191,15 +191,69 @@ def test_montecarlo_prefix_is_the_shorter_run():
     # rows come in order from one seeded stream, so a run is a prefix of any
     # longer one, byte for byte, at any count
     deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
-
-    def arrays(count):
-        entries = saw.montecarlo_entries(PARAMS, deph, count, 8)
-        return (*entries, saw.montecarlo_click_probabilities(PARAMS, deph, count, 8))
-
-    full = arrays(12293)
-    for n in (1, 7, 128, 4095, 4096, 4097, 8195):
-        for whole, part in zip(full, arrays(n)):
+    full = _run_arrays(deph, 300)
+    for n in (1, 7, 128):
+        for whole, part in zip(full, _run_arrays(deph, n)):
             assert len(part) == n and whole[:n].tobytes() == part.tobytes()
+
+
+def _run_arrays(deph, count):
+    """The entries and the clicks of the run of seed 8."""
+    entries = saw.montecarlo_entries(PARAMS, deph, count, 8)
+    return (*entries, saw.montecarlo_click_probabilities(PARAMS, deph, count, 8))
+
+
+def _mix_rows(monkeypatch):
+    """Alice's two ++ rows mixed, so that each amplitude has two
+    contributing configurations; not a physical network."""
+    rows, arms = saw._alice_clicks()
+    mixed = np.array([[1.0, 0.5j], [0.3, 1.0]]) @ rows
+    monkeypatch.setattr(saw, "_alice_clicks", lambda: (mixed, arms))
+
+
+# counts either side of 4096 and of 8192, against a run longer than three times 4096
+BLOCK_EDGES = (4095, 4096, 4097, 8195)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["network", "mixed-rows"])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_prefix_is_the_shorter_run_across_blocks(monkeypatch, n, mixed):
+    deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.3))
+    if mixed:
+        # populations constant over a run need one configuration per amplitude
+        _mix_rows(monkeypatch)
+        for entry in (saw.montecarlo_entries, saw.montecarlo_click_probabilities):
+            with pytest.raises(ValueError, match="contributing configurations"):
+                entry(PARAMS, deph, n, 8)
+        return
+    for whole, part in zip(_run_arrays(deph, 12293), _run_arrays(deph, n)):
+        assert len(part) == n and whole[:n].tobytes() == part.tobytes()
+
+
+def test_forms_match_complex_amplitudes_for_any_coefficients():
+    deph = DephasingParams.from_total(1.3)
+    n = 4103
+    rows, arms = saw._alice_clicks()
+    # the whole combined phase on one arm of weight +1, every configuration's own phase kept
+    on = arms[:, saw._PHASE_WEIGHTS.index(1)]
+    phases = np.exp(-1j * np.outer(saw._sample_phases(deph, n, 5), on))
+    cases = (PARAMS, TeleportParams(0.0, 0.4), TeleportParams(1.0, 2.0), TeleportParams(0.8, -2.5))
+    for params in cases:
+        coeffs = rows * protocol.premeasurement_amplitudes("preparation", params.R, params.phi)
+        alpha, beta = (phases @ c for c in coeffs)
+        p = abs(alpha) ** 2 + abs(beta) ** 2
+        clicks = saw.montecarlo_click_probabilities(params, deph, n, 5)
+        # one configuration per amplitude: p is a constant of the run
+        assert np.ptp(clicks) == 0.0
+        assert np.max(np.abs(clicks - p)) < 1e-12
+        entries = saw.montecarlo_entries(params, deph, n, 5)
+        wanted = (abs(alpha) ** 2, abs(beta) ** 2, alpha * np.conj(beta))
+        for got, want in zip(entries, wanted):
+            assert np.max(np.abs(got - want / p)) < 1e-12
+        rho00, rho11, rho01 = (x.mean() for x in entries)
+        mean = np.array([[rho00, rho01], [np.conj(rho01), rho11]]) / (rho00 + rho11)
+        averaged = dephased_state_montecarlo(params, deph, n, 5)
+        assert np.max(np.abs(averaged.rho - mean)) < 1e-14
 
 
 def test_averaged_state_is_the_mean_of_the_stack():
@@ -260,14 +314,6 @@ def test_montecarlo_takes_numpy_integer_seeds(entry):
     deph = DephasingParams.from_total(1.0)
     want = _bytes(entry(PARAMS, deph, 20, 9))
     assert _bytes(entry(PARAMS, deph, 20, np.int64(9))) == want
-
-
-def _mix_rows(monkeypatch):
-    """Alice's two ++ rows mixed, so that each amplitude has two
-    contributing configurations; not a physical network."""
-    rows, arms = saw._alice_clicks()
-    mixed = np.array([[1.0, 0.5j], [0.3, 1.0]]) @ rows
-    monkeypatch.setattr(saw, "_alice_clicks", lambda: (mixed, arms))
 
 
 @pytest.mark.parametrize("entry", RUN_ENTRY_POINTS, ids=lambda entry: entry.__name__)
