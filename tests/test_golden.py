@@ -10,6 +10,9 @@ arguments, recorded when Bob's conditional states stopped taking their
 norm from a BLAS product; every x86-64 OpenBLAS kernel prints it.
 correlators_off_readme.json pins the tomography stage at the same point,
 recorded when that stage became one launch at the three settings.
+ideal_north_pole.csv pins `ideal` at R = 1, where the feed-forward's
+corrected outcomes print the signed zeros -0.0 in bloch_x and bloch_y;
+recorded while Bob's qubit was still stored as a density matrix.
 """
 
 import math
@@ -35,6 +38,7 @@ CASES = [
         "ideal_off_readme.json",
         None,
     ),
+    (("ideal", "--R", "1.0", "--phi", "0.3", "--format", "csv"), "ideal_north_pole.csv", None),
     (("correlators", "--R", "0.5", "--phi", "0.7"), "correlators.csv", "correlators.stderr"),
     (
         (
@@ -66,7 +70,11 @@ def test_readme_output_is_byte_identical(argv, out_file, err_file, capsys, monke
 
 
 KERNEL_FILES = (
-    "correlators.csv", "correlators_off_readme.json", "ideal.json", "ideal_off_readme.json"
+    "correlators.csv",
+    "correlators_off_readme.json",
+    "ideal.json",
+    "ideal_off_readme.json",
+    "ideal_north_pole.csv",
 )
 KERNEL_CASES = [(("verify",), "verify.txt", None)] + [c for c in CASES if c[1] in KERNEL_FILES]
 
