@@ -41,6 +41,8 @@ class ModeRegistry:
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
+        if not all(isinstance(lab, str) for lab in labels):
+            raise ValueError(f"mode labels must be strings, got {labels}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in {labels}")
         object.__setattr__(self, "_indices", {lab: i for i, lab in enumerate(labels)})

@@ -61,12 +61,7 @@ class LevitonParams:
     series_tol: float = 1e-12
 
     def __post_init__(self):
-        # the thermal series sums about 2/gamma terms, so very narrow pulses are refused
-        # (and very wide ones, whose weights overflow)
-        if not _number_within(self.gamma, GAMMA_MIN, GAMMA_MAX):
-            raise ValueError(
-                f"pulse width gamma must be in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {self.gamma!r}"
-            )
+        _check_gamma(self.gamma)
         if not _number_within(self.tau, 0.0):
             raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau!r}")
         if not (_number_within(self.series_tol) and self.series_tol > 0.0):
@@ -78,7 +73,9 @@ class LevitonParams:
 
 
 def _check_gamma(gamma: float) -> None:
-    # the bounds of LevitonParams: the oracle's grid grows as 1/gamma
+    # the thermal series sums about 2/gamma terms and the oracle's grid grows
+    # as 1/gamma, so very narrow pulses are refused (and very wide ones, whose
+    # weights overflow)
     if not _number_within(gamma, GAMMA_MIN, GAMMA_MAX):  # NaN fails too
         raise ValueError(
             f"pulse width gamma must be positive and finite, in [{GAMMA_MIN:g}, {GAMMA_MAX:g}],"
@@ -252,9 +249,10 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
 
 def _setting_row(setting: str) -> int:
     """A tomography setting's row of the tomography stage; rejects any other."""
-    if setting not in protocol.TOMO_SETTINGS:
-        raise ValueError(f"setting must be one of {sorted(protocol.TOMO_SETTINGS)}")
-    return list(protocol.TOMO_SETTINGS).index(setting)
+    settings = list(protocol.TOMO_SETTINGS)
+    if setting not in settings:  # compared, never hashed
+        raise ValueError(f"setting must be one of {sorted(settings)}")
+    return settings.index(setting)
 
 
 @dataclass(frozen=True, eq=False)

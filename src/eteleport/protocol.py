@@ -88,7 +88,7 @@ class MeasurementOutcome:
     def from_signs(cls, s0: str, s1: str) -> "MeasurementOutcome":
         """One click per detector pair: s_j says which A_j detector fired."""
         signs = {"+": (1, 0), "-": (0, 1)}
-        if s0 not in signs or s1 not in signs:
+        if s0 not in ("+", "-") or s1 not in ("+", "-"):  # compared, never hashed
             raise ValueError("signs must be '+' or '-'")
         return cls(signs[s0] + signs[s1])
 
@@ -122,8 +122,6 @@ CORRECTED_OUTCOMES = (
     MeasurementOutcome.from_signs("-", "+"),
 )
 
-_SIGMA_Z = np.array([1.0, -1.0])  # the diagonal of sigma_z
-
 # The settings' (D', theta) columns.
 _SETTINGS = np.array(list(TOMO_SETTINGS.values())).T
 _SETTINGS.flags.writeable = False
@@ -139,41 +137,40 @@ _POINT_MEMO_SIZE = 2
 
 @dataclass(frozen=True, eq=False)
 class QubitState:
-    """Bob's 2x2 density matrix in the (B'0 occupied, B'1 occupied) basis."""
+    """Bob's qubit as its Bloch vector, one read-only (3,) array, in the
+    (B'0 occupied, B'1 occupied) basis."""
 
-    rho: np.ndarray
+    bloch: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        object.__setattr__(self, "rho", rho)
-        if rho.shape != (2, 2):
-            raise ValueError("density matrix must be 2x2")
-        # written `not x <= tol` so that NaN fails each check
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("density matrix has non-finite entries")
-        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        if not abs(np.trace(rho) - 1.0) <= 1e-12:
-            raise ValueError("density matrix trace differs from 1")
-        if not np.min(np.linalg.eigvalsh(rho)) >= -1e-12:
-            raise ValueError("density matrix has a negative eigenvalue")
-        if not np.linalg.norm(self.bloch) <= 1.0 + 1e-10:
-            raise ValueError("Bloch vector leaves the unit ball")
-
-    @classmethod
-    def from_pure(cls, c0: complex, c1: complex) -> "QubitState":
-        # one-element arrays, not scalars: numpy's scalar complex arithmetic
-        # rounds differently from the array loops `conditional_qubits` runs
-        rho = _pure_states(np.array([c0], dtype=complex), np.array([c1], dtype=complex))
-        return cls(rho[..., 0])
+        if np.shape(self.bloch) != (3,) or not circuit._all_within(self.bloch):
+            raise ValueError(f"a Bloch vector is three finite reals, got {self.bloch!r}")
+        bloch = np.array(self.bloch, dtype=float)
+        _check_unit_ball(bloch)
+        bloch.flags.writeable = False
+        object.__setattr__(self, "bloch", bloch)
 
     @property
-    def bloch(self) -> np.ndarray:
-        return _bloch(self.rho)
+    def rho(self) -> np.ndarray:
+        """The 2x2 density matrix; each entry halves a component exactly, so
+        every signed zero of the vector keeps its sign."""
+        x, y, z = self.bloch.tolist()
+        coherence = complex(x / 2.0, -y / 2.0)
+        return np.array([[0.5 + z / 2.0, coherence], [coherence.conjugate(), 0.5 - z / 2.0]])
 
 
-def _pure_states(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """|c><c| / <c|c> for each pair (c0[i], c1[i]) of amplitudes, shape (2, 2, k).
+def _check_unit_ball(bloch: np.ndarray) -> None:
+    """Reject a Bloch vector, or any row of a (k, 3) stack, of length above
+    1 + 2e-12: the bound of a Hermitian unit-trace 2x2 whose eigenvalues
+    (1 +- |b|)/2 stay above -1e-12.  NaN fails too."""
+    x, y, z = bloch.T
+    if not (np.sqrt(x * x + y * y + z * z) <= 1.0 + 2e-12).all():
+        raise ValueError("Bloch vector leaves the unit ball")
+
+
+def _pure_blochs(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """Bloch vector of c0|0> + c1|1>, normalised, for each pair (c0[i], c1[i])
+    of amplitudes, shape (k, 3).
 
     The squared norm adds the squares in one fixed order, elementwise; a
     BLAS `dot` would round it by the host's kernel.
@@ -182,14 +179,10 @@ def _pure_states(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     norm = np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
     if not np.all((0.0 < norm) & (norm < math.inf)):  # NaN fails too
         raise ValueError("qubit amplitudes have no finite nonzero norm")
-    v = np.array([c0, c1]) / norm
-    return v[:, None] * v[None, :].conj()
-
-
-def _bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector of a density matrix, shape (3,), or of each matrix of
-    a (2, 2, k) stack, shape (3, k)."""
-    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+    v0, v1 = c0 / norm, c1 / norm
+    coherence = v0 * v1.conj()
+    z = (v0 * v0.conj() - v1 * v1.conj()).real
+    return np.stack([2.0 * coherence.real, -2.0 * coherence.imag, z], axis=-1)
 
 
 def input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
@@ -315,11 +308,8 @@ def conditional_qubits(
     Bob's conditional qubit, shapes (k,) and (k, 3), for every row of a
     (k, sector) stack of detection-stage amplitudes."""
     p, c0, c1 = _bob_amplitudes(amps, outcome)
-    bloch = _bloch(_pure_states(c0, c1)).T
-    # a state built from a unit vector is Hermitian with trace 1; what is
-    # left is the unit ball, which NaN and inf fail too
-    if not np.all(np.sqrt(mass(bloch * bloch, slice(None))) <= 1.0 + 1e-10):
-        raise ValueError("Bloch vector leaves the unit ball")
+    bloch = _pure_blochs(c0, c1)
+    _check_unit_ball(bloch)
     return p, bloch
 
 
@@ -352,13 +342,6 @@ def _bob_columns(outcome: MeasurementOutcome) -> tuple[int, int]:
     )
 
 
-def _conditional(amps: np.ndarray, outcome: MeasurementOutcome) -> tuple[float, QubitState]:
-    """Probability of a one-click-per-pair outcome and Bob's conditional
-    qubit for one point's detection-stage amplitudes."""
-    p, (c0,), (c1,) = _bob_amplitudes(amps[None], outcome)
-    return float(p[0]), QubitState.from_pure(c0, c1)
-
-
 def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> QubitState:
     """Bob's qubit conditioned on a one-click-per-pair outcome of Alice.
 
@@ -367,7 +350,7 @@ def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> Qubi
     ValueError, as does an outcome of probability zero.
     """
     amps = premeasurement_amplitudes("detection", params.R, params.phi)
-    return _conditional(amps, outcome)[1]
+    return QubitState(conditional_qubits(amps[None], outcome)[1][0])
 
 
 def conditional_with_arm_phases(
@@ -375,16 +358,15 @@ def conditional_with_arm_phases(
 ) -> tuple[float, QubitState]:
     """Probability and Bob's qubit for the ++ outcome with fixed arm phases."""
     amps = premeasurement_amplitudes("detection", params.R, params.phi, arm_phases=arm_phases)
-    return _conditional(amps, MeasurementOutcome.from_signs("+", "+"))
+    (p,), (bloch,) = conditional_qubits(amps[None], MeasurementOutcome.from_signs("+", "+"))
+    return float(p), QubitState(bloch)
 
 
 def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitState:
     """Conditionally apply the sigma_z correction announced by Alice."""
     if outcome in CORRECTED_OUTCOMES:
-        # sigma_z rho sigma_z entrywise: each entry whose sign product is -1
-        # is negated exactly, zeros included, with no matrix product
-        flip = np.outer(_SIGMA_Z, _SIGMA_Z) < 0
-        return QubitState(np.where(flip, -state.rho, state.rho))
+        # sigma_z rho sigma_z negates x and y: exact, zeros included
+        return QubitState(state.bloch * (-1.0, -1.0, 1.0))
     return state
 
 

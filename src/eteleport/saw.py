@@ -6,7 +6,10 @@ exp(-sigma^2/2), where sigma^2 is the summed per-arm variance.  Bob's state
 sees the arm phases only through `combined_phase`, which for independent
 Gaussian arms is one Gaussian of variance sigma^2: the Monte Carlo route
 draws that combination once per run and averages conditional states; the
-analytic route applies the damping.
+analytic route applies the damping.  Every state here is a `QubitState`
+built from its Bloch vector: the analytic and fixed-phase states take the
+input's closed form with the phase moved and x, y damped, the Monte Carlo
+state takes the run's constants and the mean cos and sin of its draws.
 
 Each ++ conditional amplitude comes from one configuration of the prepared
 stage, so the populations rho00, rho11 and the click probability p are
@@ -71,10 +74,10 @@ def _damping(sigma2: float) -> float:
 
 
 def _coherent_state(params: TeleportParams, phase: float, damping: float) -> QubitState:
-    """Populations (R, D) with the input coherence at `phase`, scaled by `damping`."""
-    r, d = params.R, params.D
-    coherence = 1j * math.sqrt(r * d) * np.exp(-1j * phase) * damping
-    return QubitState(np.array([[r, coherence], [np.conj(coherence), d]], dtype=complex))
+    """The input qubit's Bloch vector with the phase at `phase` and the
+    transverse components scaled by `damping`."""
+    root = 2.0 * math.sqrt(params.R * params.D) * damping
+    return QubitState([root * math.sin(phase), -root * math.cos(phase), params.R - params.D])
 
 
 def dephased_state_analytic(params: TeleportParams, sigma2: float) -> QubitState:
@@ -244,9 +247,9 @@ def dephased_state_montecarlo(
     """
     run, trig = _drawn_run(params, deph, n_samples, seed)
     cos, sin = trig.mean(axis=1).tolist()
-    rho01 = (run.kc * cos + run.ks * sin) / run.p
-    rho = np.array([[run.rho00, rho01], [rho01.conjugate(), run.rho11]])
-    return QubitState(rho / (run.rho00 + run.rho11))
+    coherence = 2.0 * (run.kc * cos + run.ks * sin) / run.p
+    bloch = [coherence.real, -coherence.imag, run.rho00 - run.rho11]
+    return QubitState(np.divide(bloch, run.rho00 + run.rho11))
 
 
 def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:

@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from eteleport import circuit, leviton, protocol, saw  # noqa: E402
+from eteleport import circuit, fock, leviton, protocol, saw  # noqa: E402
 from eteleport.acceptance import reference_network_matrix  # noqa: E402
 from eteleport.fock import INPUT_MODES, FockState, create_sources, lift_amplitudes  # noqa: E402
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
@@ -238,6 +238,31 @@ def test_stacked_bloch_rows_equal_one_point_states(points):
             assert row.tobytes() == single.bloch.tobytes()
             # a unit vector up to its rounding: at R = 1, |r| reads 1 + 2.2e-16
             assert math.hypot(*row) <= 1.0 + 1e-15
+
+
+component = signed_zero | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(component, component, component), st.booleans())
+@example((0.0, -0.0, 1.0), False)
+@example((-0.0, 0.0, -1.0), False)
+@example((0.6, -0.0, 0.8), True)
+def test_rho_of_a_bloch_vector_is_a_density_matrix(components, on_sphere):
+    # the properties the density-matrix checks of the qubit state used to
+    # enforce, now met by construction; the sphere itself too
+    b = np.array(components)
+    norm = math.sqrt(fock.mass(b * b, slice(None)))
+    if norm > 1.0 or (on_sphere and norm > 0.0):
+        b = b / norm
+    rho = protocol.QubitState(b).rho
+    assert rho[1, 0:1].tobytes() == rho[0, 1:2].conj().tobytes()
+    assert abs(np.trace(rho) - 1.0) <= 1e-15
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+    back = np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+    assert np.max(np.abs(back - b)) <= 1e-15
+    # halving keeps every sign, so no signed zero of x or y moves
+    assert np.array_equal(np.signbit(back[:2]), np.signbit(b[:2]))
 
 
 def _direct_thermal_weights(x: float) -> tuple[float, float]:

@@ -279,24 +279,48 @@ def test_tomography_matches_conditional_state():
 # --- qubit state validation ---
 
 def test_qubit_state_rejects_bad_matrices():
+    # the builder takes a Bloch vector: three finite reals in the unit ball
+    for bad in (
+        [0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [[0.0, 0.0, 1.0]],
+        [0.0, 0.0, 1j],
+        np.zeros(3, dtype=complex),
+        ["0", "0", "1"],
+        "001",
+        [math.nan, 0.0, 0.0],
+        [0.0, 0.0, 1.0 + 1e-11],
+        [0.6, 0.8, 1e-5],
+    ):
+        with pytest.raises(ValueError):
+            QubitState(bad)
+    for edge in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, 0.0, 0.8]):
+        assert QubitState(edge).bloch.tolist() == edge
+
+
+def test_qubit_state_holds_a_read_only_copy():
+    given = np.array([0.6, 0.0, 0.8])
+    state = QubitState(given)
+    given[0] = 0.0
+    assert state.bloch.tolist() == [0.6, 0.0, 0.8]
     with pytest.raises(ValueError):
-        QubitState(np.array([[1.0, 0.5], [0.2, 0.0]]))
-    with pytest.raises(ValueError):
-        QubitState(np.array([[0.9, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        QubitState(np.array([[1.5, 0.0], [0.0, -0.5]]))
+        state.bloch[0] = 0.0
 
 
 def test_bloch_of_pure_state():
-    state = QubitState.from_pure(1.0, 1.0)
-    assert np.max(np.abs(state.bloch - np.array([1.0, 0.0, 0.0]))) < 1e-12
+    amps = np.zeros((1, 20), dtype=complex)
+    amps[0, list(protocol._bob_columns(PP))] = 1.0
+    _, bloch = protocol.conditional_qubits(amps, PP)
+    assert np.max(np.abs(bloch[0] - np.array([1.0, 0.0, 0.0]))) < 1e-12
 
 
 def test_input_qubit_matches_closed_form_bloch():
     for r, phi in ((0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (0.3, 4.4)):
         params = TeleportParams(r, phi)
-        qubit = QubitState.from_pure(*protocol.input_amplitudes(params))
-        assert np.max(np.abs(qubit.bloch - input_bloch(params))) < 1e-12
+        amps = np.zeros((1, 20), dtype=complex)
+        amps[0, list(protocol._bob_columns(PP))] = protocol.input_amplitudes(params)
+        (qubit,) = protocol.conditional_qubits(amps, PP)[1]
+        assert np.max(np.abs(qubit - input_bloch(params))) < 1e-12
 
 
 # --- dual-rail structure ---

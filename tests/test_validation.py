@@ -10,11 +10,17 @@ from eteleport import cli, leviton, saw
 from eteleport.circuit import ElementSpec
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
-from eteleport.protocol import MeasurementOutcome, QubitState, TeleportParams
+from eteleport.protocol import (
+    MeasurementOutcome,
+    QubitState,
+    TeleportParams,
+    conditional_qubits,
+)
 from eteleport.saw import DephasingParams
 
 NAN, INF = math.nan, math.inf
 ONE_MODE = ModeRegistry(("a",))
+PP = MeasurementOutcome.from_signs("+", "+")
 
 
 NON_FINITE = {
@@ -43,14 +49,18 @@ NON_FINITE = {
     "prep reflection grid nan": lambda: ElementSpec(
         "prep", ("a", "b"), (np.array([0.3, NAN]), 0.0)
     ),
-    "qubit rho nan": lambda: QubitState(np.full((2, 2), NAN)),
-    "qubit rho one nan": lambda: QubitState(np.array([[1.0, NAN], [NAN, 0.0]])),
-    "qubit pure nan": lambda: QubitState.from_pure(NAN, 0.0),
-    "qubit pure zero": lambda: QubitState.from_pure(0.0, 0.0),
+    "qubit rho nan": lambda: QubitState([NAN, NAN, NAN]),
+    "qubit rho one nan": lambda: QubitState([NAN, 0.0, 0.0]),
+    "qubit pure nan": lambda: conditional_qubits(np.full((1, 20), NAN, dtype=complex), PP),
+    "qubit pure zero": lambda: conditional_qubits(np.zeros((1, 20), dtype=complex), PP),
     "outcome bit 1.5": lambda: MeasurementOutcome((1.5, 0, 0, 0)),
     "outcome bit inf": lambda: MeasurementOutcome((INF, 0, 0, 0)),
     'outcome bit "1"': lambda: MeasurementOutcome(("1", 0, 0, 0)),
     "outcome bits None": lambda: MeasurementOutcome(None),
+    'outcome signs ["+"]': lambda: MeasurementOutcome.from_signs(["+"], "+"),
+    'correlator setting ["X"]': lambda: leviton.CorrelatorTable(["X"], np.zeros(20)),
+    'zero-T setting ["X"]': lambda: leviton.zero_T_correlators(0.3, 1.0, ["X"]),
+    'mode label ["a"]': lambda: ModeRegistry((["a"], "b")),
     'R "0.5"': lambda: TeleportParams("0.5", 0.0),
     "R None": lambda: TeleportParams(None, 0.0),
     "R array": lambda: TeleportParams(np.array([0.3, 0.4]), 0.0),
