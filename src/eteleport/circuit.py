@@ -11,9 +11,7 @@ e^{-i v}.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -50,12 +48,16 @@ def _all_within(
     v: ArrayLike, lo: float = -sys.float_info.max, hi: float = sys.float_info.max
 ) -> bool:
     """Whether a real number, or every value of a real array, lies in
-    [lo, hi], by default the finite floats; NaN never does, nor a string,
-    None or a complex value."""
+    [lo, hi], by default the finite floats; NaN never does, nor a boolean,
+    a string, None or a complex value."""
     if isinstance(v, (int, float)):  # the common case, kept off numpy
-        return lo <= v <= hi
+        return not isinstance(v, bool) and lo <= v <= hi
     values = np.asarray(v)
-    return values.dtype.kind in "biuf" and bool(((values >= lo) & (values <= hi)).all())
+    if values.dtype.kind not in "iuf":
+        return False
+    # as float64: casting the bounds to a narrower float would overflow
+    values = values.astype(float, copy=False)
+    return bool(((values >= lo) & (values <= hi)).all())
 
 
 def _number_within(v: float, *bounds: float) -> bool:
@@ -179,14 +181,18 @@ def compose(description: CircuitDescription) -> SingleParticleUnitary:
     m = len(registry)
     total = np.empty(shape + (m, m), dtype=complex)
     total[...] = np.eye(m)
+    # products added term by term rather than by a BLAS matrix product:
+    # cheap for stacks, and these roundings are what verify prints
     for element, block in zip(description.elements, blocks):
-        idx = registry.indices(element.modes)
-        rows = [total[..., i, :].copy() for i in idx]
-        # products added term by term rather than by a BLAS matrix product:
-        # cheap for stacks, and these roundings are what verify prints
-        for a, i in enumerate(idx):
-            terms = (block[..., a, b, None] * row for b, row in enumerate(rows))
-            total[..., i, :] = functools.reduce(operator.add, terms)
+        b = block[..., None]  # each entry broadcast along a row
+        if len(element.modes) == 1:
+            i = registry.index(element.modes[0])
+            total[..., i, :] = b[..., 0, 0, :] * total[..., i, :]
+            continue
+        i, j = registry.indices(element.modes)
+        r0, r1 = total[..., i, :].copy(), total[..., j, :].copy()
+        total[..., i, :] = b[..., 0, 0, :] * r0 + b[..., 0, 1, :] * r1
+        total[..., j, :] = b[..., 1, 0, :] * r0 + b[..., 1, 1, :] * r1
     return SingleParticleUnitary(total, registry, registry)
 
 

@@ -295,15 +295,24 @@ class CorrelatorTable:
 def zero_T_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
     """All needed currents and cumulants from the Fock model at T = 0, one row
     per point of a broadcast (R, phi) grid, from one moment call on the
-    setting's row of one launch at all three settings (a one-point call
-    shares its launch with `protocol.tomography_bloch`).
+    setting's row of one launch at all three settings.  At one point the
+    moment call takes the three settings' rows at once, and the three
+    tables are kept with the point's launch, which `protocol.tomography_bloch`
+    and the point's run and conditionals read too.
 
     One period injects the three-electron state; the excess-electron
     correspondence turns occupation mean/central moments directly into I, P, Q.
     """
     row = _setting_row(setting)
-    amps = protocol.premeasurement_amplitudes("tomography", R, phi)[..., row, :]
-    return CorrelatorTable(setting, occupation_moments(OUTPUT_MODES, 3, amps, KEYS))
+    if np.ndim(R) or np.ndim(phi):
+        amps = protocol.premeasurement_amplitudes("tomography", R, phi)[..., row, :]
+        return CorrelatorTable(setting, _zero_T_moments(amps))
+    return CorrelatorTable(setting, protocol._point_result(R, phi, _zero_T_moments)[row])
+
+
+def _zero_T_moments(amps: np.ndarray) -> np.ndarray:
+    """The moments of `KEYS` for tomography-stage amplitudes (..., sector)."""
+    return occupation_moments(OUTPUT_MODES, 3, amps, KEYS)
 
 
 def reference_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:

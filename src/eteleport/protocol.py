@@ -126,13 +126,17 @@ CORRECTED_OUTCOMES = (
 _SETTINGS = np.array(list(TOMO_SETTINGS.values())).T
 _SETTINGS.flags.writeable = False
 
-# One-point launches kept by `premeasurement_amplitudes`.  A point asks for
-# the detection stage for its run and four conditionals, then for the
-# tomography stage (the three settings in one launch) for the Bloch vector
-# and each correlator table.  Two entries serve those repeats; fewer than a
-# point's three launches, they make a point evaluated again from the start
-# launch again, so a traced rerun of an input still sees its launches.
-_POINT_MEMO_SIZE = 2
+# The tomography stage's row at Z (D' = 1, theta = 0), where Bob's splitter
+# is the identity: the detection stage's amplitudes, byte for byte.
+_Z_ROW = list(TOMO_SETTINGS).index("Z")
+
+# One-point entries kept by `premeasurement_amplitudes`.  A point's run, its
+# four conditionals, its Bloch vector and its correlator tables all read
+# one entry, the three tomography settings in one launch, and the detection
+# stage with arm phases launches alone.  One entry, fewer than those two
+# launches, makes a point evaluated again from the start launch again, so a
+# traced rerun of an input still sees its launches.
+_POINT_MEMO_SIZE = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,28 +216,65 @@ def premeasurement_amplitudes(
     (X, Y, Z), shape (3, sector).  Array parameters broadcast together; the
     result then carries their shape in front, one row per grid point, from
     one stack of networks and one launch.  A one-point call, every
-    parameter a Python scalar, is memoised and returns a shared read-only
-    array.
+    parameter a Python int or float, is memoised and returns a shared
+    read-only array; without arm phases, its detection stage is the Z row
+    of the point's tomography launch.
     """
     arms = arm_phases or {}
     arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
-    point = (R, phi, *(v for _, v in arm_items))
-    if len(arm_items) == len(arms) and all(isinstance(x, (int, float)) for x in point):
-        signs = tuple(math.copysign(1.0, x) for x in point)
-        return _point_amplitudes(stage, R, phi, arm_items, signs)
+    if len(arm_items) == len(arms):  # an unknown arm is left to the launch to reject
+        at_z = stage == "detection" and not arm_items
+        entry = _memo_entry("tomography" if at_z else stage, R, phi, arm_items)
+        if entry is not None:
+            return entry.amps[_Z_ROW] if at_z else entry.amps
     return _launch(stage, R, phi, arms)
+
+
+def _memo_entry(
+    stage: str, R: ArrayLike, phi: ArrayLike, arm_items: tuple[tuple[str, ArrayLike], ...]
+) -> _PointAmplitudes | None:
+    """The memo entry of a one-point call, or None unless every parameter is
+    a Python int or float (a bool is neither here: it is left to the launch
+    to reject, and as a key it would equal 1 or 0)."""
+    point = (R, phi, *(v for _, v in arm_items))
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in point):
+        return None
+    return _point_amplitudes(stage, R, phi, arm_items, tuple(math.copysign(1.0, x) for x in point))
+
+
+class _PointAmplitudes:
+    """One point's read-only amplitudes and the results derived from them,
+    each built on first use and kept with them; a build that raises keeps
+    nothing."""
+
+    def __init__(self, amps: np.ndarray):
+        amps.flags.writeable = False
+        self.amps = amps
+        self._results: dict = {}
+
+    def result(self, build):
+        if build not in self._results:
+            self._results[build] = build(self.amps)
+        return self._results[build]
 
 
 @functools.lru_cache(maxsize=_POINT_MEMO_SIZE)
 def _point_amplitudes(
     stage: str, R: float, phi: float, arm_items: tuple[tuple[str, float], ...], signs: tuple
-) -> np.ndarray:
-    """One point's amplitudes, read-only.  The key holds the arm items in
-    ARM_WIRES order, so an absent arm and an arm at 0.0 differ, and the
-    parameters' signs, so -0.0 and 0.0 differ."""
-    amps = _launch(stage, R, phi, dict(arm_items))
-    amps.flags.writeable = False
-    return amps
+) -> _PointAmplitudes:
+    """One point's entry.  The key holds the arm items in ARM_WIRES order,
+    so an absent arm and an arm at 0.0 differ, and the parameters' signs,
+    so -0.0 and 0.0 differ."""
+    return _PointAmplitudes(_launch(stage, R, phi, dict(arm_items)))
+
+
+def _point_result(R: ArrayLike, phi: ArrayLike, build):
+    """build(amps) of one point's tomography launch, shape (3, sector): kept
+    in the point's memo entry for a one-point call, built afresh otherwise."""
+    entry = _memo_entry("tomography", R, phi, ())
+    if entry is None:
+        return build(_launch("tomography", R, phi, {}))
+    return entry.result(build)
 
 
 def _launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarray:
@@ -287,7 +328,7 @@ def povm_element(outcome: MeasurementOutcome) -> POVMElement:
 def povm_completeness_defect() -> float:
     """Max deviation of sum_X E(X) from the identity on the detection
     stage's three-particle sector."""
-    total = sum(povm_element(x).clicked(DETECTION_MODES, 3) for x in ALL_OUTCOMES)
+    total = sum(_clicked(x) for x in ALL_OUTCOMES)
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -296,9 +337,7 @@ def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     amplitudes, shape (..., 16); each one is summed as
     POVMElement.expectation sums it."""
     probs = probabilities(amps)
-    return np.stack(
-        [mass(probs, povm_element(x).clicked(DETECTION_MODES, 3)) for x in ALL_OUTCOMES], axis=-1
-    )
+    return np.stack([mass(probs, _clicked(x)) for x in ALL_OUTCOMES], axis=-1)
 
 
 def conditional_qubits(
@@ -307,39 +346,49 @@ def conditional_qubits(
     """Probability of a one-click-per-pair outcome and the Bloch vector of
     Bob's conditional qubit, shapes (k,) and (k, 3), for every row of a
     (k, sector) stack of detection-stage amplitudes."""
-    p, c0, c1 = _bob_amplitudes(amps, outcome)
-    bloch = _pure_blochs(c0, c1)
-    _check_unit_ball(bloch)
+    _paired_row(outcome)
+    p, bloch = _conditionals(amps, (outcome,))
+    if (p == 0.0).any():
+        raise ValueError(f"outcome {outcome.label} has probability zero")
+    return p[:, 0], bloch[:, 0]
+
+
+def _conditionals(
+    amps: np.ndarray, outcomes: tuple[MeasurementOutcome, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probability of each one-click-per-pair outcome and Bob's conditional
+    Bloch vector, shapes (..., n) and (..., n, 3), for detection-stage
+    amplitudes of shape (..., sector), in one pass: one `probabilities`, a
+    mass per outcome, one gather of Bob's columns, one `_pure_blochs` and
+    one unit-ball check.  An outcome of probability zero gets NaN."""
+    probs = probabilities(amps)
+    p = np.stack([mass(probs, _clicked(x)) for x in outcomes], axis=-1)
+    seen = p != 0.0
+    pairs = amps[..., [_bob_columns(x) for x in outcomes]][seen]
+    c0, c1 = (pairs * (1.0 / np.sqrt(p[seen]))[:, None]).T
+    bloch = np.full(p.shape + (3,), math.nan)
+    bloch[seen] = _pure_blochs(c0, c1)
+    _check_unit_ball(bloch[seen])
     return p, bloch
 
 
-def _bob_amplitudes(
-    amps: np.ndarray, outcome: MeasurementOutcome
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probability of a one-click-per-pair outcome and Bob's conditional
-    amplitudes on B'0 and on B'1, each of shape (k,), for a (k, sector)
-    stack of detection-stage amplitudes."""
+def _paired_row(outcome: MeasurementOutcome) -> int:
+    """A one-click-per-pair outcome's row of PAIRED_OUTCOMES; any other
+    click pattern is a failed run, which leaves Bob no qubit."""
     if not outcome.is_paired:
         raise ValueError(f"outcome {outcome.label} does not leave Bob a qubit")
-    clicked = povm_element(outcome).clicked(DETECTION_MODES, 3)
-    p = mass(probabilities(amps), clicked)
-    if np.any(p == 0.0):
-        raise ValueError(f"outcome {outcome.label} has probability zero")
-    conditional = np.where(clicked, amps, 0.0) * (1.0 / np.sqrt(p))[:, None]
-    c0, c1 = conditional[:, _bob_columns(outcome)].T
-    return p, c0, c1
+    return PAIRED_OUTCOMES.index(outcome)
 
 
-@functools.lru_cache(maxsize=None)
-def _bob_columns(outcome: MeasurementOutcome) -> tuple[int, int]:
-    """The detection-stage configurations holding a paired outcome's clicks
-    and Bob's particle on B'0, then on B'1."""
-    _, configs = combination_table(len(DETECTION_MODES), 3)
-    clicks = tuple(label for label, j in zip(DETECTOR_LABELS, outcome.bits) if j)
-    return tuple(
-        int(np.flatnonzero(occupations(DETECTION_MODES, configs, clicks + (bob,)).all(axis=1))[0])
-        for bob in ("B0p", "B1p")
-    )
+def _clicked(outcome: MeasurementOutcome) -> np.ndarray:
+    """The detection-stage configurations an outcome's element keeps."""
+    return povm_element(outcome).clicked(DETECTION_MODES, 3)
+
+
+def _bob_columns(outcome: MeasurementOutcome) -> np.ndarray:
+    """The two configurations a paired outcome's element keeps: its clicks
+    with Bob's particle on B'0, then on B'1, as combination order has them."""
+    return np.flatnonzero(_clicked(outcome))
 
 
 def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> QubitState:
@@ -347,10 +396,22 @@ def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> Qubi
 
     Only the four such outcomes (PAIRED_OUTCOMES) leave Bob a dual-rail
     qubit; every other click pattern is a failed run and raises a
-    ValueError, as does an outcome of probability zero.
+    ValueError, as does an outcome of probability zero.  The four
+    conditionals of a point come from one pass, kept with its launch.
     """
-    amps = premeasurement_amplitudes("detection", params.R, params.phi)
-    return QubitState(conditional_qubits(amps[None], outcome)[1][0])
+    row = _paired_row(outcome)
+    p, bloch = _point_result(params.R, params.phi, _paired_conditionals)
+    if p[row] == 0.0:
+        raise ValueError(f"outcome {outcome.label} has probability zero")
+    return QubitState(bloch[row])
+
+
+def _paired_conditionals(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_conditionals` of the four PAIRED_OUTCOMES, read-only, from the Z
+    row of a point's tomography launch."""
+    p, bloch = _conditionals(amps[_Z_ROW], PAIRED_OUTCOMES)
+    p.flags.writeable = bloch.flags.writeable = False
+    return p, bloch
 
 
 def conditional_with_arm_phases(

@@ -83,7 +83,8 @@ def bloch_sweep() -> bytes:
     """Over a seeded sweep of 2000 (R, phi) points, as raw float64 bytes:
     Bob's conditional Bloch stacks for the four paired outcomes, the
     tomography Bloch vectors and the zero-temperature correlator tables at
-    the three settings."""
+    the three settings; then the same from the one-point calls at 200 of
+    the points, which read each point's one launch."""
     rng = np.random.default_rng(20261018)
     R = rng.random(2000)
     phi = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 2000)
@@ -91,6 +92,11 @@ def bloch_sweep() -> bytes:
     stacks = [protocol.conditional_qubits(amps, x)[1] for x in protocol.PAIRED_OUTCOMES]
     stacks.append(protocol.tomography_bloch_grid(R, phi))
     stacks += [leviton.zero_T_correlators(R, phi, s).values for s in protocol.TOMO_SETTINGS]
+    for r, p in zip(R[::10].tolist(), phi[::10].tolist()):
+        params = protocol.TeleportParams(r, p)
+        stacks += [protocol.bob_conditional(params, x).bloch for x in protocol.PAIRED_OUTCOMES]
+        stacks.append(protocol.tomography_bloch(params))
+        stacks += [leviton.zero_T_correlators(r, p, s).values for s in protocol.TOMO_SETTINGS]
     return b"".join(stack.tobytes() for stack in stacks)
 
 

@@ -218,6 +218,19 @@ def test_tomography_bloch_equals_its_grid_row(R, phi):
     assert single.tobytes() == protocol.tomography_bloch_grid(R, phi).tobytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(signed_zero | st.sampled_from((0.0, 1.0)) | unit, signed_zero | angle)
+@example(1.0, -0.0)
+@example(-0.0, 0.0)
+def test_zero_T_correlators_equal_their_grid_row(R, phi):
+    # a one-point table is a row of the three settings' moments kept with
+    # the point's launch; a one-element grid takes the setting's row alone
+    for setting in protocol.TOMO_SETTINGS:
+        single = leviton.zero_T_correlators(R, phi, setting).values
+        grid = leviton.zero_T_correlators(np.array([R]), np.array([phi]), setting).values
+        assert single.tobytes() == grid[0].tobytes(), setting
+
+
 # R at both ends and phi beyond [0, 2 pi), signed zeros too
 stack_point = st.tuples(
     signed_zero | st.sampled_from((0.0, 1.0)) | unit, signed_zero | st.floats(-50.0, 50.0)

@@ -229,6 +229,52 @@ def test_impossible_outcome_raises():
         bob_conditional(params, MeasurementOutcome((1, 1, 0, 0)))
 
 
+def test_conditional_errors_are_not_kept_with_the_point(monkeypatch):
+    # a launch whose ++ pattern has probability zero: ++ raises on every
+    # call, the other three outcomes still come from the point's one pass,
+    # and the point's entry holds their vectors and no error
+    launch = protocol._launch
+    clicked = povm_element(PP).clicked(DETECTION_MODES, 3)
+
+    def without_pp(stage, *args):
+        amps = launch(stage, *args)
+        amps[..., protocol._Z_ROW, clicked] = 0.0
+        return amps
+
+    monkeypatch.setattr(protocol, "_launch", without_pp)
+    protocol._point_amplitudes.cache_clear()
+    try:
+        params = TeleportParams(0.3, 1.2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"outcome \+\+ has probability zero"):
+                bob_conditional(params, PP)
+            with pytest.raises(ValueError, match="outcome 1100 does not leave Bob a qubit"):
+                bob_conditional(params, MeasurementOutcome((1, 1, 0, 0)))
+        entry = protocol._point_amplitudes("tomography", 0.3, 1.2, (), (1.0, 1.0))
+        p, bloch = entry.result(protocol._paired_conditionals)
+        for row, outcome in enumerate(PAIRED_OUTCOMES):
+            if outcome == PP:
+                assert p[row] == 0.0 and np.isnan(bloch[row]).all()
+                continue
+            assert bob_conditional(params, outcome).bloch.tobytes() == bloch[row].tobytes()
+        kept = [value for result in entry._results.values() for value in result]
+        assert all(isinstance(value, np.ndarray) for value in kept)
+    finally:
+        protocol._point_amplitudes.cache_clear()
+
+
+def test_numpy_scalar_point_is_launched_afresh_with_the_same_bytes():
+    # numpy scalars are not memo keys: their point is launched afresh and
+    # gives the bytes of the same values as Python scalars
+    fresh, memoised = (np.int64(1), np.float32(0.5)), (1, 0.5)
+    for outcome in PAIRED_OUTCOMES:
+        got, want = (bob_conditional(TeleportParams(*x), outcome) for x in (fresh, memoised))
+        assert got.bloch.tobytes() == want.bloch.tobytes()
+    for setting in protocol.TOMO_SETTINGS:
+        got, want = (leviton.zero_T_correlators(*x, setting) for x in (fresh, memoised))
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 # --- efficiency ---
 
 def test_efficiency_values():
@@ -368,14 +414,15 @@ def _exact_point(R, phi, arms):
     protocol.conditional_with_arm_phases(params, arms)
 
 
-def test_exact_point_launches_three_networks(monkeypatch):
-    # detection, the three tomography settings at once, detection with arm
-    # phases; a point evaluated again from the start launches again
+def test_exact_point_launches_two_networks(monkeypatch):
+    # the three tomography settings at once, whose Z row is the detection
+    # stage, and detection with arm phases; a point evaluated again from the
+    # start launches again
     compose, calls = circuit.compose, []
     monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
     arms = dict(zip(circuit.ARM_WIRES, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)))
     protocol._point_amplitudes.cache_clear()
-    for launched in (3, 6):
+    for launched in (2, 4):
         _exact_point(0.37, 2.9, arms)
         assert len(calls) == launched
 
@@ -388,10 +435,10 @@ def test_cached_tables_are_read_only():
         *fock._moment_tables(OUTPUT_MODES, 3, leviton.KEYS),
         circuit._SYM_BLOCK,
         protocol._SETTINGS,
+        *protocol._point_result(0.3, 1.2, protocol._paired_conditionals),
     ]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
-    assert isinstance(protocol._bob_columns(PP), tuple)
     first, again = (circuit.teleport_layers(0.3, 1.2, 0.5, 0.0, None) for _ in range(2))
     assert first["alice"] is again["alice"] and first["prep"][0] is again["prep"][0]

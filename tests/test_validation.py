@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eteleport import cli, leviton, saw
-from eteleport.circuit import ElementSpec
+from eteleport.circuit import ElementSpec, prep_splitter
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
 from eteleport.protocol import (
@@ -68,6 +68,11 @@ NON_FINITE = {
     "tau None": lambda: LevitonParams(0.1, None),
     'prep R "0.3"': lambda: ElementSpec("prep", ("a", "b"), ("0.3", 0.0)),
     "prep R complex": lambda: ElementSpec("prep", ("a", "b"), (0.3 + 0j, 0.0)),
+    "R True, phi False": lambda: TeleportParams(True, False),
+    "qubit bloch booleans": lambda: QubitState([True, False, False]),
+    "variances booleans": lambda: DephasingParams((True,) * 6),
+    "tau False": lambda: LevitonParams(0.05, False),
+    "prep R boolean array": lambda: prep_splitter("a", "b", np.array([True]), 0.0),
     "jozsa bloch nan": lambda: saw.jozsa_fidelity([NAN, 0, 0], [0, 0, 1]),
     "jozsa second bloch nan": lambda: saw.jozsa_fidelity([0, 0, 1], [NAN, 0, 0]),
 }
