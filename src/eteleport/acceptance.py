@@ -147,7 +147,7 @@ def _criterion_teleportation_identity() -> tuple[list[Check], str | None]:
     fid_gaps, flip_gaps = [], []
     for r, phi, qubit, flip in zip(rs, phis, got, flipped):
         reference = protocol.input_bloch(TeleportParams(r, phi))
-        fid_gaps.append(abs(saw.jozsa_fidelity(qubit, reference) - 1.0))
+        fid_gaps.append(abs(protocol.jozsa_fidelity(qubit, reference) - 1.0))
         expected = np.array([-reference[0], -reference[1], reference[2]])
         flip_gaps.append(np.max(np.abs(flip - expected)))
     return [

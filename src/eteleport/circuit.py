@@ -12,6 +12,7 @@ e^{-i v}.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -63,6 +64,17 @@ def _all_within(
 def _number_within(v: float, *bounds: float) -> bool:
     """`_all_within` for one real number; an array of them is none."""
     return np.ndim(v) == 0 and _all_within(v, *bounds)
+
+
+def _integer(value: int, name: str, least: float = -math.inf) -> int:
+    """The value as an int, at least `least`; anything else (None too) is a ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -4,22 +4,19 @@ Exit codes: 0 success, 1 acceptance failure, 2 usage or input error.
 Outputs are deterministic for a fixed configuration and seed; floats are
 printed in their shortest round-trip form.  The default seed comes from
 the ETELEPORT_SEED environment variable when set.
+
+Only the standard library is imported here: each command imports the
+library modules it runs when it runs, so a process loads no module its
+command does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
-
-import numpy as np
-
-from . import acceptance, circuit, leviton, protocol, saw
-from .protocol import ALL_OUTCOMES, TeleportParams
 
 SEED_ENV_VAR = "ETELEPORT_SEED"
 DEFAULT_SEED = 12345
@@ -73,9 +70,13 @@ def parse_grid(spec: str) -> list[float]:
 
 def _write_rows(rows: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
+        import json
+
         json.dump(rows, stream, indent=2)
         stream.write("\n")
     else:
+        import csv
+
         writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
@@ -107,12 +108,17 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write to this path instead of stdout")
 
 
-def _ideal_rows(params: TeleportParams) -> list[dict]:
+def _ideal_rows(R: float, phi: float) -> list[dict]:
+    import numpy as np
+
+    from . import protocol
+
+    params = protocol.TeleportParams(R, phi)
     state = protocol.run_premeasurement(params)
     reference = protocol.input_bloch(params)
     blank = {"bloch_x": None, "bloch_y": None, "bloch_z": None, "fidelity": None}
     rows: list[dict] = []
-    for outcome in ALL_OUTCOMES:
+    for outcome in protocol.ALL_OUTCOMES:
         prob = protocol.povm_element(outcome).expectation(state)
         row = {"record": "outcome", "key": outcome.label, "probability": prob, **blank}
         if outcome.is_paired:
@@ -120,7 +126,7 @@ def _ideal_rows(params: TeleportParams) -> list[dict]:
             corrected = protocol.apply_feedforward(qubit, outcome)
             bloch = corrected.bloch
             row["bloch_x"], row["bloch_y"], row["bloch_z"] = map(float, bloch)
-            row["fidelity"] = saw.jozsa_fidelity(bloch, reference)
+            row["fidelity"] = protocol.jozsa_fidelity(bloch, reference)
         rows.append(row)
     for label, flag in (("with_feedforward", True), ("without_feedforward", False)):
         efficiency = protocol.efficiency(flag, params)
@@ -134,22 +140,21 @@ def _ideal_rows(params: TeleportParams) -> list[dict]:
             "bloch_x": float(reconstructed[0]),
             "bloch_y": float(reconstructed[1]),
             "bloch_z": float(reconstructed[2]),
-            "fidelity": saw.jozsa_fidelity(reconstructed, reference),
+            "fidelity": protocol.jozsa_fidelity(reconstructed, reference),
         }
     )
     return rows
 
 
 def cmd_ideal(args) -> int:
-    params = TeleportParams(args.R, args.phi)
-    rows = _ideal_rows(params)
+    rows = _ideal_rows(args.R, args.phi)
     if args.format != "text":
         _emit(rows, args)
         return 0
     def num(x: float) -> str:
         return f"{x:.12g}"
 
-    lines = [f"ideal run: R = {num(params.R)}, phi = {num(params.phi)}", ""]
+    lines = [f"ideal run: R = {num(args.R)}, phi = {num(args.phi)}", ""]
     lines.append("outcome probabilities (teleporting patterns marked *):")
     for row in rows:
         if row["record"] != "outcome":
@@ -182,8 +187,10 @@ def cmd_ideal(args) -> int:
 def cmd_saw(args) -> int:
     if args.n_states < 2:
         raise UsageError(f"--n-states must be at least 2, got {args.n_states}")
-    rows = []
     grid = parse_grid(args.sigma2)
+    from . import saw
+
+    rows = []
     for sigma2, samples in zip(grid, saw.fidelity_samples(grid, args.n_states, args.seed)):
         rows.append(
             {
@@ -201,6 +208,8 @@ def cmd_saw(args) -> int:
 def cmd_leviton(args) -> int:
     gammas = parse_grid(args.gamma)
     taus = parse_grid(args.tau)
+    from . import leviton
+
     rows = leviton.fidelity_curve(gammas, taus, series_tol=args.tol)
     _emit(rows, args)
     return 0
@@ -212,6 +221,8 @@ _UNITS = {"I": "e/T", "P": "e^2/T", "Q": "e^3/T"}
 def cmd_correlators(args) -> int:
     if not 0.0 < args.tolerance < math.inf:
         raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
+    from . import leviton
+
     settings = ("X", "Y", "Z") if args.setting == "all" else (args.setting,)
     rows = []
     worst = 0.0
@@ -242,6 +253,10 @@ def cmd_correlators(args) -> int:
 def cmd_circuit_check(args) -> int:
     with open(args.path) as handle:
         text = handle.read()
+    import numpy as np
+
+    from . import circuit
+
     try:
         description = circuit.parse_circuit(text)
         network = circuit.compose(description)
@@ -262,6 +277,8 @@ def cmd_circuit_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(printer=print)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

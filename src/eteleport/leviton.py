@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import protocol
-from .circuit import ArrayLike, _number_within
+from .circuit import ArrayLike, _integer, _number_within
 from .fock import OUTPUT_MODES, mass, occupation_moments
-from .saw import _integer, damped_average_fidelity
+from .protocol import damped_average_fidelity
 
 DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
 
@@ -66,6 +66,11 @@ class LevitonParams:
             raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau!r}")
         if not (_number_within(self.series_tol) and self.series_tol > 0.0):
             raise ValueError(f"series_tol must be positive and finite, got {self.series_tol!r}")
+        # as Python floats: given numpy scalars (an np.arange grid), the
+        # thermal series would run in numpy-scalar arithmetic, the same
+        # values in about 1.6 times the time
+        for name in ("gamma", "tau", "series_tol"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def term_cap(self) -> int:

@@ -205,6 +205,26 @@ def input_bloch(params: TeleportParams) -> np.ndarray:
     )
 
 
+def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
+    """Fidelity of two qubits from their Bloch vectors."""
+    r = np.asarray(r, dtype=float)
+    r_prime = np.asarray(r_prime, dtype=float)
+    # products summed left to right, not np.dot, whose rounding depends on
+    # the host's BLAS kernel
+    n1 = mass(r * r, slice(None))
+    n2 = mass(r_prime * r_prime, slice(None))
+    if not (n1 <= 1.0 + 1e-10 and n2 <= 1.0 + 1e-10):  # NaN fails too
+        raise ValueError("Bloch vectors must lie in the unit ball")
+    purity_term = math.sqrt(max(0.0, (1.0 - n1) * (1.0 - n2)))
+    return 0.5 * (1.0 + mass(r * r_prime, slice(None)) + purity_term)
+
+
+def damped_average_fidelity(q: float) -> float:
+    """Fidelity averaged over all pure inputs when Bob's transverse Bloch
+    components are damped by q: (2 + q)/3."""
+    return (2.0 + q) / 3.0
+
+
 def premeasurement_amplitudes(
     stage: str, R: ArrayLike, phi: ArrayLike, arm_phases: Mapping[str, ArrayLike] | None = None
 ) -> np.ndarray:

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import circuit, fock
-from .circuit import ARM_WIRES, _number_within
+from .circuit import ARM_WIRES, _integer, _number_within
 from .protocol import (
     MeasurementOutcome,
     QubitState,
     TeleportParams,
+    damped_average_fidelity,
     povm_element,
     premeasurement_amplitudes,
 )
@@ -188,17 +188,6 @@ def _conditional_amplitudes(
     return run, trig
 
 
-def _integer(value: int, name: str, least: float = -math.inf) -> int:
-    """The value as an int, at least `least`; anything else (None too) is a ValueError."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 def _drawn_run(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> tuple[_Run, np.ndarray]:
@@ -250,26 +239,6 @@ def dephased_state_montecarlo(
     coherence = 2.0 * (run.kc * cos + run.ks * sin) / run.p
     bloch = [coherence.real, -coherence.imag, run.rho00 - run.rho11]
     return QubitState(np.divide(bloch, run.rho00 + run.rho11))
-
-
-def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
-    """Fidelity of two qubits from their Bloch vectors."""
-    r = np.asarray(r, dtype=float)
-    r_prime = np.asarray(r_prime, dtype=float)
-    # products summed left to right, not np.dot, whose rounding depends on
-    # the host's BLAS kernel
-    n1 = fock.mass(r * r, slice(None))
-    n2 = fock.mass(r_prime * r_prime, slice(None))
-    if not (n1 <= 1.0 + 1e-10 and n2 <= 1.0 + 1e-10):  # NaN fails too
-        raise ValueError("Bloch vectors must lie in the unit ball")
-    purity_term = math.sqrt(max(0.0, (1.0 - n1) * (1.0 - n2)))
-    return 0.5 * (1.0 + fock.mass(r * r_prime, slice(None)) + purity_term)
-
-
-def damped_average_fidelity(q: float) -> float:
-    """Fidelity averaged over all pure inputs when Bob's transverse Bloch
-    components are damped by q: (2 + q)/3."""
-    return (2.0 + q) / 3.0
 
 
 def average_fidelity(sigma2: float) -> float:

@@ -106,6 +106,23 @@ def test_non_convergence_is_reported():
         thermal_factors(LevitonParams(0.02, 0.5, series_tol=1e-300))
 
 
+def test_numpy_scalar_parameters_are_stored_as_floats():
+    # the series then runs in float arithmetic, with the values of the
+    # same parameters given as Python floats
+    taus = np.arange(0.0, 2.0, 0.25)
+    fields = ("gamma", "tau", "series_tol")
+    for gamma, tau in [(np.float64(0.05), t) for t in taus] + [(np.array(0.1), np.int64(1))]:
+        given = LevitonParams(gamma, tau, np.float64(1e-12))
+        plain = LevitonParams(float(gamma), float(tau), 1e-12)
+        assert [type(getattr(given, f)) for f in fields] == [float] * 3
+        factors = thermal_factors(given)
+        assert factors == thermal_factors(plain)
+        assert type(factors.damping) is float
+    rows = fidelity_curve(np.array([0.02, 0.1]), taus)
+    assert rows == fidelity_curve([0.02, 0.1], taus.tolist())
+    assert all(type(row["q"]) is type(row["fidelity"]) is float for row in rows)
+
+
 # --- correlator tables ---
 
 def test_current_closed_forms():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eteleport import protocol, saw
-from eteleport.protocol import MeasurementOutcome, TeleportParams
+from eteleport.protocol import MeasurementOutcome, TeleportParams, jozsa_fidelity
 from eteleport.saw import (
     ARM_WIRES,
     DephasingParams,
@@ -14,7 +14,6 @@ from eteleport.saw import (
     dephased_state_analytic,
     dephased_state_montecarlo,
     fidelity_samples,
-    jozsa_fidelity,
 )
 
 PP = MeasurementOutcome.from_signs("+", "+")

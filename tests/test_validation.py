@@ -15,6 +15,7 @@ from eteleport.protocol import (
     QubitState,
     TeleportParams,
     conditional_qubits,
+    jozsa_fidelity,
 )
 from eteleport.saw import DephasingParams
 
@@ -73,8 +74,8 @@ NON_FINITE = {
     "variances booleans": lambda: DephasingParams((True,) * 6),
     "tau False": lambda: LevitonParams(0.05, False),
     "prep R boolean array": lambda: prep_splitter("a", "b", np.array([True]), 0.0),
-    "jozsa bloch nan": lambda: saw.jozsa_fidelity([NAN, 0, 0], [0, 0, 1]),
-    "jozsa second bloch nan": lambda: saw.jozsa_fidelity([0, 0, 1], [NAN, 0, 0]),
+    "jozsa bloch nan": lambda: jozsa_fidelity([NAN, 0, 0], [0, 0, 1]),
+    "jozsa second bloch nan": lambda: jozsa_fidelity([0, 0, 1], [NAN, 0, 0]),
 }
 
 
