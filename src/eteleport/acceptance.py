@@ -251,8 +251,7 @@ _CORRELATOR_PHI = np.linspace(0.0, 2.0 * math.pi, 5)
 def _criterion_correlator_table() -> tuple[list[Check], str | None]:
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
     table_gaps, sum_gaps = [], []
-    for setting in ("X", "Y", "Z"):
-        simulated = leviton.zero_T_correlators(rs, phis, setting)
+    for setting, simulated in leviton.zero_T_tables(rs, phis).items():
         references = [leviton.reference_correlators(r, phi, setting) for r, phi in zip(rs, phis)]
         reference = leviton.CorrelatorTable(setting, [table.values for table in references])
         table_gaps.append(simulated.max_deviation(reference))
@@ -267,7 +266,7 @@ def _criterion_correlator_table() -> tuple[list[Check], str | None]:
 def _criterion_correlator_reconstruction() -> tuple[list[Check], str | None]:
     factors = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.3))
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
-    tables = {s: leviton.zero_T_correlators(rs, phis, s) for s in "XYZ"}
+    tables = leviton.zero_T_tables(rs, phis)
     bloch, norms = leviton.reconstructed_bloch(tables)
     scaled = {
         s: leviton.finite_T_correlators(table, factors.pair, factors.triple)

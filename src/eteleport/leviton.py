@@ -169,28 +169,24 @@ def _even_series(coefficients: Sequence[float], x2: float) -> float:
     return total
 
 
-def _coth_minus_inv(x: float) -> float:
-    """Temperature weight of one harmonic in the pair-correlator factor:
-    coth(x) - 1/x, with a series branch near zero."""
-    if x < 0.05:
-        return x * _even_series(_PAIR_SERIES, x * x)
-    return 1.0 / math.tanh(x) - 1.0 / x
+def _thermal_brackets(x: float) -> tuple[float, float]:
+    """Temperature weights of one harmonic in the pair- and triple-correlator
+    factors, coth(x) - 1/x and coth^2 + csch^2/2 - (3/2x) coth, from one tanh.
 
-
-def _triple_bracket(x: float) -> float:
-    """Temperature weight of one harmonic in the triple-correlator factor.
-
-    coth^2 + csch^2/2 - (3/2x) coth, with a series branch where the
-    direct form cancels catastrophically: its relative error grows as
-    x^-4 below x = 1 and reaches 1e-12 near the switch.  The switch sits
-    at x = 1/4, the smallest x of a tau <= 2 sweep, so those stay direct.
+    Each has a series branch near zero.  The direct triple form cancels
+    catastrophically: its relative error grows as x^-4 below x = 1 and
+    reaches 1e-12 near its switch.  That switch sits at x = 1/4, the
+    smallest x of a tau <= 2 sweep, so those stay direct.
     """
-    if x < 0.25:
-        x2 = x * x
-        return x2 * _even_series(_TRIPLE_SERIES, x2)
+    x2 = x * x
+    if x < 0.05:
+        return x * _even_series(_PAIR_SERIES, x2), x2 * _even_series(_TRIPLE_SERIES, x2)
     coth = 1.0 / math.tanh(x)
+    pair = coth - 1.0 / x
+    if x < 0.25:
+        return pair, x2 * _even_series(_TRIPLE_SERIES, x2)
     csch2 = 0.0 if x > 350.0 else 1.0 / math.sinh(x) ** 2
-    return coth * coth + 0.5 * csch2 - 1.5 * coth / x
+    return pair, coth * coth + 0.5 * csch2 - 1.5 * coth / x
 
 
 @dataclass(frozen=True)
@@ -222,9 +218,9 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
         if tau == 0.0:
             pair_term, triple_term = weight, weight
         else:
-            x = n / (2.0 * tau)
-            pair_term = weight * _coth_minus_inv(x)
-            triple_term = weight * _triple_bracket(x)
+            pair_bracket, triple_bracket = _thermal_brackets(n / (2.0 * tau))
+            pair_term = weight * pair_bracket
+            triple_term = weight * triple_bracket
         pair_sum += pair_term
         triple_sum += triple_term
         if abs(pair_term) <= tol * abs(pair_sum) and abs(triple_term) <= tol * max(
@@ -299,20 +295,26 @@ class CorrelatorTable:
 
 def zero_T_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
     """All needed currents and cumulants from the Fock model at T = 0, one row
-    per point of a broadcast (R, phi) grid, from one moment call on the
-    setting's row of one launch at all three settings.  At one point the
-    moment call takes the three settings' rows at once, and the three
-    tables are kept with the point's launch, which `protocol.tomography_bloch`
-    and the point's run and conditionals read too.
+    per point of a broadcast (R, phi) grid: the setting's row of
+    `zero_T_tables`.  At one point the three settings' moments are kept with
+    the point's launch, which `protocol.tomography_bloch` and the point's run
+    and conditionals read too.
 
     One period injects the three-electron state; the excess-electron
     correspondence turns occupation mean/central moments directly into I, P, Q.
     """
     row = _setting_row(setting)
-    if np.ndim(R) or np.ndim(phi):
-        amps = protocol.premeasurement_amplitudes("tomography", R, phi)[..., row, :]
-        return CorrelatorTable(setting, _zero_T_moments(amps))
-    return CorrelatorTable(setting, protocol._point_result(R, phi, _zero_T_moments)[row])
+    return CorrelatorTable(setting, protocol._point_result(R, phi, _zero_T_moments)[..., row, :])
+
+
+def zero_T_tables(R: ArrayLike, phi: ArrayLike) -> dict[str, CorrelatorTable]:
+    """`zero_T_correlators` at every tomography setting, keyed X, Y, Z, from
+    one launch over the grid and the three settings and one moment call."""
+    moments = protocol._point_result(R, phi, _zero_T_moments)
+    return {
+        setting: CorrelatorTable(setting, moments[..., row, :])
+        for row, setting in enumerate(protocol.TOMO_SETTINGS)
+    }
 
 
 def _zero_T_moments(amps: np.ndarray) -> np.ndarray:

@@ -284,7 +284,10 @@ def _point_amplitudes(
 ) -> _PointAmplitudes:
     """One point's entry.  The key holds the arm items in ARM_WIRES order,
     so an absent arm and an arm at 0.0 differ, and the parameters' signs,
-    so -0.0 and 0.0 differ."""
+    so -0.0 and 0.0 differ.  (R, phi) are checked as a `TeleportParams`
+    first, so a rejected point is reported by its value, not as the
+    one-element array the tomography stage launches."""
+    TeleportParams(R, phi)
     return _PointAmplitudes(_launch(stage, R, phi, dict(arm_items)))
 
 

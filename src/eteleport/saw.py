@@ -192,7 +192,7 @@ def _drawn_run(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> tuple[_Run, np.ndarray]:
     """One seeded run: its constants, and the cos and sin of its draws."""
-    n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed")
+    n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed", 0)
     return _conditional_amplitudes(params, _sample_phases(deph, n_samples, seed))
 
 
@@ -202,7 +202,7 @@ def montecarlo_click_probabilities(
     """Per-sample ++ probability (1/16 under any phase noise) of the run of
     `montecarlo_entries`; a constant of the run, so nothing is drawn."""
     n_samples = _integer(n_samples, "n_samples", 1)
-    _integer(seed, "seed")
+    _integer(seed, "seed", 0)
     return np.full(n_samples, _run_constants(params).p)
 
 
@@ -253,13 +253,15 @@ def fidelity_samples(
 
     Inputs are n_states uniform directions on the Bloch sphere, drawn once
     and shared by every row; the damped output shrinks their transverse
-    components by exp(-sigma2/2).  Rows are made as they are read.
+    components by exp(-sigma2/2).  A state's fidelity depends only on its
+    z^2, and for a uniform direction |z| is uniform on [0, 1) (Archimedes),
+    so each state is one uniform draw u with z^2 = u^2.  Rows are made as
+    they are read.
     """
     n_states = _integer(n_states, "n_states", 1)
     dampings = [_damping(sigma2) for sigma2 in sigma2_values]
-    v = np.random.default_rng(_integer(seed, "seed")).normal(size=(n_states, 3))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    transverse = v[:, 0] ** 2 + v[:, 1] ** 2
-    axial = v[:, 2] ** 2
+    u = np.random.default_rng(_integer(seed, "seed", 0)).random(n_states)
+    axial = u * u
+    transverse = 1.0 - axial
     # pure inputs: the joint-purity term of the fidelity vanishes
     return (0.5 * (1.0 + (damping * transverse + axial)) for damping in dampings)

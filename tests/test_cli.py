@@ -134,6 +134,14 @@ def test_saw_seed_from_environment(capsys, tmp_path, monkeypatch):
     assert explicit.read_bytes() == env_based.read_bytes()
 
 
+def test_saw_rejects_a_negative_seed(capsys, monkeypatch):
+    # in the library's words, from the option and from the environment
+    message = "error: seed must be at least 0, got -1\n"
+    assert run_cli(capsys, "saw", "--n-states", "10", "--seed", "-1") == (2, "", message)
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+    assert run_cli(capsys, "saw", "--n-states", "10") == (2, "", message)
+
+
 def test_saw_rejects_negative_variance(capsys):
     code, _, err = run_cli(capsys, "saw", "--sigma2", "-1")
     assert code == 2
@@ -178,6 +186,22 @@ def test_correlators_summary_line(capsys):
     assert len(rows) == 3 * 20
     assert all(float(r["abs_error"]) < 1e-10 for r in rows)
     assert any("[e^3/T]" in r["quantity"] for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--R", "2"), "reflection probability R must lie in [0, 1], got 2.0"),
+        (("--phi", "inf"), "input-qubit phase phi must be finite, got inf"),
+    ],
+    ids=["R=2", "phi=inf"],
+)
+def test_correlators_names_the_rejected_value(capsys, argv, message):
+    # the value as `ideal` reports it, not the one-element array the
+    # tomography stage launches
+    code, out, err = run_cli(capsys, "correlators", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # --- circuit-check ---

@@ -2,9 +2,11 @@
 
 The files under tests/data/ were written by the CLI before the Fock engine
 and the network builder were restructured; they are never regenerated to
-make this test pass.  The one declared re-record rewrote correlators.csv
+make this test pass.  One declared re-record rewrote correlators.csv
 (and verify.txt) once, when moments and the Fourier oracle stopped using
 BLAS products, whose last digits depend on the host's BLAS kernel.
+Another rewrote saw.csv and line 6 of verify.txt when the sampled input
+states became one uniform draw each (a declared random-stream change).
 ideal_off_readme.json pins `ideal` at a point away from the README
 arguments, recorded when Bob's conditional states stopped taking their
 norm from a BLAS product; every x86-64 OpenBLAS kernel prints it.

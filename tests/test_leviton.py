@@ -19,6 +19,7 @@ from eteleport.leviton import (
     reference_correlators,
     thermal_factors,
     zero_T_correlators,
+    zero_T_tables,
 )
 from eteleport.protocol import TeleportParams
 
@@ -154,6 +155,22 @@ def test_table_matches_reference_everywhere():
                 simulated = zero_T_correlators(r, phi, setting)
                 reference = reference_correlators(r, phi, setting)
                 assert simulated.max_deviation(reference) < 1e-10
+
+
+def test_grid_tables_are_each_settings_own_moments():
+    # one moment call over the three settings' rows gives each row the bytes
+    # of a moment call on that setting's row alone, and of the one-point tables
+    rs, phis = np.linspace(0.05, 0.95, 7), np.linspace(-3.0, 9.0, 7)
+    tables = zero_T_tables(rs, phis)
+    assert list(tables) == list(protocol.TOMO_SETTINGS)
+    amps = protocol.premeasurement_amplitudes("tomography", rs, phis)
+    for row, (setting, table) in enumerate(tables.items()):
+        assert table.setting == setting
+        alone = leviton._zero_T_moments(amps[:, row, :])
+        assert table.values.tobytes() == alone.tobytes()
+        assert table.values.tobytes() == zero_T_correlators(rs, phis, setting).values.tobytes()
+        for r, phi, values in zip(rs.tolist(), phis.tolist(), table.values):
+            assert values.tobytes() == zero_T_correlators(r, phi, setting).values.tobytes()
 
 
 def test_charge_sum_rule():

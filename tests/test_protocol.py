@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eteleport import circuit, fock, leviton, protocol
+from eteleport import acceptance, circuit, fock, leviton, protocol
 from eteleport.fock import (
     DETECTION_MODES,
     OUTPUT_MODES,
@@ -425,6 +425,15 @@ def test_exact_point_launches_two_networks(monkeypatch):
     for launched in (2, 4):
         _exact_point(0.37, 2.9, arms)
         assert len(calls) == launched
+
+
+@pytest.mark.parametrize("number", [7, 8])
+def test_correlator_criterion_launches_one_network_stack(monkeypatch, number):
+    # the 25-point grid at all three settings is one stack of networks
+    compose, calls = circuit.compose, []
+    monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
+    assert acceptance.ALL_CRITERIA[number - 1].run().passed
+    assert len(calls) == 1
 
 
 def test_cached_tables_are_read_only():

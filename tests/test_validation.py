@@ -108,6 +108,22 @@ def test_finite_T_factors_must_lie_in_unit_interval(name, factor):
         leviton.finite_T_correlators(table, **factors)
 
 
+NEGATIVE_SEED_CALLS = {
+    "montecarlo_entries": saw.montecarlo_entries,
+    "montecarlo_click_probabilities": saw.montecarlo_click_probabilities,
+    "dephased_state_montecarlo": saw.dephased_state_montecarlo,
+    "fidelity_samples": lambda params, deph, n, seed: saw.fidelity_samples([1.0], n, seed),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_SEED_CALLS.values(), ids=NEGATIVE_SEED_CALLS.keys())
+def test_seed_must_be_non_negative(call):
+    # one seed contract for every entry point of a run and the sampled
+    # fidelities, in the library's words rather than numpy's
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        call(TeleportParams(0.3, 1.2), DephasingParams.from_total(1.0), 5, -1)
+
+
 GAMMA_FUNCTIONS = {
     "photoassist_amplitude": lambda g: leviton.photoassist_amplitude(1, g),
     "photoassist_spectrum_oracle": lambda g: leviton.photoassist_spectrum_oracle([0, 1], g),
