@@ -169,24 +169,36 @@ def _even_series(coefficients: Sequence[float], x2: float) -> float:
     return total
 
 
-def _thermal_brackets(x: float) -> tuple[float, float]:
-    """Temperature weights of one harmonic in the pair- and triple-correlator
-    factors, coth(x) - 1/x and coth^2 + csch^2/2 - (3/2x) coth, from one tanh.
+def _coth_minus_inv(x: float, coth: float) -> float:
+    """Temperature weight of one harmonic in the pair-correlator factor,
+    coth(x) - 1/x, from x = 0.05 on, given coth(x)."""
+    return coth - 1.0 / x
 
-    Each has a series branch near zero.  The direct triple form cancels
-    catastrophically: its relative error grows as x^-4 below x = 1 and
-    reaches 1e-12 near its switch.  That switch sits at x = 1/4, the
-    smallest x of a tau <= 2 sweep, so those stay direct.
+
+def _triple_bracket(x: float, coth: float) -> float:
+    """Temperature weight of one harmonic in the triple-correlator factor,
+    coth^2 + csch^2/2 - (3/2x) coth, from x = 0.05 on, given coth(x).
+
+    The direct form cancels catastrophically: its relative error grows as
+    x^-4 below x = 1 and reaches 1e-12 near its switch, so a series
+    branch runs below it.  That switch sits at x = 1/4, the smallest x of
+    a tau <= 2 sweep, so those stay direct.
     """
-    x2 = x * x
+    if x < 0.25:
+        x2 = x * x
+        return x2 * _even_series(_TRIPLE_SERIES, x2)
+    csch2 = 0.0 if x > 350.0 else 1.0 / math.sinh(x) ** 2
+    return coth * coth + 0.5 * csch2 - 1.5 * coth / x
+
+
+def _thermal_brackets(x: float) -> tuple[float, float]:
+    """Both temperature weights of one harmonic (pair, triple) from one
+    tanh, with a series branch for both below x = 0.05."""
     if x < 0.05:
+        x2 = x * x
         return x * _even_series(_PAIR_SERIES, x2), x2 * _even_series(_TRIPLE_SERIES, x2)
     coth = 1.0 / math.tanh(x)
-    pair = coth - 1.0 / x
-    if x < 0.25:
-        return pair, x2 * _even_series(_TRIPLE_SERIES, x2)
-    csch2 = 0.0 if x > 350.0 else 1.0 / math.sinh(x) ** 2
-    return pair, coth * coth + 0.5 * csch2 - 1.5 * coth / x
+    return _coth_minus_inv(x, coth), _triple_bracket(x, coth)
 
 
 @dataclass(frozen=True)
