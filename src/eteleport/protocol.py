@@ -132,10 +132,11 @@ _Z_ROW = list(TOMO_SETTINGS).index("Z")
 
 # One-point entries kept by `premeasurement_amplitudes`.  A point's run, its
 # four conditionals, its Bloch vector and its correlator tables all read
-# one entry, the three tomography settings in one launch, and the detection
-# stage with arm phases launches alone.  One entry, fewer than those two
-# launches, makes a point evaluated again from the start launch again, so a
-# traced rerun of an input still sees its launches.
+# one entry, the three tomography settings in one launch, and its state with
+# arm phases reads the preparation stage's, as a Monte Carlo run does.  One
+# entry, fewer than those two launches, makes a point evaluated again from
+# the start launch again, so a traced rerun of an input still sees its
+# launches.
 _POINT_MEMO_SIZE = 1
 
 
@@ -305,6 +306,7 @@ def _launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarr
     stage launches the three settings, their axis after every parameter's."""
     transmission, theta = 1.0, 0.0
     if stage == "tomography":
+        circuit._phase_layer(arms)  # checks each arm phase as given, before the settings axis
         R, phi = np.asarray(R)[..., None], np.asarray(phi)[..., None]
         arms = {a: np.asarray(v)[..., None] for a, v in arms.items()}
         transmission, theta = _SETTINGS
@@ -440,10 +442,16 @@ def _paired_conditionals(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def conditional_with_arm_phases(
     params: TeleportParams, arm_phases: Mapping[str, float]
 ) -> tuple[float, QubitState]:
-    """Probability and Bob's qubit for the ++ outcome with fixed arm phases."""
-    amps = premeasurement_amplitudes("detection", params.R, params.phi, arm_phases=arm_phases)
-    (p,), (bloch,) = conditional_qubits(amps[None], MeasurementOutcome.from_signs("+", "+"))
-    return float(p), QubitState(bloch)
+    """Probability and Bob's qubit for the ++ outcome with fixed arm phases:
+    the constants of a Monte Carlo run at the one draw Phi of
+    `saw.combined_phase`.  The arms and their phases pass the network's
+    checks before anything is launched; no network with phase elements is."""
+    from . import saw
+
+    circuit._phase_layer(arm_phases)
+    phase = saw.combined_phase(arm_phases or {})
+    run = saw._run_constants(params)
+    return run.p, saw._run_state(run, math.cos(phase), math.sin(phase))
 
 
 def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitState:

@@ -9,7 +9,8 @@ draws that combination once per run and averages conditional states; the
 analytic route applies the damping.  Every state here is a `QubitState`
 built from its Bloch vector: the analytic and fixed-phase states take the
 input's closed form with the phase moved and x, y damped, the Monte Carlo
-state takes the run's constants and the mean cos and sin of its draws.
+state takes the run's constants and the mean cos and sin of its draws, and
+`protocol.conditional_with_arm_phases` takes them at one fixed draw.
 
 Each ++ conditional amplitude comes from one configuration of the prepared
 stage, so the populations rho00, rho11 and the click probability p are
@@ -235,7 +236,12 @@ def dephased_state_montecarlo(
     the usual 1/sqrt(n) Monte Carlo rate.
     """
     run, trig = _drawn_run(params, deph, n_samples, seed)
-    cos, sin = trig.mean(axis=1).tolist()
+    return _run_state(run, *trig.mean(axis=1).tolist())
+
+
+def _run_state(run: _Run, cos: float, sin: float) -> QubitState:
+    """Bob's ++-conditional state from a run's constants and a cos and sin
+    of Phi: the means over the run's draws, or one fixed draw's."""
     coherence = 2.0 * (run.kc * cos + run.ks * sin) / run.p
     bloch = [coherence.real, -coherence.imag, run.rho00 - run.rho11]
     return QubitState(np.divide(bloch, run.rho00 + run.rho11))

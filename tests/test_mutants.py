@@ -58,6 +58,17 @@ def _draws_mapped(transform):
     return apply
 
 
+def _run_sine_flipped(monkeypatch):
+    # the run's coherence turns the wrong way with the combined phase
+    constants = saw._run_constants
+
+    def flipped(params):
+        run = constants(params)
+        return run._replace(ks=-run.ks)
+
+    monkeypatch.setattr(saw, "_run_constants", flipped)
+
+
 def _pp_reads_a0_minus(monkeypatch):
     # the ++ element reads A0- in place of A0+, i.e. it keeps the -+ pattern
     clicked = protocol.POVMElement.clicked
@@ -114,6 +125,11 @@ MUTANTS = [
         _draws_mapped(np.negative),
         test_saw.test_fast_path_matches_full_simulation,
         id="mc-phase-sign-flipped",
+    ),
+    pytest.param(
+        _run_sine_flipped,
+        test_properties.test_fixed_arm_phases_match_a_launch,
+        id="fixed-draw-sine-flipped",
     ),
     pytest.param(
         # the spread of one arm of six, not of their combination: the

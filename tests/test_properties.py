@@ -14,6 +14,7 @@ from eteleport import circuit, leviton, protocol, saw  # noqa: E402
 from eteleport.acceptance import reference_network_matrix  # noqa: E402
 from eteleport.fock import INPUT_MODES, FockState, create_sources, lift_amplitudes  # noqa: E402
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
+from test_saw import launched_conditional  # noqa: E402
 
 angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 unit = st.floats(0.0, 1.0)
@@ -53,7 +54,7 @@ def test_network_invariants(point):
     for x in PAIRED_OUTCOMES:
         assert abs(probs[x] - 1.0 / 16.0) < 1e-12
 
-    p, qubit = protocol.conditional_with_arm_phases(params, arm_phases)
+    p, qubit = launched_conditional(params, arm_phases)
     assert abs(p - 1.0 / 16.0) < 1e-12
     expected = saw.fixed_phase_state(params, saw.combined_phase(arm_phases))
     assert np.max(np.abs(qubit.rho - expected.rho)) < 1e-10
@@ -70,9 +71,33 @@ def test_sector_amplitudes_match_full_simulation(R, phi, rows):
         rho01 = (run.kc * cos + run.ks * sin) / run.p
         rho = np.array([[run.rho00, rho01], [np.conj(rho01), run.rho11]])
         arm_phases = dict(zip(circuit.ARM_WIRES, arms))
-        slow_p, slow = protocol.conditional_with_arm_phases(params, arm_phases)
+        slow_p, slow = launched_conditional(params, arm_phases)
         assert abs(run.p - slow_p) < 1e-12
         assert np.max(np.abs(rho - slow.rho)) < 1e-12
+
+
+# arm phases up to 10 pi either way, signed zeros too, on some arms
+wide_angle = signed_zero | st.floats(-10.0 * math.pi, 10.0 * math.pi)
+wide_arm_dict = st.permutations(circuit.ARM_WIRES).flatmap(
+    lambda order: st.lists(wide_angle, max_size=len(order)).map(
+        lambda values: dict(zip(order, values))
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_zero | st.sampled_from((0.0, 1.0)) | unit, wide_angle, wide_arm_dict)
+@example(1.0, -0.0, {"A0": -0.0, "B1p": 10.0 * math.pi})
+@example(-0.0, 0.0, dict(zip(circuit.ARM_WIRES, (10.0 * math.pi, -10.0 * math.pi) * 3)))
+@example(0.3, 1.2, {})
+def test_fixed_arm_phases_match_a_launch(R, phi, arms):
+    # the run constants at one draw of the combined phase against the
+    # detection stage launched with the arm phases
+    params = TeleportParams(R, phi)
+    p, qubit = protocol.conditional_with_arm_phases(params, arms)
+    want_p, want = launched_conditional(params, arms)
+    assert abs(p - want_p) <= 1e-12
+    assert np.max(np.abs(qubit.rho - want.rho)) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eteleport import acceptance, circuit, fock, leviton, protocol
+from eteleport import acceptance, circuit, fock, leviton, protocol, saw
 from eteleport.fock import (
     DETECTION_MODES,
     OUTPUT_MODES,
@@ -416,15 +416,23 @@ def _exact_point(R, phi, arms):
 
 def test_exact_point_launches_two_networks(monkeypatch):
     # the three tomography settings at once, whose Z row is the detection
-    # stage, and detection with arm phases; a point evaluated again from the
-    # start launches again
+    # stage, and the preparation stage, whose run constants give the state
+    # with arm phases: no network with phase elements is launched.  A point
+    # evaluated again from the start launches again
+    saw._alice_clicks()  # parameter-free, built once per process
     compose, calls = circuit.compose, []
     monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
+    launch, stages = protocol._launch, []
+    monkeypatch.setattr(
+        protocol, "_launch", lambda stage, *rest: stages.append(stage) or launch(stage, *rest)
+    )
     arms = dict(zip(circuit.ARM_WIRES, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)))
     protocol._point_amplitudes.cache_clear()
     for launched in (2, 4):
         _exact_point(0.37, 2.9, arms)
         assert len(calls) == launched
+        assert stages == ["tomography", "preparation"] * (launched // 2)
+    assert all(element.kind != "phase" for d in calls for element in d.elements)
 
 
 @pytest.mark.parametrize("number", [7, 8])

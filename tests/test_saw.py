@@ -20,6 +20,15 @@ PP = MeasurementOutcome.from_signs("+", "+")
 PARAMS = TeleportParams(0.3, 1.2)
 
 
+def launched_conditional(params, arm_phases):
+    """The ++ probability and Bob's qubit from one explicit launch of the
+    detection stage with arm phases: the six-mode network and its lift,
+    independent of the run constants `conditional_with_arm_phases` reads."""
+    amps = protocol.premeasurement_amplitudes("detection", params.R, params.phi, arm_phases)
+    (p,), (bloch,) = protocol.conditional_qubits(amps[None], PP)
+    return float(p), protocol.QubitState(bloch)
+
+
 def montecarlo_states(params, deph, n_samples, seed):
     """Bob's ++-conditional density matrix per sample, from the entries."""
     rho00, rho11, rho01 = saw.montecarlo_entries(params, deph, n_samples, seed)
@@ -75,7 +84,7 @@ def test_fixed_phases_reproduce_closed_form():
     rng = np.random.default_rng(6)
     for _ in range(5):
         draws = dict(zip(ARM_WIRES, rng.normal(0.0, 0.8, 6)))
-        prob, state = protocol.conditional_with_arm_phases(PARAMS, draws)
+        prob, state = launched_conditional(PARAMS, draws)
         assert prob == pytest.approx(1.0 / 16.0, abs=1e-12)
         expected = saw.fixed_phase_state(PARAMS, combined_phase(draws))
         assert np.max(np.abs(state.rho - expected.rho)) < 1e-12
@@ -120,7 +129,7 @@ def test_fast_path_matches_full_simulation():
         arm = ARM_WIRES[rng.integers(6)]
         arms[arm] += combined_phase({arm: 1.0}) * (phi - combined_phase(arms))
         assert combined_phase(arms) == pytest.approx(phi, abs=1e-14)
-        _, slow = protocol.conditional_with_arm_phases(PARAMS, arms)
+        _, slow = launched_conditional(PARAMS, arms)
         assert np.max(np.abs(stack[i] - slow.rho)) < 1e-12
 
 

@@ -2,11 +2,12 @@
 command line with exit code 2 and a one-line message."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from eteleport import cli, leviton, saw
+from eteleport import circuit, cli, leviton, protocol, saw
 from eteleport.circuit import ElementSpec, prep_splitter
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
 from eteleport.leviton import LevitonParams
@@ -83,6 +84,37 @@ NON_FINITE = {
 def test_constructor_rejects_non_finite(build):
     with pytest.raises(ValueError):
         build()
+
+
+# arms a fixed-phase state rejects -> the words of its error
+BAD_ARMS = {
+    "unknown arm": ({"Q7": 0.1}, "unknown dephasing arms ['Q7']"),
+    "inf": ({"A0": INF}, "value must be finite and real, got inf"),
+    "nan": ({"B1p": NAN}, "value must be finite and real, got nan"),
+    "complex": ({"A0": 0.1j}, "value must be finite and real, got 0.1j"),
+    "bool": ({"A0": True}, "value must be finite and real, got True"),
+    "string": ({"A0": "0.1"}, "value must be finite and real, got '0.1'"),
+    "None": ({"A0": None}, "value must be finite and real, got None"),
+}
+
+
+@pytest.mark.parametrize("arms, words", BAD_ARMS.values(), ids=BAD_ARMS.keys())
+def test_fixed_arm_phases_rejected_before_any_launch(monkeypatch, arms, words):
+    # with an empty memo, a check made after the launch would compose
+    protocol._point_amplitudes.cache_clear()
+    compose, calls = circuit.compose, []
+    monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
+    with pytest.raises(ValueError, match=re.escape(words)):
+        protocol.conditional_with_arm_phases(TeleportParams(0.3, 1.2), {"A1": 0.2, **arms})
+    assert calls == []
+
+
+@pytest.mark.parametrize("stage", ["detection", "tomography"])
+def test_arm_phase_reported_as_given(stage):
+    # the tomography stage adds a settings axis to each phase only after the
+    # check, so both stages print the value, not a one-element array
+    with pytest.raises(ValueError, match=r"value must be finite and real, got inf$"):
+        protocol.premeasurement_amplitudes(stage, 0.3, 1.2, {"A0": INF})
 
 
 SIGMA2_FUNCTIONS = {
