@@ -268,10 +268,8 @@ def _criterion_correlator_reconstruction() -> tuple[list[Check], str | None]:
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
     tables = leviton.zero_T_tables(rs, phis)
     bloch, norms = leviton.reconstructed_bloch(tables)
-    scaled = {
-        s: leviton.finite_T_correlators(table, factors.pair, factors.triple)
-        for s, table in tables.items()
-    }
+    pair, triple = factors.pair, factors.triple
+    scaled = {s: leviton.finite_T_correlators(t, pair, triple) for s, t in tables.items()}
     bloch_t, _ = leviton.reconstructed_bloch(scaled)
     reference = np.array(
         [protocol.input_bloch(TeleportParams(r, phi)) for r, phi in zip(rs, phis)]

@@ -123,8 +123,7 @@ def _ideal_rows(R: float, phi: float) -> list[dict]:
         row = {"record": "outcome", "key": outcome.label, "probability": prob, **blank}
         if outcome.is_paired:
             qubit = protocol.bob_conditional(params, outcome)
-            corrected = protocol.apply_feedforward(qubit, outcome)
-            bloch = corrected.bloch
+            bloch = protocol.apply_feedforward(qubit, outcome).bloch
             row["bloch_x"], row["bloch_y"], row["bloch_z"] = map(float, bloch)
             row["fidelity"] = protocol.jozsa_fidelity(bloch, reference)
         rows.append(row)

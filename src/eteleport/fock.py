@@ -81,10 +81,7 @@ PREPARED_MODES = ModeRegistry(("A0p", "A1p", "A0", "A1", "B0p", "B1p"))
 
 def _config(indices: Iterable[int]) -> int:
     """Configuration with the given registry indices occupied."""
-    config = 0
-    for i in indices:
-        config |= 1 << i
-    return config
+    return functools.reduce(operator.or_, (1 << i for i in indices), 0)
 
 
 def occupations(
@@ -130,11 +127,7 @@ def mass(probs: np.ndarray, keep: np.ndarray | slice) -> np.ndarray | float:
 
 def _reorder_sign(indices: Sequence[int]) -> int:
     """Sign of the permutation that sorts a distinct index sequence ascending."""
-    inversions = 0
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            if indices[i] > indices[j]:
-                inversions += 1
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
     return -1 if inversions % 2 else 1
 
 
@@ -289,8 +282,7 @@ def lift_amplitudes(u: SingleParticleUnitary, state: FockState) -> np.ndarray:
     configuration I is det(u[rows=O, cols=I]) with both index sets sorted
     ascending, which is the free-fermion (Slater determinant) rule.
     Returns the amplitudes over u.rows' sector in combination order, shape
-    (..., sector size) with the stack's shape leading; entries at or below
-    PRUNE_TOL are set to zero.  Raises unless every point preserves the norm.
+    (..., sector size) with the stack's shape leading, through `_pruned`.
     """
     if u.cols != state.registry:
         raise ValueError("unitary input registry does not match the state registry")
@@ -300,9 +292,15 @@ def lift_amplitudes(u: SingleParticleUnitary, state: FockState) -> np.ndarray:
     out = np.zeros(dets.shape[:-1], dtype=complex)
     for column, amp in enumerate(state.amps[support]):
         out += dets[..., column] * amp
+    return _pruned(out, state.norm())
+
+
+def _pruned(out: np.ndarray, norm: float) -> np.ndarray:
+    """Evolved amplitudes (..., sector), entries at or below PRUNE_TOL set to
+    zero in place; raises unless every point keeps the norm."""
     out[np.abs(out) <= PRUNE_TOL] = 0.0
     norms = np.sqrt((np.abs(out) ** 2).sum(axis=-1))
-    if not (np.abs(norms - state.norm()) <= NORM_TOL).all():  # NaN fails too
+    if not (np.abs(norms - norm) <= NORM_TOL).all():  # NaN fails too
         raise ValueError("lifted evolution failed to preserve the norm")
     return out
 

@@ -220,10 +220,8 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
     g = 2.0 * math.pi * params.gamma
     sinh2 = math.sinh(g) ** 2
     tau, tol, cap = params.tau, params.series_tol, params.term_cap
-    pair_sum = 0.0
-    triple_sum = 0.0
-    quiet = 0
-    n = 0
+    pair_sum = triple_sum = 0.0
+    quiet = n = 0
     while n < cap:
         n += 1
         weight = n * 4.0 * math.exp(-2.0 * g * n) * sinh2
@@ -309,7 +307,7 @@ def zero_T_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> Correlator
     """All needed currents and cumulants from the Fock model at T = 0, one row
     per point of a broadcast (R, phi) grid: the setting's row of
     `zero_T_tables`.  At one point the three settings' moments are kept with
-    the point's launch, which `protocol.tomography_bloch` and the point's run
+    the point's stage, which `protocol.tomography_bloch` and the point's run
     and conditionals read too.
 
     One period injects the three-electron state; the excess-electron
@@ -321,7 +319,7 @@ def zero_T_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> Correlator
 
 def zero_T_tables(R: ArrayLike, phi: ArrayLike) -> dict[str, CorrelatorTable]:
     """`zero_T_correlators` at every tomography setting, keyed X, Y, Z, from
-    one launch over the grid and the three settings and one moment call."""
+    one tomography stage over the grid and three settings and one moment call."""
     moments = protocol._point_result(R, phi, _zero_T_moments)
     return {
         setting: CorrelatorTable(setting, moments[..., row, :])
@@ -389,12 +387,7 @@ def bloch_from_correlators(table: CorrelatorTable) -> tuple[np.ndarray, np.ndarr
     Returns (component, K) where K is the ++ click probability, 1/16 at
     zero temperature.
     """
-    i_a0p = table.current("A0+")
-    i_a1p = table.current("A1+")
-    i_a0m = table.current("A0-")
-    i_a1m = table.current("A1-")
-    i_b0 = table.current("B0")
-    i_b1 = table.current("B1")
+    i_a0p, i_a0m, i_a1p, i_a1m, i_b0, i_b1 = (table.current(d) for d in DETECTORS)
     j = (
         (table.triple("A0+", "A1+", "B0") - table.triple("A0+", "A1+", "B1"))
         + table.pair("A0+", "A1+") * (i_b0 - i_b1)
@@ -418,13 +411,8 @@ def reconstructed_bloch(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Full Bloch vector from one table per tomography axis, (..., 3) for
     tables of (..., len(KEYS)) rows."""
-    components = []
-    norms = {}
-    for axis in ("X", "Y", "Z"):
-        value, k = bloch_from_correlators(tables[axis])
-        components.append(value)
-        norms[axis] = k
-    return np.stack(components, axis=-1), norms
+    pairs = {axis: bloch_from_correlators(tables[axis]) for axis in ("X", "Y", "Z")}
+    return np.stack([v for v, _ in pairs.values()], axis=-1), {a: k for a, (_, k) in pairs.items()}
 
 
 def leviton_fidelity(params: LevitonParams) -> float:
@@ -439,13 +427,7 @@ def fidelity_curve(
     rows = []
     for gamma in gammas:
         for tau in taus:
-            factors = thermal_factors(LevitonParams(gamma, tau, series_tol))
-            rows.append(
-                {
-                    "gamma": float(gamma),
-                    "tau": float(tau),
-                    "q": factors.damping,
-                    "fidelity": damped_average_fidelity(factors.damping),
-                }
-            )
+            q = thermal_factors(LevitonParams(gamma, tau, series_tol)).damping
+            rows.append({"gamma": float(gamma), "tau": float(tau), "q": q,
+                         "fidelity": damped_average_fidelity(q)})
     return rows

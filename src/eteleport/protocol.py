@@ -5,9 +5,10 @@ and conditioning on one click per detector pair leaves Bob with a
 dual-rail qubit in the (B'0, B'1) basis.  All probabilities and
 conditional states are computed exactly from the Fock simulation.
 `premeasurement_amplitudes` is the one route from parameters to
-amplitudes: it evaluates a grid of parameter points as one stack of
-networks and one determinant launch, and a single run is its one-point
-case.
+amplitudes, at a grid of points or at one.  Only the S_psi electron passes
+the input-qubit splitter and a Slater determinant is linear in each column,
+so without arm phases a stage is c0 * X + c1 * Y, two rows built once from
+the network; with them, a grid is one stack of networks and one launch.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .fock import (
     ModeRegistry,
     combination_table,
     create_sources,
+    _pruned,
     lift_amplitudes,
     lift_matrix,
     mass,
@@ -132,11 +134,9 @@ _Z_ROW = list(TOMO_SETTINGS).index("Z")
 
 # One-point entries kept by `premeasurement_amplitudes`.  A point's run, its
 # four conditionals, its Bloch vector and its correlator tables all read
-# one entry, the three tomography settings in one launch, and its state with
-# arm phases reads the preparation stage's, as a Monte Carlo run does.  One
-# entry, fewer than those two launches, makes a point evaluated again from
-# the start launch again, so a traced rerun of an input still sees its
-# launches.
+# one entry, the three tomography settings, which keeps the results derived
+# from them; its state with arm phases reads the preparation stage's, as a
+# Monte Carlo run does.
 _POINT_MEMO_SIZE = 1
 
 
@@ -235,11 +235,10 @@ def premeasurement_amplitudes(
     modes (`circuit.STAGES`), in combination order; the tomography stage
     has one row per setting of Bob's splitter, in TOMO_SETTINGS order
     (X, Y, Z), shape (3, sector).  Array parameters broadcast together; the
-    result then carries their shape in front, one row per grid point, from
-    one stack of networks and one launch.  A one-point call, every
-    parameter a Python int or float, is memoised and returns a shared
-    read-only array; without arm phases, its detection stage is the Z row
-    of the point's tomography launch.
+    result then carries their shape in front, one row per grid point (see
+    `_launch`).  A one-point call, every parameter a Python int or float,
+    is memoised and returns a shared read-only array; without arm phases,
+    its detection stage is the Z row of the point's tomography stage.
     """
     arms = arm_phases or {}
     arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
@@ -293,7 +292,7 @@ def _point_amplitudes(
 
 
 def _point_result(R: ArrayLike, phi: ArrayLike, build):
-    """build(amps) of one point's tomography launch, shape (3, sector): kept
+    """build(amps) of one point's tomography stage, shape (3, sector): kept
     in the point's memo entry for a one-point call, built afresh otherwise."""
     entry = _memo_entry("tomography", R, phi, ())
     if entry is None:
@@ -302,6 +301,19 @@ def _point_result(R: ArrayLike, phi: ArrayLike, build):
 
 
 def _launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarray:
+    """The stage's amplitudes over a broadcast (R, phi) grid.  Without arm
+    phases, the form c0 * X + c1 * Y of the module docstring, (c0, c1) the
+    input splitter's S_psi column and (X, Y) the stage's `_form_rows`."""
+    if arms:
+        return _network_launch(stage, R, phi, arms)
+    rows = _form_rows("tomography" if stage == "detection" else stage)
+    x, y = rows[:, _Z_ROW] if stage == "detection" else rows
+    s_psi = circuit.element_matrix(circuit.prep_splitter("A0p", "A1p", R, phi))[..., 0]
+    axes = (Ellipsis,) + (None,) * x.ndim  # the rows' axes after the grid's
+    return _pruned(s_psi[..., 0][axes] * x + s_psi[..., 1][axes] * y, _sources().norm())
+
+
+def _network_launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarray:
     """One stack of networks and one determinant launch.  The tomography
     stage launches the three settings, their axis after every parameter's."""
     transmission, theta = 1.0, 0.0
@@ -312,6 +324,16 @@ def _launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarr
         transmission, theta = _SETTINGS
     network = circuit.teleport_network(stage, R, phi, transmission, theta, arms)
     return lift_amplitudes(network, _sources())
+
+
+@functools.lru_cache(maxsize=None)
+def _form_rows(stage: str) -> np.ndarray:
+    """The stage's rows X then Y, read-only, from one two-point launch: its
+    S_psi column is (i, 0) at (R, phi) = (1, 0) and (0, 1) at (0, 0)."""
+    rows = _network_launch(stage, np.array([1.0, 0.0]), np.zeros(2), {})
+    rows[0] *= -1j  # exact: a swap of parts and a sign
+    rows.flags.writeable = False
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,7 +444,7 @@ def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> Qubi
     Only the four such outcomes (PAIRED_OUTCOMES) leave Bob a dual-rail
     qubit; every other click pattern is a failed run and raises a
     ValueError, as does an outcome of probability zero.  The four
-    conditionals of a point come from one pass, kept with its launch.
+    conditionals of a point come from one pass, kept with its stage.
     """
     row = _paired_row(outcome)
     p, bloch = _point_result(params.R, params.phi, _paired_conditionals)
@@ -433,7 +455,7 @@ def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> Qubi
 
 def _paired_conditionals(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_conditionals` of the four PAIRED_OUTCOMES, read-only, from the Z
-    row of a point's tomography launch."""
+    row of a point's tomography stage."""
     p, bloch = _conditionals(amps[_Z_ROW], PAIRED_OUTCOMES)
     p.flags.writeable = bloch.flags.writeable = False
     return p, bloch
@@ -445,10 +467,14 @@ def conditional_with_arm_phases(
     """Probability and Bob's qubit for the ++ outcome with fixed arm phases:
     the constants of a Monte Carlo run at the one draw Phi of
     `saw.combined_phase`.  The arms and their phases pass the network's
-    checks before anything is launched; no network with phase elements is."""
+    checks, and each phase must be one number, before anything is computed;
+    no network with phase elements is launched."""
     from . import saw
 
     circuit._phase_layer(arm_phases)
+    for arm, value in (arm_phases or {}).items():
+        if not _number_within(value):  # the network's check takes a grid's array
+            raise ValueError(f"arm phase {arm} must be finite and real, got {value!r}")
     phase = saw.combined_phase(arm_phases or {})
     run = saw._run_constants(params)
     return run.p, saw._run_state(run, math.cos(phase), math.sin(phase))
@@ -464,8 +490,7 @@ def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitSt
 
 def efficiency(with_feedforward: bool, params: TeleportParams | None = None) -> float:
     """Probability mass of the outcomes that teleport, computed from the run."""
-    params = params or TeleportParams(0.5, 0.0)
-    state = run_premeasurement(params)
+    state = run_premeasurement(params or TeleportParams(0.5, 0.0))
     outcomes = PAIRED_OUTCOMES if with_feedforward else UNCORRECTED_OUTCOMES
     return float(sum(povm_element(x).expectation(state) for x in outcomes))
 
@@ -476,14 +501,14 @@ def tomography_bloch(params: TeleportParams) -> np.ndarray:
     Each component divides <N_A0+ N_A1+ (N_B0 - N_B1)> at the matching
     tomography setting by <N_A0+ N_A1+ (1 - N_A0- - N_A1-)>, both exact
     expectations on the pre-measurement state.  The three settings are the
-    rows of one memoised launch, shared with `leviton.zero_T_correlators`.
+    rows of one memoised stage, shared with `leviton.zero_T_correlators`.
     """
     return tomography_bloch_grid(params.R, params.phi)
 
 
 def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """`tomography_bloch` at every point of a broadcast (R, phi) grid,
-    shape (..., 3), from one launch over the grid and the three settings."""
+    shape (..., 3), from one stage over the grid and the three settings."""
     return _tomography_components(premeasurement_amplitudes("tomography", R, phi))
 
 
@@ -654,10 +679,11 @@ def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
         PREPARED_MODES, 3, premeasurement_amplitudes("preparation", params.R, params.phi)
     )
 
-    report: dict[str, float] = {}
-    report["dual_rail_weight"] = dual_rail_weight(prepared)
-    report["crossed_sector_weight"] = _sector_weight(prepared, crossed=True)
-    report["aligned_sector_weight"] = _sector_weight(prepared, crossed=False)
+    report = {
+        "dual_rail_weight": dual_rail_weight(prepared),
+        "crossed_sector_weight": _sector_weight(prepared, crossed=True),
+        "aligned_sector_weight": _sector_weight(prepared, crossed=False),
+    }
 
     bells = bell_states(
         ModeRegistry(("A0", "A1", "B0p", "B1p")), ("A0", "A1"), ("B0p", "B1p")
@@ -666,13 +692,9 @@ def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
     gram = basis.conj().T @ basis
     report["bell_gram_max_dev"] = float(np.max(np.abs(gram - np.eye(len(bells)))))
 
-    terms = bell_decomposition_terms(params)
-    report["overlap_modulus_identity"] = abs(terms["identity"].overlap(prepared))
-    report["overlap_modulus_sigma_z"] = abs(terms["sigma_z"].overlap(prepared))
-    report["overlap_modulus_sigma_x_literal"] = abs(terms["sigma_x"].overlap(prepared))
-    report["overlap_modulus_i_sigma_y_literal"] = abs(
-        terms["i_sigma_y"].overlap(prepared)
-    )
+    for name, term in bell_decomposition_terms(params).items():
+        literal = "_literal" if name in ("sigma_x", "i_sigma_y") else ""
+        report[f"overlap_modulus_{name}{literal}"] = abs(term.overlap(prepared))
 
     elements, projector, bells_aa = _povm_in_prepared_basis()
     psi_m, psi_p = bells_aa["psi-"], bells_aa["psi+"]

@@ -153,3 +153,7 @@ def test_output_does_not_depend_on_the_blas_kernel(tmp_path, capsys):
         for child in children:
             child.kill()
             child.wait()
+            # a failed assert leaves the other children's pipes open, and
+            # their ResourceWarnings would fail whichever test collects them
+            child.stdout.close()
+            child.stderr.close()

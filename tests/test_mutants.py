@@ -24,6 +24,18 @@ from eteleport.fock import DETECTION_MODES, FockState
 from eteleport.protocol import MeasurementOutcome
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_stage():
+    """Every row starts and ends without stage rows or a memo entry, so none
+    built under one row's defect serves another row or a later test."""
+    clears = (protocol._form_rows.cache_clear, protocol._point_amplitudes.cache_clear)
+    for clear in clears:
+        clear()
+    yield
+    for clear in clears:
+        clear()
+
+
 def _criterion(number):
     def target():
         result = acceptance.ALL_CRITERIA[number - 1].run()
@@ -94,6 +106,12 @@ def _prep_parameters_swapped(monkeypatch):
     monkeypatch.setattr(circuit, "element_matrix", swapped)
 
 
+def _form_rows_swapped(monkeypatch):
+    # the input qubit's rows trade places: X (on A'0) is read as Y (on A'1)
+    rows = protocol._form_rows
+    monkeypatch.setattr(protocol, "_form_rows", lambda stage: rows(stage)[::-1])
+
+
 def _memo_key_drops_phi(monkeypatch):
     launch = protocol._point_amplitudes.__wrapped__
     memo = {}
@@ -149,6 +167,11 @@ MUTANTS = [
         id="element-table-without-unit-bound",
     ),
     pytest.param(_prep_parameters_swapped, _criterion(11), id="prep-parameters-swapped-crit11"),
+    pytest.param(
+        _form_rows_swapped,
+        test_properties.test_linear_form_equals_a_six_mode_launch,
+        id="form-rows-swapped",
+    ),
     pytest.param(_pp_reads_a0_minus, _criterion(2), id="pp-reads-a0-minus-crit02"),
     pytest.param(_pp_reads_a0_minus, _criterion(5), id="pp-reads-a0-minus-crit05"),
     pytest.param(

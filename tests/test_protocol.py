@@ -414,34 +414,43 @@ def _exact_point(R, phi, arms):
     protocol.conditional_with_arm_phases(params, arms)
 
 
-def test_exact_point_launches_two_networks(monkeypatch):
-    # the three tomography settings at once, whose Z row is the detection
-    # stage, and the preparation stage, whose run constants give the state
-    # with arm phases: no network with phase elements is launched.  A point
-    # evaluated again from the start launches again
-    saw._alice_clicks()  # parameter-free, built once per process
+def _count_networks(monkeypatch) -> tuple[list, list]:
+    """The descriptions composed and the determinant stacks taken from now on."""
     compose, calls = circuit.compose, []
     monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
-    launch, stages = protocol._launch, []
-    monkeypatch.setattr(
-        protocol, "_launch", lambda stage, *rest: stages.append(stage) or launch(stage, *rest)
-    )
-    arms = dict(zip(circuit.ARM_WIRES, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)))
+    det, dets = np.linalg.det, []
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(np.shape(a)) or det(a))
+    return calls, dets
+
+
+def test_exact_point_composes_no_network(monkeypatch):
+    # the tomography stage, whose Z row is the detection stage, and the
+    # preparation stage, whose run constants give the state with arm phases,
+    # are linear forms over parameter-free rows: each stage's rows come from
+    # one network, composed on first use without a phase element, and no
+    # point composes a network or takes a determinant after that
+    saw._alice_clicks()  # parameter-free, built once per process
+    calls, dets = _count_networks(monkeypatch)
+    protocol._form_rows.cache_clear()
     protocol._point_amplitudes.cache_clear()
-    for launched in (2, 4):
-        _exact_point(0.37, 2.9, arms)
-        assert len(calls) == launched
-        assert stages == ["tomography", "preparation"] * (launched // 2)
+    arms = dict(zip(circuit.ARM_WIRES, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)))
+    _exact_point(0.37, 2.9, arms)
+    assert [d.elements[-1].kind for d in calls] == ["tomo", "prep"]
     assert all(element.kind != "phase" for d in calls for element in d.elements)
+    built = len(dets)
+    for R, phi in ((0.37, 2.9), (0.81, -1.3), (1.0, 0.0), (0.0, -0.0)):
+        _exact_point(R, phi, arms)
+    assert len(calls) == 2 and len(dets) == built
 
 
 @pytest.mark.parametrize("number", [7, 8])
-def test_correlator_criterion_launches_one_network_stack(monkeypatch, number):
-    # the 25-point grid at all three settings is one stack of networks
-    compose, calls = circuit.compose, []
-    monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
+def test_correlator_criterion_composes_no_network(monkeypatch, number):
+    # the 25-point grid at all three settings is the tomography stage's
+    # linear form: once its rows exist, no network and no determinant
+    protocol._form_rows("tomography")
+    calls, dets = _count_networks(monkeypatch)
     assert acceptance.ALL_CRITERIA[number - 1].run().passed
-    assert len(calls) == 1
+    assert calls == [] and dets == []
 
 
 def test_cached_tables_are_read_only():
@@ -453,6 +462,8 @@ def test_cached_tables_are_read_only():
         circuit._SYM_BLOCK,
         protocol._SETTINGS,
         *protocol._point_result(0.3, 1.2, protocol._paired_conditionals),
+        protocol._form_rows("preparation"),
+        protocol._form_rows("tomography"),
     ]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):

@@ -95,12 +95,16 @@ BAD_ARMS = {
     "bool": ({"A0": True}, "value must be finite and real, got True"),
     "string": ({"A0": "0.1"}, "value must be finite and real, got '0.1'"),
     "None": ({"A0": None}, "value must be finite and real, got None"),
+    # finite reals, as a grid launch takes them, but not one phase
+    "array": ({"A0": np.array([0.1, 0.2])}, "arm phase A0 must be finite and real, got array("),
 }
 
 
 @pytest.mark.parametrize("arms, words", BAD_ARMS.values(), ids=BAD_ARMS.keys())
 def test_fixed_arm_phases_rejected_before_any_launch(monkeypatch, arms, words):
-    # with an empty memo, a check made after the launch would compose
+    # with no stage rows and an empty memo, a check made after the state
+    # would compose the preparation stage's network
+    protocol._form_rows.cache_clear()
     protocol._point_amplitudes.cache_clear()
     compose, calls = circuit.compose, []
     monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
