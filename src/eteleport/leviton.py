@@ -242,16 +242,25 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
         else:
             quiet = 0
     else:
-        raise SeriesConvergenceError(
-            f"thermal series not converged after {cap} terms "
-            f"(gamma={params.gamma}, tau={params.tau})"
-        )
+        raise _not_converged(params)
+    return ThermalFactors(pair_sum, triple_sum, _damping(params.tau, pair_sum, triple_sum), n)
+
+
+def _not_converged(params: LevitonParams) -> SeriesConvergenceError:
+    return SeriesConvergenceError(
+        f"thermal series not converged after {params.term_cap} terms "
+        f"(gamma={params.gamma}, tau={params.tau})"
+    )
+
+
+def _damping(tau: float, pair_sum: float, triple_sum: float) -> float:
+    """The damping ratio of a converged series' sums, checked."""
     if not pair_sum > 0.0:  # the pair weights underflow once tau nears the float limit
-        raise SeriesConvergenceError(f"thermal pair sum underflowed to 0 at tau={params.tau}")
+        raise SeriesConvergenceError(f"thermal pair sum underflowed to 0 at tau={tau}")
     damping = triple_sum / pair_sum
     if damping > 1.0 + 1e-9:
         raise SeriesConvergenceError(f"correlator damping ratio exceeded 1: {damping}")
-    return ThermalFactors(pair_sum, triple_sum, damping, n)
+    return damping
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +432,170 @@ def leviton_fidelity(params: LevitonParams) -> float:
 def fidelity_curve(
     gammas: Sequence[float], taus: Sequence[float], series_tol: float = 1e-12
 ) -> list[dict[str, float]]:
-    """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau)."""
-    rows = []
-    for gamma in gammas:
+    """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau).
+
+    Each point is checked as a `LevitonParams`, and its q is
+    `thermal_factors(...).damping` to the last bit, from one array pass over
+    the grid (`_grid_damping`).  A grid with a failing point raises the
+    error of its first failing point in (gamma, tau) order.
+    """
+    gammas, taus = list(gammas), list(taus)
+    if not (gammas and taus):
+        return []
+    row: list[LevitonParams] = []
+    column: list[LevitonParams] = []
+    error = None
+    # a point fails when its gamma, its tau or the tolerance does, so the
+    # first failing point lies in the first row or the first column, and the
+    # points before it are the checked first column against the checked
+    # first row
+    try:
         for tau in taus:
-            q = thermal_factors(LevitonParams(gamma, tau, series_tol)).damping
-            rows.append({"gamma": float(gamma), "tau": float(tau), "q": q,
-                         "fidelity": damped_average_fidelity(q)})
-    return rows
+            row.append(LevitonParams(gammas[0], tau, series_tol))
+        for gamma in gammas[1:]:
+            column.append(LevitonParams(gamma, taus[0], series_tol))
+    except ValueError as rejected:
+        error = rejected
+    widths = row[:1] + column
+    checked_taus = [point.tau for point in row]
+    qs = _grid_damping(widths, checked_taus)
+    if error is not None:
+        raise error
+    return [
+        {"gamma": width.gamma, "tau": tau, "q": q, "fidelity": damped_average_fidelity(q)}
+        for width, width_qs in zip(widths, qs)
+        for tau, q in zip(checked_taus, width_qs)
+    ]
+
+
+# `_sum_block` takes at most this many taus at a time, and each of its
+# (tau, n) arrays holds at most this many cells, so the peak memory of a
+# fidelity curve grows with neither its grid nor its number of terms
+_GRID_TAUS = 64
+_GRID_CELLS = 2048
+
+
+def _grid_damping(widths: list[LevitonParams], taus: list[float]) -> list[list[float]]:
+    """`thermal_factors(LevitonParams(w.gamma, tau, w.series_tol)).damping`
+    for each width w and each tau, one list per width, from `_sum_block`
+    over blocks of taus; raises the error of the first failing point in
+    (gamma, tau) order."""
+    shape = (len(widths), len(taus))
+    pair, triple = np.zeros(shape), np.zeros(shape)
+    converged = np.zeros(shape, dtype=bool)
+    for start in range(0, len(taus), _GRID_TAUS):
+        block = slice(start, start + _GRID_TAUS)
+        _sum_block(widths, taus[block], pair[:, block], triple[:, block], converged[:, block])
+    qs = []
+    for width, pairs, triples, stops in zip(widths, pair.tolist(), triple.tolist(), converged.tolist()):
+        width_qs = []
+        for tau, pair_sum, triple_sum, stopped in zip(taus, pairs, triples, stops):
+            if not stopped:
+                raise _not_converged(LevitonParams(width.gamma, tau, width.series_tol))
+            width_qs.append(_damping(tau, pair_sum, triple_sum))
+        qs.append(width_qs)
+    return qs
+
+
+def _sum_block(
+    widths: list[LevitonParams],
+    taus: list[float],
+    pair: np.ndarray,
+    triple: np.ndarray,
+    converged: np.ndarray,
+) -> None:
+    """Run the series of each (width, tau) cell as `thermal_factors` runs
+    it, and write its sums, and whether it stopped before its term cap, into
+    the (widths, taus) arrays pair, triple and converged.
+
+    Every cell adds the loop's terms left to right (`np.cumsum`) and stops
+    where the loop stops.  The terms come in chunks of n: each chunk's
+    brackets serve every width, and each width's weights serve every tau.
+    """
+    tol = widths[0].series_tol
+    with np.errstate(over="ignore"):  # 2 tau overflows to inf, as the loop's float does
+        two_tau = 2.0 * np.array(taus)
+    summing = np.ones(pair.shape, dtype=bool)
+    quiet = np.zeros(pair.shape, dtype=int)  # quiet terms in a row, counted up to 2
+    done = 0
+    while summing.any():
+        needed = summing.any(axis=0)
+        bracket_row = np.cumsum(needed) - 1
+        cap = max(w.term_cap for w, cells in zip(widths, summing) if cells.any())
+        chunk = min(max(1, _GRID_CELLS // int(np.count_nonzero(needed))), cap - done)
+        n = np.arange(done + 1, done + chunk + 1, dtype=float)
+        rows = two_tau[needed, None]
+        # x stays infinite at tau = 0, where both brackets are exactly 1 and
+        # so each term is its weight, as in the loop; a subnormal tau
+        # overflows n / (2 tau) to inf, as the loop's float does
+        with np.errstate(over="ignore"):
+            x = np.divide(n, rows, out=np.full((rows.size, chunk), np.inf), where=rows > 0.0)
+        pair_brackets, triple_brackets = _grid_brackets(x)
+        for i, width in enumerate(widths):
+            cells = np.flatnonzero(summing[i])
+            if not cells.size:
+                continue
+            m = min(chunk, width.term_cap - done)
+            g = 2.0 * math.pi * width.gamma
+            exps = np.fromiter(map(math.exp, ((-2.0 * g) * n[:m]).tolist()), float, m)
+            weight = n[:m] * 4.0 * exps * math.sinh(g) ** 2
+            brackets = bracket_row[cells]
+            pair_terms = weight * pair_brackets[brackets, :m]
+            triple_terms = weight * triple_brackets[brackets, :m]
+            # each running sum starts from the cell's sum so far
+            pair_sums = np.cumsum(np.concatenate((pair[i, cells, None], pair_terms), 1), 1)[:, 1:]
+            triple_sums = np.cumsum(
+                np.concatenate((triple[i, cells, None], triple_terms), 1), 1
+            )[:, 1:]
+            # calm[:, 2 + k] is term k's quiet test; the two columns before
+            # it carry the quiet run of the chunks before
+            calm = np.empty((cells.size, m + 2), dtype=bool)
+            calm[:, 0] = quiet[i, cells] >= 2
+            calm[:, 1] = quiet[i, cells] >= 1
+            calm[:, 2:] = (np.abs(pair_terms) <= tol * np.abs(pair_sums)) & (
+                np.abs(triple_terms) <= tol * np.maximum(np.abs(triple_sums), 1e-300)
+            )
+            third = calm[:, :-2] & calm[:, 1:-1] & calm[:, 2:]  # the third quiet term in a row
+            stopped = third.any(axis=1)
+            last = np.where(stopped, third.argmax(axis=1), m - 1)
+            pair[i, cells] = pair_sums[np.arange(cells.size), last]
+            triple[i, cells] = triple_sums[np.arange(cells.size), last]
+            quiet[i, cells] = np.where(calm[:, -1], np.where(calm[:, -2], 2, 1), 0)
+            converged[i, cells[stopped]] = True
+            summing[i, cells[stopped]] = False
+            if done + m == width.term_cap:
+                summing[i, cells] = False
+        done += chunk
+
+
+def _grid_brackets(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_thermal_brackets` of every element of x, to the last bit.
+
+    Each x >= 0.05 takes one `math.tanh`, and each 0.25 <= x <= 350 one
+    `math.sinh`: numpy's own transcendental functions round differently
+    and depend on its SIMD dispatch.  The rest is the loop's elementwise
+    arithmetic, in its order.
+    """
+    pair, triple = np.empty_like(x), np.empty_like(x)
+    series = x < 0.05
+    x_series = x[series]
+    x2 = x_series * x_series
+    pair[series] = x_series * _even_series(_PAIR_SERIES, x2)
+    triple[series] = x2 * _even_series(_TRIPLE_SERIES, x2)
+    direct = ~series
+    x_direct = x[direct]
+    coth = 1.0 / np.fromiter(map(math.tanh, x_direct.tolist()), float, x_direct.size)
+    pair[direct] = _coth_minus_inv(x_direct, coth)
+    # the triple bracket's own series below x = 0.25, as in `_triple_bracket`
+    bracket = np.empty_like(x_direct)
+    low = x_direct < 0.25
+    x2 = x_direct[low] * x_direct[low]
+    bracket[low] = x2 * _even_series(_TRIPLE_SERIES, x2)
+    high = ~low
+    x_high, coth = x_direct[high], coth[high]
+    csch2 = np.zeros_like(x_high)
+    curved = x_high <= 350.0
+    csch2[curved] = [1.0 / math.sinh(v) ** 2 for v in x_high[curved].tolist()]
+    bracket[high] = coth * coth + 0.5 * csch2 - 1.5 * coth / x_high
+    triple[direct] = bracket
+    return pair, triple

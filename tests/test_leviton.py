@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eteleport import leviton, protocol
 from eteleport.leviton import (
@@ -21,7 +23,7 @@ from eteleport.leviton import (
     zero_T_correlators,
     zero_T_tables,
 )
-from eteleport.protocol import TeleportParams
+from eteleport.protocol import TeleportParams, damped_average_fidelity
 
 
 # --- photoassisted amplitudes ---
@@ -287,3 +289,61 @@ def test_fidelity_curve_shape():
         if tau > 0:
             # listed gammas ascend, so fidelity must descend
             assert all(b <= a + 1e-12 for a, b in zip(fids, fids[1:]))
+
+
+def _loop_curve(gammas, taus, series_tol):
+    """The fidelity curve point by point, from the per-point series."""
+    rows = []
+    for gamma in gammas:
+        for tau in taus:
+            q = thermal_factors(LevitonParams(gamma, tau, series_tol)).damping
+            rows.append({"gamma": float(gamma), "tau": float(tau), "q": q,
+                         "fidelity": damped_average_fidelity(q)})
+    return rows
+
+
+CRITERION_9_TAUS = np.arange(0.0, 2.0 + 1e-9, 0.05).tolist()
+# mostly valid points; a few that LevitonParams rejects, a subnormal tau
+# (n / 2 tau overflows to inf), one whose triple sum falls below its 1e-300
+# floor and one whose pair sum underflows
+curve_gammas = st.lists(st.floats(0.01, 2.0) | st.sampled_from((0.0, 60.0)), min_size=1, max_size=3)
+curve_taus = st.lists(
+    st.floats(0.0, 1e4) | st.sampled_from((0.0, 5e-324, 1e-300, 1e150, 1e308, -1.0, math.nan)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@given(curve_gammas, curve_taus, st.sampled_from((1e-12, 1e-6, 1e-15)))
+@example([0.02, 0.05, 0.1], CRITERION_9_TAUS, 1e-12)
+@example([0.05], [0.0, 5e-324], 1e-12)
+@example([0.02], [0.5], 1e-300)  # the term cap
+@example([0.05], [0.3, 1e308], 1e-12)  # the pair sum underflows
+@example([0.02], [0.5, -1.0], 1e-300)  # a rejected tau after a point that does not converge
+@example([0.05], [1e150], 1e-12)  # the triple sum under its 1e-300 floor
+@example([0.03], np.linspace(0.0, 2.0, 24).tolist(), 1e-12)  # quiet runs across chunks of n
+def test_fidelity_curve_equals_the_loop(gammas, taus, series_tol):
+    try:
+        want = _loop_curve(gammas, taus, series_tol)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            fidelity_curve(gammas, taus, series_tol)
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+    else:
+        assert fidelity_curve(gammas, taus, series_tol) == want
+
+
+def test_fidelity_curve_memory_stays_bounded():
+    # gamma = 1e-3 needs about 2200 terms per point, so one float64 (tau, n)
+    # table of this grid takes about 1.7 MB; the pass builds none of them
+    gamma, taus = 1e-3, np.linspace(0.0, 2.0, 100)
+    table = taus.size * thermal_factors(LevitonParams(gamma, 2.0)).terms * 8
+    tracemalloc.start()
+    try:
+        fidelity_curve([gamma], taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024 < table / 3

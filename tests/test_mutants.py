@@ -16,6 +16,7 @@ import pytest
 
 import test_circuit
 import test_fock
+import test_leviton
 import test_properties
 import test_protocol
 import test_saw
@@ -125,6 +126,16 @@ def _memo_key_drops_phi(monkeypatch):
     monkeypatch.setattr(protocol, "_point_amplitudes", keyed_without_phi)
 
 
+def _grid_brackets_shifted(monkeypatch):
+    # each tau of the fidelity-curve pass reads its neighbour's brackets
+    brackets = leviton._grid_brackets
+
+    def shifted(x):
+        return tuple(np.roll(b, 1, axis=0) for b in brackets(x))
+
+    monkeypatch.setattr(leviton, "_grid_brackets", shifted)
+
+
 def _nan_state(params):
     return FockState(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
 
@@ -211,6 +222,21 @@ MUTANTS = [
         _halved(leviton, "_TRIPLE_SERIES"),
         test_properties.test_thermal_weights_match_direct_forms,
         id="triple-series-halved",
+    ),
+    pytest.param(
+        _halved(leviton, "_PAIR_SERIES"),
+        test_properties.test_grid_thermal_weights_match_direct_forms,
+        id="pair-series-halved-grid",
+    ),
+    pytest.param(
+        _halved(leviton, "_TRIPLE_SERIES"),
+        test_properties.test_grid_thermal_weights_match_direct_forms,
+        id="triple-series-halved-grid",
+    ),
+    pytest.param(
+        _grid_brackets_shifted,
+        test_leviton.test_fidelity_curve_equals_the_loop,
+        id="grid-brackets-of-neighbouring-tau",
     ),
     pytest.param(
         _replace(leviton, "thermal_factors", _series_fails),

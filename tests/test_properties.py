@@ -362,3 +362,14 @@ def test_thermal_weights_match_direct_forms(x):
     got_pair, got_triple = leviton._thermal_brackets(x)
     assert abs(got_pair - pair) <= 1e-12 * pair
     assert abs(got_triple - triple) <= 1e-12 * triple
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.01, 0.2), min_size=1, max_size=8))
+def test_grid_thermal_weights_match_direct_forms(xs):
+    # the same, through the array brackets of the fidelity-curve pass
+    got_pairs, got_triples = leviton._grid_brackets(np.array(xs))
+    for x, got_pair, got_triple in zip(xs, got_pairs.tolist(), got_triples.tolist()):
+        pair, triple = _direct_thermal_weights(x)
+        assert abs(got_pair - pair) <= 1e-12 * pair
+        assert abs(got_triple - triple) <= 1e-12 * triple
