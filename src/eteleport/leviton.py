@@ -479,21 +479,36 @@ def _grid_damping(widths: list[LevitonParams], taus: list[float]) -> list[list[f
     """`thermal_factors(LevitonParams(w.gamma, tau, w.series_tol)).damping`
     for each width w and each tau, one list per width, from `_sum_block`
     over blocks of taus; raises the error of the first failing point in
-    (gamma, tau) order."""
+    (gamma, tau) order.  The first width's points come before every other
+    width's, so each block's are checked as soon as it is summed, and a
+    failing one stops the grid there."""
     shape = (len(widths), len(taus))
     pair, triple = np.zeros(shape), np.zeros(shape)
     converged = np.zeros(shape, dtype=bool)
+    first_qs = []
     for start in range(0, len(taus), _GRID_TAUS):
         block = slice(start, start + _GRID_TAUS)
         _sum_block(widths, taus[block], pair[:, block], triple[:, block], converged[:, block])
+        first_qs += _checked_dampings(
+            widths[0], taus[block], pair[0, block], triple[0, block], converged[0, block]
+        )
+    return [first_qs] + [
+        _checked_dampings(width, taus, *cells)
+        for width, *cells in zip(widths[1:], pair[1:], triple[1:], converged[1:])
+    ]
+
+
+def _checked_dampings(
+    width: LevitonParams, taus: list[float], pair: np.ndarray, triple: np.ndarray, stops: np.ndarray
+) -> list[float]:
+    """One width's damping ratios from its cells' sums, in tau order; a cell
+    that did not stop before its term cap raises as `thermal_factors` does."""
     qs = []
-    for width, pairs, triples, stops in zip(widths, pair.tolist(), triple.tolist(), converged.tolist()):
-        width_qs = []
-        for tau, pair_sum, triple_sum, stopped in zip(taus, pairs, triples, stops):
-            if not stopped:
-                raise _not_converged(LevitonParams(width.gamma, tau, width.series_tol))
-            width_qs.append(_damping(tau, pair_sum, triple_sum))
-        qs.append(width_qs)
+    cells = zip(taus, pair.tolist(), triple.tolist(), stops.tolist())
+    for tau, pair_sum, triple_sum, stopped in cells:
+        if not stopped:
+            raise _not_converged(LevitonParams(width.gamma, tau, width.series_tol))
+        qs.append(_damping(tau, pair_sum, triple_sum))
     return qs
 
 

@@ -7,8 +7,9 @@ conditional states are computed exactly from the Fock simulation.
 `premeasurement_amplitudes` is the one route from parameters to
 amplitudes, at a grid of points or at one.  Only the S_psi electron passes
 the input-qubit splitter and a Slater determinant is linear in each column,
-so without arm phases a stage is c0 * X + c1 * Y, two rows built once from
-the network; with them, a grid is one stack of networks and one launch.
+so a stage is c0 * X + c1 * Y, two rows built once from the network.  Arm
+phases reach Bob's state only through `saw.combined_phase`, so fixed arm
+phases read the constants of a Monte Carlo run and launch no network.
 """
 
 from __future__ import annotations
@@ -226,9 +227,7 @@ def damped_average_fidelity(q: float) -> float:
     return (2.0 + q) / 3.0
 
 
-def premeasurement_amplitudes(
-    stage: str, R: ArrayLike, phi: ArrayLike, arm_phases: Mapping[str, ArrayLike] | None = None
-) -> np.ndarray:
+def premeasurement_amplitudes(stage: str, R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """The three-source state evolved up to a stage of the network.
 
     Returns its amplitudes over the three-particle sector of the stage's
@@ -237,29 +236,24 @@ def premeasurement_amplitudes(
     (X, Y, Z), shape (3, sector).  Array parameters broadcast together; the
     result then carries their shape in front, one row per grid point (see
     `_launch`).  A one-point call, every parameter a Python int or float,
-    is memoised and returns a shared read-only array; without arm phases,
-    its detection stage is the Z row of the point's tomography stage.
+    is memoised and returns a shared read-only array; its detection stage
+    is the Z row of the point's tomography stage.
     """
-    arms = arm_phases or {}
-    arm_items = tuple((a, arms[a]) for a in circuit.ARM_WIRES if a in arms)
-    if len(arm_items) == len(arms):  # an unknown arm is left to the launch to reject
-        at_z = stage == "detection" and not arm_items
-        entry = _memo_entry("tomography" if at_z else stage, R, phi, arm_items)
-        if entry is not None:
-            return entry.amps[_Z_ROW] if at_z else entry.amps
-    return _launch(stage, R, phi, arms)
+    at_z = stage == "detection"
+    entry = _memo_entry("tomography" if at_z else stage, R, phi)
+    if entry is None:
+        return _launch(stage, R, phi)
+    return entry.amps[_Z_ROW] if at_z else entry.amps
 
 
-def _memo_entry(
-    stage: str, R: ArrayLike, phi: ArrayLike, arm_items: tuple[tuple[str, ArrayLike], ...]
-) -> _PointAmplitudes | None:
+def _memo_entry(stage: str, R: ArrayLike, phi: ArrayLike) -> _PointAmplitudes | None:
     """The memo entry of a one-point call, or None unless every parameter is
     a Python int or float (a bool is neither here: it is left to the launch
     to reject, and as a key it would equal 1 or 0)."""
-    point = (R, phi, *(v for _, v in arm_items))
+    point = (R, phi)
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in point):
         return None
-    return _point_amplitudes(stage, R, phi, arm_items, tuple(math.copysign(1.0, x) for x in point))
+    return _point_amplitudes(stage, R, phi, tuple(math.copysign(1.0, x) for x in point))
 
 
 class _PointAmplitudes:
@@ -279,33 +273,28 @@ class _PointAmplitudes:
 
 
 @functools.lru_cache(maxsize=_POINT_MEMO_SIZE)
-def _point_amplitudes(
-    stage: str, R: float, phi: float, arm_items: tuple[tuple[str, float], ...], signs: tuple
-) -> _PointAmplitudes:
-    """One point's entry.  The key holds the arm items in ARM_WIRES order,
-    so an absent arm and an arm at 0.0 differ, and the parameters' signs,
-    so -0.0 and 0.0 differ.  (R, phi) are checked as a `TeleportParams`
-    first, so a rejected point is reported by its value, not as the
-    one-element array the tomography stage launches."""
+def _point_amplitudes(stage: str, R: float, phi: float, signs: tuple) -> _PointAmplitudes:
+    """One point's entry.  The key holds the parameters' signs, so -0.0 and
+    0.0 differ.  (R, phi) are checked as a `TeleportParams` first, so a
+    rejected point is reported by its value, not as the one-element array
+    the tomography stage launches."""
     TeleportParams(R, phi)
-    return _PointAmplitudes(_launch(stage, R, phi, dict(arm_items)))
+    return _PointAmplitudes(_launch(stage, R, phi))
 
 
 def _point_result(R: ArrayLike, phi: ArrayLike, build):
     """build(amps) of one point's tomography stage, shape (3, sector): kept
     in the point's memo entry for a one-point call, built afresh otherwise."""
-    entry = _memo_entry("tomography", R, phi, ())
+    entry = _memo_entry("tomography", R, phi)
     if entry is None:
-        return build(_launch("tomography", R, phi, {}))
+        return build(_launch("tomography", R, phi))
     return entry.result(build)
 
 
-def _launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarray:
-    """The stage's amplitudes over a broadcast (R, phi) grid.  Without arm
-    phases, the form c0 * X + c1 * Y of the module docstring, (c0, c1) the
-    input splitter's S_psi column and (X, Y) the stage's `_form_rows`."""
-    if arms:
-        return _network_launch(stage, R, phi, arms)
+def _launch(stage: str, R: ArrayLike, phi: ArrayLike) -> np.ndarray:
+    """The stage's amplitudes over a broadcast (R, phi) grid: the form
+    c0 * X + c1 * Y of the module docstring, (c0, c1) the input splitter's
+    S_psi column and (X, Y) the stage's `_form_rows`."""
     rows = _form_rows("tomography" if stage == "detection" else stage)
     x, y = rows[:, _Z_ROW] if stage == "detection" else rows
     s_psi = circuit.element_matrix(circuit.prep_splitter("A0p", "A1p", R, phi))[..., 0]
@@ -313,24 +302,18 @@ def _launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarr
     return _pruned(s_psi[..., 0][axes] * x + s_psi[..., 1][axes] * y, _sources().norm())
 
 
-def _network_launch(stage: str, R: ArrayLike, phi: ArrayLike, arms: Mapping) -> np.ndarray:
-    """One stack of networks and one determinant launch.  The tomography
-    stage launches the three settings, their axis after every parameter's."""
-    transmission, theta = 1.0, 0.0
-    if stage == "tomography":
-        circuit._phase_layer(arms)  # checks each arm phase as given, before the settings axis
-        R, phi = np.asarray(R)[..., None], np.asarray(phi)[..., None]
-        arms = {a: np.asarray(v)[..., None] for a, v in arms.items()}
-        transmission, theta = _SETTINGS
-    network = circuit.teleport_network(stage, R, phi, transmission, theta, arms)
-    return lift_amplitudes(network, _sources())
-
-
 @functools.lru_cache(maxsize=None)
 def _form_rows(stage: str) -> np.ndarray:
     """The stage's rows X then Y, read-only, from one two-point launch: its
-    S_psi column is (i, 0) at (R, phi) = (1, 0) and (0, 1) at (0, 0)."""
-    rows = _network_launch(stage, np.array([1.0, 0.0]), np.zeros(2), {})
+    S_psi column is (i, 0) at (R, phi) = (1, 0) and (0, 1) at (0, 0).  The
+    tomography stage launches the three settings, their axis after the
+    points'."""
+    R, phi, transmission, theta = np.array([1.0, 0.0]), np.zeros(2), 1.0, 0.0
+    if stage == "tomography":
+        R, phi = R[:, None], phi[:, None]
+        transmission, theta = _SETTINGS
+    network = circuit.teleport_network(stage, R, phi, transmission, theta)
+    rows = lift_amplitudes(network, _sources())
     rows[0] *= -1j  # exact: a swap of parts and a sign
     rows.flags.writeable = False
     return rows

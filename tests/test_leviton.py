@@ -335,6 +335,27 @@ def test_fidelity_curve_equals_the_loop(gammas, taus, series_tol):
         assert fidelity_curve(gammas, taus, series_tol) == want
 
 
+def test_failing_fidelity_curve_stops_at_its_first_block(monkeypatch):
+    # at this tolerance every cell of gamma = 1e-4 runs to its term cap, so
+    # the first block of taus already holds the first failing point: the
+    # grid raises the loop's error there and sums no second block
+    taus = [k * 0.02 for k in range(101)]
+    calls = []
+    sum_block = leviton._sum_block
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return sum_block(*args)
+
+    monkeypatch.setattr(leviton, "_sum_block", counted)
+    with pytest.raises(SeriesConvergenceError) as raised:
+        fidelity_curve([1e-4], taus, 1e-300)
+    assert calls == [leviton._GRID_TAUS]
+    with pytest.raises(SeriesConvergenceError) as loop:
+        _loop_curve([1e-4], taus, 1e-300)
+    assert str(raised.value) == str(loop.value)
+
+
 def test_fidelity_curve_memory_stays_bounded():
     # gamma = 1e-3 needs about 2200 terms per point, so one float64 (tau, n)
     # table of this grid takes about 1.7 MB; the pass builds none of them

@@ -161,6 +161,12 @@ MUTANTS = [
         id="fixed-draw-sine-flipped",
     ),
     pytest.param(
+        # the fixed draw sees no arm phase; the six-mode reference still does
+        _replace(saw, "combined_phase", lambda arm_phases: 0.0),
+        test_properties.test_fixed_arm_phases_match_a_launch,
+        id="arm-phases-ignored",
+    ),
+    pytest.param(
         # the spread of one arm of six, not of their combination: the
         # fidelity law of criterion 6 must see it
         _draws_mapped(lambda draws: draws / np.sqrt(6.0)),

@@ -23,13 +23,7 @@ arm_row = st.tuples(*[angle] * len(circuit.ARM_WIRES))
 point = st.tuples(unit, angle, arm_row, unit, angle)
 batch = st.lists(st.tuples(unit, angle, unit, angle), min_size=1, max_size=6)
 signed_zero = st.sampled_from((0.0, -0.0))
-# some arms, in a shuffled order
-arm_dict = st.permutations(circuit.ARM_WIRES).flatmap(
-    lambda order: st.lists(signed_zero | angle, max_size=len(order)).map(
-        lambda values: dict(zip(order, values))
-    )
-)
-scalar_point = st.tuples(signed_zero | unit, signed_zero | angle, arm_dict)
+scalar_point = st.tuples(signed_zero | unit, signed_zero | angle)
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,11 +149,10 @@ def test_stacked_network_matches_reference(points):
         assert np.max(np.abs(built - reference_network_matrix(*point))) < 1e-12
 
 
-def _fresh_launch(stage, R, phi, arms):
+def _fresh_launch(stage, R, phi):
     """A one-point call's amplitudes from a one-element grid, which is never
     memoised."""
-    arrays = {arm: np.array([v]) for arm, v in arms.items()}
-    return protocol.premeasurement_amplitudes(stage, np.array([R]), np.array([phi]), arrays)[0]
+    return protocol.premeasurement_amplitudes(stage, np.array([R]), np.array([phi]))[0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -175,16 +168,10 @@ def test_memoised_amplitudes_equal_a_fresh_launch(point):
 
 
 def test_memo_keys_every_parameter():
-    # the memo holds both points of each pair, so a key that missed a
-    # parameter would hand one point the other's amplitudes
-    base = (0.3, 1.2, {"A0": 0.4})
-    variants = [
-        (0.6, 1.2, {"A0": 0.4}),
-        (0.3, 2.1, {"A0": 0.4}),
-        (0.3, 1.2, {"A0": 0.8}),
-        (0.3, 1.2, {"A1": 0.4}),
-        (0.3, 1.2, {"B0p": 0.0, "A0": 0.4}),  # an arm at 0.0, not absent
-    ]
+    # the memo holds one point, the last one asked for, so a key that missed
+    # a parameter would hand each point of a pair the other's amplitudes
+    base = (0.3, 1.2)
+    variants = [(0.6, 1.2), (0.3, 2.1)]
     for stage in circuit.STAGES:
         for variant in variants:
             for point in (base, variant, base, variant):
@@ -193,12 +180,8 @@ def test_memo_keys_every_parameter():
 
 
 def test_memo_keeps_no_rejected_point():
-    protocol.premeasurement_amplitudes("detection", 0.3, 1.2, arm_phases={"A0": 0.1})
+    protocol.premeasurement_amplitudes("detection", 0.3, 1.2)
     for _ in range(2):
-        with pytest.raises(ValueError, match="unknown dephasing arms"):
-            protocol.premeasurement_amplitudes(
-                "detection", 0.3, 1.2, arm_phases={"A0": 0.1, "Z": 0.2}
-            )
         with pytest.raises(ValueError, match=r"R must lie in \[0, 1\]"):
             protocol.premeasurement_amplitudes("detection", 1.5, 1.2)
         with pytest.raises(ValueError, match="stage"):
@@ -206,22 +189,19 @@ def test_memo_keeps_no_rejected_point():
 
 
 @settings(max_examples=50, deadline=None)
-@given(signed_zero | unit, signed_zero | angle, arm_dict)
-@example(0.3, -0.0, {})
-def test_setting_rows_equal_a_launch_at_one_setting(R, phi, arms):
+@given(signed_zero | unit, signed_zero | angle)
+@example(0.3, -0.0)
+def test_setting_rows_equal_a_launch_at_one_setting(R, phi):
     # the tomography stage is one evaluation at all three settings; each
-    # row, of a one-point call and of a one-element grid, is a launch at that
-    # setting alone: bit for bit with arm phases (one launch), within 1e-15
-    # without (the linear form, which rounds apart from a launch)
-    rows = protocol.premeasurement_amplitudes("tomography", R, phi, arms)
-    fresh = _fresh_launch("tomography", R, phi, arms)
+    # row, of a one-point call and of a one-element grid, is the six-mode
+    # launch at that setting alone, within 1e-15 (the linear form rounds
+    # apart from a launch)
+    rows = protocol.premeasurement_amplitudes("tomography", R, phi)
+    fresh = _fresh_launch("tomography", R, phi)
     for axis, setting in enumerate(protocol.TOMO_SETTINGS.values()):
-        want = _lone_launch("tomography", R, phi, *setting, arms)
+        want = _lone_launch("tomography", R, phi, *setting)
         for got in (rows[axis], fresh[axis]):
-            if arms:
-                assert got.tobytes() == want.tobytes(), axis
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-15, axis
+            assert np.max(np.abs(got - want)) <= 1e-15, axis
 
 
 edge_unit = st.sampled_from((0.0, -0.0, 1.0)) | unit
@@ -250,19 +230,15 @@ def test_linear_form_equals_a_six_mode_launch(points):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(signed_zero | unit, signed_zero | angle, arm_row), max_size=5))
+@given(st.lists(st.tuples(signed_zero | unit, signed_zero | angle), max_size=5))
 def test_tomography_grid_rows_equal_one_point_rows(points):
-    # the settings axis follows every parameter's own, the arm phases' too:
-    # (k,) arm-phase arrays go with (k,) R and phi, not with the settings
-    points = [(0.3, -0.0, (0.1, -0.2, 0.3, -0.0, 0.5, 0.6))] + points
-    R, phi, arms = zip(*points)
-    arrays = {arm: np.array(column) for arm, column in zip(circuit.ARM_WIRES, zip(*arms))}
-    grid = protocol.premeasurement_amplitudes("tomography", np.array(R), np.array(phi), arrays)
+    # the settings axis follows the points': (k,) R and phi give (k, 3) rows
+    points = [(0.3, -0.0)] + points
+    R, phi = map(np.array, zip(*points))
+    grid = protocol.premeasurement_amplitudes("tomography", R, phi)
     assert grid.shape[:2] == (len(points), 3)
-    for row, (r, p, a) in zip(grid, points):
-        arm_phases = dict(zip(circuit.ARM_WIRES, a))
-        single = protocol.premeasurement_amplitudes("tomography", r, p, arm_phases)
-        assert row.tobytes() == single.tobytes()
+    for row, (r, p) in zip(grid, points):
+        assert row.tobytes() == protocol.premeasurement_amplitudes("tomography", r, p).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -250,7 +250,7 @@ def test_conditional_errors_are_not_kept_with_the_point(monkeypatch):
                 bob_conditional(params, PP)
             with pytest.raises(ValueError, match="outcome 1100 does not leave Bob a qubit"):
                 bob_conditional(params, MeasurementOutcome((1, 1, 0, 0)))
-        entry = protocol._point_amplitudes("tomography", 0.3, 1.2, (), (1.0, 1.0))
+        entry = protocol._point_amplitudes("tomography", 0.3, 1.2, (1.0, 1.0))
         p, bloch = entry.result(protocol._paired_conditionals)
         for row, outcome in enumerate(PAIRED_OUTCOMES):
             if outcome == PP:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eteleport import protocol, saw
+from eteleport import circuit, fock, protocol, saw
 from eteleport.protocol import MeasurementOutcome, TeleportParams, jozsa_fidelity
 from eteleport.saw import (
     ARM_WIRES,
@@ -24,7 +24,9 @@ def launched_conditional(params, arm_phases):
     """The ++ probability and Bob's qubit from one explicit launch of the
     detection stage with arm phases: the six-mode network and its lift,
     independent of the run constants `conditional_with_arm_phases` reads."""
-    amps = protocol.premeasurement_amplitudes("detection", params.R, params.phi, arm_phases)
+    network = circuit.teleport_network("detection", params.R, params.phi, arm_phases=arm_phases)
+    sources = fock.create_sources(fock.INPUT_MODES, protocol.SOURCE_LABELS)
+    amps = fock.lift_amplitudes(network, sources)
     (p,), (bloch,) = protocol.conditional_qubits(amps[None], PP)
     return float(p), protocol.QubitState(bloch)
 

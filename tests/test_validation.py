@@ -115,10 +115,10 @@ def test_fixed_arm_phases_rejected_before_any_launch(monkeypatch, arms, words):
 
 @pytest.mark.parametrize("stage", ["detection", "tomography"])
 def test_arm_phase_reported_as_given(stage):
-    # the tomography stage adds a settings axis to each phase only after the
-    # check, so both stages print the value, not a one-element array
+    # the six-mode network with phase elements, the tests' reference for
+    # fixed arm phases, prints the value at either stage
     with pytest.raises(ValueError, match=r"value must be finite and real, got inf$"):
-        protocol.premeasurement_amplitudes(stage, 0.3, 1.2, {"A0": INF})
+        circuit.teleport_network(stage, 0.3, 1.2, arm_phases={"A0": INF})
 
 
 SIGMA2_FUNCTIONS = {
