@@ -117,12 +117,18 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
 
 
 def mass(probs: np.ndarray, keep: np.ndarray | slice) -> np.ndarray | float:
-    """Sum of probs[..., keep] over the last axis, one sum per leading index."""
-    # added left to right, not pairwise, so printed results keep their digits
-    if probs.ndim == 1:
-        return functools.reduce(operator.add, probs[keep].tolist(), 0.0)
+    """Sum of probs[..., keep] over the last axis, one sum per leading index.
+
+    `keep` may be an index table: each row of it is then summed on its own."""
+    # added left to right, not pairwise, so printed results keep their digits:
+    # accumulate is sequential by definition, and the trailing 0.0 is the
+    # start of the sum, which turns a sum of -0.0 terms into +0.0
     kept = probs[..., keep]
-    return functools.reduce(operator.add, np.moveaxis(kept, -1, 0), np.zeros(kept.shape[:-1]))
+    if kept.ndim == 1:
+        return functools.reduce(operator.add, kept.tolist(), 0.0)
+    if kept.shape[-1] == 0:
+        return np.zeros(kept.shape[:-1])
+    return np.add.accumulate(kept, axis=-1)[..., -1] + 0.0
 
 
 def _reorder_sign(indices: Sequence[int]) -> int:

@@ -419,9 +419,13 @@ def reconstructed_bloch(
     tables: dict[str, CorrelatorTable]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Full Bloch vector from one table per tomography axis, (..., 3) for
-    tables of (..., len(KEYS)) rows."""
-    pairs = {axis: bloch_from_correlators(tables[axis]) for axis in ("X", "Y", "Z")}
-    return np.stack([v for v, _ in pairs.values()], axis=-1), {a: k for a, (_, k) in pairs.items()}
+    tables of (..., len(KEYS)) rows.  One `bloch_from_correlators` call
+    assembles the three tables stacked (..., 3, len(KEYS)); it reads only
+    the values, so the stack carries X's setting label."""
+    axes = tuple(protocol.TOMO_SETTINGS)
+    stack = np.stack([tables[axis].values for axis in axes], axis=-2)
+    components, k = bloch_from_correlators(CorrelatorTable(axes[0], stack))
+    return components, {axis: k[..., row] for row, axis in enumerate(axes)}
 
 
 def leviton_fidelity(params: LevitonParams) -> float:

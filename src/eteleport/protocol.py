@@ -250,10 +250,9 @@ def _memo_entry(stage: str, R: ArrayLike, phi: ArrayLike) -> _PointAmplitudes | 
     """The memo entry of a one-point call, or None unless every parameter is
     a Python int or float (a bool is neither here: it is left to the launch
     to reject, and as a key it would equal 1 or 0)."""
-    point = (R, phi)
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in point):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (R, phi)):
         return None
-    return _point_amplitudes(stage, R, phi, tuple(math.copysign(1.0, x) for x in point))
+    return _point_amplitudes(stage, R, phi)
 
 
 class _PointAmplitudes:
@@ -273,11 +272,11 @@ class _PointAmplitudes:
 
 
 @functools.lru_cache(maxsize=_POINT_MEMO_SIZE)
-def _point_amplitudes(stage: str, R: float, phi: float, signs: tuple) -> _PointAmplitudes:
-    """One point's entry.  The key holds the parameters' signs, so -0.0 and
-    0.0 differ.  (R, phi) are checked as a `TeleportParams` first, so a
-    rejected point is reported by its value, not as the one-element array
-    the tomography stage launches."""
+def _point_amplitudes(stage: str, R: float, phi: float) -> _PointAmplitudes:
+    """One point's entry.  The key holds no signs, so -0.0 and 0.0 share it:
+    the linear form gives both the same bytes.  (R, phi) are checked as a
+    `TeleportParams` first, so a rejected point is reported by its value,
+    not as the one-element array the tomography stage launches."""
     TeleportParams(R, phi)
     return _PointAmplitudes(_launch(stage, R, phi))
 
@@ -366,8 +365,7 @@ def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     """Probability of each click pattern of ALL_OUTCOMES for detection-stage
     amplitudes, shape (..., 16); each one is summed as
     POVMElement.expectation sums it."""
-    probs = probabilities(amps)
-    return np.stack([mass(probs, _clicked(x)) for x in ALL_OUTCOMES], axis=-1)
+    return _masses(probabilities(amps), _outcome_table())
 
 
 def conditional_qubits(
@@ -388,13 +386,14 @@ def _conditionals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability of each one-click-per-pair outcome and Bob's conditional
     Bloch vector, shapes (..., n) and (..., n, 3), for detection-stage
-    amplitudes of shape (..., sector), in one pass: one `probabilities`, a
-    mass per outcome, one gather of Bob's columns, one `_pure_blochs` and
-    one unit-ball check.  An outcome of probability zero gets NaN."""
-    probs = probabilities(amps)
-    p = np.stack([mass(probs, _clicked(x)) for x in outcomes], axis=-1)
+    amplitudes of shape (..., sector), in one pass: one `probabilities`, one
+    mass and one gather over the outcomes' `_paired_table`, one
+    `_pure_blochs` and one unit-ball check.  An outcome of probability zero
+    gets NaN."""
+    columns = _paired_table(outcomes)
+    p = mass(probabilities(amps), columns)
     seen = p != 0.0
-    pairs = amps[..., [_bob_columns(x) for x in outcomes]][seen]
+    pairs = amps[..., columns][seen]
     c0, c1 = (pairs * (1.0 / np.sqrt(p[seen]))[:, None]).T
     bloch = np.full(p.shape + (3,), math.nan)
     bloch[seen] = _pure_blochs(c0, c1)
@@ -413,6 +412,41 @@ def _paired_row(outcome: MeasurementOutcome) -> int:
 def _clicked(outcome: MeasurementOutcome) -> np.ndarray:
     """The detection-stage configurations an outcome's element keeps."""
     return povm_element(outcome).clicked(DETECTION_MODES, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome_table() -> np.ndarray:
+    """The `_padded_table` of the click masks of ALL_OUTCOMES."""
+    return _padded_table([_clicked(x) for x in ALL_OUTCOMES])
+
+
+@functools.lru_cache(maxsize=None)
+def _paired_table(outcomes: tuple[MeasurementOutcome, ...]) -> np.ndarray:
+    """The `_bob_columns` of each paired outcome, one row each, read-only: the
+    indices of its click mask, ascending, which no row needs to pad."""
+    table = np.array([_bob_columns(x) for x in outcomes])
+    table.flags.writeable = False
+    return table
+
+
+def _padded_table(masks: list[np.ndarray]) -> np.ndarray:
+    """Each mask's kept indices, ascending, one row per mask, padded with the
+    index one past the masks' last column; read-only."""
+    rows = [np.flatnonzero(mask) for mask in masks]
+    table = np.full((len(rows), max(map(len, rows))), len(masks[0]))
+    for row, kept in zip(table, rows):
+        row[: len(kept)] = kept
+    table.flags.writeable = False
+    return table
+
+
+def _masses(probs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """mass(probs, mask) of every mask of a `_padded_table`, shape (..., rows),
+    in one sum: the pad index reads an appended 0.0, so each row adds the
+    terms of its mask in the same order, and an excluded NaN or inf stays
+    out, as it would not from a product with a 0/1 mask."""
+    zero = np.zeros(probs.shape[:-1] + (1,))
+    return mass(np.concatenate([probs, zero], axis=-1), table)
 
 
 def _bob_columns(outcome: MeasurementOutcome) -> np.ndarray:
@@ -497,22 +531,20 @@ def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _product_masks() -> np.ndarray:
-    """Which output configurations hold A0+ and A1+ with B0, with B1, alone,
-    with A0- and with A1-, whose masses make the tomography ratio; read-only."""
+    """The `_padded_table` of the output configurations holding A0+ and A1+
+    with B0, with B1, alone, with A0- and with A1-, whose masses make the
+    tomography ratio."""
     _, configs = combination_table(len(OUTPUT_MODES), 3)
     extras = (("B0",), ("B1",), (), ("A0-",), ("A1-",))
     labels = [("A0+", "A1+") + extra for extra in extras]
-    masks = np.array([occupations(OUTPUT_MODES, configs, x).all(axis=1) for x in labels])
-    masks.flags.writeable = False
-    return masks
+    return _padded_table([occupations(OUTPUT_MODES, configs, x).all(axis=1) for x in labels])
 
 
 def _tomography_components(amps: np.ndarray) -> np.ndarray:
     """Bloch components from tomography-stage amplitudes of shape
     (..., 3, sector), one row per setting in X, Y, Z order."""
-    probs = probabilities(amps)
     # <N_a N_b ...>: the mass of the configurations occupying every label
-    b0, b1, pair, a0m, a1m = (mass(probs, mask) for mask in _product_masks())
+    b0, b1, pair, a0m, a1m = np.moveaxis(_masses(probabilities(amps), _product_masks()), -1, 0)
     numerator = b0 - b1
     denominator = pair - a0m - a1m
     if not np.all(denominator > 0.0):  # NaN fails too

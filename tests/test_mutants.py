@@ -27,9 +27,16 @@ from eteleport.protocol import MeasurementOutcome
 
 @pytest.fixture(autouse=True)
 def _no_kept_stage():
-    """Every row starts and ends without stage rows or a memo entry, so none
-    built under one row's defect serves another row or a later test."""
-    clears = (protocol._form_rows.cache_clear, protocol._point_amplitudes.cache_clear)
+    """Every row starts and ends without stage rows, mask tables or a memo
+    entry, so none built under one row's defect serves another row or a
+    later test."""
+    clears = (
+        protocol._form_rows.cache_clear,
+        protocol._point_amplitudes.cache_clear,
+        protocol._outcome_table.cache_clear,
+        protocol._paired_table.cache_clear,
+        protocol._product_masks.cache_clear,
+    )
     for clear in clears:
         clear()
     yield
@@ -126,6 +133,28 @@ def _memo_key_drops_phi(monkeypatch):
     monkeypatch.setattr(protocol, "_point_amplitudes", keyed_without_phi)
 
 
+def _mass_summed_pairwise(monkeypatch):
+    # an N-D sum in numpy's pairwise order, not left to right
+    left_to_right = fock.mass
+
+    def pairwise(probs, keep):
+        kept = probs[..., keep]
+        return left_to_right(probs, keep) if kept.ndim == 1 else kept.sum(axis=-1)
+
+    monkeypatch.setattr(fock, "mass", pairwise)
+
+
+def _mask_table_multiplied(monkeypatch):
+    # each table row's mass as a product with its 0/1 mask, not a gather: a
+    # NaN of an excluded configuration turns every mass into NaN
+    def multiplied(probs, table):
+        masks = np.zeros((len(table), probs.shape[-1] + 1))
+        masks[np.arange(len(table))[:, None], table] = 1.0
+        return fock.mass(probs[..., None, :] * masks[:, :-1], slice(None))
+
+    monkeypatch.setattr(protocol, "_masses", multiplied)
+
+
 def _grid_brackets_shifted(monkeypatch):
     # each tau of the fidelity-curve pass reads its neighbour's brackets
     brackets = leviton._grid_brackets
@@ -195,6 +224,16 @@ MUTANTS = [
         _memo_key_drops_phi,
         test_properties.test_memo_keys_every_parameter,
         id="memo-key-drops-phi",
+    ),
+    pytest.param(
+        _mass_summed_pairwise,
+        test_properties.test_mass_adds_left_to_right,
+        id="mass-summed-pairwise",
+    ),
+    pytest.param(
+        _mask_table_multiplied,
+        test_protocol.test_nan_configuration_reaches_its_outcome_only,
+        id="mask-table-multiplied",
     ),
     pytest.param(
         _replace(protocol, "teleporting_branch", _nan_state),

@@ -2,7 +2,9 @@
 phase-damping fidelity over random parameters."""
 
 import decimal
+import functools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -11,9 +13,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from eteleport import circuit, leviton, protocol, saw  # noqa: E402
+from eteleport import circuit, fock, leviton, protocol, saw  # noqa: E402
 from eteleport.acceptance import reference_network_matrix  # noqa: E402
-from eteleport.fock import INPUT_MODES, FockState, create_sources, lift_amplitudes  # noqa: E402
+from eteleport.fock import (  # noqa: E402
+    INPUT_MODES,
+    OUTPUT_MODES,
+    FockState,
+    create_sources,
+    lift_amplitudes,
+)
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
 from test_saw import launched_conditional  # noqa: E402
 
@@ -165,6 +173,16 @@ def test_memoised_amplitudes_equal_a_fresh_launch(point):
             assert amps.tobytes() == fresh.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 amps[0] = 1.0
+    # the key holds no signs: a call at one signed zero right after one at
+    # the other is served by the first call's entry, which must still hold
+    # the bytes of a fresh launch at the second
+    R, phi = point
+    for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+        for pair in ([(z, phi) for z in zeros], [(R, z) for z in zeros]):
+            for stage in circuit.STAGES:
+                for signed in pair:
+                    amps = protocol.premeasurement_amplitudes(stage, *signed)
+                    assert amps.tobytes() == _fresh_launch(stage, *signed).tobytes()
 
 
 def test_memo_keys_every_parameter():
@@ -349,3 +367,97 @@ def test_grid_thermal_weights_match_direct_forms(xs):
         pair, triple = _direct_thermal_weights(x)
         assert abs(got_pair - pair) <= 1e-12 * pair
         assert abs(got_triple - triple) <= 1e-12 * triple
+
+
+# --- the left-to-right sum behind every printed probability ---
+
+# signed zeros, subnormals, infinities, NaN and floats of any size: the
+# values whose sums round or propagate apart in another order
+edge = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.5e-308, math.inf, -math.inf))
+real = edge | st.floats()
+
+
+@st.composite
+def sums(draw):
+    """An array of 1 to 3 axes, real or complex, and what `mass` keeps of
+    its last axis: everything, a mask (empty ones too) or an index table."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), draw(st.integers(0, 12)))
+    kind = draw(st.sampled_from((float, complex)))
+    element = real if kind is float else st.builds(complex, real, real)
+    size = math.prod(shape)
+    probs = np.array(draw(st.lists(element, min_size=size, max_size=size)), dtype=kind)
+    columns, width = shape[-1], draw(st.integers(1, 4))
+    flags = st.lists(st.booleans(), min_size=columns, max_size=columns)
+    keeps = [st.just(slice(None)), flags.map(lambda kept: np.array(kept, dtype=bool))]
+    if columns:
+        row = st.lists(st.integers(0, columns - 1), min_size=width, max_size=width).map(sorted)
+        keeps.append(st.lists(row, min_size=1, max_size=3).map(np.array))
+    return probs.reshape(shape), draw(st.one_of(keeps))
+
+
+def _left_to_right(probs, keep):
+    """`mass` by its definition: the kept columns added one by one,
+    starting from 0.0."""
+    kept = probs[..., keep]
+    if kept.ndim == 1:
+        return functools.reduce(operator.add, kept.tolist(), 0.0)
+    return functools.reduce(operator.add, np.moveaxis(kept, -1, 0), np.zeros(kept.shape[:-1]))
+
+
+def _assert_same_sums(got, want):
+    """Equal shape, dtype and values, NaN equal to NaN (its sign and payload
+    may differ), and every zero of the same sign."""
+    assert np.shape(got) == np.shape(want)
+    assert np.result_type(got) == np.result_type(want)
+    for part in (np.real, np.imag):
+        a, b = np.asarray(part(got)), np.asarray(part(want))
+        assert np.array_equal(a, b, equal_nan=True)
+        assert (np.signbit(a) == np.signbit(b))[a == 0.0].all()
+
+
+# one failure is reported, not a group of them, so a defect fails on an assert
+@settings(max_examples=100, deadline=None, report_multiple_bugs=False)
+@given(sums())
+# numpy's pairwise sum splits these columns into eight partial sums, which
+# keep the ones that a left-to-right sum rounds away
+@example((np.array([[1e16] + [1.0] * 15]), slice(None)))
+# -0.0 terms alone sum to +0.0, as they do from a start of 0.0
+@example((np.array([[-0.0, -0.0]]), slice(None)))
+@example((np.array([complex(-0.0, -0.0)] * 3), np.array([[0, 1, 2]])))
+@example((np.zeros((2, 3), dtype=complex), np.zeros(3, dtype=bool)))
+def test_mass_adds_left_to_right(case):
+    probs, keep = case
+    with np.errstate(all="ignore"):  # inf - inf and overflow, in both sums
+        _assert_same_sums(fock.mass(probs, keep), _left_to_right(probs, keep))
+
+
+def _ratio_masks():
+    """The tomography ratio's five masks over the output stage's sector,
+    read from occupations: A0+ and A1+ with B0, with B1, alone, with A0-
+    and with A1-."""
+    configs = fock.combination_table(len(OUTPUT_MODES), 3)[1]
+    extras = (("B0",), ("B1",), (), ("A0-",), ("A1-",))
+    return [fock.occupations(OUTPUT_MODES, configs, ("A0+", "A1+") + x).all(axis=1) for x in extras]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), max_size=1).flatmap(
+        lambda lead: st.lists(real, min_size=20 * math.prod(lead), max_size=20 * math.prod(lead))
+        .map(lambda values: np.array(values).reshape((*lead, 20)))
+    )
+)
+def test_mask_tables_sum_as_their_masks(probs):
+    # one mass over a table is, row by row, the mass of the row's mask
+    clicked = protocol._clicked
+    tables = [
+        (protocol._masses, protocol._outcome_table(), [clicked(x) for x in ALL_OUTCOMES]),
+        (protocol._masses, protocol._product_masks(), _ratio_masks()),
+        (fock.mass, protocol._paired_table(PAIRED_OUTCOMES), [clicked(x) for x in PAIRED_OUTCOMES]),
+    ]
+    with np.errstate(all="ignore"):
+        for masses, table, masks in tables:
+            got = masses(probs, table)
+            assert got.shape == probs.shape[:-1] + (len(masks),)
+            for row, mask in enumerate(masks):
+                _assert_same_sums(got[..., row], fock.mass(probs, mask))

@@ -115,6 +115,30 @@ def test_povm_annihilates_wrong_click():
 
 # --- probabilities and conditioning ---
 
+def test_nan_configuration_reaches_its_outcome_only():
+    # each outcome adds only its own configurations: a NaN amplitude in one
+    # configuration of the first row turns the outcome that keeps it into
+    # NaN, and every other outcome, the second row and every paired
+    # conditional that excludes it keep their finite-input bytes
+    R, phi = np.array([0.3, 0.8]), np.array([1.2, -2.0])
+    amps = protocol.premeasurement_amplitudes("detection", R, phi)
+    probs = protocol.outcome_probabilities(amps)
+    conditionals = {x: protocol.conditional_qubits(amps, x) for x in PAIRED_OUTCOMES}
+    for config in range(amps.shape[-1]):
+        broken = amps.copy()
+        broken[0, config] = complex(math.nan, math.nan)
+        hit = [protocol._clicked(x)[config] for x in ALL_OUTCOMES].index(True)
+        got = protocol.outcome_probabilities(broken)
+        assert math.isnan(got[0, hit])
+        spared = np.ones(got.shape, dtype=bool)
+        spared[0, hit] = False
+        assert got[spared].tobytes() == probs[spared].tobytes()
+        for outcome, finite in conditionals.items():
+            if outcome != ALL_OUTCOMES[hit]:
+                got = protocol.conditional_qubits(broken, outcome)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in finite]
+
+
 def test_paired_probabilities_quarter_each():
     for r, phi in ((0.5, 0.0), (0.0, 0.3), (1.0, 2.0), (0.7, 5.5)):
         state = run_premeasurement(TeleportParams(r, phi))
@@ -250,7 +274,7 @@ def test_conditional_errors_are_not_kept_with_the_point(monkeypatch):
                 bob_conditional(params, PP)
             with pytest.raises(ValueError, match="outcome 1100 does not leave Bob a qubit"):
                 bob_conditional(params, MeasurementOutcome((1, 1, 0, 0)))
-        entry = protocol._point_amplitudes("tomography", 0.3, 1.2, (1.0, 1.0))
+        entry = protocol._point_amplitudes("tomography", 0.3, 1.2)
         p, bloch = entry.result(protocol._paired_conditionals)
         for row, outcome in enumerate(PAIRED_OUTCOMES):
             if outcome == PP:
@@ -458,6 +482,8 @@ def test_cached_tables_are_read_only():
         protocol.premeasurement_amplitudes("tomography", 0.3, 1.2),
         povm_element(PP).clicked(DETECTION_MODES, 3),
         protocol._product_masks(),
+        protocol._outcome_table(),
+        protocol._paired_table(PAIRED_OUTCOMES),
         *fock._moment_tables(OUTPUT_MODES, 3, leviton.KEYS),
         circuit._SYM_BLOCK,
         protocol._SETTINGS,
