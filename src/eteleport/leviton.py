@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,9 +78,9 @@ class LevitonParams:
 
 
 def _check_gamma(gamma: float) -> None:
-    # the thermal series sums about 2/gamma terms and the oracle's grid grows
-    # as 1/gamma, so very narrow pulses are refused (and very wide ones, whose
-    # weights overflow)
+    # the oracle's grid grows as 1/gamma, as do the thermal series' direct
+    # terms once 4 tau exceeds about 2/gamma, so very narrow pulses are
+    # refused (and very wide ones, whose weights overflow)
     if not _number_within(gamma, GAMMA_MIN, GAMMA_MAX):  # NaN fails too
         raise ValueError(
             f"pulse width gamma must be positive and finite, in [{GAMMA_MIN:g}, {GAMMA_MAX:g}],"
@@ -177,7 +177,8 @@ def _coth_minus_inv(x: float, coth: float) -> float:
 
 def _triple_bracket(x: float, coth: float) -> float:
     """Temperature weight of one harmonic in the triple-correlator factor,
-    coth^2 + csch^2/2 - (3/2x) coth, from x = 0.05 on, given coth(x).
+    coth^2 + csch^2/2 - (3/2x) coth, for 0.05 <= x < 2 (the harmonics below
+    the closed-form tail), given coth(x).
 
     The direct form cancels catastrophically: its relative error grows as
     x^-4 below x = 1 and reaches 1e-12 near its switch, so a series
@@ -187,8 +188,8 @@ def _triple_bracket(x: float, coth: float) -> float:
     if x < 0.25:
         x2 = x * x
         return x2 * _even_series(_TRIPLE_SERIES, x2)
-    csch2 = 0.0 if x > 350.0 else 1.0 / math.sinh(x) ** 2
-    return coth * coth + 0.5 * csch2 - 1.5 * coth / x
+    s = math.sinh(x)
+    return coth * coth + 0.5 / (s * s) - 1.5 * coth / x
 
 
 def _thermal_brackets(x: float) -> tuple[float, float]:
@@ -212,38 +213,76 @@ class ThermalFactors:
 def thermal_factors(params: LevitonParams) -> ThermalFactors:
     """Sum the harmonic series for the two correlator suppression factors.
 
-    Terms are added until they fall below series_tol relative to the
-    running sums (three consecutive times) or the cap is hit, which
-    raises instead of silently truncating.  At tau = 0 both brackets
-    are exactly 1 and the sums reduce to the unit weight sum.
+    Harmonic n has the weight 4 n sinh^2(g) e^(-2gn), g = 2 pi gamma, times
+    its temperature brackets at x = n / 2 tau.  Below the harmonic
+    N = ceil(4 tau) (x < 2) the terms are added one by one, and they stop
+    early once the weights of every later harmonic, a bound on what is left
+    since both brackets are at most 1, fall below series_tol of both sums.
+    From N on the rest is closed-form (`_tail_terms`), added until its
+    terms fall below series_tol of the sums.  At tau = 0 both brackets are
+    exactly 1 and the tail from n = 1 is the unit weight sum.  A series that
+    needs more terms than the cap raises instead of truncating.
     """
     g = 2.0 * math.pi * params.gamma
-    sinh2 = math.sinh(g) ** 2
+    s = math.sinh(g)
+    scale = 4.0 * s * s
     tau, tol, cap = params.tau, params.series_tol, params.term_cap
+    q = 1.0 / math.expm1(2.0 * g)  # r / (1 - r) for r = e^(-2g)
+    # the tail's first harmonic; one past the cap stands for any later one
+    first = max(1, math.ceil(min(4.0 * tau, cap + 1.0)))
     pair_sum = triple_sum = 0.0
-    quiet = n = 0
-    while n < cap:
-        n += 1
-        weight = n * 4.0 * math.exp(-2.0 * g * n) * sinh2
-        if tau == 0.0:
-            pair_term, triple_term = weight, weight
-        else:
-            pair_bracket, triple_bracket = _thermal_brackets(n / (2.0 * tau))
-            pair_term = weight * pair_bracket
-            triple_term = weight * triple_bracket
-        pair_sum += pair_term
-        triple_sum += triple_term
-        if abs(pair_term) <= tol * abs(pair_sum) and abs(triple_term) <= tol * max(
-            abs(triple_sum), 1e-300
-        ):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
+    for n in range(1, first):
+        decay = math.exp(-2.0 * g * n)
+        pair_bracket, triple_bracket = _thermal_brackets(n / (2.0 * tau))
+        weight = n * scale * decay
+        pair_sum += weight * pair_bracket
+        triple_sum += weight * triple_bracket
+        # the weights of all n' > n: scale * sum n' r^n' = scale r^n q (n + 1 + q)
+        if scale * decay * q * (n + 1 + q) <= tol * min(pair_sum, triple_sum):
+            return ThermalFactors(pair_sum, triple_sum, _damping(tau, pair_sum, triple_sum), n)
+    if first > cap:
+        _damping(tau, pair_sum, triple_sum)  # a pair sum that underflowed is the cause
         raise _not_converged(params)
-    return ThermalFactors(pair_sum, triple_sum, _damping(params.tau, pair_sum, triple_sum), n)
+    pair_tail = triple_tail = 0.0
+    for terms, (pair_term, triple_term) in enumerate(_tail_terms(g, tau, first), first - 1):
+        if terms > cap:
+            raise _not_converged(params)
+        pair_term, triple_term = scale * pair_term, scale * triple_term
+        pair_tail += pair_term
+        triple_tail += triple_term
+        if pair_term <= tol * (pair_sum + pair_tail) and (
+            triple_term <= tol * (triple_sum + triple_tail)
+        ):
+            break
+    pair_sum += pair_tail
+    triple_sum += triple_tail
+    return ThermalFactors(pair_sum, triple_sum, _damping(tau, pair_sum, triple_sum), terms)
+
+
+def _tail_terms(g: float, tau: float, first: int) -> Iterator[tuple[float, float]]:
+    """The sums over n >= first of n e^(-2gn) times the pair and the triple
+    bracket at x = n / 2 tau >= 2, split by powers of e^(-2x): yields the
+    (pair, triple) term of k = 0, 1, 2, ..., each closed-form, and only
+    k = 0 at tau = 0.
+
+    coth x = 1 + 2 sum_k e^(-2kx) and csch^2 x = 4 sum_k k e^(-2kx), so each
+    k reduces to sums of r^n and n r^n over n >= first, with r = e^(-a),
+    a = 2g + k / tau: S0 = r^first / (1 - r) and S1 = S0 (first + q), with
+    q = r / (1 - r).  Every term is positive, and each is about e^(-4) of
+    the one before, as x >= 2.
+    """
+    k, a = 0, 2.0 * g
+    while True:
+        q = 1.0 / math.expm1(a) if a < 700.0 else 0.0  # below 1e-304 from there
+        s0 = math.exp(-first * a) * (1.0 + q)
+        if k == 0:  # the 1 of coth and coth^2, less the 1/x terms
+            yield s0 * (first - 2.0 * tau + q), s0 * (first - 3.0 * tau + q)
+            if tau == 0.0:
+                return
+        else:
+            yield 2.0 * s0 * (first + q), 6.0 * s0 * (k * (first + q) - tau)
+        k += 1
+        a = 2.0 * g + k / tau
 
 
 def _not_converged(params: LevitonParams) -> SeriesConvergenceError:
@@ -436,185 +475,16 @@ def leviton_fidelity(params: LevitonParams) -> float:
 def fidelity_curve(
     gammas: Sequence[float], taus: Sequence[float], series_tol: float = 1e-12
 ) -> list[dict[str, float]]:
-    """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau).
-
-    Each point is checked as a `LevitonParams`, and its q is
-    `thermal_factors(...).damping` to the last bit, from one array pass over
-    the grid (`_grid_damping`).  A grid with a failing point raises the
-    error of its first failing point in (gamma, tau) order.
-    """
-    gammas, taus = list(gammas), list(taus)
-    if not (gammas and taus):
-        return []
-    row: list[LevitonParams] = []
-    column: list[LevitonParams] = []
-    error = None
-    # a point fails when its gamma, its tau or the tolerance does, so the
-    # first failing point lies in the first row or the first column, and the
-    # points before it are the checked first column against the checked
-    # first row
-    try:
+    """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau),
+    one checked `LevitonParams` and one `thermal_factors` call per point.
+    A grid with a failing point raises that point's error, and no later
+    point is evaluated."""
+    taus = list(taus)
+    rows = []
+    for gamma in gammas:
         for tau in taus:
-            row.append(LevitonParams(gammas[0], tau, series_tol))
-        for gamma in gammas[1:]:
-            column.append(LevitonParams(gamma, taus[0], series_tol))
-    except ValueError as rejected:
-        error = rejected
-    widths = row[:1] + column
-    checked_taus = [point.tau for point in row]
-    qs = _grid_damping(widths, checked_taus)
-    if error is not None:
-        raise error
-    return [
-        {"gamma": width.gamma, "tau": tau, "q": q, "fidelity": damped_average_fidelity(q)}
-        for width, width_qs in zip(widths, qs)
-        for tau, q in zip(checked_taus, width_qs)
-    ]
-
-
-# `_sum_block` takes at most this many taus at a time, and each of its
-# (tau, n) arrays holds at most this many cells, so the peak memory of a
-# fidelity curve grows with neither its grid nor its number of terms
-_GRID_TAUS = 64
-_GRID_CELLS = 2048
-
-
-def _grid_damping(widths: list[LevitonParams], taus: list[float]) -> list[list[float]]:
-    """`thermal_factors(LevitonParams(w.gamma, tau, w.series_tol)).damping`
-    for each width w and each tau, one list per width, from `_sum_block`
-    over blocks of taus; raises the error of the first failing point in
-    (gamma, tau) order.  The first width's points come before every other
-    width's, so each block's are checked as soon as it is summed, and a
-    failing one stops the grid there."""
-    shape = (len(widths), len(taus))
-    pair, triple = np.zeros(shape), np.zeros(shape)
-    converged = np.zeros(shape, dtype=bool)
-    first_qs = []
-    for start in range(0, len(taus), _GRID_TAUS):
-        block = slice(start, start + _GRID_TAUS)
-        _sum_block(widths, taus[block], pair[:, block], triple[:, block], converged[:, block])
-        first_qs += _checked_dampings(
-            widths[0], taus[block], pair[0, block], triple[0, block], converged[0, block]
-        )
-    return [first_qs] + [
-        _checked_dampings(width, taus, *cells)
-        for width, *cells in zip(widths[1:], pair[1:], triple[1:], converged[1:])
-    ]
-
-
-def _checked_dampings(
-    width: LevitonParams, taus: list[float], pair: np.ndarray, triple: np.ndarray, stops: np.ndarray
-) -> list[float]:
-    """One width's damping ratios from its cells' sums, in tau order; a cell
-    that did not stop before its term cap raises as `thermal_factors` does."""
-    qs = []
-    cells = zip(taus, pair.tolist(), triple.tolist(), stops.tolist())
-    for tau, pair_sum, triple_sum, stopped in cells:
-        if not stopped:
-            raise _not_converged(LevitonParams(width.gamma, tau, width.series_tol))
-        qs.append(_damping(tau, pair_sum, triple_sum))
-    return qs
-
-
-def _sum_block(
-    widths: list[LevitonParams],
-    taus: list[float],
-    pair: np.ndarray,
-    triple: np.ndarray,
-    converged: np.ndarray,
-) -> None:
-    """Run the series of each (width, tau) cell as `thermal_factors` runs
-    it, and write its sums, and whether it stopped before its term cap, into
-    the (widths, taus) arrays pair, triple and converged.
-
-    Every cell adds the loop's terms left to right (`np.cumsum`) and stops
-    where the loop stops.  The terms come in chunks of n: each chunk's
-    brackets serve every width, and each width's weights serve every tau.
-    """
-    tol = widths[0].series_tol
-    with np.errstate(over="ignore"):  # 2 tau overflows to inf, as the loop's float does
-        two_tau = 2.0 * np.array(taus)
-    summing = np.ones(pair.shape, dtype=bool)
-    quiet = np.zeros(pair.shape, dtype=int)  # quiet terms in a row, counted up to 2
-    done = 0
-    while summing.any():
-        needed = summing.any(axis=0)
-        bracket_row = np.cumsum(needed) - 1
-        cap = max(w.term_cap for w, cells in zip(widths, summing) if cells.any())
-        chunk = min(max(1, _GRID_CELLS // int(np.count_nonzero(needed))), cap - done)
-        n = np.arange(done + 1, done + chunk + 1, dtype=float)
-        rows = two_tau[needed, None]
-        # x stays infinite at tau = 0, where both brackets are exactly 1 and
-        # so each term is its weight, as in the loop; a subnormal tau
-        # overflows n / (2 tau) to inf, as the loop's float does
-        with np.errstate(over="ignore"):
-            x = np.divide(n, rows, out=np.full((rows.size, chunk), np.inf), where=rows > 0.0)
-        pair_brackets, triple_brackets = _grid_brackets(x)
-        for i, width in enumerate(widths):
-            cells = np.flatnonzero(summing[i])
-            if not cells.size:
-                continue
-            m = min(chunk, width.term_cap - done)
-            g = 2.0 * math.pi * width.gamma
-            exps = np.fromiter(map(math.exp, ((-2.0 * g) * n[:m]).tolist()), float, m)
-            weight = n[:m] * 4.0 * exps * math.sinh(g) ** 2
-            brackets = bracket_row[cells]
-            pair_terms = weight * pair_brackets[brackets, :m]
-            triple_terms = weight * triple_brackets[brackets, :m]
-            # each running sum starts from the cell's sum so far
-            pair_sums = np.cumsum(np.concatenate((pair[i, cells, None], pair_terms), 1), 1)[:, 1:]
-            triple_sums = np.cumsum(
-                np.concatenate((triple[i, cells, None], triple_terms), 1), 1
-            )[:, 1:]
-            # calm[:, 2 + k] is term k's quiet test; the two columns before
-            # it carry the quiet run of the chunks before
-            calm = np.empty((cells.size, m + 2), dtype=bool)
-            calm[:, 0] = quiet[i, cells] >= 2
-            calm[:, 1] = quiet[i, cells] >= 1
-            calm[:, 2:] = (np.abs(pair_terms) <= tol * np.abs(pair_sums)) & (
-                np.abs(triple_terms) <= tol * np.maximum(np.abs(triple_sums), 1e-300)
-            )
-            third = calm[:, :-2] & calm[:, 1:-1] & calm[:, 2:]  # the third quiet term in a row
-            stopped = third.any(axis=1)
-            last = np.where(stopped, third.argmax(axis=1), m - 1)
-            pair[i, cells] = pair_sums[np.arange(cells.size), last]
-            triple[i, cells] = triple_sums[np.arange(cells.size), last]
-            quiet[i, cells] = np.where(calm[:, -1], np.where(calm[:, -2], 2, 1), 0)
-            converged[i, cells[stopped]] = True
-            summing[i, cells[stopped]] = False
-            if done + m == width.term_cap:
-                summing[i, cells] = False
-        done += chunk
-
-
-def _grid_brackets(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_thermal_brackets` of every element of x, to the last bit.
-
-    Each x >= 0.05 takes one `math.tanh`, and each 0.25 <= x <= 350 one
-    `math.sinh`: numpy's own transcendental functions round differently
-    and depend on its SIMD dispatch.  The rest is the loop's elementwise
-    arithmetic, in its order.
-    """
-    pair, triple = np.empty_like(x), np.empty_like(x)
-    series = x < 0.05
-    x_series = x[series]
-    x2 = x_series * x_series
-    pair[series] = x_series * _even_series(_PAIR_SERIES, x2)
-    triple[series] = x2 * _even_series(_TRIPLE_SERIES, x2)
-    direct = ~series
-    x_direct = x[direct]
-    coth = 1.0 / np.fromiter(map(math.tanh, x_direct.tolist()), float, x_direct.size)
-    pair[direct] = _coth_minus_inv(x_direct, coth)
-    # the triple bracket's own series below x = 0.25, as in `_triple_bracket`
-    bracket = np.empty_like(x_direct)
-    low = x_direct < 0.25
-    x2 = x_direct[low] * x_direct[low]
-    bracket[low] = x2 * _even_series(_TRIPLE_SERIES, x2)
-    high = ~low
-    x_high, coth = x_direct[high], coth[high]
-    csch2 = np.zeros_like(x_high)
-    curved = x_high <= 350.0
-    csch2[curved] = [1.0 / math.sinh(v) ** 2 for v in x_high[curved].tolist()]
-    bracket[high] = coth * coth + 0.5 * csch2 - 1.5 * coth / x_high
-    triple[direct] = bracket
-    return pair, triple
+            params = LevitonParams(gamma, tau, series_tol)
+            q = thermal_factors(params).damping
+            fidelity = damped_average_fidelity(q)
+            rows.append({"gamma": params.gamma, "tau": params.tau, "q": q, "fidelity": fidelity})
+    return rows

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -64,10 +65,13 @@ def test_params_validation():
 # --- thermal factors ---
 
 def test_cold_limit():
-    factors = thermal_factors(LevitonParams(0.05, 0.0))
-    assert factors.pair == pytest.approx(1.0, abs=1e-10)
-    assert factors.triple == pytest.approx(1.0, abs=1e-10)
-    assert factors.damping == pytest.approx(1.0, abs=1e-10)
+    # at tau = 0 both sums are the unit weight sum, which the closed-form
+    # tail gives from n = 1 on, so it holds to rounding for every width
+    for gamma in (leviton.GAMMA_MIN, 1e-3, 0.02, 0.05, 1.0, leviton.GAMMA_MAX):
+        factors = thermal_factors(LevitonParams(gamma, 0.0))
+        assert abs(factors.pair - 1.0) <= 1e-14
+        assert abs(factors.triple - 1.0) <= 1e-14
+        assert abs(factors.damping - 1.0) <= 1e-14
 
 
 def test_hot_limit():
@@ -104,9 +108,58 @@ def test_factors_stay_in_unit_interval():
 
 
 def test_non_convergence_is_reported():
-    with pytest.raises(SeriesConvergenceError):
-        # terms fall by exp(-4 pi gamma) each: about 2760 are needed, the cap is 500
-        thermal_factors(LevitonParams(0.02, 0.5, series_tol=1e-300))
+    # the tail starts at the harmonic 4 tau = 4000, past the cap of 500, and
+    # at this tolerance the weights left never fall below the sums' share
+    with pytest.raises(SeriesConvergenceError, match="not converged after 500 terms"):
+        thermal_factors(LevitonParams(0.02, 1000.0, series_tol=1e-300))
+
+
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _decimal_factors(gamma, tau):
+    """Both thermal factors summed harmonic by harmonic in 40-digit decimal
+    arithmetic, coth built from exp, until the weights left (each bracket is
+    at most 1) are below 1e-20 of the triple sum."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        g = 2 * _PI * decimal.Decimal(gamma)
+        r = (-2 * g).exp()
+        scale = (g.exp() - (-g).exp()) ** 2  # 4 sinh^2 g
+        two_tau = 2 * decimal.Decimal(tau)
+        t = (-1 / decimal.Decimal(tau)).exp() if tau else decimal.Decimal(0)  # e^(-2x) at n = 1
+        left = scale * r / (1 - r) ** 2  # sum_{m > n} scale m r^m <= left (n + 1) r^n
+        pair = triple = decimal.Decimal(0)
+        r_n = t_n = decimal.Decimal(1)
+        n = 0
+        while True:
+            n += 1
+            r_n *= r
+            t_n *= t
+            weight = scale * n * r_n
+            coth = (1 + t_n) / (1 - t_n)
+            coth2 = coth * coth
+            inv_x = two_tau / n
+            pair += weight * (coth - inv_x)
+            triple += weight * (coth2 + (coth2 - 1) / 2 - 3 * coth * inv_x / 2)
+            if left * (n + 1) * r_n < decimal.Decimal("1e-20") * triple:
+                return float(pair), float(triple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(leviton.GAMMA_MIN, leviton.GAMMA_MAX), st.floats(0.0, 10.0),
+       st.sampled_from((1e-12, 1e-9)))
+@example(leviton.GAMMA_MIN, 0.0, 1e-12)
+@example(0.02, 0.5, 1e-300)  # the tail's k terms run until they underflow
+@example(0.05, 40.0, 1e-12)  # the low harmonics take both brackets' series branches
+def test_thermal_factors_match_a_decimal_oracle(gamma, tau, series_tol):
+    # within 10 series_tol of the sums, and of their rounding where the
+    # tolerance is below it
+    factors = thermal_factors(LevitonParams(gamma, tau, series_tol))
+    bound = 10.0 * max(series_tol, 1e-14)
+    pair, triple = _decimal_factors(gamma, tau)
+    assert abs(factors.pair - pair) <= bound * pair
+    assert abs(factors.triple - triple) <= bound * triple
 
 
 def test_numpy_scalar_parameters_are_stored_as_floats():
@@ -304,8 +357,8 @@ def _loop_curve(gammas, taus, series_tol):
 
 CRITERION_9_TAUS = np.arange(0.0, 2.0 + 1e-9, 0.05).tolist()
 # mostly valid points; a few that LevitonParams rejects, a subnormal tau
-# (n / 2 tau overflows to inf), one whose triple sum falls below its 1e-300
-# floor and one whose pair sum underflows
+# (k / tau overflows to inf), taus so high that the series meets its term
+# cap, and one whose pair sum underflows
 curve_gammas = st.lists(st.floats(0.01, 2.0) | st.sampled_from((0.0, 60.0)), min_size=1, max_size=3)
 curve_taus = st.lists(
     st.floats(0.0, 1e4) | st.sampled_from((0.0, 5e-324, 1e-300, 1e150, 1e308, -1.0, math.nan)),
@@ -318,11 +371,11 @@ curve_taus = st.lists(
 @given(curve_gammas, curve_taus, st.sampled_from((1e-12, 1e-6, 1e-15)))
 @example([0.02, 0.05, 0.1], CRITERION_9_TAUS, 1e-12)
 @example([0.05], [0.0, 5e-324], 1e-12)
-@example([0.02], [0.5], 1e-300)  # the term cap
+@example([0.02], [0.5], 1e-300)  # the tail's k terms run until they underflow
 @example([0.05], [0.3, 1e308], 1e-12)  # the pair sum underflows
-@example([0.02], [0.5, -1.0], 1e-300)  # a rejected tau after a point that does not converge
-@example([0.05], [1e150], 1e-12)  # the triple sum under its 1e-300 floor
-@example([0.03], np.linspace(0.0, 2.0, 24).tolist(), 1e-12)  # quiet runs across chunks of n
+@example([0.02], [1000.0, -1.0], 1e-300)  # a rejected tau after a point that does not converge
+@example([0.05], [1e150], 1e-12)  # the term cap, as the triple sum is about 1e-301
+@example([0.03], np.linspace(0.0, 2.0, 24).tolist(), 1e-12)
 def test_fidelity_curve_equals_the_loop(gammas, taus, series_tol):
     try:
         want = _loop_curve(gammas, taus, series_tol)
@@ -336,35 +389,32 @@ def test_fidelity_curve_equals_the_loop(gammas, taus, series_tol):
 
 
 def test_failing_fidelity_curve_stops_at_its_first_block(monkeypatch):
-    # at this tolerance every cell of gamma = 1e-4 runs to its term cap, so
-    # the first block of taus already holds the first failing point: the
-    # grid raises the loop's error there and sums no second block
-    taus = [k * 0.02 for k in range(101)]
+    # (0.02, 1000) meets the term cap at this tolerance: the grid raises the
+    # loop's error there and evaluates no later point
+    gammas, taus = [0.02, 0.05], [0.5, 1000.0, 1.0]
     calls = []
-    sum_block = leviton._sum_block
+    factors = leviton.thermal_factors
 
-    def counted(*args):
-        calls.append(len(args[1]))
-        return sum_block(*args)
+    def counted(params):
+        calls.append((params.gamma, params.tau))
+        return factors(params)
 
-    monkeypatch.setattr(leviton, "_sum_block", counted)
+    monkeypatch.setattr(leviton, "thermal_factors", counted)
     with pytest.raises(SeriesConvergenceError) as raised:
-        fidelity_curve([1e-4], taus, 1e-300)
-    assert calls == [leviton._GRID_TAUS]
+        fidelity_curve(gammas, taus, 1e-300)
+    assert calls == [(0.02, 0.5), (0.02, 1000.0)]
+    monkeypatch.undo()
     with pytest.raises(SeriesConvergenceError) as loop:
-        _loop_curve([1e-4], taus, 1e-300)
+        _loop_curve(gammas, taus, 1e-300)
     assert str(raised.value) == str(loop.value)
 
 
 def test_fidelity_curve_memory_stays_bounded():
-    # gamma = 1e-3 needs about 2200 terms per point, so one float64 (tau, n)
-    # table of this grid takes about 1.7 MB; the pass builds none of them
-    gamma, taus = 1e-3, np.linspace(0.0, 2.0, 100)
-    table = taus.size * thermal_factors(LevitonParams(gamma, 2.0)).terms * 8
+    # one point at a time, so the peak is about the 100 rows returned
     tracemalloc.start()
     try:
-        fidelity_curve([gamma], taus)
+        fidelity_curve([1e-3], np.linspace(0.0, 2.0, 100))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 512 * 1024 < table / 3
+    assert peak < 64 * 1024

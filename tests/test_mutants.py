@@ -8,7 +8,9 @@ NaN rows check that a non-finite result fails its criterion instead of
 slipping through a `max(worst, x)` or an `x > bound` comparison.
 """
 
+import importlib
 import math
+import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,28 +22,39 @@ import test_leviton
 import test_properties
 import test_protocol
 import test_saw
+import eteleport
 from eteleport import acceptance, circuit, fock, leviton, protocol, saw
 from eteleport.fock import DETECTION_MODES, FockState
 from eteleport.protocol import MeasurementOutcome
 
 
+def _package_caches():
+    """Every `functools.lru_cache` of the package: module-level functions and
+    the methods of its classes."""
+    modules = [
+        importlib.import_module(f"eteleport.{info.name}")
+        for info in pkgutil.iter_modules(eteleport.__path__)
+    ]
+    owners = modules + [
+        value for module in modules for value in vars(module).values() if isinstance(value, type)
+    ]
+    caches = (value for owner in owners for value in vars(owner).values())
+    return list(dict.fromkeys(c for c in caches if callable(getattr(c, "cache_clear", None))))
+
+
+_CACHES = _package_caches()
+
+
 @pytest.fixture(autouse=True)
 def _no_kept_stage():
-    """Every row starts and ends without stage rows, mask tables or a memo
-    entry, so none built under one row's defect serves another row or a
-    later test."""
-    clears = (
-        protocol._form_rows.cache_clear,
-        protocol._point_amplitudes.cache_clear,
-        protocol._outcome_table.cache_clear,
-        protocol._paired_table.cache_clear,
-        protocol._product_masks.cache_clear,
-    )
-    for clear in clears:
-        clear()
+    """Every row starts and ends with every cache of the package empty, so
+    no table built under one row's defect serves another row or a later
+    test."""
+    for cache in _CACHES:
+        cache.cache_clear()
     yield
-    for clear in clears:
-        clear()
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 def _criterion(number):
@@ -155,14 +168,10 @@ def _mask_table_multiplied(monkeypatch):
     monkeypatch.setattr(protocol, "_masses", multiplied)
 
 
-def _grid_brackets_shifted(monkeypatch):
-    # each tau of the fidelity-curve pass reads its neighbour's brackets
-    brackets = leviton._grid_brackets
-
-    def shifted(x):
-        return tuple(np.roll(b, 1, axis=0) for b in brackets(x))
-
-    monkeypatch.setattr(leviton, "_grid_brackets", shifted)
+def _tail_one_harmonic_late(monkeypatch):
+    # the closed-form tail starts one harmonic after the last direct term
+    terms = leviton._tail_terms
+    monkeypatch.setattr(leviton, "_tail_terms", lambda g, tau, first: terms(g, tau, first + 1))
 
 
 def _nan_state(params):
@@ -270,18 +279,18 @@ MUTANTS = [
     ),
     pytest.param(
         _halved(leviton, "_PAIR_SERIES"),
-        test_properties.test_grid_thermal_weights_match_direct_forms,
+        test_leviton.test_thermal_factors_match_a_decimal_oracle,
         id="pair-series-halved-grid",
     ),
     pytest.param(
         _halved(leviton, "_TRIPLE_SERIES"),
-        test_properties.test_grid_thermal_weights_match_direct_forms,
+        test_properties.test_thermal_weights_match_direct_forms,
         id="triple-series-halved-grid",
     ),
     pytest.param(
-        _grid_brackets_shifted,
-        test_leviton.test_fidelity_curve_equals_the_loop,
-        id="grid-brackets-of-neighbouring-tau",
+        _tail_one_harmonic_late,
+        test_leviton.test_thermal_factors_match_a_decimal_oracle,
+        id="tail-one-harmonic-late",
     ),
     pytest.param(
         _replace(leviton, "thermal_factors", _series_fails),

@@ -3,6 +3,7 @@ phase-damping fidelity over random parameters."""
 
 import decimal
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -206,32 +207,19 @@ def test_memo_keeps_no_rejected_point():
             protocol.premeasurement_amplitudes("later", 0.3, 1.2)
 
 
-@settings(max_examples=50, deadline=None)
-@given(signed_zero | unit, signed_zero | angle)
-@example(0.3, -0.0)
-def test_setting_rows_equal_a_launch_at_one_setting(R, phi):
-    # the tomography stage is one evaluation at all three settings; each
-    # row, of a one-point call and of a one-element grid, is the six-mode
-    # launch at that setting alone, within 1e-15 (the linear form rounds
-    # apart from a launch)
-    rows = protocol.premeasurement_amplitudes("tomography", R, phi)
-    fresh = _fresh_launch("tomography", R, phi)
-    for axis, setting in enumerate(protocol.TOMO_SETTINGS.values()):
-        want = _lone_launch("tomography", R, phi, *setting)
-        for got in (rows[axis], fresh[axis]):
-            assert np.max(np.abs(got - want)) <= 1e-15, axis
-
-
 edge_unit = st.sampled_from((0.0, -0.0, 1.0)) | unit
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(edge_unit, signed_zero | angle), min_size=1, max_size=6))
 @example([(1.0, -0.0), (0.0, 0.0), (-0.0, 1.2), (1.0, 0.3)])
+@example([(0.3, -0.0)])
+@example([(0.7, 2.5)])
 def test_linear_form_equals_a_six_mode_launch(points):
     # every stage without arm phases, over a broadcast grid, over its
     # diagonal and at each point, against its six-mode network and the
-    # determinant lift
+    # determinant lift; the tomography stage is one evaluation at all three
+    # settings, and each of its rows is the launch at that setting alone
     R, phi = map(np.array, zip(*points))
     diagonal = np.arange(len(points))
     for stage in circuit.STAGES:
@@ -359,14 +347,25 @@ def test_thermal_weights_match_direct_forms(x):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(0.01, 0.2), min_size=1, max_size=8))
-def test_grid_thermal_weights_match_direct_forms(xs):
-    # the same, through the array brackets of the fidelity-curve pass
-    got_pairs, got_triples = leviton._grid_brackets(np.array(xs))
-    for x, got_pair, got_triple in zip(xs, got_pairs.tolist(), got_triples.tolist()):
-        pair, triple = _direct_thermal_weights(x)
-        assert abs(got_pair - pair) <= 1e-12 * pair
-        assert abs(got_triple - triple) <= 1e-12 * triple
+@given(st.floats(0.01, 1.0), st.just(0.0) | st.floats(0.05, 10.0))
+def test_grid_thermal_weights_match_direct_forms(gamma, tau):
+    # the closed-form tail against the direct forms summed harmonic by
+    # harmonic from its first harmonic, 4 tau (x = n / 2 tau >= 2), on
+    g = 2.0 * math.pi * gamma
+    first = max(1, math.ceil(4.0 * tau))
+    tail = itertools.islice(leviton._tail_terms(g, tau, first), 60)
+    got_pair, got_triple = (math.fsum(terms) for terms in zip(*tail))
+    pairs, triples = [], []
+    n = first
+    while n * math.exp(-2.0 * g * n) > 1e-18 * first * math.exp(-2.0 * g * first):
+        weight = n * math.exp(-2.0 * g * n)
+        pair, triple = _direct_thermal_weights(n / (2.0 * tau)) if tau else (1.0, 1.0)
+        pairs.append(weight * pair)
+        triples.append(weight * triple)
+        n += 1
+    pair, triple = math.fsum(pairs), math.fsum(triples)
+    assert abs(got_pair - pair) <= 1e-12 * pair
+    assert abs(got_triple - triple) <= 1e-12 * triple
 
 
 # --- the left-to-right sum behind every printed probability ---
