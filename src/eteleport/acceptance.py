@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import circuit, fock, leviton, protocol, saw
+from .circuit import ArrayLike
 from .protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, MeasurementOutcome, TeleportParams
 
 
@@ -85,34 +86,49 @@ class Criterion:
 
 
 def reference_network_matrix(
-    R: float, phi: float, Dp: float, theta: float
+    R: ArrayLike, phi: ArrayLike, Dp: ArrayLike, theta: ArrayLike
 ) -> np.ndarray:
-    """Hard-coded transcription of the full six-mode scattering matrix.
+    """Hard-coded transcription of the full six-mode scattering matrix,
+    shape (..., 6, 6) over the broadcast parameters.
 
     Kept independent of the circuit builder on purpose; acceptance
     compares the two entrywise.
     """
+    params = (np.asarray(x, dtype=float) for x in (R, phi, Dp, theta))
+    R, phi, Dp, theta = np.broadcast_arrays(*params)
     D = 1.0 - R
     Rp = 1.0 - Dp
     s = 1.0 / math.sqrt(2.0)
     ep = np.exp(-1j * phi)
     et = np.exp(-1j * theta)
-    rR, rD = math.sqrt(R), math.sqrt(D)
-    rRp, rDp = math.sqrt(Rp), math.sqrt(Dp)
-    return (
-        np.array(
-            [
-                [-s, 1j * s, 0, 0, 1j * rR * ep, rD * ep],
-                [1j * s, s, 0, 0, -rR * ep, 1j * rD * ep],
-                [0, 0, -s, 1j * s, rD, 1j * rR],
-                [0, 0, 1j * s, s, 1j * rD, -rR],
-                [rDp * et, 1j * rDp * et, -1j * rRp, rRp, 0, 0],
-                [-1j * rRp * et, rRp * et, rDp, 1j * rDp, 0, 0],
-            ],
-            dtype=complex,
-        )
-        / math.sqrt(2.0)
-    )
+    rR, rD = np.sqrt(R), np.sqrt(D)
+    rRp, rDp = np.sqrt(Rp), np.sqrt(Dp)
+    times = _unfused_product
+    rows = [
+        [-s, 1j * s, 0, 0, times(1j * rR, ep), times(rD, ep)],
+        [1j * s, s, 0, 0, times(-rR, ep), times(1j * rD, ep)],
+        [0, 0, -s, 1j * s, rD, 1j * rR],
+        [0, 0, 1j * s, s, 1j * rD, -rR],
+        [times(rDp, et), times(1j * rDp, et), -1j * rRp, rRp, 0, 0],
+        [times(-1j * rRp, et), times(rRp, et), rDp, 1j * rDp, 0, 0],
+    ]
+    matrix = np.empty(R.shape + (6, 6), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            matrix[..., i, j] = entry
+    return matrix / math.sqrt(2.0)
+
+
+def _unfused_product(a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    """a * b, complex, elementwise, each real product rounded on its own, as
+    numpy's scalar arithmetic rounds them: its SIMD complex multiply fuses
+    them on hosts with FMA, which gives a product that underflowed the
+    other sign of zero.  A real a is a + 0j, as numpy promotes it."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    product = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
 
 
 _GRID_R = np.linspace(0.0, 1.0, 10)
@@ -144,15 +160,13 @@ def _criterion_teleportation_identity() -> tuple[list[Check], str | None]:
     amps = protocol.premeasurement_amplitudes("detection", rs, phis)
     _, got = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "+"))
     _, flipped = protocol.conditional_qubits(amps, MeasurementOutcome.from_signs("+", "-"))
-    fid_gaps, flip_gaps = [], []
-    for r, phi, qubit, flip in zip(rs, phis, got, flipped):
-        reference = protocol.input_bloch(TeleportParams(r, phi))
-        fid_gaps.append(abs(protocol.jozsa_fidelity(qubit, reference) - 1.0))
-        expected = np.array([-reference[0], -reference[1], reference[2]])
-        flip_gaps.append(np.max(np.abs(flip - expected)))
+    reference = protocol.input_bloch_grid(rs, phis)
+    fid_gap = np.max(np.abs(protocol.jozsa_fidelity(got, reference) - 1.0))
+    # the feed-forward's sigma_z negates x and y
+    flip_gap = np.max(np.abs(flipped - reference * (-1.0, -1.0, 1.0)))
     return [
-        Check("max |fidelity - 1|", float(np.max(fid_gaps)), 1e-10),
-        Check("max sign-flip deviation", float(np.max(flip_gaps)), 1e-10),
+        Check("max |fidelity - 1|", float(fid_gap), 1e-10),
+        Check("max sign-flip deviation", float(flip_gap), 1e-10),
     ], None
 
 
@@ -252,8 +266,7 @@ def _criterion_correlator_table() -> tuple[list[Check], str | None]:
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
     table_gaps, sum_gaps = [], []
     for setting, simulated in leviton.zero_T_tables(rs, phis).items():
-        references = [leviton.reference_correlators(r, phi, setting) for r, phi in zip(rs, phis)]
-        reference = leviton.CorrelatorTable(setting, [table.values for table in references])
+        reference = leviton.reference_correlators(rs, phis, setting)
         table_gaps.append(simulated.max_deviation(reference))
         charge = fock.mass(simulated.values, leviton.CURRENTS)
         sum_gaps.append(np.max(np.abs(charge - 3.0)))
@@ -271,9 +284,7 @@ def _criterion_correlator_reconstruction() -> tuple[list[Check], str | None]:
     pair, triple = factors.pair, factors.triple
     scaled = {s: leviton.finite_T_correlators(t, pair, triple) for s, t in tables.items()}
     bloch_t, _ = leviton.reconstructed_bloch(scaled)
-    reference = np.array(
-        [protocol.input_bloch(TeleportParams(r, phi)) for r, phi in zip(rs, phis)]
-    )
+    reference = protocol.input_bloch_grid(rs, phis)
     expected = reference * np.array([factors.damping, factors.damping, 1.0])
     worst_k = float(np.max(np.abs(np.array(list(norms.values())) - 1.0 / 16.0)))
     return [
@@ -331,7 +342,7 @@ def _criterion_structural() -> tuple[list[Check], str | None]:
         np.linspace(0.0, math.pi, 3),
     )
     built = circuit.teleport_network("tomography", *points).matrix
-    literal = np.array([reference_network_matrix(*point) for point in zip(*points)])
+    literal = reference_network_matrix(*points)
     worst_matrix = float(np.max(np.abs(built - literal)))
     povm_defect = protocol.povm_completeness_defect()
     data_dir = importlib.resources.files("eteleport").joinpath("data")

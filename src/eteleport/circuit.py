@@ -63,6 +63,8 @@ def _all_within(
 
 def _number_within(v: float, *bounds: float) -> bool:
     """`_all_within` for one real number; an array of them is none."""
+    if isinstance(v, (int, float)):  # the common case, kept off np.ndim
+        return _all_within(v, *bounds)
     return np.ndim(v) == 0 and _all_within(v, *bounds)
 
 

@@ -109,11 +109,14 @@ def combination_table(n_modes: int, particle_number: int) -> tuple[np.ndarray, n
 
 def probabilities(amps: np.ndarray) -> np.ndarray:
     """|amplitude|^2 elementwise, for amplitude arrays of any shape."""
-    # scalar abs and power on purpose: numpy's vectorised complex abs and
-    # square round the last bit differently in rare cases, and printed
-    # results are reproduced byte for byte
-    squares = [abs(a) ** 2 for a in np.ravel(amps).tolist()]
-    return np.array(squares, dtype=float).reshape(np.shape(amps))
+    # |a| by np.hypot, which calls libm's hypot as Python's abs of a complex
+    # does, with or without numpy's SIMD dispatch; np.abs of a complex array
+    # does not (its SIMD kernel differs in the last bit for about a third of
+    # random elements), nor does math.hypot.  h * h is correctly rounded,
+    # where h ** 2 goes through libm's pow.
+    amps = np.asarray(amps)
+    h = np.hypot(amps.real, amps.imag)
+    return h * h
 
 
 def mass(probs: np.ndarray, keep: np.ndarray | slice) -> np.ndarray | float:

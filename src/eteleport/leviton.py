@@ -380,18 +380,21 @@ def _zero_T_moments(amps: np.ndarray) -> np.ndarray:
     return occupation_moments(OUTPUT_MODES, 3, amps, KEYS)
 
 
-def reference_correlators(R: float, phi: float, setting: str) -> CorrelatorTable:
-    """Closed-form zero-temperature table for the same keys."""
+def reference_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
+    """Closed-form zero-temperature table for the same keys, one row per
+    point of a broadcast (R, phi) grid."""
     _setting_row(setting)
+    R, phi = np.broadcast_arrays(np.asarray(R, dtype=float), np.asarray(phi, dtype=float))
     D = 1.0 - R
     identity_setting = setting == "Z"  # D' = 1: Bob's splitter is the identity
-    root = math.sqrt(R * D)
-    q_b0 = {
-        "X": root * math.sin(phi) / 16.0,
-        "Y": -root * math.cos(phi) / 16.0,
-        "Z": 0.0,
-    }[setting]
-    entries: dict[tuple[str, ...], float] = {}
+    root = np.sqrt(R * D)
+    if setting == "X":
+        q_b0 = root * np.sin(phi) / 16.0
+    elif setting == "Y":
+        q_b0 = -root * np.cos(phi) / 16.0
+    else:
+        q_b0 = np.zeros_like(R)
+    entries: dict[tuple[str, ...], ArrayLike] = {}
     entries[("A0+",)] = 0.25 + R / 2.0
     entries[("A0-",)] = 0.25 + R / 2.0
     entries[("A1+",)] = 0.25 + D / 2.0
@@ -413,7 +416,10 @@ def reference_correlators(R: float, phi: float, setting: str) -> CorrelatorTable
     entries[("A0+", "A1+", "B1")] = -q_b0
     entries[("A0+", "A0-", "A1+")] = R * D * (R - D) / 8.0
     entries[("A0+", "A1+", "A1-")] = R * D * (D - R) / 8.0
-    return CorrelatorTable(setting, [entries[key] for key in KEYS])
+    values = np.empty(R.shape + (len(KEYS),))
+    for column, key in enumerate(KEYS):
+        values[..., column] = entries[key]
+    return CorrelatorTable(setting, values)
 
 
 def finite_T_correlators(

@@ -179,16 +179,21 @@ def _pure_blochs(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     of amplitudes, shape (k, 3).
 
     The squared norm adds the squares in one fixed order, elementwise; a
-    BLAS `dot` would round it by the host's kernel.
+    BLAS `dot` would round it by the host's kernel.  The coherence v0 v1*
+    and z are real products written out, as an unfused complex multiply
+    forms them: numpy's SIMD complex multiply fuses them on hosts with FMA,
+    where v0 v0* keeps an imaginary part of an ulp's rounding and z moves.
     """
     re0, im0, re1, im1 = c0.real, c0.imag, c1.real, c1.imag
     norm = np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
     if not np.all((0.0 < norm) & (norm < math.inf)):  # NaN fails too
         raise ValueError("qubit amplitudes have no finite nonzero norm")
     v0, v1 = c0 / norm, c1 / norm
-    coherence = v0 * v1.conj()
-    z = (v0 * v0.conj() - v1 * v1.conj()).real
-    return np.stack([2.0 * coherence.real, -2.0 * coherence.imag, z], axis=-1)
+    a0, b0, a1, b1 = v0.real, v0.imag, v1.real, v1.imag
+    x = 2.0 * (a0 * a1 + b0 * b1)
+    y = -2.0 * (b0 * a1 - a0 * b1)
+    z = (a0 * a0 + b0 * b0) - (a1 * a1 + b1 * b1)
+    return np.stack([x, y, z], axis=-1)
 
 
 def input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
@@ -201,24 +206,32 @@ def input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
 
 def input_bloch(params: TeleportParams) -> np.ndarray:
     """Closed-form Bloch vector of the prepared input qubit."""
-    root = 2.0 * math.sqrt(params.R * params.D)
-    return np.array(
-        [root * math.sin(params.phi), -root * math.cos(params.phi), params.R - params.D]
-    )
+    return input_bloch_grid(params.R, params.phi)
 
 
-def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float:
-    """Fidelity of two qubits from their Bloch vectors."""
+def input_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
+    """`input_bloch` at every point of a broadcast (R, phi) grid, shape (..., 3)."""
+    R, phi = np.asarray(R, dtype=float), np.asarray(phi, dtype=float)
+    D = 1.0 - R
+    root = 2.0 * np.sqrt(R * D)
+    components = np.broadcast_arrays(root * np.sin(phi), -root * np.cos(phi), R - D)
+    return np.stack(components, axis=-1)
+
+
+def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float | np.ndarray:
+    """Fidelity of two qubits from their Bloch vectors: a float for two
+    vectors, one per row for (..., 3) stacks, which broadcast together."""
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)
     # products summed left to right, not np.dot, whose rounding depends on
     # the host's BLAS kernel
     n1 = mass(r * r, slice(None))
     n2 = mass(r_prime * r_prime, slice(None))
-    if not (n1 <= 1.0 + 1e-10 and n2 <= 1.0 + 1e-10):  # NaN fails too
+    if not np.all((n1 <= 1.0 + 1e-10) & (n2 <= 1.0 + 1e-10)):  # NaN fails too
         raise ValueError("Bloch vectors must lie in the unit ball")
-    purity_term = math.sqrt(max(0.0, (1.0 - n1) * (1.0 - n2)))
-    return 0.5 * (1.0 + mass(r * r_prime, slice(None)) + purity_term)
+    purity_term = np.sqrt(np.maximum(0.0, (1.0 - n1) * (1.0 - n2)))
+    fidelity = 0.5 * (1.0 + mass(r * r_prime, slice(None)) + purity_term)
+    return fidelity if fidelity.ndim else float(fidelity)
 
 
 def damped_average_fidelity(q: float) -> float:

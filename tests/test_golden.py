@@ -14,7 +14,10 @@ correlators_off_readme.json pins the tomography stage at the same point,
 recorded when that stage became one launch at the three settings.
 ideal_north_pole.csv pins `ideal` at R = 1, where the feed-forward's
 corrected outcomes print the signed zeros -0.0 in bloch_x and bloch_y;
-recorded while Bob's qubit was still stored as a density matrix.
+recorded while Bob's qubit was still stored as a density matrix, and
+re-recorded once when Bob's Bloch components became unfused real products:
+bloch_z of -+ and +- went 0.9999999999999999 -> 1.0, the digits that hosts
+without FMA had printed all along.
 """
 
 import math

@@ -174,6 +174,33 @@ def _tail_one_harmonic_late(monkeypatch):
     monkeypatch.setattr(leviton, "_tail_terms", lambda g, tau, first: terms(g, tau, first + 1))
 
 
+def _probabilities_unsquared(monkeypatch):
+    # |a| in place of |a|^2: the kernel's h * h read as h
+    def unsquared(amps):
+        amps = np.asarray(amps)
+        return np.hypot(amps.real, amps.imag)
+
+    monkeypatch.setattr(fock, "probabilities", unsquared)
+
+
+def _pure_blochs_imaginary_flipped(monkeypatch):
+    # the coherence's imaginary part turns the other way: Bob's y flips
+    pure = protocol._pure_blochs
+    monkeypatch.setattr(protocol, "_pure_blochs", lambda c0, c1: pure(c0.conj(), c1.conj()))
+
+
+def _reference_entry_changed(monkeypatch):
+    # one constant entry of the literal matrix, 1j/2 at (2, 3), flips sign
+    reference = acceptance.reference_network_matrix
+
+    def changed(*params):
+        matrix = reference(*params)
+        matrix[..., 2, 3] *= -1.0
+        return matrix
+
+    monkeypatch.setattr(acceptance, "reference_network_matrix", changed)
+
+
 def _nan_state(params):
     return FockState(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
 
@@ -244,6 +271,15 @@ MUTANTS = [
         test_protocol.test_nan_configuration_reaches_its_outcome_only,
         id="mask-table-multiplied",
     ),
+    pytest.param(
+        _probabilities_unsquared,
+        test_properties.test_probabilities_square_libm_hypot,
+        id="probabilities-unsquared",
+    ),
+    pytest.param(
+        _pure_blochs_imaginary_flipped, _criterion(2), id="pure-bloch-imaginary-flipped-crit02"
+    ),
+    pytest.param(_reference_entry_changed, _criterion(11), id="reference-entry-changed-crit11"),
     pytest.param(
         _replace(protocol, "teleporting_branch", _nan_state),
         _criterion(4),

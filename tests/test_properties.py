@@ -473,3 +473,101 @@ def test_mask_tables_sum_as_their_masks(probs):
             assert got.shape == probs.shape[:-1] + (len(masks),)
             for row, mask in enumerate(masks):
                 _assert_same_sums(got[..., row], fock.mass(probs, mask))
+
+
+# --- the array passes behind verify's grid criteria ---
+
+# signed zeros, subnormals, the largest floats and non-finite values, and
+# floats of any size: |a|^2 must square libm's hypot of every one of them
+square_edge = st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e154, 1.7976931348623157e308, math.inf, math.nan)
+)
+amplitude = st.builds(complex, square_edge | st.floats(), square_edge | st.floats())
+
+
+def _libm_hypot(a: complex) -> float:
+    """libm's hypot of a complex's parts, through Python's abs of a finite one."""
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        # inf if a part is inf, else NaN, as C99 has it; abs would read a
+        # stale errno here and raise after an earlier overflow
+        return math.hypot(a.real, a.imag)
+    try:
+        return abs(a)
+    except OverflowError:  # Python raises where hypot gives inf
+        return math.inf
+
+
+@settings(max_examples=100, deadline=None, report_multiple_bugs=False)
+@given(
+    st.lists(st.integers(1, 3), max_size=2).flatmap(
+        lambda shape: st.lists(amplitude, min_size=math.prod(shape), max_size=math.prod(shape))
+        .map(lambda values: np.array(values).reshape(shape))
+    )
+)
+# libm's pow rounds h ** 2 to 0.7162407488178585 here; h * h is 0.7162407488178584
+@example(np.array([complex(0.5353090084702862, -0.6555036340619459)]))
+# h overflows to inf, then a NaN part after it
+@example(np.array([complex(1.7976931348623157e308, 1e308), complex(0.0, math.nan)]))
+def test_probabilities_square_libm_hypot(amps):
+    # h is Python's abs of a complex, libm's hypot, which np.hypot calls too;
+    # math.hypot is not that function and differs from it in the last bit
+    # for about one element in 200 of normal size
+    want = []
+    for a in amps.ravel().tolist():
+        h = _libm_hypot(a)
+        want.append(h * h)
+    with np.errstate(over="ignore"):
+        got = fock.probabilities(amps)
+        # a real array is squared as a complex one with zero imaginary parts
+        real = fock.probabilities(amps.real)
+        _assert_same_sums(real, fock.probabilities(amps.real + 0j))
+    # NaN compares equal to NaN: libm and numpy may give it another payload
+    _assert_same_sums(got, np.array(want).reshape(amps.shape))
+
+
+bloch_pair = st.tuples(
+    st.tuples(component, component, component), st.tuples(component, component, component)
+).filter(lambda pair: all(math.hypot(*r) <= 1.0 for r in pair))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(bloch_pair, min_size=1, max_size=6))
+@example([((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), ((-0.0, 0.0, 0.0), (0.0, -0.0, 0.0))])
+def test_stacked_fidelities_equal_scalar_calls(pairs):
+    # each row of a stacked call rounds as the scalar call of its two vectors,
+    # which returns a Python float
+    r, r_prime = (np.array(side) for side in zip(*pairs))
+    stacked = protocol.jozsa_fidelity(r, r_prime)
+    assert stacked.shape == (len(pairs),)
+    for row, (a, b) in zip(stacked.tolist(), pairs):
+        single = protocol.jozsa_fidelity(np.array(a), np.array(b))
+        assert type(single) is float
+        assert np.float64(row).tobytes() == np.float64(single).tobytes()
+    broadcast = protocol.jozsa_fidelity(r, r_prime[0])
+    assert broadcast.tobytes() == protocol.jozsa_fidelity(r, r_prime[:1]).tobytes()
+
+
+reference_point = st.tuples(edge_unit, signed_zero | angle, edge_unit, signed_zero | angle)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(reference_point, min_size=1, max_size=5))
+@example([(0.0, -0.0, 1.0, 0.0), (1.0, 0.0, -0.0, -0.0), (-0.0, 2.0 * math.pi, 0.0, math.pi)])
+# sqrt(D') sin(theta) underflows: a fused complex multiply would give -0.0
+@example([(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.144338327935996e-285, 1.144338327935996e-285)])
+def test_broadcast_references_equal_point_calls(points):
+    # the literal matrix, the correlator tables and the input Bloch vectors
+    # over a grid hold, point for point, the bytes of their one-point calls
+    R, phi, Dp, theta = map(np.array, zip(*points))
+    grid = reference_network_matrix(R[:, None], phi[None, :], Dp[:, None], theta[None, :])
+    assert grid.shape == (len(points), len(points), 6, 6)
+    blochs = protocol.input_bloch_grid(R[:, None], phi[None, :])
+    tables = {s: leviton.reference_correlators(R[:, None], phi[None, :], s) for s in "XYZ"}
+    for i, j in itertools.product(range(len(points)), repeat=2):
+        r, p, dp, th = R[i].item(), phi[j].item(), Dp[i].item(), theta[j].item()
+        assert grid[i, j].tobytes() == reference_network_matrix(r, p, dp, th).tobytes()
+        params = TeleportParams(r, p)
+        assert blochs[i, j].tobytes() == protocol.input_bloch(params).tobytes()
+        for setting, table in tables.items():
+            single = leviton.reference_correlators(r, p, setting).values
+            assert table.values[i, j].tobytes() == single.tobytes(), setting
