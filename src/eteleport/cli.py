@@ -191,12 +191,13 @@ def cmd_saw(args) -> int:
 
     rows = []
     for sigma2, samples in zip(grid, saw.fidelity_samples(grid, args.n_states, args.seed)):
+        mean, std = saw._mean_std(samples)
         rows.append(
             {
                 "sigma2": sigma2,
                 "fidelity_analytic": saw.average_fidelity(sigma2),
-                "fidelity_sampled": float(samples.mean()),
-                "stderr": float(samples.std(ddof=1) / math.sqrt(args.n_states)),
+                "fidelity_sampled": mean,
+                "stderr": std / math.sqrt(args.n_states),
                 "n_states": args.n_states,
             }
         )

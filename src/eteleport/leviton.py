@@ -216,8 +216,8 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
     Harmonic n has the weight 4 n sinh^2(g) e^(-2gn), g = 2 pi gamma, times
     its temperature brackets at x = n / 2 tau.  Below the harmonic
     N = ceil(4 tau) (x < 2) the terms are added one by one, and they stop
-    early once the weights of every later harmonic, a bound on what is left
-    since both brackets are at most 1, fall below series_tol of both sums.
+    early once a bound on what every later harmonic adds (`_direct_rest`)
+    falls below series_tol of each sum.
     From N on the rest is closed-form (`_tail_terms`), added until its
     terms fall below series_tol of the sums.  At tau = 0 both brackets are
     exactly 1 and the tail from n = 1 is the unit weight sum.  A series that
@@ -237,8 +237,8 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
         weight = n * scale * decay
         pair_sum += weight * pair_bracket
         triple_sum += weight * triple_bracket
-        # the weights of all n' > n: scale * sum n' r^n' = scale r^n q (n + 1 + q)
-        if scale * decay * q * (n + 1 + q) <= tol * min(pair_sum, triple_sum):
+        pair_rest, triple_rest = _direct_rest(scale * decay * q, n + 1, q, tau)
+        if pair_rest <= tol * pair_sum and triple_rest <= tol * triple_sum:
             return ThermalFactors(pair_sum, triple_sum, _damping(tau, pair_sum, triple_sum), n)
     if first > cap:
         _damping(tau, pair_sum, triple_sum)  # a pair sum that underflowed is the cause
@@ -257,6 +257,27 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
     pair_sum += pair_tail
     triple_sum += triple_tail
     return ThermalFactors(pair_sum, triple_sum, _damping(tau, pair_sum, triple_sum), terms)
+
+
+def _direct_rest(head: float, m: int, q: float, tau: float) -> tuple[float, float]:
+    """Bounds on what the harmonics from m on add to the pair and the triple
+    sum, given head = scale r^(m-1) q.
+
+    Each bracket is at most 1, and below its leading Taylor term: the pair
+    bracket P(x) <= x/3 and the triple bracket T(x) <= 2x^2/15, at
+    x = n / 2 tau.  So the rests are at most scale sum n^k r^n over n >= m,
+    for k = 1, 2 and 3, of which the last two are divided by 6 tau and
+    30 tau^2; the triple sum falls as 1/tau^2, and only the second bounds
+    keep up with it at large tau.  The sums are head times the moments
+    E (m + J)^k of a geometric J with mean q = r / (1 - r): m + q,
+    m^2 + 2mq + q + 2q^2, and m^3 + 3m^2 q + 3m(q + 2q^2) + q + 6q^2 + 6q^3.
+    """
+    q2 = q * q
+    weights = head * (m + q)
+    pair = head * (m * m + 2.0 * m * q + q + 2.0 * q2) / (6.0 * tau)
+    cubic = m * m * m + 3.0 * m * m * q + 3.0 * m * (q + 2.0 * q2) + q + 6.0 * q2 + 6.0 * q2 * q
+    triple = head * cubic / (30.0 * tau * tau)
+    return min(weights, pair), min(weights, triple)
 
 
 def _tail_terms(g: float, tau: float, first: int) -> Iterator[tuple[float, float]]:

@@ -201,29 +201,38 @@ def montecarlo_click_probabilities(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> np.ndarray:
     """Per-sample ++ probability (1/16 under any phase noise) of the run of
-    `montecarlo_entries`; a constant of the run, so nothing is drawn."""
+    `montecarlo_entries`; a constant of the run, so nothing is drawn and
+    the column is a read-only view of one value."""
     n_samples = _integer(n_samples, "n_samples", 1)
     _integer(seed, "seed", 0)
-    return np.full(n_samples, _run_constants(params).p)
+    return np.broadcast_to(_run_constants(params).p, n_samples)
 
 
 def montecarlo_entries(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per sample, Bob's ++-conditional rho00, rho11 and rho01 (rho10 is its
-    conjugate); the populations are constants of the run."""
+    conjugate); the populations are constants of the run, read-only views
+    of one value each.
+
+    Each part of rho01 is (cos * kc + sin * ks) / p, built in place: the
+    real part holds sin * ks.imag until the imaginary part is done, and
+    then the run's sin is scaled in place, so a call holds four columns
+    at most: the run's cos and sin and rho01's two parts.
+    """
     run, (cos, sin) = _drawn_run(params, deph, n_samples, seed)
     n = len(cos)
     rho01 = np.empty(n, dtype=complex)
-    for part, kc, ks in (
-        (rho01.real, run.kc.real, run.ks.real),
-        (rho01.imag, run.kc.imag, run.ks.imag),
-    ):
-        # (cos * kc + sin * ks) / p, in place
-        np.multiply(cos, kc, out=part)
-        part += sin * ks
-        part /= run.p
-    return np.full(n, run.rho00), np.full(n, run.rho11), rho01
+    re, im = rho01.real, rho01.imag
+    np.multiply(sin, run.ks.imag, out=re)
+    np.multiply(cos, run.kc.imag, out=im)
+    im += re
+    im /= run.p
+    sin *= run.ks.real
+    np.multiply(cos, run.kc.real, out=re)
+    re += sin
+    re /= run.p
+    return np.broadcast_to(run.rho00, n), np.broadcast_to(run.rho11, n), rho01
 
 
 def dephased_state_montecarlo(
@@ -262,12 +271,34 @@ def fidelity_samples(
     components by exp(-sigma2/2).  A state's fidelity depends only on its
     z^2, and for a uniform direction |z| is uniform on [0, 1) (Archimedes),
     so each state is one uniform draw u with z^2 = u^2.  Rows are made as
-    they are read.
+    they are read, one allocation each; the generator holds z^2 and
+    1 - z^2 until it is read to its end or dropped.
     """
     n_states = _integer(n_states, "n_states", 1)
     dampings = [_damping(sigma2) for sigma2 in sigma2_values]
-    u = np.random.default_rng(_integer(seed, "seed", 0)).random(n_states)
-    axial = u * u
+    axial = np.random.default_rng(_integer(seed, "seed", 0)).random(n_states)
+    axial *= axial
     transverse = 1.0 - axial
-    # pure inputs: the joint-purity term of the fidelity vanishes
-    return (0.5 * (1.0 + (damping * transverse + axial)) for damping in dampings)
+    return (_fidelity_row(damping, axial, transverse) for damping in dampings)
+
+
+def _fidelity_row(damping: float, axial: np.ndarray, transverse: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + (damping * transverse + axial)) in one allocation; pure
+    inputs, so the joint-purity term of the fidelity vanishes."""
+    row = np.multiply(transverse, damping)
+    row += axial
+    row += 1.0
+    row *= 0.5
+    return row
+
+
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """The mean and standard deviation (ddof 1) of a sample of n >= 2 from
+    one sum and one deviation buffer; bit for bit `x.mean()` and
+    `x.std(ddof=1)`, which reduce x, then x less that mean squared, with
+    the same ufuncs."""
+    n = len(x)
+    mean = float(np.add.reduce(x)) / n
+    deviations = np.subtract(x, mean)
+    np.square(deviations, out=deviations)
+    return mean, math.sqrt(float(np.add.reduce(deviations)) / (n - 1))

@@ -118,11 +118,14 @@ _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
 
 
 def _decimal_factors(gamma, tau):
-    """Both thermal factors summed harmonic by harmonic in 40-digit decimal
-    arithmetic, coth built from exp, until the weights left (each bracket is
-    at most 1) are below 1e-20 of the triple sum."""
+    """Both thermal factors summed harmonic by harmonic in decimal arithmetic
+    of 40 digits beyond the brackets' cancellation, coth built from exp,
+    until the weights left (each bracket is at most 1) are below 1e-20 of
+    the triple sum."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 40
+        # at n = 1, 1 - e^(-2x) loses log10(2 tau) digits and the triple
+        # bracket's cancellation four times as many
+        ctx.prec = 40 + 5 * max(0, math.ceil(math.log10(2.0 * tau))) if tau else 40
         g = 2 * _PI * decimal.Decimal(gamma)
         r = (-2 * g).exp()
         scale = (g.exp() - (-g).exp()) ** 2  # 4 sinh^2 g
@@ -152,6 +155,7 @@ def _decimal_factors(gamma, tau):
 @example(leviton.GAMMA_MIN, 0.0, 1e-12)
 @example(0.02, 0.5, 1e-300)  # the tail's k terms run until they underflow
 @example(0.05, 40.0, 1e-12)  # the low harmonics take both brackets' series branches
+@example(0.05, 1e25, 1e-12)  # the triple sum falls as 1/tau^2; the direct loop stops in the cap
 def test_thermal_factors_match_a_decimal_oracle(gamma, tau, series_tol):
     # within 10 series_tol of the sums, and of their rounding where the
     # tolerance is below it
@@ -160,6 +164,38 @@ def test_thermal_factors_match_a_decimal_oracle(gamma, tau, series_tol):
     pair, triple = _decimal_factors(gamma, tau)
     assert abs(factors.pair - pair) <= bound * pair
     assert abs(factors.triple - triple) <= bound * triple
+
+
+def _decimal_brackets(x):
+    """The pair bracket coth x - 1/x and the triple bracket
+    coth^2 + csch^2/2 - 3 coth/(2x) at the float x > 0, each with its
+    leading Taylor term x/3 or 2x^2/15, in decimal arithmetic.  Below
+    x = 1 they lose log10(1/x) digits in 1 - e^(-2x), and the triple four
+    times as many in its cancellation; they lie below x/3 and 2x^2/15 by
+    about x^2/15 and x^2/7 of those, so the precision is 40 digits beyond
+    7 log10(1/x)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + 7 * max(0, math.ceil(-math.log10(x)))
+        d = decimal.Decimal(x)
+        t = (-2 * d).exp()
+        coth = (1 + t) / (1 - t)
+        pair = coth - 1 / d
+        triple = coth * coth + (coth * coth - 1) / 2 - 3 * coth / (2 * d)
+        return (pair, d / 3), (triple, 2 * d * d / 15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1e4, exclude_min=True))
+@example(5e-324)
+@example(1e-25)
+@example(0.05)
+@example(0.25)
+@example(2.0)
+def test_brackets_lie_below_their_leading_terms(x):
+    # the direct loop's stop bounds every later harmonic's brackets by
+    # P(x) <= x/3 and T(x) <= 2x^2/15 (and by 1); both vanish at x = 0
+    for bracket, leading in _decimal_brackets(x):
+        assert 0 < bracket <= leading and bracket < 1
 
 
 def test_numpy_scalar_parameters_are_stored_as_floats():
@@ -374,7 +410,8 @@ curve_taus = st.lists(
 @example([0.02], [0.5], 1e-300)  # the tail's k terms run until they underflow
 @example([0.05], [0.3, 1e308], 1e-12)  # the pair sum underflows
 @example([0.02], [1000.0, -1.0], 1e-300)  # a rejected tau after a point that does not converge
-@example([0.05], [1e150], 1e-12)  # the term cap, as the triple sum is about 1e-301
+@example([0.05], [1e150], 1e-12)  # a triple sum of about 1e-301, stopped by the brackets' bounds
+@example([0.05], [1e200], 1e-12)  # the triple sum underflows to 0
 @example([0.03], np.linspace(0.0, 2.0, 24).tolist(), 1e-12)
 def test_fidelity_curve_equals_the_loop(gammas, taus, series_tol):
     try:

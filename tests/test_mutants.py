@@ -8,7 +8,9 @@ NaN rows check that a non-finite result fails its criterion instead of
 slipping through a `max(worst, x)` or an `x > bound` comparison.
 """
 
+import contextlib
 import importlib
+import io
 import math
 import pkgutil
 from types import SimpleNamespace
@@ -18,6 +20,7 @@ import pytest
 
 import test_circuit
 import test_fock
+import test_golden
 import test_leviton
 import test_properties
 import test_protocol
@@ -65,6 +68,25 @@ def _criterion(number):
     return target
 
 
+def _golden(out_file):
+    """`test_golden`'s byte-identity test of one README golden, its output
+    captured here in place of the capsys fixture."""
+    argv, _, err_file = next(case for case in test_golden.CASES if case[1] == out_file)
+
+    def target():
+        out, err = io.StringIO(), io.StringIO()
+        captured = SimpleNamespace(
+            readouterr=lambda: SimpleNamespace(out=out.getvalue(), err=err.getvalue())
+        )
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.MonkeyPatch.context() as patch:
+                test_golden.test_readme_output_is_byte_identical(
+                    argv, out_file, err_file, captured, patch
+                )
+
+    return target
+
+
 def _replace(owner, name, stand_in):
     def apply(monkeypatch):
         monkeypatch.setattr(owner, name, stand_in)
@@ -100,6 +122,25 @@ def _run_sine_flipped(monkeypatch):
         return run._replace(ks=-run.ks)
 
     monkeypatch.setattr(saw, "_run_constants", flipped)
+
+
+def _sin_scaled_before_imaginary_part(monkeypatch):
+    # montecarlo_entries scales the run's sin in place for the real part
+    # before the imaginary part has read it
+    def scaled_early(params, deph, n_samples, seed):
+        run, (cos, sin) = saw._drawn_run(params, deph, n_samples, seed)
+        rho01 = np.empty(len(cos), dtype=complex)
+        sin *= run.ks.real
+        np.multiply(cos, run.kc.real, out=rho01.real)
+        rho01.real += sin
+        rho01.real /= run.p
+        np.multiply(cos, run.kc.imag, out=rho01.imag)
+        rho01.imag += sin * run.ks.imag
+        rho01.imag /= run.p
+        n = len(cos)
+        return np.broadcast_to(run.rho00, n), np.broadcast_to(run.rho11, n), rho01
+
+    monkeypatch.setattr(saw, "montecarlo_entries", scaled_early)
 
 
 def _pp_reads_a0_minus(monkeypatch):
@@ -219,6 +260,17 @@ MUTANTS = [
         _draws_mapped(np.negative),
         test_saw.test_fast_path_matches_full_simulation,
         id="mc-phase-sign-flipped",
+    ),
+    pytest.param(
+        # the sample spread divided by n, not n - 1: saw.csv's stderr moves
+        _replace(saw, "_mean_std", lambda x: (float(x.mean()), float(x.std()))),
+        _golden("saw.csv"),
+        id="mean-std-ddof-zero",
+    ),
+    pytest.param(
+        _sin_scaled_before_imaginary_part,
+        test_saw.test_montecarlo_routes_equal_the_written_out_expressions,
+        id="mc-sin-overwritten-early",
     ),
     pytest.param(
         _run_sine_flipped,

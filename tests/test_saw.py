@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from eteleport import circuit, fock, protocol, saw
+from eteleport import acceptance, circuit, fock, protocol, saw
 from eteleport.protocol import MeasurementOutcome, TeleportParams, jozsa_fidelity
 from eteleport.saw import (
     ARM_WIRES,
@@ -397,3 +400,150 @@ def test_sampled_fidelity_rejects_non_integer_seed(seed):
         fidelity_samples([1.0], 5, seed)
     numpy_seeded = next(fidelity_samples([1.0], 5, np.int64(4)))
     assert np.array_equal(numpy_seeded, next(fidelity_samples([1.0], 5, 4)))
+
+
+# --- memory and bytes of the Monte Carlo routes ---
+
+def _full_array_entries(params, deph, n, seed):
+    """rho00, rho11 and rho01 as full arrays, written out as
+    (cos * kc + sin * ks) / p per part from the run's draws."""
+    run = saw._run_constants(params)
+    draws = saw._sample_phases(deph, n, seed)
+    cos, sin = np.cos(draws), np.sin(draws)
+    rho01 = np.empty(n, dtype=complex)
+    rho01.real = (cos * run.kc.real + sin * run.ks.real) / run.p
+    rho01.imag = (cos * run.kc.imag + sin * run.ks.imag) / run.p
+    return np.full(n, run.rho00), np.full(n, run.rho11), rho01
+
+
+def _full_array_fidelity_rows(sigma2_values, n, seed):
+    u = np.random.default_rng(seed).random(n)
+    axial = u * u
+    transverse = 1.0 - axial
+    dampings = [math.exp(-sigma2 / 2.0) for sigma2 in sigma2_values]
+    return tuple(0.5 * (1.0 + (damping * transverse + axial)) for damping in dampings)
+
+
+R_VALUES = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+SIGMA2_VALUES = st.just(0.0) | st.floats(0.0, 5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    R_VALUES,
+    st.floats(-10.0, 10.0),
+    st.lists(SIGMA2_VALUES, min_size=6, max_size=6),
+    st.integers(1, 3000),
+    st.integers(0, 2**32),
+)
+@example(0.3, 1.2, [1.0 / 6.0] * 6, 2000, 77)
+@example(0.0, 0.4, [0.0] * 6, 50, 1)
+@example(1.0, 2.0, [0.5] * 6, 8195, 12345)
+def test_montecarlo_routes_equal_the_written_out_expressions(R, phi, variances, n, seed):
+    # every Monte Carlo entry point and the sampled fidelities, byte for
+    # byte, against the full-array expressions they compute in place
+    params, deph = TeleportParams(R, phi), DephasingParams(variances)
+    want = _full_array_entries(params, deph, n, seed)
+    assert _bytes(saw.montecarlo_entries(params, deph, n, seed)) == _bytes(want)
+    clicks = saw.montecarlo_click_probabilities(params, deph, n, seed)
+    assert _bytes(clicks) == _bytes(np.full(n, saw._run_constants(params).p))
+    draws = saw._sample_phases(deph, n, seed)
+    trig = np.array([np.cos(draws), np.sin(draws)])
+    state = saw._run_state(saw._run_constants(params), *trig.mean(axis=1).tolist())
+    assert _bytes(dephased_state_montecarlo(params, deph, n, seed)) == _bytes(state)
+    sigma2_values = [math.fsum(variances), 0.0, 2.0 * math.log(2.0)]
+    rows = tuple(fidelity_samples(sigma2_values, n, seed))
+    assert _bytes(rows) == _bytes(_full_array_fidelity_rows(sigma2_values, n, seed))
+
+
+@pytest.mark.parametrize("params", [PARAMS, TeleportParams(0.0, 0.4), TeleportParams(1.0, 2.0)])
+def test_constant_columns_are_read_only_views(params):
+    deph = DephasingParams.from_total(1.0)
+    run = saw._run_constants(params)
+    rho00, rho11, rho01 = saw.montecarlo_entries(params, deph, 300, 4)
+    clicks = saw.montecarlo_click_probabilities(params, deph, 300, 4)
+    for column, value in ((rho00, run.rho00), (rho11, run.rho11), (clicks, run.p)):
+        assert not column.flags.writeable
+        assert column.tobytes() == np.full(300, value).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.5
+    rho01[0] = 0.5  # the sampled column is the caller's own
+
+
+SAMPLE_VALUES = st.floats(-1e150, 1e150) | st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e150)
+)
+
+
+def _float_arrays(n):
+    return hnp.arrays(np.float64, n, elements=SAMPLE_VALUES)
+
+
+@st.composite
+def samples(draw):
+    """A sample of n >= 2 float64 values: contiguous, a complex array's
+    real or imaginary part (stride 16), a strided slice, or one value
+    broadcast with stride 0; values span +-0.0, subnormals and 1e150,
+    whose squared deviations still sum without overflow."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(("contiguous", "real", "imag", "strided", "broadcast", "constant")))
+    if kind == "broadcast":
+        return np.broadcast_to(draw(_float_arrays(1))[0], n)
+    if kind == "constant":
+        return np.full(n, draw(_float_arrays(1))[0])
+    values = draw(_float_arrays(n))
+    if kind in ("real", "imag"):
+        z = np.empty(n, dtype=complex)
+        z.real, z.imag = values, draw(_float_arrays(n))
+        return getattr(z, kind)
+    if kind == "strided":
+        return np.repeat(values, 3)[::3]
+    return values
+
+
+def _numpy_moments(x):
+    return x.mean().tobytes(), x.std(ddof=1).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples())
+@example(np.array([-0.0, -0.0]))
+@example(np.array([5e-324, -5e-324, 5e-324]))
+@example(np.broadcast_to(1.0 / 16.0, 2))
+def test_mean_std_equals_numpy_in_bytes(x):
+    mean, std = saw._mean_std(x)
+    assert (np.float64(mean).tobytes(), np.float64(std).tobytes()) == _numpy_moments(x)
+
+
+@pytest.mark.parametrize("n", [8195, 100_000])
+def test_mean_std_equals_numpy_on_long_columns(n):
+    # past numpy's 8192-element buffer: a complex part, a broadcast value,
+    # and a contiguous row of criterion 6's draws
+    rho01 = saw.montecarlo_entries(PARAMS, DephasingParams.from_total(1.0), n, 77)[2]
+    row = next(fidelity_samples([1.0], n, 20260809))
+    for x in (rho01.real, rho01.imag, np.broadcast_to(0.3, n), row):
+        mean, std = saw._mean_std(x)
+        assert (np.float64(mean).tobytes(), np.float64(std).tobytes()) == _numpy_moments(x)
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of one call, after one untraced warm-up call
+    has built the package's caches; numpy reports its data buffers."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_montecarlo_memory_stays_at_four_columns():
+    # four 100 000-sample float64 columns are 3.2 MB, the most a Monte Carlo
+    # route keeps alive at once: constant columns are views, and rho01 is
+    # built inside its own parts
+    criterion = acceptance.ALL_CRITERIA[5]
+    assert criterion.number == 6
+    assert _traced_peak(criterion.run) <= 3_300_000
+    deph = DephasingParams.from_total(1.0)
+    assert _traced_peak(lambda: saw.montecarlo_entries(PARAMS, deph, 100_000, 77)) <= 3_300_000
