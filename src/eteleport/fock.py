@@ -125,8 +125,10 @@ def mass(probs: np.ndarray, keep: np.ndarray | slice) -> np.ndarray | float:
     `keep` may be an index table: each row of it is then summed on its own."""
     # added left to right, not pairwise, so printed results keep their digits:
     # accumulate is sequential by definition, and the trailing 0.0 is the
-    # start of the sum, which turns a sum of -0.0 terms into +0.0
-    kept = probs[..., keep]
+    # start of the sum, which turns a sum of -0.0 terms into +0.0.  A 1-D
+    # array is gathered without the Ellipsis, the same elements in the same
+    # order at a fraction of numpy's cost per call
+    kept = probs[keep] if probs.ndim == 1 else probs[..., keep]
     if kept.ndim == 1:
         return functools.reduce(operator.add, kept.tolist(), 0.0)
     if kept.shape[-1] == 0:

@@ -11,6 +11,7 @@ third-order correlators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -36,7 +37,16 @@ KEYS = (
     ("A0+", "A0-", "A1+"), ("A0+", "A1+", "A1-"), ("A0+", "A1+", "B0"), ("A0+", "A1+", "B1"),
 )
 CURRENTS = slice(0, len(DETECTORS))
-_COLUMNS = {key: column for column, key in enumerate(KEYS)}
+# every order of each key's labels, so a read sorts nothing
+_COLUMNS = {
+    labels: column
+    for column, key in enumerate(KEYS)
+    for labels in itertools.permutations(key)
+}
+# each column's kind, 0 for I, 1 for P and 2 for Q: its entry of a
+# (1, pair factor, triple factor) row
+_KINDS = np.array([len(key) - 1 for key in KEYS])
+_KINDS.flags.writeable = False
 
 
 GAMMA_MIN = 1e-4
@@ -357,7 +367,7 @@ class CorrelatorTable:
         object.__setattr__(self, "values", values)
 
     def _column(self, labels: tuple[str, ...]) -> np.ndarray:
-        return self.values[..., _COLUMNS[tuple(sorted(labels))]]
+        return self.values[..., _COLUMNS[labels]]
 
     def current(self, a: str) -> np.ndarray:
         return self._column((a,))
@@ -450,7 +460,7 @@ def finite_T_correlators(
     for name, value in (("pair", pair_factor), ("triple", triple_factor)):
         if not (_number_within(value, 0.0, 1.0) and value > 0.0):
             raise ValueError(f"{name} factor must lie in (0, 1], got {value}")
-    factors = np.array([(1.0, pair_factor, triple_factor)[len(key) - 1] for key in KEYS])
+    factors = np.array((1.0, pair_factor, triple_factor))[_KINDS]
     return CorrelatorTable(table.setting, table.values * factors)
 
 

@@ -149,10 +149,16 @@ class QubitState:
     bloch: np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.bloch) != (3,) or not circuit._all_within(self.bloch):
+        # checked on its three values as Python floats: the same IEEE
+        # operations as numpy's on a (3,) array, without its cost per call
+        given = np.asarray(self.bloch)
+        if given.shape != (3,) or given.dtype.kind not in "iuf":
             raise ValueError(f"a Bloch vector is three finite reals, got {self.bloch!r}")
-        bloch = np.array(self.bloch, dtype=float)
-        _check_unit_ball(bloch)
+        bloch = given.astype(float)
+        components = bloch.tolist()
+        if not all(map(math.isfinite, components)):
+            raise ValueError(f"a Bloch vector is three finite reals, got {self.bloch!r}")
+        _check_unit_ball(components)
         bloch.flags.writeable = False
         object.__setattr__(self, "bloch", bloch)
 
@@ -165,12 +171,20 @@ class QubitState:
         return np.array([[0.5 + z / 2.0, coherence], [coherence.conjugate(), 0.5 - z / 2.0]])
 
 
-def _check_unit_ball(bloch: np.ndarray) -> None:
-    """Reject a Bloch vector, or any row of a (k, 3) stack, of length above
-    1 + 2e-12: the bound of a Hermitian unit-trace 2x2 whose eigenvalues
-    (1 +- |b|)/2 stay above -1e-12.  NaN fails too."""
-    x, y, z = bloch.T
-    if not (np.sqrt(x * x + y * y + z * z) <= 1.0 + 2e-12).all():
+def _check_unit_ball(bloch: np.ndarray | list[float]) -> None:
+    """Reject a Bloch vector given as a list of three floats, or any row of a
+    (k, 3) stack, of length above 1 + 2e-12: the bound of a Hermitian
+    unit-trace 2x2 whose eigenvalues (1 +- |b|)/2 stay above -1e-12.  NaN
+    fails too.  Both paths square, add left to right and take a correctly
+    rounded root, so a vector passes alone exactly when it passes as a row."""
+    bound = 1.0 + 2e-12
+    if isinstance(bloch, np.ndarray):
+        x, y, z = bloch.T
+        inside = (np.sqrt(x * x + y * y + z * z) <= bound).all()
+    else:
+        x, y, z = bloch
+        inside = math.sqrt(x * x + y * y + z * z) <= bound
+    if not inside:
         raise ValueError("Bloch vector leaves the unit ball")
 
 

@@ -198,6 +198,27 @@ def _mass_summed_pairwise(monkeypatch):
     monkeypatch.setattr(fock, "mass", pairwise)
 
 
+def _mass_gathers_first_axis(monkeypatch):
+    # an N-D array gathered as probs[keep], the 1-D path, which indexes its
+    # first axis, not its last
+    left_to_right = fock.mass
+    monkeypatch.setattr(fock, "mass", lambda probs, keep: left_to_right(probs[keep], slice(None)))
+
+
+def _one_vector_bound_loosened(monkeypatch):
+    # one vector is held to 1 + 2e-11, ten times the bound; a stack keeps it
+    check = protocol._check_unit_ball
+
+    def loosened(bloch):
+        if isinstance(bloch, np.ndarray):
+            return check(bloch)
+        x, y, z = bloch
+        if not math.sqrt(x * x + y * y + z * z) <= 1.0 + 2e-11:
+            raise ValueError("Bloch vector leaves the unit ball")
+
+    monkeypatch.setattr(protocol, "_check_unit_ball", loosened)
+
+
 def _mask_table_multiplied(monkeypatch):
     # each table row's mass as a product with its 0/1 mask, not a gather: a
     # NaN of an excluded configuration turns every mass into NaN
@@ -317,6 +338,16 @@ MUTANTS = [
         _mass_summed_pairwise,
         test_properties.test_mass_adds_left_to_right,
         id="mass-summed-pairwise",
+    ),
+    pytest.param(
+        _mass_gathers_first_axis,
+        test_properties.test_mass_adds_left_to_right,
+        id="mass-gathers-first-axis",
+    ),
+    pytest.param(
+        _one_vector_bound_loosened,
+        test_properties.test_one_vector_unit_ball_matches_the_stack,
+        id="one-vector-bound-loosened",
     ),
     pytest.param(
         _mask_table_multiplied,

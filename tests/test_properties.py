@@ -436,11 +436,64 @@ def _assert_same_sums(got, want):
 # -0.0 terms alone sum to +0.0, as they do from a start of 0.0
 @example((np.array([[-0.0, -0.0]]), slice(None)))
 @example((np.array([complex(-0.0, -0.0)] * 3), np.array([[0, 1, 2]])))
+# the two 1-D gathers: a mask, whose NaN and inf stay out of its sum, and an
+# index table over a complex array, one sum per row
+@example((np.array([math.nan, 0.25, -0.0, math.inf, 0.5]), np.array([0, 1, 1, 0, 1], dtype=bool)))
+@example((np.array([1j, 2.0, -0.0 - 0.0j, 3.0 + 0.5j]), np.array([[0, 2], [1, 3], [3, 3]])))
+# a square array, whose mask also fits its first axis: a gather of rows
+# sums the wrong entries, and raises nothing
+@example((np.array([[1.0, 2.0], [4.0, 8.0]]), np.array([True, False])))
 @example((np.zeros((2, 3), dtype=complex), np.zeros(3, dtype=bool)))
 def test_mass_adds_left_to_right(case):
     probs, keep = case
     with np.errstate(all="ignore"):  # inf - inf and overflow, in both sums
         _assert_same_sums(fock.mass(probs, keep), _left_to_right(probs, keep))
+
+
+# --- the one unit-ball bound, for one vector and for a stack ---
+
+_UNIT_BALL_BOUND = 1.0 + 2e-12
+
+
+@st.composite
+def bloch_vectors(draw):
+    """Three components as drawn (NaN, infinities, signed zeros, subnormals
+    and floats of any size among them), or scaled to a length within a few
+    ulps of the unit-ball bound."""
+    b = np.array(draw(st.tuples(real, real, real)))
+    norm = math.hypot(*b.tolist())
+    if draw(st.booleans()) and 0.0 < norm < math.inf:
+        target = _UNIT_BALL_BOUND + draw(st.integers(-4, 4)) * math.ulp(_UNIT_BALL_BOUND)
+        b = b / norm * target
+    return b
+
+
+def _accepted(check, b) -> bool:
+    try:
+        check(b)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(bloch_vectors())
+@example(np.array([0.0, 0.0, _UNIT_BALL_BOUND]))
+@example(np.array([0.0, -0.0, math.nextafter(_UNIT_BALL_BOUND, 2.0)]))
+@example(np.array([-0.0, 5e-324, -1.0]))
+@example(np.array([math.nan, 0.0, 0.0]))
+@example(np.array([0.0, -math.inf, 0.0]))
+def test_one_vector_unit_ball_matches_the_stack(b):
+    # a QubitState checks its vector in Python floats, `conditional_qubits`
+    # its rows as one array: the same bound and the same IEEE operations, so
+    # a vector passes alone exactly when it passes as a row
+    with np.errstate(all="ignore"):  # squares that overflow, in the stack
+        stacked = _accepted(protocol._check_unit_ball, b[None])
+    for given_as in (b, b.tolist()):
+        assert _accepted(protocol.QubitState, given_as) == stacked
+    if stacked:
+        kept = protocol.QubitState(b).bloch
+        assert kept.tobytes() == np.array(b, dtype=float).tobytes()  # signed zeros too
 
 
 def _ratio_masks():

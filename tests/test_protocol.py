@@ -361,6 +361,9 @@ def test_qubit_state_rejects_bad_matrices():
         [math.nan, 0.0, 0.0],
         [0.0, 0.0, 1.0 + 1e-11],
         [0.6, 0.8, 1e-5],
+        np.array([False, False, True]),
+        [0.0, -math.inf, 0.0],
+        None,
     ):
         with pytest.raises(ValueError):
             QubitState(bad)
