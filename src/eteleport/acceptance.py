@@ -103,7 +103,7 @@ def reference_network_matrix(
     et = np.exp(-1j * theta)
     rR, rD = np.sqrt(R), np.sqrt(D)
     rRp, rDp = np.sqrt(Rp), np.sqrt(Dp)
-    times = _unfused_product
+    times = fock._unfused_product
     rows = [
         [-s, 1j * s, 0, 0, times(1j * rR, ep), times(rD, ep)],
         [1j * s, s, 0, 0, times(-rR, ep), times(1j * rD, ep)],
@@ -117,18 +117,6 @@ def reference_network_matrix(
         for j, entry in enumerate(row):
             matrix[..., i, j] = entry
     return matrix / math.sqrt(2.0)
-
-
-def _unfused_product(a: ArrayLike, b: ArrayLike) -> np.ndarray:
-    """a * b, complex, elementwise, each real product rounded on its own, as
-    numpy's scalar arithmetic rounds them: its SIMD complex multiply fuses
-    them on hosts with FMA, which gives a product that underflowed the
-    other sign of zero.  A real a is a + 0j, as numpy promotes it."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    product = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    product.real = a.real * b.real - a.imag * b.imag
-    product.imag = a.real * b.imag + a.imag * b.real
-    return product
 
 
 _GRID_R = np.linspace(0.0, 1.0, 10)

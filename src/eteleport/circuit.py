@@ -246,27 +246,21 @@ def teleport_layers(
     application order.
 
     prep: the two symmetric source splitters and the input-qubit splitter;
-    phase: one phase shift per arm listed in `arm_phases` (possibly none);
-    alice: her two Bell-measurement splitters; tomo: Bob's splitter.
+    phase: one phase shift per arm listed in `arm_phases` (possibly none),
+    in ARM_WIRES order; alice: her two Bell-measurement splitters; tomo:
+    Bob's splitter.  An unknown arm, or a phase that is not finite and
+    real, is a ValueError.
     """
-    phase = _phase_layer(arm_phases)
-    return {
-        "prep": _SOURCE_SPLITTERS + (prep_splitter("A0p", "A1p", reflection, phi),),
-        "phase": phase,
-        "alice": _ALICE_SPLITTERS,
-        "tomo": (tomo_splitter("B0p", "B1p", transmission, theta),),
-    }
-
-
-def _phase_layer(arm_phases: Mapping[str, ArrayLike] | None) -> tuple[ElementSpec, ...]:
-    """One phase shift per arm listed in `arm_phases`, in ARM_WIRES order:
-    the network's checks of the arms and their phases.  An unknown arm, or a
-    phase that is not finite and real, is a ValueError."""
     arm_phases = arm_phases or {}
     unknown = set(arm_phases) - set(ARM_WIRES)
     if unknown:
         raise ValueError(f"unknown dephasing arms {sorted(unknown)}")
-    return tuple(phase_shift(a, arm_phases[a]) for a in ARM_WIRES if a in arm_phases)
+    return {
+        "prep": _SOURCE_SPLITTERS + (prep_splitter("A0p", "A1p", reflection, phi),),
+        "phase": tuple(phase_shift(a, arm_phases[a]) for a in ARM_WIRES if a in arm_phases),
+        "alice": _ALICE_SPLITTERS,
+        "tomo": (tomo_splitter("B0p", "B1p", transmission, theta),),
+    }
 
 
 def stage_labels(wires: tuple[str, ...], names: tuple[str, ...]) -> tuple[str, ...]:

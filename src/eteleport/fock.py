@@ -136,6 +136,19 @@ def mass(probs: np.ndarray, keep: np.ndarray | slice) -> np.ndarray | float:
     return np.add.accumulate(kept, axis=-1)[..., -1] + 0.0
 
 
+def _unfused_product(a: np.ndarray | complex, b: np.ndarray | complex) -> np.ndarray:
+    """a * b, complex, elementwise, each real product rounded on its own, as
+    numpy's scalar loop rounds them (a real a is a + 0j): its SIMD complex
+    multiply fuses them on hosts with FMA, so its bytes follow the host."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    real, imag = a.real * b.real, a.real * b.imag
+    real -= a.imag * b.imag
+    imag += a.imag * b.real
+    product = np.empty(real.shape, dtype=complex)
+    product.real, product.imag = real, imag
+    return product
+
+
 def _reorder_sign(indices: Sequence[int]) -> int:
     """Sign of the permutation that sorts a distinct index sequence ascending."""
     inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])

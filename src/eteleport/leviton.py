@@ -20,7 +20,7 @@ import numpy as np
 
 from . import protocol
 from .circuit import ArrayLike, _integer, _number_within
-from .fock import OUTPUT_MODES, mass, occupation_moments
+from .fock import OUTPUT_MODES, _unfused_product, mass, occupation_moments
 from .protocol import damped_average_fidelity
 
 DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
@@ -135,12 +135,10 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
     q = math.exp(-2.0 * math.pi * gamma)
     phase_factor = (q * z - 1.0) / (z - q)
     wave = np.exp(2j * np.pi * np.outer(n_values, t))
-    # each complex product written out in real arithmetic, then added left
-    # to right over the grid: a BLAS product rounds as the host's BLAS
-    # kernel does, and numpy's complex multiply fuses on hosts with FMA
-    real = wave.real * phase_factor.real - wave.imag * phase_factor.imag
-    imag = wave.real * phase_factor.imag + wave.imag * phase_factor.real
-    return mass(real + 1j * imag, slice(None)) / n_grid
+    # each complex product unfused, then added left to right over the grid:
+    # a BLAS product rounds as the host's BLAS kernel does, and numpy's
+    # complex multiply fuses on hosts with FMA
+    return mass(_unfused_product(wave, phase_factor), slice(None)) / n_grid
 
 
 def photoassist_weight_sum(gamma: float) -> float:

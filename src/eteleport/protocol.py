@@ -8,8 +8,9 @@ conditional states are computed exactly from the Fock simulation.
 amplitudes, at a grid of points or at one.  Only the S_psi electron passes
 the input-qubit splitter and a Slater determinant is linear in each column,
 so a stage is c0 * X + c1 * Y, two rows built once from the network.  Arm
-phases reach Bob's state only through `saw.combined_phase`, so fixed arm
-phases read the constants of a Monte Carlo run and launch no network.
+phases reach Bob's state only through `saw.combined_phase`, which turns
+his ++ qubit about z: fixed arm phases turn the point's ++ conditional, as
+a Monte Carlo run does, and launch no network of their own.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .fock import (
     combination_table,
     create_sources,
     _pruned,
+    _unfused_product,
     lift_amplitudes,
     lift_matrix,
     mass,
@@ -134,10 +136,9 @@ _SETTINGS.flags.writeable = False
 _Z_ROW = list(TOMO_SETTINGS).index("Z")
 
 # One-point entries kept by `premeasurement_amplitudes`.  A point's run, its
-# four conditionals, its Bloch vector and its correlator tables all read
-# one entry, the three tomography settings, which keeps the results derived
-# from them; its state with arm phases reads the preparation stage's, as a
-# Monte Carlo run does.
+# four conditionals, its Bloch vector, its correlator tables, its state with
+# arm phases and the constants of its Monte Carlo runs all read one entry,
+# the three tomography settings, which keeps the results derived from them.
 _POINT_MEMO_SIZE = 1
 
 
@@ -193,21 +194,19 @@ def _pure_blochs(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     of amplitudes, shape (k, 3).
 
     The squared norm adds the squares in one fixed order, elementwise; a
-    BLAS `dot` would round it by the host's kernel.  The coherence v0 v1*
-    and z are real products written out, as an unfused complex multiply
-    forms them: numpy's SIMD complex multiply fuses them on hosts with FMA,
-    where v0 v0* keeps an imaginary part of an ulp's rounding and z moves.
+    BLAS `dot` would round it by the host's kernel.  The coherence v0 v1* is
+    an unfused complex product and z its real products written out: numpy's
+    SIMD complex multiply fuses them on hosts with FMA, where v0 v0* keeps
+    an imaginary part of an ulp's rounding and z moves.
     """
     re0, im0, re1, im1 = c0.real, c0.imag, c1.real, c1.imag
     norm = np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
     if not np.all((0.0 < norm) & (norm < math.inf)):  # NaN fails too
         raise ValueError("qubit amplitudes have no finite nonzero norm")
     v0, v1 = c0 / norm, c1 / norm
-    a0, b0, a1, b1 = v0.real, v0.imag, v1.real, v1.imag
-    x = 2.0 * (a0 * a1 + b0 * b1)
-    y = -2.0 * (b0 * a1 - a0 * b1)
-    z = (a0 * a0 + b0 * b0) - (a1 * a1 + b1 * b1)
-    return np.stack([x, y, z], axis=-1)
+    coherence = _unfused_product(v0, v1.conj())
+    z = (v0.real * v0.real + v0.imag * v0.imag) - (v1.real * v1.real + v1.imag * v1.imag)
+    return np.stack([2.0 * coherence.real, -2.0 * coherence.imag, z], axis=-1)
 
 
 def input_amplitudes(params: TeleportParams) -> tuple[complex, complex]:
@@ -320,12 +319,14 @@ def _point_result(R: ArrayLike, phi: ArrayLike, build):
 def _launch(stage: str, R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """The stage's amplitudes over a broadcast (R, phi) grid: the form
     c0 * X + c1 * Y of the module docstring, (c0, c1) the input splitter's
-    S_psi column and (X, Y) the stage's `_form_rows`."""
+    S_psi column and (X, Y) the stage's `_form_rows`.  Each product is
+    unfused, so the bytes do not depend on numpy's SIMD dispatch."""
     rows = _form_rows("tomography" if stage == "detection" else stage)
     x, y = rows[:, _Z_ROW] if stage == "detection" else rows
     s_psi = circuit.element_matrix(circuit.prep_splitter("A0p", "A1p", R, phi))[..., 0]
     axes = (Ellipsis,) + (None,) * x.ndim  # the rows' axes after the grid's
-    return _pruned(s_psi[..., 0][axes] * x + s_psi[..., 1][axes] * y, _sources().norm())
+    form = _unfused_product(s_psi[..., 0][axes], x) + _unfused_product(s_psi[..., 1][axes], y)
+    return _pruned(form, _sources().norm())
 
 
 @functools.lru_cache(maxsize=None)
@@ -510,16 +511,21 @@ def conditional_with_arm_phases(
 ) -> tuple[float, QubitState]:
     """Probability and Bob's qubit for the ++ outcome with fixed arm phases:
     the constants of a Monte Carlo run at the one draw Phi of
-    `saw.combined_phase`.  The arms and their phases pass the network's
-    checks, and each phase must be one number, before anything is computed;
-    no network with phase elements is launched."""
+    `saw.combined_phase`.  Every arm must be known and its phase one finite
+    real number, checked in one pass before anything is computed; no
+    network with phase elements is launched."""
     from . import saw
 
-    circuit._phase_layer(arm_phases)
-    for arm, value in (arm_phases or {}).items():
-        if not _number_within(value):  # the network's check takes a grid's array
-            raise ValueError(f"arm phase {arm} must be finite and real, got {value!r}")
-    phase = saw.combined_phase(arm_phases or {})
+    arm_phases = arm_phases or {}
+    unknown = set(arm_phases) - set(circuit.ARM_WIRES)
+    if unknown:
+        raise ValueError(f"unknown dephasing arms {sorted(unknown)}")
+    for arm, value in arm_phases.items():
+        if not _number_within(value):
+            # in the network's words, unless it is a grid's array, which the network takes
+            name = f"arm phase {arm}" if circuit._all_within(value) else "value"
+            raise ValueError(f"{name} must be finite and real, got {value!r}")
+    phase = saw.combined_phase(arm_phases)
     run = saw._run_constants(params)
     return run.p, saw._run_state(run, math.cos(phase), math.sin(phase))
 

@@ -13,10 +13,12 @@ state takes the run's constants and the mean cos and sin of its draws, and
 `protocol.conditional_with_arm_phases` takes them at one fixed draw.
 
 Each ++ conditional amplitude comes from one configuration of the prepared
-stage, so the populations rho00, rho11 and the click probability p are
-constants of a run and only the coherence turns with the drawn phase Phi:
-p * rho01 = kc * cos(Phi) + ks * sin(Phi).  A run is those constants and
-one cos and one sin per draw; the click probabilities draw nothing.
+stage, so the drawn phase Phi turns Bob's ++ qubit about z: its click
+probability p and Bloch vector (x, y, z) at Phi = 0, the ++ row of the
+point's paired conditionals, are constants of a run, and the coherence
+turns as rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)) for one sign s
+of the network.  A run is those constants and one cos and one sin per
+draw; the click probabilities draw nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import circuit, fock
+from . import circuit, fock, protocol
 from .circuit import ARM_WIRES, _integer, _number_within
 from .protocol import (
     MeasurementOutcome,
@@ -36,7 +38,6 @@ from .protocol import (
     TeleportParams,
     damped_average_fidelity,
     povm_element,
-    premeasurement_amplitudes,
 )
 
 
@@ -112,69 +113,64 @@ def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarr
 # each arm's coefficient, +1 or -1, in `combined_phase`, ordered as ARM_WIRES
 _PHASE_WEIGHTS = tuple(int(combined_phase({arm: 1.0})) for arm in ARM_WIRES)
 
+# the ++ outcome's row of the paired conditionals
+_PP_ROW = protocol.PAIRED_OUTCOMES.index(MeasurementOutcome.from_signs("+", "+"))
 
-@functools.lru_cache(maxsize=None)
+
 def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
     """The two ++ rows of Alice's lifted splitters over the prepared stage's
     three-particle sector, (A0+, A1+, B'0) then (A0+, A1+, B'1), and which
-    arms each configuration of that sector occupies.  Parameter-free, so
-    built once and shared read-only."""
+    arms each configuration of that sector occupies; parameter-free, read
+    once per process by `_arm_sign`."""
     alice = circuit.alice_splitters(ARM_WIRES)
     configs, lifted = fock.lift_matrix(alice, 3)
     clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(alice.rows, 3)
-    rows = lifted[clicked]
-    arms = fock.occupations(alice.cols, configs, ARM_WIRES).astype(bool)
-    rows.flags.writeable = arms.flags.writeable = False
-    return rows, arms
+    return lifted[clicked], fock.occupations(alice.cols, configs, ARM_WIRES).astype(bool)
+
+
+@functools.lru_cache(maxsize=None)
+def _arm_sign() -> int:
+    """The sign s of rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)), from
+    the network alone, once.  The arm phases are diagonal in the prepared
+    stage's sector, so by Cauchy-Binet the ++ amplitudes alpha, beta (to
+    B'0, B'1) sum c_S * exp(-i * the phases on S's arms) over the
+    configurations S where Alice's row and the stage's rows X or Y are
+    non-zero.  Alice's splitters do not touch B'0 and B'1, so each has one S
+    (any other count is a ValueError), and beta's arms less alpha's must be
+    s * `_PHASE_WEIGHTS` (anything else is a ValueError)."""
+    rows, arms = _alice_clicks()
+    prepared = (protocol._form_rows("preparation") != 0).any(axis=0)
+    occupied = []
+    for row in rows:
+        configs = np.flatnonzero((row != 0) & prepared)
+        if len(configs) != 1:
+            raise ValueError(f"an amplitude has {len(configs)} contributing configurations")
+        occupied.append(arms[configs[0]])
+    moved = occupied[1].astype(int) - occupied[0]
+    if np.array_equal(-moved, _PHASE_WEIGHTS):
+        return -1
+    if not np.array_equal(moved, _PHASE_WEIGHTS):
+        raise ValueError(f"arms {moved} do not move by the combined phase {_PHASE_WEIGHTS}")
+    return 1
 
 
 class _Run(NamedTuple):
-    """Bob's ++-conditional state over one run of draws Phi of
-    `combined_phase`: rho00, rho11 and the click probability p are
-    constants of the run, and p * rho01 = kc * cos(Phi) + ks * sin(Phi)."""
+    """Bob's ++-conditional qubit over a run of draws Phi of `combined_phase`:
+    the click probability p, the Bloch vector (x, y, z) at Phi = 0 and the
+    sign s of `_arm_sign`."""
 
-    rho00: float
-    rho11: float
     p: float
-    kc: complex
-    ks: complex
+    x: float
+    y: float
+    z: float
+    s: int
 
 
 def _run_constants(params: TeleportParams) -> _Run:
-    """The constants of a run from the ++ conditional amplitudes alpha,
-    beta (to B'0, B'1).
-
-    The arm phases are diagonal in the three-particle occupation basis of
-    the prepared stage, so by Cauchy-Binet each amplitude is a sum over
-    configurations S of c_S * exp(-i * sum of the phases on S's arms), with
-    c_S = <A0+ A1+ B'b| lift(alice) |S> <S| lift(prep) |sources>.  Alice's
-    splitters do not touch B'0 and B'1, so each amplitude has at most one
-    contributing configuration (more is a ValueError): alpha = a * exp(-i
-    theta_a), beta = b * exp(-i theta_b), and |alpha|^2, |beta|^2 and p do
-    not depend on the phases.  When both are non-zero, beta's arm
-    occupations minus alpha's must be s * `_PHASE_WEIGHTS` for one sign s
-    (anything else is a ValueError), so alpha * conj(beta) =
-    a * conj(b) * (cos(Phi) + i s sin(Phi)).
-    """
-    rows, arms = _alice_clicks()
-    coeffs = rows * premeasurement_amplitudes("preparation", params.R, params.phi)
-    amplitudes = []
-    for row in coeffs:
-        configs = np.flatnonzero(row)
-        if len(configs) > 1:
-            raise ValueError(f"an amplitude has {len(configs)} contributing configurations")
-        amplitudes.append(next(((complex(row[k]), arms[k]) for k in configs), (0j, None)))
-    (a, on_a), (b, on_b) = amplitudes
-    sign = 1
-    if a and b:
-        moved = on_b.astype(int) - on_a
-        if np.array_equal(-moved, _PHASE_WEIGHTS):
-            sign = -1
-        elif not np.array_equal(moved, _PHASE_WEIGHTS):
-            raise ValueError(f"arms {moved} do not move by the combined phase {_PHASE_WEIGHTS}")
-    aa, bb = (a * a.conjugate()).real, (b * b.conjugate()).real
-    p, kc = aa + bb, a * b.conjugate()
-    return _Run(aa / p, bb / p, p, kc, 1j * sign * kc)
+    """The constants of a run: the ++ row of the point's paired
+    conditionals, kept with its memoised stage, and the network's sign."""
+    p, bloch = protocol._point_result(params.R, params.phi, protocol._paired_conditionals)
+    return _Run(float(p[_PP_ROW]), *bloch[_PP_ROW].tolist(), _arm_sign())
 
 
 def _conditional_amplitudes(
@@ -212,27 +208,28 @@ def montecarlo_entries(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per sample, Bob's ++-conditional rho00, rho11 and rho01 (rho10 is its
-    conjugate); the populations are constants of the run, read-only views
-    of one value each.
+    conjugate); the populations (1 + z)/2 and (1 - z)/2 are constants of
+    the run, read-only views of one value each.
 
-    Each part of rho01 is (cos * kc + sin * ks) / p, built in place: the
-    real part holds sin * ks.imag until the imaginary part is done, and
-    then the run's sin is scaled in place, so a call holds four columns
-    at most: the run's cos and sin and rho01's two parts.
+    rho01 is ((x cos + s y sin) + i (s x sin - y cos)) / 2, built in place:
+    the real part holds y cos until the imaginary part is done, and then
+    the run's sin is scaled in place, so a call holds four columns at most:
+    the run's cos and sin and rho01's two parts.
     """
     run, (cos, sin) = _drawn_run(params, deph, n_samples, seed)
     n = len(cos)
     rho01 = np.empty(n, dtype=complex)
     re, im = rho01.real, rho01.imag
-    np.multiply(sin, run.ks.imag, out=re)
-    np.multiply(cos, run.kc.imag, out=im)
-    im += re
-    im /= run.p
-    sin *= run.ks.real
-    np.multiply(cos, run.kc.real, out=re)
+    np.multiply(sin, run.s * run.x, out=im)
+    np.multiply(cos, run.y, out=re)
+    im -= re
+    im /= 2.0
+    sin *= run.s * run.y
+    np.multiply(cos, run.x, out=re)
     re += sin
-    re /= run.p
-    return np.broadcast_to(run.rho00, n), np.broadcast_to(run.rho11, n), rho01
+    re /= 2.0
+    rho00, rho11 = (1.0 + run.z) / 2.0, (1.0 - run.z) / 2.0
+    return np.broadcast_to(rho00, n), np.broadcast_to(rho11, n), rho01
 
 
 def dephased_state_montecarlo(
@@ -250,10 +247,10 @@ def dephased_state_montecarlo(
 
 def _run_state(run: _Run, cos: float, sin: float) -> QubitState:
     """Bob's ++-conditional state from a run's constants and a cos and sin
-    of Phi: the means over the run's draws, or one fixed draw's."""
-    coherence = 2.0 * (run.kc * cos + run.ks * sin) / run.p
-    bloch = [coherence.real, -coherence.imag, run.rho00 - run.rho11]
-    return QubitState(np.divide(bloch, run.rho00 + run.rho11))
+    of Phi, the means over the run's draws or one fixed draw's: (x, y)
+    turned about z."""
+    _, x, y, z, s = run
+    return QubitState([x * cos + s * y * sin, y * cos - s * x * sin, z])
 
 
 def average_fidelity(sigma2: float) -> float:

@@ -20,6 +20,7 @@ bloch_z of -+ and +- went 0.9999999999999999 -> 1.0, the digits that hosts
 without FMA had printed all along.
 """
 
+import hashlib
 import math
 import os
 import platform
@@ -105,6 +106,26 @@ def bloch_sweep() -> bytes:
     return b"".join(stack.tobytes() for stack in stacks)
 
 
+def tomography_digest() -> str:
+    """SHA-256 of the tomography stage's amplitudes over 2000 seeded (R, phi)
+    points: the X row's are complex products, which numpy's SIMD complex
+    multiply would fuse on hosts with FMA."""
+    rng = np.random.default_rng(20261020)
+    R, phi = rng.random(2000), rng.uniform(-10.0, 10.0, 2000)
+    amps = protocol.premeasurement_amplitudes("tomography", R, phi)
+    return hashlib.sha256(amps.tobytes()).hexdigest()
+
+
+def dispatched_groups() -> str:
+    """numpy's dispatched SIMD groups that this host has, space-separated:
+    the groups NPY_DISABLE_CPU_FEATURES may name."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(group for group in __cpu_dispatch__ if __cpu_features__.get(group))
+
+
 # A circuit whose printed unitarity defect differed between OpenBLAS's
 # SkylakeX and Prescott kernels while it came from a BLAS product.
 PROBE_CIRCUIT = """modes a b c d e f
@@ -119,16 +140,19 @@ prep f b R=0.08185501079576984 phi=-2.7965123403612457
 )
 def test_output_does_not_depend_on_the_blas_kernel(tmp_path, capsys):
     # Prescott is OpenBLAS' oldest x86-64 kernel, so any x86-64 host runs it;
-    # the variable is set for the child processes only
+    # the variable is set for the child processes only.  One child also runs
+    # with every numpy SIMD group the host dispatches to disabled, and must
+    # hash the tomography stage as this process does
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
     path = [str(REPO / "src"), str(REPO / "tests"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-    # (child arguments, stdout and stderr the child must print)
+    # (child arguments, stdout and stderr the child must print, environment)
     runs = [
         (
             ("-m", "eteleport.cli", *argv),
             (DATA / out_file).read_bytes(),
             (DATA / err_file).read_bytes() if err_file else b"",
+            env,
         )
         for argv, out_file, err_file in KERNEL_CASES
     ]
@@ -136,18 +160,21 @@ def test_output_does_not_depend_on_the_blas_kernel(tmp_path, capsys):
     probe.write_text(PROBE_CIRCUIT)
     assert cli.main(["circuit-check", str(probe)]) == 0
     check = ("-m", "eteleport.cli", "circuit-check", str(probe))
-    runs.append((check, capsys.readouterr().out.encode(), b""))
+    runs.append((check, capsys.readouterr().out.encode(), b"", env))
     sweep = "import sys, test_golden; sys.stdout.buffer.write(test_golden.bloch_sweep())"
-    runs.append((("-c", sweep), bloch_sweep(), b""))
+    runs.append((("-c", sweep), bloch_sweep(), b"", env))
+    digest = "import sys, test_golden; sys.stdout.write(test_golden.tomography_digest())"
+    undispatched = dict(env, NPY_DISABLE_CPU_FEATURES=dispatched_groups())
+    runs.append((("-c", digest), tomography_digest().encode(), b"", undispatched))
     children = [
         subprocess.Popen(
             [sys.executable, "-W", "error", *args],
-            cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=REPO, env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        for args, _, _ in runs
+        for args, _, _, child_env in runs
     ]
     try:
-        for child, (args, want_out, want_err) in zip(children, runs):
+        for child, (args, want_out, want_err, _) in zip(children, runs):
             out, err = child.communicate(timeout=60)
             assert child.returncode == 0, (args, err.decode())
             assert out == want_out, args

@@ -113,15 +113,16 @@ def _draws_mapped(transform):
     return apply
 
 
-def _run_sine_flipped(monkeypatch):
-    # the run's coherence turns the wrong way with the combined phase
-    constants = saw._run_constants
+def _sign_flipped(monkeypatch):
+    # the derived sign of the network is the other one
+    sign = saw._arm_sign()
+    monkeypatch.setattr(saw, "_arm_sign", lambda: -sign)
 
-    def flipped(params):
-        run = constants(params)
-        return run._replace(ks=-run.ks)
 
-    monkeypatch.setattr(saw, "_run_constants", flipped)
+def _fixed_draw_sine_flipped(monkeypatch):
+    # the state at a draw turns the wrong way with the combined phase
+    state = saw._run_state
+    monkeypatch.setattr(saw, "_run_state", lambda run, cos, sin: state(run, cos, -sin))
 
 
 def _sin_scaled_before_imaginary_part(monkeypatch):
@@ -130,15 +131,11 @@ def _sin_scaled_before_imaginary_part(monkeypatch):
     def scaled_early(params, deph, n_samples, seed):
         run, (cos, sin) = saw._drawn_run(params, deph, n_samples, seed)
         rho01 = np.empty(len(cos), dtype=complex)
-        sin *= run.ks.real
-        np.multiply(cos, run.kc.real, out=rho01.real)
-        rho01.real += sin
-        rho01.real /= run.p
-        np.multiply(cos, run.kc.imag, out=rho01.imag)
-        rho01.imag += sin * run.ks.imag
-        rho01.imag /= run.p
-        n = len(cos)
-        return np.broadcast_to(run.rho00, n), np.broadcast_to(run.rho11, n), rho01
+        sin *= run.s * run.y
+        rho01.real = (run.x * cos + sin) / 2.0
+        rho01.imag = (run.s * run.x * sin - run.y * cos) / 2.0
+        n, rho00, rho11 = len(cos), (1.0 + run.z) / 2.0, (1.0 - run.z) / 2.0
+        return np.broadcast_to(rho00, n), np.broadcast_to(rho11, n), rho01
 
     monkeypatch.setattr(saw, "montecarlo_entries", scaled_early)
 
@@ -294,9 +291,19 @@ MUTANTS = [
         id="mc-sin-overwritten-early",
     ),
     pytest.param(
-        _run_sine_flipped,
+        _fixed_draw_sine_flipped,
         test_properties.test_fixed_arm_phases_match_a_launch,
         id="fixed-draw-sine-flipped",
+    ),
+    pytest.param(
+        _sign_flipped, test_properties.test_fixed_arm_phases_match_a_launch, id="sign-flipped"
+    ),
+    pytest.param(
+        # the run's constants from the +- conditional, whose x and y want
+        # the feed-forward; the -- row has the ++ row's bytes at every point
+        _replace(saw, "_PP_ROW", protocol.PAIRED_OUTCOMES.index(MeasurementOutcome((1, 0, 0, 1)))),
+        test_properties.test_no_arm_phase_gives_the_point_conditional,
+        id="run-reads-the-plus-minus-row",
     ),
     pytest.param(
         # the fixed draw sees no arm phase; the six-mode reference still does

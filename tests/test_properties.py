@@ -24,7 +24,7 @@ from eteleport.fock import (  # noqa: E402
     lift_amplitudes,
 )
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
-from test_saw import launched_conditional  # noqa: E402
+from test_saw import PP, launched_conditional  # noqa: E402
 
 angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 unit = st.floats(0.0, 1.0)
@@ -71,12 +71,13 @@ def test_sector_amplitudes_match_full_simulation(R, phi, rows):
     params = TeleportParams(R, phi)
     phis = [saw.combined_phase(dict(zip(circuit.ARM_WIRES, arms))) for arms in rows]
     run, trig = saw._conditional_amplitudes(params, np.array(phis))
+    p, x, y, z, s = run
     for (cos, sin), arms in zip(trig.T, rows):
-        rho01 = (run.kc * cos + run.ks * sin) / run.p
-        rho = np.array([[run.rho00, rho01], [np.conj(rho01), run.rho11]])
+        rho01 = complex(x * cos + s * y * sin, s * x * sin - y * cos) / 2.0
+        rho = np.array([[(1.0 + z) / 2.0, rho01], [np.conj(rho01), (1.0 - z) / 2.0]])
         arm_phases = dict(zip(circuit.ARM_WIRES, arms))
         slow_p, slow = launched_conditional(params, arm_phases)
-        assert abs(run.p - slow_p) < 1e-12
+        assert abs(p - slow_p) < 1e-12
         assert np.max(np.abs(rho - slow.rho)) < 1e-12
 
 
@@ -102,6 +103,27 @@ def test_fixed_arm_phases_match_a_launch(R, phi, arms):
     want_p, want = launched_conditional(params, arms)
     assert abs(p - want_p) <= 1e-12
     assert np.max(np.abs(qubit.rho - want.rho)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_zero | st.sampled_from((0.0, 1.0)) | unit, wide_angle)
+@example(0.3, 1.2)
+@example(1.0, -0.0)
+@example(0.0, 0.0)
+def test_no_arm_phase_gives_the_point_conditional(R, phi):
+    # at Phi = 0 the run's state is the point's ++ conditional, byte for
+    # byte wherever x or y is non-zero (0 < R < 1); where both are zeros
+    # (R = 0 or 1, or an R whose amplitude is pruned), turning them by
+    # Phi = 0 may change the sign of a zero.  p is what the ++ element
+    # gives on the point's detection stage
+    params = TeleportParams(R, phi)
+    p, qubit = protocol.conditional_with_arm_phases(params, {})
+    want = protocol.bob_conditional(params, PP)
+    assert p == protocol.POVMElement(PP).expectation(protocol.run_premeasurement(params))
+    if want.bloch[:2].any():
+        assert qubit.bloch.tobytes() == want.bloch.tobytes()
+    else:
+        assert np.array_equal(qubit.bloch, want.bloch)
 
 
 @settings(max_examples=50, deadline=None)

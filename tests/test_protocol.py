@@ -451,23 +451,23 @@ def _count_networks(monkeypatch) -> tuple[list, list]:
 
 
 def test_exact_point_composes_no_network(monkeypatch):
-    # the tomography stage, whose Z row is the detection stage, and the
-    # preparation stage, whose run constants give the state with arm phases,
-    # are linear forms over parameter-free rows: each stage's rows come from
-    # one network, composed on first use without a phase element, and no
-    # point composes a network or takes a determinant after that
-    saw._alice_clicks()  # parameter-free, built once per process
+    # the tomography stage, whose Z row is the detection stage and whose ++
+    # conditional, turned by the combined phase, is the state with arm
+    # phases, is a linear form over parameter-free rows: they come from one
+    # network, composed on first use without a phase element, and no point
+    # composes a network or takes a determinant after that
+    saw._arm_sign()  # parameter-free, derived once per process
     calls, dets = _count_networks(monkeypatch)
     protocol._form_rows.cache_clear()
     protocol._point_amplitudes.cache_clear()
     arms = dict(zip(circuit.ARM_WIRES, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)))
     _exact_point(0.37, 2.9, arms)
-    assert [d.elements[-1].kind for d in calls] == ["tomo", "prep"]
+    assert [d.elements[-1].kind for d in calls] == ["tomo"]
     assert all(element.kind != "phase" for d in calls for element in d.elements)
     built = len(dets)
     for R, phi in ((0.37, 2.9), (0.81, -1.3), (1.0, 0.0), (0.0, -0.0)):
         _exact_point(R, phi, arms)
-    assert len(calls) == 2 and len(dets) == built
+    assert len(calls) == 1 and len(dets) == built
 
 
 @pytest.mark.parametrize("number", [7, 8])

@@ -138,11 +138,19 @@ def test_fast_path_matches_full_simulation():
         assert np.max(np.abs(stack[i] - slow.rho)) < 1e-12
 
 
+def _uncached_sign(monkeypatch):
+    """The run's sign derived afresh on every call while a test injects
+    rows, so that neither the injection nor the process's cache hides the
+    other."""
+    monkeypatch.setattr(saw, "_arm_sign", saw._arm_sign.__wrapped__)
+
+
 def test_amplitudes_reject_configurations_off_the_combined_phase(monkeypatch):
     # the second contributing configuration of 0 < R < 1 must move exactly
     # the arms of combined_phase; with any other arm set the one-draw
     # reduction does not hold
     rows, arms = saw._alice_clicks()
+    _uncached_sign(monkeypatch)
     for arm in range(len(ARM_WIRES)):
         moved = arms.copy()
         moved[:, arm] = ~moved[:, arm]
@@ -152,17 +160,19 @@ def test_amplitudes_reject_configurations_off_the_combined_phase(monkeypatch):
 
 
 def test_either_contributing_configuration_may_come_first(monkeypatch):
-    # the sector's configurations in reverse order: the other one's phase is
-    # factored out, and the further one moves by the opposite sign
-    deph = DephasingParams.from_total(0.9)
-    want = saw.montecarlo_entries(PARAMS, deph, 300, 2)
+    # the sign derived with the sector's configurations in reverse order is
+    # the sign of the sector's order; with beta's row read as alpha's, the
+    # coherence turns the other way
+    sign = saw._arm_sign()
     rows, arms = saw._alice_clicks()
-    amplitudes = saw.premeasurement_amplitudes
+    form_rows = protocol._form_rows
+    _uncached_sign(monkeypatch)
     monkeypatch.setattr(saw, "_alice_clicks", lambda: (rows[:, ::-1], arms[::-1]))
-    monkeypatch.setattr(saw, "premeasurement_amplitudes", lambda *a: amplitudes(*a)[::-1])
-    got = saw.montecarlo_entries(PARAMS, deph, 300, 2)
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g - w)) < 1e-12
+    monkeypatch.setattr(protocol, "_form_rows", lambda stage: form_rows(stage)[..., ::-1])
+    assert saw._arm_sign() == sign
+    monkeypatch.setattr(saw, "_alice_clicks", lambda: (rows[::-1], arms))
+    monkeypatch.setattr(protocol, "_form_rows", form_rows)
+    assert saw._arm_sign() == -sign
 
 
 def test_click_probability_unaffected_by_noise():
@@ -221,6 +231,7 @@ def _mix_rows(monkeypatch):
     contributing configurations; not a physical network."""
     rows, arms = saw._alice_clicks()
     mixed = np.array([[1.0, 0.5j], [0.3, 1.0]]) @ rows
+    _uncached_sign(monkeypatch)
     monkeypatch.setattr(saw, "_alice_clicks", lambda: (mixed, arms))
 
 
@@ -405,15 +416,16 @@ def test_sampled_fidelity_rejects_non_integer_seed(seed):
 # --- memory and bytes of the Monte Carlo routes ---
 
 def _full_array_entries(params, deph, n, seed):
-    """rho00, rho11 and rho01 as full arrays, written out as
-    (cos * kc + sin * ks) / p per part from the run's draws."""
-    run = saw._run_constants(params)
+    """rho00, rho11 and rho01 as full arrays, written out as (1 + z)/2,
+    (1 - z)/2 and ((x cos + s y sin) + i (s x sin - y cos)) / 2 from the
+    run's constants and draws."""
+    _, x, y, z, s = saw._run_constants(params)
     draws = saw._sample_phases(deph, n, seed)
     cos, sin = np.cos(draws), np.sin(draws)
     rho01 = np.empty(n, dtype=complex)
-    rho01.real = (cos * run.kc.real + sin * run.ks.real) / run.p
-    rho01.imag = (cos * run.kc.imag + sin * run.ks.imag) / run.p
-    return np.full(n, run.rho00), np.full(n, run.rho11), rho01
+    rho01.real = (x * cos + s * y * sin) / 2.0
+    rho01.imag = (s * x * sin - y * cos) / 2.0
+    return np.full(n, (1.0 + z) / 2.0), np.full(n, (1.0 - z) / 2.0), rho01
 
 
 def _full_array_fidelity_rows(sigma2_values, n, seed):
@@ -462,7 +474,8 @@ def test_constant_columns_are_read_only_views(params):
     run = saw._run_constants(params)
     rho00, rho11, rho01 = saw.montecarlo_entries(params, deph, 300, 4)
     clicks = saw.montecarlo_click_probabilities(params, deph, 300, 4)
-    for column, value in ((rho00, run.rho00), (rho11, run.rho11), (clicks, run.p)):
+    populations = ((1.0 + run.z) / 2.0, (1.0 - run.z) / 2.0)
+    for column, value in zip((rho00, rho11, clicks), (*populations, run.p)):
         assert not column.flags.writeable
         assert column.tobytes() == np.full(300, value).tobytes()
         with pytest.raises(ValueError, match="read-only"):
