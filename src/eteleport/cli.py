@@ -221,8 +221,9 @@ _UNITS = {"I": "e/T", "P": "e^2/T", "Q": "e^3/T"}
 def cmd_correlators(args) -> int:
     if not 0.0 < args.tolerance < math.inf:
         raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
-    from . import leviton
+    from . import leviton, protocol
 
+    protocol.TeleportParams(args.R, args.phi)  # a rejected point named as `ideal` names it
     settings = ("X", "Y", "Z") if args.setting == "all" else (args.setting,)
     rows = []
     worst = 0.0

@@ -339,49 +339,3 @@ def lift_matrix(
     """
     combos, _ = combination_table(len(u.cols), particle_number)
     return _lifted(u, particle_number, combos)
-
-
-def occupation_moments(
-    registry: ModeRegistry,
-    particle_number: int,
-    amps: np.ndarray,
-    keys: Sequence[Sequence[str]],
-) -> np.ndarray:
-    """Mean (1 label) or central occupation moment (2 or 3 labels) of each
-    label tuple of `keys`, for every state of a (..., sector size) amplitude
-    stack in combination order; returns (..., len(keys)).
-
-    Occupations are jointly diagonal in the configuration basis, so the
-    moments are those of the classical distribution |amplitude|^2; the
-    result is exact (no sampling).  Repeated labels are rejected because
-    powers of an occupation obey a different cumulant algebra.
-    """
-    occ, rows, single = _moment_tables(registry, particle_number, tuple(map(tuple, keys)))
-    probs = probabilities(amps)[..., None, :]
-    # elementwise products summed by `mass`, never a BLAS product: the
-    # digits must not depend on the kernel BLAS picks for the host
-    means = mass(probs * occ, slice(None))
-    centered = occ - means[..., None]
-    # a last row of ones pads 1- and 2-label keys to three factors
-    padded = np.concatenate([centered, np.ones_like(centered[..., :1, :])], axis=-2)
-    first, second, third = (padded[..., rows[:, j], :] for j in range(3))
-    central = mass(probs * (first * second * third), slice(None))
-    return np.where(single, means[..., rows[:, 0]], central)
-
-
-@functools.lru_cache(maxsize=None)
-def _moment_tables(registry: ModeRegistry, particle_number: int, keys: tuple) -> tuple:
-    """The sector's (modes, sector) occupation matrix, each key's mode rows
-    padded with -1 to three, and which keys are means; read-only."""
-    for labels in keys:
-        if not 1 <= len(labels) <= 3:
-            raise ValueError(f"an occupation moment takes 1 to 3 mode labels, got {labels}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"repeated mode label in {labels}")
-    _, configs = combination_table(len(registry), particle_number)
-    occ = occupations(registry, configs, registry.labels).T.astype(float)
-    rows = np.array([registry.indices(labels) + [-1] * (3 - len(labels)) for labels in keys])
-    single = np.array([len(labels) == 1 for labels in keys])
-    for table in (occ, rows, single):
-        table.flags.writeable = False
-    return occ, rows, single

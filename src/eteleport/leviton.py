@@ -20,7 +20,7 @@ import numpy as np
 
 from . import protocol
 from .circuit import ArrayLike, _integer, _number_within
-from .fock import OUTPUT_MODES, _unfused_product, mass, occupation_moments
+from .fock import _unfused_product, mass
 from .protocol import damped_average_fidelity
 
 DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
@@ -47,6 +47,27 @@ _COLUMNS = {
 # (1, pair factor, triple factor) row
 _KINDS = np.array([len(key) - 1 for key in KEYS])
 _KINDS.flags.writeable = False
+
+
+# The raw moments the cumulants read, rows of `protocol._table().moments`:
+# <a> of each I; <ab>, <a>, <b> of each P; and <abc>, <ab>, <c>, <ac>, <b>,
+# <bc>, <a> of each Q, as the parts of each key of that kind.  KEYS lists
+# every I, then every P, then every Q; the factors are gathered at once.
+_FACTORS = [
+    [protocol._MOMENT_LABELS.index(key[part]) for key in KEYS if len(key) == n]
+    for n, parts in (
+        (1, [slice(None)]),
+        (2, [slice(None), slice(1), slice(1, 2)]),
+        (3, [slice(None), slice(2), slice(2, 3), slice(0, 3, 2), slice(1, 2), slice(1, 3),
+             slice(1)]),
+    )
+    for part in parts
+]
+_CUMULANT_ROWS = np.concatenate(_FACTORS)
+_SPANS = [
+    slice(end - len(rows), end)
+    for end, rows in zip(itertools.accumulate(map(len, _FACTORS)), _FACTORS)
+]
 
 
 GAMMA_MIN = 1e-4
@@ -383,30 +404,36 @@ class CorrelatorTable:
 def zero_T_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:
     """All needed currents and cumulants from the Fock model at T = 0, one row
     per point of a broadcast (R, phi) grid: the setting's row of
-    `zero_T_tables`.  At one point the three settings' moments are kept with
-    the point's stage, which `protocol.tomography_bloch` and the point's run
-    and conditionals read too.
+    `zero_T_tables`.
 
     One period injects the three-electron state; the excess-electron
-    correspondence turns occupation mean/central moments directly into I, P, Q.
+    correspondence turns occupation means and cumulants directly into I, P, Q.
     """
     row = _setting_row(setting)
-    return CorrelatorTable(setting, protocol._point_result(R, phi, _zero_T_moments)[..., row, :])
+    raw = protocol._observables(protocol._table().moments[row], R, phi)
+    return CorrelatorTable(setting, _cumulants(raw))
 
 
 def zero_T_tables(R: ArrayLike, phi: ArrayLike) -> dict[str, CorrelatorTable]:
     """`zero_T_correlators` at every tomography setting, keyed X, Y, Z, from
-    one tomography stage over the grid and three settings and one moment call."""
-    moments = protocol._point_result(R, phi, _zero_T_moments)
+    one evaluation of the three settings' raw moments over the grid."""
+    cumulants = _cumulants(protocol._observables(protocol._table().moments, R, phi))
     return {
-        setting: CorrelatorTable(setting, moments[..., row, :])
+        setting: CorrelatorTable(setting, cumulants[..., row, :])
         for row, setting in enumerate(protocol.TOMO_SETTINGS)
     }
 
 
-def _zero_T_moments(amps: np.ndarray) -> np.ndarray:
-    """The moments of `KEYS` for tomography-stage amplitudes (..., sector)."""
-    return occupation_moments(OUTPUT_MODES, 3, amps, KEYS)
+def _cumulants(raw: np.ndarray) -> np.ndarray:
+    """The columns of `KEYS` from raw occupation moments (..., 41) in the
+    rows of `protocol._table().moments`: the mean of each I, and the joint
+    cumulants <ab> - <a><b> of each P and
+    <abc> - ((<ab><c> + <ac><b>) + <bc><a>) + 2<a><b><c> of each Q."""
+    moments = raw[..., _CUMULANT_ROWS]
+    means, ab, a, b, abc, ab_, c, ac, b_, bc, a_ = (moments[..., span] for span in _SPANS)
+    pairs = ab - a * b
+    triples = abc - ((ab_ * c + ac * b_) + bc * a_) + 2.0 * (a_ * b_ * c)
+    return np.concatenate([means, pairs, triples], axis=-1)
 
 
 def reference_correlators(R: ArrayLike, phi: ArrayLike, setting: str) -> CorrelatorTable:

@@ -7,8 +7,12 @@ conditional states are computed exactly from the Fock simulation.
 `premeasurement_amplitudes` is the one route from parameters to
 amplitudes, at a grid of points or at one.  Only the S_psi electron passes
 the input-qubit splitter and a Slater determinant is linear in each column,
-so a stage is c0 * X + c1 * Y, two rows built once from the network.  Arm
-phases reach Bob's state only through `saw.combined_phase`, which turns
+so a stage is c0 * X + c1 * Y, two rows built once from the network.
+So every exact observable is four real coefficients against
+g = (|c0|^2, |c1|^2, Re c0* c1, Im c0* c1), which is ((1 + z)/2, (1 - z)/2,
+x/2, y/2) of the input's Bloch vector: `_table` holds them, built once from
+the rows, and `_observables` evaluates them at a grid of points or at one.
+Arm phases reach Bob's state only through `saw.combined_phase`, which turns
 his ++ qubit about z: fixed arm phases turn the point's ++ conditional, as
 a Monte Carlo run does, and launch no network of their own.
 """
@@ -20,7 +24,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -135,11 +139,17 @@ _SETTINGS.flags.writeable = False
 # is the identity: the detection stage's amplitudes, byte for byte.
 _Z_ROW = list(TOMO_SETTINGS).index("Z")
 
-# One-point entries kept by `premeasurement_amplitudes`.  A point's run, its
-# four conditionals, its Bloch vector, its correlator tables, its state with
-# arm phases and the constants of its Monte Carlo runs all read one entry,
-# the three tomography settings, which keeps the results derived from them.
-_POINT_MEMO_SIZE = 1
+# Every occupation product of one to three output modes, in combination
+# order: the rows of `_table().moments`.
+_MOMENT_LABELS = tuple(
+    labels for n in (1, 2, 3) for labels in itertools.combinations(OUTPUT_MODES.labels, n)
+)
+# The products whose masses make the tomography ratio: A0+ and A1+ with B0,
+# with B1, alone, with A0- and with A1-.
+_RATIO_ROWS = np.array([_MOMENT_LABELS.index(labels) for labels in (
+    ("A0+", "A1+", "B0"), ("A0+", "A1+", "B1"), ("A0+", "A1+"),
+    ("A0+", "A0-", "A1+"), ("A0+", "A1+", "A1-"),
+)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +243,12 @@ def input_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
 
 def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float | np.ndarray:
     """Fidelity of two qubits from their Bloch vectors: a float for two
-    vectors, one per row for (..., 3) stacks, which broadcast together."""
+    vectors, one per row for (..., 3) stacks, which broadcast together.
+
+    (1 + r.r' + sqrt((1 - |r|^2)(1 - |r'|^2)))/2 as one less a quarter of
+    |r - r'|^2 + (sqrt(a) - sqrt(b))^2, a = 1 - |r|^2 and b = 1 - |r'|^2
+    clamped at 0: at most 1, and clamped at 0 for opposite unit vectors
+    whose squares add up to a rounding above 1."""
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)
     # products summed left to right, not np.dot, whose rounding depends on
@@ -242,8 +257,9 @@ def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float | np.ndarray:
     n2 = mass(r_prime * r_prime, slice(None))
     if not np.all((n1 <= 1.0 + 1e-10) & (n2 <= 1.0 + 1e-10)):  # NaN fails too
         raise ValueError("Bloch vectors must lie in the unit ball")
-    purity_term = np.sqrt(np.maximum(0.0, (1.0 - n1) * (1.0 - n2)))
-    fidelity = 0.5 * (1.0 + mass(r * r_prime, slice(None)) + purity_term)
+    gap = r - r_prime
+    purity_gap = np.sqrt(np.maximum(0.0, 1.0 - n1)) - np.sqrt(np.maximum(0.0, 1.0 - n2))
+    fidelity = np.maximum(0.0, 1.0 - (mass(gap * gap, slice(None)) + purity_gap * purity_gap) / 4.0)
     return fidelity if fidelity.ndim else float(fidelity)
 
 
@@ -261,59 +277,10 @@ def premeasurement_amplitudes(stage: str, R: ArrayLike, phi: ArrayLike) -> np.nd
     has one row per setting of Bob's splitter, in TOMO_SETTINGS order
     (X, Y, Z), shape (3, sector).  Array parameters broadcast together; the
     result then carries their shape in front, one row per grid point (see
-    `_launch`).  A one-point call, every parameter a Python int or float,
-    is memoised and returns a shared read-only array; its detection stage
-    is the Z row of the point's tomography stage.
+    `_launch`).  Every call launches: observables are read from `_table`,
+    not from amplitudes.
     """
-    at_z = stage == "detection"
-    entry = _memo_entry("tomography" if at_z else stage, R, phi)
-    if entry is None:
-        return _launch(stage, R, phi)
-    return entry.amps[_Z_ROW] if at_z else entry.amps
-
-
-def _memo_entry(stage: str, R: ArrayLike, phi: ArrayLike) -> _PointAmplitudes | None:
-    """The memo entry of a one-point call, or None unless every parameter is
-    a Python int or float (a bool is neither here: it is left to the launch
-    to reject, and as a key it would equal 1 or 0)."""
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (R, phi)):
-        return None
-    return _point_amplitudes(stage, R, phi)
-
-
-class _PointAmplitudes:
-    """One point's read-only amplitudes and the results derived from them,
-    each built on first use and kept with them; a build that raises keeps
-    nothing."""
-
-    def __init__(self, amps: np.ndarray):
-        amps.flags.writeable = False
-        self.amps = amps
-        self._results: dict = {}
-
-    def result(self, build):
-        if build not in self._results:
-            self._results[build] = build(self.amps)
-        return self._results[build]
-
-
-@functools.lru_cache(maxsize=_POINT_MEMO_SIZE)
-def _point_amplitudes(stage: str, R: float, phi: float) -> _PointAmplitudes:
-    """One point's entry.  The key holds no signs, so -0.0 and 0.0 share it:
-    the linear form gives both the same bytes.  (R, phi) are checked as a
-    `TeleportParams` first, so a rejected point is reported by its value,
-    not as the one-element array the tomography stage launches."""
-    TeleportParams(R, phi)
-    return _PointAmplitudes(_launch(stage, R, phi))
-
-
-def _point_result(R: ArrayLike, phi: ArrayLike, build):
-    """build(amps) of one point's tomography stage, shape (3, sector): kept
-    in the point's memo entry for a one-point call, built afresh otherwise."""
-    entry = _memo_entry("tomography", R, phi)
-    if entry is None:
-        return build(_launch("tomography", R, phi))
-    return entry.result(build)
+    return _launch(stage, R, phi)
 
 
 def _launch(stage: str, R: ArrayLike, phi: ArrayLike) -> np.ndarray:
@@ -401,31 +368,23 @@ def conditional_qubits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability of a one-click-per-pair outcome and the Bloch vector of
     Bob's conditional qubit, shapes (k,) and (k, 3), for every row of a
-    (k, sector) stack of detection-stage amplitudes."""
+    (k, sector) stack of detection-stage amplitudes: the amplitude route,
+    independent of `_table`."""
     _paired_row(outcome)
-    p, bloch = _conditionals(amps, (outcome,))
+    return _conditionals(amps, outcome)
+
+
+def _conditionals(amps: np.ndarray, outcome: MeasurementOutcome) -> tuple[np.ndarray, np.ndarray]:
+    """`conditional_qubits` in one pass: one `probabilities`, one mass and
+    one gather over the outcome's `_paired_table` row, one `_pure_blochs`
+    and one unit-ball check; a row of probability zero raises."""
+    columns = _paired_table((outcome,))[0]
+    p = mass(probabilities(amps), columns)
     if (p == 0.0).any():
         raise ValueError(f"outcome {outcome.label} has probability zero")
-    return p[:, 0], bloch[:, 0]
-
-
-def _conditionals(
-    amps: np.ndarray, outcomes: tuple[MeasurementOutcome, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probability of each one-click-per-pair outcome and Bob's conditional
-    Bloch vector, shapes (..., n) and (..., n, 3), for detection-stage
-    amplitudes of shape (..., sector), in one pass: one `probabilities`, one
-    mass and one gather over the outcomes' `_paired_table`, one
-    `_pure_blochs` and one unit-ball check.  An outcome of probability zero
-    gets NaN."""
-    columns = _paired_table(outcomes)
-    p = mass(probabilities(amps), columns)
-    seen = p != 0.0
-    pairs = amps[..., columns][seen]
-    c0, c1 = (pairs * (1.0 / np.sqrt(p[seen]))[:, None]).T
-    bloch = np.full(p.shape + (3,), math.nan)
-    bloch[seen] = _pure_blochs(c0, c1)
-    _check_unit_ball(bloch[seen])
+    c0, c1 = (amps[..., columns] * (1.0 / np.sqrt(p))[:, None]).T
+    bloch = _pure_blochs(c0, c1)
+    _check_unit_ball(bloch)
     return p, bloch
 
 
@@ -488,21 +447,20 @@ def bob_conditional(params: TeleportParams, outcome: MeasurementOutcome) -> Qubi
 
     Only the four such outcomes (PAIRED_OUTCOMES) leave Bob a dual-rail
     qubit; every other click pattern is a failed run and raises a
-    ValueError, as does an outcome of probability zero.  The four
-    conditionals of a point come from one pass, kept with its stage.
+    ValueError, as does an outcome of probability zero.
     """
-    row = _paired_row(outcome)
-    p, bloch = _point_result(params.R, params.phi, _paired_conditionals)
-    if p[row] == 0.0:
-        raise ValueError(f"outcome {outcome.label} has probability zero")
-    return QubitState(bloch[row])
+    return QubitState(_paired_point(params.R, params.phi, _paired_row(outcome))[1])
 
 
-def _paired_conditionals(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_conditionals` of the four PAIRED_OUTCOMES, read-only, from the Z
-    row of a point's tomography stage."""
-    p, bloch = _conditionals(amps[_Z_ROW], PAIRED_OUTCOMES)
-    p.flags.writeable = bloch.flags.writeable = False
+def _paired_point(R: float, phi: float, row: int) -> tuple[float, list[float]]:
+    """p and Bob's Bloch vector, the numerators over p, for the paired
+    outcome in a row of PAIRED_OUTCOMES at one point; p = 0 and a vector
+    outside the unit ball raise."""
+    p, *numerators = _observables(_table().paired[row], R, phi).tolist()
+    if p == 0.0:
+        raise ValueError(f"outcome {PAIRED_OUTCOMES[row].label} has probability zero")
+    bloch = [n / p for n in numerators]
+    _check_unit_ball(bloch)
     return p, bloch
 
 
@@ -539,10 +497,12 @@ def apply_feedforward(state: QubitState, outcome: MeasurementOutcome) -> QubitSt
 
 
 def efficiency(with_feedforward: bool, params: TeleportParams | None = None) -> float:
-    """Probability mass of the outcomes that teleport, computed from the run."""
-    state = run_premeasurement(params or TeleportParams(0.5, 0.0))
+    """Probability mass of the outcomes that teleport, added left to right
+    from the outcome rows of `_table`."""
+    params = params or TeleportParams(0.5, 0.0)
+    probs = _observables(_table().outcomes, params.R, params.phi).tolist()
     outcomes = PAIRED_OUTCOMES if with_feedforward else UNCORRECTED_OUTCOMES
-    return float(sum(povm_element(x).expectation(state) for x in outcomes))
+    return sum((probs[ALL_OUTCOMES.index(x)] for x in outcomes), 0.0)
 
 
 def tomography_bloch(params: TeleportParams) -> np.ndarray:
@@ -550,39 +510,90 @@ def tomography_bloch(params: TeleportParams) -> np.ndarray:
 
     Each component divides <N_A0+ N_A1+ (N_B0 - N_B1)> at the matching
     tomography setting by <N_A0+ N_A1+ (1 - N_A0- - N_A1-)>, both exact
-    expectations on the pre-measurement state.  The three settings are the
-    rows of one memoised stage, shared with `leviton.zero_T_correlators`.
+    expectations on the pre-measurement state, read from the raw moments
+    of `_table`.
     """
     return tomography_bloch_grid(params.R, params.phi)
 
 
 def tomography_bloch_grid(R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """`tomography_bloch` at every point of a broadcast (R, phi) grid,
-    shape (..., 3), from one stage over the grid and the three settings."""
-    return _tomography_components(premeasurement_amplitudes("tomography", R, phi))
-
-
-@functools.lru_cache(maxsize=None)
-def _product_masks() -> np.ndarray:
-    """The `_padded_table` of the output configurations holding A0+ and A1+
-    with B0, with B1, alone, with A0- and with A1-, whose masses make the
-    tomography ratio."""
-    _, configs = combination_table(len(OUTPUT_MODES), 3)
-    extras = (("B0",), ("B1",), (), ("A0-",), ("A1-",))
-    labels = [("A0+", "A1+") + extra for extra in extras]
-    return _padded_table([occupations(OUTPUT_MODES, configs, x).all(axis=1) for x in labels])
-
-
-def _tomography_components(amps: np.ndarray) -> np.ndarray:
-    """Bloch components from tomography-stage amplitudes of shape
-    (..., 3, sector), one row per setting in X, Y, Z order."""
-    # <N_a N_b ...>: the mass of the configurations occupying every label
-    b0, b1, pair, a0m, a1m = np.moveaxis(_masses(probabilities(amps), _product_masks()), -1, 0)
+    shape (..., 3), one component per setting in X, Y, Z order."""
+    moments = _observables(_table().moments[:, _RATIO_ROWS], R, phi)
+    b0, b1, pair, a0m, a1m = (moments[..., k] for k in range(len(_RATIO_ROWS)))
     numerator = b0 - b1
     denominator = pair - a0m - a1m
     if not np.all(denominator > 0.0):  # NaN fails too
         raise ValueError("tomography denominator vanished")
     return numerator / denominator
+
+
+class _Coefficients(NamedTuple):
+    """Each exact observable as four real coefficients against g (see the
+    module docstring), the last axis of every block."""
+
+    outcomes: np.ndarray  # (16, 4): the probability of each of ALL_OUTCOMES
+    paired: np.ndarray  # (4, 4, 4): per PAIRED_OUTCOMES, p then Bob's p x, p y, p z
+    moments: np.ndarray  # (3, 41, 4): per setting, <product> of each of _MOMENT_LABELS
+
+
+@functools.lru_cache(maxsize=None)
+def _table() -> _Coefficients:
+    """The coefficient table, read-only, from the tomography stage's rows.
+
+    A configuration's probability has the coefficients `_gram` of its
+    amplitude with itself; an outcome's probability and an occupation
+    moment sum them over a 0/1 mask, left to right.  Bob's qubit after a
+    paired outcome is his amplitudes (a0, a1) on B'0 and B'1: p is
+    |a0|^2 + |a1|^2, p z is |a0|^2 - |a1|^2, and p (x - i y) is 2 a0 a1*.
+    """
+    x, y = _form_rows("tomography")
+    per_config = _gram(x, y, x, y).real  # (3, sector, 4)
+    at_z = np.moveaxis(per_config[_Z_ROW], -1, 0)
+    outcomes = _masses(at_z, _outcome_table()).T
+    paired = []
+    for outcome in PAIRED_OUTCOMES:
+        b0, b1 = _bob_columns(outcome)
+        coherence = _gram(x[_Z_ROW, b0], y[_Z_ROW, b0], x[_Z_ROW, b1], y[_Z_ROW, b1])
+        on_b0, on_b1 = per_config[_Z_ROW, b0], per_config[_Z_ROW, b1]
+        paired.append([on_b0 + on_b1, 2.0 * coherence.real, -2.0 * coherence.imag, on_b0 - on_b1])
+    _, configs = combination_table(len(OUTPUT_MODES), 3)
+    products = [occupations(OUTPUT_MODES, configs, labels).all(axis=1) for labels in _MOMENT_LABELS]
+    moments = _masses(np.moveaxis(per_config, -1, -2), _padded_table(products))
+    table = _Coefficients(outcomes, np.array(paired), np.moveaxis(moments, -1, -2))
+    for block in table:
+        block.flags.writeable = False
+    return table
+
+
+def _gram(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """The coefficients against g of a b* for a = c0 xa + c1 ya and
+    b = c0 xb + c1 yb, complex, shape (..., 4):
+    a b* = g0 xa xb* + g1 ya yb* + g2 (xa yb* + ya xb*) + g3 i (ya xb* - xa yb*).
+    Each product is unfused, so the table does not depend on numpy's SIMD
+    dispatch."""
+    cross, crossed = _unfused_product(xa, np.conj(yb)), _unfused_product(ya, np.conj(xb))
+    first, second = _unfused_product(xa, np.conj(xb)), _unfused_product(ya, np.conj(yb))
+    turned = _unfused_product(1j, crossed - cross)
+    return np.stack([first, second, cross + crossed, turned], axis=-1)
+
+
+def _observables(block: np.ndarray, R: ArrayLike, phi: ArrayLike) -> np.ndarray:
+    """A block of `_table` evaluated at every point of a broadcast (R, phi)
+    grid, shape grid + block.shape[:-1]: ((t0 g0 + t1 g1) + t2 g2) + t3 g3,
+    with g from the input splitter's S_psi column (c0, c1) as written-out
+    real products, so no complex multiply rounds it.  At one point g is
+    taken on Python floats: the same IEEE products at a fraction of numpy's
+    cost per call."""
+    s_psi = circuit.element_matrix(circuit.prep_splitter("A0p", "A1p", R, phi))[..., 0]
+    c0, c1 = s_psi.tolist() if s_psi.ndim == 1 else (s_psi[..., 0], s_psi[..., 1])
+    re0, im0, re1, im1 = c0.real, c0.imag, c1.real, c1.imag
+    g = (re0 * re0 + im0 * im0, re1 * re1 + im1 * im1, re0 * re1 + im0 * im1, re0 * im1 - im0 * re1)
+    if s_psi.ndim > 1:
+        axes = (Ellipsis,) + (None,) * (block.ndim - 1)  # the block's axes after the grid's
+        g = tuple(part[axes] for part in g)
+    t0, t1, t2, t3 = (block[..., k] for k in range(4))
+    return ((t0 * g[0] + t1 * g[1]) + t2 * g[2]) + t3 * g[3]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ state takes the run's constants and the mean cos and sin of its draws, and
 
 Each ++ conditional amplitude comes from one configuration of the prepared
 stage, so the drawn phase Phi turns Bob's ++ qubit about z: its click
-probability p and Bloch vector (x, y, z) at Phi = 0, the ++ row of the
-point's paired conditionals, are constants of a run, and the coherence
-turns as rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)) for one sign s
-of the network.  A run is those constants and one cos and one sin per
+probability p and Bloch vector (x, y, z) at Phi = 0, read from the ++ row
+of `protocol._table`, are constants of a run, and the coherence turns as
+rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)) for one sign s of the
+network.  A run is those constants and one cos and one sin per
 draw; the click probabilities draw nothing.
 """
 
@@ -113,7 +113,7 @@ def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarr
 # each arm's coefficient, +1 or -1, in `combined_phase`, ordered as ARM_WIRES
 _PHASE_WEIGHTS = tuple(int(combined_phase({arm: 1.0})) for arm in ARM_WIRES)
 
-# the ++ outcome's row of the paired conditionals
+# the ++ outcome's row of the paired conditionals, ordered as PAIRED_OUTCOMES
 _PP_ROW = protocol.PAIRED_OUTCOMES.index(MeasurementOutcome.from_signs("+", "+"))
 
 
@@ -167,10 +167,10 @@ class _Run(NamedTuple):
 
 
 def _run_constants(params: TeleportParams) -> _Run:
-    """The constants of a run: the ++ row of the point's paired
-    conditionals, kept with its memoised stage, and the network's sign."""
-    p, bloch = protocol._point_result(params.R, params.phi, protocol._paired_conditionals)
-    return _Run(float(p[_PP_ROW]), *bloch[_PP_ROW].tolist(), _arm_sign())
+    """The constants of a run: the point's ++ click probability and Bloch
+    vector, and the network's sign."""
+    p, bloch = protocol._paired_point(params.R, params.phi, _PP_ROW)
+    return _Run(p, *bloch, _arm_sign())
 
 
 def _conditional_amplitudes(

@@ -15,7 +15,7 @@ from eteleport.fock import (
     create_sources,
     lift_amplitudes,
     lift_matrix,
-    occupation_moments,
+    mass,
     occupations,
 )
 from eteleport import circuit, protocol
@@ -52,7 +52,13 @@ def lift(u, state):
 
 
 def moment(state, labels):
-    return occupation_moments(state.registry, state.particle_number, state.amps, (labels,))[0]
+    """The mean (one label) or central moment (two or three) of the modes'
+    occupations, each sum over the configurations added left to right."""
+    occ = occupations(state.registry, state.configs, labels)
+    means = [state.mass(column.astype(bool)) for column in occ.T]
+    if len(labels) == 1:
+        return means[0]
+    return mass(state.probabilities * np.prod(occ - means, axis=1), slice(None))
 
 
 def project(state, label, n):
@@ -333,25 +339,24 @@ def test_third_central_moment_of_deterministic_mode_vanishes():
     )
 
 
-def test_repeated_label_rejected():
-    state = create_sources(INPUT_MODES, ("S_phi0", "S_phi1"))
-    with pytest.raises(ValueError):
-        moment(state, ("S_phi0", "S_phi0"))
-
-
 MOMENT_KEYS = (("A0+",), ("B1",), ("A0+", "A1-"), ("A1+", "B0"), ("A0+", "A1+", "B1"))
+
+
+def _moment_block(setting):
+    """The raw moments of MOMENT_KEYS at a setting, rows of the coefficient table."""
+    rows = [protocol._MOMENT_LABELS.index(labels) for labels in MOMENT_KEYS]
+    return protocol._table().moments[list(protocol.TOMO_SETTINGS).index(setting), rows]
 
 
 def test_moment_grid_rows_equal_one_point_rows_bitwise():
     rs, phis = (g.ravel() for g in np.meshgrid(
         np.linspace(0.1, 0.9, 5), np.linspace(0.0, 2.0 * math.pi, 5), indexing="ij"
     ))
-    grid = protocol.premeasurement_amplitudes("tomography", rs, phis)[:, 0]  # the X row
-    rows = occupation_moments(OUTPUT_MODES, 3, grid, MOMENT_KEYS)
+    block = _moment_block("X")
+    rows = protocol._observables(block, rs, phis)
     assert rows.shape == (25, len(MOMENT_KEYS))
     for r, phi, row in zip(rs.tolist(), phis.tolist(), rows):
-        amps = protocol.premeasurement_amplitudes("tomography", r, phi)[0]
-        point = occupation_moments(OUTPUT_MODES, 3, amps, MOMENT_KEYS)
+        point = protocol._observables(block, r, phi)
         assert point.view(np.int64).tolist() == row.view(np.int64).tolist()
 
 
@@ -386,29 +391,32 @@ def test_projection_and_product_mean_equal_loop_references():
 
 
 def test_moments_equal_left_to_right_loop_bitwise():
-    # same arithmetic in the same order, so the results are equal, not close
-    state = tomography_state(0.37, 1.3, "Y")
-    pairs = list(zip(state.configs.tolist(), state.probabilities.tolist()))
-    means = {}
-    for label in OUTPUT_MODES:
-        i = OUTPUT_MODES.index(label)
-        means[label] = 0.0
-        for c, p in pairs:
-            means[label] += p * ((c >> i) & 1)
+    # same arithmetic in the same order, so the results are equal, not close:
+    # each configuration's coefficients against g = (|c0|^2, |c1|^2,
+    # Re c0* c1, Im c0* c1) from its amplitudes x, y on the input qubit's two
+    # rails, summed over the product's configurations, then taken against g
+    setting = list(protocol.TOMO_SETTINGS).index("Y")
+    x, y = (rows[setting].tolist() for rows in protocol._form_rows("tomography"))
+    column = circuit.element_matrix(circuit.prep_splitter("A0p", "A1p", 0.37, 1.3))[:, 0]
+    (re0, im0), (re1, im1) = ((c.real, c.imag) for c in column.tolist())
+    g = (re0 * re0 + im0 * im0, re1 * re1 + im1 * im1, re0 * re1 + im0 * im1, re0 * im1 - im0 * re1)
+    _, configs = combination_table(len(OUTPUT_MODES), 3)
     expected = []
     for labels in MOMENT_KEYS:
-        if len(labels) == 1:
-            expected.append(means[labels[0]])
-            continue
-        total = 0.0
-        for c, p in pairs:
-            product = 1.0
-            for label in labels:
-                product *= ((c >> OUTPUT_MODES.index(label)) & 1) - means[label]
-            total += p * product
-        expected.append(total)
-    got = occupation_moments(OUTPUT_MODES, 3, state.amps, MOMENT_KEYS)
-    assert got.tolist() == expected
+        shifts = OUTPUT_MODES.indices(labels)
+        t = [0.0] * 4
+        for c, a, b in zip(configs.tolist(), x, y):
+            if not all((c >> i) & 1 for i in shifts):
+                continue
+            ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+            # x y* and y x*, each product rounded on its own
+            cross = (ar * br - ai * -bi, ar * -bi + ai * br)
+            crossed = (br * ar - bi * -ai, br * -ai + bi * ar)
+            turned = 0.0 * (crossed[0] - cross[0]) - 1.0 * (crossed[1] - cross[1])
+            terms = (ar * ar - ai * -ai, br * br - bi * -bi, cross[0] + crossed[0], turned)
+            t = [total + term for total, term in zip(t, terms)]
+        expected.append(((t[0] * g[0] + t[1] * g[1]) + t[2] * g[2]) + t[3] * g[3])
+    assert protocol._observables(_moment_block("Y"), 0.37, 1.3).tolist() == expected
 
 
 def test_state_holds_the_given_vector():

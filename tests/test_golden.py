@@ -17,7 +17,13 @@ corrected outcomes print the signed zeros -0.0 in bloch_x and bloch_y;
 recorded while Bob's qubit was still stored as a density matrix, and
 re-recorded once when Bob's Bloch components became unfused real products:
 bloch_z of -+ and +- went 0.9999999999999999 -> 1.0, the digits that hosts
-without FMA had printed all along.
+without FMA had printed all along.  One declared re-record moved last digits
+and signed zeros of ideal.txt, ideal.json, ideal_off_readme.json,
+ideal_north_pole.csv, correlators.csv and its stderr,
+correlators_off_readme.json and verify.txt, when every exact observable
+came to be read from one coefficient table in the input qubit and the
+fidelity of two Bloch vectors became one less a quarter of a sum of
+squares, which never exceeds 1.
 """
 
 import hashlib
@@ -90,7 +96,7 @@ def bloch_sweep() -> bytes:
     Bob's conditional Bloch stacks for the four paired outcomes, the
     tomography Bloch vectors and the zero-temperature correlator tables at
     the three settings; then the same from the one-point calls at 200 of
-    the points, which read each point's one launch."""
+    the points."""
     rng = np.random.default_rng(20261018)
     R = rng.random(2000)
     phi = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 2000)

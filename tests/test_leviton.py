@@ -249,15 +249,16 @@ def test_table_matches_reference_everywhere():
 
 
 def test_grid_tables_are_each_settings_own_moments():
-    # one moment call over the three settings' rows gives each row the bytes
-    # of a moment call on that setting's row alone, and of the one-point tables
+    # one evaluation of the three settings' moments gives each row the bytes
+    # of an evaluation of that setting's moments alone, and of the one-point
+    # tables
     rs, phis = np.linspace(0.05, 0.95, 7), np.linspace(-3.0, 9.0, 7)
     tables = zero_T_tables(rs, phis)
     assert list(tables) == list(protocol.TOMO_SETTINGS)
-    amps = protocol.premeasurement_amplitudes("tomography", rs, phis)
     for row, (setting, table) in enumerate(tables.items()):
         assert table.setting == setting
-        alone = leviton._zero_T_moments(amps[:, row, :])
+        raw = protocol._observables(protocol._table().moments[row], rs, phis)
+        alone = leviton._cumulants(raw)
         assert table.values.tobytes() == alone.tobytes()
         assert table.values.tobytes() == zero_T_correlators(rs, phis, setting).values.tobytes()
         for r, phi, values in zip(rs.tolist(), phis.tolist(), table.values):

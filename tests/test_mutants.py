@@ -17,7 +17,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
+import test_certificates
 import test_circuit
 import test_fock
 import test_golden
@@ -171,17 +173,28 @@ def _form_rows_swapped(monkeypatch):
     monkeypatch.setattr(protocol, "_form_rows", lambda stage: rows(stage)[::-1])
 
 
-def _memo_key_drops_phi(monkeypatch):
-    launch = protocol._point_amplitudes.__wrapped__
-    memo = {}
+def _coherence_entries_swapped(monkeypatch):
+    # g's Re c0* c1 and Im c0* c1 trade places: the same as every block's
+    # last two coefficients trading places
+    observables = protocol._observables
 
-    def keyed_without_phi(stage, R, phi, *rest):
-        key = (stage, R, *rest)
-        if key not in memo:
-            memo[key] = launch(stage, R, phi, *rest)
-        return memo[key]
+    def swapped(block, R, phi):
+        return observables(block[..., [0, 1, 3, 2]], R, phi)
 
-    monkeypatch.setattr(protocol, "_point_amplitudes", keyed_without_phi)
+    monkeypatch.setattr(protocol, "_observables", swapped)
+
+
+def _triple_product_term_dropped(monkeypatch):
+    # each Q column loses the 2 <a><b><c> of its joint cumulant
+    cumulants = leviton._cumulants
+
+    def dropped(raw):
+        values = cumulants(raw).copy()
+        a, b, c = (raw[..., leviton._FACTORS[i]] for i in (10, 8, 6))
+        values[..., -c.shape[-1]:] -= 2.0 * (a * b * c)
+        return values
+
+    monkeypatch.setattr(leviton, "_cumulants", dropped)
 
 
 def _mass_summed_pairwise(monkeypatch):
@@ -334,13 +347,18 @@ MUTANTS = [
         test_properties.test_linear_form_equals_a_six_mode_launch,
         id="form-rows-swapped",
     ),
+    # the coefficient table is built from the same rows
+    pytest.param(_form_rows_swapped, _criterion(8), id="form-rows-swapped-crit08"),
+    pytest.param(
+        _coherence_entries_swapped,
+        test_certificates.test_g_is_the_input_bloch_vector,
+        id="coherence-entries-swapped",
+    ),
+    pytest.param(
+        _triple_product_term_dropped, _criterion(7), id="triple-product-term-dropped-crit07"
+    ),
     pytest.param(_pp_reads_a0_minus, _criterion(2), id="pp-reads-a0-minus-crit02"),
     pytest.param(_pp_reads_a0_minus, _criterion(5), id="pp-reads-a0-minus-crit05"),
-    pytest.param(
-        _memo_key_drops_phi,
-        test_properties.test_memo_keys_every_parameter,
-        id="memo-key-drops-phi",
-    ),
     pytest.param(
         _mass_summed_pairwise,
         test_properties.test_mass_adds_left_to_right,
@@ -448,6 +466,16 @@ MUTANTS = [
 
 @pytest.mark.parametrize("defect, target", MUTANTS)
 def test_defect_fails_its_target(monkeypatch, defect, target):
+    # a property target runs its explicit, stored and generated examples,
+    # but does not shrink the failure it finds: a row asks only whether it
+    # fails.  Hypothesis reads a test's settings from this attribute on
+    # each call
+    given_settings = getattr(target, "_hypothesis_internal_use_settings", None)
+    if given_settings is not None:
+        phases = (Phase.explicit, Phase.reuse, Phase.generate)
+        monkeypatch.setattr(
+            target, "_hypothesis_internal_use_settings", settings(given_settings, phases=phases)
+        )
     defect(monkeypatch)
     # a target fails on an assert, or on a pytest.raises that saw no error
     with pytest.raises((AssertionError, pytest.fail.Exception)):

@@ -114,12 +114,15 @@ def test_no_arm_phase_gives_the_point_conditional(R, phi):
     # at Phi = 0 the run's state is the point's ++ conditional, byte for
     # byte wherever x or y is non-zero (0 < R < 1); where both are zeros
     # (R = 0 or 1, or an R whose amplitude is pruned), turning them by
-    # Phi = 0 may change the sign of a zero.  p is what the ++ element
-    # gives on the point's detection stage
+    # Phi = 0 may change the sign of a zero.  p is the ++ row of the
+    # coefficient table, within 2e-15 of what the ++ element gives on the
+    # point's detection stage, the amplitude route
     params = TeleportParams(R, phi)
     p, qubit = protocol.conditional_with_arm_phases(params, {})
     want = protocol.bob_conditional(params, PP)
-    assert p == protocol.POVMElement(PP).expectation(protocol.run_premeasurement(params))
+    assert p == protocol._paired_point(R, phi, PAIRED_OUTCOMES.index(PP))[0]
+    launched = protocol.POVMElement(PP).expectation(protocol.run_premeasurement(params))
+    assert abs(p - launched) <= 2e-15
     if want.bloch[:2].any():
         assert qubit.bloch.tobytes() == want.bloch.tobytes()
     else:
@@ -181,24 +184,20 @@ def test_stacked_network_matches_reference(points):
 
 
 def _fresh_launch(stage, R, phi):
-    """A one-point call's amplitudes from a one-element grid, which is never
-    memoised."""
+    """A one-point call's amplitudes from a one-element grid."""
     return protocol.premeasurement_amplitudes(stage, np.array([R]), np.array([phi]))[0]
 
 
 @settings(max_examples=50, deadline=None)
 @given(scalar_point)
 def test_memoised_amplitudes_equal_a_fresh_launch(point):
+    # a one-point call, made twice, has the bytes of a one-element grid
     for stage in circuit.STAGES:
         fresh = _fresh_launch(stage, *point)
-        for _ in range(2):  # the second call is served by the memo
+        for _ in range(2):
             amps = protocol.premeasurement_amplitudes(stage, *point)
             assert amps.tobytes() == fresh.tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                amps[0] = 1.0
-    # the key holds no signs: a call at one signed zero right after one at
-    # the other is served by the first call's entry, which must still hold
-    # the bytes of a fresh launch at the second
+    # and so has a call at one signed zero right after one at the other
     R, phi = point
     for zeros in ((0.0, -0.0), (-0.0, 0.0)):
         for pair in ([(z, phi) for z in zeros], [(R, z) for z in zeros]):
@@ -208,19 +207,8 @@ def test_memoised_amplitudes_equal_a_fresh_launch(point):
                     assert amps.tobytes() == _fresh_launch(stage, *signed).tobytes()
 
 
-def test_memo_keys_every_parameter():
-    # the memo holds one point, the last one asked for, so a key that missed
-    # a parameter would hand each point of a pair the other's amplitudes
-    base = (0.3, 1.2)
-    variants = [(0.6, 1.2), (0.3, 2.1)]
-    for stage in circuit.STAGES:
-        for variant in variants:
-            for point in (base, variant, base, variant):
-                amps = protocol.premeasurement_amplitudes(stage, *point)
-                assert amps.tobytes() == _fresh_launch(stage, *point).tobytes()
-
-
 def test_memo_keeps_no_rejected_point():
+    # a rejected point or stage raises on every call, after a good point too
     protocol.premeasurement_amplitudes("detection", 0.3, 1.2)
     for _ in range(2):
         with pytest.raises(ValueError, match=r"R must lie in \[0, 1\]"):
@@ -282,6 +270,40 @@ def test_tomography_grid_rows_equal_one_point_rows(points):
         assert row.tobytes() == protocol.premeasurement_amplitudes("tomography", r, p).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(edge_unit, signed_zero | wide_angle), min_size=1, max_size=5))
+@example([(0.0, -0.0), (1.0, -0.0), (0.3, 1.2), (-0.0, 8.29174227940473)])
+@example([(4.388922768961347e-28, 0.0), (1.0 - 2.0**-53, 0.7)])
+def test_table_route_matches_the_amplitude_route(points):
+    # every block of the coefficient table against the observables taken
+    # from the launched amplitudes: outcome probabilities, Bob's paired
+    # conditionals, and each raw moment as a left-to-right sum of the
+    # configurations' probabilities.  Where R or D is so small that Bob's
+    # amplitude on one rail, sqrt(R)/4 or sqrt(D)/4, is at most PRUNE_TOL,
+    # the launch sets it to zero and the table does not: x and y then move
+    # by up to 2 * 0.25 * PRUNE_TOL / p = 8 PRUNE_TOL
+    R, phi = map(np.array, zip(*points))
+    pruned = np.minimum(R, 1.0 - R) <= (4.0 * fock.PRUNE_TOL) ** 2
+    bloch_tol = np.where(pruned, 8.0 * fock.PRUNE_TOL, 2e-15)[:, None]
+    table = protocol._table()
+    amps = protocol.premeasurement_amplitudes("detection", R, phi)
+    outcomes = protocol._observables(table.outcomes, R, phi)
+    assert np.max(np.abs(outcomes - protocol.outcome_probabilities(amps))) <= 2e-15
+    for row, outcome in enumerate(PAIRED_OUTCOMES):
+        p, bloch = protocol.conditional_qubits(amps, outcome)
+        observed = protocol._observables(table.paired[row], R, phi)
+        assert np.max(np.abs(observed[:, 0] - p)) <= 2e-15
+        assert (np.abs(observed[:, 1:] / observed[:, :1] - bloch) <= bloch_tol).all()
+    probs = fock.probabilities(protocol.premeasurement_amplitudes("tomography", R, phi))
+    moments = protocol._observables(table.moments, R, phi)
+    configs = fock.combination_table(len(OUTPUT_MODES), 3)[1]
+    for column, labels in enumerate(protocol._MOMENT_LABELS):
+        mask = fock.occupations(OUTPUT_MODES, configs, labels).all(axis=1)
+        for point, setting in itertools.product(range(len(points)), range(3)):
+            want = functools.reduce(operator.add, probs[point, setting, mask].tolist(), 0.0)
+            assert abs(moments[point, setting, column] - want) <= 2e-15, labels
+
+
 @settings(max_examples=50, deadline=None)
 @given(signed_zero | unit, signed_zero | angle)
 @example(0.3, -0.0)
@@ -312,17 +334,26 @@ stack_point = st.tuples(
 @settings(max_examples=50, deadline=None)
 @given(st.lists(stack_point, min_size=1, max_size=6))
 @example([(0.3, 1.2), (-0.0, 8.29174227940473), (1.0, -0.0)])
+@example([(4.490530341042323e-30, 0.0)])
 def test_stacked_bloch_rows_equal_one_point_states(points):
-    # a row of the stack and the one-point state round alike, bit for bit
-    amps = np.stack([protocol.premeasurement_amplitudes("detection", R, phi) for R, phi in points])
-    for outcome in PAIRED_OUTCOMES:
+    # a row of the table evaluated over the points and the one-point state
+    # round alike, bit for bit; a row of the amplitude route's stack is
+    # within 2e-15 of it, or within 8 PRUNE_TOL where the launch prunes
+    # Bob's amplitude on one rail (see the test above)
+    R, phi = map(np.array, zip(*points))
+    amps = np.stack([protocol.premeasurement_amplitudes("detection", r, p) for r, p in points])
+    for row, outcome in enumerate(PAIRED_OUTCOMES):
         _, bloch = protocol.conditional_qubits(amps, outcome)
         assert bloch.shape == (len(points), 3)
-        for (R, phi), row in zip(points, bloch):
-            single = protocol.bob_conditional(TeleportParams(R, phi), outcome)
-            assert row.tobytes() == single.bloch.tobytes()
+        observed = protocol._observables(protocol._table().paired[row], R, phi)
+        for point, stacked, (p, *numerators) in zip(points, bloch, observed.tolist()):
+            single = protocol.bob_conditional(TeleportParams(*point), outcome)
+            assert np.array([n / p for n in numerators]).tobytes() == single.bloch.tobytes()
+            pruned = min(point[0], 1.0 - point[0]) <= (4.0 * fock.PRUNE_TOL) ** 2
+            tol = 8.0 * fock.PRUNE_TOL if pruned else 2e-15
+            assert np.max(np.abs(stacked - single.bloch)) <= tol
             # a unit vector up to its rounding: at R = 1, |r| reads 1 + 2.2e-16
-            assert math.hypot(*row) <= 1.0 + 1e-15
+            assert math.hypot(*stacked) <= 1.0 + 1e-15
 
 
 component = signed_zero | st.floats(-1.0, 1.0)
@@ -539,7 +570,7 @@ def test_mask_tables_sum_as_their_masks(probs):
     clicked = protocol._clicked
     tables = [
         (protocol._masses, protocol._outcome_table(), [clicked(x) for x in ALL_OUTCOMES]),
-        (protocol._masses, protocol._product_masks(), _ratio_masks()),
+        (protocol._masses, protocol._padded_table(_ratio_masks()), _ratio_masks()),
         (fock.mass, protocol._paired_table(PAIRED_OUTCOMES), [clicked(x) for x in PAIRED_OUTCOMES]),
     ]
     with np.errstate(all="ignore"):
@@ -620,6 +651,23 @@ def test_stacked_fidelities_equal_scalar_calls(pairs):
         assert np.float64(row).tobytes() == np.float64(single).tobytes()
     broadcast = protocol.jozsa_fidelity(r, r_prime[0])
     assert broadcast.tobytes() == protocol.jozsa_fidelity(r, r_prime[:1]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bloch_pair, st.booleans(), st.booleans())
+@example(((0.768221994155545, 0.3908948981016021, -0.5069873236421362),) * 2, False, False)
+@example(((0.768221994155545, 0.3908948981016021, -0.5069873236421362),
+          (-0.768221994155545, -0.3908948981016021, 0.5069873236421362)), False, False)
+def test_fidelity_lies_in_the_unit_interval(pair, on_sphere, alike):
+    # a vector against itself has fidelity 1 up to rounding, which must not
+    # carry it past 1, even for a unit vector whose squares add up to a
+    # rounding above 1; and no pair of the unit ball falls below 0
+    r, r_prime = (np.array(v) for v in pair)
+    if on_sphere and r.any():
+        r = r / math.hypot(*r)
+    if alike:
+        r_prime = r
+    assert 0.0 <= protocol.jozsa_fidelity(r, r_prime) <= 1.0
 
 
 reference_point = st.tuples(edge_unit, signed_zero | angle, edge_unit, signed_zero | angle)

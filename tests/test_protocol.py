@@ -254,48 +254,42 @@ def test_impossible_outcome_raises():
 
 
 def test_conditional_errors_are_not_kept_with_the_point(monkeypatch):
-    # a launch whose ++ pattern has probability zero: ++ raises on every
-    # call, the other three outcomes still come from the point's one pass,
-    # and the point's entry holds their vectors and no error
-    launch = protocol._launch
+    # rows whose ++ pattern has probability zero: ++ raises on every call,
+    # and the other three outcomes keep the vectors of the physical rows
+    params = TeleportParams(0.3, 1.2)
+    want = {x: bob_conditional(params, x).bloch.tobytes() for x in PAIRED_OUTCOMES}
+    rows = protocol._form_rows
     clicked = povm_element(PP).clicked(DETECTION_MODES, 3)
 
-    def without_pp(stage, *args):
-        amps = launch(stage, *args)
-        amps[..., protocol._Z_ROW, clicked] = 0.0
-        return amps
+    def without_pp(stage):
+        form = rows(stage).copy()
+        form[:, protocol._Z_ROW, clicked] = 0.0
+        return form
 
-    monkeypatch.setattr(protocol, "_launch", without_pp)
-    protocol._point_amplitudes.cache_clear()
+    monkeypatch.setattr(protocol, "_form_rows", without_pp)
+    protocol._table.cache_clear()
     try:
-        params = TeleportParams(0.3, 1.2)
         for _ in range(2):
             with pytest.raises(ValueError, match=r"outcome \+\+ has probability zero"):
                 bob_conditional(params, PP)
             with pytest.raises(ValueError, match="outcome 1100 does not leave Bob a qubit"):
                 bob_conditional(params, MeasurementOutcome((1, 1, 0, 0)))
-        entry = protocol._point_amplitudes("tomography", 0.3, 1.2)
-        p, bloch = entry.result(protocol._paired_conditionals)
-        for row, outcome in enumerate(PAIRED_OUTCOMES):
-            if outcome == PP:
-                assert p[row] == 0.0 and np.isnan(bloch[row]).all()
-                continue
-            assert bob_conditional(params, outcome).bloch.tobytes() == bloch[row].tobytes()
-        kept = [value for result in entry._results.values() for value in result]
-        assert all(isinstance(value, np.ndarray) for value in kept)
+            for outcome in PAIRED_OUTCOMES:
+                if outcome != PP:
+                    assert bob_conditional(params, outcome).bloch.tobytes() == want[outcome]
     finally:
-        protocol._point_amplitudes.cache_clear()
+        protocol._table.cache_clear()
 
 
 def test_numpy_scalar_point_is_launched_afresh_with_the_same_bytes():
-    # numpy scalars are not memo keys: their point is launched afresh and
-    # gives the bytes of the same values as Python scalars
-    fresh, memoised = (np.int64(1), np.float32(0.5)), (1, 0.5)
+    # a point given as numpy scalars gives the bytes of the same values as
+    # Python scalars
+    fresh, python = (np.int64(1), np.float32(0.5)), (1, 0.5)
     for outcome in PAIRED_OUTCOMES:
-        got, want = (bob_conditional(TeleportParams(*x), outcome) for x in (fresh, memoised))
+        got, want = (bob_conditional(TeleportParams(*x), outcome) for x in (fresh, python))
         assert got.bloch.tobytes() == want.bloch.tobytes()
     for setting in protocol.TOMO_SETTINGS:
-        got, want = (leviton.zero_T_correlators(*x, setting) for x in (fresh, memoised))
+        got, want = (leviton.zero_T_correlators(*x, setting) for x in (fresh, python))
         assert got.values.tobytes() == want.values.tobytes()
 
 
@@ -451,15 +445,15 @@ def _count_networks(monkeypatch) -> tuple[list, list]:
 
 
 def test_exact_point_composes_no_network(monkeypatch):
-    # the tomography stage, whose Z row is the detection stage and whose ++
-    # conditional, turned by the combined phase, is the state with arm
-    # phases, is a linear form over parameter-free rows: they come from one
-    # network, composed on first use without a phase element, and no point
-    # composes a network or takes a determinant after that
+    # the detection stage is the Z row of the tomography stage's linear
+    # form, and every observable, the state with arm phases among them, is
+    # read from the coefficient table built from the same rows: they come
+    # from one network, composed on first use without a phase element, and
+    # no point composes a network or takes a determinant after that
     saw._arm_sign()  # parameter-free, derived once per process
     calls, dets = _count_networks(monkeypatch)
     protocol._form_rows.cache_clear()
-    protocol._point_amplitudes.cache_clear()
+    protocol._table.cache_clear()
     arms = dict(zip(circuit.ARM_WIRES, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)))
     _exact_point(0.37, 2.9, arms)
     assert [d.elements[-1].kind for d in calls] == ["tomo"]
@@ -482,15 +476,12 @@ def test_correlator_criterion_composes_no_network(monkeypatch, number):
 
 def test_cached_tables_are_read_only():
     tables = [
-        protocol.premeasurement_amplitudes("tomography", 0.3, 1.2),
         povm_element(PP).clicked(DETECTION_MODES, 3),
-        protocol._product_masks(),
         protocol._outcome_table(),
         protocol._paired_table(PAIRED_OUTCOMES),
-        *fock._moment_tables(OUTPUT_MODES, 3, leviton.KEYS),
+        *protocol._table(),
         circuit._SYM_BLOCK,
         protocol._SETTINGS,
-        *protocol._point_result(0.3, 1.2, protocol._paired_conditionals),
         protocol._form_rows("preparation"),
         protocol._form_rows("tomography"),
     ]

@@ -102,10 +102,10 @@ BAD_ARMS = {
 
 @pytest.mark.parametrize("arms, words", BAD_ARMS.values(), ids=BAD_ARMS.keys())
 def test_fixed_arm_phases_rejected_before_any_launch(monkeypatch, arms, words):
-    # with no stage rows and an empty memo, a check made after the state
-    # would compose the tomography stage's network
+    # with no stage rows and no coefficient table, a check made after the
+    # state would compose the tomography stage's network
     protocol._form_rows.cache_clear()
-    protocol._point_amplitudes.cache_clear()
+    protocol._table.cache_clear()
     compose, calls = circuit.compose, []
     monkeypatch.setattr(circuit, "compose", lambda d: calls.append(d) or compose(d))
     with pytest.raises(ValueError, match=re.escape(words)):
