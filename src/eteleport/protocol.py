@@ -376,9 +376,9 @@ def conditional_qubits(
 
 def _conditionals(amps: np.ndarray, outcome: MeasurementOutcome) -> tuple[np.ndarray, np.ndarray]:
     """`conditional_qubits` in one pass: one `probabilities`, one mass and
-    one gather over the outcome's `_paired_table` row, one `_pure_blochs`
-    and one unit-ball check; a row of probability zero raises."""
-    columns = _paired_table((outcome,))[0]
+    one gather over the outcome's `_bob_columns`, one `_pure_blochs` and
+    one unit-ball check; a row of probability zero raises."""
+    columns = _bob_columns(outcome)
     p = mass(probabilities(amps), columns)
     if (p == 0.0).any():
         raise ValueError(f"outcome {outcome.label} has probability zero")
@@ -405,15 +405,6 @@ def _clicked(outcome: MeasurementOutcome) -> np.ndarray:
 def _outcome_table() -> np.ndarray:
     """The `_padded_table` of the click masks of ALL_OUTCOMES."""
     return _padded_table([_clicked(x) for x in ALL_OUTCOMES])
-
-
-@functools.lru_cache(maxsize=None)
-def _paired_table(outcomes: tuple[MeasurementOutcome, ...]) -> np.ndarray:
-    """The `_bob_columns` of each paired outcome, one row each, read-only: the
-    indices of its click mask, ascending, which no row needs to pad."""
-    table = np.array([_bob_columns(x) for x in outcomes])
-    table.flags.writeable = False
-    return table
 
 
 def _padded_table(masks: list[np.ndarray]) -> np.ndarray:

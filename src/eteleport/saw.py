@@ -248,8 +248,11 @@ def dephased_state_montecarlo(
 def _run_state(run: _Run, cos: float, sin: float) -> QubitState:
     """Bob's ++-conditional state from a run's constants and a cos and sin
     of Phi, the means over the run's draws or one fixed draw's: (x, y)
-    turned about z."""
+    turned about z.  Phi = 0 leaves them unturned, since adding s y sin
+    and subtracting s x sin would change the sign of a zero x or y."""
     _, x, y, z, s = run
+    if cos == 1.0 and sin == 0.0:
+        return QubitState([x, y, z])
     return QubitState([x * cos + s * y * sin, y * cos - s * x * sin, z])
 
 

@@ -1,4 +1,5 @@
-"""The README's example commands reproduce their recorded outputs byte for byte.
+"""The README's example commands and `verify` reproduce their recorded outputs
+byte for byte, in this process and in every environment of ENVIRONMENTS.
 
 The files under tests/data/ were written by the CLI before the Fock engine
 and the network builder were restructured; they are never regenerated to
@@ -26,7 +27,10 @@ fidelity of two Bloch vectors became one less a quarter of a sum of
 squares, which never exceeds 1.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import os
 import platform
@@ -42,7 +46,10 @@ from eteleport import cli, leviton, protocol
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 
+# (arguments, recorded stdout, recorded stderr or None): every golden, each
+# checked in process and in every environment of ENVIRONMENTS
 CASES = [
+    (("verify",), "verify.txt", None),
     (("ideal", "--R", "0.3", "--phi", "1.2"), "ideal.txt", None),
     (("ideal", "--R", "0.3", "--phi", "1.2", "--format", "json"), "ideal.json", None),
     (
@@ -70,25 +77,28 @@ CASES = [
 ]
 
 
+def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """`cli.main(argv)` in this process, from the repo root (circuit-check
+    echoes its path as given): the exit code, stdout and stderr."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(REPO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def recorded(name: str | None) -> str:
+    """A golden's text, read as bytes since the CSV writer ends rows with
+    CRLF; no file is an empty stream."""
+    return (DATA / name).read_bytes().decode() if name else ""
+
+
 @pytest.mark.parametrize("argv, out_file, err_file", CASES, ids=[c[1] for c in CASES])
-def test_readme_output_is_byte_identical(argv, out_file, err_file, capsys, monkeypatch):
-    monkeypatch.chdir(REPO)  # circuit-check echoes the path as given
-    assert cli.main(list(argv)) == 0
-    captured = capsys.readouterr()
-    # read as bytes: the CSV writer ends rows with \r\n
-    assert captured.out == (DATA / out_file).read_bytes().decode()
-    expected_err = (DATA / err_file).read_bytes().decode() if err_file else ""
-    assert captured.err == expected_err
-
-
-KERNEL_FILES = (
-    "correlators.csv",
-    "correlators_off_readme.json",
-    "ideal.json",
-    "ideal_off_readme.json",
-    "ideal_north_pole.csv",
-)
-KERNEL_CASES = [(("verify",), "verify.txt", None)] + [c for c in CASES if c[1] in KERNEL_FILES]
+def test_readme_output_is_byte_identical(argv, out_file, err_file):
+    assert run(argv) == (0, recorded(out_file), recorded(err_file))
 
 
 def bloch_sweep() -> bytes:
@@ -140,56 +150,81 @@ phase c value=-2.803262043908447
 prep f b R=0.08185501079576984 phi=-2.7965123403612457
 """
 
+ENVIRONMENTS = {
+    "OPENBLAS_CORETYPE=Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy dispatch off": {"NPY_DISABLE_CPU_FEATURES": dispatched_groups()},
+}
+"""The variables of each environment a child process runs the goldens in;
+every other variable, the BLAS kernel included, is this process's.
+
+Prescott is OpenBLAS' oldest x86-64 kernel, so any x86-64 host runs it.
+
+The other child disables every SIMD group numpy dispatches to on this
+host (a group the host lacks is never dispatched to).  No printed byte
+depends on numpy's dispatch: the thermal series behind the fidelity curve
+is scalar Python arithmetic and libm calls; every exact observable is read
+from one coefficient table, built once from the stages' rows with unfused
+complex products and left-to-right sums (np.add.accumulate), and evaluated
+at a point as real products added in a fixed order; the amplitude route's
+|amplitude|^2 squares libm's hypot (np.hypot, never np.abs of a complex),
+its Bloch components are real products that no fused complex multiply
+rounds, and its sums run left to right; the saw rows' fidelities are built
+in place, and their means and spreads come from one sum and one deviation
+buffer (saw._mean_std).
+"""
+
+
+def _unrecorded(probe: str) -> dict:
+    """The checks with no golden file, as this process makes them: the
+    circuit check of the probe file, and the SHA-256 of `bloch_sweep()`
+    and of the tomography stage."""
+    return {
+        "probe": list(run(("circuit-check", probe))),
+        "bloch_sweep": hashlib.sha256(bloch_sweep()).hexdigest(),
+        "tomography_digest": tomography_digest(),
+    }
+
+
+def environment_report(probe: str) -> str:
+    """What a child prints, as JSON: `run` of every row of CASES, keyed by
+    its stdout file, and `_unrecorded(probe)`."""
+    report = {out_file: list(run(argv)) for argv, out_file, _ in CASES}
+    return json.dumps(report | _unrecorded(probe))
+
 
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels"
 )
-def test_output_does_not_depend_on_the_blas_kernel(tmp_path, capsys):
-    # Prescott is OpenBLAS' oldest x86-64 kernel, so any x86-64 host runs it;
-    # the variable is set for the child processes only.  One child also runs
-    # with every numpy SIMD group the host dispatches to disabled, and must
-    # hash the tomography stage as this process does
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-    path = [str(REPO / "src"), str(REPO / "tests"), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-    # (child arguments, stdout and stderr the child must print, environment)
-    runs = [
-        (
-            ("-m", "eteleport.cli", *argv),
-            (DATA / out_file).read_bytes(),
-            (DATA / err_file).read_bytes() if err_file else b"",
-            env,
-        )
-        for argv, out_file, err_file in KERNEL_CASES
-    ]
+def test_output_does_not_depend_on_the_environment(tmp_path):
+    # one child per environment, started at once; each runs every check in
+    # process, and must print this process's report with the goldens as
+    # recorded
     probe = tmp_path / "probe.ckt"
     probe.write_text(PROBE_CIRCUIT)
-    assert cli.main(["circuit-check", str(probe)]) == 0
-    check = ("-m", "eteleport.cli", "circuit-check", str(probe))
-    runs.append((check, capsys.readouterr().out.encode(), b"", env))
-    sweep = "import sys, test_golden; sys.stdout.buffer.write(test_golden.bloch_sweep())"
-    runs.append((("-c", sweep), bloch_sweep(), b"", env))
-    digest = "import sys, test_golden; sys.stdout.write(test_golden.tomography_digest())"
-    undispatched = dict(env, NPY_DISABLE_CPU_FEATURES=dispatched_groups())
-    runs.append((("-c", digest), tomography_digest().encode(), b"", undispatched))
-    children = [
-        subprocess.Popen(
-            [sys.executable, "-W", "error", *args],
-            cwd=REPO, env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    path = [str(REPO / "src"), str(REPO / "tests"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = "import sys, test_golden as g; sys.stdout.write(g.environment_report(sys.argv[1]))"
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-W", "error", "-c", script, str(probe)],
+            cwd=REPO, env=env | variables, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        for args, _, _, child_env in runs
-    ]
+        for name, variables in ENVIRONMENTS.items()
+    }
     try:
-        for child, (args, want_out, want_err, _) in zip(children, runs):
+        want = {out: [0, recorded(out), recorded(err)] for _, out, err in CASES}
+        want |= _unrecorded(str(probe))
+        for name, child in children.items():
             out, err = child.communicate(timeout=60)
-            assert child.returncode == 0, (args, err.decode())
-            assert out == want_out, args
-            assert err == want_err, args
+            assert child.returncode == 0 and err == b"", (name, err.decode())
+            report = json.loads(out)
+            for check, value in want.items():
+                assert report[check] == value, f"{name}: {check}"
     finally:
-        for child in children:
+        for child in children.values():
             child.kill()
             child.wait()
-            # a failed assert leaves the other children's pipes open, and
-            # their ResourceWarnings would fail whichever test collects them
+            # a failed assert leaves the other child's pipes open, and its
+            # ResourceWarnings would fail whichever test collects them
             child.stdout.close()
             child.stderr.close()

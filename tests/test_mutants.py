@@ -8,9 +8,7 @@ NaN rows check that a non-finite result fails its criterion instead of
 slipping through a `max(worst, x)` or an `x > bound` comparison.
 """
 
-import contextlib
 import importlib
-import io
 import math
 import pkgutil
 from types import SimpleNamespace
@@ -71,22 +69,9 @@ def _criterion(number):
 
 
 def _golden(out_file):
-    """`test_golden`'s byte-identity test of one README golden, its output
-    captured here in place of the capsys fixture."""
+    """`test_golden`'s byte-identity test of one golden."""
     argv, _, err_file = next(case for case in test_golden.CASES if case[1] == out_file)
-
-    def target():
-        out, err = io.StringIO(), io.StringIO()
-        captured = SimpleNamespace(
-            readouterr=lambda: SimpleNamespace(out=out.getvalue(), err=err.getvalue())
-        )
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with pytest.MonkeyPatch.context() as patch:
-                test_golden.test_readme_output_is_byte_identical(
-                    argv, out_file, err_file, captured, patch
-                )
-
-    return target
+    return lambda: test_golden.test_readme_output_is_byte_identical(argv, out_file, err_file)
 
 
 def _replace(owner, name, stand_in):

@@ -112,21 +112,17 @@ def test_fixed_arm_phases_match_a_launch(R, phi, arms):
 @example(0.0, 0.0)
 def test_no_arm_phase_gives_the_point_conditional(R, phi):
     # at Phi = 0 the run's state is the point's ++ conditional, byte for
-    # byte wherever x or y is non-zero (0 < R < 1); where both are zeros
-    # (R = 0 or 1, or an R whose amplitude is pruned), turning them by
-    # Phi = 0 may change the sign of a zero.  p is the ++ row of the
-    # coefficient table, within 2e-15 of what the ++ element gives on the
-    # point's detection stage, the amplitude route
+    # byte, signed zeros included (R = 0 or 1, or an R whose amplitude is
+    # pruned).  p is the ++ row of the coefficient table, within 2e-15 of
+    # what the ++ element gives on the point's detection stage, the
+    # amplitude route
     params = TeleportParams(R, phi)
     p, qubit = protocol.conditional_with_arm_phases(params, {})
     want = protocol.bob_conditional(params, PP)
     assert p == protocol._paired_point(R, phi, PAIRED_OUTCOMES.index(PP))[0]
     launched = protocol.POVMElement(PP).expectation(protocol.run_premeasurement(params))
     assert abs(p - launched) <= 2e-15
-    if want.bloch[:2].any():
-        assert qubit.bloch.tobytes() == want.bloch.tobytes()
-    else:
-        assert np.array_equal(qubit.bloch, want.bloch)
+    assert qubit.bloch.tobytes() == want.bloch.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -571,7 +567,11 @@ def test_mask_tables_sum_as_their_masks(probs):
     tables = [
         (protocol._masses, protocol._outcome_table(), [clicked(x) for x in ALL_OUTCOMES]),
         (protocol._masses, protocol._padded_table(_ratio_masks()), _ratio_masks()),
-        (fock.mass, protocol._paired_table(PAIRED_OUTCOMES), [clicked(x) for x in PAIRED_OUTCOMES]),
+        (
+            fock.mass,
+            np.array([protocol._bob_columns(x) for x in PAIRED_OUTCOMES]),
+            [clicked(x) for x in PAIRED_OUTCOMES],
+        ),
     ]
     with np.errstate(all="ignore"):
         for masses, table, masks in tables:

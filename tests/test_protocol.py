@@ -478,7 +478,6 @@ def test_cached_tables_are_read_only():
     tables = [
         povm_element(PP).clicked(DETECTION_MODES, 3),
         protocol._outcome_table(),
-        protocol._paired_table(PAIRED_OUTCOMES),
         *protocol._table(),
         circuit._SYM_BLOCK,
         protocol._SETTINGS,
