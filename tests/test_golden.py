@@ -214,6 +214,10 @@ def test_output_does_not_depend_on_the_environment(tmp_path):
     try:
         want = {out: [0, recorded(out), recorded(err)] for _, out, err in CASES}
         want |= _unrecorded(str(probe))
+        # the children are held to this process's probe check, so it must
+        # pass here: a rejected probe would print the same error everywhere
+        code, _, err = want["probe"]
+        assert code == 0 and err == "", err
         for name, child in children.items():
             out, err = child.communicate(timeout=60)
             assert child.returncode == 0 and err == b"", (name, err.decode())
