@@ -213,11 +213,8 @@ def _criterion_saw_fidelity_law() -> tuple[list[Check], str | None]:
     n_states = 100_000
     sigma2_values = (0.0, 0.5, 1.0, 2.0, 2.0 * math.log(2.0))
     checks, z_scores = [], []
-    # read to its end, the row generator drops the two columns it holds
-    rows = saw.fidelity_samples(sigma2_values, n_states, seed=20260809)
-    moments = [saw._mean_std(samples) for samples in rows]
-    for sigma2, (mean, std) in zip(sigma2_values, moments):
-        stderr = std / math.sqrt(n_states)
+    moments = saw.sampled_fidelity(sigma2_values, n_states, seed=20260809)
+    for sigma2, (mean, stderr) in zip(sigma2_values, moments):
         gap = abs(mean - saw.average_fidelity(sigma2))
         z_scores.append(gap / stderr if stderr else 0.0)
         checks.append(Check(f"sigma2={sigma2:.3f} fidelity gap", gap, 3.0 * stderr + 1e-12))

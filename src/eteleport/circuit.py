@@ -33,7 +33,9 @@ from .fock import (
 ArrayLike = float | np.ndarray
 
 # Each element's circuit-file keyword -> (number of modes, parameter names
-# in file order); the keyword and these names are an element's only names.
+# in file order); the keyword and these names are an element's only names,
+# and the table drives ElementSpec's checks, the parser, the formatter and
+# element_matrix.
 _ELEMENT_PARAMS = {
     "sym": (2, ()),
     "prep": (2, ("R", "phi")),
@@ -137,6 +139,7 @@ def _stack2x2(a, b, c, d) -> np.ndarray:
     return block
 
 
+# the symmetric splitter's block, built once
 _SYM_BLOCK = np.array([[1j, 1.0], [1.0, 1j]], dtype=complex) / math.sqrt(2.0)
 _SYM_BLOCK.flags.writeable = False
 

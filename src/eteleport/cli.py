@@ -190,14 +190,13 @@ def cmd_saw(args) -> int:
     from . import saw
 
     rows = []
-    for sigma2, samples in zip(grid, saw.fidelity_samples(grid, args.n_states, args.seed)):
-        mean, std = saw._mean_std(samples)
+    for sigma2, (mean, stderr) in zip(grid, saw.sampled_fidelity(grid, args.n_states, args.seed)):
         rows.append(
             {
                 "sigma2": sigma2,
                 "fidelity_analytic": saw.average_fidelity(sigma2),
                 "fidelity_sampled": mean,
-                "stderr": std / math.sqrt(args.n_states),
+                "stderr": stderr,
                 "n_states": args.n_states,
             }
         )

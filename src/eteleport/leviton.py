@@ -20,10 +20,10 @@ import numpy as np
 
 from . import protocol
 from .circuit import ArrayLike, _integer, _number_within
-from .fock import _unfused_product, mass
+from .fock import OUTPUT_MODES, _unfused_product, mass
 from .protocol import damped_average_fidelity
 
-DETECTORS = ("A0+", "A0-", "A1+", "A1-", "B0", "B1")
+DETECTORS = OUTPUT_MODES.labels
 
 # Correlator table columns, in the order tables are printed, each label
 # tuple sorted; the kind of a column is its number of labels.
@@ -198,12 +198,6 @@ def _even_series(coefficients: Sequence[float], x2: float) -> float:
     return total
 
 
-def _coth_minus_inv(x: float, coth: float) -> float:
-    """Temperature weight of one harmonic in the pair-correlator factor,
-    coth(x) - 1/x, from x = 0.05 on, given coth(x)."""
-    return coth - 1.0 / x
-
-
 def _triple_bracket(x: float, coth: float) -> float:
     """Temperature weight of one harmonic in the triple-correlator factor,
     coth^2 + csch^2/2 - (3/2x) coth, for 0.05 <= x < 2 (the harmonics below
@@ -222,13 +216,14 @@ def _triple_bracket(x: float, coth: float) -> float:
 
 
 def _thermal_brackets(x: float) -> tuple[float, float]:
-    """Both temperature weights of one harmonic (pair, triple) from one
-    tanh, with a series branch for both below x = 0.05."""
+    """Both temperature weights of one harmonic from one tanh: the pair
+    weight coth(x) - 1/x and `_triple_bracket`, with a series branch for
+    both below x = 0.05."""
     if x < 0.05:
         x2 = x * x
         return x * _even_series(_PAIR_SERIES, x2), x2 * _even_series(_TRIPLE_SERIES, x2)
     coth = 1.0 / math.tanh(x)
-    return _coth_minus_inv(x, coth), _triple_bracket(x, coth)
+    return coth - 1.0 / x, _triple_bracket(x, coth)
 
 
 @dataclass(frozen=True)

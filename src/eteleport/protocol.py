@@ -276,18 +276,15 @@ def premeasurement_amplitudes(stage: str, R: ArrayLike, phi: ArrayLike) -> np.nd
     modes (`circuit.STAGES`), in combination order; the tomography stage
     has one row per setting of Bob's splitter, in TOMO_SETTINGS order
     (X, Y, Z), shape (3, sector).  Array parameters broadcast together; the
-    result then carries their shape in front, one row per grid point (see
-    `_launch`).  Every call launches: observables are read from `_table`,
-    not from amplitudes.
+    result then carries their shape in front, one row per grid point.
+    Every call launches: observables are read from `_table`, not from
+    amplitudes.
+
+    The amplitudes are the form c0 * X + c1 * Y of the module docstring,
+    (c0, c1) the input splitter's S_psi column and (X, Y) the stage's
+    `_form_rows`.  Each product is unfused, so the bytes do not depend on
+    numpy's SIMD dispatch.
     """
-    return _launch(stage, R, phi)
-
-
-def _launch(stage: str, R: ArrayLike, phi: ArrayLike) -> np.ndarray:
-    """The stage's amplitudes over a broadcast (R, phi) grid: the form
-    c0 * X + c1 * Y of the module docstring, (c0, c1) the input splitter's
-    S_psi column and (X, Y) the stage's `_form_rows`.  Each product is
-    unfused, so the bytes do not depend on numpy's SIMD dispatch."""
     rows = _form_rows("tomography" if stage == "detection" else stage)
     x, y = rows[:, _Z_ROW] if stage == "detection" else rows
     s_psi = circuit.element_matrix(circuit.prep_splitter("A0p", "A1p", R, phi))[..., 0]

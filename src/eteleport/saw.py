@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -261,35 +261,29 @@ def average_fidelity(sigma2: float) -> float:
     return damped_average_fidelity(_damping(sigma2))
 
 
-def fidelity_samples(
+def sampled_fidelity(
     sigma2_values: Iterable[float], n_states: int, seed: int
-) -> Iterator[np.ndarray]:
-    """Per-state fidelities for uniformly drawn pure inputs, one row per sigma2.
+) -> list[tuple[float, float]]:
+    """The fidelity averaged over n_states uniformly drawn pure inputs and its
+    standard error, one (mean, stderr) pair per sigma2.
 
-    Inputs are n_states uniform directions on the Bloch sphere, drawn once
-    and shared by every row; the damped output shrinks their transverse
-    components by exp(-sigma2/2).  A state's fidelity depends only on its
-    z^2, and for a uniform direction |z| is uniform on [0, 1) (Archimedes),
-    so each state is one uniform draw u with z^2 = u^2.  Rows are made as
-    they are read, one allocation each; the generator holds z^2 and
-    1 - z^2 until it is read to its end or dropped.
+    The damped output shrinks an input's transverse components by
+    q = exp(-sigma2/2), so a pure input's fidelity depends only on its z^2,
+    and for a uniform direction |z| is uniform on [0, 1) (Archimedes): each
+    state is one uniform draw u with z^2 = u^2, shared by every sigma2.
+    The fidelity 0.5 * (1 + q) + 0.5 * (1 - q) * u^2 is affine in u^2, so
+    every sigma2's mean and spread follow from one `_mean_std` of u^2.
+    n_states must be an integer of at least 2 (a spread needs two samples).
     """
-    n_states = _integer(n_states, "n_states", 1)
+    n_states = _integer(n_states, "n_states", 2)
     dampings = [_damping(sigma2) for sigma2 in sigma2_values]
     axial = np.random.default_rng(_integer(seed, "seed", 0)).random(n_states)
     axial *= axial
-    transverse = 1.0 - axial
-    return (_fidelity_row(damping, axial, transverse) for damping in dampings)
-
-
-def _fidelity_row(damping: float, axial: np.ndarray, transverse: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + (damping * transverse + axial)) in one allocation; pure
-    inputs, so the joint-purity term of the fidelity vanishes."""
-    row = np.multiply(transverse, damping)
-    row += axial
-    row += 1.0
-    row *= 0.5
-    return row
+    mean, std = _mean_std(axial)
+    return [
+        (0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std / math.sqrt(n_states))
+        for q in dampings
+    ]
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
+import golden_table
 import test_certificates
 import test_circuit
 import test_fock
@@ -69,8 +70,8 @@ def _criterion(number):
 
 
 def _golden(out_file):
-    """`test_golden`'s byte-identity test of one golden."""
-    argv, _, err_file = next(case for case in test_golden.CASES if case[1] == out_file)
+    """`test_golden`'s byte-identity test of one golden of `golden_table.CASES`."""
+    argv, _, err_file = next(case for case in golden_table.CASES if case[1] == out_file)
     return lambda: test_golden.test_readme_output_is_byte_identical(argv, out_file, err_file)
 
 
@@ -125,6 +126,21 @@ def _sin_scaled_before_imaginary_part(monkeypatch):
         return np.broadcast_to(rho00, n), np.broadcast_to(rho11, n), rho01
 
     monkeypatch.setattr(saw, "montecarlo_entries", scaled_early)
+
+
+def _affine_weights_swapped(monkeypatch):
+    # the sampled fidelity's constant 0.5 (1 + q) and its weight of the mean
+    # u^2, 0.5 (1 - q), trade places
+    def swapped(sigma2_values, n_states, seed):
+        axial = np.random.default_rng(seed).random(n_states)
+        axial *= axial
+        mean, std = saw._mean_std(axial)
+        return [
+            (0.5 * (1.0 - q) + 0.5 * (1.0 + q) * mean, 0.5 * (1.0 + q) * std / math.sqrt(n_states))
+            for q in map(saw._damping, sigma2_values)
+        ]
+
+    monkeypatch.setattr(saw, "sampled_fidelity", swapped)
 
 
 def _pp_reads_a0_minus(monkeypatch):
@@ -381,12 +397,13 @@ MUTANTS = [
     pytest.param(
         _replace(
             saw,
-            "fidelity_samples",
-            lambda sigma2_values, n_states, seed: (np.full(n_states, np.nan) for _ in sigma2_values),
+            "sampled_fidelity",
+            lambda sigma2_values, n_states, seed: [(math.nan, math.nan) for _ in sigma2_values],
         ),
         _criterion(6),
         id="nan-fidelity-samples-crit06",
     ),
+    pytest.param(_affine_weights_swapped, _criterion(6), id="affine-weights-swapped-crit06"),
     pytest.param(
         _replace(
             saw,

@@ -16,7 +16,7 @@ from eteleport.saw import (
     combined_phase,
     dephased_state_analytic,
     dephased_state_montecarlo,
-    fidelity_samples,
+    sampled_fidelity,
 )
 
 PP = MeasurementOutcome.from_signs("+", "+")
@@ -305,9 +305,9 @@ RUN_ENTRY_POINTS = (
 )
 
 
-def fidelity_samples_of_run(params, deph, n_states, seed):
-    """`fidelity_samples` called with a run's count and seed."""
-    return fidelity_samples([sum(deph.variances)], n_states, seed)
+def sampled_fidelity_of_run(params, deph, n_states, seed):
+    """`sampled_fidelity` called with a run's count and seed."""
+    return sampled_fidelity([sum(deph.variances)], n_states, seed)
 
 
 BAD_RUNS = {  # (n_samples, seed)
@@ -324,11 +324,12 @@ BAD_RUNS = {  # (n_samples, seed)
 
 @pytest.mark.parametrize("n_samples, seed", BAD_RUNS.values(), ids=BAD_RUNS)
 @pytest.mark.parametrize(
-    "entry", RUN_ENTRY_POINTS + (fidelity_samples_of_run,), ids=lambda entry: entry.__name__
+    "entry", RUN_ENTRY_POINTS + (sampled_fidelity_of_run,), ids=lambda entry: entry.__name__
 )
 def test_montecarlo_rejects_empty_sample(entry, n_samples, seed):
     # one contract for the three entry points of a run and the sampled
-    # fidelities: an integer count of at least 1, an integer seed
+    # fidelities: an integer count of at least 1 (2 for the fidelities,
+    # see test_sampled_fidelity_rejects_empty_sample), an integer seed
     with pytest.raises(ValueError):
         entry(PARAMS, DephasingParams.from_total(1.0), n_samples, seed)
 
@@ -387,30 +388,34 @@ def test_average_fidelity_monotone_and_bounded():
 
 
 def test_sampled_average_agrees_with_closed_form():
-    n = 20_000
-    for sigma2, samples in zip((0.5, 2.0), fidelity_samples((0.5, 2.0), n, seed=3)):
-        se = samples.std(ddof=1) / math.sqrt(n)
-        assert abs(samples.mean() - average_fidelity(sigma2)) < 3.0 * se
-    assert next(fidelity_samples([0.0], 100, seed=0)).mean() == 1.0
+    for sigma2, (mean, se) in zip((0.5, 2.0), sampled_fidelity((0.5, 2.0), 20_000, seed=3)):
+        assert abs(mean - average_fidelity(sigma2)) < 3.0 * se
+    assert sampled_fidelity([0.0], 100, seed=0) == [(1.0, 0.0)]
 
 
 def test_sampled_rows_share_one_direction_draw():
+    # each sigma2 equals its own one-sigma2 call, bit for bit
     grid = (0.0, 0.3, 2.0)
-    for sigma2, row in zip(grid, fidelity_samples(grid, 500, seed=8)):
-        assert np.array_equal(row, next(fidelity_samples([sigma2], 500, seed=8)))
+    for sigma2, pair in zip(grid, sampled_fidelity(grid, 500, seed=8)):
+        assert _bytes(pair) == _bytes(sampled_fidelity([sigma2], 500, seed=8)[0])
 
 
-def test_sampled_fidelity_rejects_empty_sample():
-    with pytest.raises(ValueError):
-        fidelity_samples([1.0], 0, seed=0)
+def test_sampled_fidelity_rejects_empty_sample(monkeypatch):
+    # a spread needs two samples; rejected before anything is drawn
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for n_states in (0, 1):
+        with pytest.raises(ValueError, match="n_states must be at least 2"):
+            sampled_fidelity([1.0], n_states, seed=0)
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, [1, 2]], ids=["None", "float", "list"])
 def test_sampled_fidelity_rejects_non_integer_seed(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
-        fidelity_samples([1.0], 5, seed)
-    numpy_seeded = next(fidelity_samples([1.0], 5, np.int64(4)))
-    assert np.array_equal(numpy_seeded, next(fidelity_samples([1.0], 5, 4)))
+        sampled_fidelity([1.0], 5, seed)
+    with pytest.raises(ValueError, match="n_states must be at least 2"):
+        sampled_fidelity([1.0], 1, seed)
+    numpy_seeded = sampled_fidelity([1.0], 5, np.int64(4))
+    assert _bytes(numpy_seeded) == _bytes(sampled_fidelity([1.0], 5, 4))
 
 
 # --- memory and bytes of the Monte Carlo routes ---
@@ -428,12 +433,26 @@ def _full_array_entries(params, deph, n, seed):
     return np.full(n, (1.0 + z) / 2.0), np.full(n, (1.0 - z) / 2.0), rho01
 
 
-def _full_array_fidelity_rows(sigma2_values, n, seed):
+def _per_state_fidelities(sigma2_values, n, seed):
+    """Each drawn input's fidelity, 0.5 * (1 + (q (1 - u^2) + u^2)), one row
+    per sigma2."""
     u = np.random.default_rng(seed).random(n)
     axial = u * u
     transverse = 1.0 - axial
     dampings = [math.exp(-sigma2 / 2.0) for sigma2 in sigma2_values]
     return tuple(0.5 * (1.0 + (damping * transverse + axial)) for damping in dampings)
+
+
+def _written_out_sampled_fidelity(sigma2_values, n, seed):
+    """(mean, stderr) per sigma2, written out as the affine law over numpy's
+    mean() and std(ddof=1) of u^2."""
+    u = np.random.default_rng(seed).random(n)
+    axial = u * u
+    mean, std = float(axial.mean()), float(axial.std(ddof=1))
+    return [
+        (0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std / math.sqrt(n))
+        for q in (math.exp(-sigma2 / 2.0) for sigma2 in sigma2_values)
+    ]
 
 
 R_VALUES = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
@@ -452,8 +471,9 @@ SIGMA2_VALUES = st.just(0.0) | st.floats(0.0, 5.0)
 @example(0.0, 0.4, [0.0] * 6, 50, 1)
 @example(1.0, 2.0, [0.5] * 6, 8195, 12345)
 def test_montecarlo_routes_equal_the_written_out_expressions(R, phi, variances, n, seed):
-    # every Monte Carlo entry point and the sampled fidelities, byte for
-    # byte, against the full-array expressions they compute in place
+    # every Monte Carlo entry point and the sampled fidelities (of at least
+    # two states), byte for byte, against the full-array expressions they
+    # compute in place
     params, deph = TeleportParams(R, phi), DephasingParams(variances)
     want = _full_array_entries(params, deph, n, seed)
     assert _bytes(saw.montecarlo_entries(params, deph, n, seed)) == _bytes(want)
@@ -464,8 +484,34 @@ def test_montecarlo_routes_equal_the_written_out_expressions(R, phi, variances, 
     state = saw._run_state(saw._run_constants(params), *trig.mean(axis=1).tolist())
     assert _bytes(dephased_state_montecarlo(params, deph, n, seed)) == _bytes(state)
     sigma2_values = [math.fsum(variances), 0.0, 2.0 * math.log(2.0)]
-    rows = tuple(fidelity_samples(sigma2_values, n, seed))
-    assert _bytes(rows) == _bytes(_full_array_fidelity_rows(sigma2_values, n, seed))
+    n_states = max(n, 2)
+    want = _written_out_sampled_fidelity(sigma2_values, n_states, seed)
+    assert _bytes(sampled_fidelity(sigma2_values, n_states, seed)) == _bytes(want)
+
+
+# Per-state rows near 1 round to an ulp of [0.5, 1) (1.1e-16) before numpy
+# sums them, while the affine law rounds once per sigma2: 4.44e-16 and
+# 8.3e-17 at most over 15 000 random draws of n (2 to 30 000), five to
+# seven sigma2 (0, 1e-12 and 1e-6 among them) and seed; each bound is
+# twice that.
+MEAN_TOL, STDERR_TOL = 8.9e-16, 1.7e-16
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(SIGMA2_VALUES, min_size=2, max_size=4).map(lambda s: [0.0, 1e-12, 1e-6, *s]),
+    st.integers(2, 30_000),
+    st.integers(0, 2**32),
+)
+@example([0.0, 1e-12, 1e-6, 1.0, 2.0 * math.log(2.0)], 2, 0)
+@example([0.0, 1e-12, 1e-6, 0.5, 5.0], 30_000, 20260809)
+def test_sampled_fidelity_is_the_rows_mean_and_stderr(sigma2_values, n, seed):
+    # the affine law in u^2 against numpy's mean and std(ddof=1) / sqrt(n)
+    # of each drawn input's own fidelity
+    rows = _per_state_fidelities(sigma2_values, n, seed)
+    for (mean, stderr), row in zip(sampled_fidelity(sigma2_values, n, seed), rows):
+        assert abs(mean - row.mean()) <= MEAN_TOL
+        assert abs(stderr - row.std(ddof=1) / math.sqrt(n)) <= STDERR_TOL
 
 
 @pytest.mark.parametrize("params", [PARAMS, TeleportParams(0.0, 0.4), TeleportParams(1.0, 2.0)])
@@ -531,10 +577,10 @@ def test_mean_std_equals_numpy_in_bytes(x):
 @pytest.mark.parametrize("n", [8195, 100_000])
 def test_mean_std_equals_numpy_on_long_columns(n):
     # past numpy's 8192-element buffer: a complex part, a broadcast value,
-    # and a contiguous row of criterion 6's draws
+    # and the u^2 of criterion 6's draws
     rho01 = saw.montecarlo_entries(PARAMS, DephasingParams.from_total(1.0), n, 77)[2]
-    row = next(fidelity_samples([1.0], n, 20260809))
-    for x in (rho01.real, rho01.imag, np.broadcast_to(0.3, n), row):
+    u = np.random.default_rng(20260809).random(n)
+    for x in (rho01.real, rho01.imag, np.broadcast_to(0.3, n), u * u):
         mean, std = saw._mean_std(x)
         assert (np.float64(mean).tobytes(), np.float64(std).tobytes()) == _numpy_moments(x)
 

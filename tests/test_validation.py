@@ -124,7 +124,7 @@ def test_arm_phase_reported_as_given(stage):
 SIGMA2_FUNCTIONS = {
     "average_fidelity": saw.average_fidelity,
     "dephased_state_analytic": lambda s: saw.dephased_state_analytic(TeleportParams(0.3, 1.2), s),
-    "fidelity_samples": lambda s: saw.fidelity_samples([0.5, s], 10, seed=0),
+    "sampled_fidelity": lambda s: saw.sampled_fidelity([0.5, s], 10, seed=0),
 }
 
 
@@ -148,7 +148,7 @@ NEGATIVE_SEED_CALLS = {
     "montecarlo_entries": saw.montecarlo_entries,
     "montecarlo_click_probabilities": saw.montecarlo_click_probabilities,
     "dephased_state_montecarlo": saw.dephased_state_montecarlo,
-    "fidelity_samples": lambda params, deph, n, seed: saw.fidelity_samples([1.0], n, seed),
+    "sampled_fidelity": lambda params, deph, n, seed: saw.sampled_fidelity([1.0], n, seed),
 }
 
 
