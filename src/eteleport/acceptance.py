@@ -223,22 +223,19 @@ def _criterion_saw_fidelity_law() -> tuple[list[Check], str | None]:
 
     params = TeleportParams(0.3, 1.2)
     deph = saw.DephasingParams.from_total(1.0)
-    rho00, rho11, rho01 = saw.montecarlo_entries(params, deph, n_states, seed=77)
-    analytic = saw.dephased_state_analytic(params, 1.0).rho
+    state, std_re, std_im = saw._montecarlo_spread(params, deph, n_states, seed=77)
+    averaged = state.rho.tolist()
+    analytic = saw.dephased_state_analytic(params, 1.0).rho.tolist()
     # The diagonal is real and rho10 repeats rho01.  The populations are constants
     # of the run, with no sampling variance: their bound is the roundoff floor alone.
     entries = {
-        "Re rho00": (rho00, analytic[0, 0].real, False),
-        "Re rho11": (rho11, analytic[1, 1].real, False),
-        "Re rho01": (rho01.real, analytic[0, 1].real, True),
-        "Im rho01": (rho01.imag, analytic[0, 1].imag, True),
+        "Re rho00": (averaged[0][0].real, analytic[0][0].real, 0.0),
+        "Re rho11": (averaged[1][1].real, analytic[1][1].real, 0.0),
+        "Re rho01": (averaged[0][1].real, analytic[0][1].real, std_re),
+        "Im rho01": (averaged[0][1].imag, analytic[0][1].imag, std_im),
     }
-    for name, (x, want, sampled) in entries.items():
-        if sampled:
-            mean, std = saw._mean_std(x)
-            spread = 3.0 * (std / math.sqrt(n_states))
-        else:
-            mean, spread = float(x.mean()), 0.0
+    for name, (mean, want, std) in entries.items():
+        spread = 3.0 * (std / math.sqrt(n_states))
         checks.append(Check(f"MC {name} gap", abs(mean - want), spread + 1e-10))
     clicks = saw.montecarlo_click_probabilities(params, deph, n_states, seed=77)  # same run
     # c - 1/16 rounds monotonically in c, so the largest |c - 1/16| is at an extreme

@@ -245,6 +245,38 @@ def dephased_state_montecarlo(
     return _run_state(run, *trig.mean(axis=1).tolist())
 
 
+def _montecarlo_spread(
+    params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
+) -> tuple[QubitState, float, float]:
+    """The state of `dephased_state_montecarlo`, and the standard deviations
+    (ddof 1) of Re rho01 and Im rho01 over the same run, from the run's
+    cos and sin alone: no rho01 column.
+
+    Re rho01 = (x cos + s y sin) / 2 and Im rho01 = (s x sin - y cos) / 2
+    are linear in a draw's cos and sin, so with the centred sums S_cc, S_ss
+    and S_cs of the run, 4 (n - 1) Var(Re) = x^2 S_cc + y^2 S_ss + 2 s x y
+    S_cs and 4 (n - 1) Var(Im) = x^2 S_ss + y^2 S_cc - 2 s x y S_cs.  cos
+    and sin are centred and squared in the run's own buffer, so the product
+    for S_cs is the one other n-length array; every sum is `np.add.reduce`,
+    whose pairwise order no BLAS kernel sets.  A variance that rounds below
+    zero reads 0.  n_samples must be an integer of at least 2.
+    """
+    n_samples = _integer(n_samples, "n_samples", 2)
+    run, trig = _drawn_run(params, deph, n_samples, seed)
+    means = trig.mean(axis=1).tolist()
+    state = _run_state(run, *means)
+    for row, mean in zip(trig, means):
+        row -= mean
+    s_cs = float(np.add.reduce(np.multiply(*trig)))
+    np.square(trig, out=trig)
+    s_cc, s_ss = (float(np.add.reduce(row)) for row in trig)
+    _, x, y, _, s = run
+    cross, scale = 2.0 * s * x * y * s_cs, 4.0 * (n_samples - 1)
+    var_re = (x * x * s_cc + y * y * s_ss + cross) / scale
+    var_im = (x * x * s_ss + y * y * s_cc - cross) / scale
+    return state, math.sqrt(max(var_re, 0.0)), math.sqrt(max(var_im, 0.0))
+
+
 def _run_state(run: _Run, cos: float, sin: float) -> QubitState:
     """Bob's ++-conditional state from a run's constants and a cos and sin
     of Phi, the means over the run's draws or one fixed draw's: (x, y)

@@ -128,6 +128,37 @@ def _sin_scaled_before_imaginary_part(monkeypatch):
     monkeypatch.setattr(saw, "montecarlo_entries", scaled_early)
 
 
+def _nan_coherence_column(monkeypatch):
+    # montecarlo_entries' rho01 column reads NaN; the populations are kept
+    entries = saw.montecarlo_entries
+
+    def nan_coherence(params, deph, n_samples, seed):
+        rho00, rho11, rho01 = entries(params, deph, n_samples, seed)
+        rho01[:] = complex(math.nan, math.nan)
+        return rho00, rho11, rho01
+
+    monkeypatch.setattr(saw, "montecarlo_entries", nan_coherence)
+
+
+def _spread_cross_term_flipped(monkeypatch):
+    # the S_cs term of the spreads enters Var(Re) with -2 s x y and Var(Im)
+    # with +2 s x y, the signs of the other part
+    def flipped(params, deph, n_samples, seed):
+        run, trig = saw._drawn_run(params, deph, n_samples, seed)
+        means = trig.mean(axis=1).tolist()
+        centred = trig - np.array(means)[:, None]
+        s_cs = float(np.add.reduce(centred[0] * centred[1]))
+        s_cc, s_ss = (float(np.add.reduce(row * row)) for row in centred)
+        _, x, y, _, s = run
+        cross, scale = -2.0 * s * x * y * s_cs, 4.0 * (n_samples - 1)
+        var_re = (x * x * s_cc + y * y * s_ss + cross) / scale
+        var_im = (x * x * s_ss + y * y * s_cc - cross) / scale
+        state = saw._run_state(run, *means)
+        return state, math.sqrt(max(var_re, 0.0)), math.sqrt(max(var_im, 0.0))
+
+    monkeypatch.setattr(saw, "_montecarlo_spread", flipped)
+
+
 def _affine_weights_swapped(monkeypatch):
     # the sampled fidelity's constant 0.5 (1 + q) and its weight of the mean
     # u^2, 0.5 (1 - q), trade places
@@ -407,11 +438,24 @@ MUTANTS = [
     pytest.param(
         _replace(
             saw,
-            "montecarlo_entries",
-            lambda params, deph, n_samples, seed: (np.full(n_samples, np.nan),) * 3,
+            "_drawn_run",
+            lambda params, deph, n_samples, seed: (
+                saw._run_constants(params),
+                np.full((2, n_samples), np.nan),
+            ),
         ),
         _criterion(6),
         id="nan-montecarlo-stack-crit06",
+    ),
+    pytest.param(
+        _nan_coherence_column,
+        test_saw.test_montecarlo_routes_equal_the_written_out_expressions,
+        id="nan-montecarlo-entries",
+    ),
+    pytest.param(
+        _spread_cross_term_flipped,
+        test_saw.test_montecarlo_spread_is_the_columns_mean_std,
+        id="spread-cross-term-flipped",
     ),
     pytest.param(
         _halved(leviton, "_PAIR_SERIES"),

@@ -489,6 +489,58 @@ def test_montecarlo_routes_equal_the_written_out_expressions(R, phi, variances, 
     assert _bytes(sampled_fidelity(sigma2_values, n_states, seed)) == _bytes(want)
 
 
+# The spreads of `_montecarlo_spread` are compared as variances, against
+# r (s + ref) with r = hypot(x, y) = 2 |rho01| at Phi = 0 and s = (r / 2)
+# sqrt(Var cos + Var sin) the largest spread either part can have (s < r).
+# Each of the moments' three terms and centred sums rounds relative to
+# its size, and the terms add up to at most s^2 <= r s; each sample of the
+# column rounds by an ulp or so of r, which moves its variance by about
+# r ref ulps.  Near zero spread only the first survives: with a variance
+# of 1e-300 the column's samples round to one value (ref = 0) while the
+# moments see the draws' sin.  Compared as standard deviations, the two
+# differed by up to 38 ulps of r (at n = 2).  The largest
+# |std^2 - ref^2| / (r (s + ref)) over 18 000 random runs (n = 2 to
+# 30 000; variances 0, 1e-300, 1e-32 to 1e-16 and up to 5) and a scan of
+# n = 2 runs where Re or Im cancels to 4e-9 of s was 1.19 ulps of 1.0;
+# the bound is twice that, rounded up to whole ulps.
+SPREAD_TOL = 3.0 * 2.0**-52
+SPREAD_SIGMA2 = st.sampled_from((0.0, 1e-300)) | st.floats(0.0, 5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    R_VALUES,
+    st.floats(-10.0, 10.0),
+    st.lists(SPREAD_SIGMA2, min_size=6, max_size=6),
+    st.integers(2, 30_000),
+    st.integers(0, 2**32),
+)
+@example(0.3, 1.2, [1.0 / 6.0] * 6, 30_000, 77)
+@example(0.3, 1.2, [1e-300] * 6, 2, 0)
+@example(0.7, 4.0, [0.0, 1e-300, 0.0, 1e-300, 0.0, 1.0], 3, 5)
+@example(1.0, 2.0, [0.0] * 6, 8195, 12345)
+def test_montecarlo_spread_is_the_columns_mean_std(R, phi, variances, n, seed):
+    # criterion 6's state is the averaged state's bytes, and its spreads
+    # are those of montecarlo_entries' rho01 column by _mean_std
+    params, deph = TeleportParams(R, phi), DephasingParams(variances)
+    state, std_re, std_im = saw._montecarlo_spread(params, deph, n, seed)
+    assert _bytes(state) == _bytes(dephased_state_montecarlo(params, deph, n, seed))
+    rho01 = saw.montecarlo_entries(params, deph, n, seed)[2]
+    run, trig = saw._drawn_run(params, deph, n, seed)
+    r = math.hypot(run.x, run.y)
+    s = r / 2.0 * math.sqrt(float(np.add.reduce(trig.var(axis=1, ddof=1))))
+    for std, part in ((std_re, rho01.real), (std_im, rho01.imag)):
+        ref = saw._mean_std(part)[1]
+        assert abs(std * std - ref * ref) <= SPREAD_TOL * r * (s + ref)
+
+
+def test_montecarlo_spread_needs_two_samples(monkeypatch):
+    # a spread needs two samples; rejected before anything is drawn
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        saw._montecarlo_spread(PARAMS, DephasingParams.from_total(1.0), 1, 0)
+
+
 # Per-state rows near 1 round to an ulp of [0.5, 1) (1.1e-16) before numpy
 # sums them, while the affine law rounds once per sigma2: 4.44e-16 and
 # 8.3e-17 at most over 15 000 random draws of n (2 to 30 000), five to
@@ -600,9 +652,10 @@ def _traced_peak(call):
 def test_montecarlo_memory_stays_at_four_columns():
     # four 100 000-sample float64 columns are 3.2 MB, the most a Monte Carlo
     # route keeps alive at once: constant columns are views, and rho01 is
-    # built inside its own parts
+    # built inside its own parts.  Criterion 6 builds no rho01 and keeps
+    # three: the run's cos and sin, and their product or the draws
     criterion = acceptance.ALL_CRITERIA[5]
     assert criterion.number == 6
-    assert _traced_peak(criterion.run) <= 3_300_000
+    assert _traced_peak(criterion.run) <= 2_500_000
     deph = DephasingParams.from_total(1.0)
     assert _traced_peak(lambda: saw.montecarlo_entries(PARAMS, deph, 100_000, 77)) <= 3_300_000
