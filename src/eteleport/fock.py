@@ -308,7 +308,7 @@ def lift_amplitudes(u: SingleParticleUnitary, state: FockState) -> np.ndarray:
     configuration I is det(u[rows=O, cols=I]) with both index sets sorted
     ascending, which is the free-fermion (Slater determinant) rule.
     Returns the amplitudes over u.rows' sector in combination order, shape
-    (..., sector size) with the stack's shape leading, through `_pruned`.
+    (..., sector size) with the stack's shape leading, through `_norm_checked`.
     """
     if u.cols != state.registry:
         raise ValueError("unitary input registry does not match the state registry")
@@ -318,13 +318,12 @@ def lift_amplitudes(u: SingleParticleUnitary, state: FockState) -> np.ndarray:
     out = np.zeros(dets.shape[:-1], dtype=complex)
     for column, amp in enumerate(state.amps[support]):
         out += dets[..., column] * amp
-    return _pruned(out, state.norm())
+    return _norm_checked(out, state.norm())
 
 
-def _pruned(out: np.ndarray, norm: float) -> np.ndarray:
-    """Evolved amplitudes (..., sector), entries at or below PRUNE_TOL set to
-    zero in place; raises unless every point keeps the norm."""
-    out[np.abs(out) <= PRUNE_TOL] = 0.0
+def _norm_checked(out: np.ndarray, norm: float) -> np.ndarray:
+    """Evolved amplitudes (..., sector) as they are; raises unless every
+    point keeps the norm."""
     norms = np.sqrt((np.abs(out) ** 2).sum(axis=-1))
     if not (np.abs(norms - norm) <= NORM_TOL).all():  # NaN fails too
         raise ValueError("lifted evolution failed to preserve the norm")

@@ -198,32 +198,26 @@ def _even_series(coefficients: Sequence[float], x2: float) -> float:
     return total
 
 
-def _triple_bracket(x: float, coth: float) -> float:
-    """Temperature weight of one harmonic in the triple-correlator factor,
-    coth^2 + csch^2/2 - (3/2x) coth, for 0.05 <= x < 2 (the harmonics below
-    the closed-form tail), given coth(x).
-
-    The direct form cancels catastrophically: its relative error grows as
-    x^-4 below x = 1 and reaches 1e-12 near its switch, so a series
-    branch runs below it.  That switch sits at x = 1/4, the smallest x of
-    a tau <= 2 sweep, so those stay direct.
-    """
-    if x < 0.25:
-        x2 = x * x
-        return x2 * _even_series(_TRIPLE_SERIES, x2)
-    s = math.sinh(x)
-    return coth * coth + 0.5 / (s * s) - 1.5 * coth / x
-
-
 def _thermal_brackets(x: float) -> tuple[float, float]:
-    """Both temperature weights of one harmonic from one tanh: the pair
-    weight coth(x) - 1/x and `_triple_bracket`, with a series branch for
-    both below x = 0.05."""
+    """Both temperature weights of one harmonic, for x < 2 (the harmonics
+    below the closed-form tail): the pair weight coth(x) - 1/x and the
+    triple weight coth^2 + csch^2/2 - (3/2x) coth, from one tanh.
+
+    Each direct form cancels as x falls, so each has its own series branch:
+    x < 0.05 for the pair and x < 1/4 for the triple, whose relative error
+    grows as x^-4 below x = 1 and reaches 1e-12 near its switch.  x = 1/4
+    is the smallest x of a tau <= 2 sweep, so those stay direct.
+    """
+    x2 = x * x
     if x < 0.05:
-        x2 = x * x
-        return x * _even_series(_PAIR_SERIES, x2), x2 * _even_series(_TRIPLE_SERIES, x2)
-    coth = 1.0 / math.tanh(x)
-    return coth - 1.0 / x, _triple_bracket(x, coth)
+        pair = x * _even_series(_PAIR_SERIES, x2)
+    else:
+        coth = 1.0 / math.tanh(x)
+        pair = coth - 1.0 / x
+    if x < 0.25:
+        return pair, x2 * _even_series(_TRIPLE_SERIES, x2)
+    s = math.sinh(x)
+    return pair, coth * coth + 0.5 / (s * s) - 1.5 * coth / x
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .fock import (
     ModeRegistry,
     combination_table,
     create_sources,
-    _pruned,
+    _norm_checked,
     _unfused_product,
     lift_amplitudes,
     lift_matrix,
@@ -290,7 +290,7 @@ def premeasurement_amplitudes(stage: str, R: ArrayLike, phi: ArrayLike) -> np.nd
     s_psi = circuit.element_matrix(circuit.prep_splitter("A0p", "A1p", R, phi))[..., 0]
     axes = (Ellipsis,) + (None,) * x.ndim  # the rows' axes after the grid's
     form = _unfused_product(s_psi[..., 0][axes], x) + _unfused_product(s_psi[..., 1][axes], y)
-    return _pruned(form, _sources().norm())
+    return _norm_checked(form, _sources().norm())
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,28 +16,27 @@ Each ++ conditional amplitude comes from one configuration of the prepared
 stage, so the drawn phase Phi turns Bob's ++ qubit about z: its click
 probability p and Bloch vector (x, y, z) at Phi = 0, read from the ++ row
 of `protocol._table`, are constants of a run, and the coherence turns as
-rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)) for one sign s of the
-network.  A run is those constants and one cos and one sin per
-draw; the click probabilities draw nothing.
+rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)) with s = `_ARM_SIGN`.
+A run is those constants and one cos and one sin per draw; the click
+probabilities draw nothing.  A run of n draws is the first n of any
+longer run with the same seed, and so is its click column.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import circuit, fock, protocol
+from . import protocol
 from .circuit import ARM_WIRES, _integer, _number_within
 from .protocol import (
     MeasurementOutcome,
     QubitState,
     TeleportParams,
     damped_average_fidelity,
-    povm_element,
 )
 
 
@@ -110,67 +109,32 @@ def _sample_phases(deph: DephasingParams, n_samples: int, seed: int) -> np.ndarr
     return draws
 
 
-# each arm's coefficient, +1 or -1, in `combined_phase`, ordered as ARM_WIRES
-_PHASE_WEIGHTS = tuple(int(combined_phase({arm: 1.0})) for arm in ARM_WIRES)
-
 # the ++ outcome's row of the paired conditionals, ordered as PAIRED_OUTCOMES
 _PP_ROW = protocol.PAIRED_OUTCOMES.index(MeasurementOutcome.from_signs("+", "+"))
 
-
-def _alice_clicks() -> tuple[np.ndarray, np.ndarray]:
-    """The two ++ rows of Alice's lifted splitters over the prepared stage's
-    three-particle sector, (A0+, A1+, B'0) then (A0+, A1+, B'1), and which
-    arms each configuration of that sector occupies; parameter-free, read
-    once per process by `_arm_sign`."""
-    alice = circuit.alice_splitters(ARM_WIRES)
-    configs, lifted = fock.lift_matrix(alice, 3)
-    clicked = povm_element(MeasurementOutcome.from_signs("+", "+")).clicked(alice.rows, 3)
-    return lifted[clicked], fock.occupations(alice.cols, configs, ARM_WIRES).astype(bool)
-
-
-@functools.lru_cache(maxsize=None)
-def _arm_sign() -> int:
-    """The sign s of rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)), from
-    the network alone, once.  The arm phases are diagonal in the prepared
-    stage's sector, so by Cauchy-Binet the ++ amplitudes alpha, beta (to
-    B'0, B'1) sum c_S * exp(-i * the phases on S's arms) over the
-    configurations S where Alice's row and the stage's rows X or Y are
-    non-zero.  Alice's splitters do not touch B'0 and B'1, so each has one S
-    (any other count is a ValueError), and beta's arms less alpha's must be
-    s * `_PHASE_WEIGHTS` (anything else is a ValueError)."""
-    rows, arms = _alice_clicks()
-    prepared = (protocol._form_rows("preparation") != 0).any(axis=0)
-    occupied = []
-    for row in rows:
-        configs = np.flatnonzero((row != 0) & prepared)
-        if len(configs) != 1:
-            raise ValueError(f"an amplitude has {len(configs)} contributing configurations")
-        occupied.append(arms[configs[0]])
-    moved = occupied[1].astype(int) - occupied[0]
-    if np.array_equal(-moved, _PHASE_WEIGHTS):
-        return -1
-    if not np.array_equal(moved, _PHASE_WEIGHTS):
-        raise ValueError(f"arms {moved} do not move by the combined phase {_PHASE_WEIGHTS}")
-    return 1
+# the sign s of rho01(Phi) = rho01(0) * (cos(Phi) + i s sin(Phi)) in the
+# network of `circuit.teleport_layers`: Bob's ++ amplitude to B'0 comes from
+# the one configuration on the arms of `combined_phase`'s + terms, his
+# amplitude to B'1 from the one on the arms of its - terms, and each picks
+# up exp(-i * the phases on its arms), so rho01 turns by exp(-i Phi)
+_ARM_SIGN = -1
 
 
 class _Run(NamedTuple):
     """Bob's ++-conditional qubit over a run of draws Phi of `combined_phase`:
-    the click probability p, the Bloch vector (x, y, z) at Phi = 0 and the
-    sign s of `_arm_sign`."""
+    the click probability p and the Bloch vector (x, y, z) at Phi = 0."""
 
     p: float
     x: float
     y: float
     z: float
-    s: int
 
 
 def _run_constants(params: TeleportParams) -> _Run:
     """The constants of a run: the point's ++ click probability and Bloch
-    vector, and the network's sign."""
+    vector."""
     p, bloch = protocol._paired_point(params.R, params.phi, _PP_ROW)
-    return _Run(p, *bloch, _arm_sign())
+    return _Run(p, *bloch)
 
 
 def _conditional_amplitudes(
@@ -196,40 +160,12 @@ def _drawn_run(
 def montecarlo_click_probabilities(
     params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Per-sample ++ probability (1/16 under any phase noise) of the run of
-    `montecarlo_entries`; a constant of the run, so nothing is drawn and
-    the column is a read-only view of one value."""
+    """Per-sample ++ probability (1/16 under any phase noise) of a seeded
+    run; a constant of the run, so nothing is drawn and the column is a
+    read-only view of one value."""
     n_samples = _integer(n_samples, "n_samples", 1)
     _integer(seed, "seed", 0)
     return np.broadcast_to(_run_constants(params).p, n_samples)
-
-
-def montecarlo_entries(
-    params: TeleportParams, deph: DephasingParams, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per sample, Bob's ++-conditional rho00, rho11 and rho01 (rho10 is its
-    conjugate); the populations (1 + z)/2 and (1 - z)/2 are constants of
-    the run, read-only views of one value each.
-
-    rho01 is ((x cos + s y sin) + i (s x sin - y cos)) / 2, built in place:
-    the real part holds y cos until the imaginary part is done, and then
-    the run's sin is scaled in place, so a call holds four columns at most:
-    the run's cos and sin and rho01's two parts.
-    """
-    run, (cos, sin) = _drawn_run(params, deph, n_samples, seed)
-    n = len(cos)
-    rho01 = np.empty(n, dtype=complex)
-    re, im = rho01.real, rho01.imag
-    np.multiply(sin, run.s * run.x, out=im)
-    np.multiply(cos, run.y, out=re)
-    im -= re
-    im /= 2.0
-    sin *= run.s * run.y
-    np.multiply(cos, run.x, out=re)
-    re += sin
-    re /= 2.0
-    rho00, rho11 = (1.0 + run.z) / 2.0, (1.0 - run.z) / 2.0
-    return np.broadcast_to(rho00, n), np.broadcast_to(rho11, n), rho01
 
 
 def dephased_state_montecarlo(
@@ -270,8 +206,8 @@ def _montecarlo_spread(
     s_cs = float(np.add.reduce(np.multiply(*trig)))
     np.square(trig, out=trig)
     s_cc, s_ss = (float(np.add.reduce(row)) for row in trig)
-    _, x, y, _, s = run
-    cross, scale = 2.0 * s * x * y * s_cs, 4.0 * (n_samples - 1)
+    _, x, y, _ = run
+    cross, scale = 2.0 * _ARM_SIGN * x * y * s_cs, 4.0 * (n_samples - 1)
     var_re = (x * x * s_cc + y * y * s_ss + cross) / scale
     var_im = (x * x * s_ss + y * y * s_cc - cross) / scale
     return state, math.sqrt(max(var_re, 0.0)), math.sqrt(max(var_im, 0.0))
@@ -282,10 +218,10 @@ def _run_state(run: _Run, cos: float, sin: float) -> QubitState:
     of Phi, the means over the run's draws or one fixed draw's: (x, y)
     turned about z.  Phi = 0 leaves them unturned, since adding s y sin
     and subtracting s x sin would change the sign of a zero x or y."""
-    _, x, y, z, s = run
+    _, x, y, z = run
     if cos == 1.0 and sin == 0.0:
         return QubitState([x, y, z])
-    return QubitState([x * cos + s * y * sin, y * cos - s * x * sin, z])
+    return QubitState([x * cos + _ARM_SIGN * y * sin, y * cos - _ARM_SIGN * x * sin, z])
 
 
 def average_fidelity(sigma2: float) -> float:
@@ -304,27 +240,16 @@ def sampled_fidelity(
     and for a uniform direction |z| is uniform on [0, 1) (Archimedes): each
     state is one uniform draw u with z^2 = u^2, shared by every sigma2.
     The fidelity 0.5 * (1 + q) + 0.5 * (1 - q) * u^2 is affine in u^2, so
-    every sigma2's mean and spread follow from one `_mean_std` of u^2.
+    every sigma2's mean and spread follow from one mean and one standard
+    deviation (ddof 1) of u^2.
     n_states must be an integer of at least 2 (a spread needs two samples).
     """
     n_states = _integer(n_states, "n_states", 2)
     dampings = [_damping(sigma2) for sigma2 in sigma2_values]
     axial = np.random.default_rng(_integer(seed, "seed", 0)).random(n_states)
     axial *= axial
-    mean, std = _mean_std(axial)
+    mean, std = float(axial.mean()), float(axial.std(ddof=1))
     return [
         (0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std / math.sqrt(n_states))
         for q in dampings
     ]
-
-
-def _mean_std(x: np.ndarray) -> tuple[float, float]:
-    """The mean and standard deviation (ddof 1) of a sample of n >= 2 from
-    one sum and one deviation buffer; bit for bit `x.mean()` and
-    `x.std(ddof=1)`, which reduce x, then x less that mean squared, with
-    the same ufuncs."""
-    n = len(x)
-    mean = float(np.add.reduce(x)) / n
-    deviations = np.subtract(x, mean)
-    np.square(deviations, out=deviations)
-    return mean, math.sqrt(float(np.add.reduce(deviations)) / (n - 1))

@@ -139,9 +139,9 @@ at a point as real products added in a fixed order; the amplitude route's
 |amplitude|^2 squares libm's hypot (np.hypot, never np.abs of a complex),
 its Bloch components are real products that no fused complex multiply
 rounds, and its sums run left to right; the saw rows' means and standard
-errors are Python float arithmetic on one mean and one spread of the
-squared draws, which come from one sum and one deviation buffer
-(saw._mean_std).
+errors are Python float arithmetic on numpy's mean() and std(ddof=1) of
+the squared draws, whose sums are np.add.reduce over the draws and over
+one buffer of squared deviations.
 """
 
 

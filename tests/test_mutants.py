@@ -101,43 +101,10 @@ def _draws_mapped(transform):
     return apply
 
 
-def _sign_flipped(monkeypatch):
-    # the derived sign of the network is the other one
-    sign = saw._arm_sign()
-    monkeypatch.setattr(saw, "_arm_sign", lambda: -sign)
-
-
 def _fixed_draw_sine_flipped(monkeypatch):
     # the state at a draw turns the wrong way with the combined phase
     state = saw._run_state
     monkeypatch.setattr(saw, "_run_state", lambda run, cos, sin: state(run, cos, -sin))
-
-
-def _sin_scaled_before_imaginary_part(monkeypatch):
-    # montecarlo_entries scales the run's sin in place for the real part
-    # before the imaginary part has read it
-    def scaled_early(params, deph, n_samples, seed):
-        run, (cos, sin) = saw._drawn_run(params, deph, n_samples, seed)
-        rho01 = np.empty(len(cos), dtype=complex)
-        sin *= run.s * run.y
-        rho01.real = (run.x * cos + sin) / 2.0
-        rho01.imag = (run.s * run.x * sin - run.y * cos) / 2.0
-        n, rho00, rho11 = len(cos), (1.0 + run.z) / 2.0, (1.0 - run.z) / 2.0
-        return np.broadcast_to(rho00, n), np.broadcast_to(rho11, n), rho01
-
-    monkeypatch.setattr(saw, "montecarlo_entries", scaled_early)
-
-
-def _nan_coherence_column(monkeypatch):
-    # montecarlo_entries' rho01 column reads NaN; the populations are kept
-    entries = saw.montecarlo_entries
-
-    def nan_coherence(params, deph, n_samples, seed):
-        rho00, rho11, rho01 = entries(params, deph, n_samples, seed)
-        rho01[:] = complex(math.nan, math.nan)
-        return rho00, rho11, rho01
-
-    monkeypatch.setattr(saw, "montecarlo_entries", nan_coherence)
 
 
 def _spread_cross_term_flipped(monkeypatch):
@@ -149,8 +116,8 @@ def _spread_cross_term_flipped(monkeypatch):
         centred = trig - np.array(means)[:, None]
         s_cs = float(np.add.reduce(centred[0] * centred[1]))
         s_cc, s_ss = (float(np.add.reduce(row * row)) for row in centred)
-        _, x, y, _, s = run
-        cross, scale = -2.0 * s * x * y * s_cs, 4.0 * (n_samples - 1)
+        _, x, y, _ = run
+        cross, scale = -2.0 * saw._ARM_SIGN * x * y * s_cs, 4.0 * (n_samples - 1)
         var_re = (x * x * s_cc + y * y * s_ss + cross) / scale
         var_im = (x * x * s_ss + y * y * s_cc - cross) / scale
         state = saw._run_state(run, *means)
@@ -165,13 +132,27 @@ def _affine_weights_swapped(monkeypatch):
     def swapped(sigma2_values, n_states, seed):
         axial = np.random.default_rng(seed).random(n_states)
         axial *= axial
-        mean, std = saw._mean_std(axial)
+        mean, std = float(axial.mean()), float(axial.std(ddof=1))
         return [
             (0.5 * (1.0 - q) + 0.5 * (1.0 + q) * mean, 0.5 * (1.0 + q) * std / math.sqrt(n_states))
             for q in map(saw._damping, sigma2_values)
         ]
 
     monkeypatch.setattr(saw, "sampled_fidelity", swapped)
+
+
+def _spread_ddof_zero(monkeypatch):
+    # the sample spread of u^2 divided by n, not n - 1
+    def ddof_zero(sigma2_values, n_states, seed):
+        axial = np.random.default_rng(seed).random(n_states)
+        axial *= axial
+        mean, std = float(axial.mean()), float(axial.std())
+        return [
+            (0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std / math.sqrt(n_states))
+            for q in map(saw._damping, sigma2_values)
+        ]
+
+    monkeypatch.setattr(saw, "sampled_fidelity", ddof_zero)
 
 
 def _pp_reads_a0_minus(monkeypatch):
@@ -324,24 +305,18 @@ MUTANTS = [
         test_saw.test_fast_path_matches_full_simulation,
         id="mc-phase-sign-flipped",
     ),
-    pytest.param(
-        # the sample spread divided by n, not n - 1: saw.csv's stderr moves
-        _replace(saw, "_mean_std", lambda x: (float(x.mean()), float(x.std()))),
-        _golden("saw.csv"),
-        id="mean-std-ddof-zero",
-    ),
-    pytest.param(
-        _sin_scaled_before_imaginary_part,
-        test_saw.test_montecarlo_routes_equal_the_written_out_expressions,
-        id="mc-sin-overwritten-early",
-    ),
+    # saw.csv's stderr moves
+    pytest.param(_spread_ddof_zero, _golden("saw.csv"), id="mean-std-ddof-zero"),
     pytest.param(
         _fixed_draw_sine_flipped,
         test_properties.test_fixed_arm_phases_match_a_launch,
         id="fixed-draw-sine-flipped",
     ),
     pytest.param(
-        _sign_flipped, test_properties.test_fixed_arm_phases_match_a_launch, id="sign-flipped"
+        # the coherence turns the other way with the combined phase
+        _replace(saw, "_ARM_SIGN", -saw._ARM_SIGN),
+        test_properties.test_fixed_arm_phases_match_a_launch,
+        id="sign-flipped",
     ),
     pytest.param(
         # the run's constants from the +- conditional, whose x and y want
@@ -446,11 +421,6 @@ MUTANTS = [
         ),
         _criterion(6),
         id="nan-montecarlo-stack-crit06",
-    ),
-    pytest.param(
-        _nan_coherence_column,
-        test_saw.test_montecarlo_routes_equal_the_written_out_expressions,
-        id="nan-montecarlo-entries",
     ),
     pytest.param(
         _spread_cross_term_flipped,

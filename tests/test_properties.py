@@ -71,7 +71,8 @@ def test_sector_amplitudes_match_full_simulation(R, phi, rows):
     params = TeleportParams(R, phi)
     phis = [saw.combined_phase(dict(zip(circuit.ARM_WIRES, arms))) for arms in rows]
     run, trig = saw._conditional_amplitudes(params, np.array(phis))
-    p, x, y, z, s = run
+    p, x, y, z = run
+    s = saw._ARM_SIGN
     for (cos, sin), arms in zip(trig.T, rows):
         rho01 = complex(x * cos + s * y * sin, s * x * sin - y * cos) / 2.0
         rho = np.array([[(1.0 + z) / 2.0, rho01], [np.conj(rho01), (1.0 - z) / 2.0]])
@@ -112,8 +113,7 @@ def test_fixed_arm_phases_match_a_launch(R, phi, arms):
 @example(0.0, 0.0)
 def test_no_arm_phase_gives_the_point_conditional(R, phi):
     # at Phi = 0 the run's state is the point's ++ conditional, byte for
-    # byte, signed zeros included (R = 0 or 1, or an R whose amplitude is
-    # pruned).  p is the ++ row of the coefficient table, within 2e-15 of
+    # byte, signed zeros included (R = 0 or 1).  p is the ++ row of the coefficient table, within 2e-15 of
     # what the ++ element gives on the point's detection stage, the
     # amplitude route
     params = TeleportParams(R, phi)
@@ -274,13 +274,10 @@ def test_table_route_matches_the_amplitude_route(points):
     # every block of the coefficient table against the observables taken
     # from the launched amplitudes: outcome probabilities, Bob's paired
     # conditionals, and each raw moment as a left-to-right sum of the
-    # configurations' probabilities.  Where R or D is so small that Bob's
-    # amplitude on one rail, sqrt(R)/4 or sqrt(D)/4, is at most PRUNE_TOL,
-    # the launch sets it to zero and the table does not: x and y then move
-    # by up to 2 * 0.25 * PRUNE_TOL / p = 8 PRUNE_TOL
+    # configurations' probabilities.  The routes agree within 2e-15 at
+    # every R, down to an R whose amplitude sqrt(R)/4 on one of Bob's rails
+    # lies far below 1e-14
     R, phi = map(np.array, zip(*points))
-    pruned = np.minimum(R, 1.0 - R) <= (4.0 * fock.PRUNE_TOL) ** 2
-    bloch_tol = np.where(pruned, 8.0 * fock.PRUNE_TOL, 2e-15)[:, None]
     table = protocol._table()
     amps = protocol.premeasurement_amplitudes("detection", R, phi)
     outcomes = protocol._observables(table.outcomes, R, phi)
@@ -289,7 +286,7 @@ def test_table_route_matches_the_amplitude_route(points):
         p, bloch = protocol.conditional_qubits(amps, outcome)
         observed = protocol._observables(table.paired[row], R, phi)
         assert np.max(np.abs(observed[:, 0] - p)) <= 2e-15
-        assert (np.abs(observed[:, 1:] / observed[:, :1] - bloch) <= bloch_tol).all()
+        assert np.max(np.abs(observed[:, 1:] / observed[:, :1] - bloch)) <= 2e-15
     probs = fock.probabilities(protocol.premeasurement_amplitudes("tomography", R, phi))
     moments = protocol._observables(table.moments, R, phi)
     configs = fock.combination_table(len(OUTPUT_MODES), 3)[1]
@@ -334,8 +331,7 @@ stack_point = st.tuples(
 def test_stacked_bloch_rows_equal_one_point_states(points):
     # a row of the table evaluated over the points and the one-point state
     # round alike, bit for bit; a row of the amplitude route's stack is
-    # within 2e-15 of it, or within 8 PRUNE_TOL where the launch prunes
-    # Bob's amplitude on one rail (see the test above)
+    # within 2e-15 of it (see the test above)
     R, phi = map(np.array, zip(*points))
     amps = np.stack([protocol.premeasurement_amplitudes("detection", r, p) for r, p in points])
     for row, outcome in enumerate(PAIRED_OUTCOMES):
@@ -345,9 +341,7 @@ def test_stacked_bloch_rows_equal_one_point_states(points):
         for point, stacked, (p, *numerators) in zip(points, bloch, observed.tolist()):
             single = protocol.bob_conditional(TeleportParams(*point), outcome)
             assert np.array([n / p for n in numerators]).tobytes() == single.bloch.tobytes()
-            pruned = min(point[0], 1.0 - point[0]) <= (4.0 * fock.PRUNE_TOL) ** 2
-            tol = 8.0 * fock.PRUNE_TOL if pruned else 2e-15
-            assert np.max(np.abs(stacked - single.bloch)) <= tol
+            assert np.max(np.abs(stacked - single.bloch)) <= 2e-15
             # a unit vector up to its rounding: at R = 1, |r| reads 1 + 2.2e-16
             assert math.hypot(*stacked) <= 1.0 + 1e-15
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eteleport import acceptance, circuit, fock, leviton, protocol, saw
+from eteleport import acceptance, circuit, fock, leviton, protocol
 from eteleport.fock import (
     DETECTION_MODES,
     OUTPUT_MODES,
@@ -450,7 +450,6 @@ def test_exact_point_composes_no_network(monkeypatch):
     # read from the coefficient table built from the same rows: they come
     # from one network, composed on first use without a phase element, and
     # no point composes a network or takes a determinant after that
-    saw._arm_sign()  # parameter-free, derived once per process
     calls, dets = _count_networks(monkeypatch)
     protocol._form_rows.cache_clear()
     protocol._table.cache_clear()

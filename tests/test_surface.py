@@ -2,7 +2,9 @@
 the benchmark or the README use it.  Every module-level name of the
 package (a function, class or constant, private or public) and every
 public method or property of its classes has a caller in the package or
-the benchmark, outside its own definition.  A name only its own tests call
+the benchmark, outside its own definition.  A caller is code: a `Name` or
+`Attribute` node of the syntax tree, f-string expressions included, never
+a comment, a docstring or another string.  A name only its own tests call
 is surface to delete, not to keep."""
 
 import ast
@@ -23,23 +25,30 @@ def _exported_names() -> list[str]:
     return list(eteleport._EXPORTS)
 
 
-def _caller_texts() -> list[str]:
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    sources = modules + sorted((REPO / "perfbench").glob("*.py")) + [REPO / "README.md"]
-    return [p.read_text() for p in sources]
+def _uses(path: Path) -> list[tuple[str, str, int]]:
+    """("name" or "attr", identifier, line) of each `Name` and `Attribute`
+    node of a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.append(("name", node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append(("attr", node.attr, node.lineno))
+    return found
 
 
-TEXTS = _caller_texts()
+# an entry of the export table in `__init__.py` is a string, no call
+USES = {
+    path: _uses(path)
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((REPO / "perfbench").glob("*.py"))]
+}
+README = (REPO / "README.md").read_text()
 
 
 @pytest.mark.parametrize("name", _exported_names())
 def test_exported_name_has_a_caller(name):
-    word = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
-    own_definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-    used = any(
-        word.search(line) and not own_definition.match(line)
-        for text in TEXTS
-        for line in text.splitlines()
+    used = any(name == ident for uses in USES.values() for _, ident, _ in uses) or re.search(
+        rf"(?<!\w){re.escape(name)}(?!\w)", README
     )
     assert used, f"{name} is exported but nothing in the package, perfbench or README uses it"
 
@@ -71,52 +80,41 @@ def _private_definitions() -> list:
 
 
 def _public_definitions() -> list:
-    """Each public module-level name, called by its word, and each public
-    method or property of a package class (no dunders, no dataclass
-    fields), called as `.name`, as test parameters."""
+    """Each public module-level name, called as a name or an attribute, and
+    each public method or property of a package class (no dunders, no
+    dataclass fields), called as an attribute, as test parameters."""
     found = []
     for path, name, first, last, node in _definitions():
         if name.startswith("_"):
             continue
-        pattern = rf"(?<!\w){re.escape(name)}(?!\w)"
-        found.append(pytest.param(path, pattern, first, last, id=f"{path.stem}.{name}"))
+        kinds = ("name", "attr")
+        found.append(pytest.param(path, name, kinds, first, last, id=f"{path.stem}.{name}"))
         for method in node.body if isinstance(node, ast.ClassDef) else ():
             if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                pattern = rf"\.{re.escape(method.name)}(?!\w)"
                 span = (method.lineno, method.end_lineno)
                 label = f"{path.stem}.{name}.{method.name}"
-                found.append(pytest.param(path, pattern, *span, id=label))
+                found.append(pytest.param(path, method.name, ("attr",), *span, id=label))
     return found
 
 
-SOURCES = {
-    path: path.read_text().splitlines()
-    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((REPO / "perfbench").glob("*.py"))]
-}
-
-
-def _called(pattern: str, path: Path, first: int, last: int) -> bool:
-    """Whether the pattern occurs in the package or perfbench outside lines
-    first..last of path; an entry of the export table in `__init__.py` is
-    no call, so `__init__.py` counts only for its own names."""
-    word = re.compile(pattern)
+def _called(name: str, kinds: tuple[str, ...], path: Path, first: int, last: int) -> bool:
+    """Whether a node of one of the kinds reads the name in the package or
+    perfbench outside lines first..last of path."""
     return any(
-        word.search(line)
-        for source, lines in SOURCES.items()
-        if source.name != "__init__.py" or source == path
-        for number, line in enumerate(lines, start=1)
-        if not (source == path and first <= number <= last)
+        used == name and kind in kinds and not (source == path and first <= line <= last)
+        for source, uses in USES.items()
+        for kind, used, line in uses
     )
 
 
 @pytest.mark.parametrize("path, name, first, last", _private_definitions())
 def test_private_name_has_a_caller(path, name, first, last):
-    used = _called(rf"(?<!\w){re.escape(name)}(?!\w)", path, first, last)
+    used = _called(name, ("name", "attr"), path, first, last)
     assert used, f"{path.name}: {name} is private and nothing in the package or perfbench uses it"
 
 
-@pytest.mark.parametrize("path, pattern, first, last", _public_definitions())
-def test_public_name_has_a_caller(path, pattern, first, last):
-    assert _called(pattern, path, first, last), (
-        f"{path.name}: nothing in the package or perfbench uses {pattern}"
+@pytest.mark.parametrize("path, name, kinds, first, last", _public_definitions())
+def test_public_name_has_a_caller(path, name, kinds, first, last):
+    assert _called(name, kinds, path, first, last), (
+        f"{path.name}: nothing in the package or perfbench uses {name}"
     )

@@ -145,7 +145,6 @@ def test_finite_T_factors_must_lie_in_unit_interval(name, factor):
 
 
 NEGATIVE_SEED_CALLS = {
-    "montecarlo_entries": saw.montecarlo_entries,
     "montecarlo_click_probabilities": saw.montecarlo_click_probabilities,
     "dephased_state_montecarlo": saw.dephased_state_montecarlo,
     "sampled_fidelity": lambda params, deph, n, seed: saw.sampled_fidelity([1.0], n, seed),
