@@ -157,12 +157,22 @@ def _reorder_sign(indices: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+@functools.lru_cache(maxsize=1024)
+def _term(registry: ModeRegistry, labels: tuple[str, ...]) -> tuple[int, int, int] | None:
+    """A creation-operator string's (particle count, configuration, reordering
+    sign), or None when a label repeats; an unknown label raises at each call."""
+    idx = registry.indices(labels)
+    if len(set(idx)) != len(idx):
+        return None
+    return len(idx), _config(idx), _reorder_sign(idx)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class FockState:
     """Fixed-particle-number state stored as one read-only complex array.
 
     `amps` holds an amplitude for every configuration of the sector, in
-    combination order; `configs` is the sector's shared configuration row.
+    combination order, the sector's row of `combination_table`.
     """
 
     registry: ModeRegistry
@@ -197,25 +207,20 @@ class FockState:
         amps: dict[int, complex] = {}
         n = None
         for coeff, labels in terms:
-            idx = registry.indices(labels)
-            if len(set(idx)) != len(idx):
+            term = _term(registry, tuple(labels))
+            if term is None:
                 continue
+            count, config, sign = term
             if n is None:
-                n = len(idx)
-            elif len(idx) != n:
+                n = count
+            elif count != n:
                 raise ValueError("terms with differing particle numbers")
-            config = _config(idx)
-            amps[config] = amps.get(config, 0.0) + coeff * _reorder_sign(idx)
+            amps[config] = amps.get(config, 0.0) + coeff * sign
         if n is None:
             raise ValueError("no terms given")
         amps = {c: a for c, a in amps.items() if abs(a) > PRUNE_TOL}
         _, sector = combination_table(len(registry), n)
         return cls(registry, n, [amps.get(c, 0.0) for c in sector.tolist()])
-
-    @property
-    def configs(self) -> np.ndarray:
-        """The sector's configurations (int64), in combination order."""
-        return combination_table(len(self.registry), self.particle_number)[1]
 
     @functools.cached_property
     def probabilities(self) -> np.ndarray:

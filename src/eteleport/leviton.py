@@ -127,7 +127,11 @@ def photoassist_amplitude(n: int, gamma: float) -> complex:
     """
     n = _integer(n, "photon number n")
     _check_gamma(gamma)
-    g = 2.0 * math.pi * gamma
+    return _amplitude(n, 2.0 * math.pi * gamma)
+
+
+def _amplitude(n: int, g: float) -> complex:
+    """`photoassist_amplitude` at a checked n and g = 2 pi gamma."""
     if n < 0:
         return 0.0 + 0.0j
     if n == 0:
@@ -164,11 +168,13 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
 
 def photoassist_weight_sum(gamma: float) -> float:
     """Numeric sum of |amplitude|^2 over all n, up to the first term below
-    1e-16; unitarity demands 1."""
-    total = abs(photoassist_amplitude(0, gamma)) ** 2
+    1e-16; unitarity demands 1.  gamma is checked once, not per term."""
+    _check_gamma(gamma)
+    g = 2.0 * math.pi * gamma
+    total = abs(_amplitude(0, g)) ** 2
     n = 1
     while True:
-        term = abs(photoassist_amplitude(n, gamma)) ** 2
+        term = abs(_amplitude(n, g)) ** 2
         total += term
         if term < 1e-16:
             return total

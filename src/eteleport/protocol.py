@@ -665,23 +665,20 @@ def bell_decomposition_terms(params: TeleportParams) -> dict[str, FockState]:
     }
 
 
-def _dual_rail(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Occupations of the prepared stage's modes (three dual-rail pairs, rail 0
-    first) and which configurations hold one particle per pair."""
-    occ = occupations(state.registry, state.configs, PREPARED_MODES.labels)
-    return occ, (occ[:, 0::2] + occ[:, 1::2] == 1).all(axis=1)
-
-
-def dual_rail_weight(state: FockState) -> float:
-    """Probability that each dual-rail pair of the prepared stage holds one particle."""
-    return state.mass(_dual_rail(state)[1])
-
-
-def _sector_weight(state: FockState, crossed: bool) -> float:
-    """Weight of the dual-rail configurations with the A' and A particles
-    on opposite rails (crossed) or the same rail (aligned)."""
-    occ, dual = _dual_rail(state)
-    return state.mass(dual & ((occ[:, 0] != occ[:, 2]) == crossed))
+@functools.lru_cache(maxsize=None)
+def _prepared_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which configurations of the prepared stage's three-particle sector hold
+    one particle per dual-rail pair (rail 0 first), and which of those put
+    the A' and A particles on opposite rails (crossed) or the same rail
+    (aligned); parameter-free, so built once and shared read-only."""
+    _, configs = combination_table(len(PREPARED_MODES), 3)
+    occ = occupations(PREPARED_MODES, configs, PREPARED_MODES.labels)
+    dual = (occ[:, 0::2] + occ[:, 1::2] == 1).all(axis=1)
+    crossed = occ[:, 0] != occ[:, 2]
+    masks = (dual, dual & crossed, dual & ~crossed)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 @functools.lru_cache(maxsize=None)
@@ -711,38 +708,14 @@ def _povm_in_prepared_basis() -> tuple[dict[str, np.ndarray], np.ndarray, dict[s
     return elements, projector, vectors
 
 
-def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
-    """Structural checks of the dual-rail decomposition and Alice's POVM.
-
-    Expected values: dual_rail_weight = 1/2, split evenly between the
-    crossed and aligned Bell sectors; overlap moduli 1/(2*sqrt(2)) for
-    the crossed-sector decomposition terms; vanishing deviations for the
-    Bell Gram matrix and the projected POVM identities.  The literal
-    aligned-sector product states pick up occupation-ordering signs, so
-    their overlap moduli come out |R - D|/(2*sqrt(2)) and are reported
-    under explicit names rather than asserted equal to the crossed ones.
-    """
-    prepared = FockState(
-        PREPARED_MODES, 3, premeasurement_amplitudes("preparation", params.R, params.phi)
-    )
-
-    report = {
-        "dual_rail_weight": dual_rail_weight(prepared),
-        "crossed_sector_weight": _sector_weight(prepared, crossed=True),
-        "aligned_sector_weight": _sector_weight(prepared, crossed=False),
-    }
-
-    bells = bell_states(
-        ModeRegistry(("A0", "A1", "B0p", "B1p")), ("A0", "A1"), ("B0p", "B1p")
-    )
+@functools.lru_cache(maxsize=None)
+def _bell_deviations() -> tuple[float, float]:
+    """The Bell Gram matrix's largest deviation from the identity, and that of
+    Alice's six projected POVM elements from half the projector onto their
+    Bell combination; parameter-free, so evaluated once."""
+    bells = bell_states(ModeRegistry(("A0", "A1", "B0p", "B1p")), ("A0", "A1"), ("B0p", "B1p"))
     basis = np.column_stack([state.amps for state in bells.values()])
     gram = basis.conj().T @ basis
-    report["bell_gram_max_dev"] = float(np.max(np.abs(gram - np.eye(len(bells)))))
-
-    for name, term in bell_decomposition_terms(params).items():
-        literal = "_literal" if name in ("sigma_x", "i_sigma_y") else ""
-        report[f"overlap_modulus_{name}{literal}"] = abs(term.overlap(prepared))
-
     elements, projector, bells_aa = _povm_in_prepared_basis()
     psi_m, psi_p = bells_aa["psi-"], bells_aa["psi+"]
     phi_sum = bells_aa["phi+"] + bells_aa["phi-"]
@@ -753,9 +726,37 @@ def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
         "1010": psi_m, "0101": psi_m, "1001": psi_p, "0110": psi_p,
         "1100": phi_sum, "0011": phi_diff,
     }
-    dev = max(
+    povm_dev = max(
         float(np.max(np.abs(projector @ elements[k] @ projector - 0.5 * np.outer(v, v.conj()))))
         for k, v in targets.items()
     )
-    report["povm_dual_rail_max_dev"] = dev
+    return float(np.max(np.abs(gram - np.eye(len(bells))))), povm_dev
+
+
+def drq_projection_checks(params: TeleportParams) -> dict[str, float]:
+    """Structural checks of the dual-rail decomposition and Alice's POVM.
+
+    Expected values: dual_rail_weight = 1/2, split evenly between the
+    crossed and aligned Bell sectors; overlap moduli 1/(2*sqrt(2)) for
+    the crossed-sector decomposition terms; vanishing deviations for the
+    Bell Gram matrix and the projected POVM identities (`_bell_deviations`,
+    once per process).  The literal aligned-sector product states pick up
+    occupation-ordering signs, so their overlap moduli come out
+    |R - D|/(2*sqrt(2)), reported under explicit names, not as the crossed.
+    """
+    prepared = FockState(
+        PREPARED_MODES, 3, premeasurement_amplitudes("preparation", params.R, params.phi)
+    )
+    dual, crossed, aligned = _prepared_masks()
+    gram_dev, povm_dev = _bell_deviations()
+    report = {
+        "dual_rail_weight": prepared.mass(dual),
+        "crossed_sector_weight": prepared.mass(crossed),
+        "aligned_sector_weight": prepared.mass(aligned),
+        "bell_gram_max_dev": gram_dev,
+    }
+    for name, term in bell_decomposition_terms(params).items():
+        literal = "_literal" if name in ("sigma_x", "i_sigma_y") else ""
+        report[f"overlap_modulus_{name}{literal}"] = abs(term.overlap(prepared))
+    report["povm_dual_rail_max_dev"] = povm_dev
     return report

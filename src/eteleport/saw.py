@@ -191,7 +191,9 @@ def _montecarlo_spread(
     Re rho01 = (x cos + s y sin) / 2 and Im rho01 = (s x sin - y cos) / 2
     are linear in a draw's cos and sin, so with the centred sums S_cc, S_ss
     and S_cs of the run, 4 (n - 1) Var(Re) = x^2 S_cc + y^2 S_ss + 2 s x y
-    S_cs and 4 (n - 1) Var(Im) = x^2 S_ss + y^2 S_cc - 2 s x y S_cs.  cos
+    S_cs and 4 (n - 1) Var(Im) = x^2 S_ss + y^2 S_cc - 2 s x y S_cs.  The
+    spreads, of degree 1 in (x, y), are formed at (x, y)/r and scaled by
+    r = hypot(x, y) last, so no square of a tiny x or y underflows.  cos
     and sin are centred and squared in the run's own buffer, so the product
     for S_cs is the one other n-length array; every sum is `np.add.reduce`,
     whose pairwise order no BLAS kernel sets.  A variance that rounds below
@@ -206,11 +208,12 @@ def _montecarlo_spread(
     s_cs = float(np.add.reduce(np.multiply(*trig)))
     np.square(trig, out=trig)
     s_cc, s_ss = (float(np.add.reduce(row)) for row in trig)
-    _, x, y, _ = run
+    r = math.hypot(run.x, run.y) or 1.0  # 1 where x = y = 0, so both spreads read 0
+    x, y = run.x / r, run.y / r
     cross, scale = 2.0 * _ARM_SIGN * x * y * s_cs, 4.0 * (n_samples - 1)
     var_re = (x * x * s_cc + y * y * s_ss + cross) / scale
     var_im = (x * x * s_ss + y * y * s_cc - cross) / scale
-    return state, math.sqrt(max(var_re, 0.0)), math.sqrt(max(var_im, 0.0))
+    return state, r * math.sqrt(max(var_re, 0.0)), r * math.sqrt(max(var_im, 0.0))
 
 
 def _run_state(run: _Run, cos: float, sin: float) -> QubitState:

@@ -39,10 +39,15 @@ def small_registry(m):
     return ModeRegistry(tuple(f"m{i}" for i in range(m)))
 
 
+def _configs(state):
+    """The state's sector configurations, in combination order."""
+    return combination_table(len(state.registry), state.particle_number)[1]
+
+
 def amplitude(state, occupied_labels):
     """The amplitude of the configuration occupying exactly these modes."""
     config = sum(1 << i for i in state.registry.indices(occupied_labels))
-    (column,) = np.flatnonzero(state.configs == config)
+    (column,) = np.flatnonzero(_configs(state) == config)
     return state.amps[column]
 
 
@@ -54,7 +59,7 @@ def lift(u, state):
 def moment(state, labels):
     """The mean (one label) or central moment (two or three) of the modes'
     occupations, each sum over the configurations added left to right."""
-    occ = occupations(state.registry, state.configs, labels)
+    occ = occupations(state.registry, _configs(state), labels)
     means = [state.mass(column.astype(bool)) for column in occ.T]
     if len(labels) == 1:
         return means[0]
@@ -64,7 +69,7 @@ def moment(state, labels):
 def project(state, label, n):
     """Probability that a mode holds n particles, and the renormalized state
     restricted to it; probability zero yields the zero state."""
-    keep = occupations(state.registry, state.configs, (label,))[:, 0] == n
+    keep = occupations(state.registry, _configs(state), (label,))[:, 0] == n
     p = state.mass(keep)
     scale = 1.0 / math.sqrt(p) if p else 0.0
     kept = np.where(keep, state.amps * scale, 0)
@@ -96,7 +101,7 @@ def test_three_sources():
 def test_vacuum_state():
     state = create_sources(INPUT_MODES, ())
     assert state.particle_number == 0
-    assert state.configs.tolist() == [0] and state.amps.tolist() == [1.0]
+    assert _configs(state).tolist() == [0] and state.amps.tolist() == [1.0]
 
 
 def test_duplicate_source_rejected():
@@ -183,7 +188,7 @@ def test_particle_number_and_exclusion_invariants():
         u = SingleParticleUnitary(random_unitary(6, rng), reg, reg)
         state = lift(u, state)
         assert state.particle_number == 3 and state.amps.shape == (20,)
-        for config in state.configs[state.amps != 0].tolist():
+        for config in _configs(state)[state.amps != 0].tolist():
             assert config.bit_count() == 3
 
 
@@ -239,7 +244,7 @@ def first_quantized_evolution(matrix, state):
     m = len(state.registry)
     n = state.particle_number
     psi = np.zeros((m,) * n, dtype=complex)
-    for config, amp in zip(state.configs.tolist(), state.amps.tolist()):
+    for config, amp in zip(_configs(state).tolist(), state.amps.tolist()):
         occ = [i for i in range(m) if (config >> i) & 1]
         for perm in itertools.permutations(range(n)):
             idx = tuple(occ[p] for p in perm)
@@ -268,8 +273,8 @@ def test_lift_agrees_with_first_quantized_oracle():
             state = random_state(reg, n, rng)
             fast = lift(u, state)
             dense = first_quantized_evolution(u.matrix, state)
-            assert set(dense) <= set(fast.configs.tolist())
-            for config, a in zip(fast.configs.tolist(), fast.amps.tolist()):
+            assert set(dense) <= set(_configs(fast).tolist())
+            for config, a in zip(_configs(fast).tolist(), fast.amps.tolist()):
                 assert abs(a - dense.get(config, 0.0)) < 1e-10
 
 
@@ -366,8 +371,8 @@ def test_occupations_match_bit_loop():
     reg = small_registry(6)
     state = random_state(reg, 3, np.random.default_rng(13))
     labels = ("m4", "m0", "m2")
-    expected = [[(c >> reg.index(lab)) & 1 for lab in labels] for c in state.configs.tolist()]
-    assert occupations(reg, state.configs, labels).tolist() == expected
+    expected = [[(c >> reg.index(lab)) & 1 for lab in labels] for c in _configs(state).tolist()]
+    assert occupations(reg, _configs(state), labels).tolist() == expected
 
 
 def test_projection_and_product_mean_equal_loop_references():
@@ -375,13 +380,13 @@ def test_projection_and_product_mean_equal_loop_references():
     state = tomography_state(0.37, 1.3, "X")
     i, j = state.registry.indices(("A0+", "B1"))
     both, p = 0.0, 0.0
-    pairs = list(zip(state.configs.tolist(), state.amps.tolist()))
+    pairs = list(zip(_configs(state).tolist(), state.amps.tolist()))
     for c, a in pairs:
         if (c >> i) & 1 and (c >> j) & 1:
             both += abs(a) ** 2
         if not (c >> i) & 1:
             p += abs(a) ** 2
-    occ = occupations(state.registry, state.configs, ("A0+", "B1"))
+    occ = occupations(state.registry, _configs(state), ("A0+", "B1"))
     assert state.mass(occ.all(axis=1)) == both
     got_p, post = project(state, "A0+", 0)
     assert got_p == p
@@ -425,7 +430,6 @@ def test_state_holds_the_given_vector():
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     state = FockState(reg, 2, v)
     assert state.amps.tobytes() == v.tobytes()
-    assert state.configs is combination_table(4, 2)[1]
     with pytest.raises(ValueError, match="read-only"):
         state.amps[0] = 0.0
     assert v.flags.writeable  # the caller's array is copied, not frozen

@@ -46,6 +46,27 @@ def test_weight_sum_is_unity():
         assert photoassist_weight_sum(gamma) == pytest.approx(1.0, abs=1e-10)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1e-2, 50.0))
+@example(1e-2)
+@example(0.02)
+@example(0.05)
+@example(0.1)
+@example(50.0)
+def test_weight_sum_is_the_loop_over_public_amplitudes(gamma):
+    # gamma is checked once, and every term has the bytes of the public
+    # amplitude's, summed in the same order
+    total = abs(photoassist_amplitude(0, gamma)) ** 2
+    n = 1
+    while True:
+        term = abs(photoassist_amplitude(n, gamma)) ** 2
+        total += term
+        if term < 1e-16:
+            break
+        n += 1
+    assert photoassist_weight_sum(gamma).hex() == total.hex()
+
+
 def test_oracle_agrees_with_closed_form():
     n_values = [-2, 0, 1, 3, 10]
     oracle = photoassist_spectrum_oracle(n_values, 0.05)

@@ -290,6 +290,18 @@ def _nan_state(params):
     return FockState(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
 
 
+def _bell_sign_flipped(monkeypatch):
+    # psi- built with psi+'s sign: the Bell Gram deviation and the projected
+    # POVM, both evaluated once per process, must still see it
+    bell_states = protocol.bell_states
+
+    def flipped(registry, pair_a, pair_b):
+        states = bell_states(registry, pair_a, pair_b)
+        return {**states, "psi-": states["psi+"]}
+
+    monkeypatch.setattr(protocol, "bell_states", flipped)
+
+
 def _series_fails(params):
     raise leviton.SeriesConvergenceError("thermal series not converged")
 
@@ -400,6 +412,7 @@ MUTANTS = [
         _criterion(4),
         id="nan-overlap-crit04",
     ),
+    pytest.param(_bell_sign_flipped, _criterion(4), id="bell-sign-flipped-crit04"),
     pytest.param(
         _replace(
             saw,

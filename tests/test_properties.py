@@ -17,9 +17,12 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from eteleport import circuit, fock, leviton, protocol, saw  # noqa: E402
 from eteleport.acceptance import reference_network_matrix  # noqa: E402
 from eteleport.fock import (  # noqa: E402
+    DETECTION_MODES,
     INPUT_MODES,
     OUTPUT_MODES,
+    PREPARED_MODES,
     FockState,
+    ModeRegistry,
     create_sources,
     lift_amplitudes,
 )
@@ -688,3 +691,123 @@ def test_broadcast_references_equal_point_calls(points):
         for setting, table in tables.items():
             single = leviton.reference_correlators(r, p, setting).values
             assert table.values[i, j].tobytes() == single.tobytes(), setting
+
+
+def _written_out_drq_checks(params):
+    """`protocol.drq_projection_checks` built afresh at each call: the
+    sector's masks from its configurations, and the Bell Gram matrix and
+    Alice's six projected POVM elements at every point."""
+    prepared = FockState(
+        PREPARED_MODES, 3, protocol.premeasurement_amplitudes("preparation", params.R, params.phi)
+    )
+    _, configs = fock.combination_table(len(PREPARED_MODES), 3)
+    occ = fock.occupations(PREPARED_MODES, configs, PREPARED_MODES.labels)
+    dual = (occ[:, 0::2] + occ[:, 1::2] == 1).all(axis=1)
+
+    def sector_weight(crossed):
+        return prepared.mass(dual & ((occ[:, 0] != occ[:, 2]) == crossed))
+
+    report = {
+        "dual_rail_weight": prepared.mass(dual),
+        "crossed_sector_weight": sector_weight(True),
+        "aligned_sector_weight": sector_weight(False),
+    }
+    registry = ModeRegistry(("A0", "A1", "B0p", "B1p"))
+    bells = protocol.bell_states(registry, ("A0", "A1"), ("B0p", "B1p"))
+    basis = np.column_stack([state.amps for state in bells.values()])
+    gram = basis.conj().T @ basis
+    report["bell_gram_max_dev"] = float(np.max(np.abs(gram - np.eye(len(bells)))))
+    for name, term in protocol.bell_decomposition_terms(params).items():
+        literal = "_literal" if name in ("sigma_x", "i_sigma_y") else ""
+        report[f"overlap_modulus_{name}{literal}"] = abs(term.overlap(prepared))
+    elements, projector, bells_aa = protocol._povm_in_prepared_basis()
+    psi_m, psi_p = bells_aa["psi-"], bells_aa["psi+"]
+    phi_sum = bells_aa["phi+"] + bells_aa["phi-"]
+    phi_diff = bells_aa["phi+"] - bells_aa["phi-"]
+    targets = {
+        "1010": psi_m, "0101": psi_m, "1001": psi_p, "0110": psi_p,
+        "1100": phi_sum, "0011": phi_diff,
+    }
+    report["povm_dual_rail_max_dev"] = max(
+        float(np.max(np.abs(projector @ elements[k] @ projector - 0.5 * np.outer(v, v.conj()))))
+        for k, v in targets.items()
+    )
+    return report
+
+
+@settings(max_examples=50, deadline=None)
+@given(signed_zero | st.sampled_from((0.0, 1.0)) | unit, signed_zero | angle)
+@example(0.5, 0.0)
+@example(0.3, 1.2)
+@example(0.8, 4.0)
+@example(1.0, -0.0)
+def test_drq_checks_equal_their_per_call_construction(R, phi):
+    # the same keys in the same order, each value with the same bytes, the
+    # parameter-free parts read from their once-per-process tables
+    params = TeleportParams(R, phi)
+    got = protocol.drq_projection_checks(params)
+    want = _written_out_drq_checks(params)
+    assert [(k, v.hex()) for k, v in got.items()] == [(k, v.hex()) for k, v in want.items()]
+
+
+def _per_term_state(registry, terms):
+    """`FockState.from_terms` reading each term's indices, configuration and
+    reordering sign afresh."""
+    amps, n = {}, None
+    for coeff, labels in terms:
+        idx = registry.indices(labels)
+        if len(set(idx)) != len(idx):
+            continue
+        if n is None:
+            n = len(idx)
+        elif len(idx) != n:
+            raise ValueError("terms with differing particle numbers")
+        config = fock._config(idx)
+        amps[config] = amps.get(config, 0.0) + coeff * fock._reorder_sign(idx)
+    if n is None:
+        raise ValueError("no terms given")
+    amps = {c: a for c, a in amps.items() if abs(a) > fock.PRUNE_TOL}
+    _, sector = fock.combination_table(len(registry), n)
+    return FockState(registry, n, [amps.get(c, 0.0) for c in sector.tolist()])
+
+
+def _built(build, registry, terms):
+    """A built state's registry, particle number and amplitude bytes, or the
+    type and message of the error it raised."""
+    try:
+        state = build(registry, terms)
+    except Exception as exc:  # compared, whatever it is
+        return type(exc), str(exc)
+    return state.registry, state.particle_number, state.amps.tobytes()
+
+
+@st.composite
+def creation_terms(draw):
+    """A registry and (coefficient, labels) terms over it: labels repeat,
+    an unknown label "zz" turns up now and then, and half the lists mix
+    particle numbers."""
+    registry = draw(st.sampled_from((ModeRegistry(("m0", "m1", "m2", "m3")), DETECTION_MODES)))
+    label = st.sampled_from(registry.labels * 5 + ("zz",))
+    n = draw(st.integers(0, 3))
+    size = st.integers(0, 3) if draw(st.booleans()) else st.just(n)
+    labels = size.flatmap(lambda k: st.lists(label, min_size=k, max_size=k))
+    coeff = st.sampled_from((0j, 1e-15, -1e-15 + 0j)) | st.complex_numbers(
+        max_magnitude=2.0, allow_nan=False, allow_infinity=False
+    )
+    return registry, draw(st.lists(st.tuples(coeff, labels), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(creation_terms())
+@example((DETECTION_MODES, []))
+@example((DETECTION_MODES, [(1.0, ["A0+", "A0+"]), (0.5, ["B1p", "A0-"]), (0.5, ["A0-", "B1p"])]))
+@example((DETECTION_MODES, [(1.0, ["A0+", "zz"])]))
+@example((DETECTION_MODES, [(1.0, ["A0+", "B0p"]), (1.0, ["A1+"])]))
+@example((DETECTION_MODES, [(1.0, ["A0+", "A0+"]), (1.0, ["A1+"])]))
+def test_from_terms_equals_the_per_term_path(case):
+    # the same state, or the same error, as each term read afresh, on a
+    # first call and on a second that reads the table
+    registry, terms = case
+    want = _built(_per_term_state, registry, terms)
+    assert _built(FockState.from_terms, registry, terms) == want
+    assert _built(FockState.from_terms, registry, terms) == want

@@ -98,9 +98,10 @@ def test_povm_weights_are_binary_and_complete():
 def test_povm_expectation_equals_bit_loop_reference():
     state = run_premeasurement(TeleportParams(0.42, 2.0))
     idx = state.registry.indices(protocol.DETECTOR_LABELS)
+    configs = combination_table(len(state.registry), 3)[1].tolist()
     for outcome in ALL_OUTCOMES:
         total = 0.0
-        for config, amp in zip(state.configs.tolist(), state.amps.tolist()):
+        for config, amp in zip(configs, state.amps.tolist()):
             if all((config >> i) & 1 == j for i, j in zip(idx, outcome.bits)):
                 total += abs(amp) ** 2
         assert povm_element(outcome).expectation(state) == total
@@ -216,7 +217,8 @@ def bob_occupations(params, bits):
     clicked = povm_element(MeasurementOutcome(bits)).clicked(state.registry, 3)
     p = state.mass(clicked)
     kept = clicked & (state.amps != 0)
-    occ = fock.occupations(state.registry, state.configs[kept], ("B0p", "B1p"))
+    configs = combination_table(len(state.registry), 3)[1]
+    occ = fock.occupations(state.registry, configs[kept], ("B0p", "B1p"))
     dist = {}
     for key, q in zip(map(tuple, occ.tolist()), state.probabilities[kept].tolist()):
         dist[key] = dist.get(key, 0.0) + q / p

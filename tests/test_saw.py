@@ -379,11 +379,12 @@ def _entries(run, cos, sin):
     return np.full(n, (1.0 + z) / 2.0), np.full(n, (1.0 - z) / 2.0), rho01
 
 
-def _full_array_entries(params, deph, n, seed):
+def _full_array_entries(params, deph, n, seed, run=None):
     """The entries of the run of seed, from its draws and numpy's cos and
-    sin of them."""
+    sin of them, at the point's run constants or at the given ones."""
     draws = saw._sample_phases(deph, n, seed)
-    return _entries(saw._run_constants(params), np.cos(draws), np.sin(draws))
+    run = saw._run_constants(params) if run is None else run
+    return _entries(run, np.cos(draws), np.sin(draws))
 
 
 def _per_state_fidelities(sigma2_values, n, seed):
@@ -439,20 +440,22 @@ def test_montecarlo_routes_equal_the_written_out_expressions(R, phi, variances, 
     assert _bytes(sampled_fidelity(sigma2_values, n_states, seed)) == _bytes(want)
 
 
-# The spreads of `_montecarlo_spread` are compared as variances, against
-# r (s + ref) with r = hypot(x, y) = 2 |rho01| at Phi = 0 and s = (r / 2)
-# sqrt(Var cos + Var sin) the largest spread either part can have (s < r).
-# Each of the moments' three terms and centred sums rounds relative to
-# its size, and the terms add up to at most s^2 <= r s; each sample of the
-# column rounds by an ulp or so of r, which moves its variance by about
-# r ref ulps.  Near zero spread only the first survives: with a variance
-# of 1e-300 the column's samples round to one value (ref = 0) while the
-# moments see the draws' sin.  Compared as standard deviations, the two
-# differed by up to 38 ulps of r (at n = 2).  The largest
-# |std^2 - ref^2| / (r (s + ref)) over 18 000 random runs (n = 2 to
-# 30 000; variances 0, 1e-300, 1e-32 to 1e-16 and up to 5) and a scan of
-# n = 2 runs where Re or Im cancels to 4e-9 of s was 1.19 ulps of 1.0;
-# the bound is twice that, rounded up to whole ulps.
+# `_montecarlo_spread` forms each spread at the unit vector (x, y)/r and
+# scales it by r = hypot(x, y) last, so the spreads are compared over r, as
+# variances, against the column built at the unit vector: against s + ref,
+# s = sqrt(Var cos + Var sin) / 2 the largest spread either part can have at
+# r = 1 (s < 1).  Each of the moments' three terms and centred sums rounds
+# relative to its size, and the terms add up to at most s^2 <= s; each
+# sample of the column rounds by an ulp or so of 1, which moves its variance
+# by about ref ulps.  Near zero spread only the first survives: with a
+# variance of 1e-300 the column's samples round to one value (ref = 0)
+# while the moments see the draws' sin.  The largest
+# |(std/r)^2 - ref^2| / (s + ref) over 23 000 random runs (n = 2 to 30 000;
+# variances 0, 1e-300, 1e-32 to 1e-16 and up to 5; R uniform, subnormal,
+# 1e-300, 1e-200 and within 1e-16 to 0.1 of 1) was 1.27 ulps of 1.0; the
+# bound is twice that, rounded up to whole ulps.  At (x, y) itself, the
+# squares of a subnormal R's x and y (about 1e-162) would underflow, and a
+# bound r (s + ref) with them.
 SPREAD_TOL = 3.0 * 2.0**-52
 SPREAD_SIGMA2 = st.sampled_from((0.0, 1e-300)) | st.floats(0.0, 5.0)
 
@@ -469,19 +472,24 @@ SPREAD_SIGMA2 = st.sampled_from((0.0, 1e-300)) | st.floats(0.0, 5.0)
 @example(0.3, 1.2, [1e-300] * 6, 2, 0)
 @example(0.7, 4.0, [0.0, 1e-300, 0.0, 1e-300, 0.0, 1.0], 3, 5)
 @example(1.0, 2.0, [0.0] * 6, 8195, 12345)
+# subnormal R, where x and y are about 1e-162 and 1e-156
+@example(5e-324, 0.0, [0.0] * 5 + [1.0], 4, 1)
+@example(2.225073858507e-311, 0.0, [0.0] * 5 + [1.0], 2, 0)
 def test_montecarlo_spread_is_the_columns_mean_std(R, phi, variances, n, seed):
     # criterion 6's state is the averaged state's bytes, and its spreads
-    # are numpy's std(ddof=1) of the written-out rho01 column
+    # are r times numpy's std(ddof=1) of the rho01 column written out at
+    # the unit vector
     params, deph = TeleportParams(R, phi), DephasingParams(variances)
     state, std_re, std_im = saw._montecarlo_spread(params, deph, n, seed)
     assert _bytes(state) == _bytes(dephased_state_montecarlo(params, deph, n, seed))
-    rho01 = _full_array_entries(params, deph, n, seed)[2]
     run, trig = saw._drawn_run(params, deph, n, seed)
-    r = math.hypot(run.x, run.y)
-    s = r / 2.0 * math.sqrt(float(np.add.reduce(trig.var(axis=1, ddof=1))))
+    r = math.hypot(run.x, run.y) or 1.0
+    unit = run._replace(x=run.x / r, y=run.y / r)
+    rho01 = _full_array_entries(params, deph, n, seed, unit)[2]
+    s = math.sqrt(float(np.add.reduce(trig.var(axis=1, ddof=1)))) / 2.0
     for std, part in ((std_re, rho01.real), (std_im, rho01.imag)):
-        ref = float(part.std(ddof=1))
-        assert abs(std * std - ref * ref) <= SPREAD_TOL * r * (s + ref)
+        ref, unit_std = float(part.std(ddof=1)), std / r
+        assert abs(unit_std * unit_std - ref * ref) <= SPREAD_TOL * (s + ref)
 
 
 def test_montecarlo_spread_needs_two_samples(monkeypatch):
