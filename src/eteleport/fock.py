@@ -31,7 +31,6 @@ import numpy as np
 
 NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-12
-PRUNE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,6 @@ class FockState:
             amps[config] = amps.get(config, 0.0) + coeff * sign
         if n is None:
             raise ValueError("no terms given")
-        amps = {c: a for c, a in amps.items() if abs(a) > PRUNE_TOL}
         _, sector = combination_table(len(registry), n)
         return cls(registry, n, [amps.get(c, 0.0) for c in sector.tolist()])
 

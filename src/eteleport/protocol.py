@@ -166,10 +166,7 @@ class QubitState:
         if given.shape != (3,) or given.dtype.kind not in "iuf":
             raise ValueError(f"a Bloch vector is three finite reals, got {self.bloch!r}")
         bloch = given.astype(float)
-        components = bloch.tolist()
-        if not all(map(math.isfinite, components)):
-            raise ValueError(f"a Bloch vector is three finite reals, got {self.bloch!r}")
-        _check_unit_ball(components)
+        _check_unit_ball(bloch.tolist())  # NaN and inf leave the ball
         bloch.flags.writeable = False
         object.__setattr__(self, "bloch", bloch)
 

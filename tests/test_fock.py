@@ -131,6 +131,19 @@ def test_from_terms_drops_excluded_term():
     assert np.count_nonzero(state.amps) == 1
 
 
+def test_from_terms_keeps_tiny_coefficients():
+    # no amplitude is cut for being small: a 1e-15 term keeps its value, and
+    # so do the teleporting branch's B'0 amplitudes, 0.5 sqrt(R) at R = 1e-30
+    reg = small_registry(2)
+    state = FockState.from_terms(reg, [(1.0, ("m0",)), (1e-15, ("m1",))])
+    assert amplitude(state, ("m1",)) == 1e-15
+    params = TeleportParams(1e-30, 0.3)
+    branch = protocol.teleporting_branch(params)
+    a = protocol.input_amplitudes(params)[0]
+    for pair in (("A0+", "A1+"), ("A0-", "A1-"), ("A0+", "A1-"), ("A0-", "A1+")):
+        assert abs(amplitude(branch, pair + ("B0p",))) == abs(0.5 * a) > 0.0
+
+
 # --- lift_amplitudes ---
 
 def test_identity_returns_input_exactly():

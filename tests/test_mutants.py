@@ -3,14 +3,30 @@ criterion or test that must catch it.
 
 This is mutation testing (DeMillo, Lipton & Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978) without a mutation tool: a row whose
-target still passes under its defect marks a blind spot of the suite.  The
-NaN rows check that a non-finite result fails its criterion instead of
-slipping through a `max(worst, x)` or an `x > bound` comparison.
+target still passes under its defect marks a blind spot of the suite.
+
+A row is one edit of the library's own source (`EDITS`, applied by
+`_edited`) unless it models a non-finite result, a constant, a table or a
+different algorithm.  A library change that moves an edited text fails its
+row, where a stale copy of the function would still pass, and each edit
+row's unedited source passes its target, so the row fails by its edit
+alone.  Each row of `STAND_INS` stays a stand-in for one of these reasons:
+- the six NaN or failed-series rows: a non-finite result or a failed series
+  must fail its criterion, not slip through `max(worst, x)` or `x > bound`;
+- the `_replace` constants and the `_halved` series tables;
+- `mask-table-multiplied`, a product with 0/1 masks: another algorithm;
+- `prep-parameters-swapped-crit11`: the edit `r, phi = values` ->
+  `phi, r = values` gives NaN with numpy's invalid-value warning, which the
+  suite turns into an error that is not a `ValueError` and would escape
+  criterion 11, so the swapped element runs under `np.errstate`.
 """
 
+import __future__
 import importlib
+import inspect
 import math
 import pkgutil
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,6 +91,26 @@ def _golden(out_file):
     return lambda: test_golden.test_readme_output_is_byte_identical(argv, out_file, err_file)
 
 
+def _edited(owner, name, old, new):
+    """The current source of the function or method `owner.name`, with `old`,
+    which must occur in it exactly once, replaced by `new`; defined again
+    against its module's live globals, so its decorators apply again, and
+    patched under the same owner and name."""
+
+    def apply(monkeypatch):
+        function = inspect.unwrap(vars(owner)[name])
+        source = textwrap.dedent(inspect.getsource(function))
+        count = source.count(old)
+        assert count == 1, f"{owner.__name__}.{name}: {old!r} occurs {count} times, not once"
+        flags = __future__.annotations.compiler_flag  # as every module of the package
+        code = compile(source.replace(old, new), f"<edited {name}>", "exec", flags)
+        namespace = {}
+        exec(code, function.__globals__, namespace)
+        monkeypatch.setattr(owner, name, namespace[name])
+
+    return apply
+
+
 def _replace(owner, name, stand_in):
     def apply(monkeypatch):
         monkeypatch.setattr(owner, name, stand_in)
@@ -85,85 +121,6 @@ def _replace(owner, name, stand_in):
 def _halved(owner, name):
     """Every coefficient of a series table halved."""
     return _replace(owner, name, tuple(0.5 * c for c in getattr(owner, name)))
-
-
-def _draws_mapped(transform):
-    """The Monte Carlo amplitudes fed transformed draws of the combined phase."""
-
-    def apply(monkeypatch):
-        amplitudes = saw._conditional_amplitudes
-
-        def mapped(params, draws):
-            return amplitudes(params, transform(draws))
-
-        monkeypatch.setattr(saw, "_conditional_amplitudes", mapped)
-
-    return apply
-
-
-def _fixed_draw_sine_flipped(monkeypatch):
-    # the state at a draw turns the wrong way with the combined phase
-    state = saw._run_state
-    monkeypatch.setattr(saw, "_run_state", lambda run, cos, sin: state(run, cos, -sin))
-
-
-def _spread_cross_term_flipped(monkeypatch):
-    # the S_cs term of the spreads enters Var(Re) with -2 s x y and Var(Im)
-    # with +2 s x y, the signs of the other part
-    def flipped(params, deph, n_samples, seed):
-        run, trig = saw._drawn_run(params, deph, n_samples, seed)
-        means = trig.mean(axis=1).tolist()
-        centred = trig - np.array(means)[:, None]
-        s_cs = float(np.add.reduce(centred[0] * centred[1]))
-        s_cc, s_ss = (float(np.add.reduce(row * row)) for row in centred)
-        _, x, y, _ = run
-        cross, scale = -2.0 * saw._ARM_SIGN * x * y * s_cs, 4.0 * (n_samples - 1)
-        var_re = (x * x * s_cc + y * y * s_ss + cross) / scale
-        var_im = (x * x * s_ss + y * y * s_cc - cross) / scale
-        state = saw._run_state(run, *means)
-        return state, math.sqrt(max(var_re, 0.0)), math.sqrt(max(var_im, 0.0))
-
-    monkeypatch.setattr(saw, "_montecarlo_spread", flipped)
-
-
-def _affine_weights_swapped(monkeypatch):
-    # the sampled fidelity's constant 0.5 (1 + q) and its weight of the mean
-    # u^2, 0.5 (1 - q), trade places
-    def swapped(sigma2_values, n_states, seed):
-        axial = np.random.default_rng(seed).random(n_states)
-        axial *= axial
-        mean, std = float(axial.mean()), float(axial.std(ddof=1))
-        return [
-            (0.5 * (1.0 - q) + 0.5 * (1.0 + q) * mean, 0.5 * (1.0 + q) * std / math.sqrt(n_states))
-            for q in map(saw._damping, sigma2_values)
-        ]
-
-    monkeypatch.setattr(saw, "sampled_fidelity", swapped)
-
-
-def _spread_ddof_zero(monkeypatch):
-    # the sample spread of u^2 divided by n, not n - 1
-    def ddof_zero(sigma2_values, n_states, seed):
-        axial = np.random.default_rng(seed).random(n_states)
-        axial *= axial
-        mean, std = float(axial.mean()), float(axial.std())
-        return [
-            (0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std / math.sqrt(n_states))
-            for q in map(saw._damping, sigma2_values)
-        ]
-
-    monkeypatch.setattr(saw, "sampled_fidelity", ddof_zero)
-
-
-def _pp_reads_a0_minus(monkeypatch):
-    # the ++ element reads A0- in place of A0+, i.e. it keeps the -+ pattern
-    clicked = protocol.POVMElement.clicked
-    pp, mp = MeasurementOutcome.from_signs("+", "+"), MeasurementOutcome.from_signs("-", "+")
-
-    def misread(self, registry, configs):
-        return clicked(protocol.POVMElement(mp) if self.outcome == pp else self, registry, configs)
-
-    monkeypatch.setattr(protocol.POVMElement, "clicked", misread)
 
 
 def _prep_parameters_swapped(monkeypatch):
@@ -180,68 +137,6 @@ def _prep_parameters_swapped(monkeypatch):
     monkeypatch.setattr(circuit, "element_matrix", swapped)
 
 
-def _form_rows_swapped(monkeypatch):
-    # the input qubit's rows trade places: X (on A'0) is read as Y (on A'1)
-    rows = protocol._form_rows
-    monkeypatch.setattr(protocol, "_form_rows", lambda stage: rows(stage)[::-1])
-
-
-def _coherence_entries_swapped(monkeypatch):
-    # g's Re c0* c1 and Im c0* c1 trade places: the same as every block's
-    # last two coefficients trading places
-    observables = protocol._observables
-
-    def swapped(block, R, phi):
-        return observables(block[..., [0, 1, 3, 2]], R, phi)
-
-    monkeypatch.setattr(protocol, "_observables", swapped)
-
-
-def _triple_product_term_dropped(monkeypatch):
-    # each Q column loses the 2 <a><b><c> of its joint cumulant
-    cumulants = leviton._cumulants
-
-    def dropped(raw):
-        values = cumulants(raw).copy()
-        a, b, c = (raw[..., leviton._FACTORS[i]] for i in (10, 8, 6))
-        values[..., -c.shape[-1]:] -= 2.0 * (a * b * c)
-        return values
-
-    monkeypatch.setattr(leviton, "_cumulants", dropped)
-
-
-def _mass_summed_pairwise(monkeypatch):
-    # an N-D sum in numpy's pairwise order, not left to right
-    left_to_right = fock.mass
-
-    def pairwise(probs, keep):
-        kept = probs[..., keep]
-        return left_to_right(probs, keep) if kept.ndim == 1 else kept.sum(axis=-1)
-
-    monkeypatch.setattr(fock, "mass", pairwise)
-
-
-def _mass_gathers_first_axis(monkeypatch):
-    # an N-D array gathered as probs[keep], the 1-D path, which indexes its
-    # first axis, not its last
-    left_to_right = fock.mass
-    monkeypatch.setattr(fock, "mass", lambda probs, keep: left_to_right(probs[keep], slice(None)))
-
-
-def _one_vector_bound_loosened(monkeypatch):
-    # one vector is held to 1 + 2e-11, ten times the bound; a stack keeps it
-    check = protocol._check_unit_ball
-
-    def loosened(bloch):
-        if isinstance(bloch, np.ndarray):
-            return check(bloch)
-        x, y, z = bloch
-        if not math.sqrt(x * x + y * y + z * z) <= 1.0 + 2e-11:
-            raise ValueError("Bloch vector leaves the unit ball")
-
-    monkeypatch.setattr(protocol, "_check_unit_ball", loosened)
-
-
 def _mask_table_multiplied(monkeypatch):
     # each table row's mass as a product with its 0/1 mask, not a gather: a
     # NaN of an excluded configuration turns every mass into NaN
@@ -253,82 +148,144 @@ def _mask_table_multiplied(monkeypatch):
     monkeypatch.setattr(protocol, "_masses", multiplied)
 
 
-def _tail_one_harmonic_late(monkeypatch):
-    # the closed-form tail starts one harmonic after the last direct term
-    terms = leviton._tail_terms
-    monkeypatch.setattr(leviton, "_tail_terms", lambda g, tau, first: terms(g, tau, first + 1))
-
-
-def _probabilities_unsquared(monkeypatch):
-    # |a| in place of |a|^2: the kernel's h * h read as h
-    def unsquared(amps):
-        amps = np.asarray(amps)
-        return np.hypot(amps.real, amps.imag)
-
-    monkeypatch.setattr(fock, "probabilities", unsquared)
-
-
-def _pure_blochs_imaginary_flipped(monkeypatch):
-    # the coherence's imaginary part turns the other way: Bob's y flips
-    pure = protocol._pure_blochs
-    monkeypatch.setattr(protocol, "_pure_blochs", lambda c0, c1: pure(c0.conj(), c1.conj()))
-
-
-def _reference_entry_changed(monkeypatch):
-    # one constant entry of the literal matrix, 1j/2 at (2, 3), flips sign
-    reference = acceptance.reference_network_matrix
-
-    def changed(*params):
-        matrix = reference(*params)
-        matrix[..., 2, 3] *= -1.0
-        return matrix
-
-    monkeypatch.setattr(acceptance, "reference_network_matrix", changed)
-
-
-def _nan_state(params):
-    return FockState(DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex))
-
-
-def _bell_sign_flipped(monkeypatch):
-    # psi- built with psi+'s sign: the Bell Gram deviation and the projected
-    # POVM, both evaluated once per process, must still see it
-    bell_states = protocol.bell_states
-
-    def flipped(registry, pair_a, pair_b):
-        states = bell_states(registry, pair_a, pair_b)
-        return {**states, "psi-": states["psi+"]}
-
-    monkeypatch.setattr(protocol, "bell_states", flipped)
-
-
 def _series_fails(params):
     raise leviton.SeriesConvergenceError("thermal series not converged")
 
 
-MUTANTS = [
+# edits of more than one row: the Monte Carlo amplitudes fed transformed
+# draws; the input qubit's rows trading places, X (on A'0) read as Y (on
+# A'1); the ++ element reading A0- in place of A0+ (the -+ pattern)
+_DRAWS = (saw, "_conditional_amplitudes", "trig = np.empty(")
+_ROWS_SWAPPED = (protocol, "_form_rows", "return rows", "return rows[::-1]")
+_PP_READS_MP = (
+    protocol.POVMElement, "clicked", "self.outcome.bits)",
+    "(self.outcome.bits if self.outcome.bits != (1, 0, 1, 0) else (0, 1, 1, 0)))",
+)
+
+# (owner, name, old, new, target): each row's defect as one edit
+EDITS = [
+    pytest.param(
+        *_DRAWS, "draws, trig = -draws, np.empty(",
+        test_saw.test_fast_path_matches_full_simulation, id="mc-phase-sign-flipped",
+    ),
+    pytest.param(
+        # one arm's spread of six, not their combination's: criterion 6 must see it
+        *_DRAWS, "draws, trig = draws / np.sqrt(6.0), np.empty(",
+        _criterion(6), id="mc-variance-of-mean",
+    ),
+    pytest.param(
+        # the sample spread of u^2 divided by n, not n - 1: saw.csv's stderr moves
+        saw, "sampled_fidelity", "axial.std(ddof=1)", "axial.std()",
+        _golden("saw.csv"), id="mean-std-ddof-zero",
+    ),
+    pytest.param(
+        # the constant 0.5 (1 + q) and the weight 0.5 (1 - q) of the mean u^2 trade places
+        saw, "sampled_fidelity",
+        "(0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std",
+        "(0.5 * (1.0 - q) + 0.5 * (1.0 + q) * mean, 0.5 * (1.0 + q) * std",
+        _criterion(6), id="affine-weights-swapped-crit06",
+    ),
+    pytest.param(
+        # the state at a draw turns the wrong way with the combined phase
+        saw, "_run_state",
+        "[x * cos + _ARM_SIGN * y * sin, y * cos - _ARM_SIGN * x * sin, z]",
+        "[x * cos - _ARM_SIGN * y * sin, y * cos + _ARM_SIGN * x * sin, z]",
+        test_properties.test_fixed_arm_phases_match_a_launch, id="fixed-draw-sine-flipped",
+    ),
+    pytest.param(
+        saw, "_montecarlo_spread", "cross, scale = 2.0 *", "cross, scale = -2.0 *",
+        test_saw.test_montecarlo_spread_is_the_columns_mean_std, id="spread-cross-term-flipped",
+    ),
+    pytest.param(
+        *_ROWS_SWAPPED,
+        test_properties.test_linear_form_equals_a_six_mode_launch, id="form-rows-swapped",
+    ),
+    # the coefficient table is built from the same rows
+    pytest.param(*_ROWS_SWAPPED, _criterion(8), id="form-rows-swapped-crit08"),
+    pytest.param(
+        # every block's last two coefficients trade places, as if g's Re and Im c0* c1 did
+        protocol, "_observables", "t0, t1, t2, t3 =", "t0, t1, t3, t2 =",
+        test_certificates.test_g_is_the_input_bloch_vector, id="coherence-entries-swapped",
+    ),
+    pytest.param(*_PP_READS_MP, _criterion(2), id="pp-reads-a0-minus-crit02"),
+    pytest.param(*_PP_READS_MP, _criterion(5), id="pp-reads-a0-minus-crit05"),
+    pytest.param(
+        # the coherence's imaginary part turns the other way: Bob's y flips
+        protocol, "_pure_blochs", "-2.0 * coherence.imag", "2.0 * coherence.imag",
+        _criterion(2), id="pure-bloch-imaginary-flipped-crit02",
+    ),
+    pytest.param(
+        # one vector is held to 1 + 2e-11, ten times the bound; a stack keeps it
+        protocol, "_check_unit_ball",
+        "inside = math.sqrt(x * x + y * y + z * z) <= bound",
+        "inside = math.sqrt(x * x + y * y + z * z) <= 1.0 + 2e-11",
+        test_properties.test_one_vector_unit_ball_matches_the_stack,
+        id="one-vector-bound-loosened",
+    ),
+    pytest.param(
+        # psi- built with psi+'s sign: the Bell Gram deviation and the
+        # projected POVM, both evaluated once per process, must still see it
+        protocol, "bell_states", "(-s, (a1, b0))", "(s, (a1, b0))",
+        _criterion(4), id="bell-sign-flipped-crit04",
+    ),
+    pytest.param(
+        # the aligned sector's mask is the crossed one: criterion 4 weighs
+        # both at 1/4 with the same bytes, so only the masks' test sees it
+        protocol, "_prepared_masks", "dual & ~crossed", "dual & crossed",
+        test_protocol.test_prepared_masks_partition_the_dual_rail_mask,
+        id="aligned-mask-is-crossed",
+    ),
+    pytest.param(
+        # one constant entry of the literal matrix, 1j/2 at (2, 3), flips sign
+        acceptance, "reference_network_matrix",
+        "[0, 0, -s, 1j * s, rD, 1j * rR]", "[0, 0, -s, -1j * s, rD, 1j * rR]",
+        _criterion(11), id="reference-entry-changed-crit11",
+    ),
+    pytest.param(
+        fock, "probabilities", "return h * h", "return h",
+        test_properties.test_probabilities_square_libm_hypot, id="probabilities-unsquared",
+    ),
+    pytest.param(
+        # an N-D sum in numpy's pairwise order, not left to right
+        fock, "mass", "np.add.accumulate(kept, axis=-1)[..., -1] + 0.0", "kept.sum(axis=-1)",
+        test_properties.test_mass_adds_left_to_right, id="mass-summed-pairwise",
+    ),
+    pytest.param(
+        # an N-D array gathered by the 1-D path, probs[keep]: its first axis, not its last
+        fock, "mass", "probs[keep] if probs.ndim == 1 else probs[..., keep]", "probs[keep]",
+        test_properties.test_mass_adds_left_to_right, id="mass-gathers-first-axis",
+    ),
+    pytest.param(
+        leviton, "_cumulants", " + 2.0 * (a_ * b_ * c)", "",
+        _criterion(7), id="triple-product-term-dropped-crit07",
+    ),
+    pytest.param(
+        # the damping ratio reads 1e-10 high, inside `_damping`'s 1e-9
+        # allowance: only the curve's `max fidelity - 1` check sees it
+        leviton, "_damping", "/ pair_sum", "/ pair_sum * (1.0 + 1e-10)",
+        _criterion(9), id="damping-above-one-crit09",
+    ),
+    pytest.param(
+        # the pair rest's bound takes m^2 + 2mq - q + 2q^2, 2q below E (m + J)^2
+        leviton, "_direct_rest", "2.0 * m * q + q + 2.0 * q2", "2.0 * m * q - q + 2.0 * q2",
+        test_properties.test_direct_rest_is_its_moment_sums, id="pair-rest-moment-lowered",
+    ),
+    pytest.param(
+        # the closed-form tail starts one harmonic after the last direct term
+        leviton, "_tail_terms", "k, a = 0, 2.0 * g", "k, a, first = 0, 2.0 * g, first + 1",
+        test_leviton.test_thermal_factors_match_a_decimal_oracle, id="tail-one-harmonic-late",
+    ),
+]
+
+STAND_INS = [
     pytest.param(
         _replace(fock, "_reorder_sign", lambda indices: 1),
-        test_fock.test_from_terms_reordering_sign,
-        id="reorder-sign-always-one",
-    ),
-    pytest.param(
-        _draws_mapped(np.negative),
-        test_saw.test_fast_path_matches_full_simulation,
-        id="mc-phase-sign-flipped",
-    ),
-    # saw.csv's stderr moves
-    pytest.param(_spread_ddof_zero, _golden("saw.csv"), id="mean-std-ddof-zero"),
-    pytest.param(
-        _fixed_draw_sine_flipped,
-        test_properties.test_fixed_arm_phases_match_a_launch,
-        id="fixed-draw-sine-flipped",
+        test_fock.test_from_terms_reordering_sign, id="reorder-sign-always-one",
     ),
     pytest.param(
         # the coherence turns the other way with the combined phase
         _replace(saw, "_ARM_SIGN", -saw._ARM_SIGN),
-        test_properties.test_fixed_arm_phases_match_a_launch,
-        id="sign-flipped",
+        test_properties.test_fixed_arm_phases_match_a_launch, id="sign-flipped",
     ),
     pytest.param(
         # the run's constants from the +- conditional, whose x and y want
@@ -340,172 +297,103 @@ MUTANTS = [
     pytest.param(
         # the fixed draw sees no arm phase; the six-mode reference still does
         _replace(saw, "combined_phase", lambda arm_phases: 0.0),
-        test_properties.test_fixed_arm_phases_match_a_launch,
-        id="arm-phases-ignored",
-    ),
-    pytest.param(
-        # the spread of one arm of six, not of their combination: the
-        # fidelity law of criterion 6 must see it
-        _draws_mapped(lambda draws: draws / np.sqrt(6.0)),
-        _criterion(6),
-        id="mc-variance-of-mean",
+        test_properties.test_fixed_arm_phases_match_a_launch, id="arm-phases-ignored",
     ),
     pytest.param(
         _replace(protocol, "CORRECTED_OUTCOMES", ()),
-        test_protocol.test_feedforward_restores_input,
-        id="feedforward-never-applied",
+        test_protocol.test_feedforward_restores_input, id="feedforward-never-applied",
     ),
     pytest.param(
         _replace(circuit, "_PROBABILITIES", ()),
-        test_circuit.test_element_parameter_validation,
-        id="element-table-without-unit-bound",
+        test_circuit.test_element_parameter_validation, id="element-table-without-unit-bound",
     ),
     pytest.param(_prep_parameters_swapped, _criterion(11), id="prep-parameters-swapped-crit11"),
     pytest.param(
-        _form_rows_swapped,
-        test_properties.test_linear_form_equals_a_six_mode_launch,
-        id="form-rows-swapped",
-    ),
-    # the coefficient table is built from the same rows
-    pytest.param(_form_rows_swapped, _criterion(8), id="form-rows-swapped-crit08"),
-    pytest.param(
-        _coherence_entries_swapped,
-        test_certificates.test_g_is_the_input_bloch_vector,
-        id="coherence-entries-swapped",
-    ),
-    pytest.param(
-        _triple_product_term_dropped, _criterion(7), id="triple-product-term-dropped-crit07"
-    ),
-    pytest.param(_pp_reads_a0_minus, _criterion(2), id="pp-reads-a0-minus-crit02"),
-    pytest.param(_pp_reads_a0_minus, _criterion(5), id="pp-reads-a0-minus-crit05"),
-    pytest.param(
-        _mass_summed_pairwise,
-        test_properties.test_mass_adds_left_to_right,
-        id="mass-summed-pairwise",
-    ),
-    pytest.param(
-        _mass_gathers_first_axis,
-        test_properties.test_mass_adds_left_to_right,
-        id="mass-gathers-first-axis",
-    ),
-    pytest.param(
-        _one_vector_bound_loosened,
-        test_properties.test_one_vector_unit_ball_matches_the_stack,
-        id="one-vector-bound-loosened",
-    ),
-    pytest.param(
         _mask_table_multiplied,
-        test_protocol.test_nan_configuration_reaches_its_outcome_only,
-        id="mask-table-multiplied",
+        test_protocol.test_nan_configuration_reaches_its_outcome_only, id="mask-table-multiplied",
     ),
     pytest.param(
-        _probabilities_unsquared,
-        test_properties.test_probabilities_square_libm_hypot,
-        id="probabilities-unsquared",
+        _replace(protocol, "teleporting_branch", lambda params: FockState(
+            DETECTION_MODES, 3, np.full(20, np.nan, dtype=complex)
+        )),
+        _criterion(4), id="nan-overlap-crit04",
     ),
     pytest.param(
-        _pure_blochs_imaginary_flipped, _criterion(2), id="pure-bloch-imaginary-flipped-crit02"
-    ),
-    pytest.param(_reference_entry_changed, _criterion(11), id="reference-entry-changed-crit11"),
-    pytest.param(
-        _replace(protocol, "teleporting_branch", _nan_state),
-        _criterion(4),
-        id="nan-overlap-crit04",
-    ),
-    pytest.param(_bell_sign_flipped, _criterion(4), id="bell-sign-flipped-crit04"),
-    pytest.param(
-        _replace(
-            saw,
-            "sampled_fidelity",
-            lambda sigma2_values, n_states, seed: [(math.nan, math.nan) for _ in sigma2_values],
-        ),
-        _criterion(6),
-        id="nan-fidelity-samples-crit06",
-    ),
-    pytest.param(_affine_weights_swapped, _criterion(6), id="affine-weights-swapped-crit06"),
-    pytest.param(
-        _replace(
-            saw,
-            "_drawn_run",
-            lambda params, deph, n_samples, seed: (
-                saw._run_constants(params),
-                np.full((2, n_samples), np.nan),
-            ),
-        ),
-        _criterion(6),
-        id="nan-montecarlo-stack-crit06",
+        _replace(saw, "sampled_fidelity", lambda sigma2_values, n_states, seed: [
+            (math.nan, math.nan) for _ in sigma2_values
+        ]),
+        _criterion(6), id="nan-fidelity-samples-crit06",
     ),
     pytest.param(
-        _spread_cross_term_flipped,
-        test_saw.test_montecarlo_spread_is_the_columns_mean_std,
-        id="spread-cross-term-flipped",
+        _replace(saw, "_drawn_run", lambda params, deph, n_samples, seed: (
+            saw._run_constants(params), np.full((2, n_samples), np.nan)
+        )),
+        _criterion(6), id="nan-montecarlo-stack-crit06",
     ),
     pytest.param(
         _halved(leviton, "_PAIR_SERIES"),
-        test_properties.test_thermal_weights_match_direct_forms,
-        id="pair-series-halved",
+        test_properties.test_thermal_weights_match_direct_forms, id="pair-series-halved",
     ),
     pytest.param(
         _halved(leviton, "_TRIPLE_SERIES"),
-        test_properties.test_thermal_weights_match_direct_forms,
-        id="triple-series-halved",
+        test_properties.test_thermal_weights_match_direct_forms, id="triple-series-halved",
     ),
     pytest.param(
         _halved(leviton, "_PAIR_SERIES"),
-        test_leviton.test_thermal_factors_match_a_decimal_oracle,
-        id="pair-series-halved-grid",
+        test_leviton.test_thermal_factors_match_a_decimal_oracle, id="pair-series-halved-grid",
     ),
     pytest.param(
         _halved(leviton, "_TRIPLE_SERIES"),
-        test_properties.test_thermal_weights_match_direct_forms,
-        id="triple-series-halved-grid",
-    ),
-    pytest.param(
-        _tail_one_harmonic_late,
-        test_leviton.test_thermal_factors_match_a_decimal_oracle,
-        id="tail-one-harmonic-late",
+        test_properties.test_thermal_weights_match_direct_forms, id="triple-series-halved-grid",
     ),
     pytest.param(
         _replace(leviton, "thermal_factors", _series_fails),
-        _criterion(8),
-        id="series-error-crit08",
+        _criterion(8), id="series-error-crit08",
     ),
     pytest.param(
-        _replace(
-            leviton,
-            "fidelity_curve",
-            lambda gammas, taus: [
-                {"gamma": g, "tau": t, "fidelity": math.nan} for g in gammas for t in taus
-            ],
-        ),
-        _criterion(9),
-        id="nan-fidelity-curve-crit09",
+        _replace(leviton, "fidelity_curve", lambda gammas, taus: [
+            {"gamma": g, "tau": t, "fidelity": math.nan} for g in gammas for t in taus
+        ]),
+        _criterion(9), id="nan-fidelity-curve-crit09",
     ),
     pytest.param(
-        _replace(
-            leviton,
-            "photoassist_spectrum_oracle",
-            lambda n_values, gamma: np.full(len(n_values), np.nan),
-        ),
-        _criterion(10),
-        id="nan-oracle-crit10",
+        _replace(leviton, "photoassist_spectrum_oracle", lambda n_values, gamma: (
+            np.full(len(n_values), np.nan)
+        )),
+        _criterion(10), id="nan-oracle-crit10",
     ),
 ]
+
+MUTANTS = [
+    pytest.param(_edited(*row.values[:4]), row.values[4], id=row.id) for row in EDITS
+] + STAND_INS
+
+
+def _phases(monkeypatch, target, *phases):
+    """A property target runs only these phases (Hypothesis reads a test's
+    settings from this attribute on each call)."""
+    given_settings = getattr(target, "_hypothesis_internal_use_settings", None)
+    if given_settings is not None:
+        monkeypatch.setattr(
+            target, "_hypothesis_internal_use_settings", settings(given_settings, phases=phases)
+        )
 
 
 @pytest.mark.parametrize("defect, target", MUTANTS)
 def test_defect_fails_its_target(monkeypatch, defect, target):
-    # a property target runs its explicit, stored and generated examples,
-    # but does not shrink the failure it finds: a row asks only whether it
-    # fails.  Hypothesis reads a test's settings from this attribute on
-    # each call
-    given_settings = getattr(target, "_hypothesis_internal_use_settings", None)
-    if given_settings is not None:
-        phases = (Phase.explicit, Phase.reuse, Phase.generate)
-        monkeypatch.setattr(
-            target, "_hypothesis_internal_use_settings", settings(given_settings, phases=phases)
-        )
+    # a property target runs its explicit, stored and generated examples but
+    # does not shrink a failure it finds: a row asks only whether it fails
+    _phases(monkeypatch, target, Phase.explicit, Phase.reuse, Phase.generate)
     defect(monkeypatch)
     # a target fails on an assert, or on a pytest.raises that saw no error
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         target()
+
+
+@pytest.mark.parametrize("owner, name, old, new, target", EDITS)
+def test_unedited_source_passes_its_target(monkeypatch, owner, name, old, new, target):
+    # the same helper with `old` left as it is passes: a property target its
+    # explicit examples, a criterion or a golden as a whole
+    _phases(monkeypatch, target, Phase.explicit)
+    _edited(owner, name, old, old)(monkeypatch)
+    target()

@@ -394,6 +394,17 @@ def test_input_qubit_matches_closed_form_bloch():
 
 # --- dual-rail structure ---
 
+def test_prepared_masks_partition_the_dual_rail_mask():
+    # the crossed configurations (A' and A particles on opposite rails) and
+    # the aligned ones (the same rail) split the dual-rail ones; both sectors
+    # weigh 1/4 with the same bytes, so criterion 4 cannot tell them apart
+    dual, crossed, aligned = protocol._prepared_masks()
+    assert not (crossed & aligned).any()
+    assert ((crossed | aligned) == dual).all()
+    assert np.flatnonzero(crossed).tolist() == [7, 8, 11, 12]
+    assert np.flatnonzero(aligned).tolist() == [5, 6, 13, 14]
+
+
 def test_drq_projection_report():
     params = TeleportParams(0.3, 1.2)
     report = drq_projection_checks(params)
