@@ -38,17 +38,11 @@ _EXPORTS = {
     "create_sources": "fock",
     "lift_matrix": "fock",
     "CorrelatorTable": "leviton",
-    "LevitonParams": "leviton",
-    "SeriesConvergenceError": "leviton",
-    "ThermalFactors": "leviton",
     "bloch_from_correlators": "leviton",
-    "fidelity_curve": "leviton",
     "finite_T_correlators": "leviton",
-    "leviton_fidelity": "leviton",
     "photoassist_amplitude": "leviton",
     "reconstructed_bloch": "leviton",
     "reference_correlators": "leviton",
-    "thermal_factors": "leviton",
     "zero_T_correlators": "leviton",
     "ALL_OUTCOMES": "protocol",
     "PAIRED_OUTCOMES": "protocol",
@@ -67,9 +61,15 @@ _EXPORTS = {
     "run_premeasurement": "protocol",
     "tomography_bloch": "protocol",
     "DephasingParams": "saw",
-    "average_fidelity": "saw",
     "dephased_state_analytic": "saw",
     "dephased_state_montecarlo": "saw",
+    "LevitonParams": "scalar",
+    "SeriesConvergenceError": "scalar",
+    "ThermalFactors": "scalar",
+    "average_fidelity": "scalar",
+    "fidelity_curve": "scalar",
+    "leviton_fidelity": "scalar",
+    "thermal_factors": "scalar",
 }
 
 __all__ = list(_EXPORTS)

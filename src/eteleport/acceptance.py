@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import circuit, fock, leviton, protocol, saw
+from . import circuit, fock, leviton, protocol, saw, scalar
 from .circuit import ArrayLike
 from .protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, MeasurementOutcome, TeleportParams
 
@@ -213,12 +213,12 @@ def _criterion_saw_fidelity_law() -> tuple[list[Check], str | None]:
     n_states = 100_000
     sigma2_values = (0.0, 0.5, 1.0, 2.0, 2.0 * math.log(2.0))
     checks, z_scores = [], []
-    moments = saw.sampled_fidelity(sigma2_values, n_states, seed=20260809)
+    moments = scalar.sampled_fidelity(sigma2_values, n_states, seed=20260809)
     for sigma2, (mean, stderr) in zip(sigma2_values, moments):
-        gap = abs(mean - saw.average_fidelity(sigma2))
+        gap = abs(mean - scalar.average_fidelity(sigma2))
         z_scores.append(gap / stderr if stderr else 0.0)
         checks.append(Check(f"sigma2={sigma2:.3f} fidelity gap", gap, 3.0 * stderr + 1e-12))
-    halving = abs(saw.average_fidelity(2.0 * math.log(2.0)) - 5.0 / 6.0)
+    halving = abs(scalar.average_fidelity(2.0 * math.log(2.0)) - 5.0 / 6.0)
     checks.append(Check("|analytic fidelity at 2 ln 2 - 5/6|", halving, 1e-12))
 
     params = TeleportParams(0.3, 1.2)
@@ -266,7 +266,7 @@ def _criterion_correlator_table() -> tuple[list[Check], str | None]:
 
 
 def _criterion_correlator_reconstruction() -> tuple[list[Check], str | None]:
-    factors = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.3))
+    factors = scalar.thermal_factors(scalar.LevitonParams(0.05, 0.3))
     rs, phis = _grid(_CORRELATOR_R, _CORRELATOR_PHI)
     tables = leviton.zero_T_tables(rs, phis)
     bloch, norms = leviton.reconstructed_bloch(tables)
@@ -285,13 +285,13 @@ def _criterion_correlator_reconstruction() -> tuple[list[Check], str | None]:
 
 def _criterion_thermal_limits() -> tuple[list[Check], str | None]:
     tol_unit = 1e-10
-    cold = leviton.thermal_factors(leviton.LevitonParams(0.05, 0.0))
+    cold = scalar.thermal_factors(scalar.LevitonParams(0.05, 0.0))
     # classical limit, checked for a broad pulse where tau = 10 is deep in
     # the high-temperature regime (narrow pulses approach 2/3 more slowly)
-    hot = leviton.leviton_fidelity(leviton.LevitonParams(0.25, 10.0))
+    hot = scalar.leviton_fidelity(scalar.LevitonParams(0.25, 10.0))
     gammas = (0.02, 0.05, 0.1)
     taus = np.arange(0.0, 2.0 + 1e-9, 0.05)
-    curve = leviton.fidelity_curve(gammas, taus)  # ordered by (gamma, tau)
+    curve = scalar.fidelity_curve(gammas, taus)  # ordered by (gamma, tau)
     fid = np.array([row["fidelity"] for row in curve]).reshape(len(gammas), len(taus))
     return [
         Check("|cold pair factor - 1|", abs(cold.pair - 1.0), tol_unit),

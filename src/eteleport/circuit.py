@@ -12,9 +12,7 @@ e^{-i v}.
 from __future__ import annotations
 
 import math
-import operator
 import re
-import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -28,6 +26,7 @@ from .fock import (
     ModeRegistry,
     SingleParticleUnitary,
 )
+from .scalar import _all_within
 
 # A parameter: a float, or an array of them, one per point of a grid.
 ArrayLike = float | np.ndarray
@@ -45,40 +44,6 @@ _ELEMENT_PARAMS = {
 # The parameters that are probabilities, one per complementary pair (R with
 # D = 1-R, D' with R' = 1-D'); the others are angles in radians.
 _PROBABILITIES = ("R", "Dp")
-
-
-def _all_within(
-    v: ArrayLike, lo: float = -sys.float_info.max, hi: float = sys.float_info.max
-) -> bool:
-    """Whether a real number, or every value of a real array, lies in
-    [lo, hi], by default the finite floats; NaN never does, nor a boolean,
-    a string, None or a complex value."""
-    if isinstance(v, (int, float)):  # the common case, kept off numpy
-        return not isinstance(v, bool) and lo <= v <= hi
-    values = np.asarray(v)
-    if values.dtype.kind not in "iuf":
-        return False
-    # as float64: casting the bounds to a narrower float would overflow
-    values = values.astype(float, copy=False)
-    return bool(((values >= lo) & (values <= hi)).all())
-
-
-def _number_within(v: float, *bounds: float) -> bool:
-    """`_all_within` for one real number; an array of them is none."""
-    if isinstance(v, (int, float)):  # the common case, kept off np.ndim
-        return _all_within(v, *bounds)
-    return np.ndim(v) == 0 and _all_within(v, *bounds)
-
-
-def _integer(value: int, name: str, least: float = -math.inf) -> int:
-    """The value as an int, at least `least`; anything else (None too) is a ValueError."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -187,14 +187,15 @@ def cmd_saw(args) -> int:
     if args.n_states < 2:
         raise UsageError(f"--n-states must be at least 2, got {args.n_states}")
     grid = parse_grid(args.sigma2)
-    from . import saw
+    from . import scalar
 
     rows = []
-    for sigma2, (mean, stderr) in zip(grid, saw.sampled_fidelity(grid, args.n_states, args.seed)):
+    samples = scalar.sampled_fidelity(grid, args.n_states, args.seed)
+    for sigma2, (mean, stderr) in zip(grid, samples):
         rows.append(
             {
                 "sigma2": sigma2,
-                "fidelity_analytic": saw.average_fidelity(sigma2),
+                "fidelity_analytic": scalar.average_fidelity(sigma2),
                 "fidelity_sampled": mean,
                 "stderr": stderr,
                 "n_states": args.n_states,
@@ -207,9 +208,9 @@ def cmd_saw(args) -> int:
 def cmd_leviton(args) -> int:
     gammas = parse_grid(args.gamma)
     taus = parse_grid(args.tau)
-    from . import leviton
+    from . import scalar
 
-    rows = leviton.fidelity_curve(gammas, taus, series_tol=args.tol)
+    rows = scalar.fidelity_curve(gammas, taus, series_tol=args.tol)
     _emit(rows, args)
     return 0
 

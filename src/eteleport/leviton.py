@@ -1,12 +1,12 @@
-"""Periodically driven implementation: photoassisted amplitudes, thermal
-factors, zero-frequency correlator tables, and Bloch reconstruction.
+"""Periodically driven implementation: photoassisted amplitudes,
+zero-frequency correlator tables, and Bloch reconstruction.
 
 Internal units set e = hbar = period = 1, so currents are pure numbers
 in units of e/T, pair correlators e^2/T, triple correlators e^3/T.
 The single-period three-electron model supplies the zero-temperature
 correlators through exact occupation cumulants; temperature enters only
 through the multiplicative factors F and A on the second- and
-third-order correlators.
+third-order correlators, which `scalar.thermal_factors` sums.
 """
 
 from __future__ import annotations
@@ -14,14 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import protocol
-from .circuit import ArrayLike, _integer, _number_within
+from . import protocol, scalar
+from .circuit import ArrayLike
 from .fock import OUTPUT_MODES, _unfused_product, mass
-from .protocol import damped_average_fidelity
+from .scalar import _check_gamma, _integer, _number_within
+
+# the thermal series is `scalar`'s; perfbench's exact_sweep still reads
+# these two as this module's names
+LevitonParams = scalar.LevitonParams
+thermal_factors = scalar.thermal_factors
 
 DETECTORS = OUTPUT_MODES.labels
 
@@ -68,55 +73,6 @@ _SPANS = [
     slice(end - len(rows), end)
     for end, rows in zip(itertools.accumulate(map(len, _FACTORS)), _FACTORS)
 ]
-
-
-GAMMA_MIN = 1e-4
-# exp(-2 pi gamma) < 1e-136 here, and sinh(2 pi gamma)^2 in the thermal
-# weights overflows from gamma = 57
-GAMMA_MAX = 50.0
-
-
-class SeriesConvergenceError(ValueError):
-    """The thermal-factor series gave no usable factors: it did not converge
-    within the term cap, its pair sum underflowed, or the damping ratio
-    exceeded 1.  A ValueError, like every rejected input."""
-
-
-@dataclass(frozen=True)
-class LevitonParams:
-    """Dimensionless pulse width gamma = width/period and temperature
-    tau = k_B T / (hbar * drive frequency), plus the series tolerance."""
-
-    gamma: float
-    tau: float
-    series_tol: float = 1e-12
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-        if not _number_within(self.tau, 0.0):
-            raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau!r}")
-        if not (_number_within(self.series_tol) and self.series_tol > 0.0):
-            raise ValueError(f"series_tol must be positive and finite, got {self.series_tol!r}")
-        # as Python floats: given numpy scalars (an np.arange grid), the
-        # thermal series would run in numpy-scalar arithmetic, the same
-        # values in about 1.6 times the time
-        for name in ("gamma", "tau", "series_tol"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    @property
-    def term_cap(self) -> int:
-        return max(200, math.ceil(10.0 / self.gamma))
-
-
-def _check_gamma(gamma: float) -> None:
-    # the oracle's grid grows as 1/gamma, as do the thermal series' direct
-    # terms once 4 tau exceeds about 2/gamma, so very narrow pulses are
-    # refused (and very wide ones, whose weights overflow)
-    if not _number_within(gamma, GAMMA_MIN, GAMMA_MAX):  # NaN fails too
-        raise ValueError(
-            f"pulse width gamma must be positive and finite, in [{GAMMA_MIN:g}, {GAMMA_MAX:g}],"
-            f" got {gamma!r}"
-        )
 
 
 def photoassist_amplitude(n: int, gamma: float) -> complex:
@@ -179,172 +135,6 @@ def photoassist_weight_sum(gamma: float) -> float:
         if term < 1e-16:
             return total
         n += 1
-
-
-# Taylor coefficients in x^2: coth(x) - 1/x = x * sum_k c_k x^(2k), and the
-# triple bracket = x^2 * sum_k c_k x^(2k).  Truncation error relative to the
-# function is below 1e-14 under each switch point.
-_PAIR_SERIES = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0)
-_TRIPLE_SERIES = (
-    2.0 / 15.0,
-    -2.0 / 105.0,
-    4.0 / 1575.0,
-    -2.0 / 6237.0,
-    2764.0 / 70945875.0,
-    -4.0 / 868725.0,
-    28936.0 / 54273594375.0,
-)
-
-
-def _even_series(coefficients: Sequence[float], x2: float) -> float:
-    """sum_k c_k x2^k by Horner's rule."""
-    total = 0.0
-    for c in reversed(coefficients):
-        total = total * x2 + c
-    return total
-
-
-def _thermal_brackets(x: float) -> tuple[float, float]:
-    """Both temperature weights of one harmonic, for x < 2 (the harmonics
-    below the closed-form tail): the pair weight coth(x) - 1/x and the
-    triple weight coth^2 + csch^2/2 - (3/2x) coth, from one tanh.
-
-    Each direct form cancels as x falls, so each has its own series branch:
-    x < 0.05 for the pair and x < 1/4 for the triple, whose relative error
-    grows as x^-4 below x = 1 and reaches 1e-12 near its switch.  x = 1/4
-    is the smallest x of a tau <= 2 sweep, so those stay direct.
-    """
-    x2 = x * x
-    if x < 0.05:
-        pair = x * _even_series(_PAIR_SERIES, x2)
-    else:
-        coth = 1.0 / math.tanh(x)
-        pair = coth - 1.0 / x
-    if x < 0.25:
-        return pair, x2 * _even_series(_TRIPLE_SERIES, x2)
-    s = math.sinh(x)
-    return pair, coth * coth + 0.5 / (s * s) - 1.5 * coth / x
-
-
-@dataclass(frozen=True)
-class ThermalFactors:
-    pair: float  # multiplies second-order correlators
-    triple: float  # multiplies third-order correlators
-    damping: float  # their ratio, the Bloch transverse damping
-    terms: int
-
-
-def thermal_factors(params: LevitonParams) -> ThermalFactors:
-    """Sum the harmonic series for the two correlator suppression factors.
-
-    Harmonic n has the weight 4 n sinh^2(g) e^(-2gn), g = 2 pi gamma, times
-    its temperature brackets at x = n / 2 tau.  Below the harmonic
-    N = ceil(4 tau) (x < 2) the terms are added one by one, and they stop
-    early once a bound on what every later harmonic adds (`_direct_rest`)
-    falls below series_tol of each sum.
-    From N on the rest is closed-form (`_tail_terms`), added until its
-    terms fall below series_tol of the sums.  At tau = 0 both brackets are
-    exactly 1 and the tail from n = 1 is the unit weight sum.  A series that
-    needs more terms than the cap raises instead of truncating.
-    """
-    g = 2.0 * math.pi * params.gamma
-    s = math.sinh(g)
-    scale = 4.0 * s * s
-    tau, tol, cap = params.tau, params.series_tol, params.term_cap
-    q = 1.0 / math.expm1(2.0 * g)  # r / (1 - r) for r = e^(-2g)
-    # the tail's first harmonic; one past the cap stands for any later one
-    first = max(1, math.ceil(min(4.0 * tau, cap + 1.0)))
-    pair_sum = triple_sum = 0.0
-    for n in range(1, first):
-        decay = math.exp(-2.0 * g * n)
-        pair_bracket, triple_bracket = _thermal_brackets(n / (2.0 * tau))
-        weight = n * scale * decay
-        pair_sum += weight * pair_bracket
-        triple_sum += weight * triple_bracket
-        pair_rest, triple_rest = _direct_rest(scale * decay * q, n + 1, q, tau)
-        if pair_rest <= tol * pair_sum and triple_rest <= tol * triple_sum:
-            return ThermalFactors(pair_sum, triple_sum, _damping(tau, pair_sum, triple_sum), n)
-    if first > cap:
-        _damping(tau, pair_sum, triple_sum)  # a pair sum that underflowed is the cause
-        raise _not_converged(params)
-    pair_tail = triple_tail = 0.0
-    for terms, (pair_term, triple_term) in enumerate(_tail_terms(g, tau, first), first - 1):
-        if terms > cap:
-            raise _not_converged(params)
-        pair_term, triple_term = scale * pair_term, scale * triple_term
-        pair_tail += pair_term
-        triple_tail += triple_term
-        if pair_term <= tol * (pair_sum + pair_tail) and (
-            triple_term <= tol * (triple_sum + triple_tail)
-        ):
-            break
-    pair_sum += pair_tail
-    triple_sum += triple_tail
-    return ThermalFactors(pair_sum, triple_sum, _damping(tau, pair_sum, triple_sum), terms)
-
-
-def _direct_rest(head: float, m: int, q: float, tau: float) -> tuple[float, float]:
-    """Bounds on what the harmonics from m on add to the pair and the triple
-    sum, given head = scale r^(m-1) q.
-
-    Each bracket is at most 1, and below its leading Taylor term: the pair
-    bracket P(x) <= x/3 and the triple bracket T(x) <= 2x^2/15, at
-    x = n / 2 tau.  So the rests are at most scale sum n^k r^n over n >= m,
-    for k = 1, 2 and 3, of which the last two are divided by 6 tau and
-    30 tau^2; the triple sum falls as 1/tau^2, and only the second bounds
-    keep up with it at large tau.  The sums are head times the moments
-    E (m + J)^k of a geometric J with mean q = r / (1 - r): m + q,
-    m^2 + 2mq + q + 2q^2, and m^3 + 3m^2 q + 3m(q + 2q^2) + q + 6q^2 + 6q^3.
-    """
-    q2 = q * q
-    weights = head * (m + q)
-    pair = head * (m * m + 2.0 * m * q + q + 2.0 * q2) / (6.0 * tau)
-    cubic = m * m * m + 3.0 * m * m * q + 3.0 * m * (q + 2.0 * q2) + q + 6.0 * q2 + 6.0 * q2 * q
-    triple = head * cubic / (30.0 * tau * tau)
-    return min(weights, pair), min(weights, triple)
-
-
-def _tail_terms(g: float, tau: float, first: int) -> Iterator[tuple[float, float]]:
-    """The sums over n >= first of n e^(-2gn) times the pair and the triple
-    bracket at x = n / 2 tau >= 2, split by powers of e^(-2x): yields the
-    (pair, triple) term of k = 0, 1, 2, ..., each closed-form, and only
-    k = 0 at tau = 0.
-
-    coth x = 1 + 2 sum_k e^(-2kx) and csch^2 x = 4 sum_k k e^(-2kx), so each
-    k reduces to sums of r^n and n r^n over n >= first, with r = e^(-a),
-    a = 2g + k / tau: S0 = r^first / (1 - r) and S1 = S0 (first + q), with
-    q = r / (1 - r).  Every term is positive, and each is about e^(-4) of
-    the one before, as x >= 2.
-    """
-    k, a = 0, 2.0 * g
-    while True:
-        q = 1.0 / math.expm1(a) if a < 700.0 else 0.0  # below 1e-304 from there
-        s0 = math.exp(-first * a) * (1.0 + q)
-        if k == 0:  # the 1 of coth and coth^2, less the 1/x terms
-            yield s0 * (first - 2.0 * tau + q), s0 * (first - 3.0 * tau + q)
-            if tau == 0.0:
-                return
-        else:
-            yield 2.0 * s0 * (first + q), 6.0 * s0 * (k * (first + q) - tau)
-        k += 1
-        a = 2.0 * g + k / tau
-
-
-def _not_converged(params: LevitonParams) -> SeriesConvergenceError:
-    return SeriesConvergenceError(
-        f"thermal series not converged after {params.term_cap} terms "
-        f"(gamma={params.gamma}, tau={params.tau})"
-    )
-
-
-def _damping(tau: float, pair_sum: float, triple_sum: float) -> float:
-    """The damping ratio of a converged series' sums, checked."""
-    if not pair_sum > 0.0:  # the pair weights underflow once tau nears the float limit
-        raise SeriesConvergenceError(f"thermal pair sum underflowed to 0 at tau={tau}")
-    damping = triple_sum / pair_sum
-    if damping > 1.0 + 1e-9:
-        raise SeriesConvergenceError(f"correlator damping ratio exceeded 1: {damping}")
-    return damping
 
 
 # ---------------------------------------------------------------------------
@@ -522,26 +312,3 @@ def reconstructed_bloch(
     stack = np.stack([tables[axis].values for axis in axes], axis=-2)
     components, k = bloch_from_correlators(CorrelatorTable(axes[0], stack))
     return components, {axis: k[..., row] for row, axis in enumerate(axes)}
-
-
-def leviton_fidelity(params: LevitonParams) -> float:
-    """Input-averaged teleportation fidelity at the given width and temperature."""
-    return damped_average_fidelity(thermal_factors(params).damping)
-
-
-def fidelity_curve(
-    gammas: Sequence[float], taus: Sequence[float], series_tol: float = 1e-12
-) -> list[dict[str, float]]:
-    """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau),
-    one checked `LevitonParams` and one `thermal_factors` call per point.
-    A grid with a failing point raises that point's error, and no later
-    point is evaluated."""
-    taus = list(taus)
-    rows = []
-    for gamma in gammas:
-        for tau in taus:
-            params = LevitonParams(gamma, tau, series_tol)
-            q = thermal_factors(params).damping
-            fidelity = damped_average_fidelity(q)
-            rows.append({"gamma": params.gamma, "tau": params.tau, "q": q, "fidelity": fidelity})
-    return rows

@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import circuit
-from .circuit import ArrayLike, _number_within
+from .circuit import ArrayLike
 from .fock import (
     DETECTION_MODES,
     INPUT_MODES,
@@ -47,6 +47,7 @@ from .fock import (
     occupations,
     probabilities,
 )
+from .scalar import _all_within, _number_within
 
 SOURCE_LABELS = ("S_phi0", "S_phi1", "S_psi")
 DETECTOR_LABELS = ("A0+", "A0-", "A1+", "A1-")
@@ -260,12 +261,6 @@ def jozsa_fidelity(r: np.ndarray, r_prime: np.ndarray) -> float | np.ndarray:
     return fidelity if fidelity.ndim else float(fidelity)
 
 
-def damped_average_fidelity(q: float) -> float:
-    """Fidelity averaged over all pure inputs when Bob's transverse Bloch
-    components are damped by q: (2 + q)/3."""
-    return (2.0 + q) / 3.0
-
-
 def premeasurement_amplitudes(stage: str, R: ArrayLike, phi: ArrayLike) -> np.ndarray:
     """The three-source state evolved up to a stage of the network.
 
@@ -466,7 +461,7 @@ def conditional_with_arm_phases(
     for arm, value in arm_phases.items():
         if not _number_within(value):
             # in the network's words, unless it is a grid's array, which the network takes
-            name = f"arm phase {arm}" if circuit._all_within(value) else "value"
+            name = f"arm phase {arm}" if _all_within(value) else "value"
             raise ValueError(f"{name} must be finite and real, got {value!r}")
     phase = saw.combined_phase(arm_phases)
     run = saw._run_constants(params)

@@ -26,18 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import protocol
-from .circuit import ARM_WIRES, _integer, _number_within
-from .protocol import (
-    MeasurementOutcome,
-    QubitState,
-    TeleportParams,
-    damped_average_fidelity,
-)
+from .circuit import ARM_WIRES
+from .protocol import MeasurementOutcome, QubitState, TeleportParams
+from .scalar import _damping, _integer, _number_within
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,6 @@ def combined_phase(arm_phases: dict[str, float]) -> float:
     """The single phase combination Bob's conditional state depends on."""
     p = {arm: arm_phases.get(arm, 0.0) for arm in ARM_WIRES}
     return p["A0p"] + p["A1"] + p["B0p"] - (p["A1p"] + p["A0"] + p["B1p"])
-
-
-def _damping(sigma2: float) -> float:
-    """Coherence factor exp(-sigma2/2) of a total arm-phase variance."""
-    if not _number_within(sigma2, 0.0):
-        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2}")
-    return math.exp(-sigma2 / 2.0)
 
 
 def _coherent_state(params: TeleportParams, phase: float, damping: float) -> QubitState:
@@ -225,34 +214,3 @@ def _run_state(run: _Run, cos: float, sin: float) -> QubitState:
     if cos == 1.0 and sin == 0.0:
         return QubitState([x, y, z])
     return QubitState([x * cos + _ARM_SIGN * y * sin, y * cos - _ARM_SIGN * x * sin, z])
-
-
-def average_fidelity(sigma2: float) -> float:
-    """Teleportation fidelity averaged over all pure input states."""
-    return damped_average_fidelity(_damping(sigma2))
-
-
-def sampled_fidelity(
-    sigma2_values: Iterable[float], n_states: int, seed: int
-) -> list[tuple[float, float]]:
-    """The fidelity averaged over n_states uniformly drawn pure inputs and its
-    standard error, one (mean, stderr) pair per sigma2.
-
-    The damped output shrinks an input's transverse components by
-    q = exp(-sigma2/2), so a pure input's fidelity depends only on its z^2,
-    and for a uniform direction |z| is uniform on [0, 1) (Archimedes): each
-    state is one uniform draw u with z^2 = u^2, shared by every sigma2.
-    The fidelity 0.5 * (1 + q) + 0.5 * (1 - q) * u^2 is affine in u^2, so
-    every sigma2's mean and spread follow from one mean and one standard
-    deviation (ddof 1) of u^2.
-    n_states must be an integer of at least 2 (a spread needs two samples).
-    """
-    n_states = _integer(n_states, "n_states", 2)
-    dampings = [_damping(sigma2) for sigma2 in sigma2_values]
-    axial = np.random.default_rng(_integer(seed, "seed", 0)).random(n_states)
-    axial *= axial
-    mean, std = float(axial.mean()), float(axial.std(ddof=1))
-    return [
-        (0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std / math.sqrt(n_states))
-        for q in dampings
-    ]

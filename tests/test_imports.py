@@ -1,6 +1,8 @@
 """Importing the package loads none of its modules, nor numpy; every exported
-name resolves on first use; and each CLI command, run in a fresh process,
-loads exactly the package modules it runs."""
+name resolves on first use; each CLI command, run in a fresh process,
+loads exactly the package modules it runs, and numpy only where it computes
+with it; and the checks of `scalar` reject what they rejected with numpy
+loaded up front."""
 
 import importlib
 import json
@@ -29,28 +31,55 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eteleport.")), "numpy" in sys.modules]))
 """
 
-EXACT = ["circuit", "fock", "protocol"]
+EXACT = ["circuit", "fock", "protocol", "scalar"]
 EVERY_MODULE = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
-# name -> (command line, modules besides cli it loads); {tmp} is a fresh
-# directory; the first six are the README's examples
+# name -> (command line, modules besides cli it loads, whether it loads
+# numpy); {tmp} is a fresh directory; the first six are the README's
+# examples.  `saw` and `leviton` are scalar laws: `saw` imports numpy for
+# its draws alone, `leviton` not at all
 COMMANDS = {
-    "ideal_text": (["ideal", "--R", "0.3", "--phi", "1.2"], EXACT),
-    "ideal_json": (["ideal", "--R", "0.3", "--phi", "1.2", "--format", "json"], EXACT),
+    "ideal_text": (["ideal", "--R", "0.3", "--phi", "1.2"], EXACT, True),
+    "ideal_json": (["ideal", "--R", "0.3", "--phi", "1.2", "--format", "json"], EXACT, True),
     "saw": (
         ["saw", "--sigma2", "0:2:0.25", "--n-states", "100000", "--format", "csv",
          "--output", "{tmp}/saw.csv"],
-        [*EXACT, "saw"],
+        ["scalar"],
+        True,
     ),
     "leviton": (
         ["leviton", "--gamma", "0.02,0.05,0.1", "--tau", "0:2:0.05",
          "--output", "{tmp}/curve.csv"],
-        [*EXACT, "leviton"],
+        ["scalar"],
+        False,
     ),
-    "correlators": (["correlators", "--R", "0.5", "--phi", "0.7"], [*EXACT, "leviton"]),
-    "circuit_check": (["circuit-check", str(PACKAGE / "data" / "teleport.ckt")], ["circuit", "fock"]),
-    "verify": (["verify"], [m for m in EVERY_MODULE if m != "cli"]),
+    "correlators": (["correlators", "--R", "0.5", "--phi", "0.7"], [*EXACT, "leviton"], True),
+    "circuit_check": (
+        ["circuit-check", str(PACKAGE / "data" / "teleport.ckt")], ["circuit", "fock", "scalar"],
+        True,
+    ),
+    "verify": (["verify"], [m for m in EVERY_MODULE if m != "cli"], True),
 }
+
+# imports `scalar` alone, then numpy, and prints whether numpy came with
+# `scalar`, which of the values each check rejects with a ValueError, and
+# the gamma LevitonParams keeps of a numpy float64
+CHECKS = """
+import json, sys
+from eteleport.scalar import LevitonParams, sampled_fidelity
+numpy_loaded = "numpy" in sys.modules
+import numpy as np
+def rejects(call, value):
+    try:
+        call(value)
+    except ValueError:
+        return True
+    return False
+checks = [lambda v: LevitonParams(v, 0.5), lambda v: sampled_fidelity([v], 10, 0)]
+values = [[0.1], np.array(np.nan), np.float32("nan")]
+rejected = [[rejects(call, value) for value in values] for call in checks]
+print(json.dumps([numpy_loaded, rejected, LevitonParams(np.float64(0.1), 0.5).gamma]))
+"""
 
 USAGE_ERRORS = {
     "n_states": ["saw", "--n-states", "1"],
@@ -74,8 +103,8 @@ def children(tmp_path_factory):
         "loaded = sorted(m for m in sys.modules if m.startswith(('eteleport', 'numpy'))); "
         "print(json.dumps([missing, loaded]))"
     )
-    runs = {"import": ["-c", bare]}
-    for name, argv in [*((n, a) for n, (a, _) in COMMANDS.items()), *USAGE_ERRORS.items()]:
+    runs = {"import": ["-c", bare], "checks": ["-c", CHECKS]}
+    for name, argv in [*((n, a) for n, (a, _, _) in COMMANDS.items()), *USAGE_ERRORS.items()]:
         runs[name] = ["-c", CHILD, *(a.replace("{tmp}", str(tmp)) for a in argv)]
     started = {
         name: subprocess.Popen(
@@ -103,10 +132,15 @@ def test_bare_import_loads_no_module_and_lists_every_export(children):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_loads_its_closure(children, name):
-    code, modules, numpy_loaded = children[name]
-    assert code == 0
-    assert modules == sorted(f"eteleport.{m}" for m in ["cli", *COMMANDS[name][1]])
-    assert numpy_loaded
+    _, modules, numpy_loaded = COMMANDS[name]
+    assert children[name] == [0, sorted(f"eteleport.{m}" for m in ["cli", *modules]), numpy_loaded]
+
+
+def test_scalar_checks_reject_non_numbers_without_numpy_loaded(children):
+    # `scalar` comes without numpy; its checks import numpy for a value that
+    # is not a Python int or float, reject a list, a NaN 0-d array and a
+    # float32 NaN, and take a float64 as the float it is
+    assert children["checks"] == [False, [[True] * 3] * 2, 0.1]
 
 
 @pytest.mark.parametrize("name", USAGE_ERRORS)

@@ -6,25 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eteleport import leviton, protocol
+from eteleport import leviton, protocol, scalar
 from eteleport.leviton import (
     CorrelatorTable,
-    LevitonParams,
-    SeriesConvergenceError,
     bloch_from_correlators,
-    fidelity_curve,
     finite_T_correlators,
-    leviton_fidelity,
     photoassist_amplitude,
     photoassist_spectrum_oracle,
     photoassist_weight_sum,
     reconstructed_bloch,
     reference_correlators,
-    thermal_factors,
     zero_T_correlators,
     zero_T_tables,
 )
-from eteleport.protocol import TeleportParams, damped_average_fidelity
+from eteleport.protocol import TeleportParams
+from eteleport.scalar import (
+    LevitonParams,
+    SeriesConvergenceError,
+    damped_average_fidelity,
+    fidelity_curve,
+    leviton_fidelity,
+    thermal_factors,
+)
 
 
 # --- photoassisted amplitudes ---
@@ -88,7 +91,7 @@ def test_params_validation():
 def test_cold_limit():
     # at tau = 0 both sums are the unit weight sum, which the closed-form
     # tail gives from n = 1 on, so it holds to rounding for every width
-    for gamma in (leviton.GAMMA_MIN, 1e-3, 0.02, 0.05, 1.0, leviton.GAMMA_MAX):
+    for gamma in (scalar.GAMMA_MIN, 1e-3, 0.02, 0.05, 1.0, scalar.GAMMA_MAX):
         factors = thermal_factors(LevitonParams(gamma, 0.0))
         assert abs(factors.pair - 1.0) <= 1e-14
         assert abs(factors.triple - 1.0) <= 1e-14
@@ -171,9 +174,9 @@ def _decimal_factors(gamma, tau):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(leviton.GAMMA_MIN, leviton.GAMMA_MAX), st.floats(0.0, 10.0),
+@given(st.floats(scalar.GAMMA_MIN, scalar.GAMMA_MAX), st.floats(0.0, 10.0),
        st.sampled_from((1e-12, 1e-9)))
-@example(leviton.GAMMA_MIN, 0.0, 1e-12)
+@example(scalar.GAMMA_MIN, 0.0, 1e-12)
 @example(0.02, 0.5, 1e-300)  # the tail's k terms run until they underflow
 @example(0.05, 40.0, 1e-12)  # the low harmonics take both brackets' series branches
 @example(0.05, 1e25, 1e-12)  # the triple sum falls as 1/tau^2; the direct loop stops in the cap
@@ -452,13 +455,13 @@ def test_failing_fidelity_curve_stops_at_its_first_block(monkeypatch):
     # loop's error there and evaluates no later point
     gammas, taus = [0.02, 0.05], [0.5, 1000.0, 1.0]
     calls = []
-    factors = leviton.thermal_factors
+    factors = scalar.thermal_factors
 
     def counted(params):
         calls.append((params.gamma, params.tau))
         return factors(params)
 
-    monkeypatch.setattr(leviton, "thermal_factors", counted)
+    monkeypatch.setattr(scalar, "thermal_factors", counted)
     with pytest.raises(SeriesConvergenceError) as raised:
         fidelity_curve(gammas, taus, 1e-300)
     assert calls == [(0.02, 0.5), (0.02, 1000.0)]

@@ -43,7 +43,7 @@ import test_properties
 import test_protocol
 import test_saw
 import eteleport
-from eteleport import acceptance, circuit, fock, leviton, protocol, saw
+from eteleport import acceptance, circuit, fock, leviton, protocol, saw, scalar
 from eteleport.fock import DETECTION_MODES, FockState
 from eteleport.protocol import MeasurementOutcome
 
@@ -149,7 +149,7 @@ def _mask_table_multiplied(monkeypatch):
 
 
 def _series_fails(params):
-    raise leviton.SeriesConvergenceError("thermal series not converged")
+    raise scalar.SeriesConvergenceError("thermal series not converged")
 
 
 # edits of more than one row: the Monte Carlo amplitudes fed transformed
@@ -175,12 +175,12 @@ EDITS = [
     ),
     pytest.param(
         # the sample spread of u^2 divided by n, not n - 1: saw.csv's stderr moves
-        saw, "sampled_fidelity", "axial.std(ddof=1)", "axial.std()",
+        scalar, "sampled_fidelity", "axial.std(ddof=1)", "axial.std()",
         _golden("saw.csv"), id="mean-std-ddof-zero",
     ),
     pytest.param(
         # the constant 0.5 (1 + q) and the weight 0.5 (1 - q) of the mean u^2 trade places
-        saw, "sampled_fidelity",
+        scalar, "sampled_fidelity",
         "(0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std",
         "(0.5 * (1.0 - q) + 0.5 * (1.0 + q) * mean, 0.5 * (1.0 + q) * std",
         _criterion(6), id="affine-weights-swapped-crit06",
@@ -260,19 +260,19 @@ EDITS = [
         _criterion(7), id="triple-product-term-dropped-crit07",
     ),
     pytest.param(
-        # the damping ratio reads 1e-10 high, inside `_damping`'s 1e-9
+        # the damping ratio reads 1e-10 high, inside `_damping_ratio`'s 1e-9
         # allowance: only the curve's `max fidelity - 1` check sees it
-        leviton, "_damping", "/ pair_sum", "/ pair_sum * (1.0 + 1e-10)",
+        scalar, "_damping_ratio", "/ pair_sum", "/ pair_sum * (1.0 + 1e-10)",
         _criterion(9), id="damping-above-one-crit09",
     ),
     pytest.param(
         # the pair rest's bound takes m^2 + 2mq - q + 2q^2, 2q below E (m + J)^2
-        leviton, "_direct_rest", "2.0 * m * q + q + 2.0 * q2", "2.0 * m * q - q + 2.0 * q2",
+        scalar, "_direct_rest", "2.0 * m * q + q + 2.0 * q2", "2.0 * m * q - q + 2.0 * q2",
         test_properties.test_direct_rest_is_its_moment_sums, id="pair-rest-moment-lowered",
     ),
     pytest.param(
         # the closed-form tail starts one harmonic after the last direct term
-        leviton, "_tail_terms", "k, a = 0, 2.0 * g", "k, a, first = 0, 2.0 * g, first + 1",
+        scalar, "_tail_terms", "k, a = 0, 2.0 * g", "k, a, first = 0, 2.0 * g, first + 1",
         test_leviton.test_thermal_factors_match_a_decimal_oracle, id="tail-one-harmonic-late",
     ),
 ]
@@ -319,7 +319,7 @@ STAND_INS = [
         _criterion(4), id="nan-overlap-crit04",
     ),
     pytest.param(
-        _replace(saw, "sampled_fidelity", lambda sigma2_values, n_states, seed: [
+        _replace(scalar, "sampled_fidelity", lambda sigma2_values, n_states, seed: [
             (math.nan, math.nan) for _ in sigma2_values
         ]),
         _criterion(6), id="nan-fidelity-samples-crit06",
@@ -331,27 +331,27 @@ STAND_INS = [
         _criterion(6), id="nan-montecarlo-stack-crit06",
     ),
     pytest.param(
-        _halved(leviton, "_PAIR_SERIES"),
+        _halved(scalar, "_PAIR_SERIES"),
         test_properties.test_thermal_weights_match_direct_forms, id="pair-series-halved",
     ),
     pytest.param(
-        _halved(leviton, "_TRIPLE_SERIES"),
+        _halved(scalar, "_TRIPLE_SERIES"),
         test_properties.test_thermal_weights_match_direct_forms, id="triple-series-halved",
     ),
     pytest.param(
-        _halved(leviton, "_PAIR_SERIES"),
+        _halved(scalar, "_PAIR_SERIES"),
         test_leviton.test_thermal_factors_match_a_decimal_oracle, id="pair-series-halved-grid",
     ),
     pytest.param(
-        _halved(leviton, "_TRIPLE_SERIES"),
-        test_properties.test_thermal_weights_match_direct_forms, id="triple-series-halved-grid",
+        _halved(scalar, "_TRIPLE_SERIES"),
+        test_leviton.test_thermal_factors_match_a_decimal_oracle, id="triple-series-halved-grid",
     ),
     pytest.param(
-        _replace(leviton, "thermal_factors", _series_fails),
+        _replace(scalar, "thermal_factors", _series_fails),
         _criterion(8), id="series-error-crit08",
     ),
     pytest.param(
-        _replace(leviton, "fidelity_curve", lambda gammas, taus: [
+        _replace(scalar, "fidelity_curve", lambda gammas, taus: [
             {"gamma": g, "tau": t, "fidelity": math.nan} for g in gammas for t in taus
         ]),
         _criterion(9), id="nan-fidelity-curve-crit09",

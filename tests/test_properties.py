@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from eteleport import circuit, fock, leviton, protocol, saw  # noqa: E402
+from eteleport import circuit, fock, leviton, protocol, saw, scalar  # noqa: E402
 from eteleport.acceptance import reference_network_matrix  # noqa: E402
 from eteleport.fock import (  # noqa: E402
     DETECTION_MODES,
@@ -141,15 +141,15 @@ def test_oracle_matches_closed_form_amplitudes(gamma):
 @given(st.floats(0.01, 0.5), st.floats(0.0, 40.0))
 def test_thermal_damping_and_fidelity_bounds(gamma, tau):
     # tau > 10 reaches the pair series branch (x = n / 2 tau < 0.05)
-    params = leviton.LevitonParams(gamma, tau)
-    assert 0.0 < leviton.thermal_factors(params).damping <= 1.0 + 1e-9
-    assert 2.0 / 3.0 <= leviton.leviton_fidelity(params) <= 1.0
+    params = scalar.LevitonParams(gamma, tau)
+    assert 0.0 < scalar.thermal_factors(params).damping <= 1.0 + 1e-9
+    assert 2.0 / 3.0 <= scalar.leviton_fidelity(params) <= 1.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.0, 20.0))
 def test_average_fidelity_bounds(sigma2):
-    assert 2.0 / 3.0 <= saw.average_fidelity(sigma2) <= 1.0
+    assert 2.0 / 3.0 <= scalar.average_fidelity(sigma2) <= 1.0
 
 
 def _lone_launch(stage, *parameters):
@@ -400,7 +400,7 @@ def _direct_thermal_weights(x: float) -> tuple[float, float]:
 def test_thermal_weights_match_direct_forms(x):
     # both series branches (x < 0.05 and x < 0.25) and the direct pair form
     pair, triple = _direct_thermal_weights(x)
-    got_pair, got_triple = leviton._thermal_brackets(x)
+    got_pair, got_triple = scalar._thermal_brackets(x)
     assert abs(got_pair - pair) <= 1e-12 * pair
     assert abs(got_triple - triple) <= 1e-12 * triple
 
@@ -412,7 +412,7 @@ def test_grid_thermal_weights_match_direct_forms(gamma, tau):
     # harmonic from its first harmonic, 4 tau (x = n / 2 tau >= 2), on
     g = 2.0 * math.pi * gamma
     first = max(1, math.ceil(4.0 * tau))
-    tail = itertools.islice(leviton._tail_terms(g, tau, first), 60)
+    tail = itertools.islice(scalar._tail_terms(g, tau, first), 60)
     got_pair, got_triple = (math.fsum(terms) for terms in zip(*tail))
     pairs, triples = [], []
     n = first
@@ -439,7 +439,7 @@ def test_direct_rest_is_its_moment_sums(gamma, m, tau):
     n = np.arange(m, m + 2000, dtype=float)
     sums = [math.fsum((n**k * r**n).tolist()) for k in (1, 2, 3)]
     want = (min(sums[0], sums[1] / (6.0 * tau)), min(sums[0], sums[2] / (30.0 * tau * tau)))
-    got = leviton._direct_rest(r ** (m - 1) * q, m, q, tau)
+    got = scalar._direct_rest(r ** (m - 1) * q, m, q, tau)
     for value, reference in zip(got, want):
         assert abs(value - reference) <= 1e-12 * reference
 

@@ -11,12 +11,11 @@ from eteleport.protocol import MeasurementOutcome, TeleportParams, jozsa_fidelit
 from eteleport.saw import (
     ARM_WIRES,
     DephasingParams,
-    average_fidelity,
     combined_phase,
     dephased_state_analytic,
     dephased_state_montecarlo,
-    sampled_fidelity,
 )
+from eteleport.scalar import average_fidelity, sampled_fidelity
 
 PP = MeasurementOutcome.from_signs("+", "+")
 PARAMS = TeleportParams(0.3, 1.2)

@@ -7,10 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from eteleport import circuit, cli, leviton, protocol, saw
+from eteleport import circuit, cli, leviton, protocol, saw, scalar
 from eteleport.circuit import ElementSpec, prep_splitter
 from eteleport.fock import ModeRegistry, SingleParticleUnitary
-from eteleport.leviton import LevitonParams
 from eteleport.protocol import (
     MeasurementOutcome,
     QubitState,
@@ -19,6 +18,7 @@ from eteleport.protocol import (
     jozsa_fidelity,
 )
 from eteleport.saw import DephasingParams
+from eteleport.scalar import LevitonParams
 
 NAN, INF = math.nan, math.inf
 ONE_MODE = ModeRegistry(("a",))
@@ -122,9 +122,9 @@ def test_arm_phase_reported_as_given(stage):
 
 
 SIGMA2_FUNCTIONS = {
-    "average_fidelity": saw.average_fidelity,
+    "average_fidelity": scalar.average_fidelity,
     "dephased_state_analytic": lambda s: saw.dephased_state_analytic(TeleportParams(0.3, 1.2), s),
-    "sampled_fidelity": lambda s: saw.sampled_fidelity([0.5, s], 10, seed=0),
+    "sampled_fidelity": lambda s: scalar.sampled_fidelity([0.5, s], 10, seed=0),
 }
 
 
@@ -147,7 +147,7 @@ def test_finite_T_factors_must_lie_in_unit_interval(name, factor):
 NEGATIVE_SEED_CALLS = {
     "montecarlo_click_probabilities": saw.montecarlo_click_probabilities,
     "dephased_state_montecarlo": saw.dephased_state_montecarlo,
-    "sampled_fidelity": lambda params, deph, n, seed: saw.sampled_fidelity([1.0], n, seed),
+    "sampled_fidelity": lambda params, deph, n, seed: scalar.sampled_fidelity([1.0], n, seed),
 }
 
 
@@ -178,7 +178,7 @@ def test_photoassist_gamma_must_be_positive_and_finite(call, gamma):
 
 def test_photoassist_accepts_gamma_min():
     for call in GAMMA_FUNCTIONS.values():
-        assert np.all(np.isfinite(call(leviton.GAMMA_MIN)))
+        assert np.all(np.isfinite(call(scalar.GAMMA_MIN)))
 
 
 PHOTON_NUMBER_FUNCTIONS = {
