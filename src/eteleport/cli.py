@@ -347,8 +347,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -7,6 +7,7 @@ from eteleport.acceptance import reference_network_matrix
 from eteleport.circuit import (
     CircuitDescription,
     CircuitSyntaxError,
+    ElementSpec,
     compose,
     element_matrix,
     format_circuit,
@@ -75,6 +76,11 @@ def test_element_parameter_validation():
         tomo_splitter("a", "b", -0.1, 0.0)
     with pytest.raises(ValueError):
         sym_splitter("a", "a")
+    # a kind and a parameter count the parser never passes on
+    with pytest.raises(ValueError, match="unknown element kind 'split'"):
+        ElementSpec("split", ("a", "b"))
+    with pytest.raises(ValueError, match=r"prep takes parameters \('R', 'phi'\), got 1"):
+        ElementSpec("prep", ("a", "b"), (0.5,))
 
 
 # --- composition ---
@@ -192,21 +198,20 @@ def test_roundtrip_keeps_numpy_float_parameters():
 
 
 def test_error_positions():
-    with pytest.raises(CircuitSyntaxError) as err:
-        parse_circuit("modes a b\nsplit a b\n")
-    assert err.value.line == 2 and err.value.col == 1
-
-    with pytest.raises(CircuitSyntaxError) as err:
-        parse_circuit("modes a b\nsym a z\n")
-    assert err.value.line == 2 and err.value.col == 7
-
-    with pytest.raises(CircuitSyntaxError) as err:
-        parse_circuit("modes a b\nprep a b R=0.5 phi=abc\n")
-    assert err.value.line == 2
-
-    with pytest.raises(CircuitSyntaxError) as err:
-        parse_circuit("sym a b\n")
-    assert "modes" in str(err.value)
+    for text, (line, col, message) in {
+        "modes a b\nsplit a b\n": (2, 1, "unknown element kind 'split'"),
+        "modes a b\nsym a z\n": (2, 7, "undeclared mode 'z'"),
+        "modes a b\nprep a b R=0.5 phi=abc\n": (2, 20, "invalid number in 'phi=abc'"),
+        "sym a b\n": (1, 1, "element before the modes declaration"),
+        "modes\n": (1, 1, "modes declaration lists no modes"),
+        "modes a 1b\n": (1, 9, "invalid mode label '1b'"),
+        "modes a b a\n": (1, 1, "duplicate mode label"),
+        "# no modes line\n": (1, 1, "missing modes declaration"),
+    }.items():
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+        assert str(err.value) == f"line {line}, col {col}: {message}"
 
 
 def test_parameter_out_of_range_rejected():

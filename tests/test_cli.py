@@ -30,8 +30,10 @@ def test_parse_grid_list():
 
 
 def test_parse_grid_errors():
-    for bad in ("1:2", "0:1:-0.5", "a,b", "", "1:x:0.1"):
-        with pytest.raises(cli.UsageError):
+    for bad, message in (("1:2", "start:stop:step"), ("0:1:-0.5", "step must be positive"),
+                         ("a,b", "non-numeric value"), ("", "empty value list"),
+                         ("1:x:0.1", "non-numeric grid bound"), ("1:0:0.1", "empty grid '1:0")):
+        with pytest.raises(cli.UsageError, match=message):
             cli.parse_grid(bad)
 
 
@@ -45,12 +47,17 @@ def test_parse_grid_caps_the_point_count():
 
 # --- ideal ---
 
-def test_ideal_text_report(capsys):
+def test_ideal_text_report(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ideal", "--R", "0.5", "--phi", "0")
     assert code == 0
     assert "p(++) = 0.0625" in out
     assert "efficiency with_feedforward = 0.25" in out
     assert "efficiency without_feedforward = 0.125" in out
+    # written to a file, the report has the bytes it prints
+    path = tmp_path / "ideal.txt"
+    argv = ("ideal", "--R", "0.3", "--phi", "1.2", "--output", str(path))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert path.read_bytes() == (Path(__file__).parent / "data" / "ideal.txt").read_bytes()
 
 
 def test_ideal_json_fidelity_field(capsys):
@@ -132,6 +139,9 @@ def test_saw_seed_from_environment(capsys, tmp_path, monkeypatch):
     run_cli(capsys, "saw", "--sigma2", "1", "--n-states", "500",
             "--output", str(env_based))
     assert explicit.read_bytes() == env_based.read_bytes()
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    message = f"error: {cli.SEED_ENV_VAR} must be an integer, got 'abc'\n"
+    assert run_cli(capsys, "saw", "--n-states", "10") == (2, "", message)
 
 
 def test_saw_rejects_a_negative_seed(capsys, monkeypatch):
@@ -237,6 +247,18 @@ def test_circuit_check_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "circuit-check", str(tmp_path / "none.ckt"))
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["Unable to allocate 7.45 GiB for an array", ""])
+def test_a_failed_allocation_is_an_input_error(capsys, monkeypatch, text):
+    # one error line and exit 2, never a traceback (the draw raises, nothing
+    # is allocated); a bare MemoryError reads "out of memory"
+    def no_memory(seed):
+        raise MemoryError(text)
+
+    monkeypatch.setattr("numpy.random.default_rng", no_memory)
+    argv = ("saw", "--sigma2", "0", "--n-states", "1000000000")
+    assert run_cli(capsys, *argv) == (2, "", f"error: {text or 'out of memory'}\n")
 
 
 # --- verify ---

@@ -366,18 +366,6 @@ def _moment_block(setting):
     return protocol._table().moments[list(protocol.TOMO_SETTINGS).index(setting), rows]
 
 
-def test_moment_grid_rows_equal_one_point_rows_bitwise():
-    rs, phis = (g.ravel() for g in np.meshgrid(
-        np.linspace(0.1, 0.9, 5), np.linspace(0.0, 2.0 * math.pi, 5), indexing="ij"
-    ))
-    block = _moment_block("X")
-    rows = protocol._observables(block, rs, phis)
-    assert rows.shape == (25, len(MOMENT_KEYS))
-    for r, phi, row in zip(rs.tolist(), phis.tolist(), rows):
-        point = protocol._observables(block, r, phi)
-        assert point.view(np.int64).tolist() == row.view(np.int64).tolist()
-
-
 # --- array routes against the bit loops they replaced ---
 
 def test_occupations_match_bit_loop():

@@ -166,7 +166,7 @@ _PP_READS_MP = (
 EDITS = [
     pytest.param(
         *_DRAWS, "draws, trig = -draws, np.empty(",
-        test_saw.test_fast_path_matches_full_simulation, id="mc-phase-sign-flipped",
+        test_properties.test_fixed_arm_phases_match_a_launch, id="mc-phase-sign-flipped",
     ),
     pytest.param(
         # one arm's spread of six, not their combination's: criterion 6 must see it

@@ -27,7 +27,7 @@ from eteleport.fock import (  # noqa: E402
     lift_amplitudes,
 )
 from eteleport.protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, TeleportParams  # noqa: E402
-from test_saw import PP, launched_conditional  # noqa: E402
+from test_saw import PP, run_states  # noqa: E402
 
 angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 unit = st.floats(0.0, 1.0)
@@ -35,7 +35,6 @@ arm_row = st.tuples(*[angle] * len(circuit.ARM_WIRES))
 point = st.tuples(unit, angle, arm_row, unit, angle)
 batch = st.lists(st.tuples(unit, angle, unit, angle), min_size=1, max_size=6)
 signed_zero = st.sampled_from((0.0, -0.0))
-scalar_point = st.tuples(signed_zero | unit, signed_zero | angle)
 
 
 @settings(max_examples=50, deadline=None)
@@ -61,28 +60,18 @@ def test_network_invariants(point):
     for x in PAIRED_OUTCOMES:
         assert abs(probs[x] - 1.0 / 16.0) < 1e-12
 
-    p, qubit = launched_conditional(params, arm_phases)
-    assert abs(p - 1.0 / 16.0) < 1e-12
-    expected = saw.fixed_phase_state(params, saw.combined_phase(arm_phases))
-    assert np.max(np.abs(qubit.rho - expected.rho)) < 1e-10
+
+def _lone_launch(stage, *parameters, **arm_phases):
+    """A stage's amplitudes from its six-mode network and the lift."""
+    network = circuit.teleport_network(stage, *parameters, **arm_phases)
+    return fock.lift_amplitudes(network, fock.create_sources(INPUT_MODES, protocol.SOURCE_LABELS))
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from((0.0, 1.0)) | unit, angle, st.lists(arm_row, min_size=1, max_size=4))
-def test_sector_amplitudes_match_full_simulation(R, phi, rows):
-    # R = 0 and R = 1 leave a single contributing three-particle configuration
-    params = TeleportParams(R, phi)
-    phis = [saw.combined_phase(dict(zip(circuit.ARM_WIRES, arms))) for arms in rows]
-    run, trig = saw._conditional_amplitudes(params, np.array(phis))
-    p, x, y, z = run
-    s = saw._ARM_SIGN
-    for (cos, sin), arms in zip(trig.T, rows):
-        rho01 = complex(x * cos + s * y * sin, s * x * sin - y * cos) / 2.0
-        rho = np.array([[(1.0 + z) / 2.0, rho01], [np.conj(rho01), (1.0 - z) / 2.0]])
-        arm_phases = dict(zip(circuit.ARM_WIRES, arms))
-        slow_p, slow = launched_conditional(params, arm_phases)
-        assert abs(p - slow_p) < 1e-12
-        assert np.max(np.abs(rho - slow.rho)) < 1e-12
+def launched_conditional(params, arm_phases):
+    """The ++ probability and Bob's qubit from a launch with arm phases."""
+    amps = _lone_launch("detection", params.R, params.phi, arm_phases=arm_phases)
+    (p,), (bloch,) = protocol.conditional_qubits(amps[None], PP)
+    return float(p), protocol.QubitState(bloch)
 
 
 # arm phases up to 10 pi either way, signed zeros too, on some arms
@@ -94,19 +83,44 @@ wide_arm_dict = st.permutations(circuit.ARM_WIRES).flatmap(
 )
 
 
+def _normal_arms(seed, count, scale):
+    rows = np.random.default_rng(seed).normal(0.0, scale, (count, 6)).tolist()
+    return [dict(zip(circuit.ARM_WIRES, row)) for row in rows]
+
+
 @settings(max_examples=100, deadline=None)
-@given(signed_zero | st.sampled_from((0.0, 1.0)) | unit, wide_angle, wide_arm_dict)
-@example(1.0, -0.0, {"A0": -0.0, "B1p": 10.0 * math.pi})
-@example(-0.0, 0.0, dict(zip(circuit.ARM_WIRES, (10.0 * math.pi, -10.0 * math.pi) * 3)))
-@example(0.3, 1.2, {})
-def test_fixed_arm_phases_match_a_launch(R, phi, arms):
-    # the run constants at one draw of the combined phase against the
-    # detection stage launched with the arm phases
-    params = TeleportParams(R, phi)
-    p, qubit = protocol.conditional_with_arm_phases(params, arms)
-    want_p, want = launched_conditional(params, arms)
-    assert abs(p - want_p) <= 1e-12
-    assert np.max(np.abs(qubit.rho - want.rho)) <= 1e-12
+@given(
+    signed_zero | st.sampled_from((0.0, 1.0)) | unit, wide_angle,
+    st.lists(wide_arm_dict, min_size=1, max_size=4),
+    st.lists(st.just(0.0) | st.floats(0.0, 5.0), min_size=6, max_size=6), st.integers(0, 2**32),
+)
+@example(1.0, -0.0, [{"A0": -0.0, "B1p": 10.0 * math.pi}], [1.0 / 6.0] * 6, 77)
+@example(-0.0, 0.0, [dict(zip(circuit.ARM_WIRES, (10 * math.pi, -10 * math.pi) * 3))], [0.5] * 6, 1)
+@example(0.3, 1.2, [{}], [0.0] * 6, 0)
+@example(0.3, 1.2, _normal_arms(6, 5, 0.8), [0.2] * 6, 6)
+@example(0.3, 1.2, _normal_arms(12, 30, 1.0), [0.15] * 6, 11)
+@example(0.0, 0.4, _normal_arms(5, 3, 1.0), [1.3 / 6.0] * 6, 5)
+@example(1.0, 2.0, _normal_arms(5, 3, 1.0), [1.3 / 6.0] * 6, 5)
+@example(0.8, -2.5, _normal_arms(5, 3, 1.0), [1.3 / 6.0] * 6, 5)
+def test_fixed_arm_phases_match_a_launch(R, phi, rows, variances, seed):
+    # Bob's ++ outcome sees arm phases only through their combined phase: at
+    # one draw (`conditional_with_arm_phases`, `fixed_phase_state`), at given
+    # draws (`_conditional_amplitudes`) and at a seeded run's own draws (each
+    # on the arm A0p), against the detection stage launched with those phases
+    params, deph, n = TeleportParams(R, phi), saw.DephasingParams(variances), len(rows)
+    phases = [saw.combined_phase(arms) for arms in rows]
+    at_phases = saw._conditional_amplitudes(params, np.array(phases))
+    own = run_states(*saw._drawn_run(params, deph, n, seed))
+    draws = np.random.default_rng(seed).standard_normal(n) * math.sqrt(math.fsum(variances))
+    for arms, phase, given, state, draw in zip(rows, phases, run_states(*at_phases), own, draws):
+        want_p, want = launched_conditional(params, arms)
+        assert abs(want_p - 1.0 / 16.0) <= 1e-12
+        p, qubit = protocol.conditional_with_arm_phases(params, arms)
+        assert max(abs(p - want_p), abs(at_phases[0].p - want_p)) <= 1e-12
+        for rho in (qubit.rho, saw.fixed_phase_state(params, phase).rho, given):
+            assert np.max(np.abs(rho - want.rho)) <= 1e-12
+        _, want = launched_conditional(params, {"A0p": float(draw)})
+        assert np.max(np.abs(state - want.rho)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,58 +166,16 @@ def test_average_fidelity_bounds(sigma2):
     assert 2.0 / 3.0 <= scalar.average_fidelity(sigma2) <= 1.0
 
 
-def _lone_launch(stage, *parameters):
-    """The stage's amplitudes at any (D', theta), from the network and the lift."""
-    sources = create_sources(INPUT_MODES, protocol.SOURCE_LABELS)
-    return lift_amplitudes(circuit.teleport_network(stage, *parameters), sources)
-
-
-@settings(max_examples=50, deadline=None)
-@given(batch)
-def test_stacked_amplitudes_match_single_runs(points):
-    R, phi, Dp, theta = map(np.array, zip(*points))
-    stacked = _lone_launch("tomography", R, phi, Dp, theta)
-    detection = protocol.premeasurement_amplitudes("detection", R, phi)
-    at_settings = protocol.premeasurement_amplitudes("tomography", R, phi)
-    for i, (r, p, dp, th) in enumerate(points):
-        single = _lone_launch("tomography", r, p, dp, th)
-        assert np.max(np.abs(stacked[i] - single)) <= 1e-15
-        run = protocol.run_premeasurement(TeleportParams(r, p))
-        assert np.max(np.abs(detection[i] - run.amps)) <= 1e-15
-        single = protocol.premeasurement_amplitudes("tomography", r, p)
-        assert np.max(np.abs(at_settings[i] - single)) <= 1e-15
-
-
 @settings(max_examples=50, deadline=None)
 @given(batch)
 def test_stacked_network_matches_reference(points):
-    stack = circuit.teleport_network("tomography", *map(np.array, zip(*points))).matrix
-    for built, point in zip(stack, points):
+    # each network of a stack is the literal matrix at its point, and lifts as it
+    stacked = tuple(map(np.array, zip(*points)))
+    stack = circuit.teleport_network("tomography", *stacked).matrix
+    launched = _lone_launch("tomography", *stacked)
+    for built, amps, point in zip(stack, launched, points):
         assert np.max(np.abs(built - reference_network_matrix(*point))) < 1e-12
-
-
-def _fresh_launch(stage, R, phi):
-    """A one-point call's amplitudes from a one-element grid."""
-    return protocol.premeasurement_amplitudes(stage, np.array([R]), np.array([phi]))[0]
-
-
-@settings(max_examples=50, deadline=None)
-@given(scalar_point)
-def test_memoised_amplitudes_equal_a_fresh_launch(point):
-    # a one-point call, made twice, has the bytes of a one-element grid
-    for stage in circuit.STAGES:
-        fresh = _fresh_launch(stage, *point)
-        for _ in range(2):
-            amps = protocol.premeasurement_amplitudes(stage, *point)
-            assert amps.tobytes() == fresh.tobytes()
-    # and so has a call at one signed zero right after one at the other
-    R, phi = point
-    for zeros in ((0.0, -0.0), (-0.0, 0.0)):
-        for pair in ([(z, phi) for z in zeros], [(R, z) for z in zeros]):
-            for stage in circuit.STAGES:
-                for signed in pair:
-                    amps = protocol.premeasurement_amplitudes(stage, *signed)
-                    assert amps.tobytes() == _fresh_launch(stage, *signed).tobytes()
+        assert np.max(np.abs(amps - _lone_launch("tomography", *point))) <= 1e-15
 
 
 def test_memo_keeps_no_rejected_point():
@@ -216,31 +188,17 @@ def test_memo_keeps_no_rejected_point():
             protocol.premeasurement_amplitudes("later", 0.3, 1.2)
 
 
-@settings(max_examples=50, deadline=None)
-@given(signed_zero | unit, signed_zero | angle)
-@example(0.3, -0.0)
-def test_setting_rows_equal_a_launch_at_one_setting(R, phi):
-    # the tomography stage is one evaluation at all three settings; each
-    # row, of a one-point call and of a one-element grid, is the six-mode
-    # launch at that setting alone, within 1e-15 (the linear form rounds
-    # apart from a launch)
-    rows = protocol.premeasurement_amplitudes("tomography", R, phi)
-    fresh = _fresh_launch("tomography", R, phi)
-    for axis, setting in enumerate(protocol.TOMO_SETTINGS.values()):
-        want = _lone_launch("tomography", R, phi, *setting)
-        for got in (rows[axis], fresh[axis]):
-            assert np.max(np.abs(got - want)) <= 1e-15, axis
-
-
 edge_unit = st.sampled_from((0.0, -0.0, 1.0)) | unit
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(edge_unit, signed_zero | angle), min_size=1, max_size=6))
 @example([(1.0, -0.0), (0.0, 0.0), (-0.0, 1.2), (1.0, 0.3)])
+@example([(0.3, -0.0)])
 def test_linear_form_equals_a_six_mode_launch(points):
     # every stage without arm phases, over a broadcast grid, over its
-    # diagonal and at each point, against its six-mode network and the
+    # diagonal (a one-element grid too) and at each point, the detection
+    # stage's state among them, against its six-mode network and the
     # determinant lift
     R, phi = map(np.array, zip(*points))
     diagonal = np.arange(len(points))
@@ -255,31 +213,29 @@ def test_linear_form_equals_a_six_mode_launch(points):
         for i, (r, p) in enumerate(points):
             got = protocol.premeasurement_amplitudes(stage, r, p)
             assert np.max(np.abs(got - want[i, i])) <= 1e-15, stage
+            if stage == "detection":
+                got = protocol.run_premeasurement(TeleportParams(r, p)).amps
+                assert np.max(np.abs(got - want[i, i])) <= 1e-15
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(signed_zero | unit, signed_zero | angle), max_size=5))
-def test_tomography_grid_rows_equal_one_point_rows(points):
-    # the settings axis follows the points': (k,) R and phi give (k, 3) rows
-    points = [(0.3, -0.0)] + points
-    R, phi = map(np.array, zip(*points))
-    grid = protocol.premeasurement_amplitudes("tomography", R, phi)
-    assert grid.shape[:2] == (len(points), 3)
-    for row, (r, p) in zip(grid, points):
-        assert row.tobytes() == protocol.premeasurement_amplitudes("tomography", r, p).tobytes()
+# phi beyond [0, 2 pi), signed zeros too
+far_angle = signed_zero | wide_angle | st.floats(-50.0, 50.0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(edge_unit, signed_zero | wide_angle), min_size=1, max_size=5))
+@given(st.lists(st.tuples(edge_unit, far_angle), min_size=1, max_size=6))
 @example([(0.0, -0.0), (1.0, -0.0), (0.3, 1.2), (-0.0, 8.29174227940473)])
 @example([(4.388922768961347e-28, 0.0), (1.0 - 2.0**-53, 0.7)])
+@example([(0.3, 1.2), (-0.0, 8.29174227940473), (1.0, -0.0)])
+@example([(4.490530341042323e-30, 0.0)])
 def test_table_route_matches_the_amplitude_route(points):
     # every block of the coefficient table against the observables taken
     # from the launched amplitudes: outcome probabilities, Bob's paired
     # conditionals, and each raw moment as a left-to-right sum of the
     # configurations' probabilities.  The routes agree within 2e-15 at
     # every R, down to an R whose amplitude sqrt(R)/4 on one of Bob's rails
-    # lies far below 1e-14
+    # lies far below 1e-14; the amplitude route's Bloch vectors are unit
+    # vectors up to their rounding (at R = 1, |r| reads 1 + 2.2e-16)
     R, phi = map(np.array, zip(*points))
     table = protocol._table()
     amps = protocol.premeasurement_amplitudes("detection", R, phi)
@@ -290,6 +246,8 @@ def test_table_route_matches_the_amplitude_route(points):
         observed = protocol._observables(table.paired[row], R, phi)
         assert np.max(np.abs(observed[:, 0] - p)) <= 2e-15
         assert np.max(np.abs(observed[:, 1:] / observed[:, :1] - bloch)) <= 2e-15
+        assert bloch.shape == (len(points), 3)
+        assert max(math.hypot(*vector) for vector in bloch.tolist()) <= 1.0 + 1e-15
     probs = fock.probabilities(protocol.premeasurement_amplitudes("tomography", R, phi))
     moments = protocol._observables(table.moments, R, phi)
     configs = fock.combination_table(len(OUTPUT_MODES), 3)[1]
@@ -298,55 +256,6 @@ def test_table_route_matches_the_amplitude_route(points):
         for point, setting in itertools.product(range(len(points)), range(3)):
             want = functools.reduce(operator.add, probs[point, setting, mask].tolist(), 0.0)
             assert abs(moments[point, setting, column] - want) <= 2e-15, labels
-
-
-@settings(max_examples=50, deadline=None)
-@given(signed_zero | unit, signed_zero | angle)
-@example(0.3, -0.0)
-def test_tomography_bloch_equals_its_grid_row(R, phi):
-    single = protocol.tomography_bloch(TeleportParams(R, phi))
-    assert single.tobytes() == protocol.tomography_bloch_grid(R, phi).tobytes()
-
-
-@settings(max_examples=50, deadline=None)
-@given(signed_zero | st.sampled_from((0.0, 1.0)) | unit, signed_zero | angle)
-@example(1.0, -0.0)
-@example(-0.0, 0.0)
-def test_zero_T_correlators_equal_their_grid_row(R, phi):
-    # a one-point table is a row of the three settings' moments kept with
-    # the point's launch; a one-element grid takes the setting's row alone
-    for setting in protocol.TOMO_SETTINGS:
-        single = leviton.zero_T_correlators(R, phi, setting).values
-        grid = leviton.zero_T_correlators(np.array([R]), np.array([phi]), setting).values
-        assert single.tobytes() == grid[0].tobytes(), setting
-
-
-# R at both ends and phi beyond [0, 2 pi), signed zeros too
-stack_point = st.tuples(
-    signed_zero | st.sampled_from((0.0, 1.0)) | unit, signed_zero | st.floats(-50.0, 50.0)
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(stack_point, min_size=1, max_size=6))
-@example([(0.3, 1.2), (-0.0, 8.29174227940473), (1.0, -0.0)])
-@example([(4.490530341042323e-30, 0.0)])
-def test_stacked_bloch_rows_equal_one_point_states(points):
-    # a row of the table evaluated over the points and the one-point state
-    # round alike, bit for bit; a row of the amplitude route's stack is
-    # within 2e-15 of it (see the test above)
-    R, phi = map(np.array, zip(*points))
-    amps = np.stack([protocol.premeasurement_amplitudes("detection", r, p) for r, p in points])
-    for row, outcome in enumerate(PAIRED_OUTCOMES):
-        _, bloch = protocol.conditional_qubits(amps, outcome)
-        assert bloch.shape == (len(points), 3)
-        observed = protocol._observables(protocol._table().paired[row], R, phi)
-        for point, stacked, (p, *numerators) in zip(points, bloch, observed.tolist()):
-            single = protocol.bob_conditional(TeleportParams(*point), outcome)
-            assert np.array([n / p for n in numerators]).tobytes() == single.bloch.tobytes()
-            assert np.max(np.abs(stacked - single.bloch)) <= 2e-15
-            # a unit vector up to its rounding: at R = 1, |r| reads 1 + 2.2e-16
-            assert math.hypot(*stacked) <= 1.0 + 1e-15
 
 
 component = signed_zero | st.floats(-1.0, 1.0)
@@ -650,23 +559,6 @@ bloch_pair = st.tuples(
 ).filter(lambda pair: all(math.hypot(*r) <= 1.0 for r in pair))
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(bloch_pair, min_size=1, max_size=6))
-@example([((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), ((-0.0, 0.0, 0.0), (0.0, -0.0, 0.0))])
-def test_stacked_fidelities_equal_scalar_calls(pairs):
-    # each row of a stacked call rounds as the scalar call of its two vectors,
-    # which returns a Python float
-    r, r_prime = (np.array(side) for side in zip(*pairs))
-    stacked = protocol.jozsa_fidelity(r, r_prime)
-    assert stacked.shape == (len(pairs),)
-    for row, (a, b) in zip(stacked.tolist(), pairs):
-        single = protocol.jozsa_fidelity(np.array(a), np.array(b))
-        assert type(single) is float
-        assert np.float64(row).tobytes() == np.float64(single).tobytes()
-    broadcast = protocol.jozsa_fidelity(r, r_prime[0])
-    assert broadcast.tobytes() == protocol.jozsa_fidelity(r, r_prime[:1]).tobytes()
-
-
 @settings(max_examples=200, deadline=None)
 @given(bloch_pair, st.booleans(), st.booleans())
 @example(((0.768221994155545, 0.3908948981016021, -0.5069873236421362),) * 2, False, False)
@@ -675,39 +567,122 @@ def test_stacked_fidelities_equal_scalar_calls(pairs):
 def test_fidelity_lies_in_the_unit_interval(pair, on_sphere, alike):
     # a vector against itself has fidelity 1 up to rounding, which must not
     # carry it past 1, even for a unit vector whose squares add up to a
-    # rounding above 1; and no pair of the unit ball falls below 0
+    # rounding above 1; and no pair of the unit ball falls below 0.  Two
+    # vectors give a Python float
     r, r_prime = (np.array(v) for v in pair)
     if on_sphere and r.any():
         r = r / math.hypot(*r)
     if alike:
         r_prime = r
-    assert 0.0 <= protocol.jozsa_fidelity(r, r_prime) <= 1.0
+    fidelity = protocol.jozsa_fidelity(r, r_prime)
+    assert type(fidelity) is float and 0.0 <= fidelity <= 1.0
 
 
-reference_point = st.tuples(edge_unit, signed_zero | angle, edge_unit, signed_zero | angle)
+# --- a grid row has the bytes of its one-point call ---
+
+
+def _each(call, items):
+    return lambda *point: [call(item, *point) for item in items]
+
+
+def _values(function):
+    return lambda setting, R, phi: function(R, phi, setting).values
+
+
+def _paired_blochs(R, phi):
+    observed = protocol._observables(protocol._table().paired, R, phi)
+    return list(np.moveaxis(observed[..., 1:] / observed[..., :1], -2, 0))
+
+
+def _of_params(function):
+    return lambda R, phi: function(TeleportParams(R, phi))
+
+
+# entry point -> (the columns it reads: R, phi, D', theta, two Bloch vectors;
+# its call over a grid; its call at a point if another), giving arrays
+GRID_ENTRIES = {
+    "premeasurement": ((0, 1), _each(protocol.premeasurement_amplitudes, circuit.STAGES)),
+    "tomography": ((0, 1), protocol.tomography_bloch_grid, _of_params(protocol.tomography_bloch)),
+    "zero_T": ((0, 1), _each(_values(leviton.zero_T_correlators), "XYZ")),
+    "bob_conditional": ((0, 1), _paired_blochs, lambda R, phi: [
+        protocol.bob_conditional(TeleportParams(R, phi), x).bloch for x in PAIRED_OUTCOMES
+    ]),
+    "moments": (
+        (0, 1), lambda *x: [protocol._observables(block, *x) for block in protocol._table().moments]
+    ),
+    "jozsa": ((4, 5), protocol.jozsa_fidelity),
+    "reference_matrix": ((0, 1, 2, 3), reference_network_matrix),
+    "input_bloch": ((0, 1), protocol.input_bloch_grid, _of_params(protocol.input_bloch)),
+    "reference_correlators": ((0, 1), _each(_values(leviton.reference_correlators), "XYZ")),
+}
+
+
+def _grids(columns):
+    """Three grids, each with its shape and each point's index and arguments:
+    the columns as given (Python numbers, then numpy scalars), broadcast (odd
+    columns on the second axis), and with all but the first at one point."""
+    k, listed = len(columns[0]), [c.tolist() for c in columns]
+    given = [((i,), [c[i] for c in listed]) for i in range(k)]
+    yield columns, (k,), given + [((i,), [_numpy_scalar(c[i]) for c in columns]) for i in range(k)]
+    outer = [c[None, :] if n % 2 else c[:, None] for n, c in enumerate(columns)]
+    pairs = itertools.product(range(k), repeat=2)
+    yield outer, (k, k), [(ij, [c[ij[n % 2]] for n, c in enumerate(listed)]) for ij in pairs]
+    first = [c[0] for c in listed[1:]]
+    yield [columns[0], *first], (k,), [((i,), [listed[0][i], *first]) for i in range(k)]
+
+
+def _numpy_scalar(x):
+    """A nonzero integer as an int64, a number a float32 holds as a float32,
+    else as it is: a float64, or a vector."""
+    if np.ndim(x) == 0 and x and float(x).is_integer():
+        return np.int64(x)
+    return np.float32(x) if np.ndim(x) == 0 and np.float32(x) == x else x
+
+
+def _listed(out):
+    return out if isinstance(out, list) else [out]
+
+
+def _at(R, phi, Dp=1.0, theta=0.0, r=(0.0, 0.0, 1.0), r_prime=(0.0, 0.0, 1.0)):
+    return (R, phi, Dp, theta, r, r_prime)
+
+
+grid_point = st.builds(
+    lambda point, pair: (*point, *pair),
+    st.tuples(edge_unit, far_angle, edge_unit, signed_zero | angle),
+    bloch_pair,
+)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(reference_point, min_size=1, max_size=5))
-@example([(0.0, -0.0, 1.0, 0.0), (1.0, 0.0, -0.0, -0.0), (-0.0, 2.0 * math.pi, 0.0, math.pi)])
+@given(st.lists(grid_point, min_size=1, max_size=6))
+@example([_at(0.3, -0.0)])
+@example([_at(1.0, -0.0)])
+@example([_at(-0.0, 0.0)])
+@example([_at(1.0, 0.5)])  # the numpy scalars int64(1) and float32(0.5)
+@example([_at(0.3, 1.2), _at(-0.0, 8.29174227940473), _at(1.0, -0.0)])
+@example([_at(4.490530341042323e-30, 0.0)])
+@example([_at(0.1 + 0.2 * k, 0.5 * math.pi * k) for k in range(5)])
+# a call at one signed zero right after one at the other
+@example([_at(0.0, 0.7), _at(-0.0, 0.7), _at(0.7, 0.0), _at(0.7, -0.0)])
+@example([_at(-0.0, 0.7), _at(0.0, 0.7), _at(0.7, -0.0), _at(0.7, 0.0)])
+@example([_at(0.3, 1.2, r_prime=(0, 0, -1.0)), _at(0.3, 1.2, r=(-0.0, 0, 0), r_prime=(0, -0.0, 0))])
+@example([_at(0.0, -0.0, 1.0, 0.0), _at(1.0, 0.0, -0.0, -0.0), _at(-0.0, math.tau, 0.0, math.pi)])
 # sqrt(D') sin(theta) underflows: a fused complex multiply would give -0.0
-@example([(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.144338327935996e-285, 1.144338327935996e-285)])
-def test_broadcast_references_equal_point_calls(points):
-    # the literal matrix, the correlator tables and the input Bloch vectors
-    # over a grid hold, point for point, the bytes of their one-point calls
-    R, phi, Dp, theta = map(np.array, zip(*points))
-    grid = reference_network_matrix(R[:, None], phi[None, :], Dp[:, None], theta[None, :])
-    assert grid.shape == (len(points), len(points), 6, 6)
-    blochs = protocol.input_bloch_grid(R[:, None], phi[None, :])
-    tables = {s: leviton.reference_correlators(R[:, None], phi[None, :], s) for s in "XYZ"}
-    for i, j in itertools.product(range(len(points)), repeat=2):
-        r, p, dp, th = R[i].item(), phi[j].item(), Dp[i].item(), theta[j].item()
-        assert grid[i, j].tobytes() == reference_network_matrix(r, p, dp, th).tobytes()
-        params = TeleportParams(r, p)
-        assert blochs[i, j].tobytes() == protocol.input_bloch(params).tobytes()
-        for setting, table in tables.items():
-            single = leviton.reference_correlators(r, p, setting).values
-            assert table.values[i, j].tobytes() == single.tobytes(), setting
+@example([_at(0.0, 0.0, 0.0, 0.0), _at(1.0, 0.0, *(1.144338327935996e-285,) * 2)])
+def test_a_grid_row_has_the_bytes_of_its_one_point_call(points):
+    # each entry point over a grid holds, point for point, the shape and bytes
+    # of its call at that point alone, in `_grids`' order; one draw serves all
+    points = [np.array(column) for column in zip(*points)]
+    for entry, (reads, grid_call, *point_call) in GRID_ENTRIES.items():
+        point_call, columns = (point_call or [grid_call])[0], [points[k] for k in reads]
+        for arrays, shape, rows in _grids(columns):
+            grids = _listed(grid_call(*arrays))
+            assert all(np.shape(grid)[: len(shape)] == shape for grid in grids), entry
+            for index, args in rows:
+                for grid, single in zip(grids, _listed(point_call(*args)), strict=True):
+                    row, single = np.asarray(grid[index]), np.asarray(single)
+                    assert (row.shape, row.tobytes()) == (single.shape, single.tobytes()), entry
 
 
 def _written_out_drq_checks(params):

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from eteleport import acceptance, circuit, fock, leviton, protocol
-from eteleport.fock import (
-    DETECTION_MODES,
-    OUTPUT_MODES,
-    FockState,
-    SingleParticleUnitary,
-    combination_table,
-    lift_amplitudes,
-)
+from eteleport.fock import DETECTION_MODES, combination_table
 from eteleport.protocol import (
     ALL_OUTCOMES,
     PAIRED_OUTCOMES,
@@ -60,20 +53,6 @@ def test_branch_overlaps():
         assert abs(t.overlap(rb)) < 1e-12
         assert abs(t.overlap(state)) == pytest.approx(0.5, abs=1e-10)
         assert abs(rb.overlap(state)) == pytest.approx(math.sqrt(3) / 2, abs=1e-10)
-
-
-def test_stage_consistency():
-    params = TeleportParams(0.3, 1.2)
-    setting = protocol.TOMO_SETTINGS["X"]
-    before = run_premeasurement(params)
-    tomography = protocol.premeasurement_amplitudes("tomography", params.R, params.phi)[0]  # X
-    after = FockState(OUTPUT_MODES, 3, tomography)
-    block = circuit.element_matrix(circuit.tomo_splitter("x", "y", *setting))
-    embedded = np.eye(6, dtype=complex)
-    embedded[4:, 4:] = block
-    amps = lift_amplitudes(SingleParticleUnitary(embedded, OUTPUT_MODES, DETECTION_MODES), before)
-    lifted = FockState(OUTPUT_MODES, 3, amps)
-    assert np.max(np.abs(after.amps - lifted.amps)) < 1e-12
 
 
 def test_unknown_stage_rejected():
@@ -281,18 +260,6 @@ def test_conditional_errors_are_not_kept_with_the_point(monkeypatch):
                     assert bob_conditional(params, outcome).bloch.tobytes() == want[outcome]
     finally:
         protocol._table.cache_clear()
-
-
-def test_numpy_scalar_point_is_launched_afresh_with_the_same_bytes():
-    # a point given as numpy scalars gives the bytes of the same values as
-    # Python scalars
-    fresh, python = (np.int64(1), np.float32(0.5)), (1, 0.5)
-    for outcome in PAIRED_OUTCOMES:
-        got, want = (bob_conditional(TeleportParams(*x), outcome) for x in (fresh, python))
-        assert got.bloch.tobytes() == want.bloch.tobytes()
-    for setting in protocol.TOMO_SETTINGS:
-        got, want = (leviton.zero_T_correlators(*x, setting) for x in (fresh, python))
-        assert got.values.tobytes() == want.values.tobytes()
 
 
 # --- efficiency ---

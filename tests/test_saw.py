@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eteleport import acceptance, circuit, fock, protocol, saw
+from eteleport import acceptance, protocol, saw
 from eteleport.protocol import MeasurementOutcome, TeleportParams, jozsa_fidelity
 from eteleport.saw import (
     ARM_WIRES,
@@ -21,22 +21,10 @@ PP = MeasurementOutcome.from_signs("+", "+")
 PARAMS = TeleportParams(0.3, 1.2)
 
 
-def launched_conditional(params, arm_phases):
-    """The ++ probability and Bob's qubit from one explicit launch of the
-    detection stage with arm phases: the six-mode network and its lift,
-    independent of the run constants `conditional_with_arm_phases` reads."""
-    network = circuit.teleport_network("detection", params.R, params.phi, arm_phases=arm_phases)
-    sources = fock.create_sources(fock.INPUT_MODES, protocol.SOURCE_LABELS)
-    amps = fock.lift_amplitudes(network, sources)
-    (p,), (bloch,) = protocol.conditional_qubits(amps[None], PP)
-    return float(p), protocol.QubitState(bloch)
-
-
-def montecarlo_states(params, deph, n_samples, seed):
-    """Bob's ++-conditional density matrix per sample, written out from the
-    run's constants and the cos and sin rows of `_drawn_run`."""
-    run, (cos, sin) = saw._drawn_run(params, deph, n_samples, seed)
-    rho00, rho11, rho01 = _entries(run, cos, sin)
+def run_states(run, trig):
+    """Bob's ++-conditional density matrix per draw, written out from a
+    run's constants and the cos and sin rows of its draws."""
+    rho00, rho11, rho01 = _entries(run, *trig)
     return np.moveaxis(np.array([[rho00, rho01], [np.conj(rho01), rho11]]), -1, 0)
 
 
@@ -83,18 +71,6 @@ def test_combined_phase_combination():
     assert combined_phase(phases) == pytest.approx(expected, abs=1e-15)
 
 
-# --- fixed-phase runs ---
-
-def test_fixed_phases_reproduce_closed_form():
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        draws = dict(zip(ARM_WIRES, rng.normal(0.0, 0.8, 6)))
-        prob, state = launched_conditional(PARAMS, draws)
-        assert prob == pytest.approx(1.0 / 16.0, abs=1e-12)
-        expected = saw.fixed_phase_state(PARAMS, combined_phase(draws))
-        assert np.max(np.abs(state.rho - expected.rho)) < 1e-12
-
-
 # --- Monte Carlo ---
 
 def test_zero_variance_equals_analytic_for_any_seed():
@@ -120,22 +96,6 @@ def test_arm_phase_stream_is_pinned():
         assert draws.tobytes() == np.random.default_rng(seed).normal(0.0, scale, 1000).tobytes()
     # zero variances give +0.0, never -0.0
     assert saw._sample_phases(DephasingParams((0.0,) * 6), 50, 3).tobytes() == bytes(8 * 50)
-
-
-def test_fast_path_matches_full_simulation():
-    deph = DephasingParams.from_total(0.9)
-    stack = montecarlo_states(PARAMS, deph, 30, seed=11)
-    # the combined phase of each run, drawn here without saw, spread over
-    # the six arms at random so that combined_phase gives it back
-    phis = np.random.default_rng(11).standard_normal(30) * math.sqrt(math.fsum(deph.variances))
-    rng = np.random.default_rng(12)
-    for i, phi in enumerate(phis):
-        arms = dict(zip(ARM_WIRES, rng.normal(0.0, 1.0, 6)))
-        arm = ARM_WIRES[rng.integers(6)]
-        arms[arm] += combined_phase({arm: 1.0}) * (phi - combined_phase(arms))
-        assert combined_phase(arms) == pytest.approx(phi, abs=1e-14)
-        _, slow = launched_conditional(PARAMS, arms)
-        assert np.max(np.abs(stack[i] - slow.rho)) < 1e-12
 
 
 def test_click_probability_unaffected_by_noise():
@@ -200,45 +160,10 @@ def test_prefix_is_the_shorter_run_across_blocks(n):
         assert len(part) == n and whole[:n].tobytes() == part.tobytes()
 
 
-def test_forms_match_complex_amplitudes_for_any_coefficients():
-    deph = DephasingParams.from_total(1.3)
-    n = 4103
-    # the two ++ rows of Alice's lifted splitters over the prepared stage's
-    # sector, (A0+, A1+, B'0) then (A0+, A1+, B'1), and the arms each
-    # configuration of that sector occupies
-    alice = circuit.alice_splitters(ARM_WIRES)
-    configs, lifted = fock.lift_matrix(alice, 3)
-    rows = lifted[protocol.povm_element(PP).clicked(alice.rows, 3)]
-    arms = fock.occupations(alice.cols, configs, ARM_WIRES)
-    # the whole combined phase on A0p, an arm of weight +1, every
-    # configuration's own phase kept
-    assert combined_phase({"A0p": 1.0}) == 1.0
-    on = arms[:, ARM_WIRES.index("A0p")]
-    phases = np.exp(-1j * np.outer(saw._sample_phases(deph, n, 5), on))
-    cases = (PARAMS, TeleportParams(0.0, 0.4), TeleportParams(1.0, 2.0), TeleportParams(0.8, -2.5))
-    for params in cases:
-        coeffs = rows * protocol.premeasurement_amplitudes("preparation", params.R, params.phi)
-        alpha, beta = (phases @ c for c in coeffs)
-        p = abs(alpha) ** 2 + abs(beta) ** 2
-        clicks = saw.montecarlo_click_probabilities(params, deph, n, 5)
-        # one configuration per amplitude: p is a constant of the run
-        assert np.ptp(clicks) == 0.0
-        assert np.max(np.abs(clicks - p)) < 1e-12
-        run, (cos, sin) = saw._drawn_run(params, deph, n, 5)
-        entries = _entries(run, cos, sin)
-        wanted = (abs(alpha) ** 2, abs(beta) ** 2, alpha * np.conj(beta))
-        for got, want in zip(entries, wanted):
-            assert np.max(np.abs(got - want / p)) < 1e-12
-        rho00, rho11, rho01 = (x.mean() for x in entries)
-        mean = np.array([[rho00, rho01], [np.conj(rho01), rho11]]) / (rho00 + rho11)
-        averaged = dephased_state_montecarlo(params, deph, n, 5)
-        assert np.max(np.abs(averaged.rho - mean)) < 1e-14
-
-
 def test_averaged_state_is_the_mean_of_the_stack():
     deph = DephasingParams((0.7, 0.0, 0.1, 0.0, 0.2, 0.0))
     for params in (PARAMS, TeleportParams(0.0, 0.4), TeleportParams(1.0, 2.0)):
-        stack = montecarlo_states(params, deph, 500, seed=3)
+        stack = run_states(*saw._drawn_run(params, deph, 500, 3))
         mean = stack.mean(axis=0)
         averaged = dephased_state_montecarlo(params, deph, 500, seed=3)
         assert np.max(np.abs(averaged.rho - mean / np.trace(mean).real)) < 1e-14
