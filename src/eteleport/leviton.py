@@ -20,7 +20,7 @@ import numpy as np
 
 from . import protocol, scalar
 from .circuit import ArrayLike
-from .fock import OUTPUT_MODES, _unfused_product, mass
+from .fock import OUTPUT_MODES, mass
 from .scalar import _check_gamma, _integer, _number_within
 
 # the thermal series is `scalar`'s; perfbench's exact_sweep still reads
@@ -115,11 +115,14 @@ def photoassist_spectrum_oracle(n_values: Sequence[int], gamma: float) -> np.nda
     z = np.exp(2j * np.pi * t)
     q = math.exp(-2.0 * math.pi * gamma)
     phase_factor = (q * z - 1.0) / (z - q)
-    wave = np.exp(2j * np.pi * np.outer(n_values, t))
-    # each complex product unfused, then added left to right over the grid:
-    # a BLAS product rounds as the host's BLAS kernel does, and numpy's
-    # complex multiply fuses on hosts with FMA
-    return mass(_unfused_product(wave, phase_factor), slice(None)) / n_grid
+    # exp(i theta) is exactly (cos theta, sin theta); real products rounded on their own
+    # (`fock._unfused_product`), added left to right: no BLAS kernel or FMA moves a digit
+    theta = (2.0 * np.pi) * np.outer(n_values, t)
+    cos, sin = np.cos(theta), np.sin(theta)
+    product = np.empty(theta.shape, dtype=complex)
+    product.real = cos * phase_factor.real - sin * phase_factor.imag
+    product.imag = cos * phase_factor.imag + sin * phase_factor.real
+    return mass(product, slice(None)) / n_grid
 
 
 def photoassist_weight_sum(gamma: float) -> float:

@@ -134,8 +134,7 @@ class LevitonParams:
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if not _number_within(self.tau, 0.0):
-            raise ValueError(f"temperature tau must be non-negative and finite, got {self.tau!r}")
+        _check_tau(self.tau)
         if not (_number_within(self.series_tol) and self.series_tol > 0.0):
             raise ValueError(f"series_tol must be positive and finite, got {self.series_tol!r}")
         # as Python floats: given numpy scalars (an np.arange grid), the
@@ -158,6 +157,11 @@ def _check_gamma(gamma: float) -> None:
             f"pulse width gamma must be positive and finite, in [{GAMMA_MIN:g}, {GAMMA_MAX:g}],"
             f" got {gamma!r}"
         )
+
+
+def _check_tau(tau: float) -> None:
+    if not _number_within(tau, 0.0):
+        raise ValueError(f"temperature tau must be non-negative and finite, got {tau!r}")
 
 
 # Taylor coefficients in x^2: coth(x) - 1/x = x * sum_k c_k x^(2k), and the
@@ -226,32 +230,44 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
     exactly 1 and the tail from n = 1 is the unit weight sum.  A series that
     needs more terms than the cap raises instead of truncating.
     """
+    return ThermalFactors(*_series(_series_row(params), params.tau, params.series_tol))
+
+
+def _series_row(params: LevitonParams) -> tuple:
+    """What the series needs of gamma alone: gamma, g = 2 pi gamma, the weight
+    scale 4 sinh^2 g, q = r / (1 - r) for r = e^(-2g), the term cap, and each
+    direct harmonic's weight and `_direct_rest` sums, listed as needed."""
     g = 2.0 * math.pi * params.gamma
     s = math.sinh(g)
-    scale = 4.0 * s * s
-    tau, tol, cap = params.tau, params.series_tol, params.term_cap
-    q = 1.0 / math.expm1(2.0 * g)  # r / (1 - r) for r = e^(-2g)
-    # the tail's first harmonic; one past the cap stands for any later one
-    first = max(1, math.ceil(min(4.0 * tau, cap + 1.0)))
+    return params.gamma, g, 4.0 * s * s, 1.0 / math.expm1(2.0 * g), params.term_cap, []
+
+
+def _series(row: tuple, tau: float, tol: float) -> tuple[float, float, float, int]:
+    """The (pair, triple, damping, terms) of one tau from its `_series_row`."""
+    gamma, g, scale, q, cap, harmonics = row
+    # the tail's first harmonic, 1 at tau = 0; one past the cap stands for any later one
+    first = (math.ceil(4.0 * tau) or 1) if 4.0 * tau < cap + 1.0 else cap + 1
     pair_sum = triple_sum = 0.0
     for n in range(1, first):
-        decay = math.exp(-2.0 * g * n)
+        if n > len(harmonics):
+            decay = math.exp(-2.0 * g * n)
+            harmonics.append((n * scale * decay, *_direct_rest(scale * decay * q, n + 1, q)))
+        weight, weight_sum, pair_moment, triple_moment = harmonics[n - 1]
         pair_bracket, triple_bracket = _thermal_brackets(n / (2.0 * tau))
-        weight = n * scale * decay
         pair_sum += weight * pair_bracket
         triple_sum += weight * triple_bracket
-        pair_rest, triple_rest = _direct_rest(scale * decay * q, n + 1, q, tau)
+        pair_rest, triple_rest = pair_moment / (6.0 * tau), triple_moment / (30.0 * tau * tau)
+        pair_rest = pair_rest if pair_rest < weight_sum else weight_sum  # min(), without a call
+        triple_rest = triple_rest if triple_rest < weight_sum else weight_sum
         if pair_rest <= tol * pair_sum and triple_rest <= tol * triple_sum:
-            return ThermalFactors(
-                pair_sum, triple_sum, _damping_ratio(tau, pair_sum, triple_sum), n
-            )
+            return pair_sum, triple_sum, _damping_ratio(tau, pair_sum, triple_sum), n
     if first > cap:
         _damping_ratio(tau, pair_sum, triple_sum)  # a pair sum that underflowed is the cause
-        raise _not_converged(params)
+        raise _not_converged(gamma, tau, cap)
     pair_tail = triple_tail = 0.0
     for terms, (pair_term, triple_term) in enumerate(_tail_terms(g, tau, first), first - 1):
         if terms > cap:
-            raise _not_converged(params)
+            raise _not_converged(gamma, tau, cap)
         pair_term, triple_term = scale * pair_term, scale * triple_term
         pair_tail += pair_term
         triple_tail += triple_term
@@ -261,28 +277,26 @@ def thermal_factors(params: LevitonParams) -> ThermalFactors:
             break
     pair_sum += pair_tail
     triple_sum += triple_tail
-    return ThermalFactors(pair_sum, triple_sum, _damping_ratio(tau, pair_sum, triple_sum), terms)
+    return pair_sum, triple_sum, _damping_ratio(tau, pair_sum, triple_sum), terms
 
 
-def _direct_rest(head: float, m: int, q: float, tau: float) -> tuple[float, float]:
-    """Bounds on what the harmonics from m on add to the pair and the triple
-    sum, given head = scale r^(m-1) q.
+def _direct_rest(head: float, m: int, q: float) -> tuple[float, float, float]:
+    """The sums scale sum n^k r^n over n >= m, for k = 1, 2 and 3, given
+    head = scale r^(m-1) q: what bounds the rest of the direct harmonics.
 
     Each bracket is at most 1, and below its leading Taylor term: the pair
     bracket P(x) <= x/3 and the triple bracket T(x) <= 2x^2/15, at
-    x = n / 2 tau.  So the rests are at most scale sum n^k r^n over n >= m,
-    for k = 1, 2 and 3, of which the last two are divided by 6 tau and
-    30 tau^2; the triple sum falls as 1/tau^2, and only the second bounds
-    keep up with it at large tau.  The sums are head times the moments
-    E (m + J)^k of a geometric J with mean q = r / (1 - r): m + q,
-    m^2 + 2mq + q + 2q^2, and m^3 + 3m^2 q + 3m(q + 2q^2) + q + 6q^2 + 6q^3.
+    x = n / 2 tau.  So what the harmonics from m on add to the pair sum is
+    at most the first sum and at most the second over 6 tau, and to the
+    triple sum at most the first and at most the third over 30 tau^2; the
+    triple sum falls as 1/tau^2, and only the second bounds keep up with it
+    at large tau.  The sums are head times the moments E (m + J)^k of a
+    geometric J with mean q = r / (1 - r): m + q, m^2 + 2mq + q + 2q^2, and
+    m^3 + 3m^2 q + 3m(q + 2q^2) + q + 6q^2 + 6q^3.
     """
     q2 = q * q
-    weights = head * (m + q)
-    pair = head * (m * m + 2.0 * m * q + q + 2.0 * q2) / (6.0 * tau)
     cubic = m * m * m + 3.0 * m * m * q + 3.0 * m * (q + 2.0 * q2) + q + 6.0 * q2 + 6.0 * q2 * q
-    triple = head * cubic / (30.0 * tau * tau)
-    return min(weights, pair), min(weights, triple)
+    return head * (m + q), head * (m * m + 2.0 * m * q + q + 2.0 * q2), head * cubic
 
 
 def _tail_terms(g: float, tau: float, first: int) -> Iterator[tuple[float, float]]:
@@ -311,10 +325,9 @@ def _tail_terms(g: float, tau: float, first: int) -> Iterator[tuple[float, float
         a = 2.0 * g + k / tau
 
 
-def _not_converged(params: LevitonParams) -> SeriesConvergenceError:
+def _not_converged(gamma: float, tau: float, cap: int) -> SeriesConvergenceError:
     return SeriesConvergenceError(
-        f"thermal series not converged after {params.term_cap} terms "
-        f"(gamma={params.gamma}, tau={params.tau})"
+        f"thermal series not converged after {cap} terms (gamma={gamma}, tau={tau})"
     )
 
 
@@ -336,16 +349,20 @@ def leviton_fidelity(params: LevitonParams) -> float:
 def fidelity_curve(
     gammas: Sequence[float], taus: Sequence[float], series_tol: float = 1e-12
 ) -> list[dict[str, float]]:
-    """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau),
-    one checked `LevitonParams` and one `thermal_factors` call per point.
-    A grid with a failing point raises that point's error, and no later
-    point is evaluated."""
+    """Fidelity dataset over a (gamma, tau) grid, ordered by (gamma, tau): one
+    `_series_row` per gamma, and per point a tau check and one series from it.
+    A grid with a failing point raises that point's `LevitonParams` or
+    `thermal_factors` error, and no later point is evaluated."""
     taus = list(taus)
     rows = []
     for gamma in gammas:
-        for tau in taus:
-            params = LevitonParams(gamma, tau, series_tol)
-            q = thermal_factors(params).damping
+        for k, tau in enumerate(taus):
+            if k == 0:  # the first point checks gamma, tau and series_tol, as a point does
+                params = LevitonParams(gamma, tau, series_tol)
+                row = _series_row(params)
+            _check_tau(tau)
+            tau = float(tau)
+            q = _series(row, tau, params.series_tol)[2]
             fidelity = damped_average_fidelity(q)
-            rows.append({"gamma": params.gamma, "tau": params.tau, "q": q, "fidelity": fidelity})
+            rows.append({"gamma": params.gamma, "tau": tau, "q": q, "fidelity": fidelity})
     return rows

@@ -6,7 +6,9 @@ digits of criteria 7, 8 and 10 when moments and the Fourier oracle stopped
 using BLAS products, whose rounding depends on the host's BLAS kernel.
 
 Every criterion returns `Check` records, and one rule decides them: a
-check passes when `measured < bound`."""
+check passes when `measured < bound`.  tests/data/verify_checks.tsv pins
+every check at full precision, where the printed line shows three digits
+or, for criteria 6 and 9, no measured value at all."""
 
 import math
 from pathlib import Path
@@ -18,6 +20,10 @@ from eteleport.acceptance import Check, Criterion
 
 DATA = Path(__file__).resolve().parent / "data"
 VERIFY_LINES = (DATA / "verify.txt").read_text().splitlines()
+# number, name, repr(measured), repr(bound): one line per check of run_all()
+VERIFY_CHECKS = [
+    line.split("\t") for line in (DATA / "verify_checks.tsv").read_text().splitlines()
+]
 
 
 @pytest.mark.parametrize(
@@ -30,6 +36,15 @@ def test_criterion(criterion):
     assert result.line == VERIFY_LINES[criterion.number - 1]
     names = [check.name for check in result.checks]
     assert len(set(names)) == len(names) >= 1
+
+
+def test_every_check_keeps_its_measured_value_to_the_last_digit():
+    checks = [
+        [str(result.number), check.name, repr(check.measured), repr(check.bound)]
+        for result in acceptance.run_all()
+        for check in result.checks
+    ]
+    assert checks == VERIFY_CHECKS
 
 
 def _stub(*checks, detail=None):

@@ -435,6 +435,10 @@ curve_taus = st.lists(
 @example([0.05], [1e150], 1e-12)  # a triple sum of about 1e-301, stopped by the brackets' bounds
 @example([0.05], [1e200], 1e-12)  # the triple sum underflows to 0
 @example([0.03], np.linspace(0.0, 2.0, 24).tolist(), 1e-12)
+@example([0.05], [0.5, 1.0], 0.0)  # a rejected series_tol at a valid first point
+@example([0.05], [0.5], math.nan)
+@example([0.05], [-1.0], 0.0)  # a rejected tau before a rejected series_tol
+@example([0.05, 0.0], [0.5, 1.0], 1e-12)  # a rejected gamma after a row of valid points
 def test_fidelity_curve_equals_the_loop(gammas, taus, series_tol):
     try:
         want = _loop_curve(gammas, taus, series_tol)
@@ -449,16 +453,16 @@ def test_fidelity_curve_equals_the_loop(gammas, taus, series_tol):
 
 def test_failing_fidelity_curve_stops_at_its_first_block(monkeypatch):
     # (0.02, 1000) meets the term cap at this tolerance: the grid raises the
-    # loop's error there and evaluates no later point
+    # loop's error there and sums no later point's series
     gammas, taus = [0.02, 0.05], [0.5, 1000.0, 1.0]
     calls = []
-    factors = scalar.thermal_factors
+    series = scalar._series
 
-    def counted(params):
-        calls.append((params.gamma, params.tau))
-        return factors(params)
+    def counted(row, tau, tol):
+        calls.append((row[0], tau))
+        return series(row, tau, tol)
 
-    monkeypatch.setattr(scalar, "thermal_factors", counted)
+    monkeypatch.setattr(scalar, "_series", counted)
     with pytest.raises(SeriesConvergenceError) as raised:
         fidelity_curve(gammas, taus, 1e-300)
     assert calls == [(0.02, 0.5), (0.02, 1000.0)]

@@ -10,7 +10,10 @@ A row is one edit of the library's own source (`EDITS`, applied by
 different algorithm.  A library change that moves an edited text fails its
 row, where a stale copy of the function would still pass, and each edit
 row's unedited source passes its target, so the row fails by its edit
-alone.  Each row of `STAND_INS` stays a stand-in for one of these reasons:
+alone.  Every row's defect also replaces the patched object under each name
+that the package and the test modules import it as (`_patch`), so a target
+that calls it through such a name meets the defect.  Each row of
+`STAND_INS` stays a stand-in for one of these reasons:
 - the six NaN or failed-series rows: a non-finite result or a failed series
   must fail its criterion, not slip through `max(worst, x)` or `x > bound`;
 - the `_replace` constants and the `_halved` series tables;
@@ -25,7 +28,9 @@ import __future__
 import importlib
 import inspect
 import math
+import os
 import pkgutil
+import sys
 import textwrap
 from types import SimpleNamespace
 
@@ -91,11 +96,32 @@ def _golden(out_file):
     return lambda: test_golden.test_readme_output_is_byte_identical(argv, out_file, err_file)
 
 
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _patch(monkeypatch, owner, name, new):
+    """`owner.name` set to `new`, and with it every module-level name of the
+    package and of the test modules bound to the same object, so a call
+    through a name imported from `owner` meets the defect too.  A number or
+    a string is patched under its own name only: equal ones may be one
+    object."""
+    old = vars(owner)[name]
+    monkeypatch.setattr(owner, name, new)
+    if isinstance(old, (int, float, str)):
+        return
+    for module in list(sys.modules.values()):
+        path = getattr(module, "__file__", None) or ""
+        if module.__name__.partition(".")[0] == "eteleport" or os.path.dirname(path) == _TESTS:
+            for alias, value in list(vars(module).items()):
+                if value is old:
+                    monkeypatch.setattr(module, alias, new)
+
+
 def _edited(owner, name, old, new):
     """The current source of the function or method `owner.name`, with `old`,
     which must occur in it exactly once, replaced by `new`; defined again
     against its module's live globals, so its decorators apply again, and
-    patched under the same owner and name."""
+    patched under the same owner and name and its imported names (`_patch`)."""
 
     def apply(monkeypatch):
         function = inspect.unwrap(vars(owner)[name])
@@ -106,14 +132,14 @@ def _edited(owner, name, old, new):
         code = compile(source.replace(old, new), f"<edited {name}>", "exec", flags)
         namespace = {}
         exec(code, function.__globals__, namespace)
-        monkeypatch.setattr(owner, name, namespace[name])
+        _patch(monkeypatch, owner, name, namespace[name])
 
     return apply
 
 
 def _replace(owner, name, stand_in):
     def apply(monkeypatch):
-        monkeypatch.setattr(owner, name, stand_in)
+        _patch(monkeypatch, owner, name, stand_in)
 
     return apply
 
@@ -134,7 +160,7 @@ def _prep_parameters_swapped(monkeypatch):
         with np.errstate(invalid="ignore"):
             return matrix(SimpleNamespace(kind="prep", params=element.params[::-1]))
 
-    monkeypatch.setattr(circuit, "element_matrix", swapped)
+    _patch(monkeypatch, circuit, "element_matrix", swapped)
 
 
 def _mask_table_multiplied(monkeypatch):
@@ -145,7 +171,7 @@ def _mask_table_multiplied(monkeypatch):
         masks[np.arange(len(table))[:, None], table] = 1.0
         return fock.mass(probs[..., None, :] * masks[:, :-1], slice(None))
 
-    monkeypatch.setattr(protocol, "_masses", multiplied)
+    _patch(monkeypatch, protocol, "_masses", multiplied)
 
 
 def _series_fails(params):
@@ -191,6 +217,12 @@ EDITS = [
         "[x * cos + _ARM_SIGN * y * sin, y * cos - _ARM_SIGN * x * sin, z]",
         "[x * cos - _ARM_SIGN * y * sin, y * cos + _ARM_SIGN * x * sin, z]",
         test_properties.test_fixed_arm_phases_match_a_launch, id="fixed-draw-sine-flipped",
+    ),
+    pytest.param(
+        # the averaged state drops the first draw; test_saw calls the function
+        # by the name it imports, which `_patch` rebinds too
+        saw, "dephased_state_montecarlo", "trig.mean(axis=1)", "trig[:, 1:].mean(axis=1)",
+        test_saw.test_averaged_state_is_the_mean_of_the_stack, id="mc-average-drops-a-draw",
     ),
     pytest.param(
         saw, "_montecarlo_spread", "cross, scale = 2.0 *", "cross, scale = -2.0 *",
