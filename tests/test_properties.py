@@ -564,6 +564,9 @@ bloch_pair = st.tuples(
 @example(((0.768221994155545, 0.3908948981016021, -0.5069873236421362),) * 2, False, False)
 @example(((0.768221994155545, 0.3908948981016021, -0.5069873236421362),
           (-0.768221994155545, -0.3908948981016021, 0.5069873236421362)), False, False)
+# subnormal parts: their norm rounds to 5e-324 itself, so dividing by it
+# alone would give (0, 1, 1)
+@example(((0.0, 5e-324, 5e-324), (0.0, 0.0, 0.0)), True, False)
 def test_fidelity_lies_in_the_unit_interval(pair, on_sphere, alike):
     # a vector against itself has fidelity 1 up to rounding, which must not
     # carry it past 1, even for a unit vector whose squares add up to a
@@ -571,6 +574,8 @@ def test_fidelity_lies_in_the_unit_interval(pair, on_sphere, alike):
     # vectors give a Python float
     r, r_prime = (np.array(v) for v in pair)
     if on_sphere and r.any():
+        # scaled by its largest part first, so the norm is of normal size
+        r = r / np.abs(r).max()
         r = r / math.hypot(*r)
     if alike:
         r_prime = r
