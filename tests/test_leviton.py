@@ -458,9 +458,9 @@ def test_failing_fidelity_curve_stops_at_its_first_block(monkeypatch):
     calls = []
     series = scalar._series
 
-    def counted(row, tau, tol):
-        calls.append((row[0], tau))
-        return series(row, tau, tol)
+    def counted(gamma, row, tau, tol):
+        calls.append((gamma, tau))
+        return series(gamma, row, tau, tol)
 
     monkeypatch.setattr(scalar, "_series", counted)
     with pytest.raises(SeriesConvergenceError) as raised:

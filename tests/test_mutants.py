@@ -299,8 +299,14 @@ EDITS = [
     ),
     pytest.param(
         # the pair rest's bound takes m^2 + 2mq - q + 2q^2, 2q below E (m + J)^2
-        scalar, "_direct_rest", "2.0 * m * q + q + 2.0 * q2", "2.0 * m * q - q + 2.0 * q2",
+        scalar, "_direct_moments", "2.0 * m * q + q + 2.0 * q2", "2.0 * m * q - q + 2.0 * q2",
         test_properties.test_direct_rest_is_its_moment_sums, id="pair-rest-moment-lowered",
+    ),
+    pytest.param(
+        # the pair rest's bound over 3 tau, twice E (m + J)^2 / 6 tau: a series
+        # stopped by it would run on, with every value unchanged
+        scalar, "_direct_rest", "pair / (6.0 * tau)", "pair / (3.0 * tau)",
+        test_properties.test_direct_rest_is_its_moment_sums, id="pair-rest-bound-doubled",
     ),
     pytest.param(
         # the closed-form tail starts one harmonic after the last direct term

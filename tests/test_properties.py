@@ -337,19 +337,21 @@ def test_grid_thermal_weights_match_direct_forms(gamma, tau):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(0.01, 1.0), st.integers(1, 40))
-@example(0.02, 1)
-def test_direct_rest_is_its_moment_sums(gamma, m):
-    # the sums that bound the rest from harmonic m on are sum n^k r^n over
-    # n >= m (k = 1, 2, 3), here summed term by term, at head = r^(m-1) q,
-    # i.e. scale 1
+@given(st.floats(0.01, 1.0), st.integers(1, 40), st.floats(0.05, 10.0))
+@example(0.02, 1, 10.0)  # both bounds take the moment sums, not the weight sum
+def test_direct_rest_is_its_moment_sums(gamma, m, tau):
+    # the bounds on the rest from harmonic m on are sum n^k r^n over n >= m
+    # (k = 1, 2, 3; the last two over 6 tau and 30 tau^2), here summed term
+    # by term, at head = r^(m-1) q, i.e. scale 1
     g = 2.0 * math.pi * gamma
     r, q = math.exp(-2.0 * g), 1.0 / math.expm1(2.0 * g)
     n = np.arange(m, m + 2000, dtype=float)
     sums = [math.fsum((n**k * r**n).tolist()) for k in (1, 2, 3)]
-    got = scalar._direct_rest(r ** (m - 1) * q, m, q)
-    assert len(got) == len(sums)
-    for value, reference in zip(got, sums):
+    want = (min(sums[0], sums[1] / (6.0 * tau)), min(sums[0], sums[2] / (30.0 * tau * tau)))
+    moments = scalar._direct_moments(r ** (m - 1) * q, m, q)
+    got = (*moments, *scalar._direct_rest(moments, tau))
+    assert len(got) == len(sums) + len(want)
+    for value, reference in zip(got, (*sums, *want)):
         assert abs(value - reference) <= 1e-12 * reference
 
 
