@@ -297,7 +297,7 @@ def _direct_rest(moments: tuple[float, float, float], tau: float) -> tuple[float
     third over 30 tau^2 (P(x) <= x/3, T(x) <= 2x^2/15 at x = n / 2 tau), whichever is smaller."""
     weights, pair, triple = moments
     pair, triple = pair / (6.0 * tau), triple / (30.0 * tau * tau)
-    # the smaller of each pair by a comparison, a quarter of min()'s time
+    # each smaller bound by a comparison, a quarter of min()'s time
     return pair if pair < weights else weights, triple if triple < weights else weights
 
 
