@@ -14,7 +14,6 @@ import functools
 import importlib.resources
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,15 +21,16 @@ import numpy as np
 from . import circuit, fock, leviton, protocol, saw, scalar
 from .circuit import ArrayLike
 from .protocol import ALL_OUTCOMES, PAIRED_OUTCOMES, MeasurementOutcome, TeleportParams
+from .scalar import _Frozen
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Frozen):
     """One gated quantity; it passes when `measured < bound` (NaN never does)."""
 
-    name: str
-    measured: float
-    bound: float
+    __slots__ = ("name", "measured", "bound")
+
+    def __init__(self, name: str, measured: float, bound: float):
+        super().__init__(name, measured, bound)
 
     @property
     def passed(self) -> bool:
@@ -48,12 +48,11 @@ def _render(checks: Sequence[Check]) -> str:
     return ", ".join(parts)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    checks: tuple[Check, ...]
-    detail: str | None  # the PASS text where it is not `_render(checks)`
+class CriterionResult(_Frozen):
+    __slots__ = ("number", "name", "checks", "detail")  # detail: a PASS text other than _render's
+
+    def __init__(self, number: int, name: str, checks: tuple[Check, ...], detail: str | None):
+        super().__init__(number, name, checks, detail)
 
     @property
     def passed(self) -> bool:
@@ -69,11 +68,11 @@ class CriterionResult:
         return f"{status}  criterion {self.number:2d}  {self.name}: {text}"
 
 
-@dataclass(frozen=True)
-class Criterion:
-    number: int
-    name: str
-    func: Callable[[], tuple[Sequence[Check], str | None]]
+class Criterion(_Frozen):
+    __slots__ = ("number", "name", "func")
+
+    def __init__(self, number: int, name: str, func: Callable[[], tuple[Sequence, str | None]]):
+        super().__init__(number, name, func)
 
     def run(self) -> CriterionResult:
         try:

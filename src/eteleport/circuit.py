@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -26,7 +25,7 @@ from .fock import (
     ModeRegistry,
     SingleParticleUnitary,
 )
-from .scalar import _all_within
+from .scalar import _Frozen, _all_within
 
 # A parameter: a float, or an array of them, one per point of a grid.
 ArrayLike = float | np.ndarray
@@ -46,8 +45,7 @@ _ELEMENT_PARAMS = {
 _PROBABILITIES = ("R", "Dp")
 
 
-@dataclass(frozen=True)
-class ElementSpec:
+class ElementSpec(_Frozen):
     """One network element: its keyword, target mode(s), and its parameters
     in the keyword's order (`sym`: none; `prep`: R, phi; `tomo`: Dp,
     theta; `phase`: value).
@@ -57,13 +55,10 @@ class ElementSpec:
     as text.
     """
 
-    kind: str
-    modes: tuple[str, ...]
-    params: tuple[ArrayLike, ...] = ()
+    __slots__ = ("kind", "modes", "params")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "params", tuple(self.params))
+    def __init__(self, kind: str, modes: tuple[str, ...], params: tuple[ArrayLike, ...] = ()):
+        super().__init__(kind, tuple(modes), tuple(params))
         if self.kind not in _ELEMENT_PARAMS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         n_modes, names = _ELEMENT_PARAMS[self.kind]
@@ -129,16 +124,13 @@ def element_matrix(element: ElementSpec) -> np.ndarray:
     return np.exp(-1j * value)[..., None, None]
 
 
-@dataclass(frozen=True)
-class CircuitDescription:
+class CircuitDescription(_Frozen):
     """Declared mode order plus elements in application order."""
 
-    modes: tuple[str, ...]
-    elements: tuple[ElementSpec, ...]
+    __slots__ = ("modes", "elements")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, modes: tuple[str, ...], elements: tuple[ElementSpec, ...]):
+        super().__init__(tuple(modes), tuple(elements))
         registry = ModeRegistry(self.modes)  # checks uniqueness
         for element in self.elements:
             for mode in element.modes:

@@ -24,29 +24,34 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .scalar import _Frozen
 
 NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModeRegistry:
+class ModeRegistry(_Frozen):
     """Ordered, unique mode labels; index order fixes all sign conventions."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels", "_indices")
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: tuple[str, ...]):
+        labels = tuple(labels)
         if not all(isinstance(lab, str) for lab in labels):
             raise ValueError(f"mode labels must be strings, got {labels}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in {labels}")
-        object.__setattr__(self, "_indices", {lab: i for i, lab in enumerate(labels)})
+        super().__init__(labels, {lab: i for i, lab in enumerate(labels)})
+
+    def __eq__(self, other):  # `_term`'s cache key, hashed per call: one field, read directly
+        return self.labels == other.labels if other.__class__ is ModeRegistry else NotImplemented
+
+    def __hash__(self):
+        return hash(self.labels)
 
     def index(self, label: str) -> int:
         try:
@@ -166,17 +171,14 @@ def _term(registry: ModeRegistry, labels: tuple[str, ...]) -> tuple[int, int, in
     return len(idx), _config(idx), _reorder_sign(idx)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class FockState:
+class FockState(_Frozen, eq=False):
     """Fixed-particle-number state stored as one read-only complex array.
 
     `amps` holds an amplitude for every configuration of the sector, in
     combination order, the sector's row of `combination_table`.
     """
 
-    registry: ModeRegistry
-    particle_number: int
-    amps: np.ndarray
+    __slots__ = ("registry", "particle_number", "amps", "_probabilities")
 
     def __init__(
         self, registry: ModeRegistry, particle_number: int, amps: np.ndarray | Sequence[complex]
@@ -187,8 +189,8 @@ class FockState:
                 f"expected a vector of {len(sector)} amplitudes, got shape {np.shape(amps)}"
             )
         amps = np.array(amps, dtype=complex)
-        amps.flags.writeable = False  # probabilities are cached
-        self.__dict__.update(registry=registry, particle_number=particle_number, amps=amps)
+        amps.flags.writeable = False  # its probabilities are kept
+        super().__init__(registry, particle_number, amps, probabilities(amps))
 
     @classmethod
     def from_terms(
@@ -220,10 +222,10 @@ class FockState:
         _, sector = combination_table(len(registry), n)
         return cls(registry, n, [amps.get(c, 0.0) for c in sector.tolist()])
 
-    @functools.cached_property
+    @property
     def probabilities(self) -> np.ndarray:
         """|amplitude|^2 of each configuration."""
-        return probabilities(self.amps)
+        return self._probabilities
 
     def mass(self, keep: np.ndarray | slice) -> float:
         """Probability of the configurations flagged in `keep`."""
@@ -242,21 +244,18 @@ class FockState:
         return functools.reduce(operator.add, (a.conjugate() * b for a, b in pairs), 0j)
 
 
-@dataclass(frozen=True, eq=False)
-class SingleParticleUnitary:
+class SingleParticleUnitary(_Frozen, eq=False):
     """M x M unitary with named output (rows) and input (cols) modes.
 
     `matrix` may be a stack (..., M, M) of unitaries sharing the
     registries, one per parameter point; each is checked.
     """
 
-    matrix: np.ndarray
-    rows: ModeRegistry
-    cols: ModeRegistry
+    __slots__ = ("matrix", "rows", "cols")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, matrix: np.ndarray, rows: ModeRegistry, cols: ModeRegistry):
+        m = np.asarray(matrix, dtype=complex)
+        super().__init__(m, rows, cols)
         if m.shape[-2:] != (len(self.rows), len(self.cols)) or len(self.rows) != len(self.cols):
             raise ValueError(f"matrix shape {m.shape} does not match the registries")
         gram = m.conj().swapaxes(-1, -2) @ m
@@ -275,7 +274,7 @@ class SingleParticleUnitary:
         if len(cols) != len(self.cols):
             raise ValueError(f"expected {len(self.cols)} input modes, got {len(cols)}")
         view = object.__new__(SingleParticleUnitary)
-        view.__dict__.update(matrix=self.matrix[..., order, :], rows=rows, cols=cols)
+        _Frozen.__init__(view, self.matrix[..., order, :], rows, cols)
         return view
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import protocol, scalar
 from .circuit import ArrayLike
 from .fock import OUTPUT_MODES, mass
-from .scalar import _check_gamma, _integer, _number_within
+from .scalar import _Frozen, _check_gamma, _integer, _number_within
 
 # the thermal series is `scalar`'s; perfbench's exact_sweep still reads
 # these two as this module's names
@@ -152,8 +151,7 @@ def _setting_row(setting: str) -> int:
     return settings.index(setting)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelatorTable:
+class CorrelatorTable(_Frozen, eq=False):
     """Zero-frequency current observables, one column per entry of `KEYS`.
 
     Kinds: "I" (mean current, e/T), "P" (pair correlator, e^2/T),
@@ -162,16 +160,15 @@ class CorrelatorTable:
     per point of a parameter grid.
     """
 
-    setting: str
-    values: np.ndarray
+    __slots__ = ("setting", "values")
 
-    def __post_init__(self):
-        _setting_row(self.setting)
-        values = np.array(self.values, dtype=float)
+    def __init__(self, setting: str, values: np.ndarray):
+        _setting_row(setting)
+        values = np.array(values, dtype=float)
         if values.shape[-1:] != (len(KEYS),):
             raise ValueError(f"expected {len(KEYS)} values per row, got shape {values.shape}")
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        super().__init__(setting, values)
 
     def _column(self, labels: tuple[str, ...]) -> np.ndarray:
         return self.values[..., _COLUMNS[labels]]

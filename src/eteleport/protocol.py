@@ -23,7 +23,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -47,7 +46,7 @@ from .fock import (
     occupations,
     probabilities,
 )
-from .scalar import _all_within, _number_within
+from .scalar import _Frozen, _all_within, _number_within, _set
 
 SOURCE_LABELS = ("S_phi0", "S_phi1", "S_psi")
 DETECTOR_LABELS = ("A0+", "A0-", "A1+", "A1-")
@@ -61,38 +60,43 @@ TOMO_SETTINGS = {
 }
 
 
-@dataclass(frozen=True)
-class TeleportParams:
+class TeleportParams(_Frozen):
     """Input-qubit preparation (R, phi)."""
 
-    R: float
-    phi: float
+    __slots__ = ("R", "phi")
 
-    def __post_init__(self):
-        if not _number_within(self.R, 0.0, 1.0):
-            raise ValueError(f"reflection probability R must lie in [0, 1], got {self.R!r}")
-        if not _number_within(self.phi):
-            raise ValueError(f"input-qubit phase phi must be finite, got {self.phi!r}")
+    def __init__(self, R: float, phi: float):
+        if not _number_within(R, 0.0, 1.0):
+            raise ValueError(f"reflection probability R must lie in [0, 1], got {R!r}")
+        if not _number_within(phi):
+            raise ValueError(f"input-qubit phase phi must be finite, got {phi!r}")
+        _set(self, "R", R)
+        _set(self, "phi", phi)
 
     @property
     def D(self) -> float:
         return 1.0 - self.R
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(_Frozen):
     """Click pattern (j_A0+, j_A0-, j_A1+, j_A1-) of Alice's four detectors."""
 
-    bits: tuple[int, int, int, int]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
+    def __init__(self, bits: tuple[int, int, int, int]):
         try:  # an integer, not a float or a string that converts to one
-            bits = tuple(operator.index(b) for b in self.bits)
+            checked = tuple(operator.index(b) for b in bits)
         except TypeError:
-            bits = None
-        if bits is None or len(bits) != 4 or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"outcome bits must be four 0/1 values, got {self.bits!r}")
-        object.__setattr__(self, "bits", bits)
+            checked = None
+        if checked is None or len(checked) != 4 or any(b not in (0, 1) for b in checked):
+            raise ValueError(f"outcome bits must be four 0/1 values, got {bits!r}")
+        super().__init__(checked)
+
+    def __eq__(self, other):  # a dict key, hashed per lookup: one field, read directly
+        return self.bits == other.bits if other.__class__ is MeasurementOutcome else NotImplemented
+
+    def __hash__(self):
+        return hash(self.bits)
 
     @classmethod
     def from_signs(cls, s0: str, s1: str) -> "MeasurementOutcome":
@@ -153,23 +157,22 @@ _RATIO_ROWS = np.array([_MOMENT_LABELS.index(labels) for labels in (
 )])
 
 
-@dataclass(frozen=True, eq=False)
-class QubitState:
+class QubitState(_Frozen, eq=False):
     """Bob's qubit as its Bloch vector, one read-only (3,) array, in the
     (B'0 occupied, B'1 occupied) basis."""
 
-    bloch: np.ndarray
+    __slots__ = ("bloch",)
 
-    def __post_init__(self):
+    def __init__(self, bloch: np.ndarray):
         # checked on its three values as Python floats: the same IEEE
         # operations as numpy's on a (3,) array, without its cost per call
-        given = np.asarray(self.bloch)
+        given = np.asarray(bloch)
         if given.shape != (3,) or given.dtype.kind not in "iuf":
-            raise ValueError(f"a Bloch vector is three finite reals, got {self.bloch!r}")
-        bloch = given.astype(float)
-        _check_unit_ball(bloch.tolist())  # NaN and inf leave the ball
-        bloch.flags.writeable = False
-        object.__setattr__(self, "bloch", bloch)
+            raise ValueError(f"a Bloch vector is three finite reals, got {bloch!r}")
+        checked = given.astype(float)
+        _check_unit_ball(checked.tolist())  # NaN and inf leave the ball
+        checked.flags.writeable = False
+        _set(self, "bloch", checked)
 
     @property
     def rho(self) -> np.ndarray:
@@ -315,11 +318,19 @@ def run_premeasurement(params: TeleportParams) -> FockState:
     return FockState(DETECTION_MODES, 3, amps)
 
 
-@dataclass(frozen=True)
-class POVMElement:
+class POVMElement(_Frozen):
     """Diagonal projector weighting configurations by Alice's click pattern."""
 
-    outcome: MeasurementOutcome
+    __slots__ = ("outcome",)
+
+    def __init__(self, outcome: MeasurementOutcome):
+        _set(self, "outcome", outcome)
+
+    def __eq__(self, other):  # `clicked`'s cache key, hashed per call: one field, read directly
+        return self.outcome == other.outcome if other.__class__ is POVMElement else NotImplemented
+
+    def __hash__(self):
+        return hash(self.outcome)
 
     @functools.lru_cache(maxsize=None)
     def clicked(self, registry: ModeRegistry, particle_number: int) -> np.ndarray:

@@ -25,7 +25,6 @@ longer run with the same seed, and so is its click column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,23 +32,20 @@ import numpy as np
 from . import protocol
 from .circuit import ARM_WIRES
 from .protocol import MeasurementOutcome, QubitState, TeleportParams
-from .scalar import _damping, _integer, _number_within
+from .scalar import _Frozen, _damping, _integer, _number_within
 
 
-@dataclass(frozen=True)
-class DephasingParams:
+class DephasingParams(_Frozen):
     """Per-arm phase variances, ordered as ARM_WIRES."""
 
-    variances: tuple[float, float, float, float, float, float]
+    __slots__ = ("variances",)
 
-    def __post_init__(self):
-        if np.ndim(self.variances) != 1 or len(self.variances) != len(ARM_WIRES):
-            raise ValueError(f"need one variance per arm {ARM_WIRES}, got {self.variances!r}")
-        if not all(_number_within(v, 0.0) for v in self.variances):
-            raise ValueError(
-                f"variances must be finite and non-negative, got {self.variances!r}"
-            )
-        object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
+    def __init__(self, variances: tuple[float, float, float, float, float, float]):
+        if np.ndim(variances) != 1 or len(variances) != len(ARM_WIRES):
+            raise ValueError(f"need one variance per arm {ARM_WIRES}, got {variances!r}")
+        if not all(_number_within(v, 0.0) for v in variances):
+            raise ValueError(f"variances must be finite and non-negative, got {variances!r}")
+        super().__init__(tuple(float(v) for v in variances))
 
     @classmethod
     def from_total(cls, sigma2: float) -> "DephasingParams":

@@ -20,11 +20,50 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
+
+_set = object.__setattr__
+
+
+class _Frozen:
+    """A record of the fields in its class's `__slots__` (a slot `_x` is a cache),
+    read-only once set by this `__init__` in slot order, or by `_set` one by one
+    where a hot path builds records per call; equal and hashed by its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq: bool = True):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = operator.attrgetter(*cls._fields)
+        if not eq:  # equal only to itself
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle build the record again from its fields
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
 
 
 def _all_within(
@@ -95,7 +134,8 @@ def sampled_fidelity(
     state is one uniform draw u with z^2 = u^2, shared by every sigma2.
     The fidelity 0.5 * (1 + q) + 0.5 * (1 - q) * u^2 is affine in u^2, so
     every sigma2's mean and spread follow from one mean and one standard
-    deviation (ddof 1) of u^2.
+    deviation (ddof 1) of u^2.  The deviation is numpy's `std(ddof=1)` bit for
+    bit, its mean, squares and sum taken in the draws' own buffer.
     n_states must be an integer of at least 2 (a spread needs two samples).
     """
     n_states = _integer(n_states, "n_states", 2)
@@ -104,7 +144,10 @@ def sampled_fidelity(
 
     axial = np.random.default_rng(_integer(seed, "seed", 0)).random(n_states)
     axial *= axial
-    mean, std = float(axial.mean()), float(axial.std(ddof=1))
+    mean = float(axial.mean())
+    axial -= mean
+    axial *= axial
+    std = math.sqrt(np.add.reduce(axial) / (n_states - 1))
     return [
         (0.5 * (1.0 + q) + 0.5 * (1.0 - q) * mean, 0.5 * (1.0 - q) * std / math.sqrt(n_states))
         for q in dampings
@@ -123,25 +166,23 @@ class SeriesConvergenceError(ValueError):
     exceeded 1.  A ValueError, like every rejected input."""
 
 
-@dataclass(frozen=True)
-class LevitonParams:
+class LevitonParams(_Frozen):
     """Dimensionless pulse width gamma = width/period and temperature
     tau = k_B T / (hbar * drive frequency), plus the series tolerance."""
 
-    gamma: float
-    tau: float
-    series_tol: float = 1e-12
+    __slots__ = ("gamma", "tau", "series_tol")
 
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-        _check_tau(self.tau)
-        if not (_number_within(self.series_tol) and self.series_tol > 0.0):
-            raise ValueError(f"series_tol must be positive and finite, got {self.series_tol!r}")
+    def __init__(self, gamma: float, tau: float, series_tol: float = 1e-12):
+        _check_gamma(gamma)
+        _check_tau(tau)
+        if not (_number_within(series_tol) and series_tol > 0.0):
+            raise ValueError(f"series_tol must be positive and finite, got {series_tol!r}")
         # as Python floats: given numpy scalars (an np.arange grid), the
         # thermal series would run in numpy-scalar arithmetic, the same
         # values in about 1.6 times the time
-        for name in ("gamma", "tau", "series_tol"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _set(self, "gamma", float(gamma))
+        _set(self, "tau", float(tau))
+        _set(self, "series_tol", float(series_tol))
 
     @property
     def term_cap(self) -> int:
@@ -210,12 +251,14 @@ def _thermal_brackets(x: float) -> tuple[float, float]:
     return pair, coth * coth + 0.5 / (s * s) - 1.5 * coth / x
 
 
-@dataclass(frozen=True)
-class ThermalFactors:
-    pair: float  # multiplies second-order correlators
-    triple: float  # multiplies third-order correlators
-    damping: float  # their ratio, the Bloch transverse damping
-    terms: int
+class ThermalFactors(_Frozen):
+    __slots__ = ("pair", "triple", "damping", "terms")
+
+    def __init__(self, pair: float, triple: float, damping: float, terms: int):
+        _set(self, "pair", pair)  # multiplies second-order correlators
+        _set(self, "triple", triple)  # multiplies third-order correlators
+        _set(self, "damping", damping)  # their ratio, the Bloch transverse damping
+        _set(self, "terms", terms)
 
 
 def thermal_factors(params: LevitonParams) -> ThermalFactors:

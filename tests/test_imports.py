@@ -1,8 +1,8 @@
 """Importing the package loads none of its modules, nor numpy; every exported
 name resolves on first use; each CLI command, run in a fresh process,
-loads exactly the package modules it runs, and numpy only where it computes
-with it; and the checks of `scalar` reject what they rejected with numpy
-loaded up front."""
+loads exactly the package modules it runs, numpy only where it computes
+with it, and never `dataclasses`; and the checks of `scalar` reject what
+they rejected with numpy loaded up front."""
 
 import importlib
 import json
@@ -19,7 +19,8 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "eteleport"
 
 # runs one command as the eteleport entry point does, then prints its exit
-# code, the package modules it loaded and whether numpy was loaded
+# code, the package modules it loaded and whether numpy, `dataclasses` and
+# `inspect` were loaded
 CHILD = """
 import contextlib, io, json, sys
 from eteleport import cli
@@ -28,7 +29,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eteleport.")), "numpy" in sys.modules]))
+modules = sorted(m for m in sys.modules if m.startswith("eteleport."))
+print(json.dumps([code, modules, *(m in sys.modules for m in ("numpy", "dataclasses", "inspect"))]))
 """
 
 EXACT = ["circuit", "fock", "protocol", "scalar"]
@@ -133,7 +135,20 @@ def test_bare_import_loads_no_module_and_lists_every_export(children):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_loads_its_closure(children, name):
     _, modules, numpy_loaded = COMMANDS[name]
-    assert children[name] == [0, sorted(f"eteleport.{m}" for m in ["cli", *modules]), numpy_loaded]
+    expected = [0, sorted(f"eteleport.{m}" for m in ["cli", *modules]), numpy_loaded]
+    assert children[name][:3] == expected
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_loads_no_dataclasses(children, name):
+    # the package's records are plain classes: no code is generated for them
+    assert children[name][3] is False
+
+
+def test_leviton_loads_neither_dataclasses_nor_inspect(children):
+    # nor the ast, dis and tokenize modules `inspect` imports; numpy loads
+    # `inspect` for the other commands
+    assert children["leviton"][3:] == [False, False]
 
 
 def test_scalar_checks_reject_non_numbers_without_numpy_loaded(children):
@@ -145,7 +160,7 @@ def test_scalar_checks_reject_non_numbers_without_numpy_loaded(children):
 
 @pytest.mark.parametrize("name", USAGE_ERRORS)
 def test_usage_error_exits_before_numpy(children, name):
-    assert children[name] == [2, ["eteleport.cli"], False]
+    assert children[name][:3] == [2, ["eteleport.cli"], False]
 
 
 def test_every_export_resolves_to_its_module():

@@ -188,7 +188,7 @@ _PP_READS_MP = (
     "(self.outcome.bits if self.outcome.bits != (1, 0, 1, 0) else (0, 1, 1, 0)))",
 )
 
-# (owner, name, old, new, target): each row's defect as one edit
+# (owner, name, old, new, target[, error]): each row's defect as one edit
 EDITS = [
     pytest.param(
         *_DRAWS, "draws, trig = -draws, np.empty(",
@@ -201,8 +201,8 @@ EDITS = [
     ),
     pytest.param(
         # the sample spread of u^2 divided by n, not n - 1: saw.csv's stderr moves
-        scalar, "sampled_fidelity", "axial.std(ddof=1)", "axial.std()",
-        _golden("saw.csv"), id="mean-std-ddof-zero",
+        scalar, "sampled_fidelity", "np.add.reduce(axial) / (n_states - 1)",
+        "np.add.reduce(axial) / n_states", _golden("saw.csv"), id="mean-std-ddof-zero",
     ),
     pytest.param(
         # the constant 0.5 (1 + q) and the weight 0.5 (1 - q) of the mean u^2 trade places
@@ -227,6 +227,14 @@ EDITS = [
     pytest.param(
         saw, "_montecarlo_spread", "cross, scale = 2.0 *", "cross, scale = -2.0 *",
         test_saw.test_montecarlo_spread_is_the_columns_mean_std, id="spread-cross-term-flipped",
+    ),
+    pytest.param(
+        # the run's means over an axis it does not have: numpy's AxisError, a
+        # ValueError, which criterion 6 would report as a FAIL line, escapes
+        # the spread's own test
+        saw, "_montecarlo_spread", "trig.mean(axis=1)", "trig.mean(axis=2)",
+        test_saw.test_montecarlo_spread_is_the_columns_mean_std, np.exceptions.AxisError,
+        id="spread-mean-over-a-missing-axis",
     ),
     pytest.param(
         *_ROWS_SWAPPED,
@@ -402,9 +410,18 @@ STAND_INS = [
     ),
 ]
 
-MUTANTS = [
-    pytest.param(_edited(*row.values[:4]), row.values[4], id=row.id) for row in EDITS
-] + STAND_INS
+# a target fails on an assert, or on a pytest.raises that saw no error; a
+# row whose defect raises an error of its own names it after its target
+FAILS = (AssertionError, pytest.fail.Exception)
+
+
+def _mutant(defect, target, error=FAILS, *, id):
+    return pytest.param(defect, target, error, id=id)
+
+
+MUTANTS = [_mutant(_edited(*row.values[:4]), *row.values[4:], id=row.id) for row in EDITS] + [
+    _mutant(*row.values, id=row.id) for row in STAND_INS
+]
 
 
 def _phases(monkeypatch, target, *phases):
@@ -417,18 +434,19 @@ def _phases(monkeypatch, target, *phases):
         )
 
 
-@pytest.mark.parametrize("defect, target", MUTANTS)
-def test_defect_fails_its_target(monkeypatch, defect, target):
+@pytest.mark.parametrize("defect, target, error", MUTANTS)
+def test_defect_fails_its_target(monkeypatch, defect, target, error):
     # a property target runs its explicit, stored and generated examples but
     # does not shrink a failure it finds: a row asks only whether it fails
     _phases(monkeypatch, target, Phase.explicit, Phase.reuse, Phase.generate)
     defect(monkeypatch)
-    # a target fails on an assert, or on a pytest.raises that saw no error
-    with pytest.raises((AssertionError, pytest.fail.Exception)):
+    with pytest.raises(error):
         target()
 
 
-@pytest.mark.parametrize("owner, name, old, new, target", EDITS)
+@pytest.mark.parametrize(
+    "owner, name, old, new, target", [pytest.param(*row.values[:5], id=row.id) for row in EDITS]
+)
 def test_unedited_source_passes_its_target(monkeypatch, owner, name, old, new, target):
     # the same helper with `old` left as it is passes: a property target its
     # explicit examples, a criterion or a golden as a whole

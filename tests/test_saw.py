@@ -364,6 +364,21 @@ def test_montecarlo_routes_equal_the_written_out_expressions(R, phi, variances, 
     assert _bytes(sampled_fidelity(sigma2_values, n_states, seed)) == _bytes(want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 200_000), st.integers(0, 2**32), st.lists(SIGMA2_VALUES, min_size=1))
+@example(2, 0, [1.0])
+@example(3, 1, [0.0, 0.5])
+@example(17, 2, [2.0])
+@example(1000, 3, [1e-6])
+@example(100_000, 12345, [0.0, 0.25, 2.0])
+@example(123_457, 4, [5.0])
+def test_sampled_fidelity_is_numpys_mean_and_std_bit_for_bit(n, seed, sigma2_values):
+    # the spread formed in the draws' own buffer is numpy's std(ddof=1), and
+    # the mean its mean(), so every row is the written-out law's bytes
+    want = _written_out_sampled_fidelity(sigma2_values, n, seed)
+    assert _bytes(sampled_fidelity(sigma2_values, n, seed)) == _bytes(want)
+
+
 # `_montecarlo_spread` forms each spread at the unit vector (x, y)/r and
 # scales it by r = hypot(x, y) last, so the spreads are compared over r, as
 # variances, against the column built at the unit vector: against s + ref,
@@ -468,6 +483,12 @@ def _traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sampled_fidelity_holds_one_array_of_draws():
+    # 100 000 draws are 0.8 MB; their spread is formed in their own buffer,
+    # where numpy's std(ddof=1) would allocate a second one
+    assert _traced_peak(lambda: sampled_fidelity([0.0, 0.5], 100_000, 12345)) <= 1_000_000
 
 
 def test_montecarlo_memory_stays_at_four_columns():

@@ -82,7 +82,7 @@ def _private_definitions() -> list:
 def _public_definitions() -> list:
     """Each public module-level name, called as a name or an attribute, and
     each public method or property of a package class (no dunders, no
-    dataclass fields), called as an attribute, as test parameters."""
+    record fields), called as an attribute, as test parameters."""
     found = []
     for path, name, first, last, node in _definitions():
         if name.startswith("_"):
