@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .scalar import _Frozen
+from .scalar import _Frozen, _set
 
 NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-12
@@ -45,7 +45,8 @@ class ModeRegistry(_Frozen):
             raise ValueError(f"mode labels must be strings, got {labels}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in {labels}")
-        super().__init__(labels, {lab: i for i, lab in enumerate(labels)})
+        _set(self, "labels", labels)
+        _set(self, "_indices", {lab: i for i, lab in enumerate(labels)})
 
     def __eq__(self, other):  # `_term`'s cache key, hashed per call: one field, read directly
         return self.labels == other.labels if other.__class__ is ModeRegistry else NotImplemented

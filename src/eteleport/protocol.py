@@ -90,7 +90,7 @@ class MeasurementOutcome(_Frozen):
             checked = None
         if checked is None or len(checked) != 4 or any(b not in (0, 1) for b in checked):
             raise ValueError(f"outcome bits must be four 0/1 values, got {bits!r}")
-        super().__init__(checked)
+        _set(self, "bits", checked)
 
     def __eq__(self, other):  # a dict key, hashed per lookup: one field, read directly
         return self.bits == other.bits if other.__class__ is MeasurementOutcome else NotImplemented

@@ -32,7 +32,7 @@ import numpy as np
 from . import protocol
 from .circuit import ARM_WIRES
 from .protocol import MeasurementOutcome, QubitState, TeleportParams
-from .scalar import _Frozen, _damping, _integer, _number_within
+from .scalar import _Frozen, _damping, _integer, _number_within, _set
 
 
 class DephasingParams(_Frozen):
@@ -45,7 +45,7 @@ class DephasingParams(_Frozen):
             raise ValueError(f"need one variance per arm {ARM_WIRES}, got {variances!r}")
         if not all(_number_within(v, 0.0) for v in variances):
             raise ValueError(f"variances must be finite and non-negative, got {variances!r}")
-        super().__init__(tuple(float(v) for v in variances))
+        _set(self, "variances", tuple(float(v) for v in variances))
 
     @classmethod
     def from_total(cls, sigma2: float) -> "DephasingParams":

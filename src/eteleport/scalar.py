@@ -31,7 +31,7 @@ _set = object.__setattr__
 class _Frozen:
     """A record of the fields in its class's `__slots__` (a slot `_x` is a cache),
     read-only once set by this `__init__` in slot order, or by `_set` one by one
-    where a hot path builds records per call; equal and hashed by its fields."""
+    (cheaper: no loop); equal and hashed by its fields."""
 
     __slots__ = ()
 
